@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 from typing import Iterable
 
@@ -78,15 +79,31 @@ def _check_k(params: BinaryEnvParams, k: int) -> None:
         raise BinaryEnvError(f"consensus level k={k} out of range 1..{params.n}")
 
 
+@lru_cache(maxsize=4)
+def _low_count_table(
+    n: int, q_other: Fraction
+) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """Binomial pmf of the number of the n-1 other members who draw low in the
+    independent branch, and its suffix sums: ``suffix[m]`` is P(at least m low),
+    with ``suffix[n] = 0``. A gain curve reads only two keys (the full-effort
+    and the deviation profile), so a few entries suffice."""
+    num, den = q_other.numerator, q_other.denominator
+    low = den - num
+    weights = [comb(n - 1, m) * low**m * num ** (n - 1 - m) for m in range(n)]
+    scale = den ** (n - 1)
+    suffix = [0] * (n + 1)
+    for m in range(n - 1, -1, -1):
+        suffix[m] = suffix[m + 1] + weights[m]
+    return (
+        tuple(Fraction(w, scale) for w in weights),
+        tuple(Fraction(s, scale) for s in suffix),
+    )
+
+
 def _tail_sum(params: BinaryEnvParams, k: int) -> Fraction:
     """Probability that at least n-k+1 of the n-1 other members draw low,
     in the independent branch. Empty sum (k=1) is zero by convention."""
-    n = params.n
-    qo = params.q_other
-    total = ZERO
-    for m in range(n - k + 1, n):
-        total += comb(n - 1, m) * (ONE - qo) ** m * qo ** (n - 1 - m)
-    return total
+    return _low_count_table(params.n, params.q_other)[1][params.n - k + 1]
 
 
 def prob_joint_high_and_nd(params: BinaryEnvParams, k: int) -> Fraction:
@@ -98,9 +115,8 @@ def prob_joint_high_and_nd(params: BinaryEnvParams, k: int) -> Fraction:
 def prob_nd(params: BinaryEnvParams, k: int) -> Fraction:
     """P(the team conceals): common low draw, or enough independent low draws."""
     _check_k(params, k)
-    n = params.n
-    p, qt, qi, qo = params.p, params.q_team, params.q_own, params.q_other
-    pivotal = comb(n - 1, n - k) * (ONE - qo) ** (n - k) * qo ** (k - 1)
+    p, qt, qi = params.p, params.q_team, params.q_own
+    pivotal = _low_count_table(params.n, params.q_other)[0][params.n - k]
     return p * (ONE - qt) + (ONE - p) * _tail_sum(params, k) + (ONE - p) * (ONE - qi) * pivotal
 
 
@@ -270,28 +286,24 @@ def sweep(
     return SweepTable(axis, tuple(rows))
 
 
+MAX_GRID_POINTS = 10_000
+
+
 def parse_grid(spec: str) -> tuple[Fraction, ...]:
-    """Parse 'start:stop:step' (inclusive, exact rational arithmetic)."""
+    """Parse 'start:stop:step' (inclusive, exact rational arithmetic), at most
+    ``MAX_GRID_POINTS`` points."""
     parts = spec.split(":")
     if len(parts) != 3:
         raise BinaryEnvError(f"grid spec {spec!r} is not start:stop:step")
     start, stop, step = (as_fraction(s) for s in parts)
     if step <= 0 or stop < start:
         raise BinaryEnvError(f"bad grid spec {spec!r}")
-    out = []
-    v = start
-    while v <= stop:
-        out.append(v)
-        v += step
-    return tuple(out)
-
-
-FIGURE_BASELINE_FULL = BinaryEnvParams.make(
-    10, "0.5", "0.51", "0.51", "0.51"
-)
-FIGURE_BASELINE_DEV = BinaryEnvParams.make(
-    10, "0.5", "0.5", "0.5", "0.5"
-)
+    count = (stop - start) // step + 1
+    if count > MAX_GRID_POINTS:
+        raise BinaryEnvError(
+            f"grid spec {spec!r} has {count} points, more than {MAX_GRID_POINTS}"
+        )
+    return tuple(start + i * step for i in range(count))
 
 
 def baseline_params(n: int = 10) -> tuple[BinaryEnvParams, BinaryEnvParams]:

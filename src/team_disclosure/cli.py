@@ -13,29 +13,24 @@ import json
 import os
 import sys
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
-from fractions import Fraction
 from pathlib import Path
 
-from .audit import CLAIM_NAMES, PANEL_GRIDS, AuditConfig, run_audit
+from .audit import CLAIM_NAMES, PANEL_GRIDS, AuditConfig, panel_sweep, run_audit
 from .binary_env import (
     BinaryEnvParams,
     BinaryEnvError,
-    SweepRow,
-    SweepTable,
     baseline_params,
     gain_curve,
     parse_grid,
-    sweep,
 )
 from .configio import (
     ConfigError,
     distribution_to_config,
     effort_model_from_config,
     equilibrium_to_config,
-    parse_distribution_spec,
-    parse_protocol_spec,
+    load_distribution,
+    load_protocol,
     protocol_to_config,
 )
 from .equilibrium import (
@@ -127,22 +122,8 @@ def _cmd_solve(args: argparse.Namespace, refine: bool = False) -> int:
     dist_spec = _merged(args, cfg, "dist")
     if proto_spec is None or dist_spec is None:
         raise ConfigError("solve needs --protocol and --dist")
-    protocol = (
-        parse_protocol_spec(proto_spec) if isinstance(proto_spec, str) else None
-    )
-    if protocol is None:
-        from .configio import protocol_from_config
-
-        protocol = protocol_from_config(proto_spec)
-    dist = (
-        parse_distribution_spec(dist_spec, protocol.n)
-        if isinstance(dist_spec, str)
-        else None
-    )
-    if dist is None:
-        from .configio import distribution_from_config
-
-        dist = distribution_from_config(dist_spec, protocol.n)
+    protocol = load_protocol(proto_spec)
+    dist = load_distribution(dist_spec, protocol.n)
     refine = refine or bool(_merged(args, cfg, "refine", False))
     max_members = int(_merged(args, cfg, "max-members", 4))
     max_grid = int(_merged(args, cfg, "max-grid", 5))
@@ -180,14 +161,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     eq_path = _merged(args, cfg, "equilibrium")
     if proto_spec is None or dist_spec is None or eq_path is None:
         raise ConfigError("verify needs --protocol, --dist and --equilibrium")
-    protocol = parse_protocol_spec(proto_spec)
-    dist = parse_distribution_spec(dist_spec, protocol.n)
+    protocol = load_protocol(proto_spec)
+    dist = load_distribution(dist_spec, protocol.n)
     with open(eq_path) as handle:
         eq_doc = json.load(handle)
-    if not {"profile", "posteriors"} <= set(eq_doc):
+    if not isinstance(eq_doc, dict) or not {"profile", "posteriors"} <= set(eq_doc):
         raise ConfigError("equilibrium file needs 'profile' and 'posteriors'")
-    profile = StrategyProfile.from_votes(dist.space, eq_doc["profile"])
-    posteriors = [as_fraction(p) for p in eq_doc["posteriors"]]
+    try:
+        profile = StrategyProfile.from_votes(dist.space, eq_doc["profile"])
+        posteriors = [as_fraction(p) for p in eq_doc["posteriors"]]
+    except TypeError as exc:
+        raise ConfigError(f"malformed equilibrium file: {exc}") from exc
     report = verify_equilibrium(profile, posteriors, dist, protocol)
     consistent = consistent_with_deliberation(posteriors, dist, protocol)
     doc = {
@@ -214,7 +198,7 @@ def _cmd_gains(args: argparse.Namespace) -> int:
         raise ConfigError("gains needs --model and --protocol")
     with open(model_path) as handle:
         model = effort_model_from_config(json.load(handle))
-    protocol = parse_protocol_spec(proto_spec)
+    protocol = load_protocol(proto_spec)
     refine = bool(_merged(args, cfg, "refine", False))
     from .incentives import protocol_full_effort_corners
 
@@ -249,8 +233,8 @@ def _cmd_dominance(args: argparse.Namespace) -> int:
         raise ConfigError("dominance needs --model, --protocol-a and --protocol-b")
     with open(model_path) as handle:
         model = effort_model_from_config(json.load(handle))
-    protocol_a = parse_protocol_spec(spec_a)
-    protocol_b = parse_protocol_spec(spec_b)
+    protocol_a = load_protocol(spec_a)
+    protocol_b = load_protocol(spec_b)
     refine = bool(_merged(args, cfg, "refine", False))
     report = dominance_report(protocol_a, protocol_b, model, refine)
     doc = {
@@ -304,60 +288,16 @@ def _cmd_optimal_k(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _sweep_chunk(payload: tuple[str, str, str, tuple[str, ...]]) -> list[tuple[str, int, str, bool, str]]:
-    """Worker: gain curve rows for a slice of axis values (serialized exactly)."""
-    full_s, dev_s, axis, values = payload
-    full = BinaryEnvParams.make(*json.loads(full_s))
-    dev = BinaryEnvParams.make(*json.loads(dev_s))
-    table = sweep(full, dev, axis, [Fraction(v) for v in values])
-    return [
-        (frac_str(r.axis_value), r.k, frac_str(r.gain), r.is_optimal, frac_str(r.gain))
-        for r in table.rows
-    ]
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _load_config_file(args.config)
     panel = _merged(args, cfg, "panel")
     if panel not in PANEL_GRIDS:
         raise ConfigError(f"panel must be one of {sorted(PANEL_GRIDS)}")
     n = int(_merged(args, cfg, "n", 10))
-    grid_spec = _merged(args, cfg, "grid")
-    axis, default_grid, descending = PANEL_GRIDS[panel]
-    values = parse_grid(grid_spec) if grid_spec else parse_grid(default_grid)
-    if descending and not grid_spec:
-        values = tuple(reversed(values))
-    full, dev = baseline_params(n)
-    jobs = int(_merged(args, cfg, "jobs", 0)) or os.cpu_count() or 1
-    if jobs > 1 and len(values) > 1:
-        # rows are computed in a pool but reassembled in input order
-        packed_full = json.dumps(
-            [n] + [frac_str(x) for x in (full.p, full.q_team, full.q_own, full.q_other)]
-        )
-        packed_dev = json.dumps(
-            [n] + [frac_str(x) for x in (dev.p, dev.q_team, dev.q_own, dev.q_other)]
-        )
-        chunks = [
-            (packed_full, packed_dev, axis, tuple(frac_str(v) for v in values[i::jobs]))
-            for i in range(jobs)
-            if values[i::jobs]
-        ]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_sweep_chunk, chunks))
-        by_value: dict[str, list[SweepRow]] = {}
-        for rows in results:
-            for axis_value, k, gain, is_opt, _ in rows:
-                by_value.setdefault(axis_value, []).append(
-                    SweepRow(Fraction(axis_value), k, Fraction(gain), is_opt)
-                )
-        ordered: list[SweepRow] = []
-        for v in values:
-            ordered.extend(by_value[frac_str(v)])
-        table = SweepTable(axis, tuple(ordered))
-    else:
-        table = sweep(full, dev, axis, values)
+    grid = _merged(args, cfg, "grid")
+    table = panel_sweep(panel, n, parse_grid(str(grid)) if grid else None)
     text = table.to_csv()
-    summary = {"command": "sweep", "panel": panel, "axis": axis, "rows": len(table.rows)}
+    summary = {"command": "sweep", "panel": panel, "axis": table.axis, "rows": len(table.rows)}
     if args.out:
         _atomic_write(args.out, text)
         summary["out"] = args.out
@@ -467,7 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--panel", choices=sorted(PANEL_GRIDS))
     p_sweep.add_argument("--grid", help="start:stop:step (exact rationals)")
     p_sweep.add_argument("--n", type=int, default=None)
-    p_sweep.add_argument("--jobs", type=int, default=None)
     common(p_sweep)
 
     p_audit = sub.add_parser("audit", help="run the claims audit")

@@ -102,6 +102,13 @@ def parse_protocol_spec(spec: str) -> DeliberationProtocol:
     raise ConfigError(f"cannot parse protocol spec {spec!r}")
 
 
+def load_protocol(spec: str | Mapping[str, Any]) -> DeliberationProtocol:
+    """A protocol from a CLI shorthand string or a config object."""
+    if isinstance(spec, str):
+        return parse_protocol_spec(spec)
+    return protocol_from_config(spec)
+
+
 # ---------------------------------------------------------------------------
 # Distributions
 # ---------------------------------------------------------------------------
@@ -173,6 +180,13 @@ def parse_distribution_spec(spec: str, n_hint: int | None = None) -> JointDistri
             raise ConfigError("common_mixture shorthand needs a protocol for n")
         return common_mixture(n_hint, *(as_fraction(v) for v in vals))
     raise ConfigError(f"cannot parse distribution spec {spec!r}")
+
+
+def load_distribution(spec: str | Mapping[str, Any], n_hint: int | None = None) -> JointDistribution:
+    """A distribution from a CLI shorthand string or a config object."""
+    if isinstance(spec, str):
+        return parse_distribution_spec(spec, n_hint)
+    return distribution_from_config(spec, n_hint)
 
 
 # ---------------------------------------------------------------------------

@@ -171,13 +171,6 @@ class DeliberationProtocol:
                 return False
         return True
 
-    @property
-    def winning_coalitions(self) -> tuple[tuple[int, ...], ...]:
-        """All winning coalitions (upward closure of the minimal ones)."""
-        return tuple(
-            _members(m) for m in range(1 << self.n) if self.wins(m)
-        )
-
     def describe(self) -> str:
         coals = ",".join("{" + ",".join(map(str, c)) + "}" for c in self.minimal_winning)
         return f"protocol(n={self.n}, minimal_winning=[{coals}])"

@@ -1,4 +1,11 @@
-import sys
+import os
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).parent))
+import team_disclosure
+
+# Child interpreters that the tests start (`python -m team_disclosure.cli`)
+# import the same package as this run, also from a bare checkout.
+_SRC = str(Path(team_disclosure.__file__).resolve().parents[1])
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [_SRC, os.environ.get("PYTHONPATH")])
+)

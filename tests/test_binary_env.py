@@ -58,9 +58,10 @@ class TestClosedForms:
 
     def test_randomized_grid_against_enumeration(self):
         rng = random.Random(47)
+        # every k of every draw, so the cached low-count tables are both
+        # reused and evicted under the oracle
         for _ in range(150):
             n = rng.randint(2, 6)
-            k = rng.randint(1, n)
             params = BinaryEnvParams(
                 n,
                 F(rng.randint(1, 99), 100),
@@ -68,12 +69,13 @@ class TestClosedForms:
                 F(rng.randint(1, 99), 100),
                 F(rng.randint(1, 99), 100),
             )
-            pnd, hi, mean = binary_branch_enumeration(
-                n, params.p, params.q_team, params.q_own, params.q_other, k
-            )
-            assert prob_nd(params, k) == pnd
-            assert prob_joint_high_and_nd(params, k) == hi
-            assert cond_mean_nd(params, k) == mean
+            for k in range(1, n + 1):
+                pnd, hi, mean = binary_branch_enumeration(
+                    n, params.p, params.q_team, params.q_own, params.q_other, k
+                )
+                assert prob_nd(params, k) == pnd
+                assert prob_joint_high_and_nd(params, k) == hi
+                assert cond_mean_nd(params, k) == mean
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(BinaryEnvError):

@@ -4,6 +4,9 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
+from team_disclosure.audit import panel_sweep
 from team_disclosure.cli import main
 
 F = Fraction
@@ -141,6 +144,24 @@ class TestVerify:
         assert not doc["ok"]
         assert doc["violations"]
 
+    @pytest.mark.parametrize(
+        "content",
+        [
+            "5",
+            "[]",
+            '"eq"',
+            json.dumps({"profile": [["0", "1"], ["0", "1"]]}),
+            json.dumps({"profile": 5, "posteriors": ["1/3", "1/3"]}),
+            json.dumps({"profile": [["0", "1"], ["0", "1"]], "posteriors": 5}),
+        ],
+    )
+    def test_verify_rejects_malformed_equilibrium_file(self, tmp_path, capsys, content):
+        eq = tmp_path / "eq.json"
+        eq.write_text(content)
+        args = ["verify", "--protocol", "k_majority:2,2", "--dist", "independent:0.5"]
+        assert main(args + ["--equilibrium", str(eq)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
 
 class TestGainsAndDominance:
     def test_gains_report(self, tmp_path):
@@ -182,11 +203,52 @@ class TestGainsAndDominance:
         ) == 2
 
 
+OBJECT_PROTOCOL = {"kind": "k_majority", "n": 2, "k": 2}
+OBJECT_DIST = {"kind": "independent", "q": ["1/2", "1/2"]}
+
+
+def _config_command(command, tmp_path):
+    """argv and config object for one command, its protocols given as objects."""
+    if command in ("solve", "refine"):
+        return [command], {"protocol": OBJECT_PROTOCOL, "dist": OBJECT_DIST}
+    if command == "verify":
+        eq = tmp_path / "eq.json"
+        eq.write_text(
+            json.dumps({"profile": [["0", "1"], ["0", "1"]], "posteriors": ["1/3", "1/3"]})
+        )
+        cfg = {"protocol": OBJECT_PROTOCOL, "dist": OBJECT_DIST, "equilibrium": str(eq)}
+        return ["verify"], cfg
+    model = str(write_worked_model(tmp_path / "model.json"))
+    if command == "gains":
+        return ["gains"], {"model": model, "protocol": OBJECT_PROTOCOL}
+    unilateral = {"kind": "k_majority", "n": 2, "k": 1}
+    cfg = {"model": model, "protocol-a": OBJECT_PROTOCOL, "protocol-b": unilateral}
+    return ["dominance"], cfg
+
+
+class TestObjectConfig:
+    """Every command accepts config-file protocols and distributions as objects."""
+
+    @pytest.mark.parametrize("command", ["solve", "refine", "verify", "gains", "dominance"])
+    def test_object_protocol_in_config(self, tmp_path, command):
+        argv, cfg = _config_command(command, tmp_path)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "out.json"
+        assert main(argv + ["--config", str(cfg_path), "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        if command == "verify":
+            assert doc["ok"]
+        else:
+            key = "protocol_a" if command == "dominance" else "protocol"
+            assert doc[key]["winning"] == [[1, 2]]
+
+
 class TestSweepAndOptimalK:
     def test_sweep_csv(self, tmp_path):
         out = tmp_path / "panel_b.csv"
         assert main(
-            ["sweep", "--panel", "b", "--grid", "0.30:0.50:0.05", "--n", "6", "--jobs", "1", "--out", str(out)]
+            ["sweep", "--panel", "b", "--grid", "0.30:0.50:0.05", "--n", "6", "--out", str(out)]
         ) == 0
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "axis_value,K,gain,is_optimal,gain_exact"
@@ -194,12 +256,13 @@ class TestSweepAndOptimalK:
         k_stars = [int(l.split(",")[1]) for l in lines[1:] if l.split(",")[3] == "true"]
         assert k_stars == sorted(k_stars, reverse=True)  # decreasing along the sweep
 
-    def test_sweep_parallel_matches_serial(self, tmp_path):
-        serial, parallel = tmp_path / "s.csv", tmp_path / "p.csv"
-        base = ["sweep", "--panel", "d", "--grid", "0.35:0.45:0.05", "--n", "5"]
-        assert main(base + ["--jobs", "1", "--out", str(serial)]) == 0
-        assert main(base + ["--jobs", "2", "--out", str(parallel)]) == 0
-        assert serial.read_bytes() == parallel.read_bytes()
+    def test_sweep_default_grid_matches_panel_sweep(self, tmp_path):
+        out = tmp_path / "panel_c.csv"
+        assert main(["sweep", "--panel", "c", "--n", "6", "--out", str(out)]) == 0
+        assert out.read_bytes() == panel_sweep("c", 6).to_csv().encode()
+
+    def test_sweep_has_no_jobs_option(self):
+        assert main(["sweep", "--panel", "b", "--jobs", "2"]) == 2
 
     def test_optimal_k_baseline(self, capsys):
         assert main(["optimal-k", "--n", "10"]) == 0
@@ -208,6 +271,8 @@ class TestSweepAndOptimalK:
 
     def test_bad_grid_rejected(self):
         assert main(["sweep", "--panel", "b", "--grid", "0.9:0.1:0.1"]) == 2
+        # 8 000 001 points: refused before any point is built
+        assert main(["sweep", "--panel", "b", "--grid", "0.1:0.9:0.0000001"]) == 2
 
 
 class TestAuditCommand:
