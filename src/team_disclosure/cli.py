@@ -111,6 +111,17 @@ def _merged(args: argparse.Namespace, file_cfg: dict, key: str, default=None):
     return default
 
 
+def _merged_int(args: argparse.Namespace, file_cfg: dict, key: str, default: int) -> int:
+    """An integer option: a flag, a JSON integer (not a bool) or a string of
+    decimal digits in the config file, else the default."""
+    value = _merged(args, file_cfg, key, default)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str) and value.isascii() and value.isdigit():
+        return int(value)
+    raise ConfigError(f"{key} must be an integer, got {json.dumps(value)}")
+
+
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -125,8 +136,8 @@ def _cmd_solve(args: argparse.Namespace, refine: bool = False) -> int:
     protocol = load_protocol(proto_spec)
     dist = load_distribution(dist_spec, protocol.n)
     refine = refine or bool(_merged(args, cfg, "refine", False))
-    max_members = int(_merged(args, cfg, "max-members", 4))
-    max_grid = int(_merged(args, cfg, "max-grid", 5))
+    max_members = _merged_int(args, cfg, "max-members", 4)
+    max_grid = _merged_int(args, cfg, "max-grid", 5)
     eqs, notes = find_equilibria_report(dist, protocol, max_members, max_grid)
     entries = []
     for eq in eqs:
@@ -273,7 +284,7 @@ def _params_from(cfg: dict, key: str, n: int, fallback: BinaryEnvParams) -> Bina
 
 def _cmd_optimal_k(args: argparse.Namespace) -> int:
     cfg = _load_config_file(args.config)
-    n = int(_merged(args, cfg, "n", 10))
+    n = _merged_int(args, cfg, "n", 10)
     base_full, base_dev = baseline_params(n)
     full = _params_from(cfg, "full", n, base_full)
     dev = _params_from(cfg, "deviation", n, base_dev)
@@ -293,7 +304,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     panel = _merged(args, cfg, "panel")
     if panel not in PANEL_GRIDS:
         raise ConfigError(f"panel must be one of {sorted(PANEL_GRIDS)}")
-    n = int(_merged(args, cfg, "n", 10))
+    n = _merged_int(args, cfg, "n", 10)
     grid = _merged(args, cfg, "grid")
     table = panel_sweep(panel, n, parse_grid(str(grid)) if grid else None)
     text = table.to_csv()
@@ -310,7 +321,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_audit(args: argparse.Namespace) -> int:
     cfg = _load_config_file(args.config)
-    seed = int(_merged(args, cfg, "seed", 0))
+    seed = _merged_int(args, cfg, "seed", 0)
     claims_arg = _merged(args, cfg, "claims")
     overrides = {}
     counts_arg = _merged(args, cfg, "counts")

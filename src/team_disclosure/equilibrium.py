@@ -18,14 +18,22 @@ rather than approximated (they cannot occur for generic rational inputs).
 Where a configuration admits a continuum of equilibria (free mixing weights),
 one canonical representative is returned: the feasible weight assignment that
 conceals the most, scanning 0 before 1 before interior candidates.
+
+The belief refinement (consistency with deliberation, and the brute-force
+twin of the full-disclosure plausibility predicate) scans every deterministic
+own-outcome profile in scaled integers: one bitmask per member, one winning
+table lookup per cell, exact integer concealment sums. Every positive answer
+is confirmed by rebuilding its witness profile through the Fraction path
+before it is returned.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import compress, product
 from math import isqrt, lcm
+from operator import or_
 from typing import Sequence
 
 from .outcomes import (
@@ -178,6 +186,23 @@ class VerificationReport:
     bayes_posteriors: tuple[Fraction, ...] | None
 
 
+def _pivotal(wins, rest: int, free: int, coalition: int) -> bool:
+    """Whether a coalition is pivotal against the other members' votes.
+
+    ``rest`` holds the members voting 1 and ``free`` those mixing strictly
+    inside (0,1); everyone else votes 0. Every pure completion of the mixed
+    votes then has positive probability, so the coalition is pivotal exactly
+    when some completion wins with it voting 1 and loses with it voting 0.
+    """
+    sub = free
+    while True:
+        if wins(rest | sub | coalition) and not wins(rest | sub):
+            return True
+        if sub == 0:
+            return False
+        sub = (sub - 1) & free
+
+
 def verify_equilibrium(
     profile: StrategyProfile,
     posteriors: Sequence[Rational],
@@ -200,38 +225,46 @@ def verify_equilibrium(
         raise EquilibriumError("posterior vector has wrong length")
 
     n = space.n
+    wins = protocol.wins
     violations: list[Violation] = []
     for cell in space.cells:
         votes = profile.vote_vector(cell)
+        ones = mixed = above = below = 0
+        for i, v in enumerate(votes):
+            if v == ONE:
+                ones |= 1 << i
+            elif v != ZERO:
+                mixed |= 1 << i
+            if cell[i] > post[i]:
+                above |= 1 << i
+            elif cell[i] < post[i]:
+                below |= 1 << i
         for mask in range(1, 1 << n):
-            members = [i for i in range(n) if mask >> i & 1]
-            hi = list(votes)
-            lo = list(votes)
-            for i in members:
-                hi[i] = ONE
-                lo[i] = ZERO
-            if protocol.evaluate(hi) <= protocol.evaluate(lo):
+            # a coalition that gains from disclosure but not all voting 1, or
+            # from concealment but not all voting 0, is a violation if pivotal
+            gain_up = mask & ~above == 0 and mask & ~ones != 0
+            gain_down = mask & ~below == 0 and mask & (ones | mixed) != 0
+            if not (gain_up or gain_down):
                 continue
-            if all(cell[i] > post[i] for i in members):
-                if any(votes[i] != ONE for i in members):
-                    violations.append(
-                        Violation(
-                            "deviation",
-                            f"at outcome {tuple(map(str, cell))} coalition "
-                            f"{tuple(i + 1 for i in members)} all gain from disclosure "
-                            "but someone votes below 1",
-                        )
+            if not _pivotal(wins, ones & ~mask, mixed & ~mask, mask):
+                continue
+            members = tuple(i + 1 for i in range(n) if mask >> i & 1)
+            if gain_up:
+                violations.append(
+                    Violation(
+                        "deviation",
+                        f"at outcome {tuple(map(str, cell))} coalition {members} "
+                        "all gain from disclosure but someone votes below 1",
                     )
-            if all(cell[i] < post[i] for i in members):
-                if any(votes[i] != ZERO for i in members):
-                    violations.append(
-                        Violation(
-                            "deviation",
-                            f"at outcome {tuple(map(str, cell))} coalition "
-                            f"{tuple(i + 1 for i in members)} all gain from concealment "
-                            "but someone votes above 0",
-                        )
+                )
+            if gain_down:
+                violations.append(
+                    Violation(
+                        "deviation",
+                        f"at outcome {tuple(map(str, cell))} coalition {members} "
+                        "all gain from concealment but someone votes above 0",
                     )
+                )
     rule = team_rule(profile, protocol)
     off_path = False
     bayes: tuple[Fraction, ...] | None
@@ -290,6 +323,23 @@ class Equilibrium:
 # ---------------------------------------------------------------------------
 
 
+def _scaled(dist: JointDistribution):
+    """The pmf and the grids as exact integers.
+
+    Returns (weights, scales, grid_ints): pmf weights scaled by the lcm of
+    the pmf denominators, and grid i scaled by scales[i], the lcm of grid i's
+    denominators.
+    """
+    weight_den = lcm(*(p.denominator for p in dist.probs))
+    weights = tuple(p.numerator * (weight_den // p.denominator) for p in dist.probs)
+    scales = tuple(lcm(*(v.denominator for v in g)) for g in dist.space.grids)
+    grid_ints = tuple(
+        tuple(v.numerator * (s // v.denominator) for v in g)
+        for g, s in zip(dist.space.grids, scales)
+    )
+    return weights, scales, grid_ints
+
+
 @lru_cache(maxsize=32)
 def _search_tables(dist: JointDistribution):
     """Integer aggregates powering the cut-configuration search.
@@ -297,17 +347,11 @@ def _search_tables(dist: JointDistribution):
     For every pure cut combination c (member i votes to disclose from grid
     position c_i on, c_i in 0..len(grid_i)) and every pure vote mask v, sums
     the pmf weight and the scaled member values of the cells whose votes
-    under c equal v. Everything is scaled to integers: weights by the pmf's
-    common denominator, member-i values by the lcm of grid-i denominators.
+    under c equal v, in the integer units of :func:`_scaled`.
     """
     space = dist.space
     n = space.n
-    weight_den = lcm(*(p.denominator for p in dist.probs))
-    weights = [int(p * weight_den) for p in dist.probs]
-    scales = [lcm(*(v.denominator for v in g)) for g in space.grids]
-    grid_ints = [
-        tuple(int(v * s) for v in g) for g, s in zip(space.grids, scales)
-    ]
+    weights, _, grid_ints = _scaled(dist)
     positions = space.positions
     cells = range(len(space.cells))
     combos = {}
@@ -324,7 +368,7 @@ def _search_tables(dist: JointDistribution):
             for i in range(n):
                 agg_s[i][v] += grid_ints[i][positions[i][c]] * w
         combos[combo] = (tuple(agg_w), tuple(tuple(s) for s in agg_s))
-    return weight_den, tuple(scales), tuple(grid_ints), combos
+    return grid_ints, combos
 
 
 @dataclass
@@ -340,7 +384,7 @@ class _SearchContext:
 
 
 def _build_context(dist: JointDistribution, protocol: DeliberationProtocol) -> _SearchContext:
-    _, _, grid_ints, combos = _search_tables(dist)
+    grid_ints, combos = _search_tables(dist)
     lose = [
         v for v in range(1 << protocol.n) if not protocol.wins(v)
     ]
@@ -911,19 +955,61 @@ def iterate_posteriors(
 # ---------------------------------------------------------------------------
 
 
-def _deterministic_profiles(space: OutcomeSpace, cap: int):
-    total = 1
-    for g in space.grids:
-        total *= 1 << len(g)
+def _concealment_scan(dist: JointDistribution, protocol: DeliberationProtocol, cap: int):
+    """Concealment aggregates of every deterministic own-outcome profile.
+
+    Member i's strategy is one int bitmask over their grid positions, the
+    first position in the highest bit, so profiles come in the order of
+    ``product((0, 1), repeat=len(grid))`` per member. Each cell's pure vote
+    mask is looked up in the protocol's winning table. For every profile that
+    conceals with positive probability, yields ``(rows, W, S, concealed)``:
+    the bitmasks, the concealed pmf mass W and the concealed value sums S_i
+    in the integer units of :func:`_scaled` (so S_i / W is member i's
+    posterior times scales[i]), and the number of concealed cells,
+    zero-probability cells included.
+    """
+    space = dist.space
+    sizes = [len(g) for g in space.grids]
+    total = 1 << sum(sizes)
     if total > cap:
         raise SearchCapExceeded(
             f"{total} deterministic profiles exceed the cap of {cap}"
         )
-    per_member = [
-        [tuple(map(Fraction, bits)) for bits in product((0, 1), repeat=len(g))]
-        for g in space.grids
+    weights, _, grid_ints = _scaled(dist)
+    positions = space.positions
+    values = [
+        tuple(grid_ints[i][p] * w for p, w in zip(positions[i], weights))
+        for i in range(space.n)
     ]
-    yield from product(*per_member)
+    loses = [not protocol.wins(v) for v in range(1 << space.n)]
+    # votes[i][r][c]: member i's bit in cell c's vote mask when their row is r
+    votes = [
+        [
+            tuple((r >> (size - 1 - p) & 1) << i for p in positions[i])
+            for r in range(1 << size)
+        ]
+        for i, size in enumerate(sizes)
+    ]
+    for rows in product(*(range(1 << size) for size in sizes)):
+        masks = votes[0][rows[0]]
+        for i in range(1, space.n):
+            masks = map(or_, masks, votes[i][rows[i]])
+        concealed = list(map(loses.__getitem__, masks))
+        mass = sum(compress(weights, concealed))
+        if mass:
+            sums = [sum(compress(v, concealed)) for v in values]
+            yield rows, mass, sums, concealed.count(True)
+
+
+def _pure_profile(space: OutcomeSpace, rows: Sequence[int]) -> StrategyProfile:
+    """The StrategyProfile of per-member bitmasks from :func:`_concealment_scan`."""
+    return StrategyProfile(
+        space,
+        tuple(
+            tuple(ONE if r >> (len(g) - 1 - p) & 1 else ZERO for p in range(len(g)))
+            for g, r in zip(space.grids, rows)
+        ),
+    )
 
 
 def consistent_with_deliberation(
@@ -933,21 +1019,25 @@ def consistent_with_deliberation(
     profile_cap: int = DEFAULT_PROFILE_CAP,
 ) -> bool:
     """Whether some deterministic own-outcome profile conceals with positive
-    probability and Bayes-updates to exactly the given posteriors."""
+    probability and Bayes-updates to exactly the given posteriors.
+
+    Profiles are scanned in scaled integers; a witness is confirmed through
+    the Fraction path (team rule, then Bayes posterior) before True is
+    returned.
+    """
     space = dist.space
     if protocol.n != space.n:
         raise EquilibriumError("protocol and distribution have different member counts")
     target = tuple(as_fraction(p) for p in posteriors)
     if len(target) != space.n:
         raise EquilibriumError("posterior vector has wrong length")
-    for rows in _deterministic_profiles(space, profile_cap):
-        profile = StrategyProfile(space, rows)
-        rule = team_rule(profile, protocol)
-        try:
-            post = posterior_no_disclosure(dist, rule)
-        except OffPathPosterior:
-            continue
-        if post == target:
+    _, scales, _ = _scaled(dist)
+    goal = [t * s for t, s in zip(target, scales)]
+    for rows, mass, sums, _ in _concealment_scan(dist, protocol, profile_cap):
+        if all(s * g.denominator == g.numerator * mass for s, g in zip(sums, goal)):
+            rule = team_rule(_pure_profile(space, rows), protocol)
+            if posterior_no_disclosure(dist, rule) != target:
+                raise AssertionError("integer scan disagrees with posterior_no_disclosure")
             return True
     return False
 
@@ -976,9 +1066,14 @@ def plausible_full_disclosure_by_search(
     Searches for a full-disclosure equilibrium whose supporting posteriors are
     justified by some deterministic own-outcome profile with concealment:
     either beliefs that sustain the always-disclose profile, or an on-path
-    equilibrium that conceals at most one outcome.
+    equilibrium that conceals at most one outcome. Profiles are scanned in
+    scaled integers; a witness is confirmed through the Fraction path (team
+    rule, Bayes posterior and, for the on-path case, classification and
+    verification) before True is returned.
     """
     space = dist.space
+    if protocol.n != space.n:
+        raise EquilibriumError("protocol and distribution have different member counts")
     n = space.n
     mins = space.min_vector
     full_mask = (1 << n) - 1
@@ -988,19 +1083,27 @@ def plausible_full_disclosure_by_search(
         for mask in range(1, 1 << n)
         if not protocol.wins(full_mask ^ mask)
     ]
-    for rows in _deterministic_profiles(space, profile_cap):
-        profile = StrategyProfile(space, rows)
-        rule = team_rule(profile, protocol)
-        try:
-            post = posterior_no_disclosure(dist, rule)
-        except OffPathPosterior:
-            continue
+    _, _, grid_ints = _scaled(dist)
+    floors = [g[0] for g in grid_ints]
+    for rows, mass, sums, concealed in _concealment_scan(dist, protocol, profile_cap):
         # The deviation conditions of the always-disclose profile reduce to:
         # every coalition able to block disclosure must contain a member whose
         # belief already sits at their worst outcome (otherwise there is an
         # outcome where the whole coalition strictly prefers concealment).
-        if all(any(post[i] <= mins[i] for i in grp) for grp in blocking):
+        supported = all(
+            any(sums[i] <= floors[i] * mass for i in grp) for grp in blocking
+        )
+        if not supported and concealed > 1:
+            continue
+        profile = _pure_profile(space, rows)
+        rule = team_rule(profile, protocol)
+        post = posterior_no_disclosure(dist, rule)
+        if supported:
+            if not all(any(post[i] <= mins[i] for i in grp) for grp in blocking):
+                raise AssertionError("integer scan disagrees with posterior_no_disclosure")
             return True
-        if classify_rule(rule) == FULL and verify_equilibrium(profile, post, dist, protocol).ok:
+        if classify_rule(rule) != FULL:
+            raise AssertionError("integer scan disagrees with classify_rule")
+        if verify_equilibrium(profile, post, dist, protocol).ok:
             return True
     return False

@@ -176,3 +176,132 @@ def effort_payoff_difference(full_dist, dev_dist, rule_values, member_index):
         return total
 
     return payoff(full_dist) - payoff(dev_dist)
+
+
+# ---------------------------------------------------------------------------
+# Fraction twins of the equilibrium module's integer kernels
+# ---------------------------------------------------------------------------
+# These walk every profile through the library's Fraction path (team_rule,
+# protocol.evaluate, posterior_no_disclosure, classify_rule), which the
+# integer kernels touch only to confirm a witness they already found.
+
+
+def verify_equilibrium_by_evaluate(profile, posteriors, dist, protocol):
+    """Equilibrium verification with pivotality decided by two multilinear
+    evaluations per (cell, coalition): the coalition voting 1 against it
+    voting 0, everyone else keeping their mixed votes."""
+    from team_disclosure.equilibrium import (
+        VerificationReport,
+        Violation,
+        team_rule,
+    )
+    from team_disclosure.outcomes import OffPathPosterior, posterior_no_disclosure
+
+    space = dist.space
+    post = tuple(Fraction(p) for p in posteriors)
+    n = space.n
+    violations = []
+    for cell in space.cells:
+        votes = profile.vote_vector(cell)
+        for mask in range(1, 1 << n):
+            members = [i for i in range(n) if mask >> i & 1]
+            hi = list(votes)
+            lo = list(votes)
+            for i in members:
+                hi[i] = ONE
+                lo[i] = ZERO
+            if protocol.evaluate(hi) <= protocol.evaluate(lo):
+                continue
+            if all(cell[i] > post[i] for i in members):
+                if any(votes[i] != ONE for i in members):
+                    violations.append(
+                        Violation(
+                            "deviation",
+                            f"at outcome {tuple(map(str, cell))} coalition "
+                            f"{tuple(i + 1 for i in members)} all gain from disclosure "
+                            "but someone votes below 1",
+                        )
+                    )
+            if all(cell[i] < post[i] for i in members):
+                if any(votes[i] != ZERO for i in members):
+                    violations.append(
+                        Violation(
+                            "deviation",
+                            f"at outcome {tuple(map(str, cell))} coalition "
+                            f"{tuple(i + 1 for i in members)} all gain from concealment "
+                            "but someone votes above 0",
+                        )
+                    )
+    rule = team_rule(profile, protocol)
+    try:
+        bayes = posterior_no_disclosure(dist, rule)
+    except OffPathPosterior:
+        bayes = None
+    if bayes is not None and bayes != post:
+        violations.append(
+            Violation(
+                "bayes",
+                f"stated posteriors {tuple(map(str, post))} differ from the "
+                f"Bayes-consistent ones {tuple(map(str, bayes))}",
+            )
+        )
+    return VerificationReport(not violations, bayes is None, tuple(violations), bayes)
+
+
+def deterministic_profiles(space):
+    """Every deterministic own-outcome profile, as StrategyProfiles of 0/1 Fractions."""
+    from team_disclosure.equilibrium import StrategyProfile
+
+    per_member = [
+        [tuple(map(Fraction, bits)) for bits in product((0, 1), repeat=len(g))]
+        for g in space.grids
+    ]
+    for rows in product(*per_member):
+        yield StrategyProfile(space, rows)
+
+
+def consistent_with_deliberation_by_fractions(posteriors, dist, protocol):
+    """Profile-by-profile Fraction search: team rule, then Bayes posterior."""
+    from team_disclosure.equilibrium import team_rule
+    from team_disclosure.outcomes import OffPathPosterior, posterior_no_disclosure
+
+    target = tuple(Fraction(p) for p in posteriors)
+    for profile in deterministic_profiles(dist.space):
+        try:
+            post = posterior_no_disclosure(dist, team_rule(profile, protocol))
+        except OffPathPosterior:
+            continue
+        if post == target:
+            return True
+    return False
+
+
+def plausible_full_disclosure_by_fractions(dist, protocol):
+    """Profile-by-profile Fraction search for a justified full-disclosure
+    equilibrium: posteriors sustaining always-disclose, or an on-path
+    equilibrium concealing at most one outcome."""
+    from team_disclosure.equilibrium import FULL, classify_rule, team_rule
+    from team_disclosure.outcomes import OffPathPosterior, posterior_no_disclosure
+
+    space = dist.space
+    n = space.n
+    mins = space.min_vector
+    members = list(range(1, n + 1))
+    blocking = [
+        [i - 1 for i in grp]
+        for grp in subsets(members)
+        if grp and not wins(protocol.minimal_winning, [m for m in members if m not in grp])
+    ]
+    for profile in deterministic_profiles(space):
+        rule = team_rule(profile, protocol)
+        try:
+            post = posterior_no_disclosure(dist, rule)
+        except OffPathPosterior:
+            continue
+        if all(any(post[i] <= mins[i] for i in grp) for grp in blocking):
+            return True
+        if classify_rule(rule) == FULL and verify_equilibrium_by_evaluate(
+            profile, post, dist, protocol
+        ).ok:
+            return True
+    return False

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -89,6 +90,26 @@ class TestSolve:
                 "independent:0.5",
                 "--out",
                 str(tmp_path / "x.json"),
+            ]
+        )
+        assert code == 3
+        # verify: 2^20 deterministic profiles exceed the refinement scan's cap
+        grid = [str(v) for v in range(5)]
+        cells = [",".join(c) for c in product(grid, repeat=4)]
+        dist = {"grid": [grid] * 4, "pmf": [[c, "1/625"] for c in cells]}
+        eq = tmp_path / "eq.json"
+        eq.write_text(json.dumps({"profile": [["0"] * 5] * 4, "posteriors": ["2"] * 4}))
+        code = main(
+            [
+                "verify",
+                "--protocol",
+                "consensus:4",
+                "--dist",
+                json.dumps(dist),
+                "--equilibrium",
+                str(eq),
+                "--out",
+                str(tmp_path / "v.json"),
             ]
         )
         assert code == 3
@@ -242,6 +263,38 @@ class TestObjectConfig:
         else:
             key = "protocol_a" if command == "dominance" else "protocol"
             assert doc[key]["winning"] == [[1, 2]]
+
+
+class TestIntegerConfigValues:
+    """Integer options read from a config file: a JSON integer or a string of
+    decimal digits; anything else is an input error (exit 2)."""
+
+    SOLVE = {"protocol": "k_majority:2,2", "dist": "independent:0.5"}
+
+    @pytest.mark.parametrize(
+        "command, cfg, code",
+        [
+            ("solve", {**SOLVE, "max-members": [4]}, 2),
+            ("solve", {**SOLVE, "max-grid": "5x"}, 2),
+            ("solve", {**SOLVE, "max-members": "4", "max-grid": 5}, 0),
+            ("optimal-k", {"n": [10]}, 2),
+            ("optimal-k", {"n": 2.5}, 2),
+            ("optimal-k", {"n": True}, 2),
+            ("optimal-k", {"n": None}, 2),
+            ("optimal-k", {"n": "-6"}, 2),
+            ("optimal-k", {"n": "6"}, 0),
+            ("optimal-k", {"n": 6}, 0),
+            ("audit", {"seed": {"a": 1}}, 2),
+            ("audit", {"seed": "0.5"}, 2),
+        ],
+    )
+    def test_integer_config_values(self, tmp_path, capsys, command, cfg, code):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == code
+        if code == 2:
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 class TestSweepAndOptimalK:

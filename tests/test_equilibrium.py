@@ -35,7 +35,13 @@ from team_disclosure.protocols import (
     make_protocol,
 )
 
-from oracles import posterior_by_enumeration
+from oracles import (
+    consistent_with_deliberation_by_fractions,
+    deterministic_profiles,
+    plausible_full_disclosure_by_fractions,
+    posterior_by_enumeration,
+    verify_equilibrium_by_evaluate,
+)
 
 F = Fraction
 
@@ -266,12 +272,107 @@ class TestConsistency:
             for proto in all_protocols(n):
                 assert consistent_with_deliberation(d.mean_vector, d, proto)
 
-    def test_profile_cap(self):
+    @pytest.mark.parametrize(
+        "search",
+        [
+            lambda d, proto: consistent_with_deliberation(d.mean_vector, d, proto),
+            plausible_full_disclosure_by_search,
+        ],
+        ids=["consistent_with_deliberation", "plausible_full_disclosure_by_search"],
+    )
+    def test_profile_cap(self, search):
         space = make_space([[0, 1, 2, 3, 4]] * 4)
         probs = tuple(F(1, len(space.cells)) for _ in space.cells)
         d = JointDistribution(space, probs)
         with pytest.raises(SearchCapExceeded):
-            consistent_with_deliberation(d.mean_vector, d, make_consensus(4))
+            search(d, make_consensus(4))
+
+    def test_member_count_mismatch(self):
+        # a 3-member distribution with a 2-member protocol once raised IndexError
+        d = uniform_binary(3)
+        with pytest.raises(EquilibriumError):
+            plausible_full_disclosure_by_search(d, make_consensus(2))
+        with pytest.raises(EquilibriumError):
+            consistent_with_deliberation(d.mean_vector, d, make_consensus(2))
+
+
+# Grid values for the kernel-oracle tests, non-integers included.
+ORACLE_VALUES = (F(0), F(1, 3), F(1), F(2), F(5, 2), F(4), F(7))
+
+
+def sparse_dist(rng, sizes):
+    """A pmf on grids drawn from ORACLE_VALUES, often with zero-probability cells."""
+    space = make_space([sorted(rng.sample(ORACLE_VALUES, k)) for k in sizes])
+    nums = [rng.choice((0, 0, 1, 2, 5, 9)) for _ in space.cells]
+    nums[rng.randrange(len(nums))] += 1
+    den = sum(nums)
+    return JointDistribution(space, tuple(F(x, den) for x in nums))
+
+
+ORACLE_SIZES = {2: [(2, 2), (2, 3), (3, 2), (3, 3)], 3: [(2, 2, 2), (2, 3, 2)]}
+
+
+class TestRefinementOracles:
+    """The integer refinement scan against the profile-by-profile Fraction loops."""
+
+    def test_consistency_matches_fraction_loop(self):
+        rng = random.Random(71)
+        for n, patterns in ORACLE_SIZES.items():
+            for sizes in patterns:
+                d = sparse_dist(rng, sizes)
+                profiles = list(deterministic_profiles(d.space))
+                for proto in all_protocols(n):
+                    while True:
+                        rule = team_rule(rng.choice(profiles), proto)
+                        if any(v == 0 and p > 0 for v, p in zip(rule.values, d.probs)):
+                            break
+                    hit = posterior_no_disclosure(d, rule)
+                    # a denominator of 1009 is beyond every pmf here: no profile reaches it
+                    miss = [
+                        g[0] + (g[-1] - g[0]) * F(rng.randint(1, 1008), 1009)
+                        for g in d.space.grids
+                    ]
+                    for target in (hit, miss):
+                        fast = consistent_with_deliberation(target, d, proto)
+                        assert fast == consistent_with_deliberation_by_fractions(target, d, proto)
+                        assert fast == (target is hit)
+
+    def test_plausibility_matches_fraction_loop(self):
+        rng = random.Random(73)
+        outcomes = set()
+        for n, patterns in ORACLE_SIZES.items():
+            for sizes in patterns:
+                d = sparse_dist(rng, sizes)
+                for proto in all_protocols(n):
+                    fast = plausible_full_disclosure_by_search(d, proto)
+                    assert fast == plausible_full_disclosure_by_fractions(d, proto)
+                    outcomes.add(fast)
+        assert outcomes == {True, False}
+
+
+class TestPivotOracle:
+    """verify_equilibrium's bitmask pivot test against two multilinear
+    evaluations per (cell, coalition)."""
+
+    def test_reports_match_evaluate_loop(self):
+        rng = random.Random(79)
+        weights = (F(0), F(1, 3), F(1, 2), F(1))
+        cases = [(2, all_protocols(2)), (3, all_protocols(3))]
+        cases.append((4, [make_k_majority(4, k) for k in range(1, 5)]))
+        violations = 0
+        for n, protos in cases:
+            for _ in range(3):
+                d = sparse_dist(rng, [rng.choice((2, 3)) if n < 4 else 2 for _ in range(n)])
+                for proto in protos:
+                    for _ in range(2):
+                        profile = StrategyProfile.from_votes(
+                            d.space, [[rng.choice(weights) for _ in g] for g in d.space.grids]
+                        )
+                        post = [rng.choice(g) + rng.choice((0, F(1, 2))) for g in d.space.grids]
+                        report = verify_equilibrium(profile, post, d, proto)
+                        assert report == verify_equilibrium_by_evaluate(profile, post, d, proto)
+                        violations += len(report.violations)
+        assert violations > 100
 
 
 class TestPlausibility:
