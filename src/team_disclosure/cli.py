@@ -111,6 +111,15 @@ def _merged(args: argparse.Namespace, file_cfg: dict, key: str, default=None):
     return default
 
 
+def _merged_path(args: argparse.Namespace, file_cfg: dict, key: str) -> str | None:
+    """A file-path option: a flag or a config-file string (a number would
+    open a file descriptor)."""
+    value = _merged(args, file_cfg, key)
+    if value is not None and not isinstance(value, str):
+        raise ConfigError(f"{key} must be a file path, got {json.dumps(value)}")
+    return value
+
+
 def _merged_int(args: argparse.Namespace, file_cfg: dict, key: str, default: int) -> int:
     """An integer option: a flag, a JSON integer (not a bool) or a string of
     decimal digits in the config file, else the default."""
@@ -169,7 +178,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     cfg = _load_config_file(args.config)
     proto_spec = _merged(args, cfg, "protocol")
     dist_spec = _merged(args, cfg, "dist")
-    eq_path = _merged(args, cfg, "equilibrium")
+    eq_path = _merged_path(args, cfg, "equilibrium")
     if proto_spec is None or dist_spec is None or eq_path is None:
         raise ConfigError("verify needs --protocol, --dist and --equilibrium")
     protocol = load_protocol(proto_spec)
@@ -203,7 +212,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_gains(args: argparse.Namespace) -> int:
     cfg = _load_config_file(args.config)
-    model_path = _merged(args, cfg, "model")
+    model_path = _merged_path(args, cfg, "model")
     proto_spec = _merged(args, cfg, "protocol")
     if model_path is None or proto_spec is None:
         raise ConfigError("gains needs --model and --protocol")
@@ -237,7 +246,7 @@ def _cmd_gains(args: argparse.Namespace) -> int:
 
 def _cmd_dominance(args: argparse.Namespace) -> int:
     cfg = _load_config_file(args.config)
-    model_path = _merged(args, cfg, "model")
+    model_path = _merged_path(args, cfg, "model")
     spec_a = _merged(args, cfg, "protocol-a")
     spec_b = _merged(args, cfg, "protocol-b")
     if model_path is None or spec_a is None or spec_b is None:
@@ -365,8 +374,16 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are one line, like every other input
+    error (argparse prints the usage first)."""
+
+    def error(self, message: str):
+        self.exit(EXIT_INPUT_ERROR, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="team-disclosure",
         description="equilibria and effort incentives of team-disclosure games",
     )

@@ -32,6 +32,8 @@ class ConfigError(ValueError):
 
 
 def _require_keys(obj: Mapping[str, Any], required: set[str], optional: set[str] = frozenset()) -> None:
+    if not isinstance(obj, Mapping):
+        raise ConfigError(f"expected an object with keys {sorted(required)}")
     keys = set(obj)
     missing = required - keys
     unknown = keys - required - optional
@@ -62,7 +64,7 @@ def protocol_from_config(obj: Mapping[str, Any]) -> DeliberationProtocol:
             return make_protocol(int(obj["n"]), [list(map(int, c)) for c in obj["winning"]])
     except ConfigError:
         raise
-    except ValueError as exc:
+    except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
     raise ConfigError(f"unknown protocol kind {kind!r}")
 

@@ -11,13 +11,18 @@ above your own no-disclosure posterior, conceal below it, and mix only at an
 exact tie. The search is therefore exhaustive over "cut configurations": per
 member either a cut strictly between two adjacent grid values, or an
 indifference atom sitting exactly on a grid value with a mixing weight. Atom
-weights satisfy a multilinear system solved exactly in rational arithmetic;
-configurations whose weights would be irrational are reported as unresolved
-rather than approximated (they cannot occur for generic rational inputs).
+weights satisfy a multilinear system solved exactly in rational arithmetic
+(:class:`_AtomSolver`): each configuration either yields weights that are
+checked against every condition, or is proven infeasible, with nothing
+sampled. A configuration whose only solutions have irrational weights, or
+whose equations do not reduce to one free weight, is reported in the search
+notes as unresolved rather than approximated.
 
 Where a configuration admits a continuum of equilibria (free mixing weights),
-one canonical representative is returned: the feasible weight assignment that
-conceals the most, scanning 0 before 1 before interior candidates.
+one canonical representative is returned: each free weight prefers 0, then
+1, then the interior ``FREE_WEIGHT_CANDIDATES`` in order, then the simplest
+rational in the first feasible one-dimensional cell; isolated solutions are
+taken in increasing order of the weight that carries them.
 
 The belief refinement (consistency with deliberation, and the brute-force
 twin of the full-disclosure plausibility predicate) scans every deterministic
@@ -30,9 +35,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from itertools import compress, product
-from math import isqrt, lcm
+from functools import lru_cache, reduce
+from itertools import combinations, compress, product
+from math import gcd, lcm, prod
 from operator import or_
 from typing import Sequence
 
@@ -52,6 +57,8 @@ DEFAULT_MAX_MEMBERS = 4
 DEFAULT_MAX_GRID = 5
 DEFAULT_PROFILE_CAP = 1 << 16
 
+# Preference order of a free mixing weight (most concealing first); the
+# solver tries these first but never treats them as a sample of the box.
 FREE_WEIGHT_CANDIDATES = (
     ZERO,
     ONE,
@@ -373,14 +380,9 @@ def _search_tables(dist: JointDistribution):
 
 @dataclass
 class _SearchContext:
-    dist: JointDistribution
-    protocol: DeliberationProtocol
     grid_ints: tuple[tuple[int, ...], ...]
     conceal: dict[tuple[int, ...], tuple[int, tuple[int, ...]]]  # combo -> (W, S per member)
     notes: list[str] = field(default_factory=list)
-
-    def stats(self, combo: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-        return self.conceal[combo]
 
 
 def _build_context(dist: JointDistribution, protocol: DeliberationProtocol) -> _SearchContext:
@@ -393,7 +395,7 @@ def _build_context(dist: JointDistribution, protocol: DeliberationProtocol) -> _
         w = sum(agg_w[v] for v in lose)
         s = tuple(sum(agg_s[i][v] for v in lose) for i in range(protocol.n))
         conceal[combo] = (w, s)
-    return _SearchContext(dist, protocol, grid_ints, conceal)
+    return _SearchContext(grid_ints, conceal)
 
 
 def _profile_from_config(
@@ -459,205 +461,400 @@ def _corner_combo(
     return tuple(combo)
 
 
-def _config_candidates(
-    ctx: _SearchContext, config: tuple[tuple[str, int], ...]
-) -> list[dict[int, Fraction]]:
-    """Atom-weight assignments that make the configuration a fixed point.
+# ---------------------------------------------------------------------------
+# Exact univariate polynomials
+# ---------------------------------------------------------------------------
+#
+# A polynomial is a list of rational coefficients, constant term first, with
+# no trailing zero (the zero polynomial is the empty list). A real root in
+# [0, 1] is a triple (lo, hi, q): lo == hi for a rational root, else an open
+# interval with rational ends holding exactly one root of the squarefree q,
+# an irrational one.
 
-    Gap members need their posterior strictly inside the cut interval; atom
-    members need it exactly on the atom's grid value. Each atom's posterior
-    equation is multilinear in the *other* atoms' weights only, so the system
-    is solved by exact linear propagation, rational quadratic elimination for
-    coupled pairs and triples, and a canonical-slice search for degenerate
-    families (which admit continua of equilibria; one representative is
-    returned, preferring weight 0, the most concealing choice).
+
+def _trim(p: list) -> list:
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _padd(p: list, q: list) -> list:
+    if len(p) < len(q):
+        p, q = q, p
+    return _trim([c + q[i] if i < len(q) else c for i, c in enumerate(p)])
+
+
+def _psub(p: list, q: list) -> list:
+    return _padd(p, [-c for c in q])
+
+
+def _pmul(p: list, q: list) -> list:
+    if not p or not q:
+        return []
+    out = [ZERO] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def _peval(p: list, x: Fraction) -> Fraction:
+    acc = ZERO
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
+def _sign(x) -> int:
+    return (x > 0) - (x < 0)
+
+
+def _pdivmod(p: list, q: list) -> tuple[list, list]:
+    """Quotient and remainder of p by the nonzero q."""
+    rem = [Fraction(c) for c in p]
+    quot = [ZERO] * max(len(p) - len(q) + 1, 0)
+    while len(rem) >= len(q):
+        shift = len(rem) - len(q)
+        c = rem[-1] / q[-1]
+        quot[shift] = c
+        for i, b in enumerate(q):
+            rem[shift + i] -= c * b
+        _trim(rem)
+    return _trim(quot), rem
+
+
+def _pgcd(p: list, q: list) -> list:
+    """Monic greatest common divisor (the zero polynomial if both are zero)."""
+    while q:
+        p, q = q, _pdivmod(p, q)[1]
+    return [c / p[-1] for c in p]
+
+
+def _squarefree(p: list) -> list:
+    """p divided by gcd(p, p'): the same roots, each simple."""
+    return _pdivmod(p, _pgcd(p, [i * c for i, c in enumerate(p)][1:]))[0]
+
+
+def _sturm(p: list) -> list[list]:
+    seq = [p, [i * c for i, c in enumerate(p)][1:]]
+    while seq[-1]:
+        seq.append([-c for c in _pdivmod(seq[-2], seq[-1])[1]])
+    return seq
+
+
+def _variations(seq: list[list], x: Fraction) -> int:
+    signs = [s for s in (_sign(_peval(p, x)) for p in seq) if s]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _bisect(root: tuple) -> tuple:
+    """Halve the isolating interval of an irrational root."""
+    lo, hi, q = root
+    if lo == hi:
+        return root
+    mid = (lo + hi) / 2
+    if _sign(_peval(q, mid)) == _sign(_peval(q, lo)):
+        return mid, hi, q
+    return lo, mid, q
+
+
+def _real_roots(p: list) -> list[tuple]:
+    """The distinct real roots of p in [0, 1], ascending.
+
+    Roots are isolated with a Sturm sequence and rational bisection. A
+    rational root's denominator divides the leading coefficient ``bound`` of
+    p's primitive integer multiple (the rational root theorem), and two such
+    rationals lie at least 1/bound^2 apart; so an isolating interval narrower
+    than that holds a rational root exactly when its best approximation with
+    denominator at most ``bound`` is a root.
     """
-    return _AtomSolver(ctx, config).solve()
+    q = _squarefree(p)
+    roots = []
+    for r in (ZERO, ONE):
+        if len(q) > 1 and _peval(q, r) == 0:
+            roots.append((r, r, q))
+            q = _pdivmod(q, [-r, ONE])[0]
+    if len(q) > 1:
+        den = lcm(*(Fraction(c).denominator for c in q))
+        ints = [int(c * den) for c in q]
+        bound = abs(ints[-1]) // gcd(*ints)
+        seq = _sturm(q)
+        todo = [(ZERO, ONE)]
+        while todo:
+            lo, hi = todo.pop()
+            count = _variations(seq, lo) - _variations(seq, hi)
+            if count > 1:
+                mid = (lo + hi) / 2
+                if _peval(q, mid) == 0:
+                    roots.append((mid, mid, q))
+                    q = _pdivmod(q, [-mid, ONE])[0]
+                    seq = _sturm(q)
+                todo += [(lo, mid), (mid, hi)]
+            elif count == 1:
+                roots.append(_isolated(q, lo, hi, bound))
+    return sorted(roots, key=lambda r: r[0])
+
+
+def _isolated(q: list, lo: Fraction, hi: Fraction, bound: int) -> tuple:
+    """The one root of q in (lo, hi): exact if it is rational (its
+    denominator is at most ``bound``), else an interval narrower than
+    1/bound^2."""
+    while True:
+        mid = (lo + hi) / 2
+        for x in (mid, mid.limit_denominator(bound)):
+            if lo < x < hi and _peval(q, x) == 0:
+                return x, x, q
+        if (hi - lo) * bound * bound < 1:
+            return lo, hi, q
+        lo, hi, _ = _bisect((lo, hi, q))
+
+
+def _same_root(a: tuple, b: tuple) -> bool:
+    if a[0] == a[1] or b[0] == b[1]:
+        return a[0] == a[1] == b[0] == b[1]
+    common = _pgcd(a[2], b[2])
+    lo, hi = max(a[0], b[0]), min(a[1], b[1])
+    return len(common) > 1 and lo < hi and _sign(_peval(common, lo)) != _sign(_peval(common, hi))
+
+
+def _simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
+    """The rational with the smallest denominator strictly between 0 <= lo < hi."""
+    whole = lo.numerator // lo.denominator
+    if whole + 1 < hi:
+        return Fraction(whole + 1)
+    lo, hi = lo - whole, hi - whole
+    if lo == 0:
+        return whole + Fraction(1, hi.denominator // hi.numerator + 1)
+    return whole + 1 / _simplest_between(1 / hi, 1 / lo)
+
+
+def _cell_samples(polys: list[list]) -> list[Fraction]:
+    """One rational point inside each open cell that the roots of the
+    nonzero polynomials cut out of (0, 1), ascending."""
+    roots = [(ZERO, ZERO, None), (ONE, ONE, None)]
+    for p in polys:
+        if len(p) > 1:
+            roots += _real_roots(p)
+    roots.sort(key=lambda r: r[0])
+    i = 0
+    while i + 1 < len(roots):
+        a, b = roots[i], roots[i + 1]
+        if a[1] < b[0]:
+            i += 1
+        elif _same_root(a, b):
+            del roots[i + 1]
+        else:
+            # distinct roots: narrowing their intervals separates them
+            roots[i : i + 2] = _bisect(a), _bisect(b)
+            roots.sort(key=lambda r: r[0])
+            i = max(i - 1, 0)
+    return [_simplest_between(a[1], b[0]) for a, b in zip(roots, roots[1:])]
+
+
+def _sign_at(g: list, root: tuple) -> int:
+    """The sign of g at a root from :func:`_real_roots`, exactly."""
+    lo, hi, q = root
+    if lo == hi or not g:
+        return _sign(_peval(g, lo))
+    common = _pgcd(q, g)
+    if len(common) > 1 and _sign(_peval(common, lo)) != _sign(_peval(common, hi)):
+        return 0
+    seq = _sturm(_squarefree(g))
+    while 0 in (_peval(g, lo), _peval(g, hi)) or _variations(seq, lo) != _variations(seq, hi):
+        lo, hi, q = _bisect((lo, hi, q))
+    return _sign(_peval(g, lo))
+
+
+def _numerator(variables: tuple, vals: list, subst: dict) -> list:
+    """Substitute rational functions of t into a multilinear corner table.
+
+    ``subst`` maps each variable to (N, D), its value N(t)/D(t). Returns the
+    numerator of the result over the product of the variables' D.
+    """
+    if not variables:
+        return _trim([Fraction(vals[0])])
+    num, den = subst[variables[0]]
+    half = len(vals) // 2
+    low = _numerator(variables[1:], vals[:half], subst)
+    high = _numerator(variables[1:], vals[half:], subst)
+    return _padd(_pmul(_psub(den, num), low), _pmul(num, high))
+
+
+# ---------------------------------------------------------------------------
+# Atom solver
+# ---------------------------------------------------------------------------
+
+
+def _fold(vals: list, width: int, j: int, m) -> list:
+    """Fix variable j of a multilinear corner table over ``width`` variables.
+
+    A corner table lists a function's values at the 0/1 corners of its box in
+    ``product((0, 1), repeat=width)`` order, so variable j is bit width-1-j
+    of the index. Fixing it to m interpolates between its two faces.
+    """
+    bit = 1 << (width - 1 - j)
+    low = [i for i in range(len(vals)) if not i & bit]
+    if m == 0:
+        return [vals[i] for i in low]
+    if m == 1:
+        return [vals[i | bit] for i in low]
+    return [vals[i] + m * (vals[i | bit] - vals[i]) for i in low]
+
+
+def _restrict(variables: tuple, vals: list, pinned: dict) -> tuple[tuple, list]:
+    """The corner table over the unpinned variables, the pinned ones fixed."""
+    for v in [v for v in variables if v in pinned]:
+        j = variables.index(v)
+        vals = _fold(vals, len(variables), j, pinned[v])
+        variables = variables[:j] + variables[j + 1 :]
+    return variables, vals
+
+
+def _active(variables: tuple, vals: list) -> tuple[tuple, list]:
+    """Drop the variables a corner table does not actually depend on."""
+    j = 0
+    while j < len(variables):
+        bit = 1 << (len(variables) - 1 - j)
+        if all(vals[i] == vals[i | bit] for i in range(len(vals)) if not i & bit):
+            vals = _fold(vals, len(variables), j, 0)
+            variables = variables[:j] + variables[j + 1 :]
+        else:
+            j += 1
+    return variables, vals
+
+
+_T = (ZERO, ONE)  # the polynomial t
+_UNIT = (ONE,)
 
 
 class _AtomSolver:
+    """Atom weights that make one cut configuration a fixed point.
+
+    Gap members need their posterior strictly inside the cut interval, atom
+    members need it exactly on the atom's grid value, and concealment must
+    happen with positive probability. Atom a's equation S_a - x_a*W, the
+    concealed mass W and every gap bound are multilinear in the atom weights
+    (a's equation never involves a's own weight), so on the weight box each
+    is a convex combination of its values at the box's corners. The solver
+    is exact throughout:
+
+    - propagation: an equation that actually depends on one unpinned weight
+      pins it;
+    - face branching: an equation whose nonzero corner values share one sign
+      vanishes only where each factor of its first nonzero corner does, that
+      is on faces of the box, so it branches on those faces;
+    - free weights: a strict constraint <= 0 at every corner of the free box
+      is a certificate of infeasibility; otherwise weight 0 is preferred,
+      then 1, then the interior ``FREE_WEIGHT_CANDIDATES``;
+    - what is left reduces to one weight t (:meth:`_along`).
+
+    :meth:`solve` returns weights that :meth:`feasible` accepts, or None
+    with a proof of infeasibility, or None with an "unresolved" note when the
+    only solutions may be irrational or the residue does not reduce to one
+    weight.
+    """
+
     def __init__(self, ctx: _SearchContext, config: tuple[tuple[str, int], ...]):
         self.ctx = ctx
         self.config = config
-        self.atoms = [i for i, (kind, _) in enumerate(config) if kind == "atom"]
+        self.atoms = tuple(i for i, (kind, _) in enumerate(config) if kind == "atom")
         self.gaps = [i for i, (kind, _) in enumerate(config) if kind == "gap"]
-        self.n = len(config)
         self.k = len(self.atoms)
-        self.sliced = False
-        # integer concealment aggregates at every 0/1 corner of the atom box
-        self.corner_stats: dict[tuple[int, ...], tuple[int, tuple[int, ...]]] = {}
-        for bits in product((0, 1), repeat=self.k):
-            corner = dict(zip(self.atoms, bits))
-            self.corner_stats[bits] = ctx.stats(_corner_combo(config, corner))
+        self.unresolved = False
+        # integer concealment aggregates (W, S) at every corner of the atom box
+        corners = [
+            ctx.conceal[_corner_combo(config, dict(zip(self.atoms, bits)))]
+            for bits in product((0, 1), repeat=self.k)
+        ]
+        grid = ctx.grid_ints
+        # atom a's equation S_a - x_a*W, as a table over the other atoms
+        self.h = {}
+        for j, a in enumerate(self.atoms):
+            x = grid[a][config[a][1]]
+            vals = [s[a] - x * w for w, s in corners]
+            self.h[a] = (self.atoms[:j] + self.atoms[j + 1 :], _fold(vals, self.k, j, 0))
+        # strict constraints, each > 0: W, then S_g - lo*W and hi*W - S_g per gap member
+        self.strict = [[w for w, _ in corners]]
+        for g in self.gaps:
+            lo, hi = grid[g][config[g][1] - 1], grid[g][config[g][1]]
+            self.strict.append([s[g] - lo * w for w, s in corners])
+            self.strict.append([hi * w - s[g] for w, s in corners])
 
     # -- exact evaluation ---------------------------------------------------
 
-    def stats_at(self, weights: dict[int, Fraction]) -> tuple[Fraction, tuple[Fraction, ...]]:
-        """Multilinear interpolation of (W, S) over the atom corners."""
-        total_w = ZERO
-        total_s = [ZERO] * self.n
-        for bits, (w, s) in self.corner_stats.items():
-            coeff = ONE
-            for v, b in zip(self.atoms, bits):
-                coeff *= weights[v] if b else ONE - weights[v]
-                if coeff == 0:
-                    break
-            if coeff == 0:
-                continue
-            total_w += coeff * w
-            for q in range(self.n):
-                total_s[q] += coeff * s[q]
-        return total_w, tuple(total_s)
-
     def feasible(self, weights: dict[int, Fraction]) -> bool:
+        """Whether a full weight assignment solves every equation and strict
+        constraint."""
         if any(not ZERO <= m <= ONE for m in weights.values()):
             return False
-        w, s = self.stats_at(weights)
-        if w <= 0:
-            return False
-        for i in self.atoms:
-            pos = self.config[i][1]
-            if s[i] != self.ctx.grid_ints[i][pos] * w:
-                return False
-        for i in self.gaps:
-            cut = self.config[i][1]
-            if not self.ctx.grid_ints[i][cut - 1] * w < s[i] < self.ctx.grid_ints[i][cut] * w:
-                return False
-        return True
+        return all(
+            _restrict(*self.h[a], weights)[1][0] == 0 for a in self.atoms
+        ) and all(_restrict(self.atoms, t, weights)[1][0] > 0 for t in self.strict)
 
-    def h_corner(self, a: int, bits: tuple[int, ...]) -> int:
-        w, s = self.corner_stats[bits]
-        pos = self.config[a][1]
-        return s[a] - self.ctx.grid_ints[a][pos] * w
-
-    def reduced_h(self, a: int, pinned: dict[int, Fraction]):
-        """Corner table of atom a's equation over the unpinned other atoms.
-
-        The equation never involves a's own weight (cells at the atom value
-        contribute zero), so a's own corner bit is fixed arbitrarily.
-        """
-        others = [v for v in self.atoms if v != a and v not in pinned]
-        table: dict[tuple[int, ...], Fraction] = {}
-        rest = [v for v in self.atoms if v != a and v in pinned]
-        for bits in product((0, 1), repeat=len(others)):
-            val = ZERO
-            for pbits in product((0, 1), repeat=len(rest)):
-                coeff = ONE
-                for v, b in zip(rest, pbits):
-                    coeff *= pinned[v] if b else ONE - pinned[v]
-                    if coeff == 0:
-                        break
-                if coeff == 0:
-                    continue
-                assign = dict(zip(others, bits)) | dict(zip(rest, pbits))
-                assign[a] = 0
-                full_bits = tuple(assign[v] for v in self.atoms)
-                val += coeff * self.h_corner(a, full_bits)
-            table[bits] = val
-        return others, table
-
-    # -- one-dimensional pieces ----------------------------------------------
+    def reduced_h(self, a: int, pinned: dict[int, Fraction]) -> tuple[tuple, list]:
+        """Atom a's equation over the unpinned weights it actually depends on."""
+        return _active(*_restrict(*self.h[a], pinned))
 
     def interval_pick(self, pinned: dict[int, Fraction], free_var: int) -> Fraction | None:
         """Canonical feasible weight for one remaining free atom.
 
-        With every other atom weight fixed, the concealment aggregates are
-        linear in the free weight, so each strict constraint cuts [0,1] down
-        to an exact interval.
+        With every other atom weight fixed, each strict constraint is linear
+        in the free weight, so together they cut [0,1] down to an exact
+        interval.
         """
-        w0, s0 = self.stats_at(pinned | {free_var: ZERO})
-        w1, s1 = self.stats_at(pinned | {free_var: ONE})
         bounds: tuple[Fraction, Fraction, bool, bool] | None = (ZERO, ONE, False, False)
-        lin = [(w0, w1 - w0)]  # concealment must stay on-path: W(m) > 0
-        for g in self.gaps:
-            cut = self.config[g][1]
-            glo = self.ctx.grid_ints[g][cut - 1]
-            ghi = self.ctx.grid_ints[g][cut]
-            lin.append((s0[g] - glo * w0, (s1[g] - s0[g]) - glo * (w1 - w0)))
-            lin.append((ghi * w0 - s0[g], ghi * (w1 - w0) - (s1[g] - s0[g])))
-        for alpha, beta in lin:
-            bounds = _interval_intersect(bounds, Fraction(alpha), Fraction(beta))
+        for table in self.strict:
+            _, (f0, f1) = _restrict(self.atoms, table, pinned)
+            bounds = _interval_intersect(bounds, Fraction(f0), Fraction(f1 - f0))
             if bounds is None:
                 return None
         return _pick_from_interval(bounds)
 
     # -- solving -------------------------------------------------------------
 
-    def solve(self) -> list[dict[int, Fraction]]:
-        if not self.atoms:
-            return [{}] if self.feasible({}) else []
-        # corner prefilter: each equation is multilinear in the other atoms'
-        # weights, so its range over the box is spanned by its corner values
-        for a in self.atoms:
-            vals = [
-                self.h_corner(a, bits) for bits in product((0, 1), repeat=self.k)
-            ]
-            if min(vals) > 0 or max(vals) < 0:
-                return []
-        found = self._solve({}, 0)
-        if found is not None:
-            return [found]
-        if self.sliced:
-            self.ctx.notes.append(
-                f"a {self.k}-atom configuration was resolved only on canonical slices"
-            )
-        return []
+    def solve(self) -> dict[int, Fraction] | None:
+        found = self._solve({})
+        if found is None and self.unresolved:
+            self.ctx.notes.append(f"a {self.k}-atom configuration was left unresolved")
+        return found
 
-    def _solve(self, pinned: dict[int, Fraction], depth: int) -> dict[int, Fraction] | None:
+    def _solve(self, pinned: dict[int, Fraction]) -> dict[int, Fraction] | None:
+        """Propagate, then branch on faces, reduce to one weight, or settle
+        the free weights."""
         pinned = dict(pinned)
-        if any(not ZERO <= m <= ONE for m in pinned.values()):
-            return None
-        satisfied: set[int] = set()
-        # propagate: any equation linear in a single unpinned weight pins it
-        changed = True
-        while changed:
+        todo = self.atoms
+        coupled: dict[int, tuple[tuple, list]] = {}
+        while todo:
+            coupled = {}
             changed = False
-            for a in self.atoms:
-                if a in satisfied:
-                    continue
-                others, table = self.reduced_h(a, pinned)
-                if not others:
-                    if table[()] != 0:
+            for a in todo:
+                others, vals = self.reduced_h(a, pinned)
+                if len(others) == 1:
+                    m = Fraction(vals[0]) / (vals[0] - vals[1])
+                    if not ZERO <= m <= ONE:
                         return None
-                    satisfied.add(a)
-                elif len(others) == 1:
-                    c0, c1 = table[(0,)], table[(1,)]
-                    if c0 == c1:
-                        if c0 != 0:
-                            return None
-                        satisfied.add(a)  # holds for every value; the weight stays free
-                    else:
-                        m = c0 / (c0 - c1)
-                        if not ZERO <= m <= ONE:
-                            return None
-                        pinned[others[0]] = m
-                        satisfied.add(a)
-                        changed = True
-        unpinned = [v for v in self.atoms if v not in pinned]
-        coupled = [a for a in self.atoms if a not in satisfied]
-        if coupled:
-            result = self._eliminate(pinned, satisfied, coupled, unpinned)
-            if result is not _BAIL:
-                return result
-            # fall back to canonical slices of one coupled weight
-            if depth >= self.k:
-                self.sliced = True
+                    pinned[others[0]] = m
+                    changed = True
+                elif min(vals) > 0 or max(vals) < 0:
+                    return None
+                elif others:
+                    coupled[a] = (others, vals)
+            todo = tuple(coupled) if changed else ()
+        if not coupled:
+            return self._free(pinned, [v for v in self.atoms if v not in pinned])
+        for others, vals in coupled.values():
+            if min(vals) >= 0 or max(vals) <= 0:
+                first = next(i for i, v in enumerate(vals) if v)
+                for j, v in enumerate(others):
+                    face = ZERO if first >> (len(others) - 1 - j) & 1 else ONE
+                    found = self._solve(pinned | {v: face})
+                    if found is not None:
+                        return found
                 return None
-            branch = None
-            for a in coupled:
-                others = [v for v in self.atoms if v != a and v not in pinned]
-                if others:
-                    branch = others[-1]
-                    break
-            if branch is None:
-                return None
-            self.sliced = True
-            for cand in FREE_WEIGHT_CANDIDATES:
-                res = self._solve(pinned | {branch: cand}, depth + 1)
-                if res is not None:
-                    return res
-            return None
-        # all equations hold: resolve the free weights against the strict constraints
+        return self._reduce(pinned, coupled)
+
+    def _free(self, pinned: dict[int, Fraction], unpinned: list[int]) -> dict[int, Fraction] | None:
+        """Every equation holds whatever the unpinned weights are."""
         if not unpinned:
             return pinned if self.feasible(pinned) else None
         if len(unpinned) == 1:
@@ -666,6 +863,20 @@ class _AtomSolver:
                 return None
             weights = pinned | {unpinned[0]: pick}
             return weights if self.feasible(weights) else None
+        tables = [_restrict(self.atoms, t, pinned)[1] for t in self.strict]
+        if any(max(t) <= 0 for t in tables):
+            return None
+        if not self.gaps:
+            # only W > 0 is left; as W >= 0 is multilinear, the first corner
+            # where it is positive is also the first point in preference order
+            first = next(i for i, w in enumerate(tables[0]) if w > 0)
+            width = len(unpinned)
+            weights = pinned | {
+                v: ONE if first >> (width - 1 - j) & 1 else ZERO for j, v in enumerate(unpinned)
+            }
+            return weights if self.feasible(weights) else None
+        if len(unpinned) == 2:
+            return self._along(pinned, unpinned[0], {unpinned[0]: (_T, _UNIT)}, [], [])
         for combo in product(FREE_WEIGHT_CANDIDATES, repeat=len(unpinned) - 1):
             trial = pinned | dict(zip(unpinned[:-1], combo))
             pick = self.interval_pick(trial, unpinned[-1])
@@ -674,152 +885,148 @@ class _AtomSolver:
             weights = trial | {unpinned[-1]: pick}
             if self.feasible(weights):
                 return weights
-        self.sliced = True
+        self.unresolved = True
         return None
 
-    def _eliminate(self, pinned, satisfied, coupled, unpinned):
-        """Closed-form elimination for the generic coupled cores.
+    def _reduce(self, pinned: dict[int, Fraction], coupled: dict) -> dict[int, Fraction] | None:
+        """Write a mixed-sign coupled residue along one shared weight t.
 
-        Handles two bilinear equations over two unknowns and the fresh
-        three-equation, three-unknown core (quadratic after substitution).
-        Returns _BAIL when the structure does not match or a discriminant is
-        irrational (the latter is reported upstream).
+        From t, each equation with one weight not yet written becomes a
+        Möbius step for that weight (every equation is linear in each
+        weight); an equation with every weight written becomes a polynomial
+        equation in t.
         """
-        if len(coupled) == 2 and len(unpinned) == 2:
-            u, v = unpinned
-            eq = []
-            for a in coupled:
-                others, table = self.reduced_h(a, pinned)
-                if set(others) != {u, v}:
-                    return _BAIL
-                c00 = table[tuple(0 for _ in others)]
-                bu = tuple(1 if o == u else 0 for o in others)
-                bv = tuple(1 if o == v else 0 for o in others)
-                c10 = table[bu]
-                c01 = table[bv]
-                c11 = table[tuple(1 for _ in others)]
-                # h = e0 + e1*u + e2*v + e3*u*v
-                eq.append((c00, c10 - c00, c01 - c00, c11 - c10 - c01 + c00))
-            (a0, a1, a2, a3), (b0, b1, b2, b3) = eq
-            if a2 == 0 and a3 == 0:
-                return _BAIL  # first equation lost v; propagation should have caught it
-            # v = -(a0 + a1 u)/(a2 + a3 u); substitute into the second equation
-            q2 = b1 * a3 - b3 * a1
-            q1 = b0 * a3 + b1 * a2 - b2 * a1 - b3 * a0
-            q0 = b0 * a2 - b2 * a0
-            roots = _quadratic_roots(q2, q1, q0)
-            if roots is _BAIL:
-                return _BAIL
-            for mu in roots:
-                if not ZERO <= mu <= ONE:
+        shared = [v for v in self.atoms if any(v in others for others, _ in coupled.values())]
+        for t in shared:
+            subst = {t: (_T, _UNIT)}
+            defs: list[int] = []
+            equalities: list[list] = []
+            pending = list(coupled.values())
+            while pending:
+                step = next(
+                    (eq for eq in pending if sum(v not in subst for v in eq[0]) <= 1), None
+                )
+                if step is None:
+                    break
+                pending.remove(step)
+                others, vals = step
+                unknown = [v for v in others if v not in subst]
+                if not unknown:
+                    equalities.append(_numerator(others, vals, subst))
                     continue
-                den = a2 + a3 * mu
-                if den == 0:
-                    if a0 + a1 * mu != 0:
-                        continue
-                    res = self._solve(pinned | {u: mu}, self.k)  # v handled downstream
-                    if res is not None:
-                        return res
-                    continue
-                mv = -(a0 + a1 * mu) / den
-                weights = pinned | {u: mu, v: mv}
-                others = {x for x in self.atoms if x not in weights}
-                if others:
-                    res = self._solve(weights, self.k)
-                    if res is not None:
-                        return res
-                elif self.feasible(weights):
-                    return weights
-            return None
-        if len(coupled) == 3 and len(unpinned) == 3:
-            i, j, k = coupled
-            coef = {}
-            for a, (u, v) in ((i, (j, k)), (j, (i, k)), (k, (i, j))):
-                others, table = self.reduced_h(a, pinned)
-                if set(others) != {u, v}:
-                    return _BAIL
-                bu = tuple(1 if o == u else 0 for o in others)
-                bv = tuple(1 if o == v else 0 for o in others)
-                c00 = table[tuple(0 for _ in others)]
-                c10, c01 = table[bu], table[bv]
-                c11 = table[tuple(1 for _ in others)]
-                coef[a] = (c00, c10 - c00, c01 - c00, c11 - c10 - c01 + c00)
-            a0, a1, a2, a3 = coef[i]  # h_i = a0 + a1*m_j + a2*m_k + a3*m_j*m_k
-            b0, b1, b2, b3 = coef[j]  # h_j = b0 + b1*m_i + b2*m_k + b3*m_i*m_k
-            c0, c1, c2, c3 = coef[k]  # h_k = c0 + c1*m_i + c2*m_j + c3*m_i*m_j
-            if (a1 == 0 and a3 == 0) or (b1 == 0 and b3 == 0):
-                return _BAIL
-            # m_j = -(a0 + a2 t)/(a1 + a3 t), m_i = -(b0 + b2 t)/(b1 + b3 t), t = m_k
-
-            def poly_mul(p, q):
-                return (p[0] * q[0], p[0] * q[1] + p[1] * q[0], p[1] * q[1])
-
-            terms = [
-                (c0, poly_mul((b1, b3), (a1, a3))),
-                (-c1, poly_mul((b0, b2), (a1, a3))),
-                (-c2, poly_mul((a0, a2), (b1, b3))),
-                (c3, poly_mul((b0, b2), (a0, a2))),
-            ]
-            q2 = sum(c * p[2] for c, p in terms)
-            q1 = sum(c * p[1] for c, p in terms)
-            q0 = sum(c * p[0] for c, p in terms)
-            roots = _quadratic_roots(q2, q1, q0)
-            if roots is _BAIL:
-                return _BAIL
-            for t in roots:
-                if not ZERO <= t <= ONE:
-                    continue
-                den_j = a1 + a3 * t
-                den_i = b1 + b3 * t
-                if den_j == 0 or den_i == 0:
-                    res = self._solve(pinned | {k: t}, self.k)
-                    if res is not None:
-                        return res
-                    continue
-                mj = -(a0 + a2 * t) / den_j
-                mi = -(b0 + b2 * t) / den_i
-                weights = pinned | {i: mi, j: mj, k: t}
-                if self.feasible(weights):
-                    return weights
-            return None
-        return _BAIL
-
-
-class _Bail:
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "BAIL"
-
-
-_BAIL = _Bail()
-
-
-def _sqrt_fraction(value: Fraction) -> Fraction | None:
-    if value < 0:
+                j = others.index(unknown[0])
+                rest = others[:j] + others[j + 1 :]
+                low = _fold(vals, len(others), j, 0)
+                high = _fold(vals, len(others), j, 1)
+                num = _numerator(rest, low, subst)
+                den = _numerator(rest, [b - a for a, b in zip(low, high)], subst)
+                if den:
+                    subst[unknown[0]] = ([-c for c in num], den)
+                    defs.append(unknown[0])
+                else:
+                    equalities.append(num)  # the weight drops out along t
+            if not pending:
+                return self._along(pinned, t, subst, defs, equalities)
+        # no single weight carries the residue: only its faces are exact
+        for v in shared:
+            for face in (ZERO, ONE):
+                found = self._solve(pinned | {v: face})
+                if found is not None:
+                    return found
+        self.unresolved = True
         return None
-    num, den = value.numerator, value.denominator
-    rn, rd = isqrt(num), isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
-    return None
 
+    def _along(
+        self,
+        pinned: dict[int, Fraction],
+        t: int,
+        subst: dict[int, tuple[list, list]],
+        defs: list[int],
+        equalities: list[list],
+    ) -> dict[int, Fraction] | None:
+        """Decide the residue along the weight t.
 
-def _quadratic_roots(q2, q1, q0):
-    """Rational roots of q2 x^2 + q1 x + q0 = 0; the canonical weights when the
-    equation is identically zero; _BAIL when the roots are irrational."""
-    q2, q1, q0 = Fraction(q2), Fraction(q1), Fraction(q0)
-    if q2 == 0 and q1 == 0:
-        return list(FREE_WEIGHT_CANDIDATES) if q0 == 0 else []
-    if q2 == 0:
-        return [-q0 / q1]
-    disc = q1 * q1 - 4 * q2 * q0
-    if disc < 0:
-        return []
-    root = _sqrt_fraction(disc)
-    if root is None:
-        return _BAIL
-    return [(-q1 + root) / (2 * q2), (-q1 - root) / (2 * q2)]
+        Each weight y in ``defs`` is N_y(t)/D_y(t), and at most one other
+        unpinned weight x may be left free. Where every D_y is nonzero, every
+        condition (a leftover equation, 0 <= y <= 1, a strict constraint,
+        and, with x, how the ends of x's feasible interval compare) is a sign
+        condition on a polynomial in t, so feasibility is constant on each
+        open cell between their roots. With a leftover equation the
+        solutions sit on the roots of its gcd; otherwise they fill cells,
+        or touch a face y = 0 or 1 of the box. Each test point is solved
+        exactly with t pinned, and each face with y pinned. Irrational
+        points are settled by exact sign computation; a solution there can
+        only be noted as unresolved.
+        """
+        free = [v for v in self.atoms if v not in pinned and v not in subst]
+        strict = [_restrict(self.atoms, table, pinned) for table in self.strict]
+        degenerate = [(y, r) for y in defs for r in _real_roots(subst[y][1])]
+        equalities = [e for e in equalities if e]
+        sections = _real_roots(reduce(_pgcd, equalities)) if equalities else []
+        if equalities:
+            points = sorted({r[0] for r in sections + [r for _, r in degenerate] if r[0] == r[1]})
+        elif len(free) > 1:
+            self.unresolved = True
+            return None
+        else:
+            points = self._test_points(subst, strict, free, degenerate)
+        seen = set()
+        for t0 in points:
+            if t0 not in seen:
+                seen.add(t0)
+                found = self._solve(pinned | {t: t0})
+                if found is not None:
+                    return found
+        for y in defs:
+            for face in (ZERO, ONE):
+                found = self._solve(pinned | {y: face})
+                if found is not None:
+                    return found
+        for y, r in degenerate:
+            if r[0] != r[1] and _sign_at(subst[y][0], r) == 0:
+                self.unresolved = True  # y's equation vanishes at an irrational t
+        for r in sections:
+            if r[0] != r[1] and self._holds_at(r, t, subst, defs, strict, free):
+                self.unresolved = True  # a solution with irrational weights
+        return None
+
+    def _test_points(self, subst, strict, free, degenerate):
+        """Preferred weights, then one sample per cell, then the rational
+        roots where some D_y vanishes."""
+        yield from FREE_WEIGHT_CANDIDATES
+        crit = [p for num, den in subst.values() for p in (den, num, _psub(den, num))]
+        ends = []
+        for variables, vals in strict:
+            if not free:
+                crit.append(_numerator(variables, vals, subst))
+                continue
+            j = variables.index(free[0])
+            rest = variables[:j] + variables[j + 1 :]
+            low = _fold(vals, len(variables), j, 0)
+            high = _fold(vals, len(variables), j, 1)
+            alpha = _numerator(rest, low, subst)
+            beta = _numerator(rest, [b - a for a, b in zip(low, high)], subst)
+            crit += [alpha, beta, _padd(alpha, beta)]
+            ends.append((alpha, beta))
+        for (a1, b1), (a2, b2) in combinations(ends, 2):
+            crit.append(_psub(_pmul(a1, b2), _pmul(a2, b1)))
+        yield from _cell_samples(crit)
+        yield from sorted(r[0] for _, r in degenerate if r[0] == r[1])
+
+    @staticmethod
+    def _holds_at(root, t, subst, defs, strict, free) -> bool:
+        """Whether every condition holds strictly at an irrational root
+        (conservatively True when a weight is left free)."""
+        signs = {t: 1}
+        for y in defs:
+            num, den = subst[y]
+            sign = signs[y] = _sign_at(den, root)
+            if sign == 0 or _sign_at(num, root) * sign <= 0 or _sign_at(_psub(den, num), root) * sign <= 0:
+                return False
+        return bool(free) or all(
+            _sign_at(_numerator(variables, vals, subst), root) * prod(signs[v] for v in variables) > 0
+            for variables, vals in strict
+        )
 
 
 def find_equilibria_report(
@@ -869,30 +1076,30 @@ def find_equilibria_report(
         member_options.append(opts)
 
     for config in product(*member_options):
-        for weights in _config_candidates(ctx, config):
-            profile, cuts = _profile_from_config(space, config, weights)
-            rule = team_rule(profile, protocol)
-            if rule.values in results:
-                continue
-            try:
-                post = posterior_no_disclosure(dist, rule)
-            except OffPathPosterior:
-                continue
-            ver = verify_equilibrium(profile, post, dist, protocol)
-            if not ver.ok:
-                ctx.notes.append(
-                    f"candidate configuration {config} failed verification"
-                )
-                continue
-            results[rule.values] = Equilibrium(
-                profile=profile,
-                rule=rule,
-                posteriors=post,
-                classification=classify_rule(rule),
-                off_path=False,
-                cuts=cuts,
-                verification=ver,
-            )
+        weights = _AtomSolver(ctx, config).solve()
+        if weights is None:
+            continue
+        profile, cuts = _profile_from_config(space, config, weights)
+        rule = team_rule(profile, protocol)
+        if rule.values in results:
+            continue
+        try:
+            post = posterior_no_disclosure(dist, rule)
+        except OffPathPosterior:
+            continue
+        ver = verify_equilibrium(profile, post, dist, protocol)
+        if not ver.ok:
+            ctx.notes.append(f"candidate configuration {config} failed verification")
+            continue
+        results[rule.values] = Equilibrium(
+            profile=profile,
+            rule=rule,
+            posteriors=post,
+            classification=classify_rule(rule),
+            off_path=False,
+            cuts=cuts,
+            verification=ver,
+        )
 
     ordered = tuple(
         results[k] for k in sorted(results.keys(), reverse=True)

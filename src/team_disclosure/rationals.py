@@ -22,7 +22,10 @@ def as_fraction(value: Rational) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError as exc:
+            raise ValueError(f"zero denominator in {value!r}") from exc
     if isinstance(value, float):
         # repr(float) is the shortest decimal string that round-trips,
         # so this reads 0.1 as 1/10, not as the binary expansion.

@@ -305,3 +305,45 @@ def plausible_full_disclosure_by_fractions(dist, protocol):
         ).ok:
             return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# Dense rational scan of atom weights
+# ---------------------------------------------------------------------------
+
+
+def atom_grid_scan(corners, grids, config, steps=12):
+    """First atom-weight assignment on the grid {j/steps}, in product order,
+    at which a cut configuration is a fixed point; None if there is none.
+
+    ``corners`` holds (W, S) at every 0/1 corner of the atom weights, in
+    ``product((0, 1))`` order: the concealed mass and each member's concealed
+    value sum. At a grid point both are the multilinear interpolation of the
+    corners, evaluated in integers scaled by steps**atoms. The point is a
+    fixed point when W > 0, every atom member's posterior S_i/W equals their
+    atom value and every gap member's lies strictly inside their cut
+    interval.
+    """
+    from operator import mul
+
+    atoms = [i for i, (kind, _) in enumerate(config) if kind == "atom"]
+    masses = [w for w, _ in corners]
+    sums = [[s[i] for _, s in corners] for i in range(len(config))]
+    for js in product(range(steps + 1), repeat=len(atoms)):
+        coeff = []
+        for bits in product((0, 1), repeat=len(atoms)):
+            c = 1
+            for j, b in zip(js, bits):
+                c *= j if b else steps - j
+            coeff.append(c)
+        w = sum(map(mul, coeff, masses))
+        if w <= 0:
+            continue
+        for i, (kind, pos) in enumerate(config):
+            s = sum(map(mul, coeff, sums[i]))
+            g = grids[i]
+            if not (s == g[pos] * w if kind == "atom" else g[pos - 1] * w < s < g[pos] * w):
+                break
+        else:
+            return {a: Fraction(j, steps) for a, j in zip(atoms, js)}
+    return None

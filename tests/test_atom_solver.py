@@ -1,0 +1,360 @@
+"""The exact atom solver: hand-built corner tables, the univariate routine
+against sympy, a dense rational scan, and whole searches without slices."""
+import random
+from fractions import Fraction
+from itertools import product
+
+import pytest
+
+from team_disclosure.audit import random_distribution
+from team_disclosure.equilibrium import (
+    FREE_WEIGHT_CANDIDATES,
+    ONE,
+    ZERO,
+    _AtomSolver,
+    _cell_samples,
+    _corner_combo,
+    _pmul,
+    _real_roots,
+    _SearchContext,
+    _sign_at,
+    find_equilibria_report,
+)
+from team_disclosure.protocols import all_protocols, make_k_majority
+
+from oracles import atom_grid_scan
+
+sympy = pytest.importorskip("sympy")
+F = Fraction
+
+
+def hand_built(grids, config, corners):
+    """An atom solver whose concealment aggregates (W, S) at the corners of
+    the atom box, in ``product((0, 1))`` order, are given directly."""
+    atoms = [i for i, (kind, _) in enumerate(config) if kind == "atom"]
+    conceal = {
+        _corner_combo(config, dict(zip(atoms, bits))): (w, tuple(s))
+        for bits, (w, s) in zip(product((0, 1), repeat=len(atoms)), corners)
+    }
+    return _AtomSolver(_SearchContext(grids, conceal), config)
+
+
+def corner_table(k, mass, sums):
+    """(W, S) at every corner m of k atom weights, from functions of m."""
+    return [(mass(m), [s(m) for s in sums]) for m in product((0, 1), repeat=k)]
+
+
+class TestHandBuiltTables:
+    def test_semidefinite_equation_vanishes_only_where_nothing_is_concealed(self):
+        # the measured common case: h_0 = 5*m1*m2 >= 0 is zero only on the
+        # faces m1 = 0 and m2 = 0, exactly where W = 5*m1*m2 vanishes too
+        grids = ((0, 1),) * 3
+        config = (("atom", 0),) * 3
+        corners = corner_table(
+            3, lambda m: 5 * m[1] * m[2], [lambda m: 5 * m[1] * m[2], lambda m: 0, lambda m: 0]
+        )
+        solver = hand_built(grids, config, corners)
+        assert solver.h[0][1] == [0, 0, 0, 5]
+        assert solver.solve() is None
+        assert solver.ctx.notes == []
+        assert atom_grid_scan(corners, grids, config) is None
+
+    def test_corner_certificate_with_a_gap_member(self):
+        # both atom equations hold everywhere; the gap member's lower bound
+        # S_2 - 2W = -2*m0 is <= 0 at every corner (0 at two of them), so the
+        # free pair is infeasible without any search along a weight
+        grids = ((0, 1), (0, 1), (2, 10))
+        config = (("atom", 0), ("atom", 0), ("gap", 1))
+        mass = lambda m: 1 + m[0] + m[1]  # noqa: E731
+        corners = corner_table(2, mass, [lambda m: 0, lambda m: 0, lambda m: 2 * mass(m) - 2 * m[0]])
+        solver = hand_built(grids, config, corners)
+        solver._along = lambda *args: pytest.fail("the corner certificate should decide")
+        assert max(solver.strict[1]) == 0
+        assert solver.solve() is None
+        assert solver.ctx.notes == []
+        assert atom_grid_scan(corners, grids, config) is None
+
+    def test_mixed_residue_inside_a_non_candidate_interval(self):
+        # h_1 = 1 - 2*m0 pins m0 = 1/2; h_0 = 100*m1 - 31 - 3*m2 is mixed-sign
+        # and the gap member needs 0 < 2000*m1 - 623 < 2: the only solutions
+        # have m1 in (0.3115, 0.3125) and m2 in (0.05, 0.0834)
+        grids = ((0, 1), (0, 1), (0, 1), (0, 1))
+        config = (("atom", 0), ("atom", 0), ("atom", 0), ("gap", 1))
+        corners = corner_table(
+            3,
+            lambda m: 2,
+            [
+                lambda m: 100 * m[1] - 31 - 3 * m[2],
+                lambda m: 1 - 2 * m[0],
+                lambda m: 0,
+                lambda m: 2000 * m[1] - 623,
+            ],
+        )
+        solver = hand_built(grids, config, corners)
+        # the canonical slices (either coupled weight on a candidate value) miss it
+        for cand in FREE_WEIGHT_CANDIDATES:
+            assert solver._solve({1: cand}) is None
+            assert solver._solve({2: cand}) is None
+        weights = solver.solve()
+        assert weights is not None and solver.feasible(weights)
+        assert weights[0] == F(1, 2) and F(3, 10) < weights[1] < F(7, 20)
+        assert solver.ctx.notes == []
+
+    def test_identically_vanishing_elimination(self):
+        # h_0 and h_1 are proportional, so eliminating m3 leaves 0 = 0 and the
+        # solutions form a curve with m2 in [0.31, 0.34], no candidate value
+        grids = ((0, 1),) * 4
+        config = (("atom", 0),) * 4
+        curve = lambda m: 3 * m[3] - 100 * m[2] + 31  # noqa: E731
+        corners = corner_table(
+            4,
+            lambda m: 1,
+            [curve, lambda m: 2 * curve(m), lambda m: 1 - 2 * m[0], lambda m: 1 - 4 * m[1]],
+        )
+        solver = hand_built(grids, config, corners)
+        for cand in FREE_WEIGHT_CANDIDATES:
+            assert solver._solve({2: cand}) is None
+        weights = solver.solve()
+        assert weights is not None and solver.feasible(weights)
+        assert F(31, 100) <= weights[2] <= F(34, 100)
+        assert solver.ctx.notes == []
+
+    def test_solution_only_where_two_weights_touch_the_box(self):
+        # m1 = 3*m0 and m2 = 3*m0 - 1 are both in [0, 1] only at m0 = 1/3,
+        # where m1 = 1 and m2 = 0: no cell of the curve holds a solution, the
+        # faces of the box do
+        grids = ((0, 1),) * 3
+        config = (("atom", 0),) * 3
+        corners = corner_table(
+            3, lambda m: 1, [lambda m: 0, lambda m: m[2] - 3 * m[0] + 1, lambda m: m[1] - 3 * m[0]]
+        )
+        solver = hand_built(grids, config, corners)
+        assert solver.solve() == {0: F(1, 3), 1: ONE, 2: ZERO}
+
+    def test_solution_only_where_the_curve_degenerates(self):
+        # h_1 = (3*m0 - 1)*(m2 - 2) forces m2 = 2 except at m0 = 1/3, where
+        # it vanishes for every m2; the gap member then needs 1/4 < m2 < 3/4
+        grids = ((0, 1),) * 4
+        config = (("atom", 0),) * 3 + (("gap", 1),)
+        corners = corner_table(
+            3,
+            lambda m: 4,
+            [lambda m: 0, lambda m: (3 * m[0] - 1) * (m[2] - 2), lambda m: 0, lambda m: 8 * m[2] - 2],
+        )
+        solver = hand_built(grids, config, corners)
+        weights = solver.solve()
+        assert weights is not None and solver.feasible(weights)
+        assert weights[0] == F(1, 3) and F(1, 4) < weights[2] < F(3, 4)
+
+    @pytest.mark.parametrize("offset, noted", [(7, True), (3, False)])
+    def test_irrational_only_solution(self, offset, noted):
+        # m1 = m2 = m0 and 2*m1*m2 = 1: the only solution is 1/sqrt(2), about
+        # 0.7071, in every weight; W = 10*m0 - 7 is positive there, W = 4*m0 - 3
+        # negative, so only the first has a solution to note
+        mass = (lambda m: 10 * m[0] - 7) if offset == 7 else (lambda m: 4 * m[0] - 3)
+        grids = ((0, 1),) * 3
+        config = (("atom", 0),) * 3
+        corners = corner_table(
+            3,
+            mass,
+            [lambda m: 2 * m[1] * m[2] - 1, lambda m: m[0] - m[2], lambda m: m[0] - m[1]],
+        )
+        solver = hand_built(grids, config, corners)
+        assert solver.solve() is None
+        assert bool(solver.ctx.notes) == noted
+        if noted:
+            assert "unresolved" in solver.ctx.notes[0]
+
+
+T = sympy.Symbol("t")
+
+
+def random_polynomial(rng):
+    """A product of linear and quadratic factors with rational coefficients,
+    of degree <= 4: roots at 0 and 1, rational, repeated and irrational."""
+    poly = [F(rng.choice((-3, -2, -1, 1, 2, 5)), rng.choice((1, 2, 7)))]
+    degree = rng.randint(1, 4)
+    while len(poly) - 1 < degree:
+        room = degree - (len(poly) - 1)
+        kind = rng.choice(("edge", "rational", "repeat", "irrational", "quadratic"))
+        if kind == "edge":
+            factors = [[-rng.choice((0, 1)), 1]]
+        elif kind == "rational" or room < 2:
+            factors = [[-F(rng.randint(-6, 18), 12), 1]]
+        elif kind == "repeat":
+            factors = [[-F(rng.randint(0, 12), 12), 1]] * 2
+        elif kind == "irrational":
+            a, c = F(rng.randint(0, 8), 8), F(rng.choice((2, 3, 5, 7)), rng.choice((9, 16, 49)))
+            factors = [[a * a - c, -2 * a, 1]]  # roots a +- sqrt(c)
+        else:
+            factors = [[F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(2)] + [1]]
+        for f in factors:
+            poly = _pmul(poly, f)
+    return poly
+
+
+def as_sympy(poly):
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(poly)], T)
+
+
+def sympy_roots01(poly):
+    return sorted({r for r in as_sympy(poly).real_roots() if 0 <= r <= 1}, key=float)
+
+
+def inside(root, exact):
+    lo, hi, _ = root
+    if lo == hi:
+        return sympy.Rational(lo.numerator, lo.denominator) == exact
+    return not exact.is_rational and sympy.Rational(lo.numerator, lo.denominator) < exact < sympy.Rational(
+        hi.numerator, hi.denominator
+    )
+
+
+def check_samples(samples, exact_roots):
+    """One sample strictly inside each open cell the roots cut from (0, 1)."""
+    bounds = [sympy.Integer(0)] + [r for r in exact_roots if 0 < r < 1] + [sympy.Integer(1)]
+    assert len(samples) == len(bounds) - 1
+    for s, lo, hi in zip(samples, bounds, bounds[1:]):
+        assert lo < sympy.Rational(s.numerator, s.denominator) < hi
+
+
+class TestUnivariateAgainstSympy:
+    def test_real_roots_and_cell_samples(self):
+        rng = random.Random(83)
+        kinds = {"rational": 0, "irrational": 0, "edge": 0}
+        for _ in range(150):
+            poly = random_polynomial(rng)
+            ours = _real_roots(poly)
+            exact = sympy_roots01(poly)
+            assert len(ours) == len(exact) == as_sympy(poly).count_roots(0, 1)
+            for root, e in zip(ours, exact):
+                assert inside(root, e)
+                if e in (0, 1):
+                    kinds["edge"] += 1
+                else:
+                    kinds["rational" if root[0] == root[1] else "irrational"] += 1
+            check_samples(_cell_samples([poly]), exact)
+        assert min(kinds.values()) > 10
+
+    def test_cell_samples_of_several_polynomials(self):
+        # shared roots (irrational ones included) must be merged, not doubled,
+        # and distinct ones separated however close they are
+        close = [[F(-1, 2), 0, 1], [F(-7071, 10000), 1], [F(-500001, 1000000), 0, 1], [-1, 0, 2]]
+        check_samples(_cell_samples(close), sympy_roots01(_pmul(_pmul(close[0], close[1]), close[2])))
+        rng = random.Random(89)
+        for _ in range(40):
+            polys = [random_polynomial(rng) for _ in range(3)]
+            polys.append(_pmul(polys[0], polys[1]))
+            product_poly = polys[0]
+            for p in polys[1:]:
+                product_poly = _pmul(product_poly, p)
+            check_samples(_cell_samples(polys), sympy_roots01(product_poly))
+
+    def test_sign_at_roots(self):
+        rng = random.Random(97)
+        signs = set()
+        for _ in range(60):
+            poly = random_polynomial(rng)
+            other = random_polynomial(rng)
+            # sometimes share a factor, so that the sign is exactly 0
+            g = _pmul(other, poly) if rng.random() < 0.3 else other
+            for root, e in zip(_real_roots(poly), sympy_roots01(poly)):
+                value = sympy.expand(as_sympy(g).as_expr().subs(T, e))
+                assert _sign_at(g, root) == sympy.sign(value)
+                signs.add(_sign_at(g, root))
+        assert signs == {-1, 0, 1}
+
+
+def random_tables(rng, members, atom_share):
+    """A random configuration with small-integer corner tables.
+
+    Atom a's equation S_a - x_a*W never depends on a's own weight, as in
+    tables built from a distribution; values near zero make semidefinite,
+    degenerate and rational-solution cases common.
+    """
+    grids = tuple(tuple(sorted(rng.sample(range(8), 3))) for _ in range(members))
+    config = tuple(
+        ("atom", rng.randrange(3)) if rng.random() < atom_share else ("gap", rng.randrange(1, 3))
+        for _ in range(members)
+    )
+    atoms = [i for i, (kind, _) in enumerate(config) if kind == "atom"]
+    k = len(atoms)
+    masses = [rng.choice((0, 1, 2, 3)) for _ in range(1 << k)]
+    sums = []
+    for i, (kind, pos) in enumerate(config):
+        if kind == "atom":
+            j = atoms.index(i)
+            h = {b: rng.choice((-2, -1, 0, 0, 1, 2)) for b in product((0, 1), repeat=k - 1)}
+            sums.append(
+                [grids[i][pos] * w + h[b[:j] + b[j + 1 :]] for w, b in zip(masses, product((0, 1), repeat=k))]
+            )
+        else:
+            lo, hi = grids[i][pos - 1], grids[i][pos]
+            sums.append([rng.randint(lo * w - 2, hi * w + 2) for w in masses])
+    corners = [(w, [s[c] for s in sums]) for c, w in enumerate(masses)]
+    return grids, config, corners
+
+
+class TestDenseScanOracle:
+    @pytest.mark.parametrize("members, atom_share, steps", [(3, 1.0, 12), (4, 0.75, 6)])
+    def test_every_grid_solution_is_found(self, members, atom_share, steps):
+        rng = random.Random(101 + members)
+        hits = 0
+        for _ in range(150):
+            grids, config, corners = random_tables(rng, members, atom_share)
+            solver = hand_built(grids, config, corners)
+            weights = solver.solve()
+            if weights is not None:
+                assert solver.feasible(weights)
+            hit = atom_grid_scan(corners, grids, config, steps)
+            if hit is not None:
+                hits += 1
+                assert solver.feasible(hit)
+                assert weights is not None
+            if solver.ctx.notes and members == 3:
+                assert_irrational_solution(solver, corners)
+        assert hits > 30
+
+
+def assert_irrational_solution(solver, corners):
+    """An "unresolved" 3-atom configuration must have a solution, and only
+    irrational ones: sympy's solution of the three equations finds one in
+    the box with W > 0."""
+    m = sympy.symbols("m0:3")
+
+    def multilinear(vals):
+        return sympy.expand(
+            sum(
+                v * sympy.Mul(*(x if b else 1 - x for x, b in zip(m, bits)))
+                for bits, v in zip(product((0, 1), repeat=3), vals)
+            )
+        )
+
+    grid = solver.ctx.grid_ints
+    equations = [
+        multilinear([s[a] - grid[a][solver.config[a][1]] * w for w, s in corners]) for a in range(3)
+    ]
+    mass = multilinear([w for w, _ in corners])
+    found = []
+    for sol in sympy.solve(equations, m, dict=True):
+        values = [sol.get(x) for x in m]
+        if None not in values and all(v.is_real and 0 <= v <= 1 for v in values) and mass.subs(sol) > 0:
+            found.append(values)
+    assert found and all(not all(v.is_rational for v in values) for values in found)
+
+
+class TestNoSlices:
+    def test_searches_settle_every_configuration(self):
+        rng = random.Random(103)
+        cases = []
+        for n in (2, 3):
+            for _ in range(20):
+                dist = random_distribution(rng, n)
+                cases += [(dist, proto) for proto in all_protocols(n)]
+        for _ in range(10):
+            dist = random_distribution(rng, 4, sizes=(2,))
+            cases += [(dist, make_k_majority(4, k)) for k in range(1, 5)]
+        for dist, proto in cases:
+            eqs, notes = find_equilibria_report(dist, proto)
+            assert not any("slice" in note or "unresolved" in note for note in notes)
+            assert all(e.verification.ok for e in eqs)

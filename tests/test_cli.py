@@ -1,4 +1,5 @@
 import json
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -359,3 +360,117 @@ class TestAuditCommand:
         )
         assert proc.returncode == 0
         assert "result: PASS" in proc.stdout
+
+
+class TestFuzz:
+    """Seeded mutations of specs, config files, equilibrium files and effort
+    models: every run ends with exit 0, 2 or 3 and never a traceback."""
+
+    PROTOCOLS = [
+        "k_majority:2,2",
+        "k_majority:3,2",
+        "leader:3,1",
+        "consensus:2",
+        "unilateral:3",
+        {"kind": "k_majority", "n": 2, "k": 1},
+        {"kind": "leader", "n": 2, "leader": 1},
+        {"kind": "custom", "n": 3, "winning": [[1], [2, 3]]},
+    ]
+    DISTS = [
+        "independent:0.5",
+        "independent:1/3,2/3",
+        "common_mixture:0.5,0.5,0.5",
+        {"kind": "independent", "q": ["1/2", "1/3"]},
+        {"grid": [["0", "1"], ["0", "2"]], "pmf": [["0,0", "1/4"], ["0,2", "1/4"], ["1,0", "1/4"], ["1,2", "1/4"]]},
+    ]
+    TEXT_JUNK = ["", ":", ",", "-1", "0", "1", "2", "13", "1.5", "1/0", "nan", "inf", "x", "[", "{", "}", '"', "::"]
+    JSON_JUNK = [None, True, 0, -1, 2, 13, 1.5, "x", "1/2", "1/0", "-3", [], [1], [[1]], {}, {"kind": "x"}]
+
+    @classmethod
+    def mutate_text(cls, rng, text):
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randint(0, len(text))
+            op = rng.randrange(3)
+            if op == 0:
+                text = text[:i] + rng.choice(cls.TEXT_JUNK) + text[i:]
+            elif op == 1:
+                text = text[:i] + text[i + rng.randint(1, 4) :]
+            else:
+                text = text[:i]
+        return text
+
+    @classmethod
+    def mutate_json(cls, rng, value):
+        """Replace, drop or add one node somewhere in a JSON value."""
+        if isinstance(value, (dict, list)) and value and rng.random() < 0.75:
+            out = dict(value) if isinstance(value, dict) else list(value)
+            key = rng.choice(sorted(out)) if isinstance(out, dict) else rng.randrange(len(out))
+            r = rng.random()
+            if r < 0.2:
+                del out[key]
+            elif r < 0.3 and isinstance(out, dict):
+                out[rng.choice(["extra", "kind", "n", "q"])] = rng.choice(cls.JSON_JUNK)
+            else:
+                out[key] = cls.mutate_json(rng, out[key])
+            return out
+        return rng.choice(cls.JSON_JUNK)
+
+    @classmethod
+    def mutate(cls, rng, value):
+        """A spec or a document, mutated half of the time."""
+        if rng.random() < 0.5:
+            return value
+        if isinstance(value, str) and rng.random() < 0.7:
+            return cls.mutate_text(rng, value)
+        return cls.mutate_json(rng, value)
+
+    def write(self, rng, path, doc):
+        """A JSON document, a mutated one, or its mutated text."""
+        text = json.dumps(self.mutate(rng, doc))
+        if rng.random() < 0.2:
+            text = self.mutate_text(rng, text)
+        path.write_text(text)
+        return str(path)
+
+    def argv(self, rng, tmp_path):
+        command = rng.choice(["solve", "refine", "verify", "gains", "dominance", "optimal-k"])
+        protocol = self.mutate(rng, rng.choice(self.PROTOCOLS))
+        dist = self.mutate(rng, rng.choice(self.DISTS))
+        if command == "optimal-k":
+            n = rng.choice([2, 3, 6, 0, -1, "4", "x", 2.5, None, [3], True])
+            return ["optimal-k", "--config", self.write(rng, tmp_path / "cfg.json", {"n": n})]
+        if command in ("gains", "dominance"):
+            model = write_worked_model(tmp_path / "model.json")
+            argv = [command, "--model", self.write(rng, model, json.loads(model.read_text()))]
+            names = ["protocol"] if command == "gains" else ["protocol-a", "protocol-b"]
+            cfg = {name: self.mutate(rng, rng.choice(self.PROTOCOLS)) for name in names}
+            return argv + ["--config", self.write(rng, tmp_path / "cfg.json", cfg)]
+        cfg = {"protocol": protocol, "dist": dist}
+        if command == "verify":
+            eq = {"profile": [["0", "1"], ["0", "1"]], "posteriors": ["1/3", "1/3"]}
+            cfg["equilibrium"] = self.write(rng, tmp_path / "eq.json", eq)
+        elif rng.random() < 0.3:
+            cfg["max-members"] = self.mutate(rng, 4)
+        if rng.random() < 0.5 and isinstance(protocol, str) and isinstance(dist, str):
+            argv = [command, "--protocol", protocol, "--dist", dist]
+            if "equilibrium" in cfg:
+                argv += ["--equilibrium", cfg["equilibrium"]]
+            return argv
+        return [command, "--config", self.write(rng, tmp_path / "cfg.json", cfg)]
+
+    def test_mutated_inputs(self, tmp_path, capsys):
+        rng = random.Random(107)
+        codes = []
+        for _ in range(200):
+            argv = self.argv(rng, tmp_path)
+            try:
+                code = main(argv + ["--out", str(tmp_path / "out.json")])
+            except Exception as exc:  # any escape is a traceback for a user
+                pytest.fail(f"{argv} raised {exc!r}")
+            err = capsys.readouterr().err
+            assert code in (0, 2, 3), (argv, code, err)
+            assert "Traceback" not in err, (argv, err)
+            if code:
+                assert err.startswith("error:") and len(err.splitlines()) == 1, (argv, err)
+            codes.append(code)
+        assert min(codes.count(0), codes.count(2)) >= 10
