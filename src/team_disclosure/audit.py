@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from . import binary_env
-from .binary_env import BinaryEnvParams, baseline_params, gain_binary, parse_grid, sweep
+from .binary_env import BinaryEnvParams, baseline_params, gain_curve, parse_grid, sweep
 from .equilibrium import (
     FULL,
     INTERIOR,
@@ -741,7 +741,7 @@ def _claim_binary_dominance(config: AuditConfig) -> ClaimResult:
         }
         for label in ("partner-lift", "correlation-lift"):
             full, dev = cases[label]
-            gains = [gain_binary(full, dev, k) for k in range(1, n + 1)]
+            gains = gain_curve(full, dev).gains
             for k in range(2, n + 1):
                 rec.tick()
                 if not gains[k - 1] > gains[0]:
@@ -751,7 +751,7 @@ def _claim_binary_dominance(config: AuditConfig) -> ClaimResult:
                     )
         for label in ("own-lift", "common-lift"):
             full, dev = cases[label]
-            gains = [gain_binary(full, dev, k) for k in range(1, n + 1)]
+            gains = gain_curve(full, dev).gains
             for k in range(2, n + 1):
                 rec.tick()
                 if not gains[0] >= gains[k - 1]:

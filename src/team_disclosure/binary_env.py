@@ -80,72 +80,77 @@ def _check_k(params: BinaryEnvParams, k: int) -> None:
 
 
 @lru_cache(maxsize=4)
-def _low_count_table(
-    n: int, q_other: Fraction
-) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-    """Binomial pmf of the number of the n-1 other members who draw low in the
-    independent branch, and its suffix sums: ``suffix[m]`` is P(at least m low),
-    with ``suffix[n] = 0``. A gain curve reads only two keys (the full-effort
-    and the deviation profile), so a few entries suffice."""
-    num, den = q_other.numerator, q_other.denominator
+def _terms(
+    params: BinaryEnvParams,
+) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """P(ND), P(own high and ND) and E[own | ND] for every k = 1..n, in one pass.
+
+    The independent branch conceals when at least n-k+1 of the n-1 other
+    members draw low, or exactly n-k do and the marked member draws low too.
+    The binomial weights of the others' low count and their suffix sums are
+    built once, in exact integers over the common scale ``den**(n-1)``.
+
+    Every k >= 2 is checked against the inverted sum-of-three-terms form,
+    whose partner sum ``s2`` is carried by its own recurrence
+    ``s2(k) = r * (C(n-1, n-k+1) + s2(k-1))`` with ``r = (1-q_other)/q_other``,
+    not read from the weights, so the check costs O(1) per k.
+
+    A sweep holds the full-effort profile fixed, so it stays cached while the
+    deviation profiles pass through.
+    """
+    n, p, qt, qi, qo = params.n, params.p, params.q_team, params.q_own, params.q_other
+    num, den = qo.numerator, qo.denominator
     low = den - num
     weights = [comb(n - 1, m) * low**m * num ** (n - 1 - m) for m in range(n)]
     scale = den ** (n - 1)
     suffix = [0] * (n + 1)
     for m in range(n - 1, -1, -1):
         suffix[m] = suffix[m + 1] + weights[m]
-    return (
-        tuple(Fraction(w, scale) for w in weights),
-        tuple(Fraction(s, scale) for s in suffix),
-    )
 
-
-def _tail_sum(params: BinaryEnvParams, k: int) -> Fraction:
-    """Probability that at least n-k+1 of the n-1 other members draw low,
-    in the independent branch. Empty sum (k=1) is zero by convention."""
-    return _low_count_table(params.n, params.q_other)[1][params.n - k + 1]
+    common = p * (ONE - qt)
+    indep = (ONE - p) / scale
+    indep_high, indep_low = indep * qi, indep * (ONE - qi)
+    inv_qi, odds_low = ONE / qi, (ONE - qi) / qi
+    r = (ONE - qo) / qo
+    pnds, joints, means = [], [], []
+    s2 = ZERO
+    for k in range(1, n + 1):
+        s1 = suffix[n - k + 1]  # scaled P(at least n-k+1 others low); 0 at k=1
+        pnd = common + indep * s1 + indep_low * weights[n - k]
+        joint = indep_high * s1
+        mean = joint / pnd  # pnd >= p*(1-q_team) > 0
+        if k >= 2:
+            s2 = r * (comb(n - 1, n - k + 1) + s2)
+            inverted = common / joint + inv_qi + odds_low * comb(n - 1, n - k) / s2
+            if ONE / inverted != mean:
+                raise AssertionError("closed-form disagreement in cond_mean_nd")
+        pnds.append(pnd)
+        joints.append(joint)
+        means.append(mean)
+    return tuple(pnds), tuple(joints), tuple(means)
 
 
 def prob_joint_high_and_nd(params: BinaryEnvParams, k: int) -> Fraction:
     """P(marked member high and the team conceals) under the k-majority rule."""
     _check_k(params, k)
-    return (ONE - params.p) * params.q_own * _tail_sum(params, k)
+    return _terms(params)[1][k - 1]
 
 
 def prob_nd(params: BinaryEnvParams, k: int) -> Fraction:
     """P(the team conceals): common low draw, or enough independent low draws."""
     _check_k(params, k)
-    p, qt, qi = params.p, params.q_team, params.q_own
-    pivotal = _low_count_table(params.n, params.q_other)[0][params.n - k]
-    return p * (ONE - qt) + (ONE - p) * _tail_sum(params, k) + (ONE - p) * (ONE - qi) * pivotal
+    return _terms(params)[0][k - 1]
 
 
 def cond_mean_nd(params: BinaryEnvParams, k: int) -> Fraction:
     """E[marked member's outcome | the team conceals].
 
-    Evaluated both as the ratio of the two closed forms and through the
-    inverted sum-of-three-terms form; the two must agree exactly.
+    Read from the per-parameter kernel ``_terms``, which computes it as the
+    ratio of the two closed forms and checks it, for every k >= 2, against
+    the inverted sum-of-three-terms form; the two must agree exactly.
     """
     _check_k(params, k)
-    den = prob_nd(params, k)
-    if den == 0:
-        raise BinaryEnvError("conceal probability is zero")
-    value = prob_joint_high_and_nd(params, k) / den
-    if k >= 2:
-        n = params.n
-        p, qt, qi, qo = params.p, params.q_team, params.q_own, params.q_other
-        s1 = _tail_sum(params, k)
-        s2 = ZERO
-        for m in range(n - k + 1, n):
-            s2 += comb(n - 1, m) * ((ONE - qo) / qo) ** (m - (n - k))
-        inverted = (
-            p * (ONE - qt) / ((ONE - p) * qi * s1)
-            + ONE / qi
-            + (ONE - qi) * comb(n - 1, n - k) / (qi * s2)
-        )
-        if ONE / inverted != value:
-            raise AssertionError("closed-form disagreement in cond_mean_nd")
-    return value
+    return _terms(params)[2][k - 1]
 
 
 def k_majority_interior_rule(space: OutcomeSpace, k: int) -> TeamRule:
@@ -287,6 +292,9 @@ def sweep(
 
 
 MAX_GRID_POINTS = 10_000
+# The largest team `optimal-k` and `sweep` accept. A gain curve at 320 members
+# takes about 0.15 s (Python 3.11, one core), and the cost grows faster than n.
+MAX_SWEEP_MEMBERS = 320
 
 
 def parse_grid(spec: str) -> tuple[Fraction, ...]:

@@ -18,6 +18,7 @@ from pathlib import Path
 
 from .audit import CLAIM_NAMES, PANEL_GRIDS, AuditConfig, panel_sweep, run_audit
 from .binary_env import (
+    MAX_SWEEP_MEMBERS,
     BinaryEnvParams,
     BinaryEnvError,
     baseline_params,
@@ -129,6 +130,14 @@ def _merged_int(args: argparse.Namespace, file_cfg: dict, key: str, default: int
     if isinstance(value, str) and value.isascii() and value.isdigit():
         return int(value)
     raise ConfigError(f"{key} must be an integer, got {json.dumps(value)}")
+
+
+def _sweep_members(args: argparse.Namespace, file_cfg: dict) -> int:
+    """The member count of `optimal-k` and `sweep`, at most MAX_SWEEP_MEMBERS."""
+    n = _merged_int(args, file_cfg, "n", 10)
+    if n > MAX_SWEEP_MEMBERS:
+        raise ConfigError(f"n={n} exceeds the cap of {MAX_SWEEP_MEMBERS} members")
+    return n
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +302,7 @@ def _params_from(cfg: dict, key: str, n: int, fallback: BinaryEnvParams) -> Bina
 
 def _cmd_optimal_k(args: argparse.Namespace) -> int:
     cfg = _load_config_file(args.config)
-    n = _merged_int(args, cfg, "n", 10)
+    n = _sweep_members(args, cfg)
     base_full, base_dev = baseline_params(n)
     full = _params_from(cfg, "full", n, base_full)
     dev = _params_from(cfg, "deviation", n, base_dev)
@@ -313,7 +322,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     panel = _merged(args, cfg, "panel")
     if panel not in PANEL_GRIDS:
         raise ConfigError(f"panel must be one of {sorted(PANEL_GRIDS)}")
-    n = _merged_int(args, cfg, "n", 10)
+    n = _sweep_members(args, cfg)
     grid = _merged(args, cfg, "grid")
     table = panel_sweep(panel, n, parse_grid(str(grid)) if grid else None)
     text = table.to_csv()

@@ -7,10 +7,16 @@ binary float.
 """
 from __future__ import annotations
 
+import re
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
 Rational = Fraction | int | str | float
+
+# Fraction("1e999999999") builds that power of ten before anything can look
+# at the value, so decimal exponents beyond this are refused up front.
+MAX_DECIMAL_EXPONENT = 1000
+_EXPONENT = re.compile(r"e[-+]?([\d_]+)\s*\Z", re.IGNORECASE)
 
 
 def as_fraction(value: Rational) -> Fraction:
@@ -22,6 +28,15 @@ def as_fraction(value: Rational) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        exponent = _EXPONENT.search(value)
+        if exponent:
+            # compare lengths first, so a huge digit string is never converted
+            digits = exponent.group(1).replace("_", "").lstrip("0") or "0"
+            bound = MAX_DECIMAL_EXPONENT
+            if len(digits) > len(str(bound)) or int(digits) > bound:
+                raise ValueError(
+                    f"decimal exponent in {value[:40]!r} exceeds {MAX_DECIMAL_EXPONENT}"
+                )
         try:
             return Fraction(value)
         except ZeroDivisionError as exc:

@@ -6,6 +6,7 @@ own formulas, so each checked quantity has two separate routes to the answer.
 """
 from fractions import Fraction
 from itertools import product
+from math import comb
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -154,6 +155,48 @@ def binary_branch_enumeration(n, p, q_team, q_own, q_other, k):
                 hi_nd += (ONE - p) * w
     mean = hi_nd / pnd if pnd > 0 else ZERO
     return pnd, hi_nd, mean
+
+
+def binary_closed_forms_by_k(params, k):
+    """(P(ND), P(own high and ND), E[own|ND]) from the per-k closed forms.
+
+    The tail is a pmf sum over the other members' low count, and the mean is
+    also taken through the inverted sum-of-three-terms form, whose partner sum
+    is a loop of powers of (1-q_other)/q_other; the two means must agree.
+    """
+    n, p, qt, qi, qo = params.n, params.p, params.q_team, params.q_own, params.q_other
+    s1 = ZERO
+    for m in range(n - k + 1, n):
+        s1 += comb(n - 1, m) * (ONE - qo) ** m * qo ** (n - 1 - m)
+    pivotal = comb(n - 1, n - k) * (ONE - qo) ** (n - k) * qo ** (k - 1)
+    pnd = p * (ONE - qt) + (ONE - p) * s1 + (ONE - p) * (ONE - qi) * pivotal
+    joint = (ONE - p) * qi * s1
+    mean = joint / pnd
+    if k >= 2:
+        s2 = ZERO
+        for m in range(n - k + 1, n):
+            s2 += comb(n - 1, m) * ((ONE - qo) / qo) ** (m - (n - k))
+        inverted = (
+            p * (ONE - qt) / ((ONE - p) * qi * s1)
+            + ONE / qi
+            + (ONE - qi) * comb(n - 1, n - k) / (qi * s2)
+        )
+        assert ONE / inverted == mean, "per-k closed forms disagree"
+    return pnd, joint, mean
+
+
+def binary_gains_by_k(full, dev):
+    """The effort gain at every k = 1..n, one per-k evaluation after another:
+    the mean shift less the deviation's conceal probability times the change
+    in the conceal mean."""
+    base = full.p * full.q_team + (ONE - full.p) * full.q_own
+    base -= dev.p * dev.q_team + (ONE - dev.p) * dev.q_own
+    gains = []
+    for k in range(1, full.n + 1):
+        pnd_dev, _, mean_dev = binary_closed_forms_by_k(dev, k)
+        mean_full = binary_closed_forms_by_k(full, k)[2]
+        gains.append(base - pnd_dev * (mean_full - mean_dev))
+    return tuple(gains)
 
 
 def effort_payoff_difference(full_dist, dev_dist, rule_values, member_index):

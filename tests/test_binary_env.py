@@ -1,9 +1,11 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
+from team_disclosure import binary_env
 from team_disclosure.binary_env import (
     BinaryEnvError,
     BinaryEnvParams,
@@ -21,7 +23,7 @@ from team_disclosure.binary_env import (
 )
 from team_disclosure.incentives import EffortModel, effort_gain
 
-from oracles import binary_branch_enumeration
+from oracles import binary_branch_enumeration, binary_closed_forms_by_k, binary_gains_by_k
 
 F = Fraction
 
@@ -76,6 +78,25 @@ class TestClosedForms:
                 assert prob_nd(params, k) == pnd
                 assert prob_joint_high_and_nd(params, k) == hi
                 assert cond_mean_nd(params, k) == mean
+
+    def test_kernel_against_per_k_closed_forms(self):
+        # the one-pass kernel against the per-k closed forms, exactly and at
+        # every k, on a /100 grid, with teams up to 40 members
+        rng = random.Random(67)
+        sizes = list(range(2, 13)) + [20, 40]
+        for _ in range(1000):
+            n = rng.choice(sizes)
+            full, dev = (
+                BinaryEnvParams(n, *(F(rng.randint(1, 99), 100) for _ in range(4)))
+                for _ in range(2)
+            )
+            for params in (full, dev):
+                for k in range(1, n + 1):
+                    pnd, joint, mean = binary_closed_forms_by_k(params, k)
+                    assert prob_nd(params, k) == pnd
+                    assert prob_joint_high_and_nd(params, k) == joint
+                    assert cond_mean_nd(params, k) == mean
+            assert gain_curve(full, dev).gains == binary_gains_by_k(full, dev)
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(BinaryEnvError):
@@ -215,6 +236,28 @@ class TestSweepTable:
             sweep(full, dev, "p_dev", [F(0)])
         with pytest.raises(BinaryEnvError):
             sweep(full, dev, "not_an_axis", [F(1, 2)])
+
+    def test_sweep_computes_the_full_effort_side_once(self, monkeypatch):
+        # count kernel passes through a cache of the module's own size: a
+        # sweep over G points needs the full-effort side once plus one pass
+        # per deviation point
+        passes = []
+
+        def counted(params):
+            passes.append(params)
+            return kernel(params)
+
+        kernel = binary_env._terms.__wrapped__
+        maxsize = binary_env._terms.cache_parameters()["maxsize"]
+        monkeypatch.setattr(binary_env, "_terms", lru_cache(maxsize)(counted))
+        full, dev = baseline_params(12)
+        grid = parse_grid("0.30:0.50:0.02")
+        for axis in ("q_other_dev", "p_dev", "q_own_dev", "q_T_dev"):
+            binary_env._terms.cache_clear()
+            passes.clear()
+            sweep(full, dev, axis, grid)
+            assert len(passes) <= len(grid) + 1
+            assert passes.count(full) == 1
 
     def test_parse_grid_inclusive_exact(self):
         grid = parse_grid("0.30:0.50:0.02")

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from team_disclosure.audit import panel_sweep
+from team_disclosure.binary_env import MAX_SWEEP_MEMBERS
 from team_disclosure.cli import main
 
 F = Fraction
@@ -118,6 +119,13 @@ class TestSolve:
     def test_parse_error_exit_code(self):
         assert main(["solve", "--protocol", "nonsense", "--dist", "independent:0.5"]) == 2
         assert main(["solve", "--protocol", "k_majority:2,9", "--dist", "independent:0.5"]) == 2
+
+    def test_huge_decimal_exponent_rejected(self, capsys):
+        # refused before Fraction would build a billion-digit power of ten
+        argv = ["solve", "--protocol", "k_majority:2,2", "--dist", "independent:1e999999999"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 class TestVerify:
@@ -322,6 +330,26 @@ class TestSweepAndOptimalK:
         assert main(["optimal-k", "--n", "10"]) == 0
         summary = json.loads(capsys.readouterr().out.strip().splitlines()[0])
         assert summary["k_star"] == 5
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize("command", ["optimal-k", "sweep"])
+    def test_member_cap(self, tmp_path, capsys, command, via):
+        argv = [command] + (["--panel", "b"] if command == "sweep" else [])
+        if via == "flag":
+            argv += ["--n", "10000"]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"n": 10000}))
+            argv += ["--config", str(cfg)]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
+    def test_member_cap_is_inclusive(self, tmp_path):
+        out = str(tmp_path / "out")
+        assert main(["optimal-k", "--n", str(MAX_SWEEP_MEMBERS), "--out", out]) == 0
+        grid = ["--grid", "0.3:0.3:0.1"]
+        assert main(["sweep", "--panel", "b", "--n", str(MAX_SWEEP_MEMBERS), *grid, "--out", out]) == 0
 
     def test_bad_grid_rejected(self):
         assert main(["sweep", "--panel", "b", "--grid", "0.9:0.1:0.1"]) == 2
