@@ -44,7 +44,6 @@ from .equilibrium import (
     find_equilibria,
     find_equilibria_report,
     full_disclosure_is_plausible,
-    iterate_posteriors,
     plausible_full_disclosure_by_search,
     team_rule,
     verify_equilibrium,

@@ -1,13 +1,12 @@
-"""Exact max-flow on small graphs (Dinic), used for stochastic-dominance checks.
+"""Exact minimum closure on small graphs, the kernel of every stochastic-dominance test.
 
-Capacities are arbitrary-precision integers, so feasibility answers are exact
+The closure is solved as a max-flow (Dinic) with arbitrary-precision integer
+capacities (Picard 1976, "Maximal closure of a graph"), so answers are exact
 after scaling rational masses to a common denominator.
 """
 from __future__ import annotations
 
 from collections import deque
-
-INF = None  # sentinel for unbounded capacity
 
 
 class FlowNetwork:
@@ -15,9 +14,9 @@ class FlowNetwork:
         self.n = n_nodes
         self.adj: list[list[int]] = [[] for _ in range(n_nodes)]
         self.to: list[int] = []
-        self.cap: list[int | None] = []
+        self.cap: list[int] = []
 
-    def add_edge(self, u: int, v: int, capacity: int | None) -> None:
+    def add_edge(self, u: int, v: int, capacity: int) -> None:
         self.adj[u].append(len(self.to))
         self.to.append(v)
         self.cap.append(capacity)
@@ -33,69 +32,41 @@ class FlowNetwork:
             u = q.popleft()
             for e in self.adj[u]:
                 v = self.to[e]
-                if level[v] < 0 and (self.cap[e] is INF or self.cap[e] > 0):
+                if level[v] < 0 and self.cap[e] > 0:
                     level[v] = level[u] + 1
                     q.append(v)
         return level if level[t] >= 0 else None
 
-    def _dfs(self, u: int, t: int, pushed: int | None, level: list[int], it: list[int]) -> int:
+    def _dfs(self, u: int, t: int, pushed: int, level: list[int], it: list[int]) -> int:
         if u == t:
-            assert pushed is not None
             return pushed
         while it[u] < len(self.adj[u]):
             e = self.adj[u][it[u]]
             v = self.to[e]
             c = self.cap[e]
-            if (c is INF or c > 0) and level[v] == level[u] + 1:
-                room = pushed if c is INF else (c if pushed is None else min(pushed, c))
-                got = self._dfs(v, t, room, level, it)
+            if c > 0 and level[v] == level[u] + 1:
+                got = self._dfs(v, t, min(pushed, c), level, it)
                 if got:
-                    if self.cap[e] is not INF:
-                        self.cap[e] -= got
-                    rev = e ^ 1
-                    if self.cap[rev] is not INF:
-                        self.cap[rev] += got
+                    self.cap[e] -= got
+                    self.cap[e ^ 1] += got
                     return got
             it[u] += 1
         return 0
 
     def max_flow(self, s: int, t: int) -> int:
-        """Total flow pushed from s to t. All s-adjacent capacities must be finite."""
+        """Total flow pushed from s to t."""
         total = 0
+        out_of_s = sum(self.cap[e] for e in self.adj[s])
         while True:
             level = self._bfs(s, t)
             if level is None:
                 return total
             it = [0] * self.n
             while True:
-                got = self._dfs(s, t, None, level, it)
+                got = self._dfs(s, t, out_of_s, level, it)
                 if not got:
                     break
                 total += got
-
-
-def coupling_feasible(supply: list[int], demand: list[int], arcs: list[tuple[int, int]]) -> bool:
-    """Whether supply can be routed to demand along the allowed arcs.
-
-    supply[i] units leave source node i; demand[j] units must reach sink node
-    j; an arc (i, j) permits unlimited routing from i to j. Supplies and
-    demands must have equal totals.
-    """
-    total = sum(supply)
-    if total != sum(demand):
-        return False
-    ns, nd = len(supply), len(demand)
-    net = FlowNetwork(ns + nd + 2)
-    src, snk = ns + nd, ns + nd + 1
-    for i, s in enumerate(supply):
-        if s:
-            net.add_edge(src, i, s)
-    for j, d in enumerate(demand):
-        if d:
-            net.add_edge(ns + j, snk, d)
-    for i, j in arcs:
-        net.add_edge(i, ns + j, INF)
-    return net.max_flow(src, snk) == total
 
 
 def min_upper_set_sum(

@@ -268,23 +268,6 @@ def enumerated_effort_gain(model: EffortModel, rule: TeamRule, i: int) -> Fracti
     return payoff(full) - payoff(dev)
 
 
-def binary_env_enumeration(
-    params: BinaryEnvParams, k: int
-) -> tuple[Fraction, Fraction, Fraction]:
-    """(P(ND), P(own high and ND), E[own|ND]) by summing the explicit joint pmf."""
-    dist = params.joint_distribution()
-    space = dist.space
-    pnd = ZERO
-    hi_nd = ZERO
-    for cell, p in zip(space.cells, dist.probs):
-        highs = sum(1 for v in cell if v == 1)
-        if highs < k:
-            pnd += p
-            if cell[0] == 1:
-                hi_nd += p
-    return pnd, hi_nd, (hi_nd / pnd if pnd > 0 else ZERO)
-
-
 # ---------------------------------------------------------------------------
 # Claims
 # ---------------------------------------------------------------------------

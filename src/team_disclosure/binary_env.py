@@ -276,9 +276,17 @@ def sweep(
     grid: Iterable[Rational],
 ) -> SweepTable:
     """Vary one deviation-profile parameter over a grid, holding the
-    full-effort profile fixed; emit the gain curve and optimum per grid point."""
+    full-effort profile fixed; emit the gain curve and optimum per grid point,
+    at most ``MAX_SWEEP_ROWS`` rows (grid points x members)."""
     if axis not in _AXIS_FIELD:
         raise BinaryEnvError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
+    grid = tuple(grid)
+    count = len(grid) * params_full.n
+    if count > MAX_SWEEP_ROWS:
+        raise BinaryEnvError(
+            f"a sweep of {len(grid)} grid points at n={params_full.n} has "
+            f"{count} rows, more than {MAX_SWEEP_ROWS}"
+        )
     rows: list[SweepRow] = []
     for raw in grid:
         value = as_fraction(raw)
@@ -295,6 +303,12 @@ MAX_GRID_POINTS = 10_000
 # The largest team `optimal-k` and `sweep` accept. A gain curve at 320 members
 # takes about 0.15 s (Python 3.11, one core), and the cost grows faster than n.
 MAX_SWEEP_MEMBERS = 320
+# The most rows (grid points x members) one sweep may emit: the two caps above
+# hold on their own, but 10 000 points at 320 members would run for about 45
+# minutes. A row at 320 members costs about 0.9 ms on three-decimal grid values
+# (Python 3.11, one core), so the largest accepted sweep, 100 points at 320
+# members, takes about 30 s.
+MAX_SWEEP_ROWS = 32_000
 
 
 def parse_grid(spec: str) -> tuple[Fraction, ...]:

@@ -146,10 +146,6 @@ class TeamRule:
     def constant(space: OutcomeSpace, value: Rational) -> "TeamRule":
         return TeamRule(space, tuple(as_fraction(value) for _ in space.cells))
 
-    @staticmethod
-    def from_values(space: OutcomeSpace, values: Sequence[Rational]) -> "TeamRule":
-        return TeamRule(space, tuple(as_fraction(v) for v in values))
-
 
 def team_rule(profile: StrategyProfile, protocol: DeliberationProtocol) -> TeamRule:
     """Aggregate a profile into the team rule via the multilinear extension."""
@@ -1115,46 +1111,6 @@ def find_equilibria(
 ) -> tuple[Equilibrium, ...]:
     eqs, _ = find_equilibria_report(dist, protocol, max_members, max_grid)
     return eqs
-
-
-def iterate_posteriors(
-    dist: JointDistribution,
-    protocol: DeliberationProtocol,
-    start: Sequence[Rational] | None = None,
-    max_rounds: int = 200,
-) -> tuple[tuple[Fraction, ...], bool]:
-    """Fast fixed-point heuristic: repeatedly best-respond to candidate beliefs.
-
-    From a candidate posterior vector, each member discloses strictly above it
-    and conceals at or below it (worst outcomes always conceal); the induced
-    rule then Bayes-updates the candidate. Returns (posteriors, converged).
-    The map can cycle, so this is a shortcut only; the exhaustive
-    configuration search remains the ground truth.
-    """
-    space = dist.space
-    if protocol.n != space.n:
-        raise EquilibriumError("protocol and distribution have different member counts")
-    current = (
-        tuple(as_fraction(p) for p in start) if start is not None else dist.mean_vector
-    )
-    seen = {current}
-    for _ in range(max_rounds):
-        rows = tuple(
-            tuple(ONE if v > current[i] else ZERO for v in grid)
-            for i, grid in enumerate(space.grids)
-        )
-        rule = team_rule(StrategyProfile(space, rows), protocol)
-        try:
-            updated = posterior_no_disclosure(dist, rule)
-        except OffPathPosterior:
-            return space.min_vector, True  # everything disclosed: skeptical beliefs
-        if updated == current:
-            return current, True
-        if updated in seen:
-            return updated, False  # cycle detected
-        seen.add(updated)
-        current = updated
-    return current, False
 
 
 # ---------------------------------------------------------------------------

@@ -338,17 +338,6 @@ def _effort_vector(n: int, members: Sequence[int]) -> tuple[int, ...]:
     return tuple(1 if j + 1 in members else 0 for j in range(n))
 
 
-def _univariate_strict_gain(f: JointDistribution, g: JointDistribution) -> bool:
-    """Strict first-order gain of f over g on every proper upper tail."""
-    grid = f.space.grids[0]
-    for t in range(1, len(grid)):
-        pf = sum(p for cell, p in zip(f.space.cells, f.probs) if cell[0] >= grid[t])
-        pg = sum(p for cell, p in zip(g.space.cells, g.probs) if cell[0] >= grid[t])
-        if pf <= pg:
-            return False
-    return True
-
-
 def classify_effort(model: EffortModel) -> str:
     """self_improving / team_improving / neither.
 
@@ -366,7 +355,7 @@ def classify_effort(model: EffortModel) -> str:
         other_space = marginal(with_i, others).space
         for cells in other_space.cells:
             given = dict(zip(others, cells))
-            if not _univariate_strict_gain(
+            if not fosd_dominates_everywhere(
                 conditional(with_i, given), conditional(without_i, given)
             ):
                 return False

@@ -5,9 +5,9 @@ a joint distribution is an explicit pmf over the product grid. Everything is
 kept in exact rational arithmetic: marginals, conditionals, mixtures and
 posteriors all sum to one exactly, which the equilibrium search relies on.
 
-Multivariate first-order stochastic dominance is decided by enumerating upper
-sets on small spaces and by an exact coupling-feasibility max-flow on larger
-ones.
+Multivariate first-order stochastic dominance, weak, strict or on every
+nonempty proper upper set, is decided by one exact integer minimum closure over
+the upper sets of the product grid.
 """
 from __future__ import annotations
 
@@ -15,16 +15,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from math import lcm
-from typing import Iterable, Mapping, Sequence
+from math import lcm, prod
+from typing import Mapping, Sequence
 
-from ._flow import coupling_feasible, min_upper_set_sum
+from ._flow import min_upper_set_sum
 from .rationals import Rational, as_fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-UPPER_SET_ENUM_CELL_CAP = 12
 
 
 class OutcomeError(ValueError):
@@ -147,7 +145,7 @@ def independent(marginals: Sequence[Mapping[Rational, Rational]]) -> JointDistri
         tables.append(dict(items))
     space = make_space(grids)
     probs = tuple(
-        _prod(tables[i][v] for i, v in enumerate(cell)) for cell in space.cells
+        prod(tables[i][v] for i, v in enumerate(cell)) for cell in space.cells
     )
     return JointDistribution(space, probs)
 
@@ -183,7 +181,7 @@ def common_outcome_mixture(
             common = q_team
         elif all(v == ZERO for v in cell):
             common = ONE - q_team
-        indep = _prod(qf[i] if v == ONE else ONE - qf[i] for i, v in enumerate(cell))
+        indep = prod(qf[i] if v == ONE else ONE - qf[i] for i, v in enumerate(cell))
         probs.append(p * common + (ONE - p) * indep)
     return JointDistribution(space, tuple(probs))
 
@@ -191,13 +189,6 @@ def common_outcome_mixture(
 def common_mixture(n: int, p: Rational, q_team: Rational, q: Rational) -> JointDistribution:
     """Symmetric common-outcome mixture: every member has the same independent q."""
     return common_outcome_mixture(p, q_team, [q] * n)
-
-
-def _prod(xs: Iterable[Fraction]) -> Fraction:
-    out = ONE
-    for x in xs:
-        out *= x
-    return out
 
 
 def marginal(dist: JointDistribution, members: Sequence[int]) -> JointDistribution:
@@ -259,65 +250,6 @@ def _check_same_space(f: JointDistribution, g: JointDistribution) -> None:
         raise OutcomeError("distributions live on different outcome spaces")
 
 
-def _upper_masks_small(space: OutcomeSpace) -> list[int]:
-    """All upper-set bitmasks; only for spaces with few cells."""
-    cells = space.cells
-    m = len(cells)
-    ups = []
-    up_of = []
-    for i, c in enumerate(cells):
-        mask = 0
-        for j, d in enumerate(cells):
-            if all(dv >= cv for cv, dv in zip(c, d)):
-                mask |= 1 << j
-        up_of.append(mask)
-    for s in range(1 << m):
-        ok = True
-        t = s
-        while t:
-            j = (t & -t).bit_length() - 1
-            if up_of[j] & ~s:
-                ok = False
-                break
-            t &= t - 1
-        if ok:
-            ups.append(s)
-    return ups
-
-
-def _staircase_masks(space: OutcomeSpace) -> list[int]:
-    """Upper sets of a two-member grid, as staircase column thresholds.
-
-    Row r collects the cells where member 1 draws grid value r; an upper set
-    keeps the columns from some threshold t(r) on, with t nonincreasing as r
-    grows (higher member-1 outcomes admit weakly more columns).
-    """
-    n1, n2 = len(space.grids[0]), len(space.grids[1])
-    masks: list[int] = []
-
-    def build(row: int, min_t: int, acc: int) -> None:
-        if row < 0:
-            masks.append(acc)
-            return
-        # rows are filled top-down, so this row's threshold is >= the one above
-        for t in range(min_t, n2 + 1):
-            add = 0
-            for j in range(t, n2):
-                add |= 1 << (row * n2 + j)
-            build(row - 1, t, acc | add)
-
-    build(n1 - 1, 0, 0)
-    return masks
-
-
-def _upper_masks(space: OutcomeSpace) -> list[int] | None:
-    if len(space.cells) <= UPPER_SET_ENUM_CELL_CAP:
-        return _upper_masks_small(space)
-    if space.n == 2:
-        return _staircase_masks(space)
-    return None
-
-
 def _scaled_masses(f: JointDistribution, g: JointDistribution) -> tuple[list[int], list[int]]:
     denom = lcm(*(p.denominator for p in f.probs + g.probs))
     return (
@@ -328,18 +260,26 @@ def _scaled_masses(f: JointDistribution, g: JointDistribution) -> tuple[list[int
 
 def _cover_edges(space: OutcomeSpace) -> list[list[int]]:
     """Immediate successors of each cell (one grid step up in one member)."""
-    cells = space.cells
-    idx = space.cell_index
-    grids = space.grids
-    succ: list[list[int]] = [[] for _ in cells]
-    for i, c in enumerate(cells):
-        for m, g in enumerate(grids):
-            pos = g.index(c[m])
-            if pos + 1 < len(g):
-                up = list(c)
-                up[m] = g[pos + 1]
-                succ[i].append(idx[tuple(up)])
-    return succ
+    sizes = [len(g) for g in space.grids]
+    strides = [prod(sizes[m + 1:]) for m in range(space.n)]
+    return [
+        [x + strides[m] for m in range(space.n) if space.positions[m][x] + 1 < sizes[m]]
+        for x in range(len(space.cells))
+    ]
+
+
+def _min_upper_gap(f: JointDistribution, g: JointDistribution) -> int:
+    """Least gap f(U) - g(U), in scaled integer masses, over nonempty proper upper sets U.
+
+    Every nonempty upper set of the product grid holds the top cell and every
+    proper one misses the bottom cell, so one minimum closure with the top
+    forced in and the bottom forced out ranges over exactly these sets. The
+    empty and the full set both have gap 0.
+    """
+    fm, gm = _scaled_masses(f, g)
+    delta = [a - b for a, b in zip(fm, gm)]
+    top, bottom = len(delta) - 1, 0  # cells are in lexicographic order
+    return min_upper_set_sum(delta, _cover_edges(f.space), top, bottom)
 
 
 def fosd_dominates(f: JointDistribution, g: JointDistribution, strict: bool = False) -> bool:
@@ -350,34 +290,9 @@ def fosd_dominates(f: JointDistribution, g: JointDistribution, strict: bool = Fa
     differ (equivalently, some upper set gets strictly more mass).
     """
     _check_same_space(f, g)
-    masks = _upper_masks(f.space)
-    if masks is not None:
-        for s in masks:
-            pf = pg = ZERO
-            t = s
-            while t:
-                j = (t & -t).bit_length() - 1
-                pf += f.probs[j]
-                pg += g.probs[j]
-                t &= t - 1
-            if pf < pg:
-                return False
-        weak = True
-    else:
-        fm, gm = _scaled_masses(f, g)
-        cells = f.space.cells
-        arcs = [
-            (yi, xi)
-            for yi, y in enumerate(cells)
-            for xi, x in enumerate(cells)
-            if all(xv >= yv for xv, yv in zip(x, y))
-        ]
-        weak = coupling_feasible(gm, fm, arcs)
-    if not weak:
+    if strict and f.probs == g.probs:
         return False
-    if strict:
-        return f.probs != g.probs
-    return True
+    return _min_upper_gap(f, g) >= 0
 
 
 def fosd_dominates_everywhere(f: JointDistribution, g: JointDistribution) -> bool:
@@ -388,28 +303,7 @@ def fosd_dominates_everywhere(f: JointDistribution, g: JointDistribution) -> boo
     empty set.
     """
     _check_same_space(f, g)
-    masks = _upper_masks(f.space)
-    full = (1 << len(f.space.cells)) - 1
-    if masks is not None:
-        for s in masks:
-            if s == 0 or s == full:
-                continue
-            gap = ZERO
-            t = s
-            while t:
-                j = (t & -t).bit_length() - 1
-                gap += f.probs[j] - g.probs[j]
-                t &= t - 1
-            if gap <= 0:
-                return False
-        return True
-    fm, gm = _scaled_masses(f, g)
-    delta = [a - b for a, b in zip(fm, gm)]
-    cells = f.space.cells
-    top = cells.index(f.space.max_vector)
-    bottom = cells.index(f.space.min_vector)
-    best = min_upper_set_sum(delta, _cover_edges(f.space), top, bottom)
-    return best > 0
+    return _min_upper_gap(f, g) > 0
 
 
 def more_correlated(f_prime: JointDistribution, f: JointDistribution) -> bool:

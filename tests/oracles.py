@@ -5,6 +5,7 @@ branch enumeration, direct payoff accounting) without reusing the library's
 own formulas, so each checked quantity has two separate routes to the answer.
 """
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import comb
 
@@ -59,10 +60,12 @@ def posterior_by_enumeration(cells, probs, disclose, member_index):
     return num / den
 
 
+@lru_cache(maxsize=16)
 def upper_set_masks_bruteforce(cells):
     """All upper sets of the componentwise order, as index bitmasks.
 
-    Filters every subset, so only usable up to ~16 cells.
+    Filters every subset, so only usable up to ~16 cells. ``cells`` must be
+    hashable (a tuple); the answer is cached per space.
     """
     n = len(cells)
     above = []
@@ -84,7 +87,7 @@ def upper_set_masks_bruteforce(cells):
             rest &= rest - 1
         if ok:
             out.append(mask)
-    return out
+    return tuple(out)
 
 
 def fosd_bruteforce(cells, probs_f, probs_g, strict=False):

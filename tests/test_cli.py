@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from team_disclosure.audit import panel_sweep
-from team_disclosure.binary_env import MAX_SWEEP_MEMBERS
+from team_disclosure import binary_env
+from team_disclosure.audit import PANEL_GRIDS, panel_sweep
+from team_disclosure.binary_env import MAX_SWEEP_MEMBERS, MAX_SWEEP_ROWS
 from team_disclosure.cli import main
 
 F = Fraction
@@ -350,6 +351,31 @@ class TestSweepAndOptimalK:
         assert main(["optimal-k", "--n", str(MAX_SWEEP_MEMBERS), "--out", out]) == 0
         grid = ["--grid", "0.3:0.3:0.1"]
         assert main(["sweep", "--panel", "b", "--n", str(MAX_SWEEP_MEMBERS), *grid, "--out", out]) == 0
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_row_cap(self, tmp_path, capsys, via):
+        # 101 grid points at the member cap: each cap holds, their product does not
+        n, grid = MAX_SWEEP_MEMBERS, "0.05:0.15:0.001"
+        assert 101 * n > MAX_SWEEP_ROWS
+        if via == "flag":
+            argv = ["sweep", "--panel", "a", "--n", str(n), "--grid", grid]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"panel": "a", "n": n, "grid": grid}))
+            argv = ["sweep", "--config", str(cfg)]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
+    def test_row_cap_is_inclusive(self, tmp_path, monkeypatch):
+        out = str(tmp_path / "out")
+        for panel in sorted(PANEL_GRIDS):  # the default panels stay accepted
+            assert main(["sweep", "--panel", panel, "--out", out]) == 0
+        # the cap itself is accepted, one row more is not (5 and 6 points x 6 members)
+        monkeypatch.setattr(binary_env, "MAX_SWEEP_ROWS", 30)
+        argv = ["sweep", "--panel", "b", "--n", "6", "--out", out, "--grid"]
+        assert main(argv + ["0.30:0.50:0.05"]) == 0
+        assert main(argv + ["0.30:0.55:0.05"]) == 2
 
     def test_bad_grid_rejected(self):
         assert main(["sweep", "--panel", "b", "--grid", "0.9:0.1:0.1"]) == 2

@@ -439,30 +439,6 @@ class TestExistenceSweep:
                     assert all(e.verification.ok for e in eqs)
 
 
-class TestIterationHeuristic:
-    def test_converges_to_a_search_fixed_point(self):
-        from team_disclosure.equilibrium import iterate_posteriors
-
-        rng = random.Random(43)
-        hits = 0
-        for _ in range(12):
-            n = rng.choice((2, 3))
-            d = random_dist(rng, n, sizes=(2,))
-            for proto in all_protocols(n):
-                post, converged = iterate_posteriors(d, proto)
-                if converged:
-                    found = {e.posteriors for e in find_equilibria(d, proto)}
-                    assert post in found
-                    hits += 1
-        assert hits > 0
-
-    def test_consensual_pair_reaches_the_interior_point(self):
-        from team_disclosure.equilibrium import iterate_posteriors
-
-        post, converged = iterate_posteriors(uniform_binary(2), make_consensus(2))
-        assert converged and post == (F(1, 3), F(1, 3))
-
-
 class TestTwoMemberTaxonomy:
     def test_equilibrium_types_by_protocol_type(self):
         # two members admit three protocol types; each pins its equilibrium menu

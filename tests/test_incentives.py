@@ -22,6 +22,7 @@ from team_disclosure.outcomes import (
     binary_independent,
     binary_space,
     from_pmf,
+    independent,
     mix,
 )
 from team_disclosure.protocols import make_consensus, make_k_majority, make_leader
@@ -223,6 +224,22 @@ class TestClassifyEffort:
 
         model = EffortModel.build(2, dist, ["1/100", "1/100"])
         assert classify_effort(model) == "neither"
+
+    @pytest.mark.parametrize("with_effort, expected", [
+        ((F(1, 4), F(3, 8), F(3, 8)), "self_improving"),
+        # the tail at member 1's top value gains exactly zero
+        ((F(1, 4), F(1, 2), F(1, 4)), "neither"),
+    ], ids=["every_tail_gains", "top_tail_gains_zero"])
+    def test_zero_tail_gain_is_not_self_improving(self, with_effort, expected):
+        without = (F(1, 2), F(1, 4), F(1, 4))
+
+        def dist(e):
+            own = with_effort if e[0] else without
+            q = F(3, 5) if e[1] else F(1, 2)
+            return independent([dict(zip((0, 1, 2), own)), {0: 1 - q, 1: q}])
+
+        model = EffortModel.build(2, dist, ["1/100", "1/100"])
+        assert classify_effort(model) == expected
 
 
 class TestEffectiveLeader:

@@ -23,7 +23,7 @@ from team_disclosure.outcomes import (
     posterior_no_disclosure,
 )
 
-from oracles import fosd_bruteforce, posterior_by_enumeration
+from oracles import fosd_bruteforce, fosd_everywhere_bruteforce, posterior_by_enumeration
 
 F = Fraction
 
@@ -127,20 +127,59 @@ class TestFosd:
         assert fosd_dominates(f, g, strict=True)
         assert not fosd_dominates(g, f)
 
+    # one-member spaces, binary 2- and 3-member spaces, the 4x4 and 3x5 grids,
+    # and three-member spaces of up to 12 cells
+    SHAPES = [(2,), (3,), (5,), (2, 2), (2, 3), (2, 2, 2), (4, 4), (3, 5), (2, 2, 3), (2, 3, 2)]
+
     def test_matches_bruteforce_small(self):
         rng = random.Random(2)
-        for _ in range(40):
-            n = rng.choice((2, 3))
-            f = random_dist(rng, n, sizes=(2,))
-            g = JointDistribution(f.space, tuple(_shuffled(rng, f.probs)))
-            expected = fosd_bruteforce(f.space.cells, f.probs, g.probs)
-            assert fosd_dominates(f, g) == expected
-            expected_strict = fosd_bruteforce(f.space.cells, f.probs, g.probs, strict=True)
-            assert fosd_dominates(f, g, strict=True) == expected_strict
+        grid_values = [F(-1), F(0), F(1, 3), F(1), F(5, 2), F(4)]
+        seen = set()
+        for _ in range(400):
+            sizes = rng.choice(self.SHAPES)
+            space = make_space([grid_values[: s] for s in sizes])
+            zeros = rng.random() < 0.4  # some zero-probability cells
+            g = _draw(rng, space, zeros)
+            kind = rng.choice(("shuffle", "draw", "lift", "move", "equal"))
+            if kind == "shuffle":
+                f = JointDistribution(space, tuple(_shuffled(rng, g.probs)))
+            elif kind == "draw":
+                f = _draw(rng, space, zeros)
+            elif kind == "lift":  # part of g's mass moved to the top cell
+                eps = F(rng.randint(1, 9), 10)
+                f_probs = [(1 - eps) * p for p in g.probs]
+                f_probs[-1] += eps
+                f = JointDistribution(space, tuple(f_probs))
+            elif kind == "move":  # one cell's mass moved to a cell above it
+                src = rng.randrange(len(space.cells))
+                dst = rng.choice(
+                    [j for j, c in enumerate(space.cells)
+                     if all(a >= b for a, b in zip(c, space.cells[src]))]
+                )
+                moved = g.probs[src]
+                f_probs = list(g.probs)
+                f_probs[src] -= moved
+                f_probs[dst] += moved
+                f = JointDistribution(space, tuple(f_probs))
+            else:
+                f = g
+            cells = space.cells
+            weak = fosd_bruteforce(cells, f.probs, g.probs)
+            strict = fosd_bruteforce(cells, f.probs, g.probs, strict=True)
+            everywhere = fosd_everywhere_bruteforce(cells, f.probs, g.probs)
+            assert fosd_dominates(f, g) == weak
+            assert fosd_dominates(f, g, strict=True) == strict
+            assert fosd_dominates_everywhere(f, g) == everywhere
+            seen.add((len(sizes), weak, strict, everywhere))
+        # every answer pattern shows up for one, two and three members
+        for n in (1, 2, 3):
+            for answers in ((False, False, False), (True, False, False),
+                            (True, True, False), (True, True, True)):
+                assert (n, *answers) in seen
 
     def test_flow_path_matches_enumeration(self):
-        # 16 cells on 3 members forces the coupling-feasibility solver; the
-        # oracle still enumerates upper sets directly
+        # 16 cells on 3 members, and a top-heavy mixture for genuine dominance;
+        # the oracle enumerates upper sets directly
         rng = random.Random(3)
         space = make_space([[0, 1], [0, 1], [0, 1, 2, 3]])
         assert len(space.cells) == 16
@@ -159,8 +198,6 @@ class TestFosd:
         assert checked_true > 0  # the mixture pairs give genuine dominance cases
 
     def test_flow_everywhere_matches_enumeration(self):
-        from oracles import fosd_everywhere_bruteforce
-
         rng = random.Random(9)
         space = make_space([[0, 1], [0, 1], [0, 1, 2, 3]])
         base = [rng.randint(1, 9) for _ in space.cells]
@@ -284,6 +321,13 @@ class TestExactness:
         f = binary_independent([F(1, 7), F(3, 7)])
         g = comonotone([0, 1], [F(2, 3), F(1, 3)], 2)
         assert sum(mix(f, g, F(1, 13)).probs) == 1
+
+
+def _draw(rng, space, zeros):
+    nums = [rng.randint(0 if zeros else 1, 9) for _ in space.cells]
+    if not any(nums):
+        nums[rng.randrange(len(nums))] = 1
+    return JointDistribution(space, tuple(F(x, sum(nums)) for x in nums))
 
 
 def _shuffled(rng, probs):
