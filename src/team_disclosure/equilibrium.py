@@ -14,9 +14,13 @@ indifference atom sitting exactly on a grid value with a mixing weight. Atom
 weights satisfy a multilinear system solved exactly in rational arithmetic
 (:class:`_AtomSolver`): each configuration either yields weights that are
 checked against every condition, or is proven infeasible, with nothing
-sampled. A configuration whose only solutions have irrational weights, or
-whose equations do not reduce to one free weight, is reported in the search
-notes as unresolved rather than approximated.
+sampled. Configurations are first screened by corner sign masks: integer
+bitmasks over the pure cut combinations reject, without solving, every
+configuration in which W > 0, a gap bound or an atom equation has no
+admissible sign at any corner of its weight box (:func:`_cut_configs`). A
+configuration whose only solutions have irrational weights, or whose
+equations do not reduce to one free weight, is reported in the search notes
+as unresolved rather than approximated.
 
 Where a configuration admits a continuum of equilibria (free mixing weights),
 one canonical representative is returned: each free weight prefers 0, then
@@ -38,7 +42,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import combinations, compress, product
 from math import gcd, lcm, prod
-from operator import or_
+from operator import and_, or_
 from typing import Sequence
 
 from .outcomes import (
@@ -151,10 +155,18 @@ def team_rule(profile: StrategyProfile, protocol: DeliberationProtocol) -> TeamR
     """Aggregate a profile into the team rule via the multilinear extension."""
     if protocol.n != profile.space.n:
         raise EquilibriumError("protocol and profile have different member counts")
-    vals = tuple(
-        protocol.evaluate(profile.vote_vector(cell)) for cell in profile.space.cells
-    )
+    vals = tuple(map(protocol.evaluate, _vote_vectors(profile)))
     return TeamRule(profile.space, vals)
+
+
+def _vote_vectors(profile: StrategyProfile) -> list[tuple[Fraction, ...]]:
+    """``profile.vote_vector(cell)`` for every cell in order, read through
+    the space's grid positions."""
+    rows = profile.values
+    return [
+        tuple(row[p] for row, p in zip(rows, pos))
+        for pos in zip(*profile.space.positions)
+    ]
 
 
 def classify_rule(rule: TeamRule) -> str:
@@ -226,22 +238,48 @@ def verify_equilibrium(
     post = tuple(as_fraction(p) for p in posteriors)
     if len(post) != space.n:
         raise EquilibriumError("posterior vector has wrong length")
+    try:
+        bayes = posterior_no_disclosure(dist, team_rule(profile, protocol))
+    except OffPathPosterior:
+        bayes = None
+    return _verify(profile, post, bayes, dist, protocol)
 
+
+def _verify(
+    profile: StrategyProfile,
+    post: tuple[Fraction, ...],
+    bayes: tuple[Fraction, ...] | None,
+    dist: JointDistribution,
+    protocol: DeliberationProtocol,
+) -> VerificationReport:
+    """:func:`verify_equilibrium` given the profile's Bayes posteriors
+    (None when it never conceals), for callers that already hold them."""
+    space = dist.space
     n = space.n
     wins = protocol.wins
+    # per member and grid position: the member's bit when they vote 1, mix,
+    # gain from disclosure, gain from concealment
+    flags = [
+        [
+            (
+                1 << i if v == ONE else 0,
+                1 << i if ZERO < v < ONE else 0,
+                1 << i if x > post[i] else 0,
+                1 << i if x < post[i] else 0,
+            )
+            for x, v in zip(grid, row)
+        ]
+        for i, (grid, row) in enumerate(zip(space.grids, profile.values))
+    ]
     violations: list[Violation] = []
-    for cell in space.cells:
-        votes = profile.vote_vector(cell)
+    for cell, pos in zip(space.cells, zip(*space.positions)):
         ones = mixed = above = below = 0
-        for i, v in enumerate(votes):
-            if v == ONE:
-                ones |= 1 << i
-            elif v != ZERO:
-                mixed |= 1 << i
-            if cell[i] > post[i]:
-                above |= 1 << i
-            elif cell[i] < post[i]:
-                below |= 1 << i
+        for member, p in zip(flags, pos):
+            o, m, a, b = member[p]
+            ones |= o
+            mixed |= m
+            above |= a
+            below |= b
         for mask in range(1, 1 << n):
             # a coalition that gains from disclosure but not all voting 1, or
             # from concealment but not all voting 0, is a violation if pivotal
@@ -268,14 +306,6 @@ def verify_equilibrium(
                         "all gain from concealment but someone votes above 0",
                     )
                 )
-    rule = team_rule(profile, protocol)
-    off_path = False
-    bayes: tuple[Fraction, ...] | None
-    try:
-        bayes = posterior_no_disclosure(dist, rule)
-    except OffPathPosterior:
-        bayes = None
-        off_path = True
     if bayes is not None and bayes != post:
         violations.append(
             Violation(
@@ -284,7 +314,7 @@ def verify_equilibrium(
                 f"Bayes-consistent ones {tuple(map(str, bayes))}",
             )
         )
-    return VerificationReport(not violations, off_path, tuple(violations), bayes)
+    return VerificationReport(not violations, bayes is None, tuple(violations), bayes)
 
 
 # ---------------------------------------------------------------------------
@@ -376,9 +406,41 @@ def _search_tables(dist: JointDistribution):
 
 @dataclass
 class _SearchContext:
+    """Concealment aggregates of pure cut combos, and their sign masks.
+
+    The masks are ints over the combos numbered in ``conceal`` order:
+    ``w_pos`` holds the combos with W > 0, ``above[i][p]`` (``below[i][p]``)
+    those with S_i - x_p*W > 0 (< 0) for member i's grid value x_p, and
+    ``slabs[i][c]`` those whose i-th coordinate is c.
+    """
+
     grid_ints: tuple[tuple[int, ...], ...]
     conceal: dict[tuple[int, ...], tuple[int, tuple[int, ...]]]  # combo -> (W, S per member)
     notes: list[str] = field(default_factory=list)
+    w_pos: int = field(init=False)
+    above: list[list[int]] = field(init=False)
+    below: list[list[int]] = field(init=False)
+    slabs: list[list[int]] = field(init=False)
+
+    def __post_init__(self) -> None:
+        grid_ints = self.grid_ints
+        w_pos = 0
+        above = [[0] * len(g) for g in grid_ints]
+        below = [[0] * len(g) for g in grid_ints]
+        slabs = [[0] * (len(g) + 1) for g in grid_ints]
+        for b, (combo, (w, s)) in enumerate(self.conceal.items()):
+            bit = 1 << b
+            if w > 0:
+                w_pos |= bit
+            for i, c in enumerate(combo):
+                slabs[i][c] |= bit
+                for p, x in enumerate(grid_ints[i]):
+                    d = s[i] - x * w
+                    if d > 0:
+                        above[i][p] |= bit
+                    elif d < 0:
+                        below[i][p] |= bit
+        self.w_pos, self.above, self.below, self.slabs = w_pos, above, below, slabs
 
 
 def _build_context(dist: JointDistribution, protocol: DeliberationProtocol) -> _SearchContext:
@@ -392,6 +454,33 @@ def _build_context(dist: JointDistribution, protocol: DeliberationProtocol) -> _
         s = tuple(sum(agg_s[i][v] for v in lose) for i in range(protocol.n))
         conceal[combo] = (w, s)
     return _SearchContext(grid_ints, conceal)
+
+
+def _cut_configs(ctx: _SearchContext):
+    """The cut configurations that survive a corner sign screen, in
+    ``product`` order of each member's gaps then atoms.
+
+    A configuration's corner box is the AND of one slab mask per member: the
+    cut c of a gap member, both ends p and p+1 of an atom member (weight 1
+    and 0). Every constraint is multilinear in the atom weights, so anywhere
+    in the box it is a convex combination of its corner values, and atom a's
+    equation does not involve a's own weight. A configuration is skipped when
+    W > 0 fails at every corner, a gap member's strict bound fails at every
+    corner, or an atom member's equation has one strict sign at every corner:
+    none of these has a solution.
+    """
+    options = []
+    for slabs, above, below in zip(ctx.slabs, ctx.above, ctx.below):
+        size = len(above)
+        opts = [(("gap", c), slabs[c], (above[c - 1], below[c])) for c in range(1, size)]
+        opts += [
+            (("atom", p), slabs[p] | slabs[p + 1], (~above[p], ~below[p])) for p in range(size)
+        ]
+        options.append(opts)
+    for choice in product(*options):
+        box = reduce(and_, [slab for _, slab, _ in choice])
+        if box & ctx.w_pos and all(box & need for _, _, needs in choice for need in needs):
+            yield tuple(config for config, _, _ in choice)
 
 
 def _profile_from_config(
@@ -732,7 +821,9 @@ class _AtomSolver:
     concealed mass W and every gap bound are multilinear in the atom weights
     (a's equation never involves a's own weight), so on the weight box each
     is a convex combination of its values at the box's corners. The solver
-    is exact throughout:
+    is exact throughout. :func:`_cut_configs` has already screened the
+    configuration by the signs of these tables at the corners, so the solver
+    only sees boxes where each constraint can hold somewhere:
 
     - propagation: an equation that actually depends on one unpinned weight
       pins it;
@@ -1065,13 +1156,7 @@ def find_equilibria_report(
         verification=fd_ver,
     )
 
-    member_options = []
-    for g in space.grids:
-        opts: list[tuple[str, int]] = [("gap", c) for c in range(1, len(g))]
-        opts += [("atom", p) for p in range(len(g))]
-        member_options.append(opts)
-
-    for config in product(*member_options):
+    for config in _cut_configs(ctx):
         weights = _AtomSolver(ctx, config).solve()
         if weights is None:
             continue
@@ -1083,7 +1168,7 @@ def find_equilibria_report(
             post = posterior_no_disclosure(dist, rule)
         except OffPathPosterior:
             continue
-        ver = verify_equilibrium(profile, post, dist, protocol)
+        ver = _verify(profile, post, post, dist, protocol)
         if not ver.ok:
             ctx.notes.append(f"candidate configuration {config} failed verification")
             continue
@@ -1267,6 +1352,6 @@ def plausible_full_disclosure_by_search(
             return True
         if classify_rule(rule) != FULL:
             raise AssertionError("integer scan disagrees with classify_rule")
-        if verify_equilibrium(profile, post, dist, protocol).ok:
+        if _verify(profile, post, post, dist, protocol).ok:
             return True
     return False

@@ -20,10 +20,10 @@ from typing import Callable, Mapping, Sequence
 from .equilibrium import (
     StrategyProfile,
     TeamRule,
+    _verify,
     find_equilibria,
     full_disclosure_is_plausible,
     team_rule,
-    verify_equilibrium,
 )
 from .outcomes import (
     JointDistribution,
@@ -461,7 +461,7 @@ def find_epsilon_bar(
     def indicator(eps: Fraction) -> bool:
         mixed = mix(full, g_comonotone, eps)
         post = posterior_no_disclosure(mixed, rule)
-        if not verify_equilibrium(profile, post, mixed, protocol_other).ok:
+        if not _verify(profile, post, post, mixed, protocol_other).ok:
             return False
         weak = True
         strict = False

@@ -393,3 +393,82 @@ def atom_grid_scan(corners, grids, config, steps=12):
         else:
             return {a: Fraction(j, steps) for a, j in zip(atoms, js)}
     return None
+
+
+# ---------------------------------------------------------------------------
+# Unscreened equilibrium search
+# ---------------------------------------------------------------------------
+
+
+def cut_configs_unscreened(space):
+    """Every cut configuration, per member each gap then each atom, in
+    ``product`` order."""
+    member_options = []
+    for g in space.grids:
+        opts = [("gap", c) for c in range(1, len(g))]
+        opts += [("atom", p) for p in range(len(g))]
+        member_options.append(opts)
+    return list(product(*member_options))
+
+
+def find_equilibria_report_unscreened(dist, protocol):
+    """The exhaustive search with no corner sign screen: every configuration
+    goes to the atom solver, and every candidate is verified through the
+    public ``verify_equilibrium``, which rebuilds its rule and posterior."""
+    from team_disclosure.equilibrium import (
+        FULL,
+        Equilibrium,
+        MemberCut,
+        StrategyProfile,
+        TeamRule,
+        _AtomSolver,
+        _build_context,
+        _profile_from_config,
+        classify_rule,
+        team_rule,
+        verify_equilibrium,
+    )
+    from team_disclosure.outcomes import OffPathPosterior, posterior_no_disclosure
+
+    space = dist.space
+    ctx = _build_context(dist, protocol)
+    all_ones = StrategyProfile.constant(space, ONE)
+    fd_rule = TeamRule.constant(space, ONE)
+    results = {
+        fd_rule.values: Equilibrium(
+            profile=all_ones,
+            rule=fd_rule,
+            posteriors=space.min_vector,
+            classification=FULL,
+            off_path=True,
+            cuts=tuple(MemberCut(cut=0) for _ in range(space.n)),
+            verification=verify_equilibrium(all_ones, space.min_vector, dist, protocol),
+        )
+    }
+    for config in cut_configs_unscreened(space):
+        weights = _AtomSolver(ctx, config).solve()
+        if weights is None:
+            continue
+        profile, cuts = _profile_from_config(space, config, weights)
+        rule = team_rule(profile, protocol)
+        if rule.values in results:
+            continue
+        try:
+            post = posterior_no_disclosure(dist, rule)
+        except OffPathPosterior:
+            continue
+        ver = verify_equilibrium(profile, post, dist, protocol)
+        if not ver.ok:
+            ctx.notes.append(f"candidate configuration {config} failed verification")
+            continue
+        results[rule.values] = Equilibrium(
+            profile=profile,
+            rule=rule,
+            posteriors=post,
+            classification=classify_rule(rule),
+            off_path=False,
+            cuts=cuts,
+            verification=ver,
+        )
+    ordered = tuple(results[k] for k in sorted(results, reverse=True))
+    return ordered, tuple(dict.fromkeys(ctx.notes))

@@ -17,6 +17,7 @@ from team_disclosure.equilibrium import (
     _pmul,
     _real_roots,
     _SearchContext,
+    _cut_configs,
     _sign_at,
     find_equilibria_report,
 )
@@ -296,10 +297,13 @@ def random_tables(rng, members, atom_share):
 
 
 class TestDenseScanOracle:
+    """Every rational solution a dense grid scan finds, the solver finds, and
+    the corner sign screen lets through."""
+
     @pytest.mark.parametrize("members, atom_share, steps", [(3, 1.0, 12), (4, 0.75, 6)])
     def test_every_grid_solution_is_found(self, members, atom_share, steps):
         rng = random.Random(101 + members)
-        hits = 0
+        hits = screened = 0
         for _ in range(150):
             grids, config, corners = random_tables(rng, members, atom_share)
             solver = hand_built(grids, config, corners)
@@ -311,9 +315,13 @@ class TestDenseScanOracle:
                 hits += 1
                 assert solver.feasible(hit)
                 assert weights is not None
+            # the corner sign screen only drops configurations without solutions
+            if config not in set(_cut_configs(solver.ctx)):
+                screened += 1
+                assert weights is None and not solver.unresolved
             if solver.ctx.notes and members == 3:
                 assert_irrational_solution(solver, corners)
-        assert hits > 30
+        assert hits > 30 and screened > 10
 
 
 def assert_irrational_solution(solver, corners):

@@ -11,9 +11,14 @@ from team_disclosure.equilibrium import (
     SearchCapExceeded,
     StrategyProfile,
     TeamRule,
+    _AtomSolver,
+    _build_context,
+    _cut_configs,
+    _vote_vectors,
     classify_rule,
     consistent_with_deliberation,
     find_equilibria,
+    find_equilibria_report,
     full_disclosure_is_plausible,
     plausible_full_disclosure_by_search,
     team_rule,
@@ -37,7 +42,9 @@ from team_disclosure.protocols import (
 
 from oracles import (
     consistent_with_deliberation_by_fractions,
+    cut_configs_unscreened,
     deterministic_profiles,
+    find_equilibria_report_unscreened,
     plausible_full_disclosure_by_fractions,
     posterior_by_enumeration,
     verify_equilibrium_by_evaluate,
@@ -486,3 +493,79 @@ class TestSearchCompleteness:
                             checked += 1
                             assert rule.values in found
         assert checked > 50
+
+
+def fractional_dist(rng, n, sizes):
+    """Full-support pmf on grids of distinct fractions with mixed denominators."""
+    grids = []
+    for _ in range(n):
+        size = rng.choice(sizes)
+        values = set()
+        while len(values) < size:
+            values.add(F(rng.randint(0, 20), rng.choice((1, 2, 3, 7))))
+        grids.append(sorted(values))
+    space = make_space(grids)
+    nums = [rng.randint(1, 20) for _ in space.cells]
+    return JointDistribution(space, tuple(F(x, sum(nums)) for x in nums))
+
+
+@pytest.fixture(scope="class")
+def screened_searches():
+    """Seeded searches and their reports: every protocol for two and three
+    members, k-majority for four, on 2- to 5-value grids, plus the uniform
+    {0..4} grid under k_majority:4,2."""
+    rng = random.Random(107)
+    cases = []
+    for n, draws in ((2, 8), (3, 3)):
+        for j in range(draws):
+            draw = random_dist if j % 2 else fractional_dist
+            d = draw(rng, n, sizes=(2, 3, 4, 5))
+            cases += [(d, proto) for proto in all_protocols(n)]
+    for sizes in ((2,), (3,), (4,)):
+        d = fractional_dist(rng, 4, sizes)
+        cases += [(d, make_k_majority(4, k)) for k in range(1, 5)]
+    space = make_space([range(5)] * 4)
+    uniform = JointDistribution(space, tuple(F(1, len(space.cells)) for _ in space.cells))
+    cases.append((uniform, make_k_majority(4, 2)))
+    return [(d, proto, find_equilibria_report(d, proto)) for d, proto in cases]
+
+
+class TestCornerScreen:
+    """The corner sign screen in front of the atom solver, and the single
+    verification of each candidate, against the unscreened search."""
+
+    def test_matches_unscreened_search(self, screened_searches):
+        shapes = set()
+        for d, proto, report in screened_searches:
+            assert report == find_equilibria_report_unscreened(d, proto)
+            shapes |= {e.classification for e in report[0]}
+        assert shapes == {FULL, PARTIAL, INTERIOR}
+
+    def test_rejected_configurations_have_no_solution(self, screened_searches):
+        rejected = kept = 0
+        for d, proto, _ in screened_searches:
+            ctx = _build_context(d, proto)
+            survivors = set(_cut_configs(ctx))
+            for config in cut_configs_unscreened(d.space):
+                if config in survivors:
+                    kept += 1
+                    continue
+                rejected += 1
+                solver = _AtomSolver(ctx, config)
+                assert solver.solve() is None and not solver.unresolved
+        assert rejected > kept > 0
+
+    def test_verification_is_reproduced(self, screened_searches):
+        on_path = 0
+        for d, proto, (eqs, _) in screened_searches:
+            for e in eqs:
+                fresh = verify_equilibrium(e.profile, e.posteriors, d, proto)
+                assert e.verification == fresh
+                assert fresh == verify_equilibrium_by_evaluate(e.profile, e.posteriors, d, proto)
+                on_path += not e.off_path
+        assert on_path > 50
+
+    def test_positional_vote_vectors(self):
+        space = make_space([[F(1, 3), F(1, 2), F(7, 4)], [F(-2), F(1, 3)]])
+        profile = StrategyProfile.from_votes(space, [[0, F(2, 5), 1], [F(1, 7), 1]])
+        assert _vote_vectors(profile) == [profile.vote_vector(c) for c in space.cells]
