@@ -80,77 +80,90 @@ def _check_k(params: BinaryEnvParams, k: int) -> None:
 
 
 @lru_cache(maxsize=4)
-def _terms(
-    params: BinaryEnvParams,
-) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...], tuple[Fraction, ...]]:
-    """P(ND), P(own high and ND) and E[own | ND] for every k = 1..n, in one pass.
+def _terms(params: BinaryEnvParams) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """Scaled numerators of P(ND) and P(own high and ND) for every k = 1..n.
+
+    Returns ``(D, P, J)`` with P(ND) = ``P[k-1] / D`` and P(own high and ND)
+    = ``J[k-1] / D``, over the common denominator
+    ``D = pb * tb * ib * den**(n-1)``, where pb, tb, ib and den are the
+    denominators of p, q_team, q_own and q_other. Everything in the pass is an
+    exact integer.
 
     The independent branch conceals when at least n-k+1 of the n-1 other
     members draw low, or exactly n-k do and the marked member draws low too.
     The binomial weights of the others' low count and their suffix sums are
-    built once, in exact integers over the common scale ``den**(n-1)``.
+    built once, over the scale ``den**(n-1)``.
 
     Every k >= 2 is checked against the inverted sum-of-three-terms form,
-    whose partner sum ``s2`` is carried by its own recurrence
-    ``s2(k) = r * (C(n-1, n-k+1) + s2(k-1))`` with ``r = (1-q_other)/q_other``,
-    not read from the weights, so the check costs O(1) per k.
+    P/J = common/J + 1/q_own + (1-q_own)/q_own * C(n-1, n-k) / s2, cross-
+    multiplied into one integer equality. Its partner sum s2 = S2 / num**(k-1)
+    (q_other = num/den) is carried by its own recurrence
+    ``S2(k) = (den-num) * (C(n-1, n-k+1) * num**(k-2) + S2(k-1))``,
+    ``S2(1) = 0``, not read from the weights, so the check costs O(1) per k.
 
     A sweep holds the full-effort profile fixed, so it stays cached while the
     deviation profiles pass through.
     """
     n, p, qt, qi, qo = params.n, params.p, params.q_team, params.q_own, params.q_other
+    pn, pb = p.numerator, p.denominator
+    tn, tb = qt.numerator, qt.denominator
+    in_, ib = qi.numerator, qi.denominator
     num, den = qo.numerator, qo.denominator
     low = den - num
-    weights = [comb(n - 1, m) * low**m * num ** (n - 1 - m) for m in range(n)]
-    scale = den ** (n - 1)
+    binom = [comb(n - 1, m) for m in range(n)]
+    weights = [binom[m] * low**m * num ** (n - 1 - m) for m in range(n)]
     suffix = [0] * (n + 1)
     for m in range(n - 1, -1, -1):
         suffix[m] = suffix[m + 1] + weights[m]
 
-    common = p * (ONE - qt)
-    indep = (ONE - p) / scale
-    indep_high, indep_low = indep * qi, indep * (ONE - qi)
-    inv_qi, odds_low = ONE / qi, (ONE - qi) / qi
-    r = (ONE - qo) / qo
-    pnds, joints, means = [], [], []
-    s2 = ZERO
+    scale = den ** (n - 1)
+    common = pn * (tb - tn) * ib * scale  # p(1-q_team) * D
+    indep = (pb - pn) * tb
+    indep_all, indep_low, indep_high = indep * ib, indep * (ib - in_), indep * in_
+    pnds, joints = [], []
+    s2, num_pow = 0, 1  # S2(k-1) and num**(k-2)
     for k in range(1, n + 1):
         s1 = suffix[n - k + 1]  # scaled P(at least n-k+1 others low); 0 at k=1
-        pnd = common + indep * s1 + indep_low * weights[n - k]
+        pnd = common + indep_all * s1 + indep_low * weights[n - k]
         joint = indep_high * s1
-        mean = joint / pnd  # pnd >= p*(1-q_team) > 0
         if k >= 2:
-            s2 = r * (comb(n - 1, n - k + 1) + s2)
-            inverted = common / joint + inv_qi + odds_low * comb(n - 1, n - k) / s2
-            if ONE / inverted != mean:
+            s2 = low * (binom[n - k + 1] * num_pow + s2)
+            num_pow *= num
+            if pnd * in_ * s2 != (
+                common * in_ * s2
+                + ib * joint * s2
+                + (ib - in_) * binom[n - k] * num_pow * joint
+            ):
                 raise AssertionError("closed-form disagreement in cond_mean_nd")
         pnds.append(pnd)
         joints.append(joint)
-        means.append(mean)
-    return tuple(pnds), tuple(joints), tuple(means)
+    return pb * tb * ib * scale, tuple(pnds), tuple(joints)
 
 
 def prob_joint_high_and_nd(params: BinaryEnvParams, k: int) -> Fraction:
     """P(marked member high and the team conceals) under the k-majority rule."""
     _check_k(params, k)
-    return _terms(params)[1][k - 1]
+    scale, _, joints = _terms(params)
+    return Fraction(joints[k - 1], scale)
 
 
 def prob_nd(params: BinaryEnvParams, k: int) -> Fraction:
     """P(the team conceals): common low draw, or enough independent low draws."""
     _check_k(params, k)
-    return _terms(params)[0][k - 1]
+    scale, pnds, _ = _terms(params)
+    return Fraction(pnds[k - 1], scale)
 
 
 def cond_mean_nd(params: BinaryEnvParams, k: int) -> Fraction:
     """E[marked member's outcome | the team conceals].
 
-    Read from the per-parameter kernel ``_terms``, which computes it as the
-    ratio of the two closed forms and checks it, for every k >= 2, against
-    the inverted sum-of-three-terms form; the two must agree exactly.
+    Read from the per-parameter kernel ``_terms`` as the ratio of the two
+    closed forms; the kernel checks it, for every k >= 2, against the
+    inverted sum-of-three-terms form, and the two must agree exactly.
     """
     _check_k(params, k)
-    return _terms(params)[2][k - 1]
+    _, pnds, joints = _terms(params)
+    return Fraction(joints[k - 1], pnds[k - 1])  # P(ND) >= p*(1-q_team) > 0
 
 
 def k_majority_interior_rule(space: OutcomeSpace, k: int) -> TeamRule:
@@ -174,9 +187,30 @@ def interior_posteriors_valid(params: BinaryEnvParams, k: int) -> bool:
     _check_k(params, k)
     if k == 1:
         return False
-    num = prob_joint_high_and_nd(params, k)
-    den = prob_nd(params, k)
-    return ZERO < num < den
+    _, pnds, joints = _terms(params)
+    return 0 < joints[k - 1] < pnds[k - 1]
+
+
+def _gains(
+    params_full: BinaryEnvParams, params_dev: BinaryEnvParams, ks: Iterable[int]
+) -> tuple[Fraction, ...]:
+    """Gains at the consensus levels ``ks``, each one Fraction built from the
+    two kernels' integers: with P(ND) = P/D and E[own | ND] = J/P,
+    P_dev(ND) * (E_full - E_dev) = (J_f*P_d - J_d*P_f) / (D_d*P_f)."""
+    if params_full.n != params_dev.n:
+        raise BinaryEnvError("effort profiles disagree on the member count")
+    base = params_full.mean_own - params_dev.mean_own
+    bn, bd = base.numerator, base.denominator
+    _, pf, jf = _terms(params_full)
+    dd, pd, jd = _terms(params_dev)
+    gains = []
+    for k in ks:
+        pfk, pdk = pf[k - 1], pd[k - 1]
+        den = dd * pfk
+        gains.append(
+            Fraction(bn * den - bd * (jf[k - 1] * pdk - jd[k - 1] * pfk), bd * den)
+        )
+    return tuple(gains)
 
 
 def gain_binary(
@@ -186,16 +220,11 @@ def gain_binary(
 
     ``params_full`` describes the distribution when everyone works,
     ``params_dev`` when the marked member shirks; the rule and the observer's
-    posterior stay at their full-effort values.
+    posterior stay at their full-effort values, so the gain is the mean shift
+    less P_dev(ND) * (E_full[own | ND] - E_dev[own | ND]).
     """
-    if params_full.n != params_dev.n:
-        raise BinaryEnvError("effort profiles disagree on the member count")
     _check_k(params_full, k)
-    base = params_full.mean_own - params_dev.mean_own
-    pnd_dev = prob_nd(params_dev, k)
-    if pnd_dev == 0:
-        return base
-    return base - pnd_dev * (cond_mean_nd(params_full, k) - cond_mean_nd(params_dev, k))
+    return _gains(params_full, params_dev, (k,))[0]
 
 
 @dataclass(frozen=True)
@@ -210,9 +239,7 @@ class GainCurve:
 
 
 def gain_curve(params_full: BinaryEnvParams, params_dev: BinaryEnvParams) -> GainCurve:
-    gains = tuple(
-        gain_binary(params_full, params_dev, k) for k in range(1, params_full.n + 1)
-    )
+    gains = _gains(params_full, params_dev, range(1, params_full.n + 1))
     best = 0
     for k in range(1, len(gains)):
         if gains[k] > gains[best]:
@@ -301,13 +328,13 @@ def sweep(
 
 MAX_GRID_POINTS = 10_000
 # The largest team `optimal-k` and `sweep` accept. A gain curve at 320 members
-# takes about 0.15 s (Python 3.11, one core), and the cost grows faster than n.
+# takes about 0.03 s (Python 3.11, one core), and the cost grows faster than n.
 MAX_SWEEP_MEMBERS = 320
 # The most rows (grid points x members) one sweep may emit: the two caps above
-# hold on their own, but 10 000 points at 320 members would run for about 45
-# minutes. A row at 320 members costs about 0.9 ms on three-decimal grid values
-# (Python 3.11, one core), so the largest accepted sweep, 100 points at 320
-# members, takes about 30 s.
+# hold on their own, but 10 000 points at 320 members would run for about 20
+# minutes. A row at 320 members costs about 0.37 ms on three-decimal grid
+# values, half of it writing the CSV (Python 3.11, one core), so the largest
+# accepted sweep, 100 points at 320 members, takes about 12 s.
 MAX_SWEEP_ROWS = 32_000
 
 

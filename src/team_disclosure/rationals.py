@@ -8,8 +8,9 @@ binary float.
 from __future__ import annotations
 
 import re
-from decimal import Decimal, localcontext
+from decimal import Context, Decimal
 from fractions import Fraction
+from functools import lru_cache
 
 Rational = Fraction | int | str | float
 
@@ -53,10 +54,13 @@ def frac_str(value: Fraction) -> str:
     return str(Fraction(value))
 
 
+@lru_cache(maxsize=None)
+def _context(digits: int) -> Context:
+    return Context(prec=digits)
+
+
 def decimal_str(value: Fraction, digits: int = 12) -> str:
     """Decimal rendering with a fixed number of significant digits."""
     value = Fraction(value)
-    with localcontext() as ctx:
-        ctx.prec = digits
-        out = Decimal(value.numerator) / Decimal(value.denominator)
+    out = _context(digits).divide(Decimal(value.numerator), Decimal(value.denominator))
     return str(out)

@@ -188,18 +188,72 @@ def binary_closed_forms_by_k(params, k):
     return pnd, joint, mean
 
 
-def binary_gains_by_k(full, dev):
-    """The effort gain at every k = 1..n, one per-k evaluation after another:
-    the mean shift less the deviation's conceal probability times the change
-    in the conceal mean."""
+def binary_gains_by_k(full, dev, ks=None):
+    """The effort gain at every k = 1..n (or at each of ``ks``), one per-k
+    evaluation after another: the mean shift less the deviation's conceal
+    probability times the change in the conceal mean."""
     base = full.p * full.q_team + (ONE - full.p) * full.q_own
     base -= dev.p * dev.q_team + (ONE - dev.p) * dev.q_own
     gains = []
-    for k in range(1, full.n + 1):
+    for k in ks or range(1, full.n + 1):
         pnd_dev, _, mean_dev = binary_closed_forms_by_k(dev, k)
         mean_full = binary_closed_forms_by_k(full, k)[2]
         gains.append(base - pnd_dev * (mean_full - mean_dev))
     return tuple(gains)
+
+
+@lru_cache(maxsize=4)
+def binary_terms_by_fractions(params):
+    """(P(ND), P(own high and ND), E[own|ND]) for every k = 1..n as Fractions.
+
+    The one-pass Fraction loop the integer kernel replaced: binomial weights of
+    the others' low count and their suffix sums over the scale den**(n-1),
+    every k >= 2 checked against the inverted sum-of-three-terms form with its
+    partner sum carried as s2(k) = r * (C(n-1, n-k+1) + s2(k-1)),
+    r = (1-q_other)/q_other.
+    """
+    n, p, qt, qi, qo = params.n, params.p, params.q_team, params.q_own, params.q_other
+    num, den = qo.numerator, qo.denominator
+    low = den - num
+    weights = [comb(n - 1, m) * low**m * num ** (n - 1 - m) for m in range(n)]
+    scale = den ** (n - 1)
+    suffix = [0] * (n + 1)
+    for m in range(n - 1, -1, -1):
+        suffix[m] = suffix[m + 1] + weights[m]
+
+    common = p * (ONE - qt)
+    indep = (ONE - p) / scale
+    indep_high, indep_low = indep * qi, indep * (ONE - qi)
+    inv_qi, odds_low = ONE / qi, (ONE - qi) / qi
+    r = (ONE - qo) / qo
+    pnds, joints, means = [], [], []
+    s2 = ZERO
+    for k in range(1, n + 1):
+        s1 = suffix[n - k + 1]
+        pnd = common + indep * s1 + indep_low * weights[n - k]
+        joint = indep_high * s1
+        mean = joint / pnd
+        if k >= 2:
+            s2 = r * (comb(n - 1, n - k + 1) + s2)
+            inverted = common / joint + inv_qi + odds_low * comb(n - 1, n - k) / s2
+            assert ONE / inverted == mean, "Fraction pass disagrees with its inverted form"
+        pnds.append(pnd)
+        joints.append(joint)
+        means.append(mean)
+    return tuple(pnds), tuple(joints), tuple(means)
+
+
+def binary_gains_by_fractions(full, dev):
+    """The effort gain at every k from two Fraction passes: the mean shift
+    less the deviation's conceal probability times the change in the conceal
+    mean."""
+    base = full.p * full.q_team + (ONE - full.p) * full.q_own
+    base -= dev.p * dev.q_team + (ONE - dev.p) * dev.q_own
+    means_full = binary_terms_by_fractions(full)[2]
+    pnds_dev, _, means_dev = binary_terms_by_fractions(dev)
+    return tuple(
+        base - pnd * (mf - md) for pnd, mf, md in zip(pnds_dev, means_full, means_dev)
+    )
 
 
 def effort_payoff_difference(full_dist, dev_dist, rule_values, member_index):

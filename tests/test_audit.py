@@ -1,4 +1,7 @@
+import hashlib
+import json
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -88,3 +91,16 @@ class TestPanels:
         c = panel_sweep("c", 6)
         values = [v for v, _ in c.k_star_trace()]
         assert values[0] > values[-1]
+
+    def test_default_panels_match_recorded_bytes(self):
+        # the four default panels at n=10, byte for byte, against the digests
+        # the benchmark gates them with
+        recorded = json.loads(
+            (Path(__file__).resolve().parents[1] / "perfbench" / "expected.json").read_text()
+        )["sweep_panels"]
+        assert sorted(recorded) == list("abcd")
+        for panel, expected in recorded.items():
+            table = panel_sweep(panel, 10)
+            data = table.to_csv().encode()
+            assert hashlib.sha256(data).hexdigest() == expected["sha256"], panel
+            assert len(table.k_star_trace()) == expected["curves"]

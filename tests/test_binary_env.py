@@ -23,7 +23,13 @@ from team_disclosure.binary_env import (
 )
 from team_disclosure.incentives import EffortModel, effort_gain
 
-from oracles import binary_branch_enumeration, binary_closed_forms_by_k, binary_gains_by_k
+from oracles import (
+    binary_branch_enumeration,
+    binary_closed_forms_by_k,
+    binary_gains_by_fractions,
+    binary_gains_by_k,
+    binary_terms_by_fractions,
+)
 
 F = Fraction
 
@@ -80,8 +86,9 @@ class TestClosedForms:
                 assert cond_mean_nd(params, k) == mean
 
     def test_kernel_against_per_k_closed_forms(self):
-        # the one-pass kernel against the per-k closed forms, exactly and at
-        # every k, on a /100 grid, with teams up to 40 members
+        # the integer kernel against the per-k closed forms and the Fraction
+        # pass it replaced, exactly and at every k, on a /100 grid, with
+        # teams up to 40 members
         rng = random.Random(67)
         sizes = list(range(2, 13)) + [20, 40]
         for _ in range(1000):
@@ -91,12 +98,46 @@ class TestClosedForms:
                 for _ in range(2)
             )
             for params in (full, dev):
+                pnds, joints, means = binary_terms_by_fractions(params)
                 for k in range(1, n + 1):
                     pnd, joint, mean = binary_closed_forms_by_k(params, k)
+                    assert (pnds[k - 1], joints[k - 1], means[k - 1]) == (pnd, joint, mean)
                     assert prob_nd(params, k) == pnd
                     assert prob_joint_high_and_nd(params, k) == joint
                     assert cond_mean_nd(params, k) == mean
-            assert gain_curve(full, dev).gains == binary_gains_by_k(full, dev)
+            gains = gain_curve(full, dev).gains
+            assert gains == binary_gains_by_k(full, dev)
+            assert gains == binary_gains_by_fractions(full, dev)
+            k = rng.randint(1, n)
+            assert gain_binary(full, dev, k) == gains[k - 1]
+
+    @pytest.mark.parametrize("n", [80, 160, 320])
+    def test_kernel_against_fraction_pass_at_large_n(self, n):
+        # mixed denominators, so the kernel's common denominator takes a
+        # different factor from each parameter; the per-k closed forms, which
+        # cost O(n) per k, are checked at the ends and the middle
+        rng = random.Random(n)
+        dens = (7, 100, 997, 2**10)
+        full, dev = (
+            BinaryEnvParams(
+                n, *(F(rng.randint(1, d - 1), d) for d in rng.sample(dens, 4))
+            )
+            for _ in range(2)
+        )
+        ks = (1, 2, 3, n // 2, n - 1, n)
+        for f, d in ((full, dev), baseline_params(n)):
+            for params in (f, d):
+                pnds, joints, means = binary_terms_by_fractions(params)
+                assert tuple(prob_nd(params, k) for k in range(1, n + 1)) == pnds
+                assert tuple(prob_joint_high_and_nd(params, k) for k in range(1, n + 1)) == joints
+                assert tuple(cond_mean_nd(params, k) for k in range(1, n + 1)) == means
+                for k in ks:
+                    assert binary_closed_forms_by_k(params, k) == (
+                        pnds[k - 1], joints[k - 1], means[k - 1]
+                    )
+            gains = gain_curve(f, d).gains
+            assert gains == binary_gains_by_fractions(f, d)
+            assert tuple(gains[k - 1] for k in ks) == binary_gains_by_k(f, d, ks)
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(BinaryEnvError):

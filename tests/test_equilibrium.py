@@ -14,6 +14,7 @@ from team_disclosure.equilibrium import (
     _AtomSolver,
     _build_context,
     _cut_configs,
+    _profile_from_config,
     _vote_vectors,
     classify_rule,
     consistent_with_deliberation,
@@ -189,6 +190,33 @@ class TestClassification:
         space = binary_space(2)
         vals = [F(1) if cell == (1, 1) else F(0) for cell in space.cells]
         assert classify_rule(TeamRule(space, tuple(vals))) == INTERIOR
+
+
+class TestRejectedCandidate:
+    def test_candidate_failing_verification_is_noted_and_dropped(self, monkeypatch):
+        # hand out weights of 1/2 wherever the solver proves a configuration
+        # infeasible; verification has to turn each such candidate away
+        space = make_space([[0, 1, 2], [0, 1, 2]])
+        d = JointDistribution(space, tuple(F(1, 9) for _ in range(9)))
+        proto = make_consensus(2)
+        expected, _ = find_equilibria_report(d, proto)
+        solve = _AtomSolver.solve
+        planted = []
+
+        def planting(self):
+            found = solve(self)
+            if found is None and self.atoms:
+                found = {a: F(1, 2) for a in self.atoms}
+                planted.append(_profile_from_config(space, self.config, found)[0])
+            return found
+
+        monkeypatch.setattr(_AtomSolver, "solve", planting)
+        eqs, notes = find_equilibria_report(d, proto)
+        assert notes == (
+            "candidate configuration (('atom', 0), ('atom', 0)) failed verification",
+        )
+        assert eqs == expected
+        assert planted and not {e.profile for e in eqs} & set(planted)
 
 
 class TestThresholdForm:
