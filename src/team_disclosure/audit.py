@@ -10,7 +10,8 @@ an audit outcome, never an exception.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+import time
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -96,6 +97,8 @@ class ClaimResult:
     instances: int
     failures: tuple[str, ...]
     notes: tuple[str, ...] = ()
+    # wall time of the check; never rendered, so reports stay byte-identical
+    seconds: float = field(default=0.0, compare=False, repr=False)
 
     @property
     def passed(self) -> bool:
@@ -855,5 +858,9 @@ def run_audit(config: AuditConfig | None = None) -> AuditReport:
     unknown = [c for c in config.claims if c not in CLAIMS]
     if unknown:
         raise ValueError(f"unknown claims: {unknown}")
-    results = tuple(CLAIMS[name](config) for name in config.claims)
-    return AuditReport(config, results)
+    results = []
+    for name in config.claims:
+        start = time.perf_counter()
+        result = CLAIMS[name](config)
+        results.append(replace(result, seconds=time.perf_counter() - start))
+    return AuditReport(config, tuple(results))

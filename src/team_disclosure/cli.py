@@ -13,7 +13,7 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .audit import CLAIM_NAMES, PANEL_GRIDS, AuditConfig, panel_sweep, run_audit
@@ -337,18 +337,29 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _audit_counts(text: str) -> dict[str, int]:
+    """``name=value,...`` overrides of AuditConfig's integer count fields
+    (not the seed), each a decimal integer of at least 1."""
+    names = [
+        f.name for f in fields(AuditConfig) if type(f.default) is int and f.name != "seed"
+    ]
+    overrides = {}
+    for pair in text.split(","):
+        key, _, value = (part.strip() for part in pair.partition("="))
+        if key not in names:
+            raise ConfigError(f"bad counts entry {pair!r}: counts are {', '.join(names)}")
+        if not (value.isascii() and value.isdigit() and int(value) >= 1):
+            raise ConfigError(f"bad counts entry {pair!r}: need an integer of at least 1")
+        overrides[key] = int(value)
+    return overrides
+
+
 def _cmd_audit(args: argparse.Namespace) -> int:
     cfg = _load_config_file(args.config)
     seed = _merged_int(args, cfg, "seed", 0)
     claims_arg = _merged(args, cfg, "claims")
-    overrides = {}
     counts_arg = _merged(args, cfg, "counts")
-    if counts_arg:
-        for pair in str(counts_arg).split(","):
-            key, _, value = pair.partition("=")
-            if not value:
-                raise ConfigError(f"bad counts entry {pair!r}")
-            overrides[key.strip()] = int(value)
+    overrides = _audit_counts(str(counts_arg)) if counts_arg else {}
     config = AuditConfig(seed=seed)
     if claims_arg:
         names = tuple(c.strip() for c in str(claims_arg).split(",") if c.strip())
@@ -356,11 +367,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         if unknown:
             raise ConfigError(f"unknown claims: {unknown}")
         config = replace(config, claims=names)
-    if overrides:
-        try:
-            config = replace(config, **overrides)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from exc
+    config = replace(config, **overrides)
     report = run_audit(config)
     text = report.render()
     if args.out:
@@ -372,7 +379,14 @@ def _cmd_audit(args: argparse.Namespace) -> int:
             "command": "audit",
             "seed": seed,
             "passed": report.passed,
-            "claims": {r.name: r.passed for r in report.results},
+            "claims": {
+                r.name: {
+                    "passed": r.passed,
+                    "instances": r.instances,
+                    "seconds": round(r.seconds, 3),
+                }
+                for r in report.results
+            },
         }
     )
     return EXIT_OK if report.passed else EXIT_CLAIM_FAILURE
@@ -449,7 +463,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit = sub.add_parser("audit", help="run the claims audit")
     p_audit.add_argument("--seed", type=int, default=None)
     p_audit.add_argument("--claims", help="comma-separated subset of claims")
-    p_audit.add_argument("--counts", help="overrides, e.g. existence_dists=200,binary_draws=1000")
+    p_audit.add_argument(
+        "--counts",
+        help="integer count overrides of at least 1, e.g. existence_dists=200,binary_draws=1000",
+    )
     common(p_audit)
 
     return parser

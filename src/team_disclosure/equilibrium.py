@@ -32,8 +32,13 @@ The belief refinement (consistency with deliberation, and the brute-force
 twin of the full-disclosure plausibility predicate) scans every deterministic
 own-outcome profile in scaled integers: one bitmask per member, one winning
 table lookup per cell, exact integer concealment sums. Every positive answer
-is confirmed by rebuilding its witness profile through the Fraction path
-before it is returned.
+is confirmed by rebuilding its witness profile through ``team_rule`` and
+``posterior_no_disclosure`` before it is returned.
+
+The team rule and the Bayes posterior are integer kernels too: a cell where
+every member votes purely is one winning-table lookup, the multilinear sum
+runs only over the members who mix, and the posterior is one Fraction of
+concealment sums over the pmf and grids scaled to common denominators.
 """
 from __future__ import annotations
 
@@ -91,6 +96,14 @@ class EquilibriumError(ValueError):
 # ---------------------------------------------------------------------------
 
 
+def _in_unit_interval(v) -> bool:
+    """0 <= v <= 1, for a Fraction read off its numerator and denominator."""
+    if type(v) is Fraction:
+        num, den = v.as_integer_ratio()
+        return 0 <= num <= den
+    return ZERO <= v <= ONE
+
+
 @dataclass(frozen=True)
 class StrategyProfile:
     """Own-outcome disclosure strategies: values[i][j] = vote probability of
@@ -106,7 +119,7 @@ class StrategyProfile:
             if len(vals) != len(grid):
                 raise EquilibriumError("strategy not defined on exactly the member's grid")
             for v in vals:
-                if not ZERO <= v <= ONE:
+                if not _in_unit_interval(v):
                     raise EquilibriumError(f"vote probability {v} outside [0,1]")
 
     def vote_vector(self, cell: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -139,7 +152,7 @@ class TeamRule:
         if len(self.values) != len(self.space.cells):
             raise EquilibriumError("rule length does not match the cell count")
         for v in self.values:
-            if not ZERO <= v <= ONE:
+            if not _in_unit_interval(v):
                 raise EquilibriumError(f"disclosure probability {v} outside [0,1]")
 
     def prob(self, cell: Sequence[Rational]) -> Fraction:
@@ -155,18 +168,55 @@ def team_rule(profile: StrategyProfile, protocol: DeliberationProtocol) -> TeamR
     """Aggregate a profile into the team rule via the multilinear extension."""
     if protocol.n != profile.space.n:
         raise EquilibriumError("protocol and profile have different member counts")
-    vals = tuple(map(protocol.evaluate, _vote_vectors(profile)))
-    return TeamRule(profile.space, vals)
+    return TeamRule(profile.space, _rule_values(profile, protocol))
 
 
-def _vote_vectors(profile: StrategyProfile) -> list[tuple[Fraction, ...]]:
-    """``profile.vote_vector(cell)`` for every cell in order, read through
-    the space's grid positions."""
-    rows = profile.values
-    return [
-        tuple(row[p] for row, p in zip(rows, pos))
-        for pos in zip(*profile.space.positions)
-    ]
+def _rule_values(profile: StrategyProfile, protocol: DeliberationProtocol) -> tuple[Fraction, ...]:
+    """``protocol.evaluate(profile.vote_vector(cell))`` for every cell, in integers.
+
+    Each member's vote at each grid position becomes an int code: their bit
+    in the low n bits when they vote 1, 0 when they vote 0, and when they mix
+    the position + 1 in a slot of their own above the low n bits. A cell's
+    code is the OR of its members' codes. A pure code is one lookup in the
+    winning table; a mixed one sums the winning completions of its mixing
+    members' votes over one common denominator, once per distinct code.
+    """
+    space = profile.space
+    n = space.n
+    width = max(map(len, space.grids)).bit_length()
+    mixing = {}  # mixed code -> (member bit, vote numerator, vote denominator)
+    codes = [0]
+    for i, row in enumerate(profile.values):
+        member = []
+        for p, v in enumerate(row):
+            num, den = (v if type(v) is Fraction else as_fraction(v)).as_integer_ratio()
+            if num == 0:
+                member.append(0)
+            elif num == den:
+                member.append(1 << i)
+            else:
+                code = (p + 1) << (n + i * width)
+                mixing[code] = (1 << i, num, den)
+                member.append(code)
+        codes = [c | m for c in codes for m in member]
+    table = protocol._winning_table
+    pure = (1 << n) - 1
+    slot = (1 << width) - 1
+    values = {}
+    for code in set(codes):
+        if code <= pure:
+            values[code] = ONE if table[code] else ZERO
+            continue
+        masks, weights, den = [code & pure], [1], 1
+        for i in range(n):
+            key = code & (slot << (n + i * width))
+            if key:
+                bit, a, b = mixing[key]
+                masks += [m | bit for m in masks]
+                weights = [w * (b - a) for w in weights] + [w * a for w in weights]
+                den *= b
+        values[code] = Fraction(sum(compress(weights, map(table.__getitem__, masks))), den)
+    return tuple(map(values.__getitem__, codes))
 
 
 def classify_rule(rule: TeamRule) -> str:
@@ -258,19 +308,27 @@ def _verify(
     n = space.n
     wins = protocol.wins
     # per member and grid position: the member's bit when they vote 1, mix,
-    # gain from disclosure, gain from concealment
-    flags = [
-        [
-            (
-                1 << i if v == ONE else 0,
-                1 << i if ZERO < v < ONE else 0,
-                1 << i if x > post[i] else 0,
-                1 << i if x < post[i] else 0,
+    # gain from disclosure, gain from concealment, compared in integers:
+    # x > num/den exactly when (x * scale) * den > num * scale
+    flags = []
+    scaled = dist._scaled
+    for i, (xs, scale, row) in enumerate(zip(scaled.grid_ints, scaled.scales, profile.values)):
+        bit = 1 << i
+        num, den = post[i].as_integer_ratio()
+        bar = num * scale
+        member = []
+        for x, v in zip(xs, row):
+            vn, vd = v.as_integer_ratio()
+            x *= den
+            member.append(
+                (
+                    bit if vn == vd else 0,
+                    bit if 0 < vn < vd else 0,
+                    bit if x > bar else 0,
+                    bit if x < bar else 0,
+                )
             )
-            for x, v in zip(grid, row)
-        ]
-        for i, (grid, row) in enumerate(zip(space.grids, profile.values))
-    ]
+        flags.append(member)
     violations: list[Violation] = []
     for cell, pos in zip(space.cells, zip(*space.positions)):
         ones = mixed = above = below = 0
@@ -356,23 +414,6 @@ class Equilibrium:
 # ---------------------------------------------------------------------------
 
 
-def _scaled(dist: JointDistribution):
-    """The pmf and the grids as exact integers.
-
-    Returns (weights, scales, grid_ints): pmf weights scaled by the lcm of
-    the pmf denominators, and grid i scaled by scales[i], the lcm of grid i's
-    denominators.
-    """
-    weight_den = lcm(*(p.denominator for p in dist.probs))
-    weights = tuple(p.numerator * (weight_den // p.denominator) for p in dist.probs)
-    scales = tuple(lcm(*(v.denominator for v in g)) for g in dist.space.grids)
-    grid_ints = tuple(
-        tuple(v.numerator * (s // v.denominator) for v in g)
-        for g, s in zip(dist.space.grids, scales)
-    )
-    return weights, scales, grid_ints
-
-
 @lru_cache(maxsize=32)
 def _search_tables(dist: JointDistribution):
     """Integer aggregates powering the cut-configuration search.
@@ -380,11 +421,11 @@ def _search_tables(dist: JointDistribution):
     For every pure cut combination c (member i votes to disclose from grid
     position c_i on, c_i in 0..len(grid_i)) and every pure vote mask v, sums
     the pmf weight and the scaled member values of the cells whose votes
-    under c equal v, in the integer units of :func:`_scaled`.
+    under c equal v, in the integer units of ``dist._scaled``.
     """
     space = dist.space
     n = space.n
-    weights, _, grid_ints = _scaled(dist)
+    weights, grid_ints = dist._scaled.weights, dist._scaled.grid_ints
     positions = space.positions
     cells = range(len(space.cells))
     combos = {}
@@ -1212,7 +1253,7 @@ def _concealment_scan(dist: JointDistribution, protocol: DeliberationProtocol, c
     mask is looked up in the protocol's winning table. For every profile that
     conceals with positive probability, yields ``(rows, W, S, concealed)``:
     the bitmasks, the concealed pmf mass W and the concealed value sums S_i
-    in the integer units of :func:`_scaled` (so S_i / W is member i's
+    in the integer units of ``dist._scaled`` (so S_i / W is member i's
     posterior times scales[i]), and the number of concealed cells,
     zero-probability cells included.
     """
@@ -1223,12 +1264,8 @@ def _concealment_scan(dist: JointDistribution, protocol: DeliberationProtocol, c
         raise SearchCapExceeded(
             f"{total} deterministic profiles exceed the cap of {cap}"
         )
-    weights, _, grid_ints = _scaled(dist)
+    weights, values = dist._scaled.weights, dist._scaled.values
     positions = space.positions
-    values = [
-        tuple(grid_ints[i][p] * w for p, w in zip(positions[i], weights))
-        for i in range(space.n)
-    ]
     loses = [not protocol.wins(v) for v in range(1 << space.n)]
     # votes[i][r][c]: member i's bit in cell c's vote mask when their row is r
     votes = [
@@ -1269,9 +1306,8 @@ def consistent_with_deliberation(
     """Whether some deterministic own-outcome profile conceals with positive
     probability and Bayes-updates to exactly the given posteriors.
 
-    Profiles are scanned in scaled integers; a witness is confirmed through
-    the Fraction path (team rule, then Bayes posterior) before True is
-    returned.
+    Profiles are scanned in scaled integers; a witness is confirmed by
+    rebuilding its team rule and Bayes posterior before True is returned.
     """
     space = dist.space
     if protocol.n != space.n:
@@ -1279,7 +1315,7 @@ def consistent_with_deliberation(
     target = tuple(as_fraction(p) for p in posteriors)
     if len(target) != space.n:
         raise EquilibriumError("posterior vector has wrong length")
-    _, scales, _ = _scaled(dist)
+    scales = dist._scaled.scales
     goal = [t * s for t, s in zip(target, scales)]
     for rows, mass, sums, _ in _concealment_scan(dist, protocol, profile_cap):
         if all(s * g.denominator == g.numerator * mass for s, g in zip(sums, goal)):
@@ -1315,9 +1351,9 @@ def plausible_full_disclosure_by_search(
     justified by some deterministic own-outcome profile with concealment:
     either beliefs that sustain the always-disclose profile, or an on-path
     equilibrium that conceals at most one outcome. Profiles are scanned in
-    scaled integers; a witness is confirmed through the Fraction path (team
-    rule, Bayes posterior and, for the on-path case, classification and
-    verification) before True is returned.
+    scaled integers; a witness is confirmed by rebuilding its team rule and
+    Bayes posterior and, for the on-path case, its classification and
+    verification before True is returned.
     """
     space = dist.space
     if protocol.n != space.n:
@@ -1331,8 +1367,7 @@ def plausible_full_disclosure_by_search(
         for mask in range(1, 1 << n)
         if not protocol.wins(full_mask ^ mask)
     ]
-    _, _, grid_ints = _scaled(dist)
-    floors = [g[0] for g in grid_ints]
+    floors = [g[0] for g in dist._scaled.grid_ints]
     for rows, mass, sums, concealed in _concealment_scan(dist, protocol, profile_cap):
         # The deviation conditions of the always-disclose profile reduce to:
         # every coalition able to block disclosure must contain a member whose

@@ -27,6 +27,7 @@ from .equilibrium import (
 )
 from .outcomes import (
     JointDistribution,
+    _concealment,
     conditional,
     fosd_dominates,
     fosd_dominates_everywhere,
@@ -138,13 +139,9 @@ class EffortModel:
 
 def _nd_stats(dist: JointDistribution, rule: TeamRule, i: int) -> tuple[Fraction, Fraction]:
     """(P(conceal), E[member-i value on the concealed event], unnormalized)."""
-    pnd = ZERO
-    mass = ZERO
-    for cell, p, d in zip(dist.space.cells, dist.probs, rule.values):
-        w = (ONE - d) * p
-        pnd += w
-        mass += cell[i - 1] * w
-    return pnd, mass
+    mass, sums, scale = _concealment(dist, rule)
+    den = scale * dist._scaled.den
+    return Fraction(mass, den), Fraction(sums[i - 1], den * dist._scaled.scales[i - 1])
 
 
 def effort_gain(

@@ -7,7 +7,9 @@ posteriors all sum to one exactly, which the equilibrium search relies on.
 
 Multivariate first-order stochastic dominance, weak, strict or on every
 nonempty proper upper set, is decided by one exact integer minimum closure over
-the upper sets of the product grid.
+the upper sets of the product grid. The no-disclosure posterior is read off
+integer concealment sums over the pmf and grids scaled to common
+denominators.
 """
 from __future__ import annotations
 
@@ -16,7 +18,8 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from math import lcm, prod
-from typing import Mapping, Sequence
+from operator import mul
+from typing import Mapping, NamedTuple, Sequence
 
 from ._flow import min_upper_set_sum
 from .rationals import Rational, as_fraction
@@ -88,6 +91,22 @@ def binary_space(n: int) -> OutcomeSpace:
     return make_space([[0, 1]] * n)
 
 
+class ScaledDistribution(NamedTuple):
+    """A pmf and its grids as exact integers.
+
+    ``weights`` are the pmf scaled by ``den``, the lcm of its denominators (so
+    they sum to ``den``); grid i is scaled by ``scales[i]``, the lcm of grid
+    i's denominators, into ``grid_ints[i]``; ``values[i][c]`` is cell c's
+    scaled member-(i+1) value times its weight.
+    """
+
+    den: int
+    weights: tuple[int, ...]
+    scales: tuple[int, ...]
+    grid_ints: tuple[tuple[int, ...], ...]
+    values: tuple[tuple[int, ...], ...]
+
+
 @dataclass(frozen=True)
 class JointDistribution:
     """Exact pmf over the cells of an OutcomeSpace (lexicographic order)."""
@@ -113,6 +132,21 @@ class JointDistribution:
             return self.probs[self.space.cell_index[key]]
         except KeyError:
             raise OutcomeError(f"outcome {key} is not on the grid") from None
+
+    @cached_property
+    def _scaled(self) -> ScaledDistribution:
+        den = lcm(*(p.denominator for p in self.probs))
+        weights = tuple(p.numerator * (den // p.denominator) for p in self.probs)
+        scales = tuple(lcm(*(v.denominator for v in g)) for g in self.space.grids)
+        grid_ints = tuple(
+            tuple(v.numerator * (s // v.denominator) for v in g)
+            for g, s in zip(self.space.grids, scales)
+        )
+        values = tuple(
+            tuple(g[p] * w for p, w in zip(pos, weights))
+            for g, pos in zip(grid_ints, self.space.positions)
+        )
+        return ScaledDistribution(den, weights, scales, grid_ints, values)
 
     @cached_property
     def mean_vector(self) -> tuple[Fraction, ...]:
@@ -343,6 +377,35 @@ def mix(f: JointDistribution, g: JointDistribution, eps: Rational) -> JointDistr
     return out
 
 
+def _concealment(dist: JointDistribution, rule) -> tuple[int, list[int], int]:
+    """Concealment aggregates of a rule, in exact integers.
+
+    ``rule`` is a disclosure probability d_c per cell (a TeamRule or any
+    aligned sequence of values in [0,1]). With L the lcm of the d_c's
+    denominators and w_c, x_ic the weights and grid values of
+    ``dist._scaled``, returns (W, S, L): W = sum_c L(1 - d_c) w_c and
+    S_i = sum_c L(1 - d_c) w_c x_ic. So P(conceal) = W / (L * den) and member
+    i's posterior is S_i / (W * scales[i]).
+    """
+    values = getattr(rule, "values", rule)
+    if len(values) != len(dist.space.cells):
+        raise OutcomeError("rule length does not match the cell count")
+    ratios = []
+    for d in values:
+        if type(d) is not Fraction:
+            d = as_fraction(d)
+        num, den = ratio = d.as_integer_ratio()
+        if not 0 <= num <= den:
+            raise OutcomeError(f"disclosure probability {d} outside [0,1]")
+        ratios.append(ratio)
+    scale = lcm(*(den for _, den in ratios))
+    conceal = [(den - num) * (scale // den) for num, den in ratios]
+    scaled = dist._scaled
+    mass = sum(map(mul, conceal, scaled.weights))
+    sums = [sum(map(mul, conceal, v)) for v in scaled.values]
+    return mass, sums, scale
+
+
 def posterior_no_disclosure(dist: JointDistribution, rule) -> tuple[Fraction, ...]:
     """Componentwise mean outcome conditional on the team concealing.
 
@@ -350,21 +413,7 @@ def posterior_no_disclosure(dist: JointDistribution, rule) -> tuple[Fraction, ..
     sequence of values in [0,1]). Raises OffPathPosterior when concealment has
     zero probability.
     """
-    values = getattr(rule, "values", rule)
-    if len(values) != len(dist.space.cells):
-        raise OutcomeError("rule length does not match the cell count")
-    nd = ZERO
-    sums = [ZERO] * dist.space.n
-    for cell, p, d in zip(dist.space.cells, dist.probs, values):
-        d = as_fraction(d)
-        if not ZERO <= d <= ONE:
-            raise OutcomeError(f"disclosure probability {d} outside [0,1]")
-        w = (ONE - d) * p
-        if w == 0:
-            continue
-        nd += w
-        for i, v in enumerate(cell):
-            sums[i] += v * w
-    if nd == 0:
+    mass, sums, _ = _concealment(dist, rule)
+    if mass == 0:
         raise OffPathPosterior("off-path posterior undefined: concealment never happens")
-    return tuple(s / nd for s in sums)
+    return tuple(Fraction(s, mass * k) for s, k in zip(sums, dist._scaled.scales))

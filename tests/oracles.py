@@ -281,21 +281,67 @@ def effort_payoff_difference(full_dist, dev_dist, rule_values, member_index):
 # ---------------------------------------------------------------------------
 # Fraction twins of the equilibrium module's integer kernels
 # ---------------------------------------------------------------------------
-# These walk every profile through the library's Fraction path (team_rule,
-# protocol.evaluate, posterior_no_disclosure, classify_rule), which the
-# integer kernels touch only to confirm a witness they already found.
+# These walk every profile through Fraction loops: the team rule from
+# protocol.evaluate at each cell's vote vector, the Bayes posterior and the
+# concealment statistics cell by cell. None of them calls team_rule,
+# posterior_no_disclosure or the integer concealment sums they are checked
+# against.
+
+
+def team_rule_by_evaluate(profile, protocol):
+    """The team rule from one multilinear ``protocol.evaluate`` per cell."""
+    from team_disclosure.equilibrium import TeamRule
+
+    space = profile.space
+    return TeamRule(
+        space, tuple(protocol.evaluate(profile.vote_vector(cell)) for cell in space.cells)
+    )
+
+
+def posterior_no_disclosure_by_fractions(dist, rule):
+    """The no-disclosure posterior by one Fraction loop over the cells, with
+    the library's errors for a bad rule and for an off-path posterior."""
+    from team_disclosure.outcomes import OffPathPosterior, OutcomeError
+    from team_disclosure.rationals import as_fraction
+
+    values = getattr(rule, "values", rule)
+    if len(values) != len(dist.space.cells):
+        raise OutcomeError("rule length does not match the cell count")
+    nd = ZERO
+    sums = [ZERO] * dist.space.n
+    for cell, p, d in zip(dist.space.cells, dist.probs, values):
+        d = as_fraction(d)
+        if not ZERO <= d <= ONE:
+            raise OutcomeError(f"disclosure probability {d} outside [0,1]")
+        w = (ONE - d) * p
+        if w == 0:
+            continue
+        nd += w
+        for i, v in enumerate(cell):
+            sums[i] += v * w
+    if nd == 0:
+        raise OffPathPosterior("off-path posterior undefined: concealment never happens")
+    return tuple(s / nd for s in sums)
+
+
+def nd_stats_by_fractions(dist, rule, i):
+    """(P(conceal), E[member-i value on the concealed event], unnormalized),
+    summed cell by cell."""
+    pnd = ZERO
+    mass = ZERO
+    for cell, p, d in zip(dist.space.cells, dist.probs, rule.values):
+        w = (ONE - d) * p
+        pnd += w
+        mass += cell[i - 1] * w
+    return pnd, mass
 
 
 def verify_equilibrium_by_evaluate(profile, posteriors, dist, protocol):
     """Equilibrium verification with pivotality decided by two multilinear
     evaluations per (cell, coalition): the coalition voting 1 against it
     voting 0, everyone else keeping their mixed votes."""
-    from team_disclosure.equilibrium import (
-        VerificationReport,
-        Violation,
-        team_rule,
-    )
-    from team_disclosure.outcomes import OffPathPosterior, posterior_no_disclosure
+    from team_disclosure.equilibrium import VerificationReport, Violation
+    from team_disclosure.outcomes import OffPathPosterior
 
     space = dist.space
     post = tuple(Fraction(p) for p in posteriors)
@@ -332,9 +378,9 @@ def verify_equilibrium_by_evaluate(profile, posteriors, dist, protocol):
                             "but someone votes above 0",
                         )
                     )
-    rule = team_rule(profile, protocol)
+    rule = team_rule_by_evaluate(profile, protocol)
     try:
-        bayes = posterior_no_disclosure(dist, rule)
+        bayes = posterior_no_disclosure_by_fractions(dist, rule)
     except OffPathPosterior:
         bayes = None
     if bayes is not None and bayes != post:
@@ -362,13 +408,14 @@ def deterministic_profiles(space):
 
 def consistent_with_deliberation_by_fractions(posteriors, dist, protocol):
     """Profile-by-profile Fraction search: team rule, then Bayes posterior."""
-    from team_disclosure.equilibrium import team_rule
-    from team_disclosure.outcomes import OffPathPosterior, posterior_no_disclosure
+    from team_disclosure.outcomes import OffPathPosterior
 
     target = tuple(Fraction(p) for p in posteriors)
     for profile in deterministic_profiles(dist.space):
         try:
-            post = posterior_no_disclosure(dist, team_rule(profile, protocol))
+            post = posterior_no_disclosure_by_fractions(
+                dist, team_rule_by_evaluate(profile, protocol)
+            )
         except OffPathPosterior:
             continue
         if post == target:
@@ -380,8 +427,8 @@ def plausible_full_disclosure_by_fractions(dist, protocol):
     """Profile-by-profile Fraction search for a justified full-disclosure
     equilibrium: posteriors sustaining always-disclose, or an on-path
     equilibrium concealing at most one outcome."""
-    from team_disclosure.equilibrium import FULL, classify_rule, team_rule
-    from team_disclosure.outcomes import OffPathPosterior, posterior_no_disclosure
+    from team_disclosure.equilibrium import FULL, classify_rule
+    from team_disclosure.outcomes import OffPathPosterior
 
     space = dist.space
     n = space.n
@@ -393,9 +440,9 @@ def plausible_full_disclosure_by_fractions(dist, protocol):
         if grp and not wins(protocol.minimal_winning, [m for m in members if m not in grp])
     ]
     for profile in deterministic_profiles(space):
-        rule = team_rule(profile, protocol)
+        rule = team_rule_by_evaluate(profile, protocol)
         try:
-            post = posterior_no_disclosure(dist, rule)
+            post = posterior_no_disclosure_by_fractions(dist, rule)
         except OffPathPosterior:
             continue
         if all(any(post[i] <= mins[i] for i in grp) for grp in blocking):
@@ -467,8 +514,9 @@ def cut_configs_unscreened(space):
 
 def find_equilibria_report_unscreened(dist, protocol):
     """The exhaustive search with no corner sign screen: every configuration
-    goes to the atom solver, and every candidate is verified through the
-    public ``verify_equilibrium``, which rebuilds its rule and posterior."""
+    goes to the atom solver, and every candidate's rule, posterior and
+    verification come from the Fraction twins above, which rebuild the rule
+    and posterior again."""
     from team_disclosure.equilibrium import (
         FULL,
         Equilibrium,
@@ -479,10 +527,8 @@ def find_equilibria_report_unscreened(dist, protocol):
         _build_context,
         _profile_from_config,
         classify_rule,
-        team_rule,
-        verify_equilibrium,
     )
-    from team_disclosure.outcomes import OffPathPosterior, posterior_no_disclosure
+    from team_disclosure.outcomes import OffPathPosterior
 
     space = dist.space
     ctx = _build_context(dist, protocol)
@@ -496,7 +542,7 @@ def find_equilibria_report_unscreened(dist, protocol):
             classification=FULL,
             off_path=True,
             cuts=tuple(MemberCut(cut=0) for _ in range(space.n)),
-            verification=verify_equilibrium(all_ones, space.min_vector, dist, protocol),
+            verification=verify_equilibrium_by_evaluate(all_ones, space.min_vector, dist, protocol),
         )
     }
     for config in cut_configs_unscreened(space):
@@ -504,14 +550,14 @@ def find_equilibria_report_unscreened(dist, protocol):
         if weights is None:
             continue
         profile, cuts = _profile_from_config(space, config, weights)
-        rule = team_rule(profile, protocol)
+        rule = team_rule_by_evaluate(profile, protocol)
         if rule.values in results:
             continue
         try:
-            post = posterior_no_disclosure(dist, rule)
+            post = posterior_no_disclosure_by_fractions(dist, rule)
         except OffPathPosterior:
             continue
-        ver = verify_equilibrium(profile, post, dist, protocol)
+        ver = verify_equilibrium_by_evaluate(profile, post, dist, protocol)
         if not ver.ok:
             ctx.notes.append(f"candidate configuration {config} failed verification")
             continue

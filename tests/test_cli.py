@@ -402,6 +402,55 @@ class TestAuditCommand:
     def test_audit_unknown_claim(self):
         assert main(["audit", "--claims", "bogus"]) == 2
 
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            "claims=3",  # not a count: once a TypeError traceback
+            "seed=1",  # not a count: once ran seed 1 but reported seed 0
+            "existence_dists=-3",  # once passed its claim with 0 instances
+            "epsilon_check_step=0",  # not a count: once never returned
+            "existence_dists=0",
+            "existence_dists=1.5",
+            "existence_dists",
+            "bogus=2",
+        ],
+    )
+    def test_audit_counts_rejected(self, tmp_path, capsys, counts):
+        out = tmp_path / "report.txt"
+        argv = ["audit", "--claims", "correlation_mixing", "--counts", counts, "--out", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
+        assert captured.out == "" and not out.exists()
+
+    def test_audit_counts_from_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"claims": "gain_identity", "counts": "seed=1"}))
+        assert main(["audit", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_audit_summary_reports_instances_and_seconds(self, tmp_path, capsys):
+        out = tmp_path / "report.txt"
+        argv = [
+            "audit",
+            "--claims",
+            "threshold_form,gain_identity",
+            "--counts",
+            " threshold_dists = 1 ,identity_cases=4",
+            "--out",
+            str(out),
+        ]
+        assert main(argv) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["seed"] == 0 and summary["passed"] is True
+        assert list(summary["claims"]) == ["gain_identity", "threshold_form"]
+        report = out.read_text()
+        for name, claim in summary["claims"].items():
+            assert set(claim) == {"passed", "instances", "seconds"}
+            assert claim["passed"] is True and claim["seconds"] >= 0
+            assert f"[PASS] {name} ({claim['instances']} instances)" in report
+        assert "seconds" not in report
+
     def test_audit_subprocess_exit_zero(self):
         proc = run_cli(
             "audit",

@@ -15,7 +15,6 @@ from team_disclosure.equilibrium import (
     _build_context,
     _cut_configs,
     _profile_from_config,
-    _vote_vectors,
     classify_rule,
     consistent_with_deliberation,
     find_equilibria,
@@ -48,6 +47,7 @@ from oracles import (
     find_equilibria_report_unscreened,
     plausible_full_disclosure_by_fractions,
     posterior_by_enumeration,
+    team_rule_by_evaluate,
     verify_equilibrium_by_evaluate,
 )
 
@@ -594,6 +594,8 @@ class TestCornerScreen:
         assert on_path > 50
 
     def test_positional_vote_vectors(self):
+        # team_rule reads each member's votes by grid position
         space = make_space([[F(1, 3), F(1, 2), F(7, 4)], [F(-2), F(1, 3)]])
         profile = StrategyProfile.from_votes(space, [[0, F(2, 5), 1], [F(1, 7), 1]])
-        assert _vote_vectors(profile) == [profile.vote_vector(c) for c in space.cells]
+        for proto in all_protocols(2):
+            assert team_rule(profile, proto) == team_rule_by_evaluate(profile, proto)

@@ -1,0 +1,159 @@
+"""The integer team-rule and concealment kernels against their Fraction twins.
+
+``team_rule`` reads votes as integer codes and runs the multilinear sum only
+over mixing members; ``posterior_no_disclosure`` and the effort module's
+``_nd_stats`` read integer concealment sums. Each is compared here with the
+cell-by-cell Fraction loop it replaced, on seeded draws: arbitrary (not only
+threshold) profiles with several mixed positions per member, grids and pmfs
+with mixed denominators, and pmfs with zero-probability cells.
+"""
+import random
+from fractions import Fraction
+
+import pytest
+
+from team_disclosure.equilibrium import EquilibriumError, StrategyProfile, TeamRule, team_rule
+from team_disclosure.incentives import _nd_stats
+from team_disclosure.outcomes import (
+    JointDistribution,
+    OffPathPosterior,
+    OutcomeError,
+    make_space,
+    posterior_no_disclosure,
+)
+from team_disclosure.protocols import all_protocols, make_k_majority
+
+from oracles import (
+    nd_stats_by_fractions,
+    posterior_no_disclosure_by_fractions,
+    team_rule_by_evaluate,
+)
+
+F = Fraction
+
+PROTOCOLS = [
+    *all_protocols(2),
+    *all_protocols(3),
+    *(make_k_majority(4, k) for k in range(1, 5)),
+]
+
+
+def fractional_space(rng, n):
+    """Grids of distinct values with denominators 1, 2, 3, 7 and 10, some negative."""
+    sizes = (2, 3) if n == 4 else (2, 3, 4)
+    grids = []
+    for _ in range(n):
+        values = set()
+        while len(values) < rng.choice(sizes):
+            values.add(F(rng.randint(-6, 20), rng.choice((1, 2, 3, 7, 10))))
+        grids.append(sorted(values))
+    return make_space(grids)
+
+
+def sparse_dist(rng, space):
+    """A pmf with mixed-denominator masses and roughly a third of its cells at zero."""
+    masses = [
+        F(rng.randint(1, 9), rng.choice((1, 2, 3, 5))) if rng.random() < 0.65 else F(0)
+        for _ in space.cells
+    ]
+    if not any(masses):
+        masses[rng.randrange(len(masses))] = F(1)
+    total = sum(masses)
+    return JointDistribution(space, tuple(m / total for m in masses))
+
+
+def random_profile(rng, space):
+    """Arbitrary votes: 0, 1 or a strict mix with denominators 2, 3, 5, 7 or 8,
+    so most members mix at several positions."""
+
+    def vote():
+        kind = rng.random()
+        if kind < 0.25:
+            return F(0)
+        if kind < 0.5:
+            return F(1)
+        den = rng.choice((2, 3, 5, 7, 8))
+        return F(rng.randint(1, den - 1), den)
+
+    return StrategyProfile(space, tuple(tuple(vote() for _ in g) for g in space.grids))
+
+
+def plain(rng, values):
+    """The same rule as a plain list mixing ints, strings and Fractions."""
+    out = []
+    for v in values:
+        form = rng.randrange(3)
+        if form == 0 and v.denominator == 1:
+            out.append(int(v))
+        elif form == 1:
+            out.append(str(v))
+        else:
+            out.append(v)
+    return out
+
+
+def outcome(fn, *args):
+    """A call's value, or its exception type and message."""
+    try:
+        return fn(*args)
+    except (OutcomeError, EquilibriumError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS, ids=lambda p: p.describe())
+def test_kernels_match_fraction_loops(protocol):
+    rng = random.Random(f"kernels {protocol.describe()}")
+    off_path = mixed_positions = 0
+    for _ in range(6):
+        space = fractional_space(rng, protocol.n)
+        dist = sparse_dist(rng, space)
+        profile = random_profile(rng, space)
+        mixed_positions += sum(0 < v < 1 for row in profile.values for v in row)
+        rule = team_rule(profile, protocol)
+        assert rule == team_rule_by_evaluate(profile, protocol)
+        rules = [rule, plain(rng, rule.values)]
+        # a rule concealing only zero-probability cells is off path
+        rules.append([F(0) if p == 0 else F(1) for p in dist.probs])
+        for r in rules:
+            got = outcome(posterior_no_disclosure, dist, r)
+            assert got == outcome(posterior_no_disclosure_by_fractions, dist, r)
+            off_path += got == (OffPathPosterior, "off-path posterior undefined: concealment never happens")
+        for i in range(1, space.n + 1):
+            assert _nd_stats(dist, rule, i) == nd_stats_by_fractions(dist, rule, i)
+    assert off_path >= 6
+    assert mixed_positions >= 6 * protocol.n
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [F(3, 2), F(-1, 3), 2, -1, "5/4", "-0.5"],
+)
+def test_out_of_range_rules_raise_the_same_errors(bad):
+    rng = random.Random(5)
+    space = fractional_space(rng, 2)
+    dist = sparse_dist(rng, space)
+    for cell in range(len(space.cells)):  # zero-probability cells included
+        values = [F(1, 2)] * len(space.cells)
+        values[cell] = bad
+        got = outcome(posterior_no_disclosure, dist, values)
+        assert got == outcome(posterior_no_disclosure_by_fractions, dist, values)
+        assert got[0] is OutcomeError and got[1].endswith("outside [0,1]")
+    for values in ([F(1)] * (len(space.cells) - 1), [True] * len(space.cells)):
+        got = outcome(posterior_no_disclosure, dist, values)
+        assert got == outcome(posterior_no_disclosure_by_fractions, dist, values)
+        assert isinstance(got, tuple) and got[0] in (OutcomeError, TypeError)
+
+
+@pytest.mark.parametrize("bad", [F(3, 2), F(-1, 3), 2, -1])
+def test_out_of_range_votes_and_rules_keep_their_messages(bad):
+    space = make_space([[0, 1, 2], [F(1, 3), F(1, 2)]])
+    rows = [[F(0), F(1, 2), F(1)], [F(1, 7), F(1)]]
+    rows[0][1] = bad
+    with pytest.raises(EquilibriumError) as err:
+        StrategyProfile(space, tuple(map(tuple, rows)))
+    assert str(err.value) == f"vote probability {bad} outside [0,1]"
+    values = [F(1, 2)] * len(space.cells)
+    values[4] = bad
+    with pytest.raises(EquilibriumError) as err:
+        TeamRule(space, tuple(values))
+    assert str(err.value) == f"disclosure probability {bad} outside [0,1]"
