@@ -27,6 +27,7 @@ from .binary_env import (
 )
 from .configio import (
     ConfigError,
+    config_int,
     distribution_to_config,
     effort_model_from_config,
     equilibrium_to_config,
@@ -35,6 +36,8 @@ from .configio import (
     protocol_to_config,
 )
 from .equilibrium import (
+    DEFAULT_MAX_GRID,
+    DEFAULT_MAX_MEMBERS,
     EquilibriumError,
     SearchCapExceeded,
     StrategyProfile,
@@ -43,7 +46,7 @@ from .equilibrium import (
     full_disclosure_is_plausible,
     verify_equilibrium,
 )
-from .incentives import IncentiveError, dominance_report
+from .incentives import IncentiveError, dominance_report, protocol_full_effort_corners
 from .outcomes import OutcomeError
 from .protocols import ProtocolError
 from .rationals import as_fraction, frac_str
@@ -124,12 +127,7 @@ def _merged_path(args: argparse.Namespace, file_cfg: dict, key: str) -> str | No
 def _merged_int(args: argparse.Namespace, file_cfg: dict, key: str, default: int) -> int:
     """An integer option: a flag, a JSON integer (not a bool) or a string of
     decimal digits in the config file, else the default."""
-    value = _merged(args, file_cfg, key, default)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if isinstance(value, str) and value.isascii() and value.isdigit():
-        return int(value)
-    raise ConfigError(f"{key} must be an integer, got {json.dumps(value)}")
+    return config_int(_merged(args, file_cfg, key, default), key)
 
 
 def _sweep_members(args: argparse.Namespace, file_cfg: dict) -> int:
@@ -154,8 +152,8 @@ def _cmd_solve(args: argparse.Namespace, refine: bool = False) -> int:
     protocol = load_protocol(proto_spec)
     dist = load_distribution(dist_spec, protocol.n)
     refine = refine or bool(_merged(args, cfg, "refine", False))
-    max_members = _merged_int(args, cfg, "max-members", 4)
-    max_grid = _merged_int(args, cfg, "max-grid", 5)
+    max_members = _merged_int(args, cfg, "max-members", DEFAULT_MAX_MEMBERS)
+    max_grid = _merged_int(args, cfg, "max-grid", DEFAULT_MAX_GRID)
     eqs, notes = find_equilibria_report(dist, protocol, max_members, max_grid)
     entries = []
     for eq in eqs:
@@ -229,8 +227,6 @@ def _cmd_gains(args: argparse.Namespace) -> int:
         model = effort_model_from_config(json.load(handle))
     protocol = load_protocol(proto_spec)
     refine = bool(_merged(args, cfg, "refine", False))
-    from .incentives import protocol_full_effort_corners
-
     corners = protocol_full_effort_corners(protocol, model, refine)
     doc = {
         "protocol": protocol_to_config(protocol),

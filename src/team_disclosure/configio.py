@@ -43,6 +43,16 @@ def _require_keys(obj: Mapping[str, Any], required: set[str], optional: set[str]
         raise ConfigError(f"unknown keys: {sorted(unknown)}")
 
 
+def config_int(value: Any, key: str) -> int:
+    """An integer config value: a JSON integer that is not a bool, or a string
+    of decimal digits; anything else is a ConfigError."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str) and value.isascii() and value.isdigit():
+        return int(value)
+    raise ConfigError(f"{key} must be an integer, got {json.dumps(value, default=str)}")
+
+
 # ---------------------------------------------------------------------------
 # Protocols
 # ---------------------------------------------------------------------------
@@ -55,13 +65,14 @@ def protocol_from_config(obj: Mapping[str, Any]) -> DeliberationProtocol:
     try:
         if kind == "k_majority":
             _require_keys(obj, {"kind", "n", "k"})
-            return make_k_majority(int(obj["n"]), int(obj["k"]))
+            return make_k_majority(config_int(obj["n"], "n"), config_int(obj["k"], "k"))
         if kind == "leader":
             _require_keys(obj, {"kind", "n", "leader"})
-            return make_leader(int(obj["n"]), int(obj["leader"]))
+            return make_leader(config_int(obj["n"], "n"), config_int(obj["leader"], "leader"))
         if kind == "custom":
             _require_keys(obj, {"kind", "n", "winning"})
-            return make_protocol(int(obj["n"]), [list(map(int, c)) for c in obj["winning"]])
+            winning = [[config_int(m, "winning member") for m in c] for c in obj["winning"]]
+            return make_protocol(config_int(obj["n"], "n"), winning)
     except ConfigError:
         raise
     except (ValueError, TypeError) as exc:
@@ -129,20 +140,19 @@ def distribution_from_config(obj: Mapping[str, Any], n_hint: int | None = None) 
                 pmf[cell] = as_fraction(prob)
             return from_pmf(space, pmf)
         kind = obj.get("kind")
+        n = config_int(obj["n"], "n") if "n" in obj else n_hint or 0
         if kind == "independent":
             _require_keys(obj, {"kind", "q"}, {"n"})
             q = obj["q"]
             if isinstance(q, (list, tuple)):
                 qs = [as_fraction(x) for x in q]
+            elif n < 2:
+                raise ConfigError("independent generator needs 'n' or a q list")
             else:
-                n = int(obj.get("n", n_hint or 0))
-                if n < 2:
-                    raise ConfigError("independent generator needs 'n' or a q list")
                 qs = [as_fraction(q)] * n
             return binary_independent(qs)
         if kind == "common_mixture":
             _require_keys(obj, {"kind", "p", "q_T", "q"}, {"n"})
-            n = int(obj.get("n", n_hint or 0))
             if n < 2:
                 raise ConfigError("common_mixture generator needs 'n'")
             return common_mixture(n, as_fraction(obj["p"]), as_fraction(obj["q_T"]), as_fraction(obj["q"]))
@@ -199,12 +209,12 @@ def load_distribution(spec: str | Mapping[str, Any], n_hint: int | None = None) 
 def effort_model_from_config(obj: Mapping[str, Any]) -> EffortModel:
     _require_keys(obj, {"n", "costs", "distributions"})
     try:
-        n = int(obj["n"])
+        n = config_int(obj["n"], "n")
         costs = [as_fraction(c) for c in obj["costs"]]
         table = {}
         for entry in obj["distributions"]:
             _require_keys(entry, {"effort", "dist"})
-            effort = tuple(int(e) for e in entry["effort"])
+            effort = tuple(config_int(e, "effort entry") for e in entry["effort"])
             if len(effort) != n or any(e not in (0, 1) for e in effort):
                 raise ConfigError(f"bad effort vector {effort}")
             table[effort] = distribution_from_config(entry["dist"], n)

@@ -28,11 +28,13 @@ one canonical representative is returned: each free weight prefers 0, then
 rational in the first feasible one-dimensional cell; isolated solutions are
 taken in increasing order of the weight that carries them.
 
-The belief refinement (consistency with deliberation, and the brute-force
-twin of the full-disclosure plausibility predicate) scans every deterministic
-own-outcome profile in scaled integers: one bitmask per member, one winning
-table lookup per cell, exact integer concealment sums. Every positive answer
-is confirmed by rebuilding its witness profile through ``team_rule`` and
+The cut search and the belief refinement (consistency with deliberation,
+and the brute-force twin of the full-disclosure plausibility predicate) share
+one integer profile scan (:func:`_concealment_scan`): one bitmask per member,
+one winning-table lookup per cell, exact integer concealment sums. The search
+scans the pure threshold profiles, the refinement every deterministic
+own-outcome profile. Every positive refinement answer is confirmed by
+rebuilding its witness profile through ``team_rule`` and
 ``posterior_no_disclosure`` before it is returned.
 
 The team rule and the Bayes posterior are integer kernels too: a cell where
@@ -44,7 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import combinations, compress, product
 from math import gcd, lcm, prod
 from operator import and_, or_
@@ -414,37 +416,6 @@ class Equilibrium:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=32)
-def _search_tables(dist: JointDistribution):
-    """Integer aggregates powering the cut-configuration search.
-
-    For every pure cut combination c (member i votes to disclose from grid
-    position c_i on, c_i in 0..len(grid_i)) and every pure vote mask v, sums
-    the pmf weight and the scaled member values of the cells whose votes
-    under c equal v, in the integer units of ``dist._scaled``.
-    """
-    space = dist.space
-    n = space.n
-    weights, grid_ints = dist._scaled.weights, dist._scaled.grid_ints
-    positions = space.positions
-    cells = range(len(space.cells))
-    combos = {}
-    for combo in product(*(range(len(g) + 1) for g in space.grids)):
-        agg_w = [0] * (1 << n)
-        agg_s = [[0] * (1 << n) for _ in range(n)]
-        for c in cells:
-            v = 0
-            for i in range(n):
-                if positions[i][c] >= combo[i]:
-                    v |= 1 << i
-            w = weights[c]
-            agg_w[v] += w
-            for i in range(n):
-                agg_s[i][v] += grid_ints[i][positions[i][c]] * w
-        combos[combo] = (tuple(agg_w), tuple(tuple(s) for s in agg_s))
-    return grid_ints, combos
-
-
 @dataclass
 class _SearchContext:
     """Concealment aggregates of pure cut combos, and their sign masks.
@@ -485,16 +456,16 @@ class _SearchContext:
 
 
 def _build_context(dist: JointDistribution, protocol: DeliberationProtocol) -> _SearchContext:
-    grid_ints, combos = _search_tables(dist)
-    lose = [
-        v for v in range(1 << protocol.n) if not protocol.wins(v)
-    ]
-    conceal = {}
-    for combo, (agg_w, agg_s) in combos.items():
-        w = sum(agg_w[v] for v in lose)
-        s = tuple(sum(agg_s[i][v] for v in lose) for i in range(protocol.n))
-        conceal[combo] = (w, s)
-    return _SearchContext(grid_ints, conceal)
+    """Concealment aggregates of every pure cut combination: member i votes
+    to disclose from grid position c_i on, c_i in 0..len(grid_i)."""
+    grids = dist.space.grids
+    rows = [[(1 << (len(g) - c)) - 1 for c in range(len(g) + 1)] for g in grids]
+    combos = product(*(range(len(g) + 1) for g in grids))
+    conceal = {
+        combo: (mass, tuple(sums))
+        for combo, (mass, sums, _) in zip(combos, _concealment_scan(dist, protocol, rows))
+    }
+    return _SearchContext(dist._scaled.grid_ints, conceal)
 
 
 def _cut_configs(ctx: _SearchContext):
@@ -1240,50 +1211,56 @@ def find_equilibria(
 
 
 # ---------------------------------------------------------------------------
-# Consistency with deliberation (belief refinement)
+# Pure-profile concealment scan; consistency with deliberation (belief refinement)
 # ---------------------------------------------------------------------------
 
 
-def _concealment_scan(dist: JointDistribution, protocol: DeliberationProtocol, cap: int):
-    """Concealment aggregates of every deterministic own-outcome profile.
+def _concealment_scan(
+    dist: JointDistribution, protocol: DeliberationProtocol, rows: Sequence[Sequence[int]]
+):
+    """Concealment aggregates of pure own-outcome profiles.
 
-    Member i's strategy is one int bitmask over their grid positions, the
-    first position in the highest bit, so profiles come in the order of
-    ``product((0, 1), repeat=len(grid))`` per member. Each cell's pure vote
-    mask is looked up in the protocol's winning table. For every profile that
-    conceals with positive probability, yields ``(rows, W, S, concealed)``:
-    the bitmasks, the concealed pmf mass W and the concealed value sums S_i
-    in the integer units of ``dist._scaled`` (so S_i / W is member i's
-    posterior times scales[i]), and the number of concealed cells,
-    zero-probability cells included.
+    ``rows[i]`` lists member i's strategies, each one int bitmask over their
+    grid positions with the first position in the highest bit. For every
+    profile, in ``product(*rows)`` order, yields ``(W, S, concealed)``: the
+    concealed pmf mass W and the concealed value sums S_i in the integer
+    units of ``dist._scaled`` (so S_i / W is member i's posterior times
+    scales[i]; all zero when W is), and one concealment flag per cell,
+    zero-probability cells included. Each cell's pure vote mask is looked up
+    in the protocol's winning table; the votes of all members but the last
+    are combined once per prefix.
     """
     space = dist.space
+    weights, values = dist._scaled.weights, dist._scaled.values
+    loses = [not protocol.wins(v) for v in range(1 << space.n)]
+    zeros = (0,) * space.n
+    # votes[i][k][c]: member i's bit in cell c's vote mask under their k-th row
+    votes = [
+        [tuple((r >> (len(g) - 1 - p) & 1) << i for p in at) for r in member_rows]
+        for i, (g, at, member_rows) in enumerate(zip(space.grids, space.positions, rows))
+    ]
+    *head, last = votes
+    for prefix in product(*head):
+        masks = [0] * len(weights)
+        for v in prefix:
+            masks = list(map(or_, masks, v))
+        for v in last:
+            concealed = list(map(loses.__getitem__, map(or_, masks, v)))
+            mass = sum(compress(weights, concealed))
+            sums = [sum(compress(s, concealed)) for s in values] if mass else zeros
+            yield mass, sums, concealed
+
+
+def _pure_rows(space: OutcomeSpace, cap: int) -> list[range]:
+    """Every member's deterministic rows for :func:`_concealment_scan`, once
+    their profile count is checked against ``cap``."""
     sizes = [len(g) for g in space.grids]
     total = 1 << sum(sizes)
     if total > cap:
         raise SearchCapExceeded(
             f"{total} deterministic profiles exceed the cap of {cap}"
         )
-    weights, values = dist._scaled.weights, dist._scaled.values
-    positions = space.positions
-    loses = [not protocol.wins(v) for v in range(1 << space.n)]
-    # votes[i][r][c]: member i's bit in cell c's vote mask when their row is r
-    votes = [
-        [
-            tuple((r >> (size - 1 - p) & 1) << i for p in positions[i])
-            for r in range(1 << size)
-        ]
-        for i, size in enumerate(sizes)
-    ]
-    for rows in product(*(range(1 << size) for size in sizes)):
-        masks = votes[0][rows[0]]
-        for i in range(1, space.n):
-            masks = map(or_, masks, votes[i][rows[i]])
-        concealed = list(map(loses.__getitem__, masks))
-        mass = sum(compress(weights, concealed))
-        if mass:
-            sums = [sum(compress(v, concealed)) for v in values]
-            yield rows, mass, sums, concealed.count(True)
+    return [range(1 << size) for size in sizes]
 
 
 def _pure_profile(space: OutcomeSpace, rows: Sequence[int]) -> StrategyProfile:
@@ -1317,9 +1294,10 @@ def consistent_with_deliberation(
         raise EquilibriumError("posterior vector has wrong length")
     scales = dist._scaled.scales
     goal = [t * s for t, s in zip(target, scales)]
-    for rows, mass, sums, _ in _concealment_scan(dist, protocol, profile_cap):
-        if all(s * g.denominator == g.numerator * mass for s, g in zip(sums, goal)):
-            rule = team_rule(_pure_profile(space, rows), protocol)
+    rows = _pure_rows(space, profile_cap)
+    for bits, (mass, sums, _) in zip(product(*rows), _concealment_scan(dist, protocol, rows)):
+        if mass and all(s * g.denominator == g.numerator * mass for s, g in zip(sums, goal)):
+            rule = team_rule(_pure_profile(space, bits), protocol)
             if posterior_no_disclosure(dist, rule) != target:
                 raise AssertionError("integer scan disagrees with posterior_no_disclosure")
             return True
@@ -1368,7 +1346,10 @@ def plausible_full_disclosure_by_search(
         if not protocol.wins(full_mask ^ mask)
     ]
     floors = [g[0] for g in dist._scaled.grid_ints]
-    for rows, mass, sums, concealed in _concealment_scan(dist, protocol, profile_cap):
+    rows = _pure_rows(space, profile_cap)
+    for bits, (mass, sums, concealed) in zip(product(*rows), _concealment_scan(dist, protocol, rows)):
+        if not mass:
+            continue
         # The deviation conditions of the always-disclose profile reduce to:
         # every coalition able to block disclosure must contain a member whose
         # belief already sits at their worst outcome (otherwise there is an
@@ -1376,9 +1357,9 @@ def plausible_full_disclosure_by_search(
         supported = all(
             any(sums[i] <= floors[i] * mass for i in grp) for grp in blocking
         )
-        if not supported and concealed > 1:
+        if not supported and concealed.count(True) > 1:
             continue
-        profile = _pure_profile(space, rows)
+        profile = _pure_profile(space, bits)
         rule = team_rule(profile, protocol)
         post = posterior_no_disclosure(dist, rule)
         if supported:

@@ -18,6 +18,8 @@ from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from .equilibrium import (
+    DEFAULT_MAX_GRID,
+    DEFAULT_MAX_MEMBERS,
     StrategyProfile,
     TeamRule,
     _verify,
@@ -236,8 +238,8 @@ def protocol_full_effort_corners(
     protocol: DeliberationProtocol,
     model: EffortModel,
     refine: bool = False,
-    max_members: int = 4,
-    max_grid: int = 5,
+    max_members: int = DEFAULT_MAX_MEMBERS,
+    max_grid: int = DEFAULT_MAX_GRID,
 ) -> tuple[GainVector, ...]:
     """Gain vectors of every equilibrium rule at the full-effort distribution.
 
@@ -441,7 +443,10 @@ def find_epsilon_bar(
     Uses the conceal-only-your-worst-outcome equilibrium of the mixed
     full-effort distribution. The dominance indicator is scanned on a grid
     first; if it is not monotone there, that is reported rather than assumed
-    away, and the bisection brackets its first switch to true.
+    away, and the bisection brackets its first switch to true. When no grid
+    point is true, the bisection runs from the last grid point (or 0) toward
+    1, evaluating only points below 1, and a threshold is reported only if it
+    reaches a true point.
     """
     if protocol_other.all_unilateral:
         raise IncentiveError("the comparison protocol must differ from unilateral disclosure")
@@ -481,15 +486,20 @@ def find_epsilon_bar(
         grid.append((eps, indicator(eps)))
     flags = [f for _, f in grid]
     monotone = all(flags[j] <= flags[j + 1] for j in range(len(flags) - 1))
-    if True not in flags:
-        return EpsilonBarResult(False, None, monotone, tuple(grid))
-    first = flags.index(True)
-    hi = grid[first][0]
-    lo = grid[first - 1][0] if first > 0 else ZERO
+    if True in flags:
+        first = flags.index(True)
+        found, hi = True, grid[first][0]
+        lo = grid[first - 1][0] if first > 0 else ZERO
+    else:
+        # a coarse grid may hold no true point: bisect the rest of [0, 1)
+        found, hi = False, ONE
+        lo = grid[-1][0] if grid else ZERO
     while hi - lo > tolerance:
         mid = (lo + hi) / 2
         if indicator(mid):
-            hi = mid
+            found, hi = True, mid
         else:
             lo = mid
+    if not found:
+        return EpsilonBarResult(False, None, monotone, tuple(grid))
     return EpsilonBarResult(True, hi, monotone, tuple(grid))

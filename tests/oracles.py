@@ -336,6 +336,43 @@ def nd_stats_by_fractions(dist, rule, i):
     return pnd, mass
 
 
+@lru_cache(maxsize=4)
+def cut_tables_by_vote_mask(dist):
+    """For every pure cut combination c (member i votes to disclose from grid
+    position c_i on, c_i in 0..len(grid_i)) and every pure vote mask v, the
+    pmf weight and the scaled member values of the cells whose votes under c
+    equal v, in the integer units of ``dist._scaled``."""
+    space = dist.space
+    n = space.n
+    weights, grid_ints = dist._scaled.weights, dist._scaled.grid_ints
+    positions = space.positions
+    tables = {}
+    for combo in product(*(range(len(g) + 1) for g in space.grids)):
+        agg_w = [0] * (1 << n)
+        agg_s = [[0] * (1 << n) for _ in range(n)]
+        for c, w in enumerate(weights):
+            v = 0
+            for i in range(n):
+                if positions[i][c] >= combo[i]:
+                    v |= 1 << i
+            agg_w[v] += w
+            for i in range(n):
+                agg_s[i][v] += grid_ints[i][positions[i][c]] * w
+        tables[combo] = (agg_w, agg_s)
+    return tables
+
+
+def search_conceal_by_cells(dist, protocol):
+    """The cut search's concealment table: per pure cut combination, the
+    concealed mass W and value sums S_i, summed over the per-vote-mask
+    aggregates of the protocol's losing masks."""
+    lose = [v for v in range(1 << protocol.n) if not protocol.wins(v)]
+    return {
+        combo: (sum(agg_w[v] for v in lose), tuple(sum(s[v] for v in lose) for s in agg_s))
+        for combo, (agg_w, agg_s) in cut_tables_by_vote_mask(dist).items()
+    }
+
+
 def verify_equilibrium_by_evaluate(profile, posteriors, dist, protocol):
     """Equilibrium verification with pivotality decided by two multilinear
     evaluations per (cell, coalition): the coalition voting 1 against it

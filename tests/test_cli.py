@@ -276,10 +276,12 @@ class TestObjectConfig:
 
 
 class TestIntegerConfigValues:
-    """Integer options read from a config file: a JSON integer or a string of
-    decimal digits; anything else is an input error (exit 2)."""
+    """Integer options read from a config file, and the integers inside its
+    protocol, distribution and effort-model objects: a JSON integer or a
+    string of decimal digits; anything else is an input error (exit 2)."""
 
     SOLVE = {"protocol": "k_majority:2,2", "dist": "independent:0.5"}
+    MIXTURE = {"kind": "common_mixture", "p": "1/2", "q_T": "1/2", "q": "1/2"}
 
     @pytest.mark.parametrize(
         "command, cfg, code",
@@ -296,6 +298,20 @@ class TestIntegerConfigValues:
             ("optimal-k", {"n": 6}, 0),
             ("audit", {"seed": {"a": 1}}, 2),
             ("audit", {"seed": "0.5"}, 2),
+            # inside protocol and distribution objects
+            ("solve", {**SOLVE, "protocol": {"kind": "k_majority", "n": 2.9, "k": True}}, 2),
+            ("solve", {**SOLVE, "protocol": {"kind": "k_majority", "n": 2, "k": 1.0}}, 2),
+            ("solve", {**SOLVE, "protocol": {"kind": "k_majority", "n": "2", "k": "2"}}, 0),
+            ("solve", {**SOLVE, "protocol": {"kind": "leader", "n": 2, "leader": True}}, 2),
+            ("solve", {**SOLVE, "protocol": {"kind": "leader", "n": 2, "leader": "1"}}, 0),
+            ("solve", {**SOLVE, "protocol": {"kind": "custom", "n": 2, "winning": [[1, 2.0]]}}, 2),
+            ("solve", {**SOLVE, "protocol": {"kind": "custom", "n": 2, "winning": [[True]]}}, 2),
+            ("solve", {**SOLVE, "protocol": {"kind": "custom", "n": 2.0, "winning": [[1]]}}, 2),
+            ("solve", {**SOLVE, "protocol": {"kind": "custom", "n": 2, "winning": [["1"], [2]]}}, 0),
+            ("solve", {**SOLVE, "dist": {"kind": "independent", "q": "1/2", "n": 2.5}}, 2),
+            ("solve", {**SOLVE, "dist": {"kind": "independent", "q": "1/2", "n": "2"}}, 0),
+            ("solve", {**SOLVE, "dist": {**MIXTURE, "n": True}}, 2),
+            ("solve", {**SOLVE, "dist": {**MIXTURE, "n": 2}}, 0),
         ],
     )
     def test_integer_config_values(self, tmp_path, capsys, command, cfg, code):
@@ -305,6 +321,25 @@ class TestIntegerConfigValues:
         if code == 2:
             err = capsys.readouterr().err
             assert err.startswith("error:") and len(err.splitlines()) == 1
+            assert "must be an integer" in err
+
+    @pytest.mark.parametrize(
+        "field, value, code",
+        [("n", True, 2), ("n", 2.0, 2), ("n", "2", 0), ("effort", [True, 0], 2), ("effort", [1.0, 0], 2)],
+    )
+    def test_effort_model_integers(self, tmp_path, capsys, field, value, code):
+        model = write_worked_model(tmp_path / "model.json")
+        doc = json.loads(model.read_text())
+        if field == "n":
+            doc["n"] = value
+        else:
+            doc["distributions"][1]["effort"] = value
+        model.write_text(json.dumps(doc))
+        argv = ["gains", "--model", str(model), "--protocol", "k_majority:2,2"]
+        assert main([*argv, "--out", str(tmp_path / "o")]) == code
+        if code == 2:
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "must be an integer" in err
 
 
 class TestSweepAndOptimalK:
@@ -422,6 +457,13 @@ class TestAuditCommand:
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
         assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("steps", [1, 2])
+    def test_audit_coarse_epsilon_grid(self, tmp_path, capsys, steps):
+        # these grids hold no true point; the threshold comes from bisection
+        argv = ["audit", "--claims", "correlation_mixing", "--counts", f"epsilon_grid_steps={steps}"]
+        assert main([*argv, "--out", str(tmp_path / "report.txt")]) == 0
+        assert json.loads(capsys.readouterr().out)["passed"] is True
 
     def test_audit_counts_from_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

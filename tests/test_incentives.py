@@ -292,6 +292,16 @@ class TestEpsilonBar:
         assert dominates(make_consensus(2), make_k_majority(2, 1), above, strict=True)
         assert not dominates(make_consensus(2), make_k_majority(2, 1), base, strict=True)
 
+    @pytest.mark.parametrize("steps", [1, 2])
+    def test_coarse_grid_bisects_to_the_same_threshold(self, steps):
+        # one step scans no grid point, two scan only 1/2, which is false
+        base, top = self.base_and_top()
+        fine = find_epsilon_bar(base, top, make_consensus(2), grid_steps=100)
+        coarse = find_epsilon_bar(base, top, make_consensus(2), grid_steps=steps)
+        assert not any(flag for _, flag in coarse.grid)
+        assert coarse.found and F(1, 2) < coarse.epsilon_bar < F(1)
+        assert abs(coarse.epsilon_bar - fine.epsilon_bar) <= F(1, 10**6)
+
     def test_rejects_unilateral_comparison(self):
         base, top = self.base_and_top()
         with pytest.raises(IncentiveError):

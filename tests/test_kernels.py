@@ -1,4 +1,5 @@
-"""The integer team-rule and concealment kernels against their Fraction twins.
+"""The integer team-rule and concealment kernels against their Fraction twins,
+and the cut search's concealment tables against the per-vote-mask loop.
 
 ``team_rule`` reads votes as integer codes and runs the multilinear sum only
 over mixing members; ``posterior_no_disclosure`` and the effort module's
@@ -12,7 +13,13 @@ from fractions import Fraction
 
 import pytest
 
-from team_disclosure.equilibrium import EquilibriumError, StrategyProfile, TeamRule, team_rule
+from team_disclosure.equilibrium import (
+    EquilibriumError,
+    StrategyProfile,
+    TeamRule,
+    _build_context,
+    team_rule,
+)
 from team_disclosure.incentives import _nd_stats
 from team_disclosure.outcomes import (
     JointDistribution,
@@ -26,6 +33,7 @@ from team_disclosure.protocols import all_protocols, make_k_majority
 from oracles import (
     nd_stats_by_fractions,
     posterior_no_disclosure_by_fractions,
+    search_conceal_by_cells,
     team_rule_by_evaluate,
 )
 
@@ -38,9 +46,10 @@ PROTOCOLS = [
 ]
 
 
-def fractional_space(rng, n):
-    """Grids of distinct values with denominators 1, 2, 3, 7 and 10, some negative."""
-    sizes = (2, 3) if n == 4 else (2, 3, 4)
+def fractional_space(rng, n, sizes=None):
+    """Grids of distinct values with denominators 1, 2, 3, 7 and 10, some
+    negative; each grid's size is drawn from ``sizes``."""
+    sizes = sizes or ((2, 3) if n == 4 else (2, 3, 4))
     grids = []
     for _ in range(n):
         values = set()
@@ -157,3 +166,27 @@ def test_out_of_range_votes_and_rules_keep_their_messages(bad):
     with pytest.raises(EquilibriumError) as err:
         TeamRule(space, tuple(values))
     assert str(err.value) == f"disclosure probability {bad} outside [0,1]"
+
+
+def assert_search_tables_match(dist, protocol):
+    conceal = _build_context(dist, protocol).conceal
+    expected = search_conceal_by_cells(dist, protocol)
+    assert conceal == expected
+    assert list(conceal) == list(expected)
+    return sum(w == 0 for w, _ in conceal.values())
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS, ids=lambda p: p.describe())
+def test_search_tables_match_vote_mask_loop(protocol):
+    rng = random.Random(f"search tables {protocol.describe()}")
+    for _ in range(3):
+        assert_search_tables_match(sparse_dist(rng, fractional_space(rng, protocol.n)), protocol)
+
+
+@pytest.mark.parametrize("size", [4, 5])
+def test_search_tables_at_the_grid_cap(size):
+    rng = random.Random(f"search tables on {size}-value grids")
+    dist = sparse_dist(rng, fractional_space(rng, 4, (size,)))
+    assert 0 in dist.probs
+    zero_mass = sum(assert_search_tables_match(dist, make_k_majority(4, k)) for k in range(1, 5))
+    assert zero_mass > 0
