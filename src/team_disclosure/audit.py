@@ -6,6 +6,15 @@ distributions otherwise. Instance streams are derived deterministically from
 the seed and the claim's name, so reruns and per-claim parallelism reproduce
 byte-identical reports. A failing claim serializes its counterexample; it is
 an audit outcome, never an exception.
+
+A claim is declared once: ``@_claim("description")`` above
+``def _claim_<name>(config, rng, rec)`` registers it in :data:`CLAIMS` under
+``<name>``. The check draws its instances from ``rng``, seeded by the audit
+seed and the claim's name, and records them on ``rec`` (``tick`` per
+instance, ``fail`` per counterexample, ``note`` per remark); a string it
+returns is appended to the description. The decorator assembles the
+:class:`ClaimResult`. Claims run and render in registration order, which is
+also the default ``AuditConfig.claims``.
 """
 from __future__ import annotations
 
@@ -13,7 +22,7 @@ import random
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import binary_env
 from .binary_env import BinaryEnvParams, baseline_params, gain_curve, parse_grid, sweep
@@ -55,26 +64,12 @@ from .rationals import frac_str
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-CLAIM_NAMES = (
-    "equilibrium_existence",
-    "refinement_consistency",
-    "threshold_form",
-    "binary_interior_rule",
-    "protocol_nesting",
-    "correlation_statics",
-    "gain_identity",
-    "effort_type_dominance",
-    "correlation_mixing",
-    "team_leader",
-    "binary_dominance",
-    "optimal_consensus_shapes",
-)
-
 
 @dataclass(frozen=True)
 class AuditConfig:
     seed: int = 0
-    claims: tuple[str, ...] = CLAIM_NAMES
+    # every registered claim, in registration order
+    claims: tuple[str, ...] = field(default_factory=lambda: tuple(CLAIMS))
     existence_dists: int = 12
     refinement_dists: int = 12
     threshold_dists: int = 6
@@ -159,8 +154,33 @@ class _Recorder:
             self.notes.append(message)
 
 
-def _rng_for(config: AuditConfig, claim: str) -> random.Random:
-    return random.Random(f"{config.seed}:{claim}")
+CLAIMS: dict[str, Callable[[AuditConfig], ClaimResult]] = {}
+
+
+def _claim(description: str):
+    """Register ``_claim_<name>(config, rng, rec)`` as the claim ``<name>``,
+    run with its own RNG and a fresh recorder."""
+
+    def register(check: Callable[[AuditConfig, random.Random, _Recorder], str | None]):
+        name = check.__name__.removeprefix("_claim_")
+
+        def run(config: AuditConfig) -> ClaimResult:
+            start = time.perf_counter()
+            rec = _Recorder(config.max_failures)
+            suffix = check(config, random.Random(f"{config.seed}:{name}"), rec) or ""
+            return ClaimResult(
+                name,
+                description + suffix,
+                rec.instances,
+                tuple(rec.failures),
+                tuple(rec.notes),
+                time.perf_counter() - start,
+            )
+
+        CLAIMS[name] = run
+        return check
+
+    return register
 
 
 # ---------------------------------------------------------------------------
@@ -284,142 +304,111 @@ def _describe(dist: JointDistribution) -> str:
     return f"pmf[{cells}]"
 
 
-def _claim_equilibrium_existence(config: AuditConfig) -> ClaimResult:
-    rng = _rng_for(config, "equilibrium_existence")
-    rec = _Recorder(config.max_failures)
+def _protocol_draws(
+    rng: random.Random, count: int, draw: Callable[[random.Random, int], JointDistribution]
+) -> Iterator[tuple[JointDistribution, DeliberationProtocol]]:
+    """(dist, protocol) pairs: for n = 2, then 3, ``count`` distributions
+    drawn by ``draw(rng, n)``, each paired with every n-member protocol."""
     for n in (2, 3):
         protocols = all_protocols(n)
-        for _ in range(config.existence_dists):
-            dist = random_distribution(rng, n)
+        for _ in range(count):
+            dist = draw(rng, n)
             for proto in protocols:
-                rec.tick()
-                eqs = find_equilibria(dist, proto)
-                where = f"{proto.describe()} on {_describe(dist)}"
-                if not any(all(v == ONE for v in e.rule.values) for e in eqs):
-                    rec.fail(f"no always-disclose equilibrium: {where}")
-                partial = [e for e in eqs if e.classification != FULL]
-                if bool(partial) != (not proto.all_unilateral):
-                    rec.fail(f"partial-equilibrium existence mismatch: {where}")
-                if not proto.any_unilateral and any(
-                    e.classification == PARTIAL for e in eqs
-                ):
-                    rec.fail(f"non-interior partial equilibrium found: {where}")
-                if proto.any_unilateral and any(
-                    e.classification == INTERIOR for e in eqs
-                ):
-                    rec.fail(f"interior equilibrium under unilateral power: {where}")
-                if any(not e.verification.ok for e in eqs):
-                    rec.fail(f"returned equilibrium failed verification: {where}")
-    return ClaimResult(
-        "equilibrium_existence",
-        "an always-disclose equilibrium always exists; partial ones exist exactly "
-        "when someone lacks unilateral disclosure power, and are interior exactly "
-        "when nobody has it",
-        rec.instances,
-        tuple(rec.failures),
-        tuple(rec.notes),
-    )
+                yield dist, proto
 
 
-def _claim_refinement_consistency(config: AuditConfig) -> ClaimResult:
-    rng = _rng_for(config, "refinement_consistency")
-    rec = _Recorder(config.max_failures)
-    for n in (2, 3):
-        protocols = all_protocols(n)
-        for _ in range(config.refinement_dists):
-            dist = random_binary_distribution(rng, n)
-            for proto in protocols:
-                rec.tick()
-                predicate = full_disclosure_is_plausible(dist, proto)
-                search = plausible_full_disclosure_by_search(dist, proto)
-                if predicate != search:
-                    rec.fail(
-                        f"consensus predicate={predicate} but belief search={search}: "
-                        f"{proto.describe()} on {_describe(dist)}"
-                    )
-    return ClaimResult(
-        "refinement_consistency",
-        "full disclosure survives the deliberation refinement exactly when "
-        "disclosing needs no more consensus than concealing (predicate vs. "
-        "exhaustive justification search)",
-        rec.instances,
-        tuple(rec.failures),
-        tuple(rec.notes),
-    )
+@_claim(
+    "an always-disclose equilibrium always exists; partial ones exist exactly "
+    "when someone lacks unilateral disclosure power, and are interior exactly "
+    "when nobody has it"
+)
+def _claim_equilibrium_existence(config: AuditConfig, rng: random.Random, rec: _Recorder) -> None:
+    for dist, proto in _protocol_draws(rng, config.existence_dists, random_distribution):
+        rec.tick()
+        eqs = find_equilibria(dist, proto)
+        where = f"{proto.describe()} on {_describe(dist)}"
+        if not any(all(v == ONE for v in e.rule.values) for e in eqs):
+            rec.fail(f"no always-disclose equilibrium: {where}")
+        partial = [e for e in eqs if e.classification != FULL]
+        if bool(partial) != (not proto.all_unilateral):
+            rec.fail(f"partial-equilibrium existence mismatch: {where}")
+        if not proto.any_unilateral and any(e.classification == PARTIAL for e in eqs):
+            rec.fail(f"non-interior partial equilibrium found: {where}")
+        if proto.any_unilateral and any(e.classification == INTERIOR for e in eqs):
+            rec.fail(f"interior equilibrium under unilateral power: {where}")
+        if any(not e.verification.ok for e in eqs):
+            rec.fail(f"returned equilibrium failed verification: {where}")
 
 
-def _claim_threshold_form(config: AuditConfig) -> ClaimResult:
-    rng = _rng_for(config, "threshold_form")
-    rec = _Recorder(config.max_failures)
-    for n in (2, 3):
-        protocols = all_protocols(n)
-        for _ in range(config.threshold_dists):
-            dist = random_distribution(rng, n)
-            for proto in protocols:
-                for eq in find_equilibria(dist, proto):
-                    rec.tick()
-                    for i, grid in enumerate(dist.space.grids):
-                        for pos, value in enumerate(grid):
-                            vote = eq.profile.values[i][pos]
-                            if value > eq.posteriors[i] and vote != ONE:
-                                rec.fail(
-                                    f"vote below 1 above the posterior: member {i+1} "
-                                    f"at {value} vs {eq.posteriors[i]} under {proto.describe()}"
-                                )
-                            if value < eq.posteriors[i] and vote != ZERO:
-                                rec.fail(
-                                    f"vote above 0 below the posterior: member {i+1} "
-                                    f"at {value} vs {eq.posteriors[i]} under {proto.describe()}"
-                                )
-    return ClaimResult(
-        "threshold_form",
-        "every returned equilibrium is in threshold form: vote to disclose "
-        "strictly above your no-disclosure posterior, conceal strictly below",
-        rec.instances,
-        tuple(rec.failures),
-        tuple(rec.notes),
-    )
+@_claim(
+    "full disclosure survives the deliberation refinement exactly when "
+    "disclosing needs no more consensus than concealing (predicate vs. "
+    "exhaustive justification search)"
+)
+def _claim_refinement_consistency(config: AuditConfig, rng: random.Random, rec: _Recorder) -> None:
+    for dist, proto in _protocol_draws(rng, config.refinement_dists, random_binary_distribution):
+        rec.tick()
+        predicate = full_disclosure_is_plausible(dist, proto)
+        search = plausible_full_disclosure_by_search(dist, proto)
+        if predicate != search:
+            rec.fail(
+                f"consensus predicate={predicate} but belief search={search}: "
+                f"{proto.describe()} on {_describe(dist)}"
+            )
 
 
-def _claim_binary_interior_rule(config: AuditConfig) -> ClaimResult:
-    rng = _rng_for(config, "binary_interior_rule")
-    rec = _Recorder(config.max_failures)
-    for n in (2, 3):
-        protocols = all_protocols(n)
-        for _ in range(config.interior_dists):
-            dist = random_binary_distribution(rng, n)
-            space = dist.space
-            for proto in protocols:
-                expected = tuple(
-                    ONE
-                    if proto.is_winning(
-                        [i + 1 for i in range(n) if cell[i] == space.grids[i][1]]
-                    )
-                    else ZERO
-                    for cell in space.cells
-                )
-                for eq in find_equilibria(dist, proto):
-                    if eq.classification != INTERIOR:
-                        continue
-                    rec.tick()
-                    if eq.rule.values != expected:
+@_claim(
+    "every returned equilibrium is in threshold form: vote to disclose "
+    "strictly above your no-disclosure posterior, conceal strictly below"
+)
+def _claim_threshold_form(config: AuditConfig, rng: random.Random, rec: _Recorder) -> None:
+    for dist, proto in _protocol_draws(rng, config.threshold_dists, random_distribution):
+        for eq in find_equilibria(dist, proto):
+            rec.tick()
+            for i, grid in enumerate(dist.space.grids):
+                for pos, value in enumerate(grid):
+                    vote = eq.profile.values[i][pos]
+                    if value > eq.posteriors[i] and vote != ONE:
                         rec.fail(
-                            f"interior rule differs from the high-set vote: "
-                            f"{proto.describe()} on {_describe(dist)}"
+                            f"vote below 1 above the posterior: member {i+1} "
+                            f"at {value} vs {eq.posteriors[i]} under {proto.describe()}"
                         )
-    return ClaimResult(
-        "binary_interior_rule",
-        "with binary outcomes, every interior equilibrium's team rule is the "
-        "protocol applied to who drew high",
-        rec.instances,
-        tuple(rec.failures),
-        tuple(rec.notes),
-    )
+                    if value < eq.posteriors[i] and vote != ZERO:
+                        rec.fail(
+                            f"vote above 0 below the posterior: member {i+1} "
+                            f"at {value} vs {eq.posteriors[i]} under {proto.describe()}"
+                        )
 
 
-def _claim_protocol_nesting(config: AuditConfig) -> ClaimResult:
-    rng = _rng_for(config, "protocol_nesting")
-    rec = _Recorder(config.max_failures)
+@_claim(
+    "with binary outcomes, every interior equilibrium's team rule is the "
+    "protocol applied to who drew high"
+)
+def _claim_binary_interior_rule(config: AuditConfig, rng: random.Random, rec: _Recorder) -> None:
+    for dist, proto in _protocol_draws(rng, config.interior_dists, random_binary_distribution):
+        space = dist.space
+        expected = tuple(
+            ONE
+            if proto.is_winning([i + 1 for i in range(proto.n) if cell[i] == space.grids[i][1]])
+            else ZERO
+            for cell in space.cells
+        )
+        for eq in find_equilibria(dist, proto):
+            if eq.classification != INTERIOR:
+                continue
+            rec.tick()
+            if eq.rule.values != expected:
+                rec.fail(
+                    f"interior rule differs from the high-set vote: "
+                    f"{proto.describe()} on {_describe(dist)}"
+                )
+
+
+@_claim(
+    "widening the winning coalitions lets every equilibrium rule be matched "
+    "by one that discloses weakly more"
+)
+def _claim_protocol_nesting(config: AuditConfig, rng: random.Random, rec: _Recorder) -> None:
     for _ in range(config.nesting_cases):
         n = rng.choice((2, 3))
         small = random_protocol(rng, n)
@@ -438,19 +427,13 @@ def _claim_protocol_nesting(config: AuditConfig) -> ClaimResult:
                     f"no pointwise-larger equilibrium rule: {small.describe()} -> "
                     f"{big.describe()} on {_describe(dist)}"
                 )
-    return ClaimResult(
-        "protocol_nesting",
-        "widening the winning coalitions lets every equilibrium rule be matched "
-        "by one that discloses weakly more",
-        rec.instances,
-        tuple(rec.failures),
-        tuple(rec.notes),
-    )
 
 
-def _claim_correlation_statics(config: AuditConfig) -> ClaimResult:
-    rng = _rng_for(config, "correlation_statics")
-    rec = _Recorder(config.max_failures)
+@_claim(
+    "more outcome correlation keeps the interior rule and raises both the "
+    "chance of disclosing a high outcome and of concealing a low one"
+)
+def _claim_correlation_statics(config: AuditConfig, rng: random.Random, rec: _Recorder) -> None:
     for _ in range(config.statics_cases):
         n = rng.choice((2, 3))
         q = _fraction(rng, 20, 80)
@@ -495,19 +478,13 @@ def _claim_correlation_statics(config: AuditConfig) -> ClaimResult:
                         f"correlation statics violated for member {i+1}: {proto.describe()} "
                         f"(p={p_lo}->{p_hi}, q={q})"
                     )
-    return ClaimResult(
-        "correlation_statics",
-        "more outcome correlation keeps the interior rule and raises both the "
-        "chance of disclosing a high outcome and of concealing a low one",
-        rec.instances,
-        tuple(rec.failures),
-        tuple(rec.notes),
-    )
 
 
-def _claim_gain_identity(config: AuditConfig) -> ClaimResult:
-    rng = _rng_for(config, "gain_identity")
-    rec = _Recorder(config.max_failures)
+@_claim(
+    "the direct and covariance forms of the effort gain agree exactly, and "
+    "both equal the enumerated payoff difference"
+)
+def _claim_gain_identity(config: AuditConfig, rng: random.Random, rec: _Recorder) -> None:
     builders = [self_improving_model, team_improving_model, mixed_effect_model]
     for case in range(config.identity_cases):
         n = rng.choice((2, 3))
@@ -524,20 +501,14 @@ def _claim_gain_identity(config: AuditConfig) -> ClaimResult:
                     f"gain forms disagree for member {i}: direct={g} covariance={g_cov} "
                     f"enumerated={g_enum}"
                 )
-    return ClaimResult(
-        "gain_identity",
-        "the direct and covariance forms of the effort gain agree exactly, and "
-        "both equal the enumerated payoff difference",
-        rec.instances,
-        tuple(rec.failures),
-        tuple(rec.notes),
-    )
 
 
-def _claim_effort_type_dominance(config: AuditConfig) -> ClaimResult:
-    rng = _rng_for(config, "effort_type_dominance")
-    rec = _Recorder(config.max_failures)
-
+@_claim(
+    "self-improving effort makes unilateral disclosure dominant; "
+    "team-improving effort makes consensual disclosure strictly better than "
+    "unilateral and undominated by any protocol with unilateral power"
+)
+def _claim_effort_type_dominance(config: AuditConfig, rng: random.Random, rec: _Recorder) -> None:
     # exact worked instance: own high chance stays 3/5, the partner's falls to
     # 1/2 when a member shirks; consensual beats unilateral by exactly 3/80
     def worked(e: tuple[int, ...]) -> JointDistribution:
@@ -592,19 +563,13 @@ def _claim_effort_type_dominance(config: AuditConfig) -> ClaimResult:
             rec.fail(
                 f"{with_unilateral.describe()} dominates consensual despite team-improving effort"
             )
-    return ClaimResult(
-        "effort_type_dominance",
-        "self-improving effort makes unilateral disclosure dominant; "
-        "team-improving effort makes consensual disclosure strictly better than "
-        "unilateral and undominated by any protocol with unilateral power",
-        rec.instances,
-        tuple(rec.failures),
-        tuple(rec.notes),
-    )
 
 
-def _claim_correlation_mixing(config: AuditConfig) -> ClaimResult:
-    rec = _Recorder(config.max_failures)
+@_claim(
+    "mixing enough weight onto the perfectly correlated distribution makes "
+    "the consensual protocol strictly dominate unilateral disclosure"
+)
+def _claim_correlation_mixing(config: AuditConfig, rng: random.Random, rec: _Recorder) -> str | None:
     base = EffortModel.build(
         2,
         lambda e: binary_independent(
@@ -622,14 +587,7 @@ def _claim_correlation_mixing(config: AuditConfig) -> ClaimResult:
     result = find_epsilon_bar(base, top, cons, grid_steps=config.epsilon_grid_steps)
     if not result.found or result.epsilon_bar is None or not result.epsilon_bar < ONE:
         rec.fail("no mixing threshold found below 1")
-        return ClaimResult(
-            "correlation_mixing",
-            "mixing enough weight onto the perfectly correlated distribution makes "
-            "the consensual protocol strictly dominate unilateral disclosure",
-            rec.instances,
-            tuple(rec.failures),
-            tuple(rec.notes),
-        )
+        return None
     if not result.monotone_on_grid:
         rec.note("dominance indicator is not monotone on the scanned grid")
     eps = result.epsilon_bar + Fraction(1, 100)
@@ -642,15 +600,7 @@ def _claim_correlation_mixing(config: AuditConfig) -> ClaimResult:
     rec.tick()
     if dominates(cons, uni, base, strict=True):
         rec.fail("strict dominance should fail with no mixing (self-improving base)")
-    return ClaimResult(
-        "correlation_mixing",
-        "mixing enough weight onto the perfectly correlated distribution makes "
-        "the consensual protocol strictly dominate unilateral disclosure "
-        f"(threshold {frac_str(result.epsilon_bar)})",
-        rec.instances,
-        tuple(rec.failures),
-        tuple(rec.notes),
-    )
+    return f" (threshold {frac_str(result.epsilon_bar)})"
 
 
 def _leader_model() -> EffortModel:
@@ -676,9 +626,12 @@ def _leader_model() -> EffortModel:
     return EffortModel.build(2, dist, ["1/100", "1/100"])
 
 
-def _claim_team_leader(config: AuditConfig) -> ClaimResult:
-    rng = _rng_for(config, "team_leader")
-    rec = _Recorder(config.max_failures)
+@_claim(
+    "a member whose partners' effort tightens the link to their failures is "
+    "an effective leader: their leader protocol strictly dominates "
+    "unilateral disclosure; independent models have no such leader"
+)
+def _claim_team_leader(config: AuditConfig, rng: random.Random, rec: _Recorder) -> None:
     model = _leader_model()
     rec.tick()
     if not effective_team_leader(model, 1):
@@ -696,20 +649,15 @@ def _claim_team_leader(config: AuditConfig) -> ClaimResult:
         m_team = team_improving_model(rng, n)
         if any(effective_team_leader(m_team, i) for i in range(1, n + 1)):
             rec.fail("independent team-improving model has no effective leader but one was reported")
-    return ClaimResult(
-        "team_leader",
-        "a member whose partners' effort tightens the link to their failures is "
-        "an effective leader: their leader protocol strictly dominates "
-        "unilateral disclosure; independent models have no such leader",
-        rec.instances,
-        tuple(rec.failures),
-        tuple(rec.notes),
-    )
 
 
-def _claim_binary_dominance(config: AuditConfig) -> ClaimResult:
-    rng = _rng_for(config, "binary_dominance")
-    rec = _Recorder(config.max_failures)
+@_claim(
+    "in the symmetric binary environment, partner- and correlation-lifting "
+    "effort favors every consensus level over unilateral disclosure, while "
+    "own- and common-lifting effort favors unilateral; conceal-mean "
+    "monotonicities hold"
+)
+def _claim_binary_dominance(config: AuditConfig, rng: random.Random, rec: _Recorder) -> None:
     for _ in range(config.binary_draws):
         n = rng.randint(2, 6)
         p = _fraction(rng, 10, 90)
@@ -759,16 +707,6 @@ def _claim_binary_dominance(config: AuditConfig) -> ClaimResult:
             rec.fail(f"conceal-mean not increasing in the own high chance (n={n}, k={k})")
         if not binary_env.cond_mean_nd(replace(base, q_team=qt + h), k) >= mean:
             rec.fail(f"conceal-mean not increasing in the common high chance (n={n}, k={k})")
-    return ClaimResult(
-        "binary_dominance",
-        "in the symmetric binary environment, partner- and correlation-lifting "
-        "effort favors every consensus level over unilateral disclosure, while "
-        "own- and common-lifting effort favors unilateral; conceal-mean "
-        "monotonicities hold",
-        rec.instances,
-        tuple(rec.failures),
-        tuple(rec.notes),
-    )
 
 
 def _nonincreasing(seq: Sequence[int]) -> bool:
@@ -805,8 +743,11 @@ def panel_sweep(panel: str, n: int = 10, grid: Sequence[Fraction] | None = None)
     return sweep(full, dev, axis, values)
 
 
-def _claim_optimal_consensus_shapes(config: AuditConfig) -> ClaimResult:
-    rec = _Recorder(config.max_failures)
+@_claim(
+    "the optimal consensus level rises then falls in the partners' deviation "
+    "chance and falls along the other three panel sweeps"
+)
+def _claim_optimal_consensus_shapes(config: AuditConfig, rng: random.Random, rec: _Recorder) -> None:
     n = config.sweep_members
     shapes: dict[str, Callable[[Sequence[int]], bool]] = {
         "a": _rises_then_falls,
@@ -827,30 +768,6 @@ def _claim_optimal_consensus_shapes(config: AuditConfig) -> ClaimResult:
         rec.note(
             f"panel {panel}: K* from {trace[0]} to {trace[-1]} over {len(trace)} grid points"
         )
-    return ClaimResult(
-        "optimal_consensus_shapes",
-        "the optimal consensus level rises then falls in the partners' deviation "
-        "chance and falls along the other three panel sweeps",
-        rec.instances,
-        tuple(rec.failures),
-        tuple(rec.notes),
-    )
-
-
-CLAIMS: dict[str, Callable[[AuditConfig], ClaimResult]] = {
-    "equilibrium_existence": _claim_equilibrium_existence,
-    "refinement_consistency": _claim_refinement_consistency,
-    "threshold_form": _claim_threshold_form,
-    "binary_interior_rule": _claim_binary_interior_rule,
-    "protocol_nesting": _claim_protocol_nesting,
-    "correlation_statics": _claim_correlation_statics,
-    "gain_identity": _claim_gain_identity,
-    "effort_type_dominance": _claim_effort_type_dominance,
-    "correlation_mixing": _claim_correlation_mixing,
-    "team_leader": _claim_team_leader,
-    "binary_dominance": _claim_binary_dominance,
-    "optimal_consensus_shapes": _claim_optimal_consensus_shapes,
-}
 
 
 def run_audit(config: AuditConfig | None = None) -> AuditReport:
@@ -858,9 +775,4 @@ def run_audit(config: AuditConfig | None = None) -> AuditReport:
     unknown = [c for c in config.claims if c not in CLAIMS]
     if unknown:
         raise ValueError(f"unknown claims: {unknown}")
-    results = []
-    for name in config.claims:
-        start = time.perf_counter()
-        result = CLAIMS[name](config)
-        results.append(replace(result, seconds=time.perf_counter() - start))
-    return AuditReport(config, tuple(results))
+    return AuditReport(config, tuple(CLAIMS[name](config) for name in config.claims))

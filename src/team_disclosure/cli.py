@@ -2,7 +2,8 @@
 
 Commands: solve, verify, refine, gains, dominance, optimal-k, sweep, audit.
 Options may come from flags or a JSON config file (--config); flags win on
-conflict. Outputs are written atomically and a machine-readable summary goes
+conflict, and a config key that the command does not read is an input error.
+Outputs are written atomically and a machine-readable summary goes
 to stdout. Exit status: 0 success, 1 failed audit claims, 2 input or parse
 errors, 3 exhausted search caps.
 """
@@ -16,7 +17,7 @@ import tempfile
 from dataclasses import fields, replace
 from pathlib import Path
 
-from .audit import CLAIM_NAMES, PANEL_GRIDS, AuditConfig, panel_sweep, run_audit
+from .audit import PANEL_GRIDS, AuditConfig, panel_sweep, run_audit
 from .binary_env import (
     MAX_SWEEP_MEMBERS,
     BinaryEnvParams,
@@ -27,6 +28,7 @@ from .binary_env import (
 )
 from .configio import (
     ConfigError,
+    config_bool,
     config_int,
     distribution_to_config,
     effort_model_from_config,
@@ -95,13 +97,19 @@ def _deliver(text: str, out: str | None, summary: dict) -> None:
     _emit(summary)
 
 
-def _load_config_file(path: str | None) -> dict:
-    if not path:
+def _load_config_file(args: argparse.Namespace, *extra_keys: str) -> dict:
+    """The --config object. Its keys are the command's options, hyphenated
+    (not --config or --out), plus ``extra_keys``; any other key is an error."""
+    if not args.config:
         return {}
-    with open(path) as handle:
+    with open(args.config) as handle:
         data = json.load(handle)
     if not isinstance(data, dict):
         raise ConfigError("config file must hold a JSON object")
+    allowed = {key.replace("_", "-") for key in vars(args)} - {"command", "config", "out"}
+    unknown = sorted(set(data) - allowed - set(extra_keys))
+    if unknown:
+        raise ConfigError(f"unknown config keys: {unknown}")
     return data
 
 
@@ -130,6 +138,11 @@ def _merged_int(args: argparse.Namespace, file_cfg: dict, key: str, default: int
     return config_int(_merged(args, file_cfg, key, default), key)
 
 
+def _merged_bool(args: argparse.Namespace, file_cfg: dict, key: str) -> bool:
+    """A boolean option: a flag or a JSON boolean in the config file, else False."""
+    return config_bool(_merged(args, file_cfg, key, False), key)
+
+
 def _sweep_members(args: argparse.Namespace, file_cfg: dict) -> int:
     """The member count of `optimal-k` and `sweep`, at most MAX_SWEEP_MEMBERS."""
     n = _merged_int(args, file_cfg, "n", 10)
@@ -144,14 +157,14 @@ def _sweep_members(args: argparse.Namespace, file_cfg: dict) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace, refine: bool = False) -> int:
-    cfg = _load_config_file(args.config)
+    cfg = _load_config_file(args)
     proto_spec = _merged(args, cfg, "protocol")
     dist_spec = _merged(args, cfg, "dist")
     if proto_spec is None or dist_spec is None:
         raise ConfigError("solve needs --protocol and --dist")
     protocol = load_protocol(proto_spec)
     dist = load_distribution(dist_spec, protocol.n)
-    refine = refine or bool(_merged(args, cfg, "refine", False))
+    refine = refine or _merged_bool(args, cfg, "refine")
     max_members = _merged_int(args, cfg, "max-members", DEFAULT_MAX_MEMBERS)
     max_grid = _merged_int(args, cfg, "max-grid", DEFAULT_MAX_GRID)
     eqs, notes = find_equilibria_report(dist, protocol, max_members, max_grid)
@@ -182,7 +195,7 @@ def _cmd_solve(args: argparse.Namespace, refine: bool = False) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    cfg = _load_config_file(args.config)
+    cfg = _load_config_file(args)
     proto_spec = _merged(args, cfg, "protocol")
     dist_spec = _merged(args, cfg, "dist")
     eq_path = _merged_path(args, cfg, "equilibrium")
@@ -218,7 +231,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_gains(args: argparse.Namespace) -> int:
-    cfg = _load_config_file(args.config)
+    cfg = _load_config_file(args)
     model_path = _merged_path(args, cfg, "model")
     proto_spec = _merged(args, cfg, "protocol")
     if model_path is None or proto_spec is None:
@@ -226,7 +239,7 @@ def _cmd_gains(args: argparse.Namespace) -> int:
     with open(model_path) as handle:
         model = effort_model_from_config(json.load(handle))
     protocol = load_protocol(proto_spec)
-    refine = bool(_merged(args, cfg, "refine", False))
+    refine = _merged_bool(args, cfg, "refine")
     corners = protocol_full_effort_corners(protocol, model, refine)
     doc = {
         "protocol": protocol_to_config(protocol),
@@ -250,7 +263,7 @@ def _cmd_gains(args: argparse.Namespace) -> int:
 
 
 def _cmd_dominance(args: argparse.Namespace) -> int:
-    cfg = _load_config_file(args.config)
+    cfg = _load_config_file(args)
     model_path = _merged_path(args, cfg, "model")
     spec_a = _merged(args, cfg, "protocol-a")
     spec_b = _merged(args, cfg, "protocol-b")
@@ -260,7 +273,7 @@ def _cmd_dominance(args: argparse.Namespace) -> int:
         model = effort_model_from_config(json.load(handle))
     protocol_a = load_protocol(spec_a)
     protocol_b = load_protocol(spec_b)
-    refine = bool(_merged(args, cfg, "refine", False))
+    refine = _merged_bool(args, cfg, "refine")
     report = dominance_report(protocol_a, protocol_b, model, refine)
     doc = {
         "protocol_a": protocol_to_config(protocol_a),
@@ -297,7 +310,7 @@ def _params_from(cfg: dict, key: str, n: int, fallback: BinaryEnvParams) -> Bina
 
 
 def _cmd_optimal_k(args: argparse.Namespace) -> int:
-    cfg = _load_config_file(args.config)
+    cfg = _load_config_file(args, "full", "deviation")
     n = _sweep_members(args, cfg)
     base_full, base_dev = baseline_params(n)
     full = _params_from(cfg, "full", n, base_full)
@@ -314,7 +327,7 @@ def _cmd_optimal_k(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = _load_config_file(args.config)
+    cfg = _load_config_file(args)
     panel = _merged(args, cfg, "panel")
     if panel not in PANEL_GRIDS:
         raise ConfigError(f"panel must be one of {sorted(PANEL_GRIDS)}")
@@ -351,7 +364,7 @@ def _audit_counts(text: str) -> dict[str, int]:
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
-    cfg = _load_config_file(args.config)
+    cfg = _load_config_file(args)
     seed = _merged_int(args, cfg, "seed", 0)
     claims_arg = _merged(args, cfg, "claims")
     counts_arg = _merged(args, cfg, "counts")
@@ -359,9 +372,6 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     config = AuditConfig(seed=seed)
     if claims_arg:
         names = tuple(c.strip() for c in str(claims_arg).split(",") if c.strip())
-        unknown = [c for c in names if c not in CLAIM_NAMES]
-        if unknown:
-            raise ConfigError(f"unknown claims: {unknown}")
         config = replace(config, claims=names)
     config = replace(config, **overrides)
     report = run_audit(config)

@@ -53,6 +53,14 @@ def config_int(value: Any, key: str) -> int:
     raise ConfigError(f"{key} must be an integer, got {json.dumps(value, default=str)}")
 
 
+def config_bool(value: Any, key: str) -> bool:
+    """A boolean config value: a JSON true or false; anything else (a string,
+    a number, null) is a ConfigError."""
+    if isinstance(value, bool):
+        return value
+    raise ConfigError(f"{key} must be true or false, got {json.dumps(value, default=str)}")
+
+
 # ---------------------------------------------------------------------------
 # Protocols
 # ---------------------------------------------------------------------------

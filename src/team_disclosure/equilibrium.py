@@ -536,12 +536,13 @@ def _interval_intersect(
 
 
 def _pick_from_interval(bounds: tuple[Fraction, Fraction, bool, bool]) -> Fraction:
+    """The preferred weight in a nonempty interval of [0, 1]: the first of
+    ``FREE_WEIGHT_CANDIDATES`` inside it, else the simplest rational inside."""
     lo, hi, lo_open, hi_open = bounds
-    if (lo < ZERO or (lo == ZERO and not lo_open)) and (hi > ZERO or (hi == ZERO and not hi_open)):
-        return ZERO
-    if (lo < ONE or (lo == ONE and not lo_open)) and (hi > ONE or (hi == ONE and not hi_open)):
-        return ONE
-    return (lo + hi) / 2
+    for m in FREE_WEIGHT_CANDIDATES:
+        if (lo < m or (lo == m and not lo_open)) and (m < hi or (m == hi and not hi_open)):
+            return m
+    return lo if lo == hi else _simplest_between(lo, hi)
 
 
 def _corner_combo(
@@ -1251,14 +1252,14 @@ def _concealment_scan(
             yield mass, sums, concealed
 
 
-def _pure_rows(space: OutcomeSpace, cap: int) -> list[range]:
+def _pure_rows(space: OutcomeSpace) -> list[range]:
     """Every member's deterministic rows for :func:`_concealment_scan`, once
-    their profile count is checked against ``cap``."""
+    their profile count is checked against ``DEFAULT_PROFILE_CAP``."""
     sizes = [len(g) for g in space.grids]
     total = 1 << sum(sizes)
-    if total > cap:
+    if total > DEFAULT_PROFILE_CAP:
         raise SearchCapExceeded(
-            f"{total} deterministic profiles exceed the cap of {cap}"
+            f"{total} deterministic profiles exceed the cap of {DEFAULT_PROFILE_CAP}"
         )
     return [range(1 << size) for size in sizes]
 
@@ -1278,7 +1279,6 @@ def consistent_with_deliberation(
     posteriors: Sequence[Rational],
     dist: JointDistribution,
     protocol: DeliberationProtocol,
-    profile_cap: int = DEFAULT_PROFILE_CAP,
 ) -> bool:
     """Whether some deterministic own-outcome profile conceals with positive
     probability and Bayes-updates to exactly the given posteriors.
@@ -1294,7 +1294,7 @@ def consistent_with_deliberation(
         raise EquilibriumError("posterior vector has wrong length")
     scales = dist._scaled.scales
     goal = [t * s for t, s in zip(target, scales)]
-    rows = _pure_rows(space, profile_cap)
+    rows = _pure_rows(space)
     for bits, (mass, sums, _) in zip(product(*rows), _concealment_scan(dist, protocol, rows)):
         if mass and all(s * g.denominator == g.numerator * mass for s, g in zip(sums, goal)):
             rule = team_rule(_pure_profile(space, bits), protocol)
@@ -1321,7 +1321,6 @@ def full_disclosure_is_plausible(
 def plausible_full_disclosure_by_search(
     dist: JointDistribution,
     protocol: DeliberationProtocol,
-    profile_cap: int = DEFAULT_PROFILE_CAP,
 ) -> bool:
     """Brute-force twin of :func:`full_disclosure_is_plausible`.
 
@@ -1346,7 +1345,7 @@ def plausible_full_disclosure_by_search(
         if not protocol.wins(full_mask ^ mask)
     ]
     floors = [g[0] for g in dist._scaled.grid_ints]
-    rows = _pure_rows(space, profile_cap)
+    rows = _pure_rows(space)
     for bits, (mass, sums, concealed) in zip(product(*rows), _concealment_scan(dist, protocol, rows)):
         if not mass:
             continue

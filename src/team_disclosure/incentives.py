@@ -18,8 +18,6 @@ from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from .equilibrium import (
-    DEFAULT_MAX_GRID,
-    DEFAULT_MAX_MEMBERS,
     StrategyProfile,
     TeamRule,
     _verify,
@@ -238,8 +236,6 @@ def protocol_full_effort_corners(
     protocol: DeliberationProtocol,
     model: EffortModel,
     refine: bool = False,
-    max_members: int = DEFAULT_MAX_MEMBERS,
-    max_grid: int = DEFAULT_MAX_GRID,
 ) -> tuple[GainVector, ...]:
     """Gain vectors of every equilibrium rule at the full-effort distribution.
 
@@ -249,7 +245,7 @@ def protocol_full_effort_corners(
     """
     full = model.dist_of(model.full_effort)
     corners = []
-    for eq in find_equilibria(full, protocol, max_members, max_grid):
+    for eq in find_equilibria(full, protocol):
         if refine and eq.off_path and not full_disclosure_is_plausible(full, protocol):
             continue
         gains = tuple(

@@ -75,10 +75,6 @@ class OutcomeSpace:
     def min_vector(self) -> tuple[Fraction, ...]:
         return tuple(g[0] for g in self.grids)
 
-    @property
-    def max_vector(self) -> tuple[Fraction, ...]:
-        return tuple(g[-1] for g in self.grids)
-
     def is_binary(self) -> bool:
         return all(len(g) == 2 for g in self.grids)
 

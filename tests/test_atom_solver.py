@@ -147,6 +147,23 @@ class TestHandBuiltTables:
         assert weights is not None and solver.feasible(weights)
         assert weights[0] == F(1, 3) and F(1, 4) < weights[2] < F(3, 4)
 
+    @pytest.mark.parametrize(
+        "lower, upper, pick",
+        [(F(3, 10), F(9, 10), F(1, 2)), (F(3, 10), F(34, 100), F(1, 3))],
+    )
+    def test_free_weight_in_an_interior_interval(self, lower, upper, pick):
+        # the gap member needs 2 < S_1/W < 10 with S_1 linear in the one atom
+        # weight, so the weight is free in (lower, upper); neither 0 nor 1 is
+        # feasible, so the pick is the first candidate inside, else the
+        # simplest rational inside
+        slope = 24 / (upper - lower)
+        s0 = 6 - lower * slope
+        grids = ((0, 1), (2, 10))
+        config = (("atom", 0), ("gap", 1))
+        solver = hand_built(grids, config, [(3, (0, s0)), (3, (0, s0 + slope))])
+        assert solver.solve() == {0: pick}
+        assert solver.ctx.notes == []
+
     @pytest.mark.parametrize("offset, noted", [(7, True), (3, False)])
     def test_irrational_only_solution(self, offset, noted):
         # m1 = m2 = m0 and 2*m1*m2 = 1: the only solution is 1/sqrt(2), about

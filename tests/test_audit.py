@@ -5,13 +5,16 @@ from pathlib import Path
 
 import pytest
 
+from team_disclosure import audit
 from team_disclosure.audit import (
+    CLAIMS,
     AuditConfig,
     panel_sweep,
     random_distribution,
     random_protocol,
     run_audit,
 )
+from team_disclosure.cli import main
 from team_disclosure.protocols import ProtocolError, make_protocol
 
 import random
@@ -31,6 +34,9 @@ SMALL = AuditConfig(
     binary_draws=10,
     sweep_members=6,
 )
+
+# SHA-256 of the report `audit --seed 0 --out FILE` writes
+AUDIT_SEED_0_SHA256 = "1be81e1c64267b3ed05e4f180f67222f7e2e695a4427503aa9f0cd9d5b41e4db"
 
 
 class TestAudit:
@@ -54,6 +60,23 @@ class TestAudit:
     def test_unknown_claim_rejected(self):
         with pytest.raises(ValueError):
             run_audit(replace(SMALL, claims=("not_a_claim",)))
+
+    def test_default_report_matches_recorded_bytes(self, tmp_path, capsys):
+        out = tmp_path / "audit.txt"
+        assert main(["audit", "--seed", "0", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == AUDIT_SEED_0_SHA256
+
+    def test_registry_lists_each_claim_once_in_report_order(self):
+        checks = sorted(
+            (f for name, f in vars(audit).items() if name.startswith("_claim_")),
+            key=lambda f: f.__code__.co_firstlineno,
+        )
+        names = [f.__name__.removeprefix("_claim_") for f in checks]
+        assert len(names) == len(set(names)) == 12
+        assert list(CLAIMS) == names
+        assert AuditConfig().claims == tuple(names)
+        assert [r.name for r in run_audit(SMALL).results] == names
 
     def test_render_contains_verdict(self):
         text = run_audit(replace(SMALL, claims=("threshold_form",))).render()

@@ -342,6 +342,64 @@ class TestIntegerConfigValues:
             assert err.startswith("error:") and "must be an integer" in err
 
 
+class TestStrictConfigFile:
+    """A config file holds only keys that the command reads, and `refine`
+    there is a JSON boolean; anything else is one error line and exit 2."""
+
+    @staticmethod
+    def run(tmp_path, capsys, argv, cfg):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "out.json"
+        code = main(argv + ["--config", str(cfg_path), "--out", str(out)])
+        captured = capsys.readouterr()
+        if code == 2:
+            assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
+            return code, captured.err
+        return code, (out.read_bytes(), json.loads(captured.out))
+
+    @pytest.mark.parametrize("command", ["solve", "gains", "dominance"])
+    def test_refine_is_a_json_boolean(self, tmp_path, capsys, command):
+        argv, cfg = _config_command(command, tmp_path)
+        for value in ["false", "true", 0, 1, None, []]:
+            code, err = self.run(tmp_path, capsys, argv, {**cfg, "refine": value})
+            assert code == 2 and "refine must be true or false" in err, value
+        # true and false behave as the flag given and not given
+        for value, flag in [(False, []), (True, ["--refine"])]:
+            code, from_file = self.run(tmp_path, capsys, argv, {**cfg, "refine": value})
+            assert code == 0
+            assert from_file == self.run(tmp_path, capsys, argv + flag, cfg)[1]
+            if command == "solve":
+                assert from_file[1]["command"] == ("refine" if value else "solve")
+
+    @pytest.mark.parametrize(
+        "command, typo",
+        [
+            ("solve", {"refnie": True, "max-membres": 9}),
+            ("solve", {"max_members": 4}),
+            ("solve", {"out": "elsewhere.json"}),
+            ("refine", {"refine": True}),
+            ("verify", {"posteriors": ["1/3", "1/3"]}),
+            ("gains", {"protocl": "k_majority:2,1"}),
+            ("dominance", {"protocol_a": "k_majority:2,1"}),
+            ("optimal-k", {"fulll": {"p": "1/2"}}),
+            ("sweep", {"gird": "0.1:0.2:0.05"}),
+            ("audit", {"claim": "gain_identity"}),
+        ],
+    )
+    def test_unknown_key_rejected(self, tmp_path, capsys, command, typo):
+        if command == "optimal-k":
+            # `full` and `deviation` are read from the file alone
+            argv, cfg = [command], {"full": {"p": "1/2"}, "deviation": {"q_other": "1/5"}}
+        elif command in ("sweep", "audit"):
+            argv, cfg = [command], {"n": 3, "panel": "a"} if command == "sweep" else {}
+        else:
+            argv, cfg = _config_command(command, tmp_path)
+        code, err = self.run(tmp_path, capsys, argv, {**cfg, **typo})
+        assert code == 2
+        assert f"unknown config keys: {sorted(typo)}" in err
+
+
 class TestSweepAndOptimalK:
     def test_sweep_csv(self, tmp_path):
         out = tmp_path / "panel_b.csv"
