@@ -307,18 +307,18 @@ def sweep(
     at most ``MAX_SWEEP_ROWS`` rows (grid points x members)."""
     if axis not in _AXIS_FIELD:
         raise BinaryEnvError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
-    grid = tuple(grid)
+    grid = tuple(map(as_fraction, grid))
     count = len(grid) * params_full.n
     if count > MAX_SWEEP_ROWS:
         raise BinaryEnvError(
             f"a sweep of {len(grid)} grid points at n={params_full.n} has "
             f"{count} rows, more than {MAX_SWEEP_ROWS}"
         )
-    rows: list[SweepRow] = []
-    for raw in grid:
-        value = as_fraction(raw)
+    for value in grid:
         if not ZERO < value < ONE:
             raise BinaryEnvError(f"grid value {value} outside (0,1)")
+    rows: list[SweepRow] = []
+    for value in grid:
         dev = replace(params_dev, **{_AXIS_FIELD[axis]: value})
         curve = gain_curve(params_full, dev)
         for k in range(1, params_full.n + 1):
@@ -327,20 +327,28 @@ def sweep(
 
 
 MAX_GRID_POINTS = 10_000
+# The largest denominator of a grid spec's start, stop or step. A gain's digits
+# grow with n times the digits of the grid value's denominator, which is at
+# most this bound squared; at 320 members such a value's gains stay under
+# 3 200 digits (Python refuses to print integers of more than 4 300), and a
+# row costs up to about 2 ms (Python 3.11, one core).
+MAX_GRID_DENOMINATOR = 10_000
 # The largest team `optimal-k` and `sweep` accept. A gain curve at 320 members
 # takes about 0.03 s (Python 3.11, one core), and the cost grows faster than n.
 MAX_SWEEP_MEMBERS = 320
-# The most rows (grid points x members) one sweep may emit: the two caps above
-# hold on their own, but 10 000 points at 320 members would run for about 20
-# minutes. A row at 320 members costs about 0.37 ms on three-decimal grid
-# values, half of it writing the CSV (Python 3.11, one core), so the largest
-# accepted sweep, 100 points at 320 members, takes about 12 s.
+# The most rows (grid points x members) one sweep may emit: the point and
+# member caps above hold on their own, but 10 000 points at 320 members would
+# run for about 20 minutes. A row at 320 members costs about 0.37 ms on
+# three-decimal grid values, half of it writing the CSV (Python 3.11, one
+# core), so the largest accepted sweep, 100 points at 320 members, takes about
+# 12 s there, and up to about a minute on values at the denominator bound.
 MAX_SWEEP_ROWS = 32_000
 
 
 def parse_grid(spec: str) -> tuple[Fraction, ...]:
     """Parse 'start:stop:step' (inclusive, exact rational arithmetic), at most
-    ``MAX_GRID_POINTS`` points."""
+    ``MAX_GRID_POINTS`` points, each part's denominator at most
+    ``MAX_GRID_DENOMINATOR``."""
     parts = spec.split(":")
     if len(parts) != 3:
         raise BinaryEnvError(f"grid spec {spec!r} is not start:stop:step")
@@ -351,6 +359,10 @@ def parse_grid(spec: str) -> tuple[Fraction, ...]:
     if count > MAX_GRID_POINTS:
         raise BinaryEnvError(
             f"grid spec {spec!r} has {count} points, more than {MAX_GRID_POINTS}"
+        )
+    if any(part.denominator > MAX_GRID_DENOMINATOR for part in (start, stop, step)):
+        raise BinaryEnvError(
+            f"grid spec {spec!r} has a denominator above {MAX_GRID_DENOMINATOR}"
         )
     return tuple(start + i * step for i in range(count))
 

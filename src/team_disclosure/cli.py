@@ -296,17 +296,22 @@ def _cmd_dominance(args: argparse.Namespace) -> int:
 def _params_from(cfg: dict, key: str, n: int, fallback: BinaryEnvParams) -> BinaryEnvParams:
     if key not in cfg:
         return fallback
-    obj = dict(cfg[key])
+    obj = cfg[key]
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{key} must be an object, got {json.dumps(obj)}")
     unknown = set(obj) - {"p", "q_T", "q_own", "q_other"}
     if unknown:
         raise ConfigError(f"unknown parameter keys: {sorted(unknown)}")
-    return BinaryEnvParams.make(
-        n,
-        obj.get("p", fallback.p),
-        obj.get("q_T", fallback.q_team),
-        obj.get("q_own", fallback.q_own),
-        obj.get("q_other", fallback.q_other),
-    )
+    try:
+        return BinaryEnvParams.make(
+            n,
+            obj.get("p", fallback.p),
+            obj.get("q_T", fallback.q_team),
+            obj.get("q_own", fallback.q_own),
+            obj.get("q_other", fallback.q_other),
+        )
+    except TypeError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
 
 
 def _cmd_optimal_k(args: argparse.Namespace) -> int:

@@ -16,8 +16,11 @@ weights satisfy a multilinear system solved exactly in rational arithmetic
 checked against every condition, or is proven infeasible, with nothing
 sampled. Configurations are first screened by corner sign masks: integer
 bitmasks over the pure cut combinations reject, without solving, every
-configuration in which W > 0, a gap bound or an atom equation has no
-admissible sign at any corner of its weight box (:func:`_cut_configs`). A
+configuration in which W > 0 or a gap bound fails at every corner of its
+weight box, or an atom equation has one strict sign at every concealing
+corner (W > 0) of the box (:func:`_cut_configs`). The corners with W = 0
+cannot rescue such an equation: under full support no cell is concealed
+there, so every S_i, and with them every atom equation, is 0. A
 configuration whose only solutions have irrational weights, or whose
 equations do not reduce to one free weight, is reported in the search notes
 as unresolved rather than approximated.
@@ -423,7 +426,9 @@ class _SearchContext:
     The masks are ints over the combos numbered in ``conceal`` order:
     ``w_pos`` holds the combos with W > 0, ``above[i][p]`` (``below[i][p]``)
     those with S_i - x_p*W > 0 (< 0) for member i's grid value x_p, and
-    ``slabs[i][c]`` those whose i-th coordinate is c.
+    ``slabs[i][c]`` those whose i-th coordinate is c. A combo with W = 0
+    conceals no cell of a full-support distribution, so its sums are 0 and
+    it lies in neither ``above`` nor ``below``.
     """
 
     grid_ints: tuple[tuple[int, ...], ...]
@@ -478,20 +483,35 @@ def _cut_configs(ctx: _SearchContext):
     in the box it is a convex combination of its corner values, and atom a's
     equation does not involve a's own weight. A configuration is skipped when
     W > 0 fails at every corner, a gap member's strict bound fails at every
-    corner, or an atom member's equation has one strict sign at every corner:
-    none of these has a solution.
+    corner, or an atom member's equation h is > 0 at every concealing corner
+    (W > 0) and >= 0 at every other corner, or the same with the signs
+    reversed. None of these has a solution: where W > 0, some corner with a
+    positive coefficient in the convex combination has W > 0, and there h is
+    strict, so h is too. At a corner with W = 0 no cell is concealed (the
+    search requires full support), so every S_i and h are 0 and the
+    condition holds there. As masks, an atom member needs a corner in
+    ``(w_pos & ~above[p]) | below[p]`` and one in
+    ``(w_pos & ~below[p]) | above[p]``; on the search's tables ``above`` and
+    ``below`` lie inside ``w_pos``, so that is a concealing corner with
+    h <= 0 and one with h >= 0.
     """
     options = []
+    w_pos = ctx.w_pos
     for slabs, above, below in zip(ctx.slabs, ctx.above, ctx.below):
         size = len(above)
         opts = [(("gap", c), slabs[c], (above[c - 1], below[c])) for c in range(1, size)]
         opts += [
-            (("atom", p), slabs[p] | slabs[p + 1], (~above[p], ~below[p])) for p in range(size)
+            (
+                ("atom", p),
+                slabs[p] | slabs[p + 1],
+                ((w_pos & ~above[p]) | below[p], (w_pos & ~below[p]) | above[p]),
+            )
+            for p in range(size)
         ]
         options.append(opts)
     for choice in product(*options):
         box = reduce(and_, [slab for _, slab, _ in choice])
-        if box & ctx.w_pos and all(box & need for _, _, needs in choice for need in needs):
+        if box & w_pos and all(box & need for _, _, needs in choice for need in needs):
             yield tuple(config for config, _, _ in choice)
 
 
@@ -836,7 +856,9 @@ class _AtomSolver:
     is a convex combination of its values at the box's corners. The solver
     is exact throughout. :func:`_cut_configs` has already screened the
     configuration by the signs of these tables at the corners, so the solver
-    only sees boxes where each constraint can hold somewhere:
+    only sees boxes where W and each gap bound are positive at some corner
+    and each atom equation is <= 0 at one concealing corner (W > 0) and
+    >= 0 at another (or the same one):
 
     - propagation: an equation that actually depends on one unpinned weight
       pins it;

@@ -304,3 +304,11 @@ class TestSweepTable:
         grid = parse_grid("0.30:0.50:0.02")
         assert grid[0] == F(3, 10) and grid[-1] == F(1, 2)
         assert len(grid) == 11
+
+    def test_parse_grid_denominator_bound(self):
+        bound = binary_env.MAX_GRID_DENOMINATOR
+        assert parse_grid(f"1/{bound}:1/{bound}:1") == (F(1, bound),)
+        assert len(parse_grid(f"0.3:0.4:1/{bound - 27}")) == 1 + (bound - 27) // 10
+        for spec in (f"1/{bound + 1}:0.5:0.1", f"0:1/{bound + 1}:0.1", f"0.1:0.5:1/{bound + 1}"):
+            with pytest.raises(BinaryEnvError, match="denominator"):
+                parse_grid(spec)

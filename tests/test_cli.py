@@ -2,6 +2,7 @@ import json
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -425,6 +426,23 @@ class TestSweepAndOptimalK:
         summary = json.loads(capsys.readouterr().out.strip().splitlines()[0])
         assert summary["k_star"] == 5
 
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            {"full": [1, 2]},
+            {"full": 5},
+            {"full": {"p": [1]}},
+            {"deviation": {"q_own": None}},
+        ],
+    )
+    def test_optimal_k_malformed_params(self, tmp_path, capsys, cfg):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["optimal-k", "--n", "4", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
+
     @pytest.mark.parametrize("via", ["flag", "config"])
     @pytest.mark.parametrize("command", ["optimal-k", "sweep"])
     def test_member_cap(self, tmp_path, capsys, command, via):
@@ -474,6 +492,26 @@ class TestSweepAndOptimalK:
         assert main(["sweep", "--panel", "b", "--grid", "0.9:0.1:0.1"]) == 2
         # 8 000 001 points: refused before any point is built
         assert main(["sweep", "--panel", "b", "--grid", "0.1:0.9:0.0000001"]) == 2
+
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            ("0.3000000000000000000000000000000000000000000000001:" * 2 + "1", "denominator"),
+            ("0.01:1.00:0.01", "outside (0,1)"),
+        ],
+        ids=["49-digit-value", "last-value-one"],
+    )
+    def test_grid_refused_before_any_gain(self, tmp_path, capsys, monkeypatch, grid, message):
+        def no_gains(*args):
+            raise AssertionError("a gain curve was computed")
+
+        monkeypatch.setattr(binary_env, "gain_curve", no_gains)
+        argv = ["sweep", "--panel", "a", "--n", str(MAX_SWEEP_MEMBERS), "--grid", grid]
+        start = time.perf_counter()
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err and len(err.splitlines()) == 1
 
 
 class TestAuditCommand:

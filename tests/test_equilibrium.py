@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from team_disclosure import equilibrium
+from team_disclosure.audit import random_distribution
 from team_disclosure.equilibrium import (
     FULL,
     INTERIOR,
@@ -29,6 +31,7 @@ from team_disclosure.outcomes import (
     binary_independent,
     binary_space,
     common_mixture,
+    independent,
     make_space,
     posterior_no_disclosure,
 )
@@ -42,12 +45,12 @@ from team_disclosure.protocols import (
 
 from oracles import (
     consistent_with_deliberation_by_fractions,
-    cut_configs_unscreened,
     deterministic_profiles,
     find_equilibria_report_unscreened,
     plausible_full_disclosure_by_fractions,
     posterior_by_enumeration,
     team_rule_by_evaluate,
+    unscreened_configs,
     verify_equilibrium_by_evaluate,
 )
 
@@ -558,6 +561,27 @@ def screened_searches():
     return [(d, proto, find_equilibria_report(d, proto)) for d, proto in cases]
 
 
+def screen_cases(kind):
+    """Searches on which the screened and unscreened configurations must
+    agree: every 2- and 3-member protocol on 8 seeded draws each, or three
+    iid 4-member instances under k_majority:4,2 whose searches leave
+    configurations unresolved."""
+    if kind == "protocols":
+        rng = random.Random(109)
+        return [
+            (d, proto)
+            for n in (2, 3)
+            for d in [random_distribution(rng, n) for _ in range(8)]
+            for proto in all_protocols(n)
+        ]
+    marginals = [
+        {v: F(1, 5) for v in range(5)},
+        {1: F(1, 12), 4: F(5, 12), 7: F(6, 12)},
+        {0: F(1, 6), 1: F(2, 6), 5: F(2, 6), 6: F(1, 6)},
+    ]
+    return [(independent([m] * 4), make_k_majority(4, 2)) for m in marginals]
+
+
 class TestCornerScreen:
     """The corner sign screen in front of the atom solver, and the single
     verification of each candidate, against the unscreened search."""
@@ -569,12 +593,19 @@ class TestCornerScreen:
             shapes |= {e.classification for e in report[0]}
         assert shapes == {FULL, PARTIAL, INTERIOR}
 
+    @pytest.mark.parametrize("kind", ["protocols", "iid"])
+    def test_screen_keeps_every_equilibrium(self, monkeypatch, kind):
+        cases = screen_cases(kind)
+        screened = [find_equilibria_report(d, proto) for d, proto in cases]
+        monkeypatch.setattr(equilibrium, "_cut_configs", unscreened_configs)
+        assert [find_equilibria_report(d, proto) for d, proto in cases] == screened
+
     def test_rejected_configurations_have_no_solution(self, screened_searches):
         rejected = kept = 0
         for d, proto, _ in screened_searches:
             ctx = _build_context(d, proto)
             survivors = set(_cut_configs(ctx))
-            for config in cut_configs_unscreened(d.space):
+            for config in unscreened_configs(ctx):
                 if config in survivors:
                     kept += 1
                     continue
