@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
 from math import comb
 from typing import Iterable
 
@@ -79,7 +78,6 @@ def _check_k(params: BinaryEnvParams, k: int) -> None:
         raise BinaryEnvError(f"consensus level k={k} out of range 1..{params.n}")
 
 
-@lru_cache(maxsize=4)
 def _terms(params: BinaryEnvParams) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     """Scaled numerators of P(ND) and P(own high and ND) for every k = 1..n.
 
@@ -101,8 +99,9 @@ def _terms(params: BinaryEnvParams) -> tuple[int, tuple[int, ...], tuple[int, ..
     ``S2(k) = (den-num) * (C(n-1, n-k+1) * num**(k-2) + S2(k-1))``,
     ``S2(1) = 0``, not read from the weights, so the check costs O(1) per k.
 
-    A sweep holds the full-effort profile fixed, so it stays cached while the
-    deviation profiles pass through.
+    Nothing is cached: each caller makes the passes it needs once. A sweep
+    makes the full-effort pass once and hands it to ``_curve`` at every grid
+    point.
     """
     n, p, qt, qi, qo = params.n, params.p, params.q_team, params.q_own, params.q_other
     pn, pb = p.numerator, p.denominator
@@ -191,26 +190,39 @@ def interior_posteriors_valid(params: BinaryEnvParams, k: int) -> bool:
     return 0 < joints[k - 1] < pnds[k - 1]
 
 
-def _gains(
-    params_full: BinaryEnvParams, params_dev: BinaryEnvParams, ks: Iterable[int]
-) -> tuple[Fraction, ...]:
-    """Gains at the consensus levels ``ks``, each one Fraction built from the
-    two kernels' integers: with P(ND) = P/D and E[own | ND] = J/P,
-    P_dev(ND) * (E_full - E_dev) = (J_f*P_d - J_d*P_f) / (D_d*P_f)."""
-    if params_full.n != params_dev.n:
+def _curve(
+    mean_full: Fraction,
+    terms_full: tuple[int, tuple[int, ...], tuple[int, ...]],
+    params_dev: BinaryEnvParams,
+    ks: Iterable[int],
+) -> tuple[tuple[Fraction, ...], int]:
+    """Gains at the consensus levels ``ks`` and the first k whose gain is
+    largest, from the full-effort side's mean and ``_terms`` and one pass over
+    the deviation profile.
+
+    With P(ND) = P/D and E[own | ND] = J/P, the gain at k is
+    N_k / (bd*dd*P_f[k]), N_k = bn*dd*P_f[k] - bd*(J_f[k]*P_d[k] - J_d[k]*P_f[k]),
+    where bn/bd is the mean shift. Every denominator is positive and bd*dd is
+    common to all k, so gain a beats gain b exactly when
+    N_a*P_f[b] > N_b*P_f[a]: the argmax runs on integers, and each gain
+    becomes one Fraction.
+    """
+    _, pf, jf = terms_full
+    if len(pf) != params_dev.n:
         raise BinaryEnvError("effort profiles disagree on the member count")
-    base = params_full.mean_own - params_dev.mean_own
+    base = mean_full - params_dev.mean_own
     bn, bd = base.numerator, base.denominator
-    _, pf, jf = _terms(params_full)
     dd, pd, jd = _terms(params_dev)
     gains = []
+    best_k = best_num = best_pf = None
     for k in ks:
         pfk, pdk = pf[k - 1], pd[k - 1]
         den = dd * pfk
-        gains.append(
-            Fraction(bn * den - bd * (jf[k - 1] * pdk - jd[k - 1] * pfk), bd * den)
-        )
-    return tuple(gains)
+        num = bn * den - bd * (jf[k - 1] * pdk - jd[k - 1] * pfk)
+        gains.append(Fraction(num, bd * den))
+        if best_k is None or num * best_pf > best_num * pfk:
+            best_k, best_num, best_pf = k, num, pfk
+    return tuple(gains), best_k
 
 
 def gain_binary(
@@ -224,7 +236,8 @@ def gain_binary(
     less P_dev(ND) * (E_full[own | ND] - E_dev[own | ND]).
     """
     _check_k(params_full, k)
-    return _gains(params_full, params_dev, (k,))[0]
+    gains, _ = _curve(params_full.mean_own, _terms(params_full), params_dev, (k,))
+    return gains[0]
 
 
 @dataclass(frozen=True)
@@ -239,12 +252,8 @@ class GainCurve:
 
 
 def gain_curve(params_full: BinaryEnvParams, params_dev: BinaryEnvParams) -> GainCurve:
-    gains = _gains(params_full, params_dev, range(1, params_full.n + 1))
-    best = 0
-    for k in range(1, len(gains)):
-        if gains[k] > gains[best]:
-            best = k
-    return GainCurve(gains, best + 1)
+    ks = range(1, params_full.n + 1)
+    return GainCurve(*_curve(params_full.mean_own, _terms(params_full), params_dev, ks))
 
 
 def optimal_k(params_full: BinaryEnvParams, params_dev: BinaryEnvParams) -> int:
@@ -272,19 +281,15 @@ class SweepTable:
         return tuple(out)
 
     def to_csv(self) -> str:
+        """One line per row; a run of rows sharing one axis value object (a
+        sweep's grid point) renders that value once."""
         lines = ["axis_value,K,gain,is_optimal,gain_exact"]
+        value = text = None
         for row in self.rows:
-            lines.append(
-                ",".join(
-                    (
-                        decimal_str(row.axis_value),
-                        str(row.k),
-                        decimal_str(row.gain),
-                        "true" if row.is_optimal else "false",
-                        frac_str(row.gain),
-                    )
-                )
-            )
+            if row.axis_value is not value:
+                value, text = row.axis_value, decimal_str(row.axis_value)
+            flag = "true" if row.is_optimal else "false"
+            lines.append(f"{text},{row.k},{decimal_str(row.gain)},{flag},{frac_str(row.gain)}")
         return "\n".join(lines) + "\n"
 
 
@@ -317,12 +322,14 @@ def sweep(
     for value in grid:
         if not ZERO < value < ONE:
             raise BinaryEnvError(f"grid value {value} outside (0,1)")
+    field = _AXIS_FIELD[axis]
+    mean_full, terms_full = params_full.mean_own, _terms(params_full)
+    ks = range(1, params_full.n + 1)
     rows: list[SweepRow] = []
     for value in grid:
-        dev = replace(params_dev, **{_AXIS_FIELD[axis]: value})
-        curve = gain_curve(params_full, dev)
-        for k in range(1, params_full.n + 1):
-            rows.append(SweepRow(value, k, curve.gain(k), k == curve.k_star))
+        dev = replace(params_dev, **{field: value})
+        gains, k_star = _curve(mean_full, terms_full, dev, ks)
+        rows.extend(SweepRow(value, k, gain, k == k_star) for k, gain in zip(ks, gains))
     return SweepTable(axis, tuple(rows))
 
 
@@ -334,14 +341,15 @@ MAX_GRID_POINTS = 10_000
 # row costs up to about 2 ms (Python 3.11, one core).
 MAX_GRID_DENOMINATOR = 10_000
 # The largest team `optimal-k` and `sweep` accept. A gain curve at 320 members
-# takes about 0.03 s (Python 3.11, one core), and the cost grows faster than n.
+# takes about 0.035 s (Python 3.11, one core), and the cost grows faster than n.
 MAX_SWEEP_MEMBERS = 320
 # The most rows (grid points x members) one sweep may emit: the point and
 # member caps above hold on their own, but 10 000 points at 320 members would
-# run for about 20 minutes. A row at 320 members costs about 0.37 ms on
-# three-decimal grid values, half of it writing the CSV (Python 3.11, one
-# core), so the largest accepted sweep, 100 points at 320 members, takes about
-# 12 s there, and up to about a minute on values at the denominator bound.
+# run for about 25 minutes. A row at 320 members costs up to about 0.46 ms on
+# three-decimal grid values (the q_other_dev axis; 0.13 ms on p_dev), half of
+# it writing the CSV (Python 3.11, one core), so the largest accepted sweep,
+# 100 points at 320 members, takes about 15 s there, and up to about a minute
+# on values at the denominator bound.
 MAX_SWEEP_ROWS = 32_000
 
 

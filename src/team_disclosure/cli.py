@@ -15,6 +15,7 @@ import os
 import sys
 import tempfile
 from dataclasses import fields, replace
+from functools import lru_cache
 from pathlib import Path
 
 from .audit import PANEL_GRIDS, AuditConfig, panel_sweep, run_audit
@@ -72,11 +73,17 @@ INPUT_ERRORS = (
 
 
 def _atomic_write(path: str, text: str) -> None:
+    """Write through a temporary file in the target's directory, then rename it
+    over the target. The file gets the mode ``open(path, "w")`` gives a new
+    file, 0o666 less the umask (``mkstemp`` alone would leave it 0o600)."""
     target = Path(path)
     fd, tmp = tempfile.mkstemp(dir=target.parent or Path("."), prefix=target.name)
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, target)
     except BaseException:
         if os.path.exists(tmp):
@@ -416,7 +423,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT_ERROR, f"error: {message}\n")
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing reads it and
+    leaves no state in it, so every ``main`` call shares it."""
     parser = _Parser(
         prog="team-disclosure",
         description="equilibria and effort incentives of team-disclosure games",

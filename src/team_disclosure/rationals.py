@@ -49,9 +49,9 @@ def as_fraction(value: Rational) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as a rational number")
 
 
-def frac_str(value: Fraction) -> str:
+def frac_str(value: Fraction | int) -> str:
     """Canonical string form, e.g. '1/3', '0', '2'."""
-    return str(Fraction(value))
+    return str(value)
 
 
 @lru_cache(maxsize=None)
@@ -59,8 +59,7 @@ def _context(digits: int) -> Context:
     return Context(prec=digits)
 
 
-def decimal_str(value: Fraction, digits: int = 12) -> str:
+def decimal_str(value: Fraction | int, digits: int = 12) -> str:
     """Decimal rendering with a fixed number of significant digits."""
-    value = Fraction(value)
     out = _context(digits).divide(Decimal(value.numerator), Decimal(value.denominator))
     return str(out)

@@ -256,6 +256,32 @@ def binary_gains_by_fractions(full, dev):
     )
 
 
+def first_argmax(values):
+    """1-based position of the first largest value, by Fraction comparison."""
+    best = 0
+    for i in range(1, len(values)):
+        if values[i] > values[best]:
+            best = i
+    return best + 1
+
+
+def sweep_by_fractions(full, dev, axis, grid):
+    """The sweep loop the integer curve kernel replaced: per grid point a new
+    deviation profile, its gains from the two Fraction passes, and the first
+    Fraction argmax."""
+    from dataclasses import replace
+
+    from team_disclosure.binary_env import SweepRow, SweepTable
+
+    field = {"q_other_dev": "q_other", "p_dev": "p", "q_own_dev": "q_own", "q_T_dev": "q_team"}
+    rows = []
+    for value in grid:
+        gains = binary_gains_by_fractions(full, replace(dev, **{field[axis]: value}))
+        k_star = first_argmax(gains)
+        rows.extend(SweepRow(value, k, g, k == k_star) for k, g in enumerate(gains, 1))
+    return SweepTable(axis, tuple(rows))
+
+
 def effort_payoff_difference(full_dist, dev_dist, rule_values, member_index):
     """Gain from effort by direct payoff accounting.
 

@@ -29,6 +29,8 @@ from oracles import (
     binary_gains_by_fractions,
     binary_gains_by_k,
     binary_terms_by_fractions,
+    first_argmax,
+    sweep_by_fractions,
 )
 
 F = Fraction
@@ -112,10 +114,13 @@ class TestClosedForms:
             assert gain_binary(full, dev, k) == gains[k - 1]
 
     @pytest.mark.parametrize("n", [80, 160, 320])
-    def test_kernel_against_fraction_pass_at_large_n(self, n):
+    def test_kernel_against_fraction_pass_at_large_n(self, n, monkeypatch):
         # mixed denominators, so the kernel's common denominator takes a
         # different factor from each parameter; the per-k closed forms, which
-        # cost O(n) per k, are checked at the ends and the middle
+        # cost O(n) per k, are checked at the ends and the middle. Each public
+        # per-k read is one O(n) kernel pass, so the kernel is memoised here
+        # to read every k of a parameter set from one pass
+        monkeypatch.setattr(binary_env, "_terms", lru_cache(maxsize=None)(binary_env._terms))
         rng = random.Random(n)
         dens = (7, 100, 997, 2**10)
         full, dev = (
@@ -279,25 +284,22 @@ class TestSweepTable:
             sweep(full, dev, "not_an_axis", [F(1, 2)])
 
     def test_sweep_computes_the_full_effort_side_once(self, monkeypatch):
-        # count kernel passes through a cache of the module's own size: a
-        # sweep over G points needs the full-effort side once plus one pass
-        # per deviation point
+        # count kernel passes: a sweep over G points makes exactly one pass for
+        # the full-effort side plus one per deviation point, and nothing caches
         passes = []
+        kernel = binary_env._terms
 
         def counted(params):
             passes.append(params)
             return kernel(params)
 
-        kernel = binary_env._terms.__wrapped__
-        maxsize = binary_env._terms.cache_parameters()["maxsize"]
-        monkeypatch.setattr(binary_env, "_terms", lru_cache(maxsize)(counted))
+        monkeypatch.setattr(binary_env, "_terms", counted)
         full, dev = baseline_params(12)
         grid = parse_grid("0.30:0.50:0.02")
         for axis in ("q_other_dev", "p_dev", "q_own_dev", "q_T_dev"):
-            binary_env._terms.cache_clear()
             passes.clear()
             sweep(full, dev, axis, grid)
-            assert len(passes) <= len(grid) + 1
+            assert len(passes) == len(grid) + 1
             assert passes.count(full) == 1
 
     def test_parse_grid_inclusive_exact(self):
@@ -312,3 +314,43 @@ class TestSweepTable:
         for spec in (f"1/{bound + 1}:0.5:0.1", f"0:1/{bound + 1}:0.1", f"0.1:0.5:1/{bound + 1}"):
             with pytest.raises(BinaryEnvError, match="denominator"):
                 parse_grid(spec)
+
+
+class TestCurveKernel:
+    """The integer curve kernel against the Fraction sweep loop it replaced."""
+
+    @staticmethod
+    def draw(rng, n):
+        return BinaryEnvParams(n, *(F(rng.randint(1, 99), 100) for _ in range(4)))
+
+    @pytest.mark.parametrize("axis", binary_env.SWEEP_AXES)
+    def test_sweep_matches_fraction_loop(self, axis):
+        rng = random.Random(f"sweep/{axis}")
+        for n in range(2, 13):
+            for _ in range(3):
+                full, dev = self.draw(rng, n), self.draw(rng, n)
+                grid = sorted({F(rng.randint(1, 99), 100) for _ in range(6)})
+                assert sweep(full, dev, axis, grid) == sweep_by_fractions(full, dev, axis, grid)
+
+    def test_k_star_is_first_argmax(self):
+        rng = random.Random(71)
+        for _ in range(300):
+            n = rng.randint(2, 12)
+            full, dev = self.draw(rng, n), self.draw(rng, n)
+            curve, expected = gain_curve(full, dev), binary_gains_by_fractions(full, dev)
+            assert curve.gains == expected
+            assert curve.k_star == first_argmax(expected)
+
+    def test_tie_goes_to_smallest_k(self):
+        # hand-built full-effort terms: at k=2 and k=3 the conceal mean equals
+        # the deviation's, so both gains equal the mean shift and top the
+        # curve; k=3's numerators are scaled by 5, so its integer numerator is
+        # larger, and only the P_f cross factor keeps the comparison exact
+        dev = sym(4, F(1, 2), F(1, 2), F(1, 2))
+        dd, pd, jd = binary_env._terms(dev)
+        pf = (pd[0], pd[1], 5 * pd[2], 7 * pd[3])
+        jf = (jd[0] + 1, jd[1], 5 * jd[2], 7 * jd[3] + 1)
+        shift = F(1, 10)
+        gains, k_star = binary_env._curve(dev.mean_own + shift, (1, pf, jf), dev, range(1, 5))
+        assert gains == (shift - F(1, dd), shift, shift, shift - F(1, 7 * dd))
+        assert k_star == 2

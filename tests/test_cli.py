@@ -1,5 +1,7 @@
 import json
+import os
 import random
+import stat
 import subprocess
 import sys
 import time
@@ -9,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from team_disclosure import binary_env
+from team_disclosure import binary_env, cli
 from team_disclosure.audit import PANEL_GRIDS, panel_sweep
 from team_disclosure.binary_env import MAX_SWEEP_MEMBERS, MAX_SWEEP_ROWS
 from team_disclosure.cli import main
@@ -503,15 +505,66 @@ class TestSweepAndOptimalK:
     )
     def test_grid_refused_before_any_gain(self, tmp_path, capsys, monkeypatch, grid, message):
         def no_gains(*args):
-            raise AssertionError("a gain curve was computed")
+            raise AssertionError("a kernel pass was made")
 
-        monkeypatch.setattr(binary_env, "gain_curve", no_gains)
+        monkeypatch.setattr(binary_env, "_terms", no_gains)
         argv = ["sweep", "--panel", "a", "--n", str(MAX_SWEEP_MEMBERS), "--grid", grid]
         start = time.perf_counter()
         assert main(argv + ["--out", str(tmp_path / "out")]) == 2
         assert time.perf_counter() - start < 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err and len(err.splitlines()) == 1
+
+
+class TestOutFiles:
+    @pytest.mark.parametrize("umask", [0o022, 0o027], ids=["022", "027"])
+    def test_mode_follows_the_umask(self, tmp_path, umask):
+        out, reference = tmp_path / "p.csv", tmp_path / "touched"
+        old = os.umask(umask)
+        try:
+            assert main(["sweep", "--panel", "b", "--n", "3", "--out", str(out)]) == 0
+            reference.touch()
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~umask
+        assert stat.S_IMODE(reference.stat().st_mode) == 0o666 & ~umask
+
+    def test_temporary_file_removed_on_error(self, tmp_path, monkeypatch, capsys):
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(cli.os, "replace", refuse)
+        assert main(["sweep", "--panel", "b", "--n", "3", "--out", str(tmp_path / "p.csv")]) == 2
+        assert "rename refused" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestParserReuse:
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_calls_leave_no_state(self, capsys):
+        # each in-process call on the shared parser prints what a fresh
+        # interpreter prints; flags given to one call do not reach the next
+        solve = ["solve", "--protocol", "k_majority:2,2", "--dist", "independent:0.5"]
+        calls = [
+            ["sweep", "--panel", "z"],
+            solve[:1] + ["--refine"] + solve[1:],
+            solve,
+            ["sweep", "--panel", "b", "--n", "3"],
+            ["sweep", "--panel", "b"],
+        ]
+        outputs = []
+        for argv in calls:
+            code = main(argv)
+            captured = capsys.readouterr()
+            fresh = run_cli(*argv)
+            assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+            outputs.append(captured.out)
+        assert outputs[0] == ""
+        assert [json.loads(out)["command"] for out in outputs[1:3]] == ["refine", "solve"]
+        rows = outputs[4].splitlines()[2:]
+        assert {row.split(",")[1] for row in rows} == {str(k) for k in range(1, 11)}
 
 
 class TestAuditCommand:
