@@ -1,11 +1,17 @@
 """Command-line interface.
 
-Commands: solve, verify, refine, gains, dominance, optimal-k, sweep, audit.
-Options may come from flags or a JSON config file (--config); flags win on
-conflict, and a config key that the command does not read is an input error.
-Outputs are written atomically and a machine-readable summary goes
-to stdout. Exit status: 0 success, 1 failed audit claims, 2 input or parse
-errors, 3 exhausted search caps.
+Commands: solve, refine, verify, gains, dominance, optimal-k, sweep, audit.
+
+Two tables declare the interface. ``OPTIONS`` gives each option the one reader
+that checks its value, whether the value is a flag string or a value in the
+JSON config file (--config): ``config_int``, ``config_bool``, a file path, a
+JSON string, or a protocol or distribution spec, which configio reads as the
+object it stands for. ``COMMANDS`` gives each command its help, its options
+and its handler; the parser is built from it, and argparse neither types nor
+restricts any flag. A flag wins over the config file, and a config key that
+the command does not read is an input error. Outputs are written atomically
+and a machine-readable summary goes to stdout. Exit status: 0 success, 1
+failed audit claims, 2 input or parse errors, 3 exhausted search caps.
 """
 from __future__ import annotations
 
@@ -15,7 +21,7 @@ import os
 import sys
 import tempfile
 from dataclasses import fields, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
 
 from .audit import PANEL_GRIDS, AuditConfig, panel_sweep, run_audit
@@ -95,67 +101,118 @@ def _emit(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True))
 
 
-def _deliver(text: str, out: str | None, summary: dict) -> None:
+def _deliver(doc: dict, out: str | None, summary: dict) -> None:
+    """The document to ``out`` as indented JSON, or into the summary."""
     if out:
-        _atomic_write(out, text)
+        _atomic_write(out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
         summary["out"] = out
     else:
-        summary["document"] = json.loads(text) if text.startswith(("{", "[")) else text
+        summary["document"] = doc
     _emit(summary)
 
 
-def _load_config_file(args: argparse.Namespace, *extra_keys: str) -> dict:
-    """The --config object. Its keys are the command's options, hyphenated
-    (not --config or --out), plus ``extra_keys``; any other key is an error."""
-    if not args.config:
-        return {}
-    with open(args.config) as handle:
-        data = json.load(handle)
-    if not isinstance(data, dict):
-        raise ConfigError("config file must hold a JSON object")
-    allowed = {key.replace("_", "-") for key in vars(args)} - {"command", "config", "out"}
-    unknown = sorted(set(data) - allowed - set(extra_keys))
-    if unknown:
-        raise ConfigError(f"unknown config keys: {unknown}")
-    return data
+# ---------------------------------------------------------------------------
+# Options
+# ---------------------------------------------------------------------------
 
 
-def _merged(args: argparse.Namespace, file_cfg: dict, key: str, default=None):
-    """Flag value if given, else config-file value, else default."""
-    flag = getattr(args, key.replace("-", "_"), None)
-    if flag is not None:
-        return flag
-    if key in file_cfg:
-        return file_cfg[key]
-    return default
+def _path(value, key: str) -> str:
+    """A file path: a string (a number would open a file descriptor)."""
+    if isinstance(value, str):
+        return value
+    raise ConfigError(f"{key} must be a file path, got {json.dumps(value)}")
 
 
-def _merged_path(args: argparse.Namespace, file_cfg: dict, key: str) -> str | None:
-    """A file-path option: a flag or a config-file string (a number would
-    open a file descriptor)."""
-    value = _merged(args, file_cfg, key)
-    if value is not None and not isinstance(value, str):
-        raise ConfigError(f"{key} must be a file path, got {json.dumps(value)}")
+def _text(value, key: str) -> str:
+    """A text option: a flag or a JSON string."""
+    if isinstance(value, str):
+        return value
+    raise ConfigError(f"{key} must be a string, got {json.dumps(value)}")
+
+
+def _object(value, key: str) -> dict:
+    """An object option, read from the config file alone."""
+    if isinstance(value, dict):
+        return value
+    raise ConfigError(f"{key} must be an object, got {json.dumps(value)}")
+
+
+def _spec(value, key: str):
+    """A protocol or distribution: a shorthand string or an object, which the
+    command reads with ``load_protocol`` or ``load_distribution``."""
     return value
 
 
-def _merged_int(args: argparse.Namespace, file_cfg: dict, key: str, default: int) -> int:
-    """An integer option: a flag, a JSON integer (not a bool) or a string of
-    decimal digits in the config file, else the default."""
-    return config_int(_merged(args, file_cfg, key, default), key)
-
-
-def _merged_bool(args: argparse.Namespace, file_cfg: dict, key: str) -> bool:
-    """A boolean option: a flag or a JSON boolean in the config file, else False."""
-    return config_bool(_merged(args, file_cfg, key, False), key)
-
-
-def _sweep_members(args: argparse.Namespace, file_cfg: dict) -> int:
+def _members(value, key: str) -> int:
     """The member count of `optimal-k` and `sweep`, at most MAX_SWEEP_MEMBERS."""
-    n = _merged_int(args, file_cfg, "n", 10)
+    n = config_int(value, key)
     if n > MAX_SWEEP_MEMBERS:
         raise ConfigError(f"n={n} exceeds the cap of {MAX_SWEEP_MEMBERS} members")
     return n
+
+
+# option -> (reader, argparse keywords of its flag); an option without a flag
+# is read from the config file alone
+OPTIONS = {
+    "protocol": (_spec, {"help": "e.g. k_majority:3,2 | leader:2,1 | JSON"}),
+    "protocol-a": (_spec, {"help": "first protocol, as --protocol"}),
+    "protocol-b": (_spec, {"help": "second protocol, as --protocol"}),
+    "dist": (_spec, {"help": "e.g. independent:0.5 | common_mixture:p,qT,q | JSON"}),
+    "equilibrium": (_path, {"help": "JSON file with 'profile' and 'posteriors'"}),
+    "model": (_path, {"help": "effort-model JSON file"}),
+    "refine": (
+        config_bool,
+        {"action": "store_true", "default": None, "help": "apply the deliberation refinement"},
+    ),
+    "max-members": (
+        config_int,
+        {"help": f"search cap on members (default {DEFAULT_MAX_MEMBERS})"},
+    ),
+    "max-grid": (
+        config_int,
+        {"help": f"search cap on grid values per member (default {DEFAULT_MAX_GRID})"},
+    ),
+    "n": (_members, {"help": f"members, at most {MAX_SWEEP_MEMBERS} (default 10)"}),
+    "full": (_object, None),
+    "deviation": (_object, None),
+    "panel": (_text, {"help": f"one of {', '.join(sorted(PANEL_GRIDS))}"}),
+    "grid": (_text, {"help": "start:stop:step (exact rationals)"}),
+    "seed": (config_int, {"help": "audit seed (default 0)"}),
+    "claims": (_text, {"help": "comma-separated subset of claims"}),
+    "counts": (
+        _text,
+        {"help": "integer count overrides of at least 1, e.g. existence_dists=200,binary_draws=1000"},
+    ),
+}
+
+
+def _options(args: argparse.Namespace, names: tuple[str, ...]) -> dict:
+    """The given options among ``names``, each checked by its reader: the flag
+    if given, else the config-file value (a JSON null included). An option
+    given neither way is absent from the result. A config key outside
+    ``names`` is an error."""
+    config = {}
+    if args.config:
+        with open(args.config) as handle:
+            config = json.load(handle)
+        if not isinstance(config, dict):
+            raise ConfigError("config file must hold a JSON object")
+        unknown = sorted(set(config) - set(names))
+        if unknown:
+            raise ConfigError(f"unknown config keys: {unknown}")
+    opts = {}
+    for name in names:
+        flag = getattr(args, name.replace("-", "_"), None)
+        if flag is not None or name in config:
+            opts[name] = OPTIONS[name][0](config[name] if flag is None else flag, name)
+    return opts
+
+
+def _require(opts: dict, command: str, *names: str) -> None:
+    """Raise unless every one of ``names`` is given (and not null)."""
+    if any(opts.get(name) is None for name in names):
+        flags = [f"--{name}" for name in names]
+        raise ConfigError(f"{command} needs {', '.join(flags[:-1])} and {flags[-1]}")
 
 
 # ---------------------------------------------------------------------------
@@ -163,17 +220,13 @@ def _sweep_members(args: argparse.Namespace, file_cfg: dict) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_solve(args: argparse.Namespace, refine: bool = False) -> int:
-    cfg = _load_config_file(args)
-    proto_spec = _merged(args, cfg, "protocol")
-    dist_spec = _merged(args, cfg, "dist")
-    if proto_spec is None or dist_spec is None:
-        raise ConfigError("solve needs --protocol and --dist")
-    protocol = load_protocol(proto_spec)
-    dist = load_distribution(dist_spec, protocol.n)
-    refine = refine or _merged_bool(args, cfg, "refine")
-    max_members = _merged_int(args, cfg, "max-members", DEFAULT_MAX_MEMBERS)
-    max_grid = _merged_int(args, cfg, "max-grid", DEFAULT_MAX_GRID)
+def _cmd_solve(opts: dict, out: str | None, refine: bool = False) -> int:
+    _require(opts, "solve", "protocol", "dist")
+    protocol = load_protocol(opts["protocol"])
+    dist = load_distribution(opts["dist"], protocol.n)
+    refine = refine or opts.get("refine", False)
+    max_members = opts.get("max-members", DEFAULT_MAX_MEMBERS)
+    max_grid = opts.get("max-grid", DEFAULT_MAX_GRID)
     eqs, notes = find_equilibria_report(dist, protocol, max_members, max_grid)
     entries = []
     for eq in eqs:
@@ -192,25 +245,16 @@ def _cmd_solve(args: argparse.Namespace, refine: bool = False) -> int:
         "equilibria": entries,
         "notes": list(notes),
     }
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    _deliver(
-        text,
-        args.out,
-        {"command": "refine" if refine else "solve", "equilibria": len(entries)},
-    )
+    summary = {"command": "refine" if refine else "solve", "equilibria": len(entries)}
+    _deliver(doc, out, summary)
     return EXIT_OK
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    cfg = _load_config_file(args)
-    proto_spec = _merged(args, cfg, "protocol")
-    dist_spec = _merged(args, cfg, "dist")
-    eq_path = _merged_path(args, cfg, "equilibrium")
-    if proto_spec is None or dist_spec is None or eq_path is None:
-        raise ConfigError("verify needs --protocol, --dist and --equilibrium")
-    protocol = load_protocol(proto_spec)
-    dist = load_distribution(dist_spec, protocol.n)
-    with open(eq_path) as handle:
+def _cmd_verify(opts: dict, out: str | None) -> int:
+    _require(opts, "verify", "protocol", "dist", "equilibrium")
+    protocol = load_protocol(opts["protocol"])
+    dist = load_distribution(opts["dist"], protocol.n)
+    with open(opts["equilibrium"]) as handle:
         eq_doc = json.load(handle)
     if not isinstance(eq_doc, dict) or not {"profile", "posteriors"} <= set(eq_doc):
         raise ConfigError("equilibrium file needs 'profile' and 'posteriors'")
@@ -232,22 +276,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         ),
         "posteriors_consistent_with_deliberation": consistent,
     }
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    _deliver(text, args.out, {"command": "verify", "ok": report.ok})
+    _deliver(doc, out, {"command": "verify", "ok": report.ok})
     return EXIT_OK
 
 
-def _cmd_gains(args: argparse.Namespace) -> int:
-    cfg = _load_config_file(args)
-    model_path = _merged_path(args, cfg, "model")
-    proto_spec = _merged(args, cfg, "protocol")
-    if model_path is None or proto_spec is None:
-        raise ConfigError("gains needs --model and --protocol")
-    with open(model_path) as handle:
+def _cmd_gains(opts: dict, out: str | None) -> int:
+    _require(opts, "gains", "model", "protocol")
+    with open(opts["model"]) as handle:
         model = effort_model_from_config(json.load(handle))
-    protocol = load_protocol(proto_spec)
-    refine = _merged_bool(args, cfg, "refine")
-    corners = protocol_full_effort_corners(protocol, model, refine)
+    protocol = load_protocol(opts["protocol"])
+    corners = protocol_full_effort_corners(protocol, model, opts.get("refine", False))
     doc = {
         "protocol": protocol_to_config(protocol),
         "costs": [frac_str(c) for c in model.costs],
@@ -264,24 +302,17 @@ def _cmd_gains(args: argparse.Namespace) -> int:
     doc["costs_in_full_effort_set"] = any(
         c["implements_full_effort_at_costs"] for c in doc["corners"]
     )
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    _deliver(text, args.out, {"command": "gains", "corners": len(corners)})
+    _deliver(doc, out, {"command": "gains", "corners": len(corners)})
     return EXIT_OK
 
 
-def _cmd_dominance(args: argparse.Namespace) -> int:
-    cfg = _load_config_file(args)
-    model_path = _merged_path(args, cfg, "model")
-    spec_a = _merged(args, cfg, "protocol-a")
-    spec_b = _merged(args, cfg, "protocol-b")
-    if model_path is None or spec_a is None or spec_b is None:
-        raise ConfigError("dominance needs --model, --protocol-a and --protocol-b")
-    with open(model_path) as handle:
+def _cmd_dominance(opts: dict, out: str | None) -> int:
+    _require(opts, "dominance", "model", "protocol-a", "protocol-b")
+    with open(opts["model"]) as handle:
         model = effort_model_from_config(json.load(handle))
-    protocol_a = load_protocol(spec_a)
-    protocol_b = load_protocol(spec_b)
-    refine = _merged_bool(args, cfg, "refine")
-    report = dominance_report(protocol_a, protocol_b, model, refine)
+    protocol_a = load_protocol(opts["protocol-a"])
+    protocol_b = load_protocol(opts["protocol-b"])
+    report = dominance_report(protocol_a, protocol_b, model, opts.get("refine", False))
     doc = {
         "protocol_a": protocol_to_config(protocol_a),
         "protocol_b": protocol_to_config(protocol_b),
@@ -291,21 +322,15 @@ def _cmd_dominance(args: argparse.Namespace) -> int:
         "corners_a": [[frac_str(g) for g in gv.gains] for gv in report.corners_a],
         "corners_b": [[frac_str(g) for g in gv.gains] for gv in report.corners_b],
     }
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    _deliver(
-        text,
-        args.out,
-        {"command": "dominance", "dominates": report.dominates, "strictly": report.strictly},
-    )
+    summary = {"command": "dominance", "dominates": report.dominates, "strictly": report.strictly}
+    _deliver(doc, out, summary)
     return EXIT_OK
 
 
-def _params_from(cfg: dict, key: str, n: int, fallback: BinaryEnvParams) -> BinaryEnvParams:
-    if key not in cfg:
+def _params_from(opts: dict, key: str, n: int, fallback: BinaryEnvParams) -> BinaryEnvParams:
+    if key not in opts:
         return fallback
-    obj = cfg[key]
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{key} must be an object, got {json.dumps(obj)}")
+    obj = opts[key]
     unknown = set(obj) - {"p", "q_T", "q_own", "q_other"}
     if unknown:
         raise ConfigError(f"unknown parameter keys: {sorted(unknown)}")
@@ -321,36 +346,32 @@ def _params_from(cfg: dict, key: str, n: int, fallback: BinaryEnvParams) -> Bina
         raise ConfigError(f"{key}: {exc}") from exc
 
 
-def _cmd_optimal_k(args: argparse.Namespace) -> int:
-    cfg = _load_config_file(args, "full", "deviation")
-    n = _sweep_members(args, cfg)
+def _cmd_optimal_k(opts: dict, out: str | None) -> int:
+    n = opts.get("n", 10)
     base_full, base_dev = baseline_params(n)
-    full = _params_from(cfg, "full", n, base_full)
-    dev = _params_from(cfg, "deviation", n, base_dev)
+    full = _params_from(opts, "full", n, base_full)
+    dev = _params_from(opts, "deviation", n, base_dev)
     curve = gain_curve(full, dev)
     doc = {
         "n": n,
         "k_star": curve.k_star,
         "gains": {str(k): frac_str(g) for k, g in enumerate(curve.gains, 1)},
     }
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    _deliver(text, args.out, {"command": "optimal-k", "k_star": curve.k_star})
+    _deliver(doc, out, {"command": "optimal-k", "k_star": curve.k_star})
     return EXIT_OK
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = _load_config_file(args)
-    panel = _merged(args, cfg, "panel")
+def _cmd_sweep(opts: dict, out: str | None) -> int:
+    panel = opts.get("panel")
     if panel not in PANEL_GRIDS:
         raise ConfigError(f"panel must be one of {sorted(PANEL_GRIDS)}")
-    n = _sweep_members(args, cfg)
-    grid = _merged(args, cfg, "grid")
-    table = panel_sweep(panel, n, parse_grid(str(grid)) if grid else None)
+    grid = opts.get("grid")
+    table = panel_sweep(panel, opts.get("n", 10), parse_grid(grid) if grid else None)
     text = table.to_csv()
     summary = {"command": "sweep", "panel": panel, "axis": table.axis, "rows": len(table.rows)}
-    if args.out:
-        _atomic_write(args.out, text)
-        summary["out"] = args.out
+    if out:
+        _atomic_write(out, text)
+        summary["out"] = out
         _emit(summary)
     else:
         _emit(summary)
@@ -375,21 +396,20 @@ def _audit_counts(text: str) -> dict[str, int]:
     return overrides
 
 
-def _cmd_audit(args: argparse.Namespace) -> int:
-    cfg = _load_config_file(args)
-    seed = _merged_int(args, cfg, "seed", 0)
-    claims_arg = _merged(args, cfg, "claims")
-    counts_arg = _merged(args, cfg, "counts")
-    overrides = _audit_counts(str(counts_arg)) if counts_arg else {}
+def _cmd_audit(opts: dict, out: str | None) -> int:
+    seed = opts.get("seed", 0)
+    claims = opts.get("claims")
+    counts = opts.get("counts")
+    overrides = _audit_counts(counts) if counts else {}
     config = AuditConfig(seed=seed)
-    if claims_arg:
-        names = tuple(c.strip() for c in str(claims_arg).split(",") if c.strip())
+    if claims:
+        names = tuple(c.strip() for c in claims.split(",") if c.strip())
         config = replace(config, claims=names)
     config = replace(config, **overrides)
     report = run_audit(config)
     text = report.render()
-    if args.out:
-        _atomic_write(args.out, text)
+    if out:
+        _atomic_write(out, text)
     else:
         sys.stdout.write(text)
     _emit(
@@ -410,6 +430,35 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     return EXIT_OK if report.passed else EXIT_CLAIM_FAILURE
 
 
+# command -> (help, options, handler); every command also takes --config and --out
+COMMANDS = {
+    "solve": (
+        "enumerate equilibria",
+        ("protocol", "dist", "refine", "max-members", "max-grid"),
+        _cmd_solve,
+    ),
+    "refine": (
+        "equilibria surviving the deliberation refinement",
+        ("protocol", "dist", "max-members", "max-grid"),
+        partial(_cmd_solve, refine=True),
+    ),
+    "verify": ("verify a stated equilibrium", ("protocol", "dist", "equilibrium"), _cmd_verify),
+    "gains": ("full-effort gain corners of a protocol", ("model", "protocol", "refine"), _cmd_gains),
+    "dominance": (
+        "compare two protocols' full-effort sets",
+        ("model", "protocol-a", "protocol-b", "refine"),
+        _cmd_dominance,
+    ),
+    "optimal-k": (
+        "best consensus level for a binary environment",
+        ("n", "full", "deviation"),
+        _cmd_optimal_k,
+    ),
+    "sweep": ("optimal-consensus parameter sweep to CSV", ("panel", "grid", "n"), _cmd_sweep),
+    "audit": ("run the claims audit", ("seed", "claims", "counts"), _cmd_audit),
+}
+
+
 # ---------------------------------------------------------------------------
 # Entry point
 # ---------------------------------------------------------------------------
@@ -425,71 +474,21 @@ class _Parser(argparse.ArgumentParser):
 
 @lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process: parsing reads it and
-    leaves no state in it, so every ``main`` call shares it."""
+    """The command-line parser, built once per process from ``COMMANDS``:
+    parsing reads it and leaves no state in it, so every ``main`` call shares it."""
     parser = _Parser(
         prog="team-disclosure",
         description="equilibria and effort incentives of team-disclosure games",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
+    for command, (help_text, names, _) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for name in names:
+            flag = OPTIONS[name][1]
+            if flag is not None:
+                p.add_argument(f"--{name}", **flag)
         p.add_argument("--config", help="JSON config file; flags win on conflict")
         p.add_argument("--out", help="output path (written atomically)")
-
-    p_solve = sub.add_parser("solve", help="enumerate equilibria")
-    p_solve.add_argument("--protocol", help="e.g. k_majority:3,2 | leader:2,1 | JSON")
-    p_solve.add_argument("--dist", help="e.g. independent:0.5 | common_mixture:p,qT,q | JSON")
-    p_solve.add_argument("--refine", action="store_true", default=None)
-    p_solve.add_argument("--max-members", type=int, default=None)
-    p_solve.add_argument("--max-grid", type=int, default=None)
-    common(p_solve)
-
-    p_refine = sub.add_parser("refine", help="equilibria surviving the deliberation refinement")
-    for a in ("--protocol", "--dist"):
-        p_refine.add_argument(a)
-    p_refine.add_argument("--max-members", type=int, default=None)
-    p_refine.add_argument("--max-grid", type=int, default=None)
-    common(p_refine)
-
-    p_verify = sub.add_parser("verify", help="verify a stated equilibrium")
-    p_verify.add_argument("--protocol")
-    p_verify.add_argument("--dist")
-    p_verify.add_argument("--equilibrium", help="JSON file with 'profile' and 'posteriors'")
-    common(p_verify)
-
-    p_gains = sub.add_parser("gains", help="full-effort gain corners of a protocol")
-    p_gains.add_argument("--model", help="effort-model JSON file")
-    p_gains.add_argument("--protocol")
-    p_gains.add_argument("--refine", action="store_true", default=None)
-    common(p_gains)
-
-    p_dom = sub.add_parser("dominance", help="compare two protocols' full-effort sets")
-    p_dom.add_argument("--model")
-    p_dom.add_argument("--protocol-a")
-    p_dom.add_argument("--protocol-b")
-    p_dom.add_argument("--refine", action="store_true", default=None)
-    common(p_dom)
-
-    p_opt = sub.add_parser("optimal-k", help="best consensus level for a binary environment")
-    p_opt.add_argument("--n", type=int, default=None)
-    common(p_opt)
-
-    p_sweep = sub.add_parser("sweep", help="optimal-consensus parameter sweep to CSV")
-    p_sweep.add_argument("--panel", choices=sorted(PANEL_GRIDS))
-    p_sweep.add_argument("--grid", help="start:stop:step (exact rationals)")
-    p_sweep.add_argument("--n", type=int, default=None)
-    common(p_sweep)
-
-    p_audit = sub.add_parser("audit", help="run the claims audit")
-    p_audit.add_argument("--seed", type=int, default=None)
-    p_audit.add_argument("--claims", help="comma-separated subset of claims")
-    p_audit.add_argument(
-        "--counts",
-        help="integer count overrides of at least 1, e.g. existence_dists=200,binary_draws=1000",
-    )
-    common(p_audit)
-
     return parser
 
 
@@ -499,18 +498,9 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT_ERROR if exc.code else EXIT_OK
-    handlers = {
-        "solve": _cmd_solve,
-        "refine": lambda a: _cmd_solve(a, refine=True),
-        "verify": _cmd_verify,
-        "gains": _cmd_gains,
-        "dominance": _cmd_dominance,
-        "optimal-k": _cmd_optimal_k,
-        "sweep": _cmd_sweep,
-        "audit": _cmd_audit,
-    }
+    _, names, handler = COMMANDS[args.command]
     try:
-        return handlers[args.command](args)
+        return handler(_options(args, names), args.out)
     except SearchCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SEARCH_CAP

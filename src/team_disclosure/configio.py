@@ -97,29 +97,21 @@ def protocol_to_config(protocol: DeliberationProtocol) -> dict[str, Any]:
 
 
 def parse_protocol_spec(spec: str) -> DeliberationProtocol:
-    """CLI shorthand: 'k_majority:3,2', 'consensus:2', 'unilateral:3',
-    'leader:3,1', or inline JSON."""
+    """CLI shorthand, read as the config object it stands for:
+    'k_majority:N,K', 'consensus:N' (K = N), 'unilateral:N' (K = 1),
+    'leader:N,I', or inline JSON."""
     spec = spec.strip()
     if spec.startswith("{"):
         return protocol_from_config(json.loads(spec))
-    if ":" not in spec:
-        raise ConfigError(f"cannot parse protocol spec {spec!r}")
     kind, _, args = spec.partition(":")
-    try:
-        nums = [int(a) for a in args.split(",") if a]
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse protocol spec {spec!r}") from exc
-    try:
-        if kind == "k_majority" and len(nums) == 2:
-            return make_k_majority(*nums)
-        if kind == "consensus" and len(nums) == 1:
-            return make_k_majority(nums[0], nums[0])
-        if kind == "unilateral" and len(nums) == 1:
-            return make_k_majority(nums[0], 1)
-        if kind == "leader" and len(nums) == 2:
-            return make_leader(*nums)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    vals = [a for a in args.split(",") if a]
+    if kind == "k_majority" and len(vals) == 2:
+        return protocol_from_config({"kind": "k_majority", "n": vals[0], "k": vals[1]})
+    if kind in ("consensus", "unilateral") and len(vals) == 1:
+        k = vals[0] if kind == "consensus" else "1"
+        return protocol_from_config({"kind": "k_majority", "n": vals[0], "k": k})
+    if kind == "leader" and len(vals) == 2:
+        return protocol_from_config({"kind": "leader", "n": vals[0], "leader": vals[1]})
     raise ConfigError(f"cannot parse protocol spec {spec!r}")
 
 
@@ -182,23 +174,20 @@ def distribution_to_config(dist: JointDistribution) -> dict[str, Any]:
 
 
 def parse_distribution_spec(spec: str, n_hint: int | None = None) -> JointDistribution:
-    """CLI shorthand: 'independent:0.5' (n from the protocol),
-    'independent:0.5,0.6', 'common_mixture:0.5,0.5,0.5', or inline JSON."""
+    """CLI shorthand, read as the config object it stands for:
+    'independent:0.5' (n from the protocol), 'independent:0.5,0.6',
+    'common_mixture:p,qT,q', or inline JSON."""
     spec = spec.strip()
     if spec.startswith("{"):
         return distribution_from_config(json.loads(spec), n_hint)
     kind, _, args = spec.partition(":")
     vals = [a for a in args.split(",") if a]
     if kind == "independent" and vals:
-        if len(vals) == 1:
-            if not n_hint:
-                raise ConfigError("independent shorthand with one q needs a protocol for n")
-            return binary_independent([as_fraction(vals[0])] * n_hint)
-        return binary_independent([as_fraction(v) for v in vals])
+        q = vals[0] if len(vals) == 1 else vals
+        return distribution_from_config({"kind": "independent", "q": q}, n_hint)
     if kind == "common_mixture" and len(vals) == 3:
-        if not n_hint:
-            raise ConfigError("common_mixture shorthand needs a protocol for n")
-        return common_mixture(n_hint, *(as_fraction(v) for v in vals))
+        obj = {"kind": "common_mixture", "p": vals[0], "q_T": vals[1], "q": vals[2]}
+        return distribution_from_config(obj, n_hint)
     raise ConfigError(f"cannot parse distribution spec {spec!r}")
 
 

@@ -183,8 +183,8 @@ def _rule_values(profile: StrategyProfile, protocol: DeliberationProtocol) -> tu
     in the low n bits when they vote 1, 0 when they vote 0, and when they mix
     the position + 1 in a slot of their own above the low n bits. A cell's
     code is the OR of its members' codes. A pure code is one lookup in the
-    winning table; a mixed one sums the winning completions of its mixing
-    members' votes over one common denominator, once per distinct code.
+    winning table; a mixed one is ``protocol._extension`` at its mixing
+    members' votes, the kernel ``evaluate`` also uses, once per distinct code.
     """
     space = profile.space
     n = space.n
@@ -212,15 +212,8 @@ def _rule_values(profile: StrategyProfile, protocol: DeliberationProtocol) -> tu
         if code <= pure:
             values[code] = ONE if table[code] else ZERO
             continue
-        masks, weights, den = [code & pure], [1], 1
-        for i in range(n):
-            key = code & (slot << (n + i * width))
-            if key:
-                bit, a, b = mixing[key]
-                masks += [m | bit for m in masks]
-                weights = [w * (b - a) for w in weights] + [w * a for w in weights]
-                den *= b
-        values[code] = Fraction(sum(compress(weights, map(table.__getitem__, masks))), den)
+        keys = (code & (slot << (n + i * width)) for i in range(n))
+        values[code] = protocol._extension(code & pure, [mixing[key] for key in keys if key])
     return tuple(map(values.__getitem__, codes))
 
 

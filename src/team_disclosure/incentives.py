@@ -455,6 +455,12 @@ def find_epsilon_bar(
     space = full.space
     profile = _conceal_worst_profile(space)
     rule = team_rule(profile, protocol_other)
+    # each member's posterior on concealment after their deviation, or None
+    # when the deviation never conceals; neither depends on the mixing weight
+    dev_posts = []
+    for i in range(1, model_base.n + 1):
+        pnd_dev, mass_dev = _nd_stats(model_base.dist_of(model_base.without(i)), rule, i)
+        dev_posts.append(mass_dev / pnd_dev if pnd_dev else None)
 
     def indicator(eps: Fraction) -> bool:
         mixed = mix(full, g_comonotone, eps)
@@ -463,12 +469,9 @@ def find_epsilon_bar(
             return False
         weak = True
         strict = False
-        for i in range(1, model_base.n + 1):
-            dev = model_base.dist_of(model_base.without(i))
-            pnd_dev, mass_dev = _nd_stats(dev, rule, i)
-            if pnd_dev == 0:
+        for i, post_dev in enumerate(dev_posts, 1):
+            if post_dev is None:
                 continue
-            post_dev = mass_dev / pnd_dev
             if post[i - 1] > post_dev:
                 weak = False
                 break

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, compress
 from typing import Callable, Iterable, Sequence
 
 from .rationals import Rational, as_fraction
@@ -106,29 +106,32 @@ class DeliberationProtocol:
         for v in x:
             if not ZERO <= v <= ONE:
                 raise ProtocolError(f"vote probability {v} outside [0,1]")
-        fixed = 0
-        free: list[int] = []
+        ones = 0
+        mixers = []
         for i, v in enumerate(x):
             if v == ONE:
-                fixed |= 1 << i
+                ones |= 1 << i
             elif v != ZERO:
-                free.append(i)
-        if not free:
-            return ONE if self.wins(fixed) else ZERO
-        total = ZERO
+                mixers.append((1 << i, v.numerator, v.denominator))
+        return self._extension(ones, mixers)
+
+    def _extension(self, ones: int, mixers: Sequence[tuple[int, int, int]]) -> Fraction:
+        """The multilinear extension in integers, over one common denominator.
+
+        ``ones`` is the bitmask of the members voting 1; each mixer is
+        ``(bit, num, den)``, a member voting 1 with probability num/den; every
+        other member votes 0. Sums the winning completions of the mixers'
+        votes, each weighted by the product of their vote numerators.
+        """
         table = self._winning_table
-        for sub in range(1 << len(free)):
-            mask = fixed
-            p = ONE
-            for j, i in enumerate(free):
-                if sub >> j & 1:
-                    mask |= 1 << i
-                    p *= x[i]
-                else:
-                    p *= ONE - x[i]
-            if table[mask]:
-                total += p
-        return total
+        if not mixers:
+            return ONE if table[ones] else ZERO
+        masks, weights, den = [ones], [1], 1
+        for bit, num, mixer_den in mixers:
+            masks += [m | bit for m in masks]
+            weights = [w * (mixer_den - num) for w in weights] + [w * num for w in weights]
+            den *= mixer_den
+        return Fraction(sum(compress(weights, map(table.__getitem__, masks))), den)
 
     def can_unilaterally_disclose(self, i: int) -> bool:
         """Whether member i alone forms a winning coalition."""

@@ -23,6 +23,7 @@ from team_disclosure.binary_env import (
 )
 from team_disclosure.incentives import EffortModel, effort_gain
 
+import oracles
 from oracles import (
     binary_branch_enumeration,
     binary_closed_forms_by_k,
@@ -87,10 +88,13 @@ class TestClosedForms:
                 assert prob_joint_high_and_nd(params, k) == hi
                 assert cond_mean_nd(params, k) == mean
 
-    def test_kernel_against_per_k_closed_forms(self):
+    def test_kernel_against_per_k_closed_forms(self, monkeypatch):
         # the integer kernel against the per-k closed forms and the Fraction
         # pass it replaced, exactly and at every k, on a /100 grid, with
-        # teams up to 40 members
+        # teams up to 40 members. The per-k forms are memoised for the test,
+        # so binary_gains_by_k reads the forms the loop has just computed
+        closed_forms = lru_cache(maxsize=None)(oracles.binary_closed_forms_by_k)
+        monkeypatch.setattr(oracles, "binary_closed_forms_by_k", closed_forms)
         rng = random.Random(67)
         sizes = list(range(2, 13)) + [20, 40]
         for _ in range(1000):
@@ -102,7 +106,7 @@ class TestClosedForms:
             for params in (full, dev):
                 pnds, joints, means = binary_terms_by_fractions(params)
                 for k in range(1, n + 1):
-                    pnd, joint, mean = binary_closed_forms_by_k(params, k)
+                    pnd, joint, mean = closed_forms(params, k)
                     assert (pnds[k - 1], joints[k - 1], means[k - 1]) == (pnd, joint, mean)
                     assert prob_nd(params, k) == pnd
                     assert prob_joint_high_and_nd(params, k) == joint

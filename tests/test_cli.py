@@ -15,6 +15,7 @@ from team_disclosure import binary_env, cli
 from team_disclosure.audit import PANEL_GRIDS, panel_sweep
 from team_disclosure.binary_env import MAX_SWEEP_MEMBERS, MAX_SWEEP_ROWS
 from team_disclosure.cli import main
+from team_disclosure.configio import ConfigError, load_distribution, load_protocol
 
 F = Fraction
 
@@ -656,9 +657,151 @@ class TestAuditCommand:
         assert "result: PASS" in proc.stdout
 
 
+SOLVE_FLAGS = ["--protocol", "k_majority:2,2", "--dist", "independent:0.5"]
+
+
+def one_error_line(capsys):
+    """The captured stderr, asserted to be a single ``error:`` line."""
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1, err
+    assert "Traceback" not in err
+    return err
+
+
+class TestOneReaderPerInput:
+    """A flag string and a config-file value reach the same reader, and a
+    shorthand spec reads as the object it stands for: each input that two
+    readers once took differently is one error line and exit 2."""
+
+    @pytest.mark.parametrize(
+        "argv, cfg, message",
+        [
+            # text options in a config file are JSON strings (a list once
+            # ended in a TypeError traceback, exit 1)
+            (["sweep"], {"panel": [1]}, "panel must be a string"),
+            (["sweep"], {"panel": {"a": 1}}, "panel must be a string"),
+            (["sweep", "--panel", "b", "--n", "3"], {"grid": 0.3}, "grid must be a string"),
+            (["sweep", "--panel", "b"], {"grid": ["0.3:0.5:0.1"]}, "grid must be a string"),
+            # once reported as the unknown claim "['gain_identity']"
+            (["audit"], {"claims": ["gain_identity"]}, "claims must be a string"),
+            (["audit", "--claims", "gain_identity"], {"counts": {"identity_cases": 2}}, "counts must be a string"),
+            (["audit", "--claims", "gain_identity"], {"counts": 2}, "counts must be a string"),
+            # integer flags follow the config rule (once read by int())
+            (["optimal-k", "--n", "\u0663"], None, "n must be an integer"),
+            (["optimal-k"], {"n": "\u0663"}, "n must be an integer"),
+            (["optimal-k", "--n", "+3"], None, "n must be an integer"),
+            (["solve", *SOLVE_FLAGS, "--max-members", "-4"], None, "max-members must be an integer"),
+            (["solve", *SOLVE_FLAGS, "--max-members", "+4"], None, "max-members must be an integer"),
+            (["solve", *SOLVE_FLAGS, "--max-grid", "5x"], None, "max-grid must be an integer"),
+            (["audit", "--seed", "-1"], None, "seed must be an integer"),
+            (["sweep", "--panel", "z"], None, "panel must be one of ['a', 'b', 'c', 'd']"),
+        ],
+    )
+    def test_input_fault(self, tmp_path, capsys, argv, cfg, message):
+        if cfg is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(cfg))
+            argv = argv + ["--config", str(path)]
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert message in one_error_line(capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "k_majority:+2,2",
+            "k_majority:2,+2",
+            "k_majority: 2,2",
+            "k_majority:\u0662,\u0662",
+            "k_majority:2,-1",
+            "consensus:+2",
+            "unilateral:\u0662",
+            "leader:2,+1",
+            "leader: 2,1",
+        ],
+    )
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_shorthand_integer(self, tmp_path, capsys, spec, via):
+        if via == "flag":
+            argv = ["solve", "--protocol", spec, "--dist", "independent:0.5"]
+        else:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({"protocol": spec, "dist": "independent:0.5"}))
+            argv = ["solve", "--config", str(path)]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        assert "must be an integer" in one_error_line(capsys)
+
+    def test_search_cap_still_exit_3(self, tmp_path, capsys):
+        # a cap of zero members is an integer, so it is the search that refuses
+        argv = ["solve", *SOLVE_FLAGS, "--max-members", "0", "--out", str(tmp_path / "out")]
+        assert main(argv) == 3
+        one_error_line(capsys)
+
+
+PROTOCOL_SHORTHANDS = [
+    ("k_majority:3,2", {"kind": "k_majority", "n": "3", "k": "2"}),
+    ("k_majority:2,9", {"kind": "k_majority", "n": "2", "k": "9"}),
+    ("k_majority:+2,2", {"kind": "k_majority", "n": "+2", "k": "2"}),
+    ("k_majority:\u0662,2", {"kind": "k_majority", "n": "\u0662", "k": "2"}),
+    ("consensus:3", {"kind": "k_majority", "n": "3", "k": "3"}),
+    ("consensus:13", {"kind": "k_majority", "n": "13", "k": "13"}),
+    ("unilateral:2", {"kind": "k_majority", "n": "2", "k": "1"}),
+    ("unilateral:1", {"kind": "k_majority", "n": "1", "k": "1"}),
+    ("leader:3,2", {"kind": "leader", "n": "3", "leader": "2"}),
+    ("leader:2,3", {"kind": "leader", "n": "2", "leader": "3"}),
+    ("leader:2,x", {"kind": "leader", "n": "2", "leader": "x"}),
+]
+DISTRIBUTION_SHORTHANDS = [
+    ("independent:1/3", {"kind": "independent", "q": "1/3"}),
+    ("independent:1/3,0.25", {"kind": "independent", "q": ["1/3", "0.25"]}),
+    ("independent:x", {"kind": "independent", "q": "x"}),
+    ("independent:2", {"kind": "independent", "q": "2"}),
+    ("independent:1e999999999", {"kind": "independent", "q": "1e999999999"}),
+    ("common_mixture:1/2,1/3,3/4", {"kind": "common_mixture", "p": "1/2", "q_T": "1/3", "q": "3/4"}),
+    ("common_mixture:1/2,1/3,0", {"kind": "common_mixture", "p": "1/2", "q_T": "1/3", "q": "0"}),
+    ("common_mixture:1/2,y,1/2", {"kind": "common_mixture", "p": "1/2", "q_T": "y", "q": "1/2"}),
+]
+
+
+def _read(load, value, *hint):
+    """What configio reads from a spec: the protocol or distribution, or the
+    error message."""
+    try:
+        return load(value, *hint)
+    except ConfigError as exc:
+        return f"error: {exc}"
+
+
+class TestShorthandAgreement:
+    """Every shorthand spec reads as the config object it stands for: the same
+    protocol or distribution, or the same error and exit code."""
+
+    @pytest.mark.parametrize("spec, obj", PROTOCOL_SHORTHANDS, ids=[s for s, _ in PROTOCOL_SHORTHANDS])
+    def test_protocol(self, tmp_path, capsys, spec, obj):
+        assert _read(load_protocol, spec) == _read(load_protocol, obj)
+        results = []
+        for protocol in (spec, obj):
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({"protocol": protocol, "dist": "independent:1/3"}))
+            out = tmp_path / f"{len(results)}.json"
+            code = main(["solve", "--config", str(path), "--out", str(out)])
+            captured = capsys.readouterr()
+            results.append((code, captured.err, out.read_bytes() if code == 0 else None))
+        assert results[0] == results[1]
+
+    @pytest.mark.parametrize(
+        "spec, obj", DISTRIBUTION_SHORTHANDS, ids=[s for s, _ in DISTRIBUTION_SHORTHANDS]
+    )
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_distribution(self, spec, obj, n):
+        assert _read(load_distribution, spec, n) == _read(load_distribution, obj, n)
+
+
 class TestFuzz:
     """Seeded mutations of specs, config files, equilibrium files and effort
-    models: every run ends with exit 0, 2 or 3 and never a traceback."""
+    models, and drawn sweep and audit options: every run ends with exit 0, 2
+    or 3 and never a traceback."""
 
     PROTOCOLS = [
         "k_majority:2,2",
@@ -726,8 +869,52 @@ class TestFuzz:
         path.write_text(text)
         return str(path)
 
+    # sweep and audit options: (valid values, malformed values), drawn and
+    # not mutated, so that no draw asks for thousands of members, grid points
+    # or audit instances
+    SWEEP = {
+        "panel": (["a", "b", "c", "d"], ["z", "", [1], {"a": 1}, None, 2]),
+        "n": ([2, 3, 6, "4"], ["0", "+3", "-1", "\u0663", "x", 2.5, True, None, [3]]),
+        "grid": (
+            ["0.30:0.50:0.05", "0.3:0.5:0.1"],
+            ["0.5:0.3:0.1", "0.3:1:0.1", "x", 0.3, ["0.3:0.5:0.1"], None],
+        ),
+    }
+    AUDIT = {
+        "claims": (["gain_identity", "binary_dominance"], ["gain_identity,bogus", ["gain_identity"], 1]),
+        "counts": (
+            ["identity_cases=2,binary_draws=3"],
+            ["identity_cases=0", "seed=3", "bogus=2", "identity_cases", {"identity_cases": 2}, 2],
+        ),
+        "seed": ([0, 1, "2"], ["-1", "+1", "\u0663", "x", 1.5, True, None]),
+    }
+
+    def drawn(self, rng, tmp_path, command, options):
+        """A sweep or audit run: each option left out, or drawn valid three
+        times in four, and given by flag when it is a string and by config
+        file otherwise."""
+        argv, cfg = [command], {}
+        for name, (valid, malformed) in options.items():
+            if rng.random() < 0.1:
+                continue
+            value = rng.choice(valid if rng.random() < 0.75 else malformed)
+            if isinstance(value, str) and rng.random() < 0.5:
+                argv += [f"--{name}", value]
+            else:
+                cfg[name] = value
+        if command == "audit" and "claims" not in cfg and "--claims" not in argv:
+            cfg["claims"] = "gain_identity"  # the full audit takes seconds
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        return argv + ["--config", str(path)]
+
     def argv(self, rng, tmp_path):
-        command = rng.choice(["solve", "refine", "verify", "gains", "dominance", "optimal-k"])
+        commands = ["solve", "refine", "verify", "gains", "dominance", "optimal-k", "sweep", "audit"]
+        command = rng.choice(commands)
+        if command == "sweep":
+            return self.drawn(rng, tmp_path, command, self.SWEEP)
+        if command == "audit":
+            return self.drawn(rng, tmp_path, command, self.AUDIT)
         protocol = self.mutate(rng, rng.choice(self.PROTOCOLS))
         dist = self.mutate(rng, rng.choice(self.DISTS))
         if command == "optimal-k":
