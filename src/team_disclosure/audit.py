@@ -380,19 +380,24 @@ def _claim_threshold_form(config: AuditConfig, rng: random.Random, rec: _Recorde
                         )
 
 
+def _high_set_rule(proto: DeliberationProtocol, space: OutcomeSpace) -> tuple[Fraction, ...]:
+    """The team rule of a binary space that applies the protocol, cell by
+    cell, to the members who drew their high value."""
+    return tuple(
+        ONE
+        if proto.is_winning([i + 1 for i, (v, g) in enumerate(zip(cell, space.grids)) if v == g[1]])
+        else ZERO
+        for cell in space.cells
+    )
+
+
 @_claim(
     "with binary outcomes, every interior equilibrium's team rule is the "
     "protocol applied to who drew high"
 )
 def _claim_binary_interior_rule(config: AuditConfig, rng: random.Random, rec: _Recorder) -> None:
     for dist, proto in _protocol_draws(rng, config.interior_dists, random_binary_distribution):
-        space = dist.space
-        expected = tuple(
-            ONE
-            if proto.is_winning([i + 1 for i in range(proto.n) if cell[i] == space.grids[i][1]])
-            else ZERO
-            for cell in space.cells
-        )
+        expected = _high_set_rule(proto, dist.space)
         for eq in find_equilibria(dist, proto):
             if eq.classification != INTERIOR:
                 continue
@@ -449,12 +454,7 @@ def _claim_correlation_statics(config: AuditConfig, rng: random.Random, rec: _Re
         for proto in protocols:
             rec.tick()
             space = f.space
-            rule = tuple(
-                ONE
-                if proto.is_winning([i + 1 for i in range(n) if cell[i] == ONE])
-                else ZERO
-                for cell in space.cells
-            )
+            rule = _high_set_rule(proto, space)
             in_f = any(e.rule.values == rule for e in find_equilibria(f, proto))
             in_fp = any(e.rule.values == rule for e in find_equilibria(f_prime, proto))
             if not (in_f and in_fp):
@@ -772,6 +772,8 @@ def _claim_optimal_consensus_shapes(config: AuditConfig, rng: random.Random, rec
 
 def run_audit(config: AuditConfig | None = None) -> AuditReport:
     config = config or AuditConfig()
+    if not config.claims:
+        raise ValueError("no claims selected")
     unknown = [c for c in config.claims if c not in CLAIMS]
     if unknown:
         raise ValueError(f"unknown claims: {unknown}")

@@ -221,7 +221,7 @@ def _require(opts: dict, command: str, *names: str) -> None:
 
 
 def _cmd_solve(opts: dict, out: str | None, refine: bool = False) -> int:
-    _require(opts, "solve", "protocol", "dist")
+    _require(opts, "refine" if refine else "solve", "protocol", "dist")
     protocol = load_protocol(opts["protocol"])
     dist = load_distribution(opts["dist"], protocol.n)
     refine = refine or opts.get("refine", False)

@@ -61,7 +61,7 @@ from .outcomes import (
     OutcomeSpace,
     posterior_no_disclosure,
 )
-from .protocols import DeliberationProtocol
+from .protocols import DeliberationProtocol, _submasks
 from .rationals import Rational, as_fraction
 
 ZERO = Fraction(0)
@@ -257,13 +257,10 @@ def _pivotal(wins, rest: int, free: int, coalition: int) -> bool:
     votes then has positive probability, so the coalition is pivotal exactly
     when some completion wins with it voting 1 and loses with it voting 0.
     """
-    sub = free
-    while True:
+    for sub in _submasks(free):
         if wins(rest | sub | coalition) and not wins(rest | sub):
             return True
-        if sub == 0:
-            return False
-        sub = (sub - 1) & free
+    return False
 
 
 def verify_equilibrium(
@@ -1267,16 +1264,28 @@ def _concealment_scan(
             yield mass, sums, concealed
 
 
-def _pure_rows(space: OutcomeSpace) -> list[range]:
-    """Every member's deterministic rows for :func:`_concealment_scan`, once
-    their profile count is checked against ``DEFAULT_PROFILE_CAP``."""
+def _witnesses(dist: JointDistribution, protocol: DeliberationProtocol):
+    """Every deterministic own-outcome profile that conceals something.
+
+    Checks the member count and ``DEFAULT_PROFILE_CAP`` when called, then
+    gives ``(bits, W, S, concealed)`` of :func:`_concealment_scan` for each
+    profile with W > 0; ``bits`` holds one row bitmask per member.
+    """
+    space = dist.space
+    if protocol.n != space.n:
+        raise EquilibriumError("protocol and distribution have different member counts")
     sizes = [len(g) for g in space.grids]
     total = 1 << sum(sizes)
     if total > DEFAULT_PROFILE_CAP:
         raise SearchCapExceeded(
             f"{total} deterministic profiles exceed the cap of {DEFAULT_PROFILE_CAP}"
         )
-    return [range(1 << size) for size in sizes]
+    rows = [range(1 << size) for size in sizes]
+    return (
+        (bits, mass, sums, concealed)
+        for bits, (mass, sums, concealed) in zip(product(*rows), _concealment_scan(dist, protocol, rows))
+        if mass
+    )
 
 
 def _pure_profile(space: OutcomeSpace, rows: Sequence[int]) -> StrategyProfile:
@@ -1301,18 +1310,14 @@ def consistent_with_deliberation(
     Profiles are scanned in scaled integers; a witness is confirmed by
     rebuilding its team rule and Bayes posterior before True is returned.
     """
-    space = dist.space
-    if protocol.n != space.n:
-        raise EquilibriumError("protocol and distribution have different member counts")
+    witnesses = _witnesses(dist, protocol)
     target = tuple(as_fraction(p) for p in posteriors)
-    if len(target) != space.n:
+    if len(target) != dist.space.n:
         raise EquilibriumError("posterior vector has wrong length")
-    scales = dist._scaled.scales
-    goal = [t * s for t, s in zip(target, scales)]
-    rows = _pure_rows(space)
-    for bits, (mass, sums, _) in zip(product(*rows), _concealment_scan(dist, protocol, rows)):
-        if mass and all(s * g.denominator == g.numerator * mass for s, g in zip(sums, goal)):
-            rule = team_rule(_pure_profile(space, bits), protocol)
+    goal = [t * s for t, s in zip(target, dist._scaled.scales)]
+    for bits, mass, sums, _ in witnesses:
+        if all(s * g.denominator == g.numerator * mass for s, g in zip(sums, goal)):
+            rule = team_rule(_pure_profile(dist.space, bits), protocol)
             if posterior_no_disclosure(dist, rule) != target:
                 raise AssertionError("integer scan disagrees with posterior_no_disclosure")
             return True
@@ -1347,9 +1352,8 @@ def plausible_full_disclosure_by_search(
     Bayes posterior and, for the on-path case, its classification and
     verification before True is returned.
     """
+    witnesses = _witnesses(dist, protocol)
     space = dist.space
-    if protocol.n != space.n:
-        raise EquilibriumError("protocol and distribution have different member counts")
     n = space.n
     mins = space.min_vector
     full_mask = (1 << n) - 1
@@ -1360,10 +1364,7 @@ def plausible_full_disclosure_by_search(
         if not protocol.wins(full_mask ^ mask)
     ]
     floors = [g[0] for g in dist._scaled.grid_ints]
-    rows = _pure_rows(space)
-    for bits, (mass, sums, concealed) in zip(product(*rows), _concealment_scan(dist, protocol, rows)):
-        if not mass:
-            continue
+    for bits, mass, sums, concealed in witnesses:
         # The deviation conditions of the always-disclose profile reduce to:
         # every coalition able to block disclosure must contain a member whose
         # belief already sits at their worst outcome (otherwise there is an

@@ -15,11 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Callable, Mapping, Sequence
 
 from .equilibrium import (
-    StrategyProfile,
     TeamRule,
+    _pure_profile,
     _verify,
     find_equilibria,
     full_disclosure_is_plausible,
@@ -44,6 +45,17 @@ ONE = Fraction(1)
 SELF_IMPROVING = "self_improving"
 TEAM_IMPROVING = "team_improving"
 NEITHER = "neither"
+
+
+def _deviations(n: int):
+    """Every unilateral effort deviation on n members: ``(i, up, down)`` where
+    member i + 1 works in ``up`` and shirks in ``down`` and everyone else's
+    effort is the same in both; ``down`` in lexicographic order, then i
+    ascending."""
+    for down in product((0, 1), repeat=n):
+        for i in range(n):
+            if not down[i]:
+                yield i, down[:i] + (1,) + down[i + 1 :], down
 
 
 class IncentiveError(ValueError):
@@ -77,8 +89,7 @@ class EffortModel:
         if self.n < 2:
             raise IncentiveError("an effort model needs at least 2 members")
         table = dict(self.dists)
-        expected = {tuple((v >> i) & 1 for i in range(self.n)) for v in range(1 << self.n)}
-        if set(table) != expected:
+        if set(table) != set(product((0, 1), repeat=self.n)):
             raise IncentiveError("need one distribution per effort vector in {0,1}^n")
         space = table[(1,) * self.n].space
         if space.n != self.n:
@@ -90,14 +101,9 @@ class EffortModel:
                 raise IncentiveError(f"distribution at effort {e} lacks full support")
         if len(self.costs) != self.n or any(c <= 0 for c in self.costs):
             raise IncentiveError("costs must be strictly positive, one per member")
-        for e in table:
-            for i in range(self.n):
-                if e[i] == 0:
-                    up = tuple(1 if j == i else e[j] for j in range(self.n))
-                    if not fosd_dominates(table[up], table[e]):
-                        raise IncentiveError(
-                            f"effort is not productive: {up} does not dominate {e}"
-                        )
+        for _, up, down in _deviations(self.n):
+            if not fosd_dominates(table[up], table[down]):
+                raise IncentiveError(f"effort is not productive: {up} does not dominate {down}")
 
     @staticmethod
     def build(
@@ -105,13 +111,13 @@ class EffortModel:
         dist_of: Callable[[tuple[int, ...]], JointDistribution] | Mapping[tuple[int, ...], JointDistribution],
         costs: Sequence[Rational],
     ) -> "EffortModel":
-        table = {}
-        for v in range(1 << n):
-            e = tuple((v >> i) & 1 for i in range(n))
-            table[e] = dist_of[e] if isinstance(dist_of, Mapping) else dist_of(e)
+        table = {
+            e: dist_of[e] if isinstance(dist_of, Mapping) else dist_of(e)
+            for e in product((0, 1), repeat=n)
+        }
         return EffortModel(
             n,
-            tuple(sorted(table.items())),
+            tuple(table.items()),
             tuple(as_fraction(c) for c in costs),
         )
 
@@ -323,14 +329,15 @@ def dominates(
 # ---------------------------------------------------------------------------
 
 
-def _subsets_containing(n: int, i: int):
-    others = [j for j in range(1, n + 1) if j != i]
-    for mask in range(1 << len(others)):
-        yield [i] + [others[j] for j in range(len(others)) if mask >> j & 1]
-
-
-def _effort_vector(n: int, members: Sequence[int]) -> tuple[int, ...]:
-    return tuple(1 if j + 1 in members else 0 for j in range(n))
+def _lifts(up: JointDistribution, down: JointDistribution, fixed: Sequence[int]) -> bool:
+    """Whether ``up`` leaves the joint distribution of the members in
+    ``fixed`` as it is under ``down`` and, at every outcome of theirs, strictly
+    lifts the conditional distribution of the other members."""
+    held = marginal(up, fixed)
+    return held.probs == marginal(down, fixed).probs and all(
+        fosd_dominates_everywhere(conditional(up, given), conditional(down, given))
+        for given in (dict(zip(fixed, cells)) for cells in held.space.cells)
+    )
 
 
 def classify_effort(model: EffortModel) -> str:
@@ -341,48 +348,15 @@ def classify_effort(model: EffortModel) -> str:
     conditioning outcome. Team-improving is the mirror image.
     """
     n = model.n
-    space = model.dist_of(model.full_effort).space
-
-    def self_ok(i: int, with_i: JointDistribution, without_i: JointDistribution) -> bool:
-        others = [j for j in range(1, n + 1) if j != i]
-        if marginal(with_i, others).probs != marginal(without_i, others).probs:
-            return False
-        other_space = marginal(with_i, others).space
-        for cells in other_space.cells:
-            given = dict(zip(others, cells))
-            if not fosd_dominates_everywhere(
-                conditional(with_i, given), conditional(without_i, given)
-            ):
-                return False
-        return True
-
-    def team_ok(i: int, with_i: JointDistribution, without_i: JointDistribution) -> bool:
-        if marginal(with_i, [i]).probs != marginal(without_i, [i]).probs:
-            return False
-        for v in space.grids[i - 1]:
-            if not fosd_dominates_everywhere(
-                conditional(with_i, {i: v}), conditional(without_i, {i: v})
-            ):
-                return False
-        return True
-
-    is_self = True
-    is_team = True
-    for i in range(1, n + 1):
-        for members in _subsets_containing(n, i):
-            with_i = model.dist_of(_effort_vector(n, members))
-            without_i = model.dist_of(_effort_vector(n, [j for j in members if j != i]))
-            if is_self and not self_ok(i, with_i, without_i):
-                is_self = False
-            if is_team and not team_ok(i, with_i, without_i):
-                is_team = False
-            if not is_self and not is_team:
-                return NEITHER
-    if is_self:
-        return SELF_IMPROVING
-    if is_team:
-        return TEAM_IMPROVING
-    return NEITHER
+    is_self = is_team = True
+    for i, up, down in _deviations(n):
+        with_i, without_i = model.dist_of(up), model.dist_of(down)
+        others = [j for j in range(1, n + 1) if j != i + 1]
+        is_self = is_self and _lifts(with_i, without_i, others)
+        is_team = is_team and _lifts(with_i, without_i, [i + 1])
+        if not is_self and not is_team:
+            return NEITHER
+    return SELF_IMPROVING if is_self else TEAM_IMPROVING
 
 
 def effective_team_leader(model: EffortModel, i: int) -> bool:
@@ -417,15 +391,6 @@ class EpsilonBarResult:
     grid: tuple[tuple[Fraction, bool], ...]
 
 
-def _conceal_worst_profile(space) -> StrategyProfile:
-    return StrategyProfile(
-        space,
-        tuple(
-            tuple(ZERO if p == 0 else ONE for p in range(len(g))) for g in space.grids
-        ),
-    )
-
-
 def find_epsilon_bar(
     model_base: EffortModel,
     g_comonotone: JointDistribution,
@@ -453,7 +418,8 @@ def find_epsilon_bar(
         raise IncentiveError("the comonotone distribution must dominate the base")
     tolerance = as_fraction(tolerance)
     space = full.space
-    profile = _conceal_worst_profile(space)
+    # conceal only the worst outcome: every row bit but the first (highest)
+    profile = _pure_profile(space, [(1 << (len(g) - 1)) - 1 for g in space.grids])
     rule = team_rule(profile, protocol_other)
     # each member's posterior on concealment after their deviation, or None
     # when the deviation never conceals; neither depends on the mixing weight

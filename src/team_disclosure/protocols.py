@@ -48,6 +48,17 @@ def _members(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _submasks(mask: int):
+    """Every submask of ``mask`` (a coalition's subgroups), from ``mask``
+    itself down to the empty one."""
+    sub = mask
+    while True:
+        yield sub
+        if not sub:
+            return
+        sub = (sub - 1) & mask
+
+
 @dataclass(frozen=True)
 class DeliberationProtocol:
     """Monotone winning-coalition structure with a multilinear mixed-vote extension."""
@@ -156,23 +167,12 @@ class DeliberationProtocol:
         own. Decided by exhaustive enumeration over coalitions.
         """
         full = (1 << self.n) - 1
-        for i_mask in range(1, full + 1):
-            if not self.wins(i_mask):
-                continue
-            if self.wins(full ^ i_mask):
-                continue  # I is not pivotal: the rest still carries disclosure
-            found = False
-            j_mask = (i_mask - 1) & i_mask
-            while True:
-                if not self.wins(full ^ j_mask):
-                    found = True
-                    break
-                if j_mask == 0:
-                    break
-                j_mask = (j_mask - 1) & i_mask
-            if not found:
-                return False
-        return True
+        return all(
+            any(not self.wins(full ^ j_mask) for j_mask in _submasks(i_mask) if j_mask != i_mask)
+            for i_mask in range(1, full + 1)
+            # I carries disclosure and is pivotal: the rest alone does not
+            if self.wins(i_mask) and not self.wins(full ^ i_mask)
+        )
 
     def describe(self) -> str:
         coals = ",".join("{" + ",".join(map(str, c)) + "}" for c in self.minimal_winning)

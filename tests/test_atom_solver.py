@@ -11,6 +11,7 @@ from team_disclosure.equilibrium import (
     FREE_WEIGHT_CANDIDATES,
     ONE,
     ZERO,
+    StrategyProfile,
     _AtomSolver,
     _cell_samples,
     _corner_combo,
@@ -20,12 +21,19 @@ from team_disclosure.equilibrium import (
     _cut_configs,
     _sign_at,
     find_equilibria_report,
+    team_rule,
+    verify_equilibrium,
 )
+from team_disclosure.outcomes import independent
 from team_disclosure.protocols import all_protocols, make_k_majority
 
 from oracles import atom_grid_scan
 
-sympy = pytest.importorskip("sympy")
+try:
+    import sympy
+except ImportError:  # only the sympy oracles skip; every other test runs
+    sympy = None
+
 F = Fraction
 
 
@@ -184,9 +192,6 @@ class TestHandBuiltTables:
             assert "unresolved" in solver.ctx.notes[0]
 
 
-T = sympy.Symbol("t")
-
-
 def random_polynomial(rng):
     """A product of linear and quadratic factors with rational coefficients,
     of degree <= 4: roots at 0 and 1, rational, repeated and irrational."""
@@ -212,7 +217,9 @@ def random_polynomial(rng):
 
 
 def as_sympy(poly):
-    return sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(poly)], T)
+    return sympy.Poly(
+        [sympy.Rational(c.numerator, c.denominator) for c in reversed(poly)], sympy.Symbol("t")
+    )
 
 
 def sympy_roots01(poly):
@@ -236,6 +243,7 @@ def check_samples(samples, exact_roots):
         assert lo < sympy.Rational(s.numerator, s.denominator) < hi
 
 
+@pytest.mark.skipif(sympy is None, reason="needs sympy")
 class TestUnivariateAgainstSympy:
     def test_real_roots_and_cell_samples(self):
         rng = random.Random(83)
@@ -277,7 +285,8 @@ class TestUnivariateAgainstSympy:
             # sometimes share a factor, so that the sign is exactly 0
             g = _pmul(other, poly) if rng.random() < 0.3 else other
             for root, e in zip(_real_roots(poly), sympy_roots01(poly)):
-                value = sympy.expand(as_sympy(g).as_expr().subs(T, e))
+                g_sympy = as_sympy(g)
+                value = sympy.expand(g_sympy.as_expr().subs(g_sympy.gen, e))
                 assert _sign_at(g, root) == sympy.sign(value)
                 signs.add(_sign_at(g, root))
         assert signs == {-1, 0, 1}
@@ -345,6 +354,8 @@ def assert_irrational_solution(solver, corners):
     """An "unresolved" 3-atom configuration must have a solution, and only
     irrational ones: sympy's solution of the three equations finds one in
     the box with W > 0."""
+    if sympy is None:
+        pytest.skip("needs sympy")
     m = sympy.symbols("m0:3")
 
     def multilinear(vals):
@@ -383,3 +394,37 @@ class TestNoSlices:
             eqs, notes = find_equilibria_report(dist, proto)
             assert not any("slice" in note or "unresolved" in note for note in notes)
             assert all(e.verification.ok for e in eqs)
+
+
+# iid 4-member k_majority:4,2 instances whose symmetric equilibrium, every
+# member at an atom on grid position 1, the search misses today: (marginal,
+# atom weight, posterior of every member)
+HIDDEN = [
+    ({v: F(1, 5) for v in range(5)}, F(1, 8), F(1)),
+    ({1: F(1, 12), 4: F(5, 12), 7: F(6, 12)}, F(3, 10), F(4)),
+    ({0: F(1, 6), 1: F(2, 6), 5: F(2, 6), 6: F(1, 6)}, F(9, 10), F(1)),
+]
+
+
+def hidden_case(marginal, weight):
+    dist = independent([marginal] * 4)
+    row = tuple(ZERO if p < 1 else weight if p == 1 else ONE for p in range(len(marginal)))
+    return dist, make_k_majority(4, 2), StrategyProfile(dist.space, (row,) * 4)
+
+
+@pytest.mark.parametrize("marginal, weight, posterior", HIDDEN)
+class TestHiddenSymmetricEquilibria:
+    def test_verified_but_left_unresolved(self, marginal, weight, posterior):
+        dist, proto, profile = hidden_case(marginal, weight)
+        report = verify_equilibrium(profile, [posterior] * 4, dist, proto)
+        assert report.ok and report.bayes_posteriors == (posterior,) * 4
+        eqs, notes = find_equilibria_report(dist, proto)
+        assert len(eqs) == 3
+        assert notes == ("a 4-atom configuration was left unresolved",)
+
+    @pytest.mark.xfail(strict=True, reason="multi-weight residues are not settled exactly yet")
+    def test_search_returns_it(self, marginal, weight, posterior):
+        dist, proto, profile = hidden_case(marginal, weight)
+        rule = team_rule(profile, proto)
+        eqs, _ = find_equilibria_report(dist, proto)
+        assert any(e.rule == rule and e.posteriors == (posterior,) * 4 for e in eqs)

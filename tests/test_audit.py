@@ -61,6 +61,10 @@ class TestAudit:
         with pytest.raises(ValueError):
             run_audit(replace(SMALL, claims=("not_a_claim",)))
 
+    def test_empty_claim_selection_rejected(self):
+        with pytest.raises(ValueError, match="no claims selected"):
+            run_audit(replace(SMALL, claims=()))
+
     def test_default_report_matches_recorded_bytes(self, tmp_path, capsys):
         out = tmp_path / "audit.txt"
         assert main(["audit", "--seed", "0", "--out", str(out)]) == 0

@@ -121,6 +121,11 @@ class TestSolve:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("command", ["solve", "refine"])
+    def test_missing_input_names_the_command(self, capsys, command):
+        assert main([command, "--protocol", "k_majority:2,2"]) == 2
+        assert capsys.readouterr().err == f"error: {command} needs --protocol and --dist\n"
+
     def test_parse_error_exit_code(self):
         assert main(["solve", "--protocol", "nonsense", "--dist", "independent:0.5"]) == 2
         assert main(["solve", "--protocol", "k_majority:2,9", "--dist", "independent:0.5"]) == 2
@@ -586,6 +591,15 @@ class TestAuditCommand:
 
     def test_audit_unknown_claim(self):
         assert main(["audit", "--claims", "bogus"]) == 2
+
+    @pytest.mark.parametrize("claims", [",", " , "])
+    def test_audit_empty_claim_list(self, tmp_path, capsys, claims):
+        # a list naming no claim once passed with 0/0 claims
+        out = tmp_path / "report.txt"
+        assert main(["audit", "--claims", claims, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: no claims selected\n"
+        assert captured.out == "" and not out.exists()
 
     @pytest.mark.parametrize(
         "counts",

@@ -65,6 +65,14 @@ class TestEffortModel:
         with pytest.raises(IncentiveError):
             EffortModel.build(2, dist, ["1/100", "1/100"])
 
+    def test_unproductive_effort_names_the_first_failing_deviation(self):
+        def dist(e):  # member 2's effort lowers their own high chance
+            return binary_independent([F(1, 2) + F(1, 10) * e[0], F(1, 2) - F(1, 10) * e[1]])
+
+        with pytest.raises(IncentiveError) as info:
+            EffortModel.build(2, dist, ["1/100", "1/100"])
+        assert str(info.value) == "effort is not productive: (0, 1) does not dominate (0, 0)"
+
     def test_rejects_nonpositive_costs(self):
         with pytest.raises(IncentiveError):
             team_improving_pair_model().__class__.build(
