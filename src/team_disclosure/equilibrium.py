@@ -8,22 +8,25 @@ concealment happens with positive probability.
 
 Every equilibrium is equivalent to one in threshold form: vote to disclose
 above your own no-disclosure posterior, conceal below it, and mix only at an
-exact tie. The search is therefore exhaustive over "cut configurations": per
-member either a cut strictly between two adjacent grid values, or an
-indifference atom sitting exactly on a grid value with a mixing weight. Atom
-weights satisfy a multilinear system solved exactly in rational arithmetic
-(:class:`_AtomSolver`): each configuration either yields weights that are
-checked against every condition, or is proven infeasible, with nothing
-sampled. Configurations are first screened by corner sign masks: integer
-bitmasks over the pure cut combinations reject, without solving, every
-configuration in which W > 0 or a gap bound fails at every corner of its
-weight box, or an atom equation has one strict sign at every concealing
-corner (W > 0) of the box (:func:`_cut_configs`). The corners with W = 0
-cannot rescue such an equation: under full support no cell is concealed
-there, so every S_i, and with them every atom equation, is 0. A
-configuration whose only solutions have irrational weights, or whose
-equations do not reduce to one free weight, is reported in the search notes
-as unresolved rather than approximated.
+exact tie. The search therefore runs over "cut configurations": per member
+either a cut strictly between two adjacent grid values, or an indifference
+atom sitting exactly on a grid value with a mixing weight. Atom weights
+satisfy a multilinear system solved exactly by :class:`_AtomSolver` on the
+integer algebra of :mod:`._poly`. Configurations are first screened by
+corner sign masks: integer bitmasks over the pure cut combinations reject,
+without solving, every configuration in which W > 0 or a gap bound fails at
+every corner of its weight box, or an atom equation has one strict sign at
+every concealing corner (W > 0) of the box (:func:`_cut_configs`). The
+corners with W = 0 cannot rescue such an equation: under full support no
+cell is concealed there, so every S_i and every atom equation is 0.
+
+Each configuration yields checked weights, is proven infeasible, or is
+noted unresolved in the search notes; nothing is approximated. The search
+is not yet exhaustive at four members: a configuration is unresolved when
+its only solutions have irrational weights, when its equations do not
+reduce to one free weight, or when it has three or more free weights and a
+gap member and no combination of ``FREE_WEIGHT_CANDIDATES`` for all but the
+last one is feasible.
 
 Where a configuration admits a continuum of equilibria (free mixing weights),
 one canonical representative is returned: each free weight prefers 0, then
@@ -50,11 +53,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations, compress, product
-from math import gcd, lcm, prod
+from itertools import chain, combinations, compress, product
+from math import prod
 from operator import and_, or_
 from typing import Sequence
 
+from . import _poly
 from .outcomes import (
     JointDistribution,
     OffPathPosterior,
@@ -71,8 +75,8 @@ DEFAULT_MAX_MEMBERS = 4
 DEFAULT_MAX_GRID = 5
 DEFAULT_PROFILE_CAP = 1 << 16
 
-# Preference order of a free mixing weight (most concealing first); the
-# solver tries these first but never treats them as a sample of the box.
+# Preference order of a free mixing weight (most concealing first); in one
+# case the only values tried (:meth:`_AtomSolver._free`).
 FREE_WEIGHT_CANDIDATES = (
     ZERO,
     ONE,
@@ -526,35 +530,6 @@ def _profile_from_config(
     return StrategyProfile(space, tuple(rows)), tuple(cuts)
 
 
-def _interval_intersect(
-    bounds: tuple[Fraction, Fraction, bool, bool], alpha: Fraction, beta: Fraction
-) -> tuple[Fraction, Fraction, bool, bool] | None:
-    """Intersect {m : alpha + beta*m > 0} into (lo, hi, lo_open, hi_open)."""
-    lo, hi, lo_open, hi_open = bounds
-    if beta == 0:
-        return bounds if alpha > 0 else None
-    root = -alpha / beta
-    if beta > 0:
-        if root > lo or (root == lo and not lo_open):
-            lo, lo_open = root, True
-    else:
-        if root < hi or (root == hi and not hi_open):
-            hi, hi_open = root, True
-    if lo > hi or (lo == hi and (lo_open or hi_open)):
-        return None
-    return lo, hi, lo_open, hi_open
-
-
-def _pick_from_interval(bounds: tuple[Fraction, Fraction, bool, bool]) -> Fraction:
-    """The preferred weight in a nonempty interval of [0, 1]: the first of
-    ``FREE_WEIGHT_CANDIDATES`` inside it, else the simplest rational inside."""
-    lo, hi, lo_open, hi_open = bounds
-    for m in FREE_WEIGHT_CANDIDATES:
-        if (lo < m or (lo == m and not lo_open)) and (m < hi or (m == hi and not hi_open)):
-            return m
-    return lo if lo == hi else _simplest_between(lo, hi)
-
-
 def _corner_combo(
     config: tuple[tuple[str, int], ...], corner: dict[int, int]
 ) -> tuple[int, ...]:
@@ -570,269 +545,8 @@ def _corner_combo(
 
 
 # ---------------------------------------------------------------------------
-# Exact univariate polynomials
-# ---------------------------------------------------------------------------
-#
-# A polynomial is a list of rational coefficients, constant term first, with
-# no trailing zero (the zero polynomial is the empty list). A real root in
-# [0, 1] is a triple (lo, hi, q): lo == hi for a rational root, else an open
-# interval with rational ends holding exactly one root of the squarefree q,
-# an irrational one.
-
-
-def _trim(p: list) -> list:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _padd(p: list, q: list) -> list:
-    if len(p) < len(q):
-        p, q = q, p
-    return _trim([c + q[i] if i < len(q) else c for i, c in enumerate(p)])
-
-
-def _psub(p: list, q: list) -> list:
-    return _padd(p, [-c for c in q])
-
-
-def _pmul(p: list, q: list) -> list:
-    if not p or not q:
-        return []
-    out = [ZERO] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return out
-
-
-def _peval(p: list, x: Fraction) -> Fraction:
-    acc = ZERO
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
-def _sign(x) -> int:
-    return (x > 0) - (x < 0)
-
-
-def _pdivmod(p: list, q: list) -> tuple[list, list]:
-    """Quotient and remainder of p by the nonzero q."""
-    rem = [Fraction(c) for c in p]
-    quot = [ZERO] * max(len(p) - len(q) + 1, 0)
-    while len(rem) >= len(q):
-        shift = len(rem) - len(q)
-        c = rem[-1] / q[-1]
-        quot[shift] = c
-        for i, b in enumerate(q):
-            rem[shift + i] -= c * b
-        _trim(rem)
-    return _trim(quot), rem
-
-
-def _pgcd(p: list, q: list) -> list:
-    """Monic greatest common divisor (the zero polynomial if both are zero)."""
-    while q:
-        p, q = q, _pdivmod(p, q)[1]
-    return [c / p[-1] for c in p]
-
-
-def _squarefree(p: list) -> list:
-    """p divided by gcd(p, p'): the same roots, each simple."""
-    return _pdivmod(p, _pgcd(p, [i * c for i, c in enumerate(p)][1:]))[0]
-
-
-def _sturm(p: list) -> list[list]:
-    seq = [p, [i * c for i, c in enumerate(p)][1:]]
-    while seq[-1]:
-        seq.append([-c for c in _pdivmod(seq[-2], seq[-1])[1]])
-    return seq
-
-
-def _variations(seq: list[list], x: Fraction) -> int:
-    signs = [s for s in (_sign(_peval(p, x)) for p in seq) if s]
-    return sum(a != b for a, b in zip(signs, signs[1:]))
-
-
-def _bisect(root: tuple) -> tuple:
-    """Halve the isolating interval of an irrational root."""
-    lo, hi, q = root
-    if lo == hi:
-        return root
-    mid = (lo + hi) / 2
-    if _sign(_peval(q, mid)) == _sign(_peval(q, lo)):
-        return mid, hi, q
-    return lo, mid, q
-
-
-def _real_roots(p: list) -> list[tuple]:
-    """The distinct real roots of p in [0, 1], ascending.
-
-    Roots are isolated with a Sturm sequence and rational bisection. A
-    rational root's denominator divides the leading coefficient ``bound`` of
-    p's primitive integer multiple (the rational root theorem), and two such
-    rationals lie at least 1/bound^2 apart; so an isolating interval narrower
-    than that holds a rational root exactly when its best approximation with
-    denominator at most ``bound`` is a root.
-    """
-    q = _squarefree(p)
-    roots = []
-    for r in (ZERO, ONE):
-        if len(q) > 1 and _peval(q, r) == 0:
-            roots.append((r, r, q))
-            q = _pdivmod(q, [-r, ONE])[0]
-    if len(q) > 1:
-        den = lcm(*(Fraction(c).denominator for c in q))
-        ints = [int(c * den) for c in q]
-        bound = abs(ints[-1]) // gcd(*ints)
-        seq = _sturm(q)
-        todo = [(ZERO, ONE)]
-        while todo:
-            lo, hi = todo.pop()
-            count = _variations(seq, lo) - _variations(seq, hi)
-            if count > 1:
-                mid = (lo + hi) / 2
-                if _peval(q, mid) == 0:
-                    roots.append((mid, mid, q))
-                    q = _pdivmod(q, [-mid, ONE])[0]
-                    seq = _sturm(q)
-                todo += [(lo, mid), (mid, hi)]
-            elif count == 1:
-                roots.append(_isolated(q, lo, hi, bound))
-    return sorted(roots, key=lambda r: r[0])
-
-
-def _isolated(q: list, lo: Fraction, hi: Fraction, bound: int) -> tuple:
-    """The one root of q in (lo, hi): exact if it is rational (its
-    denominator is at most ``bound``), else an interval narrower than
-    1/bound^2."""
-    while True:
-        mid = (lo + hi) / 2
-        for x in (mid, mid.limit_denominator(bound)):
-            if lo < x < hi and _peval(q, x) == 0:
-                return x, x, q
-        if (hi - lo) * bound * bound < 1:
-            return lo, hi, q
-        lo, hi, _ = _bisect((lo, hi, q))
-
-
-def _same_root(a: tuple, b: tuple) -> bool:
-    if a[0] == a[1] or b[0] == b[1]:
-        return a[0] == a[1] == b[0] == b[1]
-    common = _pgcd(a[2], b[2])
-    lo, hi = max(a[0], b[0]), min(a[1], b[1])
-    return len(common) > 1 and lo < hi and _sign(_peval(common, lo)) != _sign(_peval(common, hi))
-
-
-def _simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
-    """The rational with the smallest denominator strictly between 0 <= lo < hi."""
-    whole = lo.numerator // lo.denominator
-    if whole + 1 < hi:
-        return Fraction(whole + 1)
-    lo, hi = lo - whole, hi - whole
-    if lo == 0:
-        return whole + Fraction(1, hi.denominator // hi.numerator + 1)
-    return whole + 1 / _simplest_between(1 / hi, 1 / lo)
-
-
-def _cell_samples(polys: list[list]) -> list[Fraction]:
-    """One rational point inside each open cell that the roots of the
-    nonzero polynomials cut out of (0, 1), ascending."""
-    roots = [(ZERO, ZERO, None), (ONE, ONE, None)]
-    for p in polys:
-        if len(p) > 1:
-            roots += _real_roots(p)
-    roots.sort(key=lambda r: r[0])
-    i = 0
-    while i + 1 < len(roots):
-        a, b = roots[i], roots[i + 1]
-        if a[1] < b[0]:
-            i += 1
-        elif _same_root(a, b):
-            del roots[i + 1]
-        else:
-            # distinct roots: narrowing their intervals separates them
-            roots[i : i + 2] = _bisect(a), _bisect(b)
-            roots.sort(key=lambda r: r[0])
-            i = max(i - 1, 0)
-    return [_simplest_between(a[1], b[0]) for a, b in zip(roots, roots[1:])]
-
-
-def _sign_at(g: list, root: tuple) -> int:
-    """The sign of g at a root from :func:`_real_roots`, exactly."""
-    lo, hi, q = root
-    if lo == hi or not g:
-        return _sign(_peval(g, lo))
-    common = _pgcd(q, g)
-    if len(common) > 1 and _sign(_peval(common, lo)) != _sign(_peval(common, hi)):
-        return 0
-    seq = _sturm(_squarefree(g))
-    while 0 in (_peval(g, lo), _peval(g, hi)) or _variations(seq, lo) != _variations(seq, hi):
-        lo, hi, q = _bisect((lo, hi, q))
-    return _sign(_peval(g, lo))
-
-
-def _numerator(variables: tuple, vals: list, subst: dict) -> list:
-    """Substitute rational functions of t into a multilinear corner table.
-
-    ``subst`` maps each variable to (N, D), its value N(t)/D(t). Returns the
-    numerator of the result over the product of the variables' D.
-    """
-    if not variables:
-        return _trim([Fraction(vals[0])])
-    num, den = subst[variables[0]]
-    half = len(vals) // 2
-    low = _numerator(variables[1:], vals[:half], subst)
-    high = _numerator(variables[1:], vals[half:], subst)
-    return _padd(_pmul(_psub(den, num), low), _pmul(num, high))
-
-
-# ---------------------------------------------------------------------------
 # Atom solver
 # ---------------------------------------------------------------------------
-
-
-def _fold(vals: list, width: int, j: int, m) -> list:
-    """Fix variable j of a multilinear corner table over ``width`` variables.
-
-    A corner table lists a function's values at the 0/1 corners of its box in
-    ``product((0, 1), repeat=width)`` order, so variable j is bit width-1-j
-    of the index. Fixing it to m interpolates between its two faces.
-    """
-    bit = 1 << (width - 1 - j)
-    low = [i for i in range(len(vals)) if not i & bit]
-    if m == 0:
-        return [vals[i] for i in low]
-    if m == 1:
-        return [vals[i | bit] for i in low]
-    return [vals[i] + m * (vals[i | bit] - vals[i]) for i in low]
-
-
-def _restrict(variables: tuple, vals: list, pinned: dict) -> tuple[tuple, list]:
-    """The corner table over the unpinned variables, the pinned ones fixed."""
-    for v in [v for v in variables if v in pinned]:
-        j = variables.index(v)
-        vals = _fold(vals, len(variables), j, pinned[v])
-        variables = variables[:j] + variables[j + 1 :]
-    return variables, vals
-
-
-def _active(variables: tuple, vals: list) -> tuple[tuple, list]:
-    """Drop the variables a corner table does not actually depend on."""
-    j = 0
-    while j < len(variables):
-        bit = 1 << (len(variables) - 1 - j)
-        if all(vals[i] == vals[i | bit] for i in range(len(vals)) if not i & bit):
-            vals = _fold(vals, len(variables), j, 0)
-            variables = variables[:j] + variables[j + 1 :]
-        else:
-            j += 1
-    return variables, vals
-
-
-_T = (ZERO, ONE)  # the polynomial t
-_UNIT = (ONE,)
 
 
 class _AtomSolver:
@@ -860,10 +574,10 @@ class _AtomSolver:
       then 1, then the interior ``FREE_WEIGHT_CANDIDATES``;
     - what is left reduces to one weight t (:meth:`_along`).
 
-    :meth:`solve` returns weights that :meth:`feasible` accepts, or None
-    with a proof of infeasibility, or None with an "unresolved" note when the
-    only solutions may be irrational or the residue does not reduce to one
-    weight.
+    The tables are :mod:`._poly` corner tables over the atoms. :meth:`solve`
+    returns weights that :meth:`feasible` accepts, or None with a proof of
+    infeasibility, or None with an "unresolved" note in the cases that the
+    module docstring lists.
     """
 
     def __init__(self, ctx: _SearchContext, config: tuple[tuple[str, int], ...]):
@@ -871,26 +585,21 @@ class _AtomSolver:
         self.config = config
         self.atoms = tuple(i for i, (kind, _) in enumerate(config) if kind == "atom")
         self.gaps = [i for i, (kind, _) in enumerate(config) if kind == "gap"]
-        self.k = len(self.atoms)
         self.unresolved = False
         # integer concealment aggregates (W, S) at every corner of the atom box
-        corners = [
-            ctx.conceal[_corner_combo(config, dict(zip(self.atoms, bits)))]
-            for bits in product((0, 1), repeat=self.k)
-        ]
+        box = [ctx.conceal[_corner_combo(config, corner)] for corner in _poly.corners(self.atoms)]
         grid = ctx.grid_ints
         # atom a's equation S_a - x_a*W, as a table over the other atoms
         self.h = {}
-        for j, a in enumerate(self.atoms):
+        for a in self.atoms:
             x = grid[a][config[a][1]]
-            vals = [s[a] - x * w for w, s in corners]
-            self.h[a] = (self.atoms[:j] + self.atoms[j + 1 :], _fold(vals, self.k, j, 0))
+            self.h[a] = _poly.restrict(self.atoms, [s[a] - x * w for w, s in box], {a: 0})
         # strict constraints, each > 0: W, then S_g - lo*W and hi*W - S_g per gap member
-        self.strict = [[w for w, _ in corners]]
+        self.strict = [[w for w, _ in box]]
         for g in self.gaps:
             lo, hi = grid[g][config[g][1] - 1], grid[g][config[g][1]]
-            self.strict.append([s[g] - lo * w for w, s in corners])
-            self.strict.append([hi * w - s[g] for w, s in corners])
+            self.strict.append([s[g] - lo * w for w, s in box])
+            self.strict.append([hi * w - s[g] for w, s in box])
 
     # -- exact evaluation ---------------------------------------------------
 
@@ -900,34 +609,37 @@ class _AtomSolver:
         if any(not ZERO <= m <= ONE for m in weights.values()):
             return False
         return all(
-            _restrict(*self.h[a], weights)[1][0] == 0 for a in self.atoms
-        ) and all(_restrict(self.atoms, t, weights)[1][0] > 0 for t in self.strict)
-
-    def reduced_h(self, a: int, pinned: dict[int, Fraction]) -> tuple[tuple, list]:
-        """Atom a's equation over the unpinned weights it actually depends on."""
-        return _active(*_restrict(*self.h[a], pinned))
+            _poly.restrict(*self.h[a], weights)[1][0] == 0 for a in self.atoms
+        ) and all(_poly.restrict(self.atoms, t, weights)[1][0] > 0 for t in self.strict)
 
     def interval_pick(self, pinned: dict[int, Fraction], free_var: int) -> Fraction | None:
         """Canonical feasible weight for one remaining free atom.
 
         With every other atom weight fixed, each strict constraint is linear
-        in the free weight, so together they cut [0,1] down to an exact
-        interval.
+        in the free weight, alpha + beta*m > 0, so together they cut [0, 1]
+        down to an exact interval. The pick is the first of
+        ``FREE_WEIGHT_CANDIDATES`` inside it; when none is, the interval is
+        open at both ends and the pick is the simplest rational inside.
         """
-        bounds: tuple[Fraction, Fraction, bool, bool] | None = (ZERO, ONE, False, False)
+        lines = []
         for table in self.strict:
-            _, (f0, f1) = _restrict(self.atoms, table, pinned)
-            bounds = _interval_intersect(bounds, Fraction(f0), Fraction(f1 - f0))
-            if bounds is None:
-                return None
-        return _pick_from_interval(bounds)
+            _, (alpha,), (beta,) = _poly.split(*_poly.restrict(self.atoms, table, pinned), free_var)
+            lines.append((alpha, beta))
+        for m in FREE_WEIGHT_CANDIDATES:
+            if all(alpha * m.denominator + beta * m.numerator > 0 for alpha, beta in lines):
+                return m
+        lo = max([ZERO] + [Fraction(-alpha, beta) for alpha, beta in lines if beta > 0])
+        hi = min([ONE] + [Fraction(-alpha, beta) for alpha, beta in lines if beta < 0])
+        if lo < hi and all(alpha > 0 for alpha, beta in lines if beta == 0):
+            return _poly.simplest_between(lo, hi)
+        return None
 
     # -- solving -------------------------------------------------------------
 
     def solve(self) -> dict[int, Fraction] | None:
         found = self._solve({})
         if found is None and self.unresolved:
-            self.ctx.notes.append(f"a {self.k}-atom configuration was left unresolved")
+            self.ctx.notes.append(f"a {len(self.atoms)}-atom configuration was left unresolved")
         return found
 
     def _solve(self, pinned: dict[int, Fraction]) -> dict[int, Fraction] | None:
@@ -940,9 +652,11 @@ class _AtomSolver:
             coupled = {}
             changed = False
             for a in todo:
-                others, vals = self.reduced_h(a, pinned)
+                # atom a's equation over the unpinned weights it actually depends on
+                others, vals = _poly.active(*_poly.restrict(*self.h[a], pinned))
                 if len(others) == 1:
-                    m = Fraction(vals[0]) / (vals[0] - vals[1])
+                    _, (alpha,), (beta,) = _poly.split(others, vals, others[0])
+                    m = Fraction(-alpha, beta)
                     if not ZERO <= m <= ONE:
                         return None
                     pinned[others[0]] = m
@@ -957,38 +671,39 @@ class _AtomSolver:
         for others, vals in coupled.values():
             if min(vals) >= 0 or max(vals) <= 0:
                 first = next(i for i, v in enumerate(vals) if v)
-                for j, v in enumerate(others):
-                    face = ZERO if first >> (len(others) - 1 - j) & 1 else ONE
-                    found = self._solve(pinned | {v: face})
-                    if found is not None:
-                        return found
-                return None
+                # the faces where a factor of that corner's term vanishes
+                corner = _poly.corners(others)[first]
+                return self._first(pinned, ((v, ONE - bit) for v, bit in corner.items()))
         return self._reduce(pinned, coupled)
+
+    def _first(self, pinned: dict[int, Fraction], trials) -> dict[int, Fraction] | None:
+        """The first solution with one more weight pinned, trying each
+        (weight, value) of ``trials`` once, in order."""
+        seen = set()
+        for trial in trials:
+            if trial not in seen:
+                seen.add(trial)
+                found = self._solve(pinned | dict([trial]))
+                if found is not None:
+                    return found
+        return None
 
     def _free(self, pinned: dict[int, Fraction], unpinned: list[int]) -> dict[int, Fraction] | None:
         """Every equation holds whatever the unpinned weights are."""
         if not unpinned:
             return pinned if self.feasible(pinned) else None
-        if len(unpinned) == 1:
-            pick = self.interval_pick(pinned, unpinned[0])
-            if pick is None:
-                return None
-            weights = pinned | {unpinned[0]: pick}
-            return weights if self.feasible(weights) else None
-        tables = [_restrict(self.atoms, t, pinned)[1] for t in self.strict]
-        if any(max(t) <= 0 for t in tables):
+        tables = [_poly.restrict(self.atoms, t, pinned) for t in self.strict]
+        if any(max(vals) <= 0 for _, vals in tables):
             return None
         if not self.gaps:
             # only W > 0 is left; as W >= 0 is multilinear, the first corner
             # where it is positive is also the first point in preference order
-            first = next(i for i, w in enumerate(tables[0]) if w > 0)
-            width = len(unpinned)
-            weights = pinned | {
-                v: ONE if first >> (width - 1 - j) & 1 else ZERO for j, v in enumerate(unpinned)
-            }
+            variables, mass = tables[0]
+            first = next(i for i, w in enumerate(mass) if w > 0)
+            weights = pinned | {v: Fraction(bit) for v, bit in _poly.corners(variables)[first].items()}
             return weights if self.feasible(weights) else None
         if len(unpinned) == 2:
-            return self._along(pinned, unpinned[0], {unpinned[0]: (_T, _UNIT)}, [], [])
+            return self._along(pinned, unpinned[0], {unpinned[0]: _poly.T}, [], [])
         for combo in product(FREE_WEIGHT_CANDIDATES, repeat=len(unpinned) - 1):
             trial = pinned | dict(zip(unpinned[:-1], combo))
             pick = self.interval_pick(trial, unpinned[-1])
@@ -997,7 +712,8 @@ class _AtomSolver:
             weights = trial | {unpinned[-1]: pick}
             if self.feasible(weights):
                 return weights
-        self.unresolved = True
+        # one free weight is decided exactly, more only at the candidates
+        self.unresolved |= len(unpinned) > 1
         return None
 
     def _reduce(self, pinned: dict[int, Fraction], coupled: dict) -> dict[int, Fraction] | None:
@@ -1010,7 +726,7 @@ class _AtomSolver:
         """
         shared = [v for v in self.atoms if any(v in others for others, _ in coupled.values())]
         for t in shared:
-            subst = {t: (_T, _UNIT)}
+            subst = {t: _poly.T}
             defs: list[int] = []
             equalities: list[list] = []
             pending = list(coupled.values())
@@ -1024,14 +740,11 @@ class _AtomSolver:
                 others, vals = step
                 unknown = [v for v in others if v not in subst]
                 if not unknown:
-                    equalities.append(_numerator(others, vals, subst))
+                    equalities.append(_poly.numerator(others, vals, subst))
                     continue
-                j = others.index(unknown[0])
-                rest = others[:j] + others[j + 1 :]
-                low = _fold(vals, len(others), j, 0)
-                high = _fold(vals, len(others), j, 1)
-                num = _numerator(rest, low, subst)
-                den = _numerator(rest, [b - a for a, b in zip(low, high)], subst)
+                rest, low, slope = _poly.split(others, vals, unknown[0])
+                num = _poly.numerator(rest, low, subst)
+                den = _poly.numerator(rest, slope, subst)
                 if den:
                     subst[unknown[0]] = ([-c for c in num], den)
                     defs.append(unknown[0])
@@ -1040,13 +753,9 @@ class _AtomSolver:
             if not pending:
                 return self._along(pinned, t, subst, defs, equalities)
         # no single weight carries the residue: only its faces are exact
-        for v in shared:
-            for face in (ZERO, ONE):
-                found = self._solve(pinned | {v: face})
-                if found is not None:
-                    return found
-        self.unresolved = True
-        return None
+        found = self._first(pinned, ((v, face) for v in shared for face in (ZERO, ONE)))
+        self.unresolved |= found is None
+        return found
 
     def _along(
         self,
@@ -1071,10 +780,10 @@ class _AtomSolver:
         only be noted as unresolved.
         """
         free = [v for v in self.atoms if v not in pinned and v not in subst]
-        strict = [_restrict(self.atoms, table, pinned) for table in self.strict]
-        degenerate = [(y, r) for y in defs for r in _real_roots(subst[y][1])]
+        strict = [_poly.restrict(self.atoms, table, pinned) for table in self.strict]
+        degenerate = [(y, r) for y in defs for r in _poly.real_roots(subst[y][1])]
         equalities = [e for e in equalities if e]
-        sections = _real_roots(reduce(_pgcd, equalities)) if equalities else []
+        sections = _poly.real_roots(reduce(_poly.pgcd, equalities)) if equalities else []
         if equalities:
             points = sorted({r[0] for r in sections + [r for _, r in degenerate] if r[0] == r[1]})
         elif len(free) > 1:
@@ -1082,20 +791,12 @@ class _AtomSolver:
             return None
         else:
             points = self._test_points(subst, strict, free, degenerate)
-        seen = set()
-        for t0 in points:
-            if t0 not in seen:
-                seen.add(t0)
-                found = self._solve(pinned | {t: t0})
-                if found is not None:
-                    return found
-        for y in defs:
-            for face in (ZERO, ONE):
-                found = self._solve(pinned | {y: face})
-                if found is not None:
-                    return found
+        faces = ((y, face) for y in defs for face in (ZERO, ONE))
+        found = self._first(pinned, chain(((t, t0) for t0 in points), faces))
+        if found is not None:
+            return found
         for y, r in degenerate:
-            if r[0] != r[1] and _sign_at(subst[y][0], r) == 0:
+            if r[0] != r[1] and _poly.sign_at(subst[y][0], r) == 0:
                 self.unresolved = True  # y's equation vanishes at an irrational t
         for r in sections:
             if r[0] != r[1] and self._holds_at(r, t, subst, defs, strict, free):
@@ -1106,23 +807,20 @@ class _AtomSolver:
         """Preferred weights, then one sample per cell, then the rational
         roots where some D_y vanishes."""
         yield from FREE_WEIGHT_CANDIDATES
-        crit = [p for num, den in subst.values() for p in (den, num, _psub(den, num))]
+        crit = [p for num, den in subst.values() for p in (den, num, _poly.psub(den, num))]
         ends = []
         for variables, vals in strict:
             if not free:
-                crit.append(_numerator(variables, vals, subst))
+                crit.append(_poly.numerator(variables, vals, subst))
                 continue
-            j = variables.index(free[0])
-            rest = variables[:j] + variables[j + 1 :]
-            low = _fold(vals, len(variables), j, 0)
-            high = _fold(vals, len(variables), j, 1)
-            alpha = _numerator(rest, low, subst)
-            beta = _numerator(rest, [b - a for a, b in zip(low, high)], subst)
-            crit += [alpha, beta, _padd(alpha, beta)]
+            rest, low, slope = _poly.split(variables, vals, free[0])
+            alpha = _poly.numerator(rest, low, subst)
+            beta = _poly.numerator(rest, slope, subst)
+            crit += [alpha, beta, _poly.padd(alpha, beta)]
             ends.append((alpha, beta))
         for (a1, b1), (a2, b2) in combinations(ends, 2):
-            crit.append(_psub(_pmul(a1, b2), _pmul(a2, b1)))
-        yield from _cell_samples(crit)
+            crit.append(_poly.psub(_poly.pmul(a1, b2), _poly.pmul(a2, b1)))
+        yield from _poly.cell_samples(crit)
         yield from sorted(r[0] for _, r in degenerate if r[0] == r[1])
 
     @staticmethod
@@ -1132,11 +830,11 @@ class _AtomSolver:
         signs = {t: 1}
         for y in defs:
             num, den = subst[y]
-            sign = signs[y] = _sign_at(den, root)
-            if sign == 0 or _sign_at(num, root) * sign <= 0 or _sign_at(_psub(den, num), root) * sign <= 0:
+            sign = signs[y] = _poly.sign_at(den, root)
+            if sign == 0 or any(_poly.sign_at(p, root) != sign for p in (num, _poly.psub(den, num))):
                 return False
         return bool(free) or all(
-            _sign_at(_numerator(variables, vals, subst), root) * prod(signs[v] for v in variables) > 0
+            _poly.sign_at(_poly.numerator(variables, vals, subst), root) == prod(signs[v] for v in variables)
             for variables, vals in strict
         )
 

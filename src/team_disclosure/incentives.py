@@ -160,6 +160,8 @@ def effort_gain(
     full effort but on-path at the deviation: "error" raises, "skeptical"
     scores the full-effort concealment event at the member's worst outcome.
     """
+    if off_path not in ("error", "skeptical"):
+        raise IncentiveError(f"off_path must be 'error' or 'skeptical', not {off_path!r}")
     if rule.space != model.dist_of(model.full_effort).space:
         raise IncentiveError("rule and model live on different outcome spaces")
     if not 1 <= i <= model.n:
@@ -409,6 +411,9 @@ def find_epsilon_bar(
     1, evaluating only points below 1, and a threshold is reported only if it
     reaches a true point.
     """
+    tolerance = as_fraction(tolerance)
+    if tolerance <= 0:
+        raise IncentiveError(f"tolerance must be positive, not {tolerance}")
     if protocol_other.all_unilateral:
         raise IncentiveError("the comparison protocol must differ from unilateral disclosure")
     full = model_base.dist_of(model_base.full_effort)
@@ -416,7 +421,6 @@ def find_epsilon_bar(
         raise IncentiveError("comonotone distribution lives on a different space")
     if not fosd_dominates(g_comonotone, full):
         raise IncentiveError("the comonotone distribution must dominate the base")
-    tolerance = as_fraction(tolerance)
     space = full.space
     # conceal only the worst outcome: every row bit but the first (highest)
     profile = _pure_profile(space, [(1 << (len(g) - 1)) - 1 for g in space.grids])

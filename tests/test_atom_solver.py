@@ -1,31 +1,34 @@
 """The exact atom solver: hand-built corner tables, the univariate routine
 against sympy, a dense rational scan, and whole searches without slices."""
+import hashlib
+import inspect
+import json
 import random
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 import pytest
 
+from team_disclosure import _poly
+from team_disclosure._poly import cell_samples, pmul, real_roots, sign_at
 from team_disclosure.audit import random_distribution
+from team_disclosure.configio import equilibrium_to_config
 from team_disclosure.equilibrium import (
     FREE_WEIGHT_CANDIDATES,
     ONE,
     ZERO,
     StrategyProfile,
     _AtomSolver,
-    _cell_samples,
     _corner_combo,
-    _pmul,
-    _real_roots,
     _SearchContext,
     _cut_configs,
-    _sign_at,
     find_equilibria_report,
     team_rule,
     verify_equilibrium,
 )
 from team_disclosure.outcomes import independent
-from team_disclosure.protocols import all_protocols, make_k_majority
+from team_disclosure.protocols import all_protocols, make_k_majority, make_protocol
 
 from oracles import atom_grid_scan
 
@@ -192,9 +195,16 @@ class TestHandBuiltTables:
             assert "unresolved" in solver.ctx.notes[0]
 
 
+def integral(poly):
+    """The rational polynomial scaled by its coefficients' common denominator."""
+    den = lcm(*(F(c).denominator for c in poly))
+    return [int(c * den) for c in poly]
+
+
 def random_polynomial(rng):
     """A product of linear and quadratic factors with rational coefficients,
-    of degree <= 4: roots at 0 and 1, rational, repeated and irrational."""
+    of degree <= 4, scaled to integers: roots at 0 and 1, rational, repeated
+    and irrational."""
     poly = [F(rng.choice((-3, -2, -1, 1, 2, 5)), rng.choice((1, 2, 7)))]
     degree = rng.randint(1, 4)
     while len(poly) - 1 < degree:
@@ -212,8 +222,8 @@ def random_polynomial(rng):
         else:
             factors = [[F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(2)] + [1]]
         for f in factors:
-            poly = _pmul(poly, f)
-    return poly
+            poly = pmul(poly, f)
+    return integral(poly)
 
 
 def as_sympy(poly):
@@ -250,7 +260,7 @@ class TestUnivariateAgainstSympy:
         kinds = {"rational": 0, "irrational": 0, "edge": 0}
         for _ in range(150):
             poly = random_polynomial(rng)
-            ours = _real_roots(poly)
+            ours = real_roots(poly)
             exact = sympy_roots01(poly)
             assert len(ours) == len(exact) == as_sympy(poly).count_roots(0, 1)
             for root, e in zip(ours, exact):
@@ -259,22 +269,25 @@ class TestUnivariateAgainstSympy:
                     kinds["edge"] += 1
                 else:
                     kinds["rational" if root[0] == root[1] else "irrational"] += 1
-            check_samples(_cell_samples([poly]), exact)
+            check_samples(cell_samples([poly]), exact)
         assert min(kinds.values()) > 10
 
     def test_cell_samples_of_several_polynomials(self):
         # shared roots (irrational ones included) must be merged, not doubled,
         # and distinct ones separated however close they are
-        close = [[F(-1, 2), 0, 1], [F(-7071, 10000), 1], [F(-500001, 1000000), 0, 1], [-1, 0, 2]]
-        check_samples(_cell_samples(close), sympy_roots01(_pmul(_pmul(close[0], close[1]), close[2])))
+        close = [
+            integral(p)
+            for p in ([F(-1, 2), 0, 1], [F(-7071, 10000), 1], [F(-500001, 1000000), 0, 1], [-1, 0, 2])
+        ]
+        check_samples(cell_samples(close), sympy_roots01(pmul(pmul(close[0], close[1]), close[2])))
         rng = random.Random(89)
         for _ in range(40):
             polys = [random_polynomial(rng) for _ in range(3)]
-            polys.append(_pmul(polys[0], polys[1]))
+            polys.append(pmul(polys[0], polys[1]))
             product_poly = polys[0]
             for p in polys[1:]:
-                product_poly = _pmul(product_poly, p)
-            check_samples(_cell_samples(polys), sympy_roots01(product_poly))
+                product_poly = pmul(product_poly, p)
+            check_samples(cell_samples(polys), sympy_roots01(product_poly))
 
     def test_sign_at_roots(self):
         rng = random.Random(97)
@@ -283,12 +296,12 @@ class TestUnivariateAgainstSympy:
             poly = random_polynomial(rng)
             other = random_polynomial(rng)
             # sometimes share a factor, so that the sign is exactly 0
-            g = _pmul(other, poly) if rng.random() < 0.3 else other
-            for root, e in zip(_real_roots(poly), sympy_roots01(poly)):
+            g = pmul(other, poly) if rng.random() < 0.3 else other
+            for root, e in zip(real_roots(poly), sympy_roots01(poly)):
                 g_sympy = as_sympy(g)
                 value = sympy.expand(g_sympy.as_expr().subs(g_sympy.gen, e))
-                assert _sign_at(g, root) == sympy.sign(value)
-                signs.add(_sign_at(g, root))
+                assert sign_at(g, root) == sympy.sign(value)
+                signs.add(sign_at(g, root))
         assert signs == {-1, 0, 1}
 
 
@@ -348,6 +361,47 @@ class TestDenseScanOracle:
             if solver.ctx.notes and members == 3:
                 assert_irrational_solution(solver, corners)
         assert hits > 30 and screened > 10
+
+
+def int_entries(value):
+    """Whether every number in every list of a ``_poly`` result (a
+    polynomial's coefficients, a table's entries) is an int. Tuples and dicts
+    are walked; their own numbers (variables, rational root ends, 0/1
+    corners) are not entries."""
+    if isinstance(value, list):
+        return all(int_entries(c) if isinstance(c, (list, tuple, dict)) else type(c) is int for c in value)
+    if isinstance(value, (tuple, dict)):
+        return all(int_entries(c) for c in (value.values() if isinstance(value, dict) else value))
+    return True
+
+
+class TestIntegerLayer:
+    def test_every_polynomial_and_table_has_int_entries(self, monkeypatch):
+        calls = {}
+
+        def checked(name, fn):
+            def wrapper(*args):
+                result = fn(*args)
+                assert int_entries(result), (name, args, result)
+                calls[name] = calls.get(name, 0) + 1
+                return result
+
+            return wrapper
+
+        for name, fn in inspect.getmembers(_poly, inspect.isfunction):
+            # cell_samples returns rational sample points, not coefficients
+            if fn.__module__ == _poly.__name__ and name != "cell_samples":
+                monkeypatch.setattr(_poly, name, checked(name, fn))
+        rng = random.Random(107)
+        for members, atom_share in [(3, 1.0), (4, 0.75)] * 40:
+            grids, config, corners = random_tables(rng, members, atom_share)
+            hand_built(grids, config, corners).solve()
+        for _ in range(100):
+            poly = random_polynomial(rng)
+            for _, _, q in real_roots(poly):
+                assert int_entries(q) and q[-1] != 0
+        for name in ("restrict", "split", "active", "numerator", "corners", "real_roots", "pgcd", "sign_at"):
+            assert calls.get(name), name
 
 
 def assert_irrational_solution(solver, corners):
@@ -428,3 +482,47 @@ class TestHiddenSymmetricEquilibria:
         rule = team_rule(profile, proto)
         eqs, _ = find_equilibria_report(dist, proto)
         assert any(e.rule == rule and e.posteriors == (posterior,) * 4 for e in eqs)
+
+
+ITEM_8 = (  # an irrational-only 3-atom residue next to a 4-atom one
+    {3: F(1, 6), 5: F(1, 6), 7: F(3, 6), 8: F(1, 6)},
+    [[1, 2], [1, 3], [2, 4], [3, 4]],
+)
+
+
+def pinned_searches():
+    """Every 2- and 3-member protocol on seeded draws, iid 4-member draws on
+    3- and 4-value grids under k-majority, the hidden symmetric instances and
+    an instance with an irrational-only residue."""
+    rng = random.Random(16)
+    for n in (2, 3):
+        for _ in range(3):
+            dist = random_distribution(rng, n)
+            for proto in all_protocols(n):
+                yield dist, proto
+    for size in (3, 3, 4, 4):
+        grid = sorted(rng.sample(range(9), size))
+        nums = [rng.randint(1, 6) for _ in grid]
+        dist = independent([{x: F(c, sum(nums)) for x, c in zip(grid, nums)}] * 4)
+        for k in range(1, 5):
+            yield dist, make_k_majority(4, k)
+    for marginal, _, _ in HIDDEN:
+        yield independent([marginal] * 4), make_k_majority(4, 2)
+    marginal, winning = ITEM_8
+    yield independent([marginal] * 4), make_protocol(4, winning)
+
+
+def test_search_output_is_pinned():
+    """The solve documents of :func:`pinned_searches`, byte for byte.
+
+    The digest covers each search's equilibria, as ``equilibrium_to_config``
+    writes them, and its notes. Only a documented correctness fix may change
+    it, such as settling multi-weight residues or returning irrational
+    weights (ROADMAP items 1 and 8); CHANGES.md then records the new value.
+    """
+    digest = hashlib.sha256()
+    for dist, proto in pinned_searches():
+        eqs, notes = find_equilibria_report(dist, proto)
+        doc = {"equilibria": [equilibrium_to_config(e) for e in eqs], "notes": list(notes)}
+        digest.update(json.dumps(doc, sort_keys=True).encode() + b"\n")
+    assert digest.hexdigest() == "b2d9b9e0df5004d8709d6c141a557b749e81834bd920b12f7c9198f273751617"

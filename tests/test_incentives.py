@@ -125,6 +125,13 @@ class TestEffortGain:
                     model.dist_of((1,) * n), model.dist_of(model.without(i)), rule.values, i - 1
                 )
 
+    @pytest.mark.parametrize("off_path", ["skeptic", 42])
+    def test_rejects_an_unknown_off_path_convention(self, off_path):
+        model = team_improving_pair_model()
+        space = model.dist_of((1, 1)).space
+        with pytest.raises(IncentiveError, match="off_path"):
+            effort_gain(model, consensual_rule(space), 1, off_path=off_path)
+
     def test_cov_form_needs_on_path_concealment(self):
         model = self_improving_pair_model()
         space = model.dist_of((1, 1)).space
@@ -309,6 +316,12 @@ class TestEpsilonBar:
         assert not any(flag for _, flag in coarse.grid)
         assert coarse.found and F(1, 2) < coarse.epsilon_bar < F(1)
         assert abs(coarse.epsilon_bar - fine.epsilon_bar) <= F(1, 10**6)
+
+    @pytest.mark.parametrize("tolerance", [0, F(-1, 10)])
+    def test_rejects_a_tolerance_that_never_ends_the_bisection(self, tolerance):
+        base, top = self.base_and_top()
+        with pytest.raises(IncentiveError, match="tolerance"):
+            find_epsilon_bar(base, top, make_consensus(2), tolerance=tolerance)
 
     def test_rejects_unilateral_comparison(self):
         base, top = self.base_and_top()
