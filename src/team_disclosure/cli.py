@@ -258,9 +258,15 @@ def _cmd_verify(opts: dict, out: str | None) -> int:
         eq_doc = json.load(handle)
     if not isinstance(eq_doc, dict) or not {"profile", "posteriors"} <= set(eq_doc):
         raise ConfigError("equilibrium file needs 'profile' and 'posteriors'")
+    # a JSON string or object would otherwise be read as its characters or keys
+    rows, stated = eq_doc["profile"], eq_doc["posteriors"]
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise ConfigError("malformed equilibrium file: 'profile' must be a list of lists")
+    if not isinstance(stated, list):
+        raise ConfigError("malformed equilibrium file: 'posteriors' must be a list")
     try:
-        profile = StrategyProfile.from_votes(dist.space, eq_doc["profile"])
-        posteriors = [as_fraction(p) for p in eq_doc["posteriors"]]
+        profile = StrategyProfile.from_votes(dist.space, rows)
+        posteriors = [as_fraction(p) for p in stated]
     except TypeError as exc:
         raise ConfigError(f"malformed equilibrium file: {exc}") from exc
     report = verify_equilibrium(profile, posteriors, dist, protocol)

@@ -36,12 +36,15 @@ taken in increasing order of the weight that carries them.
 
 The cut search and the belief refinement (consistency with deliberation,
 and the brute-force twin of the full-disclosure plausibility predicate) share
-one integer profile scan (:func:`_concealment_scan`): one bitmask per member,
-one winning-table lookup per cell, exact integer concealment sums. The search
-scans the pure threshold profiles, the refinement every deterministic
-own-outcome profile. Every positive refinement answer is confirmed by
-rebuilding its witness profile through ``team_rule`` and
-``posterior_no_disclosure`` before it is returned.
+one bitmask kernel (:func:`_concealed_sets`): it gives each pure profile's
+concealed cells as one int, from ANDs and ORs of per-member cell sets over
+the protocol's minimal winning coalitions. The search scans the pure
+threshold profiles, the refinement every deterministic own-outcome profile.
+Exact integer concealment sums over a set are read from subset-sum tables
+of ``CHUNK_CELLS`` cells each; the plausibility search needs none, only set
+tests. Every positive refinement answer is confirmed by rebuilding its
+witness profile through ``team_rule`` and ``posterior_no_disclosure`` before
+it is returned.
 
 The team rule and the Bayes posterior are integer kernels too: a cell where
 every member votes purely is one winning-table lookup, the multilinear sum
@@ -53,9 +56,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from itertools import chain, combinations, compress, product
+from itertools import chain, combinations, compress, product, repeat, tee
 from math import prod
-from operator import and_, or_
+from operator import and_, getitem, or_
 from typing import Sequence
 
 from . import _poly
@@ -456,15 +459,25 @@ class _SearchContext:
 
 def _build_context(dist: JointDistribution, protocol: DeliberationProtocol) -> _SearchContext:
     """Concealment aggregates of every pure cut combination: member i votes
-    to disclose from grid position c_i on, c_i in 0..len(grid_i)."""
+    to disclose from grid position c_i on, c_i in 0..len(grid_i). W and each
+    S_i of a combination are sums over its concealed cells
+    (:func:`_concealed_sets`), read from subset-sum tables."""
     grids = dist.space.grids
     rows = [[(1 << (len(g) - c)) - 1 for c in range(len(g) + 1)] for g in grids]
     combos = product(*(range(len(g) + 1) for g in grids))
-    conceal = {
-        combo: (mass, tuple(sums))
-        for combo, (mass, sums, _) in zip(combos, _concealment_scan(dist, protocol, rows))
-    }
-    return _SearchContext(dist._scaled.grid_ints, conceal)
+    scaled = dist._scaled
+    mass_table = _subset_sums(scaled.weights)
+    value_tables = [_subset_sums(v) for v in scaled.values]
+    zeros = (0,) * len(grids)
+    conceal = {}
+    for combo, k in zip(combos, _concealed_sets(dist.space, protocol, rows)):
+        chunks = _chunks(k)
+        mass = _chunk_sum(mass_table, chunks)
+        conceal[combo] = (
+            mass,
+            tuple(_chunk_sum(t, chunks) for t in value_tables) if mass else zeros,
+        )
+    return _SearchContext(scaled.grid_ints, conceal)
 
 
 def _cut_configs(ctx: _SearchContext):
@@ -922,52 +935,88 @@ def find_equilibria(
 
 
 # ---------------------------------------------------------------------------
-# Pure-profile concealment scan; consistency with deliberation (belief refinement)
+# Concealed-cell bitmask kernel; consistency with deliberation (belief refinement)
 # ---------------------------------------------------------------------------
 
+# Cells per subset-sum table: one hexadecimal digit of a concealed set, so
+# ``format(k, "x")`` reads every chunk index of k in one call.
+CHUNK_CELLS = 4
+_HEX_DIGITS = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
 
-def _concealment_scan(
-    dist: JointDistribution, protocol: DeliberationProtocol, rows: Sequence[Sequence[int]]
+
+def _concealed_sets(
+    space: OutcomeSpace, protocol: DeliberationProtocol, rows: Sequence[Sequence[int]]
 ):
-    """Concealment aggregates of pure own-outcome profiles.
+    """The concealed cells of pure own-outcome profiles, one int each.
 
     ``rows[i]`` lists member i's strategies, each one int bitmask over their
     grid positions with the first position in the highest bit. For every
-    profile, in ``product(*rows)`` order, yields ``(W, S, concealed)``: the
-    concealed pmf mass W and the concealed value sums S_i in the integer
-    units of ``dist._scaled`` (so S_i / W is member i's posterior times
-    scales[i]; all zero when W is), and one concealment flag per cell,
-    zero-probability cells included. Each cell's pure vote mask is looked up
-    in the protocol's winning table; the votes of all members but the last
-    are combined once per prefix.
+    profile, in ``product(*rows)`` order, yields K with bit c set when cell c
+    is concealed, zero-probability cells included. A member's row becomes the
+    OR of the cell slabs where they vote 1; the disclosed cells are the OR,
+    over the minimal winning coalitions, of the AND of their members' masks.
+    That OR is split at the last member once per prefix of the other rows: K
+    is the cells no coalition of the others discloses, minus those where the
+    last member's 1 completes a coalition and the last row votes 1.
     """
-    space = dist.space
-    weights, values = dist._scaled.weights, dist._scaled.values
-    loses = [not protocol.wins(v) for v in range(1 << space.n)]
-    zeros = (0,) * space.n
-    # votes[i][k][c]: member i's bit in cell c's vote mask under their k-th row
-    votes = [
-        [tuple((r >> (len(g) - 1 - p) & 1) << i for p in at) for r in member_rows]
-        for i, (g, at, member_rows) in enumerate(zip(space.grids, space.positions, rows))
+    n = space.n
+    every = (1 << len(space.cells)) - 1
+    # The slabs are disjoint, so the OR of a row's slabs is their sum.
+    masks = [
+        list(map(_subset_table(member_slabs[::-1]).__getitem__, member_rows))
+        for member_slabs, member_rows in zip(space.slabs, rows)
     ]
-    *head, last = votes
+    last = 1 << (n - 1)
+    coalitions = [
+        (m & last, [i for i in range(n - 1) if m >> i & 1]) for m in protocol._minimal_masks
+    ]
+    *head, tail = masks
     for prefix in product(*head):
-        masks = [0] * len(weights)
-        for v in prefix:
-            masks = list(map(or_, masks, v))
-        for v in last:
-            concealed = list(map(loses.__getitem__, map(or_, masks, v)))
-            mass = sum(compress(weights, concealed))
-            sums = [sum(compress(s, concealed)) for s in values] if mass else zeros
-            yield mass, sums, concealed
+        kept, pivot = every, 0
+        for needs_last, members in coalitions:
+            cells = reduce(and_, map(prefix.__getitem__, members), every)
+            if needs_last:
+                pivot |= cells
+            else:
+                kept &= ~cells
+        yield from [kept & ~(pivot & m) for m in tail]
+
+
+def _subset_table(entries: Sequence[int]) -> list[int]:
+    """table[s] = the sum of ``entries[b]`` over the set bits b of s."""
+    table = [0]
+    for e in entries:
+        table += [t + e for t in table]
+    return table
+
+
+def _subset_sums(entries: Sequence[int]) -> list[list[int]]:
+    """The :func:`_subset_table` of every ``CHUNK_CELLS`` consecutive cells'
+    entries, lowest cells first."""
+    return [
+        _subset_table(entries[j:j + CHUNK_CELLS]) for j in range(0, len(entries), CHUNK_CELLS)
+    ]
+
+
+def _chunks(k: int) -> bytes:
+    """The chunk indices of the cell set k, lowest cells first; chunks above
+    k's highest set bit are left out (they index the empty subset)."""
+    return format(k, "x")[::-1].encode().translate(_HEX_DIGITS)
+
+
+def _chunk_sum(tables: Sequence[Sequence[int]], chunks: bytes) -> int:
+    """The sum, over a cell set given by its :func:`_chunks`, of the entries
+    that ``tables`` (from :func:`_subset_sums`) were built from."""
+    return sum(map(getitem, tables, chunks))
 
 
 def _witnesses(dist: JointDistribution, protocol: DeliberationProtocol):
     """Every deterministic own-outcome profile that conceals something.
 
     Checks the member count and ``DEFAULT_PROFILE_CAP`` when called, then
-    gives ``(bits, W, S, concealed)`` of :func:`_concealment_scan` for each
-    profile with W > 0; ``bits`` holds one row bitmask per member.
+    gives ``(bits, K)`` for each profile whose concealed cells K
+    (:func:`_concealed_sets`) carry positive mass; ``bits`` holds one row
+    bitmask per member.
     """
     space = dist.space
     if protocol.n != space.n:
@@ -979,15 +1028,13 @@ def _witnesses(dist: JointDistribution, protocol: DeliberationProtocol):
             f"{total} deterministic profiles exceed the cap of {DEFAULT_PROFILE_CAP}"
         )
     rows = [range(1 << size) for size in sizes]
-    return (
-        (bits, mass, sums, concealed)
-        for bits, (mass, sums, concealed) in zip(product(*rows), _concealment_scan(dist, protocol, rows))
-        if mass
-    )
+    sets, tested = tee(_concealed_sets(space, protocol, rows))
+    return compress(zip(product(*rows), sets), map(dist.support.__and__, tested))
 
 
 def _pure_profile(space: OutcomeSpace, rows: Sequence[int]) -> StrategyProfile:
-    """The StrategyProfile of per-member bitmasks from :func:`_concealment_scan`."""
+    """The StrategyProfile of per-member row bitmasks, first position in the
+    highest bit, as :func:`_concealed_sets` reads them."""
     return StrategyProfile(
         space,
         tuple(
@@ -1005,16 +1052,23 @@ def consistent_with_deliberation(
     """Whether some deterministic own-outcome profile conceals with positive
     probability and Bayes-updates to exactly the given posteriors.
 
-    Profiles are scanned in scaled integers; a witness is confirmed by
+    Profiles are scanned as concealed-cell sets, each member's condition one
+    signed integer sum read from subset-sum tables; a witness is confirmed by
     rebuilding its team rule and Bayes posterior before True is returned.
     """
     witnesses = _witnesses(dist, protocol)
     target = tuple(as_fraction(p) for p in posteriors)
     if len(target) != dist.space.n:
         raise EquilibriumError("posterior vector has wrong length")
-    goal = [t * s for t, s in zip(target, dist._scaled.scales)]
-    for bits, mass, sums, _ in witnesses:
-        if all(s * g.denominator == g.numerator * mass for s, g in zip(sums, goal)):
+    scaled = dist._scaled
+    # Member i's posterior hits num/den (in scaled units) exactly when the
+    # concealed cells' w_c*(x_ic*den - num) sum to 0.
+    tables = []
+    for t, scale, values in zip(target, scaled.scales, scaled.values):
+        num, den = (t * scale).as_integer_ratio()
+        tables.append(_subset_sums([v * den - num * w for v, w in zip(values, scaled.weights)]))
+    for bits, k in witnesses:
+        if not any(map(_chunk_sum, tables, repeat(_chunks(k)))):
             rule = team_rule(_pure_profile(dist.space, bits), protocol)
             if posterior_no_disclosure(dist, rule) != target:
                 raise AssertionError("integer scan disagrees with posterior_no_disclosure")
@@ -1045,37 +1099,37 @@ def plausible_full_disclosure_by_search(
     Searches for a full-disclosure equilibrium whose supporting posteriors are
     justified by some deterministic own-outcome profile with concealment:
     either beliefs that sustain the always-disclose profile, or an on-path
-    equilibrium that conceals at most one outcome. Profiles are scanned in
-    scaled integers; a witness is confirmed by rebuilding its team rule and
-    Bayes posterior and, for the on-path case, its classification and
-    verification before True is returned.
+    equilibrium that conceals at most one outcome. Profiles are scanned as
+    concealed-cell sets, with no sums; a witness is confirmed by rebuilding
+    its team rule and Bayes posterior and, for the on-path case, its
+    classification and verification before True is returned.
     """
     witnesses = _witnesses(dist, protocol)
     space = dist.space
-    n = space.n
-    mins = space.min_vector
-    full_mask = (1 << n) - 1
-    # Coalitions that could block disclosure when everyone else votes yes.
-    blocking = [
-        [i for i in range(n) if mask >> i & 1]
-        for mask in range(1, 1 << n)
-        if not protocol.wins(full_mask ^ mask)
-    ]
-    floors = [g[0] for g in dist._scaled.grid_ints]
-    for bits, mass, sums, concealed in witnesses:
-        # The deviation conditions of the always-disclose profile reduce to:
-        # every coalition able to block disclosure must contain a member whose
-        # belief already sits at their worst outcome (otherwise there is an
-        # outcome where the whole coalition strictly prefers concealment).
-        supported = all(
-            any(sums[i] <= floors[i] * mass for i in grp) for grp in blocking
-        )
-        if not supported and concealed.count(True) > 1:
+    # The deviation conditions of the always-disclose profile reduce to:
+    # every coalition able to block disclosure (one whose complement loses)
+    # must contain a member whose belief already sits at their worst outcome
+    # (otherwise there is an outcome where the whole coalition strictly
+    # prefers concealment). Blocking coalitions are closed under supersets,
+    # so that holds exactly when the members at their floor form a winning
+    # coalition. A member's belief sits at their floor exactly when no
+    # concealed cell of positive mass lies above it: grids are strictly
+    # increasing.
+    uppers = [(1 << i, dist.support & ~slabs[0]) for i, slabs in enumerate(space.slabs)]
+    for bits, k in witnesses:
+        supported = protocol.wins(sum(bit for bit, upper in uppers if not k & upper))
+        if not supported and k & (k - 1):  # conceals more than one cell
             continue
         profile = _pure_profile(space, bits)
         rule = team_rule(profile, protocol)
         post = posterior_no_disclosure(dist, rule)
         if supported:
+            n, mins = space.n, space.min_vector
+            blocking = [
+                [i for i in range(n) if mask >> i & 1]
+                for mask in range(1, 1 << n)
+                if not protocol.wins(((1 << n) - 1) ^ mask)
+            ]
             if not all(any(post[i] <= mins[i] for i in grp) for grp in blocking):
                 raise AssertionError("integer scan disagrees with posterior_no_disclosure")
             return True

@@ -71,6 +71,16 @@ class OutcomeSpace:
             tuple(lookup[i][cell[i]] for cell in self.cells) for i in range(self.n)
         )
 
+    @cached_property
+    def slabs(self) -> tuple[tuple[int, ...], ...]:
+        """slabs[i][p] = the cells whose member-(i+1) value is grid position
+        p, as one cell set: an int with cell c at bit c."""
+        out = [[0] * len(g) for g in self.grids]
+        for member_slabs, at in zip(out, self.positions):
+            for c, p in enumerate(at):
+                member_slabs[p] |= 1 << c
+        return tuple(map(tuple, out))
+
     @property
     def min_vector(self) -> tuple[Fraction, ...]:
         return tuple(g[0] for g in self.grids)
@@ -121,6 +131,12 @@ class JointDistribution:
     @cached_property
     def full_support(self) -> bool:
         return all(p > 0 for p in self.probs)
+
+    @cached_property
+    def support(self) -> int:
+        """The cells of positive probability, as a cell set (see
+        :attr:`OutcomeSpace.slabs`)."""
+        return sum(1 << c for c, p in enumerate(self.probs) if p)
 
     def prob(self, cell: Sequence[Rational]) -> Fraction:
         key = tuple(as_fraction(v) for v in cell)

@@ -2,8 +2,9 @@
 
 Runs each malformed input below in a fresh interpreter and expects exit 2
 with a single ``error:`` line on stderr and no traceback; then runs one valid
-``solve`` and expects exit 0. Flags and config-file values reach the same
-readers, so the check covers both. Needs no third-party package, so it runs
+``solve`` and one valid ``verify`` and expects exit 0. Flags and config-file
+values reach the same readers, so the check covers both. ``verify`` cases
+read their ``--equilibrium`` file, written by the harness. Needs no third-party package, so it runs
 on every supported Python:
 
     PYTHONPATH=src python tests/cli_smoke.py
@@ -17,6 +18,8 @@ import tempfile
 from pathlib import Path
 
 SOLVE = ["solve", "--protocol", "k_majority:2,2", "--dist", "independent:0.5"]
+VERIFY = ["verify", "--protocol", "k_majority:2,2", "--dist", "independent:0.5"]
+EQUILIBRIUM = {"profile": [["0", "1"], ["0", "1"]], "posteriors": ["1/3", "1/3"]}
 
 # (argv, config-file object or None)
 MALFORMED = [
@@ -40,6 +43,14 @@ MALFORMED = [
     (["solve", "--protocol", "nonsense", "--dist", "independent:0.5"], None),
 ]
 
+# --equilibrium file contents for VERIFY: JSON strings and objects where
+# lists belong
+MALFORMED_EQUILIBRIA = [
+    {"profile": [["0", "1"], ["0", "1"]], "posteriors": "00"},
+    {"profile": ["01", "01"], "posteriors": ["1/3", "1/3"]},
+    {"profile": {"a": 1}, "posteriors": ["1/3", "1/3"]},
+]
+
 
 def run(argv, tmp):
     out = Path(tmp) / "out"
@@ -52,10 +63,20 @@ def run(argv, tmp):
     return proc, out
 
 
+def verify_argv(doc, path):
+    """VERIFY reading ``doc`` from its --equilibrium file at ``path``."""
+    path.write_text(json.dumps(doc))
+    return VERIFY + ["--equilibrium", str(path)]
+
+
 def main() -> int:
     failed = 0
     with tempfile.TemporaryDirectory() as tmp:
-        for argv, cfg in MALFORMED:
+        cases = MALFORMED + [
+            (verify_argv(doc, Path(tmp) / f"eq{i}.json"), None)
+            for i, doc in enumerate(MALFORMED_EQUILIBRIA)
+        ]
+        for argv, cfg in cases:
             if cfg is not None:
                 path = Path(tmp) / "cfg.json"
                 path.write_text(json.dumps(cfg))
@@ -73,10 +94,11 @@ def main() -> int:
             extra = f" with config {json.dumps(cfg)}" if cfg is not None else ""
             verdict = "ok" if ok else f"exit {proc.returncode}, stderr {proc.stderr!r}"
             print(f"{shown}{extra}: {verdict}".encode("ascii", "backslashreplace").decode())
-        proc, out = run(SOLVE, tmp)
-        ok = proc.returncode == 0 and out.exists()
-        failed += not ok
-        print(f"{' '.join(SOLVE)}: {'ok' if ok else f'exit {proc.returncode}, stderr {proc.stderr!r}'}")
+        for argv in (SOLVE, verify_argv(EQUILIBRIUM, Path(tmp) / "eq.json")):
+            proc, out = run(argv, tmp)
+            ok = proc.returncode == 0 and out.exists()
+            failed += not ok
+            print(f"{' '.join(argv)}: {'ok' if ok else f'exit {proc.returncode}, stderr {proc.stderr!r}'}")
     return 1 if failed else 0
 
 

@@ -161,6 +161,20 @@ class TestVerify:
         doc = json.loads(out.read_text())
         assert doc["ok"] and doc["posteriors_consistent_with_deliberation"]
 
+    def test_verify_at_the_profile_cap(self, tmp_path):
+        # 4 members on 4-value grids: 2^16 deterministic profiles, the most
+        # the refinement scan takes; a denominator of 1009 is beyond the
+        # uniform pmf's, so every profile is scanned and none is consistent
+        grid = [str(v) for v in range(4)]
+        cells = [",".join(c) for c in product(grid, repeat=4)]
+        dist = {"grid": [grid] * 4, "pmf": [[c, "1/256"] for c in cells]}
+        eq = tmp_path / "eq.json"
+        eq.write_text(json.dumps({"profile": [["0"] * 4] * 4, "posteriors": ["1513/1009"] * 4}))
+        out = tmp_path / "report.json"
+        argv = ["verify", "--protocol", "consensus:4", "--dist", json.dumps(dist)]
+        assert main(argv + ["--equilibrium", str(eq), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["posteriors_consistent_with_deliberation"] is False
+
     def test_verify_flags_bad_posteriors(self, tmp_path):
         eq = tmp_path / "eq.json"
         eq.write_text(
@@ -201,6 +215,29 @@ class TestVerify:
         args = ["verify", "--protocol", "k_majority:2,2", "--dist", "independent:0.5"]
         assert main(args + ["--equilibrium", str(eq)]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            # a string was read as its characters: posteriors (0, 0), exit 0
+            ({"profile": [["0", "1"], ["0", "1"]], "posteriors": "00"}, "'posteriors' must be a list"),
+            ({"profile": [["0", "1"], ["0", "1"]], "posteriors": {"0": 1, "1": 1}}, "'posteriors' must be a list"),
+            # a string row was read as a row of its characters
+            ({"profile": ["01", "01"], "posteriors": ["1/3", "1/3"]}, "'profile' must be a list of lists"),
+            # an object was read as its keys: "Invalid literal for Fraction: 'a'"
+            ({"profile": {"a": 1}, "posteriors": ["1/3", "1/3"]}, "'profile' must be a list of lists"),
+            ({"profile": "0101", "posteriors": ["1/3", "1/3"]}, "'profile' must be a list of lists"),
+            ({"profile": [["0", "1"], 1], "posteriors": ["1/3", "1/3"]}, "'profile' must be a list of lists"),
+        ],
+    )
+    def test_verify_requires_lists(self, tmp_path, capsys, doc, message):
+        eq = tmp_path / "eq.json"
+        eq.write_text(json.dumps(doc))
+        out = tmp_path / "report.json"
+        args = ["verify", "--protocol", "k_majority:2,2", "--dist", "independent:0.5"]
+        assert main(args + ["--equilibrium", str(eq), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: malformed equilibrium file: {message}\n"
+        assert not out.exists()
 
 
 class TestGainsAndDominance:

@@ -348,43 +348,54 @@ def sparse_dist(rng, sizes):
 
 
 ORACLE_SIZES = {2: [(2, 2), (2, 3), (3, 2), (3, 3)], 3: [(2, 2, 2), (2, 3, 2)]}
+# Larger spaces (27 and 16 cells, 2^9 and 2^8 profiles), against a seeded
+# sample of their protocols: the Fraction loops are slow there.
+SAMPLED_SIZES = [(3, 3, 3), (2, 2, 2, 2)]
+SAMPLED_PROTOCOLS = 4
+
+
+def oracle_cases(rng):
+    """(distribution, protocols) pairs: every protocol on the small spaces,
+    a seeded sample on the larger ones."""
+    for n, patterns in ORACLE_SIZES.items():
+        for sizes in patterns:
+            yield sparse_dist(rng, sizes), all_protocols(n)
+    for sizes in SAMPLED_SIZES:
+        yield sparse_dist(rng, sizes), rng.sample(all_protocols(len(sizes)), SAMPLED_PROTOCOLS)
 
 
 class TestRefinementOracles:
-    """The integer refinement scan against the profile-by-profile Fraction loops."""
+    """The concealed-set refinement scan against the profile-by-profile
+    Fraction loops."""
 
     def test_consistency_matches_fraction_loop(self):
         rng = random.Random(71)
-        for n, patterns in ORACLE_SIZES.items():
-            for sizes in patterns:
-                d = sparse_dist(rng, sizes)
-                profiles = list(deterministic_profiles(d.space))
-                for proto in all_protocols(n):
-                    while True:
-                        rule = team_rule(rng.choice(profiles), proto)
-                        if any(v == 0 and p > 0 for v, p in zip(rule.values, d.probs)):
-                            break
-                    hit = posterior_no_disclosure(d, rule)
-                    # a denominator of 1009 is beyond every pmf here: no profile reaches it
-                    miss = [
-                        g[0] + (g[-1] - g[0]) * F(rng.randint(1, 1008), 1009)
-                        for g in d.space.grids
-                    ]
-                    for target in (hit, miss):
-                        fast = consistent_with_deliberation(target, d, proto)
-                        assert fast == consistent_with_deliberation_by_fractions(target, d, proto)
-                        assert fast == (target is hit)
+        for d, protos in oracle_cases(rng):
+            profiles = list(deterministic_profiles(d.space))
+            for proto in protos:
+                while True:
+                    rule = team_rule(rng.choice(profiles), proto)
+                    if any(v == 0 and p > 0 for v, p in zip(rule.values, d.probs)):
+                        break
+                hit = posterior_no_disclosure(d, rule)
+                # a denominator of 1009 is beyond every pmf here: no profile reaches it
+                miss = [
+                    g[0] + (g[-1] - g[0]) * F(rng.randint(1, 1008), 1009)
+                    for g in d.space.grids
+                ]
+                for target in (hit, miss):
+                    fast = consistent_with_deliberation(target, d, proto)
+                    assert fast == consistent_with_deliberation_by_fractions(target, d, proto)
+                    assert fast == (target is hit)
 
     def test_plausibility_matches_fraction_loop(self):
         rng = random.Random(73)
         outcomes = set()
-        for n, patterns in ORACLE_SIZES.items():
-            for sizes in patterns:
-                d = sparse_dist(rng, sizes)
-                for proto in all_protocols(n):
-                    fast = plausible_full_disclosure_by_search(d, proto)
-                    assert fast == plausible_full_disclosure_by_fractions(d, proto)
-                    outcomes.add(fast)
+        for d, protos in oracle_cases(rng):
+            for proto in protos:
+                fast = plausible_full_disclosure_by_search(d, proto)
+                assert fast == plausible_full_disclosure_by_fractions(d, proto)
+                outcomes.add(fast)
         assert outcomes == {True, False}
 
 

@@ -1,5 +1,7 @@
 """The integer team-rule and concealment kernels against their Fraction twins,
-and the cut search's concealment tables against the per-vote-mask loop.
+the cut search's concealment tables against the per-vote-mask loop, and the
+concealed-cell bitmask kernel and its subset-sum tables against
+``protocol.evaluate`` and plain sums.
 
 ``team_rule`` reads votes as integer codes and runs the multilinear sum only
 over mixing members; ``posterior_no_disclosure`` and the effort module's
@@ -10,6 +12,7 @@ with mixed denominators, and pmfs with zero-probability cells.
 """
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -18,6 +21,10 @@ from team_disclosure.equilibrium import (
     StrategyProfile,
     TeamRule,
     _build_context,
+    _chunk_sum,
+    _chunks,
+    _concealed_sets,
+    _subset_sums,
     team_rule,
 )
 from team_disclosure.incentives import _nd_stats
@@ -28,7 +35,7 @@ from team_disclosure.outcomes import (
     make_space,
     posterior_no_disclosure,
 )
-from team_disclosure.protocols import all_protocols, make_k_majority
+from team_disclosure.protocols import all_protocols, make_consensus, make_k_majority
 
 from oracles import (
     nd_stats_by_fractions,
@@ -190,3 +197,72 @@ def test_search_tables_at_the_grid_cap(size):
     assert 0 in dist.probs
     zero_mass = sum(assert_search_tables_match(dist, make_k_majority(4, k)) for k in range(1, 5))
     assert zero_mass > 0
+
+
+# Spaces of 16, 27 and 256 cells: concealed sets span several 4-cell chunks.
+KERNEL_SIZES = [(4, 4), (2, 2, 2, 2), (3, 3, 3), (4, 4, 4, 4)]
+
+
+def kernel_protocols(rng, n):
+    """Every protocol up to three members; at four, consensus, 2-of-4
+    majority and two seeded others."""
+    if n == 4:
+        return [make_consensus(4), make_k_majority(4, 2), *rng.sample(all_protocols(4), 2)]
+    return all_protocols(n)
+
+
+def row_votes(space, rows):
+    """The 0/1 StrategyProfile of one row bitmask per member, the first grid
+    position in the highest bit."""
+    return StrategyProfile(
+        space,
+        tuple(
+            tuple(F(r >> (len(g) - 1 - p) & 1) for p in range(len(g)))
+            for g, r in zip(space.grids, rows)
+        ),
+    )
+
+
+@pytest.mark.parametrize("sizes", KERNEL_SIZES, ids=str)
+def test_concealed_sets_match_evaluate(sizes):
+    """Each profile's concealed set is the set of cells where the team rule
+    from ``protocol.evaluate`` is 0, whatever their probability, in
+    ``product(*rows)`` order, on a seeded sample of rows per member (two on
+    the 256-cell space)."""
+    rng = random.Random(f"concealed sets {sizes}")
+    space = fractional_space(rng, len(sizes), sizes[:1])
+    per_member = 2 if len(space.cells) > 27 else 3
+    for protocol in kernel_protocols(rng, space.n):
+        rows = [rng.sample(range(1 << len(g)), per_member) for g in space.grids]
+        got = list(_concealed_sets(space, protocol, rows))
+        profiles = list(product(*rows))
+        assert len(got) == len(profiles)
+        for bits, k in zip(profiles, got):
+            rule = team_rule_by_evaluate(row_votes(space, bits), protocol)
+            assert k == sum(1 << c for c, v in enumerate(rule.values) if v == 0)
+
+
+@pytest.mark.parametrize("sizes", KERNEL_SIZES, ids=str)
+def test_chunk_sums_match_plain_sums(sizes):
+    """Sums over a cell set read from the 4-cell subset-sum tables equal the
+    plain sum, on signed entries that are 0 at zero-probability cells."""
+    rng = random.Random(f"chunk sums {sizes}")
+    space = fractional_space(rng, len(sizes), sizes[:1])
+    dist = sparse_dist(rng, space)
+    assert 0 in dist.probs
+    scaled = dist._scaled
+    # the raw sums, and the consistency scan's entries w_c * (x_ic * den - num)
+    # for a posterior num/den halfway along each scaled grid
+    vectors = [scaled.weights, *scaled.values]
+    for g, values in zip(scaled.grid_ints, scaled.values):
+        num, den = g[0] + g[-1], 2
+        vectors.append([v * den - num * w for v, w in zip(values, scaled.weights)])
+    assert min(vectors[-1]) < 0 < max(vectors[-1])
+    every = (1 << len(space.cells)) - 1
+    sets = [0, every, 1, 1 << (len(space.cells) - 1)]
+    sets += [rng.getrandbits(len(space.cells)) for _ in range(40)]
+    for entries in vectors:
+        tables = _subset_sums(entries)
+        assert all(len(t) <= 16 for t in tables)
+        for k in sets:
+            assert _chunk_sum(tables, _chunks(k)) == sum(e for c, e in enumerate(entries) if k >> c & 1)
