@@ -18,7 +18,9 @@ without solving, every configuration in which W > 0 or a gap bound fails at
 every corner of its weight box, or an atom equation has one strict sign at
 every concealing corner (W > 0) of the box (:func:`_cut_configs`). The
 corners with W = 0 cannot rescue such an equation: under full support no
-cell is concealed there, so every S_i and every atom equation is 0.
+cell is concealed there, so every S_i and every atom equation is 0. The
+screen walks the members depth first and drops a prefix as soon as its box
+fails, since adding members only shrinks the box.
 
 Each configuration yields checked weights, is proven infeasible, or is
 noted unresolved in the search notes; nothing is approximated. The search
@@ -41,24 +43,29 @@ concealed cells as one int, from ANDs and ORs of per-member cell sets over
 the protocol's minimal winning coalitions. The search scans the pure
 threshold profiles, the refinement every deterministic own-outcome profile.
 Exact integer concealment sums over a set are read from subset-sum tables
-of ``CHUNK_CELLS`` cells each; the plausibility search needs none, only set
-tests. Every positive refinement answer is confirmed by rebuilding its
-witness profile through ``team_rule`` and ``posterior_no_disclosure`` before
-it is returned.
+of ``CHUNK_CELLS`` cells each, with every sum a caller needs packed into one
+int as signed fields (:func:`_packed_sums`): W and each S_i for the search,
+each member's posterior condition for the consistency scan, so one read per
+set gives them all. The plausibility search needs no sums, only set tests.
+Every positive refinement answer is confirmed by rebuilding its witness
+profile through ``team_rule`` and ``posterior_no_disclosure`` before it is
+returned.
 
 The team rule and the Bayes posterior are integer kernels too: a cell where
 every member votes purely is one winning-table lookup, the multilinear sum
 runs only over the members who mix, and the posterior is one Fraction of
 concealment sums over the pmf and grids scaled to common denominators.
+Verification packs each cell's vote and gain flags into one int and checks
+coalitions only at cells where some coalition could gain.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from itertools import chain, combinations, compress, product, repeat, tee
+from itertools import chain, combinations, compress, product, tee
 from math import prod
-from operator import and_, getitem, or_
+from operator import and_, getitem, itemgetter
 from typing import Sequence
 
 from . import _poly
@@ -226,13 +233,11 @@ def _rule_values(profile: StrategyProfile, protocol: DeliberationProtocol) -> tu
 
 def classify_rule(rule: TeamRule) -> str:
     """full / partial / interior, from which outcomes are ever concealed."""
-    concealed = [
-        cell for cell, d in zip(rule.space.cells, rule.values) if d < ONE
-    ]
+    concealed = [c for c, d in enumerate(rule.values) if d < ONE]
     if len(concealed) <= 1:
         return FULL
-    for i in range(rule.space.n):
-        if len({cell[i] for cell in concealed}) < 2:
+    for at in rule.space.positions:
+        if len({at[c] for c in concealed}) < 2:
             return PARTIAL
     return INTERIOR
 
@@ -309,10 +314,13 @@ def _verify(
     space = dist.space
     n = space.n
     wins = protocol.wins
-    # per member and grid position: the member's bit when they vote 1, mix,
-    # gain from disclosure, gain from concealment, compared in integers:
-    # x > num/den exactly when (x * scale) * den > num * scale
-    flags = []
+    # per member and grid position, four n-bit fields of one int holding the
+    # member's bit when they vote 1, mix, gain from disclosure and gain from
+    # concealment, compared in integers: x > num/den exactly when
+    # (x * scale) * den > num * scale. A cell's code is the OR of its
+    # members' codes, built in cell order.
+    full = (1 << n) - 1
+    codes = [0]
     scaled = dist._scaled
     for i, (xs, scale, row) in enumerate(zip(scaled.grid_ints, scaled.scales, profile.values)):
         bit = 1 << i
@@ -323,23 +331,19 @@ def _verify(
             vn, vd = v.as_integer_ratio()
             x *= den
             member.append(
-                (
-                    bit if vn == vd else 0,
-                    bit if 0 < vn < vd else 0,
-                    bit if x > bar else 0,
-                    bit if x < bar else 0,
-                )
+                (bit if vn == vd else 0)
+                | (bit if 0 < vn < vd else 0) << n
+                | (bit if x > bar else 0) << 2 * n
+                | (bit if x < bar else 0) << 3 * n
             )
-        flags.append(member)
+        codes = [c | m for c in codes for m in member]
     violations: list[Violation] = []
-    for cell, pos in zip(space.cells, zip(*space.positions)):
-        ones = mixed = above = below = 0
-        for member, p in zip(flags, pos):
-            o, m, a, b = member[p]
-            ones |= o
-            mixed |= m
-            above |= a
-            below |= b
+    for cell, code in zip(space.cells, codes):
+        ones, mixed, above, below = code & full, code >> n & full, code >> 2 * n & full, code >> 3 * n
+        # every coalition in gain_up holds a member above not voting 1, and
+        # every one in gain_down a member below voting above 0
+        if not (above & ~ones or below & (ones | mixed)):
+            continue
         for mask in range(1, 1 << n):
             # a coalition that gains from disclosure but not all voting 1, or
             # from concealment but not all voting 0, is a violation if pivotal
@@ -461,22 +465,25 @@ def _build_context(dist: JointDistribution, protocol: DeliberationProtocol) -> _
     """Concealment aggregates of every pure cut combination: member i votes
     to disclose from grid position c_i on, c_i in 0..len(grid_i). W and each
     S_i of a combination are sums over its concealed cells
-    (:func:`_concealed_sets`), read from subset-sum tables."""
+    (:func:`_concealed_sets`). Each cell's weight and scaled values are
+    packed into one int (:func:`_packed_sums`), W in field 0 and S_i in field
+    i+1, so one subset-sum read gives all of them. Many combinations conceal
+    the same set (most often the empty one), so each distinct set is read
+    once."""
     grids = dist.space.grids
     rows = [[(1 << (len(g) - c)) - 1 for c in range(len(g) + 1)] for g in grids]
     combos = product(*(range(len(g) + 1) for g in grids))
     scaled = dist._scaled
-    mass_table = _subset_sums(scaled.weights)
-    value_tables = [_subset_sums(v) for v in scaled.values]
-    zeros = (0,) * len(grids)
+    tables, width = _packed_sums([scaled.weights, *scaled.values])
+    fields = len(grids) + 1
+    sums = {}  # concealed set -> (W, S per member)
     conceal = {}
     for combo, k in zip(combos, _concealed_sets(dist.space, protocol, rows)):
-        chunks = _chunks(k)
-        mass = _chunk_sum(mass_table, chunks)
-        conceal[combo] = (
-            mass,
-            tuple(_chunk_sum(t, chunks) for t in value_tables) if mass else zeros,
-        )
+        entry = sums.get(k)
+        if entry is None:
+            mass, *values = _unpack(_chunk_sum(tables, _chunks(k)), fields, width)
+            entry = sums[k] = (mass, tuple(values))
+        conceal[combo] = entry
     return _SearchContext(scaled.grid_ints, conceal)
 
 
@@ -501,6 +508,11 @@ def _cut_configs(ctx: _SearchContext):
     ``(w_pos & ~below[p]) | above[p]``; on the search's tables ``above`` and
     ``below`` lie inside ``w_pos``, so that is a concealing corner with
     h <= 0 and one with h >= 0.
+
+    The walk goes depth first over the members, keeping the box of the
+    members chosen so far and their needs. Adding a member only shrinks the
+    box, so a prefix whose box already misses ``w_pos`` or one of its needs
+    has no surviving completion and is not extended.
     """
     options = []
     w_pos = ctx.w_pos
@@ -516,10 +528,22 @@ def _cut_configs(ctx: _SearchContext):
             for p in range(size)
         ]
         options.append(opts)
-    for choice in product(*options):
-        box = reduce(and_, [slab for _, slab, _ in choice])
-        if box & w_pos and all(box & need for _, _, needs in choice for need in needs):
-            yield tuple(config for config, _, _ in choice)
+    last = len(options) - 1
+
+    def walk(depth, prefix, box, needs):
+        for config, slab, own in options[depth]:
+            narrowed = box & slab
+            if not narrowed & w_pos:
+                continue
+            kept = needs + own
+            if not all(narrowed & need for need in kept):
+                continue
+            if depth == last:
+                yield prefix + (config,)
+            else:
+                yield from walk(depth + 1, prefix + (config,), narrowed, kept)
+
+    return walk(0, (), -1, ())
 
 
 def _profile_from_config(
@@ -918,9 +942,7 @@ def find_equilibria_report(
             verification=ver,
         )
 
-    ordered = tuple(
-        results[k] for k in sorted(results.keys(), reverse=True)
-    )
+    ordered = tuple(e for _, e in sorted(results.items(), key=itemgetter(0), reverse=True))
     return ordered, tuple(dict.fromkeys(ctx.notes))
 
 
@@ -1010,6 +1032,34 @@ def _chunk_sum(tables: Sequence[Sequence[int]], chunks: bytes) -> int:
     return sum(map(getitem, tables, chunks))
 
 
+def _packed_sums(columns: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
+    """Subset-sum tables (:func:`_subset_sums`) of several signed entries per
+    cell packed into one int, and the field width.
+
+    Column j's entry sits in field j as a signed base-2**width digit:
+    ``width`` is one more than the bit length of the largest column's sum of
+    absolute values, so every field of a sum over any cell set lies strictly
+    inside +-2**(width-1). Such balanced digits are unique: :func:`_unpack`
+    reads them back, and a packed sum is 0 exactly when each field is.
+    """
+    width = max(sum(map(abs, column)) for column in columns).bit_length() + 1
+    packed = [sum(e << (width * j) for j, e in enumerate(entries)) for entries in zip(*columns)]
+    return _subset_sums(packed), width
+
+
+def _unpack(total: int, count: int, width: int) -> list[int]:
+    """The ``count`` signed fields of a sum read from :func:`_packed_sums`
+    tables, field 0 first."""
+    half = 1 << (width - 1)
+    mask = (1 << width) - 1
+    fields = []
+    for _ in range(count):
+        digit = ((total + half) & mask) - half
+        fields.append(digit)
+        total = (total - digit) >> width
+    return fields
+
+
 def _witnesses(dist: JointDistribution, protocol: DeliberationProtocol):
     """Every deterministic own-outcome profile that conceals something.
 
@@ -1052,9 +1102,11 @@ def consistent_with_deliberation(
     """Whether some deterministic own-outcome profile conceals with positive
     probability and Bayes-updates to exactly the given posteriors.
 
-    Profiles are scanned as concealed-cell sets, each member's condition one
-    signed integer sum read from subset-sum tables; a witness is confirmed by
-    rebuilding its team rule and Bayes posterior before True is returned.
+    Profiles are scanned as concealed-cell sets. Each member's condition is
+    one signed integer sum, and the members' sums are packed into one
+    (:func:`_packed_sums`), so a profile is a witness exactly when one
+    subset-sum read gives 0; a witness is confirmed by rebuilding its team
+    rule and Bayes posterior before True is returned.
     """
     witnesses = _witnesses(dist, protocol)
     target = tuple(as_fraction(p) for p in posteriors)
@@ -1063,12 +1115,13 @@ def consistent_with_deliberation(
     scaled = dist._scaled
     # Member i's posterior hits num/den (in scaled units) exactly when the
     # concealed cells' w_c*(x_ic*den - num) sum to 0.
-    tables = []
+    columns = []
     for t, scale, values in zip(target, scaled.scales, scaled.values):
         num, den = (t * scale).as_integer_ratio()
-        tables.append(_subset_sums([v * den - num * w for v, w in zip(values, scaled.weights)]))
+        columns.append([v * den - num * w for v, w in zip(values, scaled.weights)])
+    tables, _ = _packed_sums(columns)
     for bits, k in witnesses:
-        if not any(map(_chunk_sum, tables, repeat(_chunks(k)))):
+        if not _chunk_sum(tables, _chunks(k)):
             rule = team_rule(_pure_profile(dist.space, bits), protocol)
             if posterior_no_disclosure(dist, rule) != target:
                 raise AssertionError("integer scan disagrees with posterior_no_disclosure")

@@ -173,11 +173,13 @@ def from_pmf(
     space: OutcomeSpace, pmf: Mapping[tuple[Rational, ...], Rational]
 ) -> JointDistribution:
     probs = [ZERO] * len(space.cells)
+    index = space.cell_index
     for cell, p in pmf.items():
         key = tuple(as_fraction(v) for v in cell)
-        if key not in space.cell_index:
+        c = index.get(key)
+        if c is None:
             raise OutcomeError(f"outcome {key} is not on the grid")
-        probs[space.cell_index[key]] += as_fraction(p)
+        probs[c] += as_fraction(p)
     return JointDistribution(space, tuple(probs))
 
 

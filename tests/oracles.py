@@ -575,6 +575,36 @@ def unscreened_configs(ctx):
     return list(product(*member_options))
 
 
+def screened_configs_by_product(ctx):
+    """The corner sign screen of ``_cut_configs`` as a filter over the whole
+    ``product`` of the members' options, with no pruning of prefixes: a
+    configuration survives when its box (the AND of its members' slab masks)
+    meets ``w_pos`` and every member's needs."""
+    from functools import reduce
+    from operator import and_
+
+    options = []
+    w_pos = ctx.w_pos
+    for slabs, above, below in zip(ctx.slabs, ctx.above, ctx.below):
+        size = len(above)
+        opts = [(("gap", c), slabs[c], (above[c - 1], below[c])) for c in range(1, size)]
+        opts += [
+            (
+                ("atom", p),
+                slabs[p] | slabs[p + 1],
+                ((w_pos & ~above[p]) | below[p], (w_pos & ~below[p]) | above[p]),
+            )
+            for p in range(size)
+        ]
+        options.append(opts)
+    survivors = []
+    for choice in product(*options):
+        box = reduce(and_, [slab for _, slab, _ in choice])
+        if box & w_pos and all(box & need for _, _, needs in choice for need in needs):
+            survivors.append(tuple(config for config, _, _ in choice))
+    return survivors
+
+
 def find_equilibria_report_unscreened(dist, protocol):
     """The exhaustive search with no corner sign screen: every configuration
     goes to the atom solver, and every candidate's rule, posterior and

@@ -1,8 +1,6 @@
 """The exact atom solver: hand-built corner tables, the univariate routine
 against sympy, a dense rational scan, and whole searches without slices."""
-import hashlib
 import inspect
-import json
 import random
 from fractions import Fraction
 from itertools import product
@@ -13,7 +11,6 @@ import pytest
 from team_disclosure import _poly
 from team_disclosure._poly import cell_samples, pmul, real_roots, sign_at
 from team_disclosure.audit import random_distribution
-from team_disclosure.configio import equilibrium_to_config
 from team_disclosure.equilibrium import (
     FREE_WEIGHT_CANDIDATES,
     ONE,
@@ -28,9 +25,10 @@ from team_disclosure.equilibrium import (
     verify_equilibrium,
 )
 from team_disclosure.outcomes import independent
-from team_disclosure.protocols import all_protocols, make_k_majority, make_protocol
+from team_disclosure.protocols import all_protocols, make_k_majority
 
-from oracles import atom_grid_scan
+from oracles import atom_grid_scan, screened_configs_by_product, unscreened_configs
+from search_smoke import DIGEST, HIDDEN, search_digest
 
 try:
     import sympy
@@ -362,6 +360,19 @@ class TestDenseScanOracle:
                 assert_irrational_solution(solver, corners)
         assert hits > 30 and screened > 10
 
+    @pytest.mark.parametrize("members, atom_share", [(3, 1.0), (4, 0.75)])
+    def test_screen_walk_matches_product_filter(self, members, atom_share):
+        rng = random.Random(211 + members)
+        kept = dropped = 0
+        for _ in range(150):
+            grids, config, corners = random_tables(rng, members, atom_share)
+            ctx = hand_built(grids, config, corners).ctx
+            survivors = list(_cut_configs(ctx))
+            assert survivors == screened_configs_by_product(ctx)
+            kept += len(survivors)
+            dropped += len(unscreened_configs(ctx)) - len(survivors)
+        assert dropped > kept > 100
+
 
 def int_entries(value):
     """Whether every number in every list of a ``_poly`` result (a
@@ -450,16 +461,6 @@ class TestNoSlices:
             assert all(e.verification.ok for e in eqs)
 
 
-# iid 4-member k_majority:4,2 instances whose symmetric equilibrium, every
-# member at an atom on grid position 1, the search misses today: (marginal,
-# atom weight, posterior of every member)
-HIDDEN = [
-    ({v: F(1, 5) for v in range(5)}, F(1, 8), F(1)),
-    ({1: F(1, 12), 4: F(5, 12), 7: F(6, 12)}, F(3, 10), F(4)),
-    ({0: F(1, 6), 1: F(2, 6), 5: F(2, 6), 6: F(1, 6)}, F(9, 10), F(1)),
-]
-
-
 def hidden_case(marginal, weight):
     dist = independent([marginal] * 4)
     row = tuple(ZERO if p < 1 else weight if p == 1 else ONE for p in range(len(marginal)))
@@ -484,45 +485,12 @@ class TestHiddenSymmetricEquilibria:
         assert any(e.rule == rule and e.posteriors == (posterior,) * 4 for e in eqs)
 
 
-ITEM_8 = (  # an irrational-only 3-atom residue next to a 4-atom one
-    {3: F(1, 6), 5: F(1, 6), 7: F(3, 6), 8: F(1, 6)},
-    [[1, 2], [1, 3], [2, 4], [3, 4]],
-)
-
-
-def pinned_searches():
-    """Every 2- and 3-member protocol on seeded draws, iid 4-member draws on
-    3- and 4-value grids under k-majority, the hidden symmetric instances and
-    an instance with an irrational-only residue."""
-    rng = random.Random(16)
-    for n in (2, 3):
-        for _ in range(3):
-            dist = random_distribution(rng, n)
-            for proto in all_protocols(n):
-                yield dist, proto
-    for size in (3, 3, 4, 4):
-        grid = sorted(rng.sample(range(9), size))
-        nums = [rng.randint(1, 6) for _ in grid]
-        dist = independent([{x: F(c, sum(nums)) for x, c in zip(grid, nums)}] * 4)
-        for k in range(1, 5):
-            yield dist, make_k_majority(4, k)
-    for marginal, _, _ in HIDDEN:
-        yield independent([marginal] * 4), make_k_majority(4, 2)
-    marginal, winning = ITEM_8
-    yield independent([marginal] * 4), make_protocol(4, winning)
-
-
 def test_search_output_is_pinned():
-    """The solve documents of :func:`pinned_searches`, byte for byte.
+    """The solve documents of ``search_smoke.pinned_searches``, byte for byte.
 
     The digest covers each search's equilibria, as ``equilibrium_to_config``
     writes them, and its notes. Only a documented correctness fix may change
     it, such as settling multi-weight residues or returning irrational
     weights (ROADMAP items 1 and 8); CHANGES.md then records the new value.
     """
-    digest = hashlib.sha256()
-    for dist, proto in pinned_searches():
-        eqs, notes = find_equilibria_report(dist, proto)
-        doc = {"equilibria": [equilibrium_to_config(e) for e in eqs], "notes": list(notes)}
-        digest.update(json.dumps(doc, sort_keys=True).encode() + b"\n")
-    assert digest.hexdigest() == "b2d9b9e0df5004d8709d6c141a557b749e81834bd920b12f7c9198f273751617"
+    assert search_digest() == DIGEST

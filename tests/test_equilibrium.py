@@ -49,6 +49,7 @@ from oracles import (
     find_equilibria_report_unscreened,
     plausible_full_disclosure_by_fractions,
     posterior_by_enumeration,
+    screened_configs_by_product,
     team_rule_by_evaluate,
     unscreened_configs,
     verify_equilibrium_by_evaluate,
@@ -624,6 +625,22 @@ class TestCornerScreen:
                 solver = _AtomSolver(ctx, config)
                 assert solver.solve() is None and not solver.unresolved
         assert rejected > kept > 0
+
+    def test_walk_matches_product_filter(self, screened_searches):
+        """The pruned walk yields what the filter over the whole product
+        keeps, in the same order, on the screened searches and on two more
+        4-member draws on 5-value grids."""
+        rng = random.Random(113)
+        cases = [(d, proto) for d, proto, _ in screened_searches]
+        for d in [fractional_dist(rng, 4, (5,)) for _ in range(2)]:
+            cases += [(d, make_k_majority(4, k)) for k in range(1, 5)]
+        kept = 0
+        for d, proto in cases:
+            ctx = _build_context(d, proto)
+            survivors = list(_cut_configs(ctx))
+            assert survivors == screened_configs_by_product(ctx)
+            kept += len(survivors)
+        assert kept > 0
 
     def test_verification_is_reproduced(self, screened_searches):
         on_path = 0

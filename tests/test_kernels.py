@@ -1,7 +1,7 @@
 """The integer team-rule and concealment kernels against their Fraction twins,
 the cut search's concealment tables against the per-vote-mask loop, and the
-concealed-cell bitmask kernel and its subset-sum tables against
-``protocol.evaluate`` and plain sums.
+concealed-cell bitmask kernel and its subset-sum tables, plain and packed
+several fields to an int, against ``protocol.evaluate`` and plain sums.
 
 ``team_rule`` reads votes as integer codes and runs the multilinear sum only
 over mixing members; ``posterior_no_disclosure`` and the effort module's
@@ -13,6 +13,7 @@ with mixed denominators, and pmfs with zero-probability cells.
 import random
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 
@@ -24,7 +25,10 @@ from team_disclosure.equilibrium import (
     _chunk_sum,
     _chunks,
     _concealed_sets,
+    _packed_sums,
     _subset_sums,
+    _unpack,
+    consistent_with_deliberation,
     team_rule,
 )
 from team_disclosure.incentives import _nd_stats
@@ -38,6 +42,7 @@ from team_disclosure.outcomes import (
 from team_disclosure.protocols import all_protocols, make_consensus, make_k_majority
 
 from oracles import (
+    consistent_with_deliberation_by_fractions,
     nd_stats_by_fractions,
     posterior_no_disclosure_by_fractions,
     search_conceal_by_cells,
@@ -266,3 +271,115 @@ def test_chunk_sums_match_plain_sums(sizes):
         assert all(len(t) <= 16 for t in tables)
         for k in sets:
             assert _chunk_sum(tables, _chunks(k)) == sum(e for c, e in enumerate(entries) if k >> c & 1)
+
+
+def test_packed_fields_match_plain_sums():
+    """Each signed field of a packed subset sum is the plain sum of its
+    column, also where a column's sum over the full set reaches the bound
+    that sets the field width, at either sign."""
+    rng = random.Random("packed fields")
+    cells = 27
+    bound = 10**6
+    columns = [
+        [bound] * cells,
+        [-bound] * cells,
+        [rng.randint(-bound, bound) for _ in range(cells)],
+        [rng.choice((0, 1, -1)) for _ in range(cells)],
+        [0] * cells,
+    ]
+    tables, width = _packed_sums(columns)
+    assert width == (cells * bound).bit_length() + 1
+    every = (1 << cells) - 1
+    sets = [0, every, 1, 1 << (cells - 1)] + [rng.getrandbits(cells) for _ in range(60)]
+    for k in sets:
+        got = _unpack(_chunk_sum(tables, _chunks(k)), len(columns), width)
+        assert got == [sum(e for c, e in enumerate(col) if k >> c & 1) for col in columns]
+        assert (_chunk_sum(tables, _chunks(k)) == 0) == (not any(got))
+
+
+def extreme_dist(rng):
+    """Four members on 5-value grids of values within 50 of +-10**6, one with
+    each denominator 1, 2, 3, 7 and 11; members 1 and 2 all positive, member
+    3 all negative, member 4 both. Full support, masses with mixed
+    denominators, and most of the mass on the cells where every member sits
+    at an extreme of their grid."""
+    big = 10**6
+    signs = [(1,) * 5, (1,) * 5, (-1,) * 5, (-1, -1, 1, 1, 1)]
+    grids = []
+    for member_signs in signs:
+        # one value per denominator, so every grid scales by 462
+        values = set()
+        while len(values) < 5:
+            values = {
+                F(sign * big * den - 1 - den * rng.randint(0, 50), den)
+                for sign, den in zip(member_signs, (1, 2, 3, 7, 11))
+            }
+        grids.append(sorted(values))
+    space = make_space(grids)
+    masses = [F(rng.randint(1, 9), rng.choice((1, 3, 7, 11))) for _ in space.cells]
+    for c, at in enumerate(zip(*space.positions)):
+        if all(p in (0, 4) for p in at):
+            masses[c] += 10**4
+    total = sum(masses)
+    return JointDistribution(space, tuple(m / total for m in masses))
+
+
+def test_packed_search_tables_at_the_field_width_edge():
+    """The search's packed table, where W and S_i come near the bound that
+    sets the field width, against the per-vote-mask loop."""
+    rng = random.Random("packed search tables")
+    dist = extreme_dist(rng)
+    scaled = dist._scaled
+    _, width = _packed_sums([scaled.weights, *scaled.values])
+    edge = 1 << (width - 3)  # the width's bound is below 2**(width - 1)
+    reached = set()
+    for k in range(1, 5):
+        protocol = make_k_majority(4, k)
+        assert_search_tables_match(dist, protocol)
+        conceal = search_conceal_by_cells(dist, protocol)
+        reached |= {(i, v > 0) for _, s in conceal.values() for i, v in enumerate(s) if abs(v) >= edge}
+    assert {i for i, _ in reached} == {0, 1, 2, 3}
+    assert (2, False) in reached and (3, False) in reached
+
+
+def residue_target(scaled, k, i, residue):
+    """Member i's posterior target num/(den * scale) at which the concealed
+    set k's condition den * S - num * W equals ``residue`` (0 or +-1)."""
+    w = sum(e for c, e in enumerate(scaled.weights) if k >> c & 1)
+    s = sum(e for c, e in enumerate(scaled.values[i]) if k >> c & 1)
+    if residue == 0:
+        return F(s, w * scaled.scales[i])
+    den = pow(s * residue, -1, w) + w  # den * s = residue (mod w), den > 0
+    num = (den * s - residue) // w
+    assert den * s - num * w == residue
+    return F(num, den * scaled.scales[i])
+
+
+@pytest.mark.parametrize("protocol", [make_k_majority(3, 2), make_consensus(3)], ids=lambda p: p.describe())
+def test_consistency_packed_residues(protocol):
+    """A target at which one member's residue is 0 and another's is +-1 is
+    not reached (the packed sum is +-2**(width*j), not 0); the reached
+    posterior of the same profile is. Both agree with the Fraction loop."""
+    rng = random.Random(f"packed residues {protocol.describe()}")
+    space = make_space([[0, F(1, 3), 2], [F(-1, 2), 1], [F(1, 7), F(5, 2)]])
+    nums = [rng.randint(1, 30) for _ in space.cells]
+    dist = JointDistribution(space, tuple(F(x, sum(nums)) for x in nums))
+    scaled = dist._scaled
+    rows = [range(1 << len(g)) for g in space.grids]
+    for k in _concealed_sets(space, protocol, rows):
+        w = sum(e for c, e in enumerate(scaled.weights) if k >> c & 1)
+        if w and all(
+            gcd(sum(e for c, e in enumerate(v) if k >> c & 1), w) == 1 for v in scaled.values
+        ):
+            break
+    else:
+        raise AssertionError("no concealed set with coprime sums")
+    reached = [residue_target(scaled, k, i, 0) for i in range(3)]
+    assert consistent_with_deliberation(reached, dist, protocol)
+    assert consistent_with_deliberation_by_fractions(reached, dist, protocol)
+    for j in range(3):
+        for residue in (1, -1):
+            target = list(reached)
+            target[j] = residue_target(scaled, k, j, residue)
+            assert not consistent_with_deliberation(target, dist, protocol)
+            assert not consistent_with_deliberation_by_fractions(target, dist, protocol)

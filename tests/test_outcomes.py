@@ -48,6 +48,15 @@ class TestSpacesAndDistributions:
         with pytest.raises(OutcomeError):
             JointDistribution(space, (F(1, 4),) * 3 + (F(1, 3),))
 
+    def test_from_pmf_sums_repeated_keys_and_rejects_off_grid_outcomes(self):
+        space = make_space([[0, F(1, 2)], [1, 2]])
+        # ("1/2", 2) and (Fraction(1, 2), 2.0) name one cell, so their masses add up
+        d = from_pmf(space, {(0, 1): F(1, 2), ("1/2", 2): F(1, 4), (F(1, 2), 2.0): F(1, 4)})
+        assert d.probs == (F(1, 2), 0, 0, F(1, 2))
+        with pytest.raises(OutcomeError) as err:
+            from_pmf(space, {(0, 1): F(1, 2), (1, 2): F(1, 2)})
+        assert str(err.value) == "outcome (Fraction(1, 1), Fraction(2, 1)) is not on the grid"
+
     def test_full_support_flag(self):
         assert binary_independent([F(1, 2), F(1, 2)]).full_support
         g = comonotone([0, 1], [F(1, 2), F(1, 2)], 2)
