@@ -246,6 +246,9 @@ def corners(variables: tuple) -> list[dict]:
 def _faces(variables: tuple, vals: list, v) -> tuple[tuple, list, list]:
     """The tables over the other variables at v = 0 and at v = 1."""
     j = variables.index(v)
+    if j == len(variables) - 1:
+        # the last variable alternates fastest
+        return variables[:j], vals[0::2], vals[1::2]
     step = len(vals) >> (j + 1)
     low, high = [], []
     for start in range(0, len(vals), 2 * step):

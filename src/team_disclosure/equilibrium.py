@@ -13,11 +13,12 @@ either a cut strictly between two adjacent grid values, or an indifference
 atom sitting exactly on a grid value with a mixing weight. Atom weights
 satisfy a multilinear system solved exactly by :class:`_AtomSolver` on the
 integer algebra of :mod:`._poly`. Configurations are first screened by
-corner sign masks: integer bitmasks over the pure cut combinations reject,
-without solving, every configuration in which W > 0 or a gap bound fails at
-every corner of its weight box, or an atom equation has one strict sign at
-every concealing corner (W > 0) of the box (:func:`_cut_configs`). The
-corners with W = 0 cannot rescue such an equation: under full support no
+corner sign masks (:class:`_SearchContext`, whose sign loop runs once per
+distinct concealed set): integer bitmasks over the pure cut combinations
+reject, without solving, every configuration in which W > 0 or a gap bound
+fails at every corner of its weight box, or an atom equation has one strict
+sign at every concealing corner (W > 0) of the box (:func:`_cut_configs`).
+The corners with W = 0 cannot rescue such an equation: under full support no
 cell is concealed there, so every S_i and every atom equation is 0. The
 screen walks the members depth first and drops a prefix as soon as its box
 fails, since adding members only shrinks the box.
@@ -42,21 +43,25 @@ one bitmask kernel (:func:`_concealed_sets`): it gives each pure profile's
 concealed cells as one int, from ANDs and ORs of per-member cell sets over
 the protocol's minimal winning coalitions. The search scans the pure
 threshold profiles, the refinement every deterministic own-outcome profile.
-Exact integer concealment sums over a set are read from subset-sum tables
-of ``CHUNK_CELLS`` cells each, with every sum a caller needs packed into one
-int as signed fields (:func:`_packed_sums`): W and each S_i for the search,
-each member's posterior condition for the consistency scan, so one read per
-set gives them all. The plausibility search needs no sums, only set tests.
-Every positive refinement answer is confirmed by rebuilding its witness
-profile through ``team_rule`` and ``posterior_no_disclosure`` before it is
-returned.
+Exact integer concealment sums over a set are read from the subset-sum
+tables of :mod:`.outcomes`, with every sum a caller needs packed into one
+int as signed fields (``_packed_sums``), so one read per set gives them all:
+W and each S_i for the search, from tables built once per distribution
+(``JointDistribution._packed``) and shared by every protocol searched on
+it; each member's posterior condition for the consistency scan, packed per
+target. The plausibility search needs no sums, only set tests. Every
+positive refinement answer is confirmed by rebuilding its witness profile
+through ``team_rule`` and ``posterior_no_disclosure`` before it is returned.
 
 The team rule and the Bayes posterior are integer kernels too: a cell where
 every member votes purely is one winning-table lookup, the multilinear sum
 runs only over the members who mix, and the posterior is one Fraction of
 concealment sums over the pmf and grids scaled to common denominators.
+Candidates are told apart by their rule values as integer pairs.
 Verification packs each cell's vote and gain flags into one int and checks
-coalitions only at cells where some coalition could gain.
+coalitions only at cells where some coalition could gain, and at no cell
+when no member gains from a vote they do not cast (as at every threshold
+profile).
 """
 from __future__ import annotations
 
@@ -65,7 +70,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import chain, combinations, compress, product, tee
 from math import prod
-from operator import and_, getitem, itemgetter
+from operator import and_, attrgetter
 from typing import Sequence
 
 from . import _poly
@@ -73,6 +78,11 @@ from .outcomes import (
     JointDistribution,
     OffPathPosterior,
     OutcomeSpace,
+    _chunk_sum,
+    _chunks,
+    _packed_sums,
+    _subset_table,
+    _unpack,
     posterior_no_disclosure,
 )
 from .protocols import DeliberationProtocol, _submasks
@@ -115,12 +125,20 @@ class EquilibriumError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def _in_unit_interval(v) -> bool:
-    """0 <= v <= 1, for a Fraction read off its numerator and denominator."""
-    if type(v) is Fraction:
-        num, den = v.as_integer_ratio()
-        return 0 <= num <= den
-    return ZERO <= v <= ONE
+def _outside_unit_interval(values):
+    """The first of the values outside [0, 1], or None. ZERO and ONE pass by
+    identity, any other Fraction on its numerator and denominator."""
+    for v in values:
+        if v is ZERO or v is ONE:
+            continue
+        if type(v) is Fraction:
+            num, den = v.as_integer_ratio()
+            if 0 <= num <= den:
+                continue
+        elif ZERO <= v <= ONE:
+            continue
+        return v
+    return None
 
 
 @dataclass(frozen=True)
@@ -137,9 +155,9 @@ class StrategyProfile:
         for grid, vals in zip(self.space.grids, self.values):
             if len(vals) != len(grid):
                 raise EquilibriumError("strategy not defined on exactly the member's grid")
-            for v in vals:
-                if not _in_unit_interval(v):
-                    raise EquilibriumError(f"vote probability {v} outside [0,1]")
+            bad = _outside_unit_interval(vals)
+            if bad is not None:
+                raise EquilibriumError(f"vote probability {bad} outside [0,1]")
 
     def vote_vector(self, cell: Sequence[Fraction]) -> tuple[Fraction, ...]:
         out = []
@@ -170,9 +188,9 @@ class TeamRule:
     def __post_init__(self) -> None:
         if len(self.values) != len(self.space.cells):
             raise EquilibriumError("rule length does not match the cell count")
-        for v in self.values:
-            if not _in_unit_interval(v):
-                raise EquilibriumError(f"disclosure probability {v} outside [0,1]")
+        bad = _outside_unit_interval(self.values)
+        if bad is not None:
+            raise EquilibriumError(f"disclosure probability {bad} outside [0,1]")
 
     def prob(self, cell: Sequence[Rational]) -> Fraction:
         key = tuple(as_fraction(v) for v in cell)
@@ -180,7 +198,7 @@ class TeamRule:
 
     @staticmethod
     def constant(space: OutcomeSpace, value: Rational) -> "TeamRule":
-        return TeamRule(space, tuple(as_fraction(value) for _ in space.cells))
+        return TeamRule(space, (as_fraction(value),) * len(space.cells))
 
 
 def team_rule(profile: StrategyProfile, protocol: DeliberationProtocol) -> TeamRule:
@@ -233,7 +251,7 @@ def _rule_values(profile: StrategyProfile, protocol: DeliberationProtocol) -> tu
 
 def classify_rule(rule: TeamRule) -> str:
     """full / partial / interior, from which outcomes are ever concealed."""
-    concealed = [c for c, d in enumerate(rule.values) if d < ONE]
+    concealed = [c for c, d in enumerate(rule.values) if d.numerator < d.denominator]
     if len(concealed) <= 1:
         return FULL
     for at in rule.space.positions:
@@ -310,17 +328,25 @@ def _verify(
     protocol: DeliberationProtocol,
 ) -> VerificationReport:
     """:func:`verify_equilibrium` given the profile's Bayes posteriors
-    (None when it never conceals), for callers that already hold them."""
+    (None when it never conceals), for callers that already hold them.
+
+    A coalition can gain from a deviation at a cell only where one of its
+    members gains from a vote they do not cast there. When no member does so
+    at any grid position, as at a threshold profile, only the Bayes check
+    is left and the cells are not visited.
+    """
     space = dist.space
     n = space.n
     wins = protocol.wins
     # per member and grid position, four n-bit fields of one int holding the
     # member's bit when they vote 1, mix, gain from disclosure and gain from
     # concealment, compared in integers: x > num/den exactly when
-    # (x * scale) * den > num * scale. A cell's code is the OR of its
-    # members' codes, built in cell order.
+    # (x * scale) * den > num * scale. A position is flagged when the member
+    # gains from disclosure but votes below 1, or from concealment but votes
+    # above 0.
     full = (1 << n) - 1
-    codes = [0]
+    members = []
+    flagged = False
     scaled = dist._scaled
     for i, (xs, scale, row) in enumerate(zip(scaled.grid_ints, scaled.scales, profile.values)):
         bit = 1 << i
@@ -330,18 +356,27 @@ def _verify(
         for x, v in zip(xs, row):
             vn, vd = v.as_integer_ratio()
             x *= den
+            up, down = x > bar, x < bar
+            flagged = flagged or (up and vn < vd) or (down and vn > 0)
             member.append(
                 (bit if vn == vd else 0)
                 | (bit if 0 < vn < vd else 0) << n
-                | (bit if x > bar else 0) << 2 * n
-                | (bit if x < bar else 0) << 3 * n
+                | (bit if up else 0) << 2 * n
+                | (bit if down else 0) << 3 * n
             )
-        codes = [c | m for c in codes for m in member]
+        members.append(member)
+    # every coalition in gain_up holds a member above not voting 1, and every
+    # one in gain_down a member below voting above 0: a cell can hold a
+    # violation only where some member's position is flagged. A cell's code
+    # is the OR of its members' codes, built in cell order.
+    codes = []
+    if flagged:
+        codes = [0]
+        for member in members:
+            codes = [c | m for c in codes for m in member]
     violations: list[Violation] = []
     for cell, code in zip(space.cells, codes):
         ones, mixed, above, below = code & full, code >> n & full, code >> 2 * n & full, code >> 3 * n
-        # every coalition in gain_up holds a member above not voting 1, and
-        # every one in gain_down a member below voting above 0
         if not (above & ~ones or below & (ones | mixed)):
             continue
         for mask in range(1, 1 << n):
@@ -430,6 +465,12 @@ class _SearchContext:
     ``slabs[i][c]`` those whose i-th coordinate is c. A combo with W = 0
     conceals no cell of a full-support distribution, so its sums are 0 and
     it lies in neither ``above`` nor ``below``.
+
+    Many combos conceal the same set, so one pass over ``conceal`` gathers
+    the ``slabs`` and, per distinct (W, S) entry, the mask of the combos
+    holding it; the sign loop then runs once per distinct entry, and not at
+    all for an entry with W and every S_i 0. Any ``conceal`` dict is read
+    this way, also sparse hand-built ones with W = 0 and S != 0.
     """
 
     grid_ints: tuple[tuple[int, ...], ...]
@@ -442,22 +483,28 @@ class _SearchContext:
 
     def __post_init__(self) -> None:
         grid_ints = self.grid_ints
+        slabs = [[0] * (len(g) + 1) for g in grid_ints]
+        sharing = {}  # (W, S) entry -> the combos that hold it
+        for b, (combo, entry) in enumerate(self.conceal.items()):
+            bit = 1 << b
+            sharing[entry] = sharing.get(entry, 0) | bit
+            for member_slabs, c in zip(slabs, combo):
+                member_slabs[c] |= bit
         w_pos = 0
         above = [[0] * len(g) for g in grid_ints]
         below = [[0] * len(g) for g in grid_ints]
-        slabs = [[0] * (len(g) + 1) for g in grid_ints]
-        for b, (combo, (w, s)) in enumerate(self.conceal.items()):
-            bit = 1 << b
+        for (w, s), bits in sharing.items():
             if w > 0:
-                w_pos |= bit
-            for i, c in enumerate(combo):
-                slabs[i][c] |= bit
-                for p, x in enumerate(grid_ints[i]):
-                    d = s[i] - x * w
+                w_pos |= bits
+            elif not w and not any(s):
+                continue  # every S_i - x*W is 0: no sign bit to set
+            for member_above, member_below, xs, si in zip(above, below, grid_ints, s):
+                for p, x in enumerate(xs):
+                    d = si - x * w
                     if d > 0:
-                        above[i][p] |= bit
+                        member_above[p] |= bits
                     elif d < 0:
-                        below[i][p] |= bit
+                        member_below[p] |= bits
         self.w_pos, self.above, self.below, self.slabs = w_pos, above, below, slabs
 
 
@@ -466,15 +513,14 @@ def _build_context(dist: JointDistribution, protocol: DeliberationProtocol) -> _
     to disclose from grid position c_i on, c_i in 0..len(grid_i). W and each
     S_i of a combination are sums over its concealed cells
     (:func:`_concealed_sets`). Each cell's weight and scaled values are
-    packed into one int (:func:`_packed_sums`), W in field 0 and S_i in field
-    i+1, so one subset-sum read gives all of them. Many combinations conceal
-    the same set (most often the empty one), so each distinct set is read
-    once."""
+    packed into one int, W in field 0 and S_i in field i+1, in tables built
+    once per distribution (``dist._packed``), so one subset-sum read gives
+    all of them. Many combinations conceal the same set (most often the
+    empty one), so each distinct set is read once."""
     grids = dist.space.grids
     rows = [[(1 << (len(g) - c)) - 1 for c in range(len(g) + 1)] for g in grids]
     combos = product(*(range(len(g) + 1) for g in grids))
-    scaled = dist._scaled
-    tables, width = _packed_sums([scaled.weights, *scaled.values])
+    tables, width = dist._packed
     fields = len(grids) + 1
     sums = {}  # concealed set -> (W, S per member)
     conceal = {}
@@ -484,7 +530,7 @@ def _build_context(dist: JointDistribution, protocol: DeliberationProtocol) -> _
             mass, *values = _unpack(_chunk_sum(tables, _chunks(k)), fields, width)
             entry = sums[k] = (mass, tuple(values))
         conceal[combo] = entry
-    return _SearchContext(scaled.grid_ints, conceal)
+    return _SearchContext(dist._scaled.grid_ints, conceal)
 
 
 def _cut_configs(ctx: _SearchContext):
@@ -536,7 +582,7 @@ def _cut_configs(ctx: _SearchContext):
             if not narrowed & w_pos:
                 continue
             kept = needs + own
-            if not all(narrowed & need for need in kept):
+            if not all(map(narrowed.__and__, kept)):
                 continue
             if depth == last:
                 yield prefix + (config,)
@@ -565,20 +611,6 @@ def _profile_from_config(
             )
             cuts.append(MemberCut(cut=pos + 1, atom_pos=pos, atom_weight=m))
     return StrategyProfile(space, tuple(rows)), tuple(cuts)
-
-
-def _corner_combo(
-    config: tuple[tuple[str, int], ...], corner: dict[int, int]
-) -> tuple[int, ...]:
-    """Pure cut combo matching a 0/1 assignment of the atom weights."""
-    combo = []
-    for i, (kind, pos) in enumerate(config):
-        if kind == "gap":
-            combo.append(pos)
-        else:
-            # weight 1 behaves like cutting at the atom, weight 0 like cutting above it
-            combo.append(pos if corner.get(i, 0) == 1 else pos + 1)
-    return tuple(combo)
 
 
 # ---------------------------------------------------------------------------
@@ -623,8 +655,15 @@ class _AtomSolver:
         self.atoms = tuple(i for i, (kind, _) in enumerate(config) if kind == "atom")
         self.gaps = [i for i, (kind, _) in enumerate(config) if kind == "gap"]
         self.unresolved = False
-        # integer concealment aggregates (W, S) at every corner of the atom box
-        box = [ctx.conceal[_corner_combo(config, corner)] for corner in _poly.corners(self.atoms)]
+        # integer concealment aggregates (W, S) at every corner of the atom box:
+        # weight 0 behaves like cutting above the atom, weight 1 like cutting
+        # at it, one grid position lower; corners in ``product((0, 1))`` order
+        combos = [tuple(pos + (kind == "atom") for kind, pos in config)]
+        for a in self.atoms:
+            combos = [
+                c for combo in combos for c in (combo, combo[:a] + (combo[a] - 1,) + combo[a + 1:])
+            ]
+        box = list(map(ctx.conceal.__getitem__, combos))
         grid = ctx.grid_ints
         # atom a's equation S_a - x_a*W, as a table over the other atoms
         self.h = {}
@@ -643,7 +682,7 @@ class _AtomSolver:
     def feasible(self, weights: dict[int, Fraction]) -> bool:
         """Whether a full weight assignment solves every equation and strict
         constraint."""
-        if any(not ZERO <= m <= ONE for m in weights.values()):
+        if _outside_unit_interval(weights.values()) is not None:
             return False
         return all(
             _poly.restrict(*self.h[a], weights)[1][0] == 0 for a in self.atoms
@@ -693,10 +732,12 @@ class _AtomSolver:
                 others, vals = _poly.active(*_poly.restrict(*self.h[a], pinned))
                 if len(others) == 1:
                     _, (alpha,), (beta,) = _poly.split(others, vals, others[0])
-                    m = Fraction(-alpha, beta)
-                    if not ZERO <= m <= ONE:
+                    if beta < 0:
+                        alpha, beta = -alpha, -beta
+                    # the weight -alpha/beta must lie in [0, 1]
+                    if not 0 <= -alpha <= beta:
                         return None
-                    pinned[others[0]] = m
+                    pinned[others[0]] = Fraction(-alpha, beta)
                     changed = True
                 elif min(vals) > 0 or max(vals) < 0:
                     return None
@@ -899,14 +940,16 @@ def find_equilibria_report(
         )
 
     ctx = _build_context(dist, protocol)
-    results: dict[tuple[Fraction, ...], Equilibrium] = {}
+    # keyed by each rule's values as (numerator, denominator) pairs: equal
+    # Fractions have equal pairs, and int tuples hash without Fraction.__hash__
+    results: dict[tuple[tuple[int, int], ...], Equilibrium] = {}
 
     # Full disclosure, supported by skeptical off-path beliefs.
     all_ones = StrategyProfile.constant(space, ONE)
     fd_post = space.min_vector
     fd_rule = TeamRule.constant(space, ONE)
     fd_ver = verify_equilibrium(all_ones, fd_post, dist, protocol)
-    results[fd_rule.values] = Equilibrium(
+    results[((1, 1),) * len(space.cells)] = Equilibrium(
         profile=all_ones,
         rule=fd_rule,
         posteriors=fd_post,
@@ -922,7 +965,8 @@ def find_equilibria_report(
             continue
         profile, cuts = _profile_from_config(space, config, weights)
         rule = team_rule(profile, protocol)
-        if rule.values in results:
+        key = tuple(map(Fraction.as_integer_ratio, rule.values))
+        if key in results:
             continue
         try:
             post = posterior_no_disclosure(dist, rule)
@@ -932,7 +976,7 @@ def find_equilibria_report(
         if not ver.ok:
             ctx.notes.append(f"candidate configuration {config} failed verification")
             continue
-        results[rule.values] = Equilibrium(
+        results[key] = Equilibrium(
             profile=profile,
             rule=rule,
             posteriors=post,
@@ -942,7 +986,7 @@ def find_equilibria_report(
             verification=ver,
         )
 
-    ordered = tuple(e for _, e in sorted(results.items(), key=itemgetter(0), reverse=True))
+    ordered = tuple(sorted(results.values(), key=attrgetter("rule.values"), reverse=True))
     return ordered, tuple(dict.fromkeys(ctx.notes))
 
 
@@ -959,12 +1003,6 @@ def find_equilibria(
 # ---------------------------------------------------------------------------
 # Concealed-cell bitmask kernel; consistency with deliberation (belief refinement)
 # ---------------------------------------------------------------------------
-
-# Cells per subset-sum table: one hexadecimal digit of a concealed set, so
-# ``format(k, "x")`` reads every chunk index of k in one call.
-CHUNK_CELLS = 4
-_HEX_DIGITS = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
-
 
 def _concealed_sets(
     space: OutcomeSpace, protocol: DeliberationProtocol, rows: Sequence[Sequence[int]]
@@ -1002,62 +1040,6 @@ def _concealed_sets(
             else:
                 kept &= ~cells
         yield from [kept & ~(pivot & m) for m in tail]
-
-
-def _subset_table(entries: Sequence[int]) -> list[int]:
-    """table[s] = the sum of ``entries[b]`` over the set bits b of s."""
-    table = [0]
-    for e in entries:
-        table += [t + e for t in table]
-    return table
-
-
-def _subset_sums(entries: Sequence[int]) -> list[list[int]]:
-    """The :func:`_subset_table` of every ``CHUNK_CELLS`` consecutive cells'
-    entries, lowest cells first."""
-    return [
-        _subset_table(entries[j:j + CHUNK_CELLS]) for j in range(0, len(entries), CHUNK_CELLS)
-    ]
-
-
-def _chunks(k: int) -> bytes:
-    """The chunk indices of the cell set k, lowest cells first; chunks above
-    k's highest set bit are left out (they index the empty subset)."""
-    return format(k, "x")[::-1].encode().translate(_HEX_DIGITS)
-
-
-def _chunk_sum(tables: Sequence[Sequence[int]], chunks: bytes) -> int:
-    """The sum, over a cell set given by its :func:`_chunks`, of the entries
-    that ``tables`` (from :func:`_subset_sums`) were built from."""
-    return sum(map(getitem, tables, chunks))
-
-
-def _packed_sums(columns: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
-    """Subset-sum tables (:func:`_subset_sums`) of several signed entries per
-    cell packed into one int, and the field width.
-
-    Column j's entry sits in field j as a signed base-2**width digit:
-    ``width`` is one more than the bit length of the largest column's sum of
-    absolute values, so every field of a sum over any cell set lies strictly
-    inside +-2**(width-1). Such balanced digits are unique: :func:`_unpack`
-    reads them back, and a packed sum is 0 exactly when each field is.
-    """
-    width = max(sum(map(abs, column)) for column in columns).bit_length() + 1
-    packed = [sum(e << (width * j) for j, e in enumerate(entries)) for entries in zip(*columns)]
-    return _subset_sums(packed), width
-
-
-def _unpack(total: int, count: int, width: int) -> list[int]:
-    """The ``count`` signed fields of a sum read from :func:`_packed_sums`
-    tables, field 0 first."""
-    half = 1 << (width - 1)
-    mask = (1 << width) - 1
-    fields = []
-    for _ in range(count):
-        digit = ((total + half) & mask) - half
-        fields.append(digit)
-        total = (total - digit) >> width
-    return fields
 
 
 def _witnesses(dist: JointDistribution, protocol: DeliberationProtocol):
@@ -1151,11 +1133,18 @@ def plausible_full_disclosure_by_search(
 
     Searches for a full-disclosure equilibrium whose supporting posteriors are
     justified by some deterministic own-outcome profile with concealment:
-    either beliefs that sustain the always-disclose profile, or an on-path
-    equilibrium that conceals at most one outcome. Profiles are scanned as
+    beliefs that sustain the always-disclose profile. Profiles are scanned as
     concealed-cell sets, with no sums; a witness is confirmed by rebuilding
-    its team rule and Bayes posterior and, for the on-path case, its
-    classification and verification before True is returned.
+    its team rule and Bayes posterior before True is returned.
+
+    An on-path equilibrium that conceals a single cell c never justifies full
+    disclosure when those beliefs do not: with F the members whose value at c
+    is their minimum, such a profile's beliefs fail to sustain always-disclose
+    exactly when F loses. The cell m where every member sits at their
+    minimum is then not c, so it is disclosed; every member outside F has
+    posterior (their value at c) above their value at m and strictly prefers
+    concealment there, and as F loses some of them vote 1 at m. Together
+    they are pivotal against F's votes, so the profile fails verification.
     """
     witnesses = _witnesses(dist, protocol)
     space = dist.space
@@ -1170,24 +1159,16 @@ def plausible_full_disclosure_by_search(
     # increasing.
     uppers = [(1 << i, dist.support & ~slabs[0]) for i, slabs in enumerate(space.slabs)]
     for bits, k in witnesses:
-        supported = protocol.wins(sum(bit for bit, upper in uppers if not k & upper))
-        if not supported and k & (k - 1):  # conceals more than one cell
+        if not protocol.wins(sum(bit for bit, upper in uppers if not k & upper)):
             continue
-        profile = _pure_profile(space, bits)
-        rule = team_rule(profile, protocol)
-        post = posterior_no_disclosure(dist, rule)
-        if supported:
-            n, mins = space.n, space.min_vector
-            blocking = [
-                [i for i in range(n) if mask >> i & 1]
-                for mask in range(1, 1 << n)
-                if not protocol.wins(((1 << n) - 1) ^ mask)
-            ]
-            if not all(any(post[i] <= mins[i] for i in grp) for grp in blocking):
-                raise AssertionError("integer scan disagrees with posterior_no_disclosure")
-            return True
-        if classify_rule(rule) != FULL:
-            raise AssertionError("integer scan disagrees with classify_rule")
-        if _verify(profile, post, post, dist, protocol).ok:
-            return True
+        post = posterior_no_disclosure(dist, team_rule(_pure_profile(space, bits), protocol))
+        n, mins = space.n, space.min_vector
+        blocking = [
+            [i for i in range(n) if mask >> i & 1]
+            for mask in range(1, 1 << n)
+            if not protocol.wins(((1 << n) - 1) ^ mask)
+        ]
+        if not all(any(post[i] <= mins[i] for i in grp) for grp in blocking):
+            raise AssertionError("integer scan disagrees with posterior_no_disclosure")
+        return True
     return False

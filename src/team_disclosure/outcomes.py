@@ -10,6 +10,12 @@ nonempty proper upper set, is decided by one exact integer minimum closure over
 the upper sets of the product grid. The no-disclosure posterior is read off
 integer concealment sums over the pmf and grids scaled to common
 denominators.
+
+Sums over many cell sets (the equilibrium search's and the belief
+refinement's concealment sums) are read from subset-sum tables of
+``CHUNK_CELLS`` cells each, with several signed sums packed into one int
+(:func:`_packed_sums`). The search's tables depend only on the distribution,
+so each distribution builds them once (``JointDistribution._packed``).
 """
 from __future__ import annotations
 
@@ -18,7 +24,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from math import lcm, prod
-from operator import mul
+from operator import getitem, mul
 from typing import Mapping, NamedTuple, Sequence
 
 from ._flow import min_upper_set_sum
@@ -159,6 +165,16 @@ class JointDistribution:
             for g, pos in zip(grid_ints, self.space.positions)
         )
         return ScaledDistribution(den, weights, scales, grid_ints, values)
+
+    @cached_property
+    def _packed(self) -> tuple[list[list[int]], int]:
+        """The :func:`_packed_sums` tables of the scaled weights and values,
+        and their field width: one subset-sum read of a cell set gives its
+        concealed mass W in field 0 and member i's value sum S_i in field
+        i+1. They depend only on the distribution, so every protocol searched
+        on it reads the same tables."""
+        scaled = self._scaled
+        return _packed_sums([scaled.weights, *scaled.values])
 
     @cached_property
     def mean_vector(self) -> tuple[Fraction, ...]:
@@ -431,3 +447,69 @@ def posterior_no_disclosure(dist: JointDistribution, rule) -> tuple[Fraction, ..
     if mass == 0:
         raise OffPathPosterior("off-path posterior undefined: concealment never happens")
     return tuple(Fraction(s, mass * k) for s, k in zip(sums, dist._scaled.scales))
+
+
+# ---------------------------------------------------------------------------
+# Subset sums over cell sets
+# ---------------------------------------------------------------------------
+
+# Cells per subset-sum table: one hexadecimal digit of a cell set, so
+# ``format(k, "x")`` reads every chunk index of k in one call.
+CHUNK_CELLS = 4
+_HEX_DIGITS = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
+
+
+def _subset_table(entries: Sequence[int]) -> list[int]:
+    """table[s] = the sum of ``entries[b]`` over the set bits b of s."""
+    table = [0]
+    for e in entries:
+        table += [t + e for t in table]
+    return table
+
+
+def _subset_sums(entries: Sequence[int]) -> list[list[int]]:
+    """The :func:`_subset_table` of every ``CHUNK_CELLS`` consecutive cells'
+    entries, lowest cells first."""
+    return [
+        _subset_table(entries[j:j + CHUNK_CELLS]) for j in range(0, len(entries), CHUNK_CELLS)
+    ]
+
+
+def _chunks(k: int) -> bytes:
+    """The chunk indices of the cell set k, lowest cells first; chunks above
+    k's highest set bit are left out (they index the empty subset)."""
+    return format(k, "x")[::-1].encode().translate(_HEX_DIGITS)
+
+
+def _chunk_sum(tables: Sequence[Sequence[int]], chunks: bytes) -> int:
+    """The sum, over a cell set given by its :func:`_chunks`, of the entries
+    that ``tables`` (from :func:`_subset_sums`) were built from."""
+    return sum(map(getitem, tables, chunks))
+
+
+def _packed_sums(columns: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
+    """Subset-sum tables (:func:`_subset_sums`) of several signed entries per
+    cell packed into one int, and the field width.
+
+    Column j's entry sits in field j as a signed base-2**width digit:
+    ``width`` is one more than the bit length of the largest column's sum of
+    absolute values, so every field of a sum over any cell set lies strictly
+    inside +-2**(width-1). Such balanced digits are unique: :func:`_unpack`
+    reads them back, and a packed sum is 0 exactly when each field is.
+    """
+    width = max(sum(map(abs, column)) for column in columns).bit_length() + 1
+    packed = [sum(e << (width * j) for j, e in enumerate(entries)) for entries in zip(*columns)]
+    return _subset_sums(packed), width
+
+
+def _unpack(total: int, count: int, width: int) -> list[int]:
+    """The ``count`` signed fields of a sum read from :func:`_packed_sums`
+    tables, field 0 first."""
+    half = 1 << (width - 1)
+    mask = (1 << width) - 1
+    fields = []
+    for _ in range(count):
+        digit = ((total + half) & mask) - half
+        fields.append(digit)
+        total = (total - digit) >> width
+    return fields

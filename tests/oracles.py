@@ -564,6 +564,31 @@ def atom_grid_scan(corners, grids, config, steps=12):
 # ---------------------------------------------------------------------------
 
 
+def search_masks_by_combo(ctx):
+    """``(w_pos, above, below, slabs)`` of a search context, one combination
+    at a time: the slow twin of ``_SearchContext.__post_init__``, which runs
+    its sign loop once per distinct (W, S) entry. Bit b stands for the b-th
+    combination of ``ctx.conceal``."""
+    grid_ints = ctx.grid_ints
+    w_pos = 0
+    above = [[0] * len(g) for g in grid_ints]
+    below = [[0] * len(g) for g in grid_ints]
+    slabs = [[0] * (len(g) + 1) for g in grid_ints]
+    for b, (combo, (w, s)) in enumerate(ctx.conceal.items()):
+        bit = 1 << b
+        if w > 0:
+            w_pos |= bit
+        for i, c in enumerate(combo):
+            slabs[i][c] |= bit
+            for p, x in enumerate(grid_ints[i]):
+                d = s[i] - x * w
+                if d > 0:
+                    above[i][p] |= bit
+                elif d < 0:
+                    below[i][p] |= bit
+    return w_pos, above, below, slabs
+
+
 def unscreened_configs(ctx):
     """Every cut configuration of a search context, per member each gap then
     each atom, in ``product`` order: the slow twin of ``_cut_configs``."""

@@ -17,8 +17,8 @@ from team_disclosure.equilibrium import (
     ZERO,
     StrategyProfile,
     _AtomSolver,
-    _corner_combo,
     _SearchContext,
+    _build_context,
     _cut_configs,
     find_equilibria_report,
     team_rule,
@@ -27,7 +27,12 @@ from team_disclosure.equilibrium import (
 from team_disclosure.outcomes import independent
 from team_disclosure.protocols import all_protocols, make_k_majority
 
-from oracles import atom_grid_scan, screened_configs_by_product, unscreened_configs
+from oracles import (
+    atom_grid_scan,
+    screened_configs_by_product,
+    search_masks_by_combo,
+    unscreened_configs,
+)
 from search_smoke import DIGEST, HIDDEN, search_digest
 
 try:
@@ -38,12 +43,21 @@ except ImportError:  # only the sympy oracles skip; every other test runs
 F = Fraction
 
 
+def corner_combo(config, corner):
+    """The pure cut combination at a 0/1 assignment of the atom weights: an
+    atom with weight 1 votes like a cut at its position, with weight 0 like a
+    cut one position above it."""
+    return tuple(
+        pos if kind == "gap" or corner[i] == 1 else pos + 1 for i, (kind, pos) in enumerate(config)
+    )
+
+
 def hand_built(grids, config, corners):
     """An atom solver whose concealment aggregates (W, S) at the corners of
     the atom box, in ``product((0, 1))`` order, are given directly."""
     atoms = [i for i, (kind, _) in enumerate(config) if kind == "atom"]
     conceal = {
-        _corner_combo(config, dict(zip(atoms, bits))): (w, tuple(s))
+        corner_combo(config, dict(zip(atoms, bits))): (w, tuple(s))
         for bits, (w, s) in zip(product((0, 1), repeat=len(atoms)), corners)
     }
     return _AtomSolver(_SearchContext(grids, conceal), config)
@@ -372,6 +386,50 @@ class TestDenseScanOracle:
             kept += len(survivors)
             dropped += len(unscreened_configs(ctx)) - len(survivors)
         assert dropped > kept > 100
+
+
+def assert_masks_match(ctx):
+    assert (ctx.w_pos, ctx.above, ctx.below, ctx.slabs) == search_masks_by_combo(ctx)
+
+
+class TestSearchMasks:
+    """The sign masks, built once per distinct (W, S) entry, against the
+    loop over every combination."""
+
+    def test_search_tables_of_every_small_protocol(self):
+        rng = random.Random(223)
+        for n in (2, 3):
+            for _ in range(3):
+                dist = random_distribution(rng, n)
+                for proto in all_protocols(n):
+                    assert_masks_match(_build_context(dist, proto))
+
+    def test_four_members_on_five_value_grids(self):
+        rng = random.Random(227)
+        for _ in range(2):
+            marginals = [
+                {x: F(rng.randint(1, 6)) for x in rng.sample(range(-3, 9), 5)} for _ in range(4)
+            ]
+            dist = independent([{x: c / sum(m.values()) for x, c in m.items()} for m in marginals])
+            for k in range(1, 5):
+                ctx = _build_context(dist, make_k_majority(4, k))
+                assert len(ctx.conceal) == 6**4
+                assert_masks_match(ctx)
+
+    @pytest.mark.parametrize("members, atom_share", [(3, 1.0), (4, 0.75)])
+    def test_hand_built_tables(self, members, atom_share):
+        # sparse tables over the corners only, some with W = 0 and S != 0,
+        # and equal entries held as distinct tuple objects
+        rng = random.Random(229 + members)
+        massless = shared = 0
+        for _ in range(150):
+            grids, config, corners = random_tables(rng, members, atom_share)
+            ctx = hand_built(grids, config, corners).ctx
+            assert_masks_match(ctx)
+            entries = list(ctx.conceal.values())
+            massless += any(w == 0 and any(s) for w, s in entries)
+            shared += len(set(entries)) < len(set(map(id, entries)))
+        assert massless > 100 and shared > 5
 
 
 def int_entries(value):

@@ -19,6 +19,8 @@ from team_disclosure.protocols import ProtocolError, make_protocol
 
 import random
 
+from audit_smoke import AUDIT_SEED_0_SHA256
+
 
 SMALL = AuditConfig(
     seed=0,
@@ -35,8 +37,6 @@ SMALL = AuditConfig(
     sweep_members=6,
 )
 
-# SHA-256 of the report `audit --seed 0 --out FILE` writes
-AUDIT_SEED_0_SHA256 = "1be81e1c64267b3ed05e4f180f67222f7e2e695a4427503aa9f0cd9d5b41e4db"
 
 
 class TestAudit:

@@ -158,6 +158,19 @@ class TestWorkedSearches:
         rules = [e.rule.values for e in eqs]
         assert len(rules) == len(set(rules))
 
+    def test_one_distribution_under_every_protocol(self):
+        # the search tables are built once per distribution object; searching
+        # one object under every protocol gives the reports of a fresh equal
+        # distribution per protocol
+        rng = random.Random(233)
+        for n in (2, 3):
+            shared = fractional_dist(rng, n, sizes=(2, 3))
+            tables = shared._packed
+            for proto in all_protocols(n):
+                fresh = JointDistribution(make_space(shared.space.grids), shared.probs)
+                assert find_equilibria_report(shared, proto) == find_equilibria_report(fresh, proto)
+            assert shared._packed is tables
+
     def test_search_caps(self):
         space = make_space([[0, 1]] * 5)
         d = JointDistribution(space, tuple(F(1, 32) for _ in range(32)))
@@ -392,7 +405,14 @@ class TestRefinementOracles:
     def test_plausibility_matches_fraction_loop(self):
         rng = random.Random(73)
         outcomes = set()
-        for d, protos in oracle_cases(rng):
+        cases = list(oracle_cases(rng))
+        # 3-value grids only, with no mass where every member is at their minimum
+        for protos in (all_protocols(2), rng.sample(all_protocols(3), SAMPLED_PROTOCOLS)):
+            space = make_space([sorted(rng.sample(ORACLE_VALUES, 3)) for _ in range(protos[0].n)])
+            nums = [0] + [rng.randint(1, 9) for _ in space.cells[1:]]
+            d = JointDistribution(space, tuple(F(x, sum(nums)) for x in nums))
+            cases.append((d, protos))
+        for d, protos in cases:
             for proto in protos:
                 fast = plausible_full_disclosure_by_search(d, proto)
                 assert fast == plausible_full_disclosure_by_fractions(d, proto)
@@ -423,6 +443,74 @@ class TestPivotOracle:
                         assert report == verify_equilibrium_by_evaluate(profile, post, d, proto)
                         violations += len(report.violations)
         assert violations > 100
+
+
+def threshold_profile(rng, space, post):
+    """Votes 1 above each member's posterior, 0 below it and a random weight
+    at it: no member position gains from a vote it does not cast."""
+    weights = (F(0), F(1, 3), F(1, 2), F(1))
+    return [
+        [F(1) if x > p else F(0) if x < p else rng.choice(weights) for x in g]
+        for g, p in zip(space.grids, post)
+    ]
+
+
+def flagged_positions(space, rows, post):
+    return [
+        (i, j)
+        for i, (g, p, row) in enumerate(zip(space.grids, post, rows))
+        for j, (x, v) in enumerate(zip(g, row))
+        if (x > p and v < 1) or (x < p and v > 0)
+    ]
+
+
+class TestVerifyPrescreen:
+    """verify_equilibrium skips its cell loop when no member position is
+    flagged (above the posterior voting below 1, or below it voting above 0);
+    against the evaluate loop on threshold profiles and on profiles with one
+    flagged position."""
+
+    def cases(self, seed):
+        rng = random.Random(seed)
+        cases = [(2, all_protocols(2)), (3, all_protocols(3))]
+        cases.append((4, [make_k_majority(4, k) for k in range(1, 5)]))
+        for n, protos in cases:
+            for _ in range(3):
+                d = sparse_dist(rng, [rng.choice((2, 3)) if n < 4 else 2 for _ in range(n)])
+                for proto in protos:
+                    post = [rng.choice(g) + rng.choice((0, F(1, 2))) for g in d.space.grids]
+                    yield rng, d, proto, post, threshold_profile(rng, d.space, post)
+
+    def test_threshold_profiles(self):
+        count = 0
+        for _, d, proto, post, rows in self.cases(239):
+            assert flagged_positions(d.space, rows, post) == []
+            profile = StrategyProfile.from_votes(d.space, rows)
+            report = verify_equilibrium(profile, post, d, proto)
+            assert report == verify_equilibrium_by_evaluate(profile, post, d, proto)
+            assert not any(v.kind == "deviation" for v in report.violations)
+            count += 1
+        assert count > 50
+
+    def test_one_flagged_position(self):
+        deviations = mixed = 0
+        for rng, d, proto, post, rows in self.cases(241):
+            off = [
+                (i, j)
+                for i, (g, p) in enumerate(zip(d.space.grids, post))
+                for j, x in enumerate(g)
+                if x != p
+            ]
+            i, j = rng.choice(off)
+            vote = rng.choice((F(1, 2), F(0) if d.space.grids[i][j] > post[i] else F(1)))
+            rows[i][j] = vote
+            mixed += vote == F(1, 2)
+            assert flagged_positions(d.space, rows, post) == [(i, j)]
+            profile = StrategyProfile.from_votes(d.space, rows)
+            report = verify_equilibrium(profile, post, d, proto)
+            assert report == verify_equilibrium_by_evaluate(profile, post, d, proto)
+            deviations += any(v.kind == "deviation" for v in report.violations)
+        assert mixed > 10 and deviations > 20
 
 
 class TestPlausibility:

@@ -22,12 +22,7 @@ from team_disclosure.equilibrium import (
     StrategyProfile,
     TeamRule,
     _build_context,
-    _chunk_sum,
-    _chunks,
     _concealed_sets,
-    _packed_sums,
-    _subset_sums,
-    _unpack,
     consistent_with_deliberation,
     team_rule,
 )
@@ -36,6 +31,11 @@ from team_disclosure.outcomes import (
     JointDistribution,
     OffPathPosterior,
     OutcomeError,
+    _chunk_sum,
+    _chunks,
+    _packed_sums,
+    _subset_sums,
+    _unpack,
     make_space,
     posterior_no_disclosure,
 )
@@ -342,6 +342,21 @@ def test_packed_search_tables_at_the_field_width_edge():
     assert (2, False) in reached and (3, False) in reached
 
 
+def test_cached_search_tables_match_fresh_packing():
+    """The search's packed tables, built once per distribution, equal a
+    fresh :func:`_packed_sums` of its scaled weights and values, and every
+    protocol searched on the distribution reads those same tables."""
+    rng = random.Random("cached search tables")
+    for n in (2, 3, 4):
+        dist = sparse_dist(rng, fractional_space(rng, n))
+        scaled = dist._scaled
+        tables = dist._packed
+        assert tables == _packed_sums([scaled.weights, *scaled.values])
+        for protocol in kernel_protocols(rng, n):
+            assert_search_tables_match(dist, protocol)
+        assert dist._packed is tables
+
+
 def residue_target(scaled, k, i, residue):
     """Member i's posterior target num/(den * scale) at which the concealed
     set k's condition den * S - num * W equals ``residue`` (0 or +-1)."""
@@ -383,3 +398,27 @@ def test_consistency_packed_residues(protocol):
             target[j] = residue_target(scaled, k, j, residue)
             assert not consistent_with_deliberation(target, dist, protocol)
             assert not consistent_with_deliberation_by_fractions(target, dist, protocol)
+
+
+def test_consistency_targets_on_one_distribution():
+    """Two reached targets and a missed one, asked in turn of one
+    distribution object, each agree with the Fraction loop: the scan packs
+    its target-dependent columns on every call."""
+    rng = random.Random("consistency targets")
+    space = make_space([[0, F(1, 3), 2], [F(-1, 2), 1, F(7, 3)]])
+    dist = sparse_dist(rng, space)
+    protocol = make_k_majority(2, 1)
+    scaled = dist._scaled
+    rows = [range(1 << len(g)) for g in space.grids]
+    reached = []
+    for k in _concealed_sets(space, protocol, rows):
+        if k & dist.support:
+            target = tuple(residue_target(scaled, k, i, 0) for i in range(2))
+            if target not in reached:
+                reached.append(target)
+    assert len(reached) >= 2
+    miss = tuple(g[0] + (g[-1] - g[0]) * F(rng.randint(1, 1008), 1009) for g in space.grids)
+    for target in (reached[0], reached[-1], miss, reached[0]):
+        expected = target is not miss
+        assert consistent_with_deliberation(target, dist, protocol) is expected
+        assert consistent_with_deliberation_by_fractions(target, dist, protocol) is expected
