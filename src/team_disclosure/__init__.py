@@ -67,6 +67,7 @@ from .binary_env import (
     BinaryEnvError,
     BinaryEnvParams,
     baseline_params,
+    closed_forms,
     cond_mean_nd,
     gain_binary,
     gain_curve,

@@ -12,14 +12,15 @@ for P(ND), P(own high and ND) and E[own outcome | ND], all exact.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from math import comb
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .equilibrium import TeamRule
 from .outcomes import JointDistribution, OutcomeSpace, common_outcome_mixture
-from .rationals import Rational, as_fraction, decimal_str, frac_str
+from .rationals import Rational, _context, as_fraction, decimal_str
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -44,9 +45,15 @@ class BinaryEnvParams:
     def __post_init__(self) -> None:
         if self.n < 2:
             raise BinaryEnvError("need at least 2 members")
-        for name in ("p", "q_team", "q_own", "q_other"):
-            v = getattr(self, name)
-            if not ZERO < v < ONE:
+        for name, v in (
+            ("p", self.p), ("q_team", self.q_team), ("q_own", self.q_own), ("q_other", self.q_other)
+        ):
+            if isinstance(v, Fraction):
+                num, den = v.as_integer_ratio()
+                inside = 0 < num < den
+            else:
+                inside = ZERO < v < ONE
+            if not inside:
                 raise BinaryEnvError(f"{name}={v} must lie strictly inside (0,1)")
 
     @staticmethod
@@ -70,7 +77,16 @@ class BinaryEnvParams:
     @property
     def mean_own(self) -> Fraction:
         """Marked member's unconditional expected outcome."""
-        return self.p * self.q_team + (ONE - self.p) * self.q_own
+        return Fraction(*_mean_ratio(self))
+
+
+def _mean_ratio(params: BinaryEnvParams) -> tuple[int, int]:
+    """``mean_own`` = p*q_team + (1-p)*q_own as an unreduced integer ratio
+    over the positive denominator pb*tb*ib (as in ``_terms``)."""
+    pn, pb = params.p.as_integer_ratio()
+    tn, tb = params.q_team.as_integer_ratio()
+    in_, ib = params.q_own.as_integer_ratio()
+    return pn * tn * ib + (pb - pn) * in_ * tb, pb * tb * ib
 
 
 def _check_k(params: BinaryEnvParams, k: int) -> None:
@@ -165,6 +181,20 @@ def cond_mean_nd(params: BinaryEnvParams, k: int) -> Fraction:
     return Fraction(joints[k - 1], pnds[k - 1])  # P(ND) >= p*(1-q_team) > 0
 
 
+def closed_forms(
+    params: BinaryEnvParams,
+) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """P(ND), P(own high and ND) and E[own | ND] at every k = 1..n, as three
+    tuples indexed by k-1, from one ``_terms`` pass (each per-k reader above
+    makes a full pass for its one k)."""
+    scale, pnds, joints = _terms(params)
+    return (
+        tuple(Fraction(pnd, scale) for pnd in pnds),
+        tuple(Fraction(joint, scale) for joint in joints),
+        tuple(map(Fraction, joints, pnds)),
+    )
+
+
 def k_majority_interior_rule(space: OutcomeSpace, k: int) -> TeamRule:
     """Disclose iff at least k members draw their high outcome."""
     if not space.is_binary():
@@ -202,7 +232,8 @@ def _curve(
 
     With P(ND) = P/D and E[own | ND] = J/P, the gain at k is
     N_k / (bd*dd*P_f[k]), N_k = bn*dd*P_f[k] - bd*(J_f[k]*P_d[k] - J_d[k]*P_f[k]),
-    where bn/bd is the mean shift. Every denominator is positive and bd*dd is
+    where bn/bd is the mean shift, formed from the integer ratios of the two
+    means and left unreduced. Every denominator is positive and bd*dd is
     common to all k, so gain a beats gain b exactly when
     N_a*P_f[b] > N_b*P_f[a]: the argmax runs on integers, and each gain
     becomes one Fraction.
@@ -210,8 +241,9 @@ def _curve(
     _, pf, jf = terms_full
     if len(pf) != params_dev.n:
         raise BinaryEnvError("effort profiles disagree on the member count")
-    base = mean_full - params_dev.mean_own
-    bn, bd = base.numerator, base.denominator
+    fn, fd = mean_full.as_integer_ratio()
+    an, ad = _mean_ratio(params_dev)
+    bn, bd = fn * ad - an * fd, fd * ad
     dd, pd, jd = _terms(params_dev)
     gains = []
     best_k = best_num = best_pf = None
@@ -260,8 +292,7 @@ def optimal_k(params_full: BinaryEnvParams, params_dev: BinaryEnvParams) -> int:
     return gain_curve(params_full, params_dev).k_star
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     axis_value: Fraction
     k: int
     gain: Fraction
@@ -282,22 +313,32 @@ class SweepTable:
 
     def to_csv(self) -> str:
         """One line per row; a run of rows sharing one axis value object (a
-        sweep's grid point) renders that value once."""
+        sweep's grid point) renders that value once.
+
+        Each gain is rendered from its integer ratio: the decimal column as
+        ``decimal_str`` would (12 significant digits), the exact column as
+        ``num/den``, or ``num`` when den = 1, as ``frac_str`` would.
+        """
+        divide = _context(12).divide
         lines = ["axis_value,K,gain,is_optimal,gain_exact"]
         value = text = None
-        for row in self.rows:
-            if row.axis_value is not value:
-                value, text = row.axis_value, decimal_str(row.axis_value)
-            flag = "true" if row.is_optimal else "false"
-            lines.append(f"{text},{row.k},{decimal_str(row.gain)},{flag},{frac_str(row.gain)}")
+        for axis_value, k, gain, is_optimal in self.rows:
+            if axis_value is not value:
+                value, text = axis_value, decimal_str(axis_value)
+            num, den = gain.as_integer_ratio()
+            exact = f"{num}/{den}" if den != 1 else f"{num}"
+            flag = "true" if is_optimal else "false"
+            lines.append(f"{text},{k},{divide(Decimal(num), Decimal(den))!s},{flag},{exact}")
         return "\n".join(lines) + "\n"
 
 
-_AXIS_FIELD = {
-    "q_other_dev": "q_other",
-    "p_dev": "p",
-    "q_own_dev": "q_own",
-    "q_T_dev": "q_team",
+# each axis's position among the BinaryEnvParams constructor's arguments
+# (n, p, q_team, q_own, q_other)
+_AXIS_POSITION = {
+    "q_other_dev": 4,
+    "p_dev": 1,
+    "q_own_dev": 3,
+    "q_T_dev": 2,
 }
 
 
@@ -309,8 +350,14 @@ def sweep(
 ) -> SweepTable:
     """Vary one deviation-profile parameter over a grid, holding the
     full-effort profile fixed; emit the gain curve and optimum per grid point,
-    at most ``MAX_SWEEP_ROWS`` rows (grid points x members)."""
-    if axis not in _AXIS_FIELD:
+    at most ``MAX_SWEEP_ROWS`` rows (grid points x members).
+
+    The full-effort side's mean and ``_terms`` pass are made once. Each grid
+    point then costs one constructor call for its deviation profile (range
+    checks on integer ratios), one ``_terms`` pass and the integer gain
+    numerators of ``_curve``, plus one Fraction per gain.
+    """
+    if axis not in _AXIS_POSITION:
         raise BinaryEnvError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
     grid = tuple(map(as_fraction, grid))
     count = len(grid) * params_full.n
@@ -320,15 +367,17 @@ def sweep(
             f"{count} rows, more than {MAX_SWEEP_ROWS}"
         )
     for value in grid:
-        if not ZERO < value < ONE:
+        num, den = value.as_integer_ratio()
+        if not 0 < num < den:
             raise BinaryEnvError(f"grid value {value} outside (0,1)")
-    field = _AXIS_FIELD[axis]
+    position = _AXIS_POSITION[axis]
+    args = [params_dev.n, params_dev.p, params_dev.q_team, params_dev.q_own, params_dev.q_other]
     mean_full, terms_full = params_full.mean_own, _terms(params_full)
     ks = range(1, params_full.n + 1)
     rows: list[SweepRow] = []
     for value in grid:
-        dev = replace(params_dev, **{field: value})
-        gains, k_star = _curve(mean_full, terms_full, dev, ks)
+        args[position] = value
+        gains, k_star = _curve(mean_full, terms_full, BinaryEnvParams(*args), ks)
         rows.extend(SweepRow(value, k, gain, k == k_star) for k, gain in zip(ks, gains))
     return SweepTable(axis, tuple(rows))
 

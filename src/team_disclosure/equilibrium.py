@@ -944,11 +944,13 @@ def find_equilibria_report(
     # Fractions have equal pairs, and int tuples hash without Fraction.__hash__
     results: dict[tuple[tuple[int, int], ...], Equilibrium] = {}
 
-    # Full disclosure, supported by skeptical off-path beliefs.
+    # Full disclosure, supported by skeptical off-path beliefs. The
+    # always-disclose profile never conceals, so it has no Bayes posteriors
+    # and the team rule need not be built to learn that.
     all_ones = StrategyProfile.constant(space, ONE)
     fd_post = space.min_vector
     fd_rule = TeamRule.constant(space, ONE)
-    fd_ver = verify_equilibrium(all_ones, fd_post, dist, protocol)
+    fd_ver = _verify(all_ones, fd_post, None, dist, protocol)
     results[((1, 1),) * len(space.cells)] = Equilibrium(
         profile=all_ones,
         rule=fd_rule,

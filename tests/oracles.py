@@ -282,6 +282,21 @@ def sweep_by_fractions(full, dev, axis, grid):
     return SweepTable(axis, tuple(rows))
 
 
+def csv_by_decimal_str(table):
+    """A sweep table's CSV through the per-row ``decimal_str``/``frac_str``
+    loop that rendering from each gain's integer ratio replaced."""
+    from team_disclosure.rationals import decimal_str, frac_str
+
+    lines = ["axis_value,K,gain,is_optimal,gain_exact"]
+    value = text = None
+    for row in table.rows:
+        if row.axis_value is not value:
+            value, text = row.axis_value, decimal_str(row.axis_value)
+        flag = "true" if row.is_optimal else "false"
+        lines.append(f"{text},{row.k},{decimal_str(row.gain)},{flag},{frac_str(row.gain)}")
+    return "\n".join(lines) + "\n"
+
+
 def effort_payoff_difference(full_dist, dev_dist, rule_values, member_index):
     """Gain from effort by direct payoff accounting.
 

@@ -9,7 +9,10 @@ from team_disclosure import binary_env
 from team_disclosure.binary_env import (
     BinaryEnvError,
     BinaryEnvParams,
+    SweepRow,
+    SweepTable,
     baseline_params,
+    closed_forms,
     cond_mean_nd,
     gain_binary,
     gain_curve,
@@ -30,6 +33,7 @@ from oracles import (
     binary_gains_by_fractions,
     binary_gains_by_k,
     binary_terms_by_fractions,
+    csv_by_decimal_str,
     first_argmax,
     sweep_by_fractions,
 )
@@ -117,14 +121,37 @@ class TestClosedForms:
             k = rng.randint(1, n)
             assert gain_binary(full, dev, k) == gains[k - 1]
 
+    def test_closed_forms_match_per_k_readers(self, monkeypatch):
+        # every k of a parameter set from one kernel pass, against the public
+        # per-k readers (one pass each) and the Fraction pass
+        passes = []
+        kernel = binary_env._terms
+
+        def counted(params):
+            passes.append(params)
+            return kernel(params)
+
+        monkeypatch.setattr(binary_env, "_terms", counted)
+        rng = random.Random(73)
+        for _ in range(60):
+            n = rng.choice((2, 3, 4, 5, 7, 10, 16))
+            params = BinaryEnvParams(n, *(F(rng.randint(1, 99), 100) for _ in range(4)))
+            passes.clear()
+            pnds, joints, means = closed_forms(params)
+            assert passes == [params]
+            ks = range(1, n + 1)
+            assert pnds == tuple(prob_nd(params, k) for k in ks)
+            assert joints == tuple(prob_joint_high_and_nd(params, k) for k in ks)
+            assert means == tuple(cond_mean_nd(params, k) for k in ks)
+            assert (pnds, joints, means) == binary_terms_by_fractions(params)
+
     @pytest.mark.parametrize("n", [80, 160, 320])
-    def test_kernel_against_fraction_pass_at_large_n(self, n, monkeypatch):
+    def test_kernel_against_fraction_pass_at_large_n(self, n):
         # mixed denominators, so the kernel's common denominator takes a
         # different factor from each parameter; the per-k closed forms, which
-        # cost O(n) per k, are checked at the ends and the middle. Each public
-        # per-k read is one O(n) kernel pass, so the kernel is memoised here
-        # to read every k of a parameter set from one pass
-        monkeypatch.setattr(binary_env, "_terms", lru_cache(maxsize=None)(binary_env._terms))
+        # cost O(n) per k, are checked at the ends and the middle. Every k of
+        # a parameter set is read from one kernel pass, and the per-k readers
+        # at the same levels
         rng = random.Random(n)
         dens = (7, 100, 997, 2**10)
         full, dev = (
@@ -137,16 +164,49 @@ class TestClosedForms:
         for f, d in ((full, dev), baseline_params(n)):
             for params in (f, d):
                 pnds, joints, means = binary_terms_by_fractions(params)
-                assert tuple(prob_nd(params, k) for k in range(1, n + 1)) == pnds
-                assert tuple(prob_joint_high_and_nd(params, k) for k in range(1, n + 1)) == joints
-                assert tuple(cond_mean_nd(params, k) for k in range(1, n + 1)) == means
+                assert closed_forms(params) == (pnds, joints, means)
                 for k in ks:
-                    assert binary_closed_forms_by_k(params, k) == (
-                        pnds[k - 1], joints[k - 1], means[k - 1]
-                    )
+                    expected = pnds[k - 1], joints[k - 1], means[k - 1]
+                    assert binary_closed_forms_by_k(params, k) == expected
+                    assert (
+                        prob_nd(params, k), prob_joint_high_and_nd(params, k), cond_mean_nd(params, k)
+                    ) == expected
             gains = gain_curve(f, d).gains
             assert gains == binary_gains_by_fractions(f, d)
             assert tuple(gains[k - 1] for k in ks) == binary_gains_by_k(f, d, ks)
+
+    @pytest.mark.parametrize("field", ["p", "q_team", "q_own", "q_other"])
+    @pytest.mark.parametrize(
+        "value, shown",
+        [
+            (F(0), "0"),
+            (F(1), "1"),
+            (F(-1, 2), "-1/2"),
+            (F(3, 2), "3/2"),
+            (0, "0"),
+            (1, "1"),
+            (1.5, "1.5"),
+            (-0.5, "-0.5"),
+        ],
+    )
+    def test_field_range_messages(self, field, value, shown):
+        # Fractions are checked on their integer ratio, other values by
+        # comparison; both give the same message
+        args = dict(n=3, p=F(1, 2), q_team=F(1, 2), q_own=F(1, 2), q_other=F(1, 2))
+        args[field] = value
+        with pytest.raises(BinaryEnvError) as err:
+            BinaryEnvParams(**args)
+        assert str(err.value) == f"{field}={shown} must lie strictly inside (0,1)"
+
+    def test_in_range_fields_and_member_count(self):
+        # the constructor checks ranges only; make() turns any input into a
+        # Fraction
+        assert BinaryEnvParams(3, 0.5, F(1, 2), F(1, 3), F(99, 100)).p == 0.5
+        made = BinaryEnvParams.make(3, 0.5, "1/2", 0.25, F(1, 3))
+        assert (made.p, made.q_own) == (F(1, 2), F(1, 4))
+        with pytest.raises(BinaryEnvError) as err:
+            BinaryEnvParams(1, F(1, 2), F(1, 2), F(1, 2), F(1, 2))
+        assert str(err.value) == "need at least 2 members"
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(BinaryEnvError):
@@ -279,6 +339,41 @@ class TestSweepTable:
         assert first[0] == "0.4" and first[1] == "1"
         assert first[3] in ("true", "false")
         assert "/" in first[4] or first[4].isdigit()
+
+    @pytest.mark.parametrize("axis", binary_env.SWEEP_AXES)
+    def test_csv_matches_decimal_str_loop(self, axis):
+        rng = random.Random(f"csv/{axis}")
+        for n in (2, 10, 40):
+            full, dev = (
+                BinaryEnvParams(n, *(F(rng.randint(1, 99), 100) for _ in range(4)))
+                for _ in range(2)
+            )
+            grid = sorted({F(rng.randint(1, 999), 1000) for _ in range(8)})
+            table = sweep(full, dev, axis, grid)
+            assert table.to_csv() == csv_by_decimal_str(table)
+
+    def test_csv_hand_built_gains(self):
+        # an integer gain, zero, a negative one, one whose decimal takes
+        # exponent notation and one of about 200 digits
+        huge = F(7**236 + 1, 3**200)
+        values = (F(1, 2), F(1, 3))
+        gains = (F(0), F(3), F(-2, 7), F(1, 10**9), huge)
+        rows = tuple(
+            SweepRow(value, k, gain, k == 2)
+            for value in values
+            for k, gain in enumerate(gains, 1)
+        )
+        table = SweepTable("p_dev", rows)
+        text = table.to_csv()
+        assert text == csv_by_decimal_str(table)
+        lines = text.splitlines()
+        assert lines[1:5] == [
+            "0.5,1,0,false,0",
+            "0.5,2,3,true,3",
+            "0.5,3,-0.285714285714,false,-2/7",
+            "0.5,4,1E-9,false,1/1000000000",
+        ]
+        assert lines[10].startswith("0.333333333333,5,") and "E+" in lines[10]
 
     def test_grid_validation(self):
         full, dev = baseline_params(3)

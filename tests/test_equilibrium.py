@@ -171,6 +171,24 @@ class TestWorkedSearches:
                 assert find_equilibria_report(shared, proto) == find_equilibria_report(fresh, proto)
             assert shared._packed is tables
 
+    def test_full_disclosure_entry_matches_public_verify(self):
+        # the search verifies the always-disclose entry through the private
+        # core with no Bayes posteriors; the public check, which builds the
+        # team rule and finds it never conceals, must give the same report
+        rng = random.Random(241)
+        for n in (2, 3):
+            for _ in range(8):
+                dist = random_distribution(rng, n)
+                ones = StrategyProfile.constant(dist.space, 1)
+                for proto in all_protocols(n):
+                    expected = verify_equilibrium(ones, dist.space.min_vector, dist, proto)
+                    (full,) = [
+                        eq for eq in find_equilibria_report(dist, proto)[0]
+                        if eq.profile == ones and eq.off_path
+                    ]
+                    assert full.verification == expected
+                    assert expected.ok and expected.off_path
+
     def test_search_caps(self):
         space = make_space([[0, 1]] * 5)
         d = JointDistribution(space, tuple(F(1, 32) for _ in range(32)))
