@@ -12,15 +12,14 @@ for P(ND), P(own high and ND) and E[own outcome | ND], all exact.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from decimal import Decimal
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import comb
 from typing import Iterable, NamedTuple
 
 from .equilibrium import TeamRule
 from .outcomes import JointDistribution, OutcomeSpace, common_outcome_mixture
-from .rationals import Rational, _context, as_fraction, decimal_str
+from .rationals import Rational, as_fraction, decimal_str
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -48,12 +47,8 @@ class BinaryEnvParams:
         for name, v in (
             ("p", self.p), ("q_team", self.q_team), ("q_own", self.q_own), ("q_other", self.q_other)
         ):
-            if isinstance(v, Fraction):
-                num, den = v.as_integer_ratio()
-                inside = 0 < num < den
-            else:
-                inside = ZERO < v < ONE
-            if not inside:
+            num, den = v.as_integer_ratio()
+            if not 0 < num < den:
                 raise BinaryEnvError(f"{name}={v} must lie strictly inside (0,1)")
 
     @staticmethod
@@ -315,30 +310,24 @@ class SweepTable:
         """One line per row; a run of rows sharing one axis value object (a
         sweep's grid point) renders that value once.
 
-        Each gain is rendered from its integer ratio: the decimal column as
-        ``decimal_str`` would (12 significant digits), the exact column as
-        ``num/den``, or ``num`` when den = 1, as ``frac_str`` would.
+        Each gain is written twice: ``decimal_str`` (12 significant digits)
+        and its exact ``num/den`` form.
         """
-        divide = _context(12).divide
         lines = ["axis_value,K,gain,is_optimal,gain_exact"]
         value = text = None
         for axis_value, k, gain, is_optimal in self.rows:
             if axis_value is not value:
                 value, text = axis_value, decimal_str(axis_value)
-            num, den = gain.as_integer_ratio()
-            exact = f"{num}/{den}" if den != 1 else f"{num}"
             flag = "true" if is_optimal else "false"
-            lines.append(f"{text},{k},{divide(Decimal(num), Decimal(den))!s},{flag},{exact}")
+            lines.append(f"{text},{k},{decimal_str(gain)},{flag},{gain}")
         return "\n".join(lines) + "\n"
 
 
-# each axis's position among the BinaryEnvParams constructor's arguments
-# (n, p, q_team, q_own, q_other)
-_AXIS_POSITION = {
-    "q_other_dev": 4,
-    "p_dev": 1,
-    "q_own_dev": 3,
-    "q_T_dev": 2,
+_AXIS_FIELD = {
+    "q_other_dev": "q_other",
+    "p_dev": "p",
+    "q_own_dev": "q_own",
+    "q_T_dev": "q_team",
 }
 
 
@@ -357,7 +346,7 @@ def sweep(
     checks on integer ratios), one ``_terms`` pass and the integer gain
     numerators of ``_curve``, plus one Fraction per gain.
     """
-    if axis not in _AXIS_POSITION:
+    if axis not in _AXIS_FIELD:
         raise BinaryEnvError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
     grid = tuple(map(as_fraction, grid))
     count = len(grid) * params_full.n
@@ -370,8 +359,9 @@ def sweep(
         num, den = value.as_integer_ratio()
         if not 0 < num < den:
             raise BinaryEnvError(f"grid value {value} outside (0,1)")
-    position = _AXIS_POSITION[axis]
-    args = [params_dev.n, params_dev.p, params_dev.q_team, params_dev.q_own, params_dev.q_other]
+    names = [f.name for f in fields(BinaryEnvParams)]
+    args = [getattr(params_dev, name) for name in names]
+    position = names.index(_AXIS_FIELD[axis])
     mean_full, terms_full = params_full.mean_own, _terms(params_full)
     ks = range(1, params_full.n + 1)
     rows: list[SweepRow] = []

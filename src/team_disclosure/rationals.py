@@ -10,7 +10,6 @@ from __future__ import annotations
 import re
 from decimal import Context, Decimal
 from fractions import Fraction
-from functools import lru_cache
 
 Rational = Fraction | int | str | float
 
@@ -54,12 +53,11 @@ def frac_str(value: Fraction | int) -> str:
     return str(value)
 
 
-@lru_cache(maxsize=None)
-def _context(digits: int) -> Context:
-    return Context(prec=digits)
+_TWELVE_DIGITS = Context(prec=12)
 
 
 def decimal_str(value: Fraction | int, digits: int = 12) -> str:
     """Decimal rendering with a fixed number of significant digits."""
-    out = _context(digits).divide(Decimal(value.numerator), Decimal(value.denominator))
-    return str(out)
+    context = _TWELVE_DIGITS if digits == 12 else Context(prec=digits)
+    num, den = value.as_integer_ratio()
+    return str(context.divide(Decimal(num), Decimal(den)))

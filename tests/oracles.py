@@ -283,8 +283,8 @@ def sweep_by_fractions(full, dev, axis, grid):
 
 
 def csv_by_decimal_str(table):
-    """A sweep table's CSV through the per-row ``decimal_str``/``frac_str``
-    loop that rendering from each gain's integer ratio replaced."""
+    """A sweep table's CSV through ``decimal_str`` and ``frac_str`` on every
+    row, the reference for ``SweepTable.to_csv``."""
     from team_disclosure.rationals import decimal_str, frac_str
 
     lines = ["axis_value,K,gain,is_optimal,gain_exact"]

@@ -4,8 +4,8 @@ Runs ``sweep --panel a..d`` in a fresh interpreter each and compares every
 CSV's SHA-256 with the bytes recorded in ``perfbench/expected.json``, which it
 only reads. Then renders each panel's sweep (one per axis) at 40 and 80
 members and compares ``SweepTable.to_csv()`` with the per-row
-``decimal_str``/``frac_str`` loop, byte for byte. Needs no third-party
-package, so it runs on every supported Python:
+``decimal_str``/``frac_str`` loop of ``oracles.csv_by_decimal_str``, byte for
+byte. Needs no third-party package, so it runs on every supported Python:
 
     PYTHONPATH=src python tests/panel_smoke.py
 
@@ -18,21 +18,10 @@ import sys
 import tempfile
 from pathlib import Path
 
+from oracles import csv_by_decimal_str
 from team_disclosure.audit import PANEL_GRIDS, panel_sweep
-from team_disclosure.rationals import decimal_str, frac_str
 
 ROOT = Path(__file__).resolve().parent.parent
-
-
-def reference_csv(table) -> str:
-    """The CSV through ``decimal_str`` and ``frac_str`` on every row."""
-    lines = ["axis_value,K,gain,is_optimal,gain_exact"]
-    for row in table.rows:
-        flag = "true" if row.is_optimal else "false"
-        lines.append(
-            f"{decimal_str(row.axis_value)},{row.k},{decimal_str(row.gain)},{flag},{frac_str(row.gain)}"
-        )
-    return "\n".join(lines) + "\n"
 
 
 def main() -> int:
@@ -52,7 +41,7 @@ def main() -> int:
     for n in (40, 80):
         for panel in sorted(PANEL_GRIDS):
             table = panel_sweep(panel, n)
-            ok = table.to_csv() == reference_csv(table)
+            ok = table.to_csv() == csv_by_decimal_str(table)
             failed += not ok
             status = "ok" if ok else "to_csv differs from the reference rendering"
             print(f"{table.axis} at n={n}, {len(table.rows)} rows: {status}")

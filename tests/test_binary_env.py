@@ -190,8 +190,7 @@ class TestClosedForms:
         ],
     )
     def test_field_range_messages(self, field, value, shown):
-        # Fractions are checked on their integer ratio, other values by
-        # comparison; both give the same message
+        # every field is checked on its integer ratio, whatever its type
         args = dict(n=3, p=F(1, 2), q_team=F(1, 2), q_own=F(1, 2), q_other=F(1, 2))
         args[field] = value
         with pytest.raises(BinaryEnvError) as err:

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from team_disclosure.rationals import MAX_DECIMAL_EXPONENT, as_fraction
+from team_disclosure.rationals import MAX_DECIMAL_EXPONENT, as_fraction, decimal_str
 
 F = Fraction
 
@@ -34,3 +34,19 @@ class TestAsFraction:
         with pytest.raises(ValueError, match="exponent"):
             as_fraction(text)
 
+
+
+class TestDecimalStr:
+    @pytest.mark.parametrize(
+        "value, digits, text",
+        [
+            (F(1, 3), 12, "0.333333333333"),
+            (F(1, 3), 5, "0.33333"),
+            (F(-2, 7), 3, "-0.286"),
+            (F(1, 10**9), 12, "1E-9"),
+            (3, 12, "3"),
+            (0, 4, "0"),
+        ],
+    )
+    def test_significant_digits(self, value, digits, text):
+        assert decimal_str(value, digits) == text
