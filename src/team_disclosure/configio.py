@@ -137,6 +137,8 @@ def distribution_from_config(obj: Mapping[str, Any], n_hint: int | None = None) 
             pmf = {}
             for key, prob in obj["pmf"]:
                 cell = tuple(as_fraction(part) for part in str(key).split(","))
+                if cell in pmf:
+                    raise ConfigError(f"pmf lists cell {','.join(map(frac_str, cell))} twice")
                 pmf[cell] = as_fraction(prob)
             return from_pmf(space, pmf)
         kind = obj.get("kind")

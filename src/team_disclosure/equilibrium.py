@@ -13,11 +13,14 @@ either a cut strictly between two adjacent grid values, or an indifference
 atom sitting exactly on a grid value with a mixing weight. Atom weights
 satisfy a multilinear system solved exactly by :class:`_AtomSolver` on the
 integer algebra of :mod:`._poly`. Configurations are first screened by
-corner sign masks (:class:`_SearchContext`, whose sign loop runs once per
-distinct concealed set): integer bitmasks over the pure cut combinations
-reject, without solving, every configuration in which W > 0 or a gap bound
-fails at every corner of its weight box, or an atom equation has one strict
-sign at every concealing corner (W > 0) of the box (:func:`_cut_configs`).
+corner sign masks (:class:`_SearchContext`): integer bitmasks over the pure
+cut combinations. The combinations and their slab masks are built once per
+space, and each concealed set's sums and signs once per distribution, so a
+protocol only finds its concealed sets and ORs each one's combinations into
+the masks its memoised sign code names. The masks reject, without solving,
+every configuration in which W > 0 or a gap bound fails at every corner of
+its weight box, or an atom equation has one strict sign at every concealing
+corner (W > 0) of the box (:func:`_cut_configs`).
 The corners with W = 0 cannot rescue such an equation: under full support no
 cell is concealed there, so every S_i and every atom equation is 0. The
 screen walks the members depth first and drops a prefix as soon as its box
@@ -47,11 +50,13 @@ Exact integer concealment sums over a set are read from the subset-sum
 tables of :mod:`.outcomes`, with every sum a caller needs packed into one
 int as signed fields (``_packed_sums``), so one read per set gives them all:
 W and each S_i for the search, from tables built once per distribution
-(``JointDistribution._packed``) and shared by every protocol searched on
-it; each member's posterior condition for the consistency scan, packed per
-target. The plausibility search needs no sums, only set tests. Every
-positive refinement answer is confirmed by rebuilding its witness profile
-through ``team_rule`` and ``posterior_no_disclosure`` before it is returned.
+(``JointDistribution._packed``) and read once per distinct concealed set
+per distribution (``JointDistribution._search_memo``), whatever protocols
+are searched on it; each member's posterior condition for the consistency
+scan, packed per target. The plausibility search needs no sums, only set
+tests. Every positive refinement answer is confirmed by rebuilding its
+witness profile through ``team_rule`` and ``posterior_no_disclosure``
+before it is returned.
 
 The team rule and the Bayes posterior are integer kernels too: a cell where
 every member votes purely is one winning-table lookup, the multilinear sum
@@ -65,13 +70,14 @@ profile).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_left, bisect_right
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from functools import reduce
-from itertools import chain, combinations, compress, product, tee
+from itertools import accumulate, chain, combinations, compress, product, tee
 from math import prod
-from operator import and_, attrgetter
-from typing import Sequence
+from operator import and_, attrgetter, or_
+from typing import Callable, Hashable, Sequence
 
 from . import _poly
 from .outcomes import (
@@ -455,82 +461,125 @@ class Equilibrium:
 # ---------------------------------------------------------------------------
 
 
+def _sign_code(grid_ints: Sequence[Sequence[int]], w: int, s: Sequence[int]) -> tuple[int, ...]:
+    """The slots of :class:`_SearchContext`'s flat mask list that a (W, S)
+    entry with W >= 0 sets.
+
+    Member i's grid is increasing, so S_i - x*W never rises along it: it is
+    > 0 at the first lo_i positions, 0 at the next hi_i - lo_i (at most one
+    when W > 0) and < 0 from position hi_i on. Slot 0 is ``w_pos``, set when
+    W > 0. Then each member has a block of 2*len(grid_i) slots: slot lo_i - 1
+    of its first half when lo_i > 0, and slot hi_i of its second half when
+    hi_i < len(grid_i). So one slot per member names every ``above[i][p]``
+    and one every ``below[i][p]`` that the entry sets, and an entry with W
+    and every S_i 0 sets none.
+    """
+    code = [0] if w > 0 else []
+    at = 1
+    for xs, si in zip(grid_ints, s):
+        size = len(xs)
+        if w:
+            # x*W < S_i exactly when x < ceil(S_i/W), and x*W <= S_i when x <= floor(S_i/W)
+            lo, hi = bisect_left(xs, -(-si // w)), bisect_right(xs, si // w)
+        else:
+            lo, hi = (size if si > 0 else 0), (0 if si < 0 else size)
+        if lo:
+            code.append(at + lo - 1)
+        if hi < size:
+            code.append(at + size + hi)
+        at += 2 * size
+    return tuple(code)
+
+
 @dataclass
 class _SearchContext:
     """Concealment aggregates of pure cut combos, and their sign masks.
 
-    The masks are ints over the combos numbered in ``conceal`` order:
+    The masks are ints over the combos, bit b standing for ``combos[b]``:
     ``w_pos`` holds the combos with W > 0, ``above[i][p]`` (``below[i][p]``)
     those with S_i - x_p*W > 0 (< 0) for member i's grid value x_p, and
     ``slabs[i][c]`` those whose i-th coordinate is c. A combo with W = 0
     conceals no cell of a full-support distribution, so its sums are 0 and
-    it lies in neither ``above`` nor ``below``.
+    it lies in neither ``above`` nor ``below``. ``conceal`` maps each combo
+    to its (W, S) entry, in ``combos`` order. Every W is >= 0, as concealed
+    mass is.
 
-    Many combos conceal the same set, so one pass over ``conceal`` gathers
-    the ``slabs`` and, per distinct (W, S) entry, the mask of the combos
-    holding it; the sign loop then runs once per distinct entry, and not at
-    all for an entry with W and every S_i 0. Any ``conceal`` dict is read
-    this way, also sparse hand-built ones with W = 0 and S != 0.
+    Combos are grouped by ``keys``, one hashable per combo that equal
+    entries share. ``memo`` maps a key to its entry and :func:`_sign_code`;
+    a key it lacks is read with ``read`` and added. Each group's combos are
+    then ORed into the slots its sign code names, one per member for
+    ``above`` and one for ``below``, so the sign test runs once per key the
+    memo has not met, and nothing is ORed for an entry with W and every S_i
+    0. ``above[i][p]`` is then the OR of member i's ``above`` slots from p
+    on, and ``below[i][p]`` that of its ``below`` slots up to p. The search
+    passes the concealed sets as keys and the distribution's memo;
+    hand-built tables may be sparse, with W = 0 and S != 0.
     """
 
     grid_ints: tuple[tuple[int, ...], ...]
-    conceal: dict[tuple[int, ...], tuple[int, tuple[int, ...]]]  # combo -> (W, S per member)
+    combos: InitVar[Sequence[tuple[int, ...]]]
+    slabs: Sequence[Sequence[int]]
+    keys: InitVar[Sequence[Hashable]]
+    memo: InitVar[dict[Hashable, tuple[tuple[int, tuple[int, ...]], tuple[int, ...]]]]
+    read: InitVar[Callable[[Hashable], tuple[int, tuple[int, ...]]]]
     notes: list[str] = field(default_factory=list)
+    conceal: dict[tuple[int, ...], tuple[int, tuple[int, ...]]] = field(init=False)
     w_pos: int = field(init=False)
     above: list[list[int]] = field(init=False)
     below: list[list[int]] = field(init=False)
-    slabs: list[list[int]] = field(init=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, combos, keys, memo, read) -> None:
         grid_ints = self.grid_ints
-        slabs = [[0] * (len(g) + 1) for g in grid_ints]
-        sharing = {}  # (W, S) entry -> the combos that hold it
-        for b, (combo, entry) in enumerate(self.conceal.items()):
-            bit = 1 << b
-            sharing[entry] = sharing.get(entry, 0) | bit
-            for member_slabs, c in zip(slabs, combo):
-                member_slabs[c] |= bit
-        w_pos = 0
-        above = [[0] * len(g) for g in grid_ints]
-        below = [[0] * len(g) for g in grid_ints]
-        for (w, s), bits in sharing.items():
-            if w > 0:
-                w_pos |= bits
-            elif not w and not any(s):
-                continue  # every S_i - x*W is 0: no sign bit to set
-            for member_above, member_below, xs, si in zip(above, below, grid_ints, s):
-                for p, x in enumerate(xs):
-                    d = si - x * w
-                    if d > 0:
-                        member_above[p] |= bits
-                    elif d < 0:
-                        member_below[p] |= bits
-        self.w_pos, self.above, self.below, self.slabs = w_pos, above, below, slabs
+        groups = dict.fromkeys(keys, 0)  # key -> the combos that hold it
+        bit = 1
+        for key in keys:
+            groups[key] |= bit
+            bit <<= 1
+        slots = [0] * (1 + 2 * sum(map(len, grid_ints)))
+        for key, bits in groups.items():
+            found = memo.get(key)
+            if found is None:
+                entry = read(key)
+                found = memo[key] = (entry, _sign_code(grid_ints, *entry))
+            for m in found[1]:
+                slots[m] |= bits
+        self.conceal = dict(zip(combos, [memo[key][0] for key in keys]))
+        self.w_pos = slots[0]
+        self.above, self.below = [], []
+        at = 1
+        for xs in grid_ints:
+            size = len(xs)
+            self.above.append(list(accumulate(reversed(slots[at:at + size]), or_))[::-1])
+            self.below.append(list(accumulate(slots[at + size:at + 2 * size], or_)))
+            at += 2 * size
 
 
 def _build_context(dist: JointDistribution, protocol: DeliberationProtocol) -> _SearchContext:
     """Concealment aggregates of every pure cut combination: member i votes
     to disclose from grid position c_i on, c_i in 0..len(grid_i). W and each
     S_i of a combination are sums over its concealed cells
-    (:func:`_concealed_sets`). Each cell's weight and scaled values are
-    packed into one int, W in field 0 and S_i in field i+1, in tables built
-    once per distribution (``dist._packed``), so one subset-sum read gives
-    all of them. Many combinations conceal the same set (most often the
-    empty one), so each distinct set is read once."""
-    grids = dist.space.grids
-    rows = [[(1 << (len(g) - c)) - 1 for c in range(len(g) + 1)] for g in grids]
-    combos = product(*(range(len(g) + 1) for g in grids))
+    (:func:`_concealed_sets`).
+
+    Only the concealed sets depend on the protocol. The combinations, their
+    threshold rows and slab masks are built once per space
+    (``space._cut_combos``). Each cell's weight and scaled values are packed
+    into one int, W in field 0 and S_i in field i+1, in tables built once per
+    distribution (``dist._packed``), so one subset-sum read gives all of
+    them. Many combinations conceal the same set, under one protocol and
+    across protocols, so each distinct set is read, unpacked and sign-tested
+    once per distribution (``dist._search_memo``), whatever protocols are
+    searched on it and in whatever order."""
+    space = dist.space
+    cuts = space._cut_combos
     tables, width = dist._packed
-    fields = len(grids) + 1
-    sums = {}  # concealed set -> (W, S per member)
-    conceal = {}
-    for combo, k in zip(combos, _concealed_sets(dist.space, protocol, rows)):
-        entry = sums.get(k)
-        if entry is None:
-            mass, *values = _unpack(_chunk_sum(tables, _chunks(k)), fields, width)
-            entry = sums[k] = (mass, tuple(values))
-        conceal[combo] = entry
-    return _SearchContext(dist._scaled.grid_ints, conceal)
+    fields = space.n + 1
+
+    def read(k):
+        mass, *values = _unpack(_chunk_sum(tables, _chunks(k)), fields, width)
+        return mass, tuple(values)
+
+    keys = list(_concealed_sets(space, protocol, cuts.rows))
+    return _SearchContext(dist._scaled.grid_ints, cuts.combos, cuts.slabs, keys, dist._search_memo, read)
 
 
 def _cut_configs(ctx: _SearchContext):

@@ -14,8 +14,13 @@ denominators.
 Sums over many cell sets (the equilibrium search's and the belief
 refinement's concealment sums) are read from subset-sum tables of
 ``CHUNK_CELLS`` cells each, with several signed sums packed into one int
-(:func:`_packed_sums`). The search's tables depend only on the distribution,
-so each distribution builds them once (``JointDistribution._packed``).
+(:func:`_packed_sums`). What the search reads depends only on the grid sizes
+or only on the distribution, never on the protocol, so it is built once and
+shared by every protocol: per space the pure cut combinations, their
+threshold rows and slab masks (``OutcomeSpace._cut_combos``); per
+distribution the packed tables (``JointDistribution._packed``) and a memo of
+each concealed set's (W, S) entry and sign code
+(``JointDistribution._search_memo``).
 """
 from __future__ import annotations
 
@@ -71,11 +76,10 @@ class OutcomeSpace:
 
     @cached_property
     def positions(self) -> tuple[tuple[int, ...], ...]:
-        """positions[i][c] = index of cell c's member-(i+1) value in grid i."""
-        lookup = [{v: j for j, v in enumerate(g)} for g in self.grids]
-        return tuple(
-            tuple(lookup[i][cell[i]] for cell in self.cells) for i in range(self.n)
-        )
+        """positions[i][c] = index of cell c's member-(i+1) value in grid i.
+        The cells are in ``product`` order, so these are the coordinates of
+        the ``product`` of the grids' index ranges."""
+        return tuple(zip(*product(*(range(len(g)) for g in self.grids))))
 
     @cached_property
     def slabs(self) -> tuple[tuple[int, ...], ...]:
@@ -87,12 +91,50 @@ class OutcomeSpace:
                 member_slabs[p] |= 1 << c
         return tuple(map(tuple, out))
 
+    @cached_property
+    def _cut_combos(self) -> CutCombos:
+        """The pure cut combinations of the equilibrium search, which depend
+        only on the grid sizes, so every distribution and protocol on this
+        space shares them (see :class:`CutCombos`)."""
+        sizes = [len(g) + 1 for g in self.grids]
+        combos = tuple(product(*map(range, sizes)))
+        rows = tuple(tuple((1 << (len(g) - c)) - 1 for c in range(len(g) + 1)) for g in self.grids)
+        return CutCombos(combos, rows, _combo_slabs(sizes, combos))
+
     @property
     def min_vector(self) -> tuple[Fraction, ...]:
         return tuple(g[0] for g in self.grids)
 
     def is_binary(self) -> bool:
         return all(len(g) == 2 for g in self.grids)
+
+
+class CutCombos(NamedTuple):
+    """The pure cut combinations of a space, in ``product`` order: member i
+    votes to disclose from grid position c_i on, c_i in 0..len(grid_i).
+
+    ``rows[i][c]`` is member i's vote at cut c as a bitmask over their grid
+    positions, first position in the highest bit (as
+    ``equilibrium._concealed_sets`` reads them), and ``slabs[i][c]`` holds
+    the combinations with c_i = c, bit b standing for ``combos[b]``.
+    """
+
+    combos: tuple[tuple[int, ...], ...]
+    rows: tuple[tuple[int, ...], ...]
+    slabs: tuple[tuple[int, ...], ...]
+
+
+def _combo_slabs(sizes: Sequence[int], combos: Sequence[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
+    """slabs[i][c] = the combinations with i-th coordinate c, bit b standing
+    for ``combos[b]``; member i's coordinates lie in range(sizes[i])."""
+    bits = [1 << b for b in range(len(combos))]
+    slabs = []
+    for size, column in zip(sizes, zip(*combos)):
+        member_slabs = [0] * size
+        for c, bit in zip(column, bits):
+            member_slabs[c] |= bit
+        slabs.append(tuple(member_slabs))
+    return tuple(slabs)
 
 
 def make_space(grids: Sequence[Sequence[Rational]]) -> OutcomeSpace:
@@ -175,6 +217,14 @@ class JointDistribution:
         on it reads the same tables."""
         scaled = self._scaled
         return _packed_sums([scaled.weights, *scaled.values])
+
+    @cached_property
+    def _search_memo(self) -> dict[int, tuple[tuple[int, tuple[int, ...]], tuple[int, ...]]]:
+        """The equilibrium search's memo: each concealed cell set K met so
+        far, under any protocol, mapped to its (W, S) entry read from
+        :attr:`_packed` and its sign code (``equilibrium._sign_code``). It
+        starts empty and grows as protocols are searched on this object."""
+        return {}
 
     @cached_property
     def mean_vector(self) -> tuple[Fraction, ...]:

@@ -41,6 +41,10 @@ MALFORMED = [
     (["solve", "--protocol", "unilateral:٢", "--dist", "independent:0.5"], None),
     (["solve", "--protocol", "leader:2,+1", "--dist", "independent:0.5"], None),
     (["solve", "--protocol", "nonsense", "--dist", "independent:0.5"], None),
+    # a pmf that lists cell 0,0 twice (once kept the last value)
+    (["solve", "--protocol", "k_majority:2,2", "--dist", json.dumps(
+        {"grid": [[0, 1], [0, 1]], "pmf": [["0,0", "1/2"], ["0,0", "1/4"], ["0,1", "1/4"], ["1,0", "1/4"], ["1,1", "1/4"]]}
+    )], None),
 ]
 
 # --equilibrium file contents for VERIFY: JSON strings and objects where

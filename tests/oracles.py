@@ -582,8 +582,9 @@ def atom_grid_scan(corners, grids, config, steps=12):
 def search_masks_by_combo(ctx):
     """``(w_pos, above, below, slabs)`` of a search context, one combination
     at a time: the slow twin of ``_SearchContext.__post_init__``, which runs
-    its sign loop once per distinct (W, S) entry. Bit b stands for the b-th
-    combination of ``ctx.conceal``."""
+    its sign loop once per distinct concealed set per distribution and reads
+    its slabs per space. Bit b stands for the b-th combination of
+    ``ctx.conceal``."""
     grid_ints = ctx.grid_ints
     w_pos = 0
     above = [[0] * len(g) for g in grid_ints]
@@ -601,7 +602,11 @@ def search_masks_by_combo(ctx):
                     above[i][p] |= bit
                 elif d < 0:
                     below[i][p] |= bit
-    return w_pos, above, below, slabs
+    return w_pos, above, below, tuple(map(tuple, slabs))
+
+
+def assert_masks_match(ctx):
+    assert (ctx.w_pos, ctx.above, ctx.below, ctx.slabs) == search_masks_by_combo(ctx)
 
 
 def unscreened_configs(ctx):

@@ -4,11 +4,14 @@ Runs ``find_equilibria_report`` on the seeded instances of
 :func:`pinned_searches` and compares one SHA-256 over their solve documents
 with ``DIGEST``. The search reads its concealment sums from integer tables
 with several fields packed into one int, so this checks those fields on
-every supported Python. Needs no third-party package:
+every supported Python. It then searches each shared distribution's
+protocols again in reverse order, on a fresh copy of the distribution, and
+requires every solve document to equal its forward-order one. Needs no
+third-party package:
 
     PYTHONPATH=src python tests/search_smoke.py
 
-Exits 0 when the digest matches, 1 otherwise.
+Exits 0 when the digest matches and the orders agree, 1 otherwise.
 """
 import hashlib
 import json
@@ -19,7 +22,7 @@ from fractions import Fraction
 from team_disclosure.audit import random_distribution
 from team_disclosure.configio import equilibrium_to_config
 from team_disclosure.equilibrium import find_equilibria_report
-from team_disclosure.outcomes import independent
+from team_disclosure.outcomes import JointDistribution, independent, make_space
 from team_disclosure.protocols import all_protocols, make_k_majority, make_protocol
 
 F = Fraction
@@ -66,22 +69,50 @@ def pinned_searches():
     yield independent([marginal] * 4), make_protocol(4, winning)
 
 
-def search_digest() -> str:
-    """SHA-256 over each pinned search's equilibria, as
-    ``equilibrium_to_config`` writes them, and its notes, one JSON line per
-    search."""
+def solve_document(dist, proto) -> str:
+    """One search's equilibria, as ``equilibrium_to_config`` writes them,
+    and its notes, as one JSON line."""
+    eqs, notes = find_equilibria_report(dist, proto)
+    doc = {"equilibria": [equilibrium_to_config(e) for e in eqs], "notes": list(notes)}
+    return json.dumps(doc, sort_keys=True)
+
+
+def search_digest(documents=None) -> str:
+    """SHA-256 over the solve document of each pinned search, one JSON line
+    per search; ``documents`` are those lines if already computed."""
+    if documents is None:
+        documents = [solve_document(dist, proto) for dist, proto in pinned_searches()]
     digest = hashlib.sha256()
-    for dist, proto in pinned_searches():
-        eqs, notes = find_equilibria_report(dist, proto)
-        doc = {"equilibria": [equilibrium_to_config(e) for e in eqs], "notes": list(notes)}
-        digest.update(json.dumps(doc, sort_keys=True).encode() + b"\n")
+    for doc in documents:
+        digest.update(doc.encode() + b"\n")
     return digest.hexdigest()
 
 
+def reverse_order_mismatches(searched) -> list[str]:
+    """The instances of ``searched``, (distribution, protocol, forward-order
+    solve document) triples, whose document changes when each distribution's
+    protocols are searched in reverse order on a fresh copy of it. The
+    search keeps a memo on each distribution object, so this checks that
+    the memo's fill order does not reach the output."""
+    shared = {}  # id(distribution) -> (distribution, [(protocol, document)])
+    for dist, proto, doc in searched:
+        shared.setdefault(id(dist), (dist, []))[1].append((proto, doc))
+    bad = []
+    for dist, runs in shared.values():
+        copy = JointDistribution(make_space(dist.space.grids), dist.probs)
+        for proto, doc in reversed(runs):
+            if solve_document(copy, proto) != doc:
+                bad.append(f"{proto.describe()} on grids {[len(g) for g in dist.space.grids]}")
+    return bad
+
+
 def main() -> int:
-    got = search_digest()
+    searched = [(dist, proto, solve_document(dist, proto)) for dist, proto in pinned_searches()]
+    got = search_digest([doc for _, _, doc in searched])
     print(f"pinned searches: {'ok' if got == DIGEST else f'sha256 {got}'}")
-    return 0 if got == DIGEST else 1
+    bad = reverse_order_mismatches(searched)
+    print(f"reverse order: {'ok' if not bad else 'differs for ' + '; '.join(bad)}")
+    return 0 if got == DIGEST and not bad else 1
 
 
 if __name__ == "__main__":

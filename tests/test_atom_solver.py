@@ -24,16 +24,23 @@ from team_disclosure.equilibrium import (
     team_rule,
     verify_equilibrium,
 )
-from team_disclosure.outcomes import independent
+from team_disclosure.outcomes import _combo_slabs, independent
 from team_disclosure.protocols import all_protocols, make_k_majority
 
 from oracles import (
+    assert_masks_match,
     atom_grid_scan,
     screened_configs_by_product,
-    search_masks_by_combo,
     unscreened_configs,
 )
-from search_smoke import DIGEST, HIDDEN, search_digest
+from search_smoke import (
+    DIGEST,
+    HIDDEN,
+    pinned_searches,
+    reverse_order_mismatches,
+    search_digest,
+    solve_document,
+)
 
 try:
     import sympy
@@ -56,11 +63,11 @@ def hand_built(grids, config, corners):
     """An atom solver whose concealment aggregates (W, S) at the corners of
     the atom box, in ``product((0, 1))`` order, are given directly."""
     atoms = [i for i, (kind, _) in enumerate(config) if kind == "atom"]
-    conceal = {
-        corner_combo(config, dict(zip(atoms, bits))): (w, tuple(s))
-        for bits, (w, s) in zip(product((0, 1), repeat=len(atoms)), corners)
-    }
-    return _AtomSolver(_SearchContext(grids, conceal), config)
+    combos = [corner_combo(config, dict(zip(atoms, bits))) for bits in product((0, 1), repeat=len(atoms))]
+    entries = [(w, tuple(s)) for w, s in corners]
+    slabs = _combo_slabs([len(g) + 1 for g in grids], combos)
+    ctx = _SearchContext(grids, combos, slabs, range(len(entries)), {}, entries.__getitem__)
+    return _AtomSolver(ctx, config)
 
 
 def corner_table(k, mass, sums):
@@ -388,13 +395,9 @@ class TestDenseScanOracle:
         assert dropped > kept > 100
 
 
-def assert_masks_match(ctx):
-    assert (ctx.w_pos, ctx.above, ctx.below, ctx.slabs) == search_masks_by_combo(ctx)
-
-
 class TestSearchMasks:
-    """The sign masks, built once per distinct (W, S) entry, against the
-    loop over every combination."""
+    """The sign masks, sign-coded once per distinct concealed set per
+    distribution, against the loop over every combination."""
 
     def test_search_tables_of_every_small_protocol(self):
         rng = random.Random(223)
@@ -552,3 +555,10 @@ def test_search_output_is_pinned():
     weights (ROADMAP items 1 and 8); CHANGES.md then records the new value.
     """
     assert search_digest() == DIGEST
+
+
+def test_search_output_does_not_depend_on_protocol_order():
+    """Each pinned distribution's protocols, searched in reverse order on a
+    fresh copy of it, give the forward order's solve documents."""
+    searched = [(dist, proto, solve_document(dist, proto)) for dist, proto in pinned_searches()]
+    assert reverse_order_mismatches(searched) == []

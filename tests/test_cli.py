@@ -783,6 +783,21 @@ class TestOneReaderPerInput:
         assert main(argv + ["--out", str(tmp_path / "out")]) == 2
         assert "must be an integer" in one_error_line(capsys)
 
+    @pytest.mark.parametrize(
+        "pmf",
+        [
+            # the listed probabilities sum to 3/2; the last 1/4 was once kept
+            [["0,0", "1/2"], ["0,0", "1/4"], ["0,1", "1/4"], ["1,0", "1/4"], ["1,1", "1/4"]],
+            # keys equal as Fractions name the same cell
+            [["0,0", "1/4"], ["0/1,0.0", "1/4"], ["0,1", "1/4"], ["1,0", "1/4"]],
+        ],
+    )
+    def test_repeated_pmf_cell(self, tmp_path, capsys, pmf):
+        dist = json.dumps({"grid": [[0, 1], [0, 1]], "pmf": pmf})
+        argv = ["solve", "--protocol", "k_majority:2,2", "--dist", dist]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        assert "pmf lists cell 0,0 twice" in one_error_line(capsys)
+
     def test_search_cap_still_exit_3(self, tmp_path, capsys):
         # a cap of zero members is an integer, so it is the search that refuses
         argv = ["solve", *SOLVE_FLAGS, "--max-members", "0", "--out", str(tmp_path / "out")]

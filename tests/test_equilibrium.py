@@ -15,6 +15,7 @@ from team_disclosure.equilibrium import (
     TeamRule,
     _AtomSolver,
     _build_context,
+    _concealed_sets,
     _cut_configs,
     _profile_from_config,
     classify_rule,
@@ -44,12 +45,14 @@ from team_disclosure.protocols import (
 )
 
 from oracles import (
+    assert_masks_match,
     consistent_with_deliberation_by_fractions,
     deterministic_profiles,
     find_equilibria_report_unscreened,
     plausible_full_disclosure_by_fractions,
     posterior_by_enumeration,
     screened_configs_by_product,
+    search_conceal_by_cells,
     team_rule_by_evaluate,
     unscreened_configs,
     verify_equilibrium_by_evaluate,
@@ -170,6 +173,34 @@ class TestWorkedSearches:
                 fresh = JointDistribution(make_space(shared.space.grids), shared.probs)
                 assert find_equilibria_report(shared, proto) == find_equilibria_report(fresh, proto)
             assert shared._packed is tables
+
+    def test_search_memo_does_not_depend_on_order(self):
+        # one distribution object searched under its protocols in three
+        # orders: after each search the tables equal the slow twins, the
+        # report equals the first order's, and the memo holds one entry per
+        # concealed set met so far
+        rng = random.Random(239)
+        cases = [(fractional_dist(rng, n, sizes=(2, 3)), all_protocols(n)) for n in (2, 3)]
+        for size in (4, 5):
+            d = fractional_dist(rng, 4, sizes=(size,))
+            cases.append((d, [make_k_majority(4, k) for k in range(1, 5)]))
+        for dist, protos in cases:
+            expected = [search_conceal_by_cells(dist, proto) for proto in protos]
+            forward = list(range(len(protos)))
+            interleaved = [j for pair in zip(forward, forward[::-1]) for j in pair][: len(forward)]
+            reports = {}
+            for order in (forward, forward[::-1], interleaved):
+                shared = JointDistribution(make_space(dist.space.grids), dist.probs)
+                rows = shared.space._cut_combos.rows
+                met = set()
+                for j in order:
+                    report = find_equilibria_report(shared, protos[j])
+                    assert reports.setdefault(j, report) == report
+                    ctx = _build_context(shared, protos[j])
+                    assert ctx.conceal == expected[j]
+                    assert_masks_match(ctx)
+                    met.update(_concealed_sets(shared.space, protos[j], rows))
+                    assert shared._search_memo.keys() == met
 
     def test_full_disclosure_entry_matches_public_verify(self):
         # the search verifies the always-disclose entry through the private
