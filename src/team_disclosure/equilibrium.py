@@ -42,21 +42,28 @@ taken in increasing order of the weight that carries them.
 
 The cut search and the belief refinement (consistency with deliberation,
 and the brute-force twin of the full-disclosure plausibility predicate) share
-one bitmask kernel (:func:`_concealed_sets`): it gives each pure profile's
-concealed cells as one int, from ANDs and ORs of per-member cell sets over
-the protocol's minimal winning coalitions. The search scans the pure
-threshold profiles, the refinement every deterministic own-outcome profile.
-Exact integer concealment sums over a set are read from the subset-sum
-tables of :mod:`.outcomes`, with every sum a caller needs packed into one
-int as signed fields (``_packed_sums``), so one read per set gives them all:
-W and each S_i for the search, from tables built once per distribution
-(``JointDistribution._packed``) and read once per distinct concealed set
-per distribution (``JointDistribution._search_memo``), whatever protocols
-are searched on it; each member's posterior condition for the consistency
-scan, packed per target. The plausibility search needs no sums, only set
-tests. Every positive refinement answer is confirmed by rebuilding its
-witness profile through ``team_rule`` and ``posterior_no_disclosure``
-before it is returned.
+one prefix walker (:func:`_prefixes`). A member's row is a bitmask over their
+grid positions, and its cells come from a table built once per space
+(``OutcomeSpace._row_cells``). For each prefix of rows of all members but
+the last, the walker gives ``kept``, the cells no coalition of those members
+discloses, and ``pivot``, the cells where they complete a coalition with the
+last member; the profile with the last member at a row conceals ``kept``
+less ``pivot`` on that row's cells. The search takes each pure threshold
+profile's concealed set (:func:`_concealed_sets`). The refinement walks
+every deterministic own-outcome profile and settles the last member once per
+prefix: the consistency scan reads two packed sums per prefix, not one per
+profile, and the plausibility scan turns each member's floor condition into
+a set of the last member's positions. Exact integer concealment sums over a
+set are read from the subset-sum tables of :mod:`.outcomes`, with every sum
+a caller needs packed into one int as signed fields (``_packed_sums``), so
+one read per set gives them all: W and each S_i for the search, from tables
+built once per distribution (``JointDistribution._packed``) and read once
+per distinct concealed set per distribution
+(``JointDistribution._search_memo``), whatever protocols are searched on it;
+each member's posterior condition for the consistency scan, packed per
+target. Every positive refinement answer is confirmed by rebuilding its
+first witness profile, in ``product`` order, through ``team_rule`` and
+``posterior_no_disclosure`` before it is returned.
 
 The team rule and the Bayes posterior are integer kernels too: a cell where
 every member votes purely is one winning-table lookup, the multilinear sum
@@ -74,7 +81,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate, chain, combinations, compress, product, tee
+from itertools import accumulate, chain, combinations, compress, product
 from math import prod
 from operator import and_, attrgetter, or_
 from typing import Callable, Hashable, Sequence
@@ -86,7 +93,8 @@ from .outcomes import (
     OutcomeSpace,
     _chunk_sum,
     _chunks,
-    _packed_sums,
+    _pack,
+    _subset_sums,
     _subset_table,
     _unpack,
     posterior_no_disclosure,
@@ -99,7 +107,7 @@ ONE = Fraction(1)
 
 DEFAULT_MAX_MEMBERS = 4
 DEFAULT_MAX_GRID = 5
-DEFAULT_PROFILE_CAP = 1 << 16
+DEFAULT_PROFILE_CAP = 1 << 20
 
 # Preference order of a free mixing weight (most concealing first); in one
 # case the only values tried (:meth:`_AtomSolver._free`).
@@ -1052,37 +1060,41 @@ def find_equilibria(
 
 
 # ---------------------------------------------------------------------------
-# Concealed-cell bitmask kernel; consistency with deliberation (belief refinement)
+# Prefix walker over pure profiles; the belief refinement scans
 # ---------------------------------------------------------------------------
 
-def _concealed_sets(
-    space: OutcomeSpace, protocol: DeliberationProtocol, rows: Sequence[Sequence[int]]
+def _prefixes(
+    space: OutcomeSpace, protocol: DeliberationProtocol, rows: Sequence[Sequence[int]] | None = None
 ):
-    """The concealed cells of pure own-outcome profiles, one int each.
+    """Pure own-outcome profiles, walked by prefix of all members but the last.
 
     ``rows[i]`` lists member i's strategies, each one int bitmask over their
-    grid positions with the first position in the highest bit. For every
-    profile, in ``product(*rows)`` order, yields K with bit c set when cell c
-    is concealed, zero-probability cells included. A member's row becomes the
-    OR of the cell slabs where they vote 1; the disclosed cells are the OR,
-    over the minimal winning coalitions, of the AND of their members' masks.
-    That OR is split at the last member once per prefix of the other rows: K
-    is the cells no coalition of the others discloses, minus those where the
-    last member's 1 completes a coalition and the last row votes 1.
+    grid positions with the first position in the highest bit; ``None``
+    stands for every row of every member in increasing order. A row's cells
+    are the cells where it votes 1 (``space._row_cells``), and the disclosed
+    cells are the OR, over the minimal winning coalitions, of the AND of
+    their members' cells. For every prefix of rows of the first n-1 members,
+    in ``product`` order, yields ``(heads, kept, pivot, tail)``: ``heads``
+    the prefix's rows; ``kept`` the cells that no coalition of those members
+    alone discloses; ``pivot`` the cells where they complete a coalition
+    with the last member; ``tail`` the cells of each of the last member's
+    rows, in ``rows[-1]`` order. With the last member at ``rows[-1][m]``, the
+    profile conceals K = kept & ~(pivot & tail[m]), zero-probability cells
+    included (bit c for cell c).
     """
     n = space.n
     every = (1 << len(space.cells)) - 1
-    # The slabs are disjoint, so the OR of a row's slabs is their sum.
-    masks = [
-        list(map(_subset_table(member_slabs[::-1]).__getitem__, member_rows))
-        for member_slabs, member_rows in zip(space.slabs, rows)
-    ]
+    masks = space._row_cells
+    if rows is None:
+        rows = [range(len(table)) for table in masks]
+    else:
+        masks = [list(map(table.__getitem__, r)) for table, r in zip(masks, rows)]
     last = 1 << (n - 1)
     coalitions = [
         (m & last, [i for i in range(n - 1) if m >> i & 1]) for m in protocol._minimal_masks
     ]
     *head, tail = masks
-    for prefix in product(*head):
+    for heads, prefix in zip(product(*rows[:-1]), product(*head)):
         kept, pivot = every, 0
         for needs_last, members in coalitions:
             cells = reduce(and_, map(prefix.__getitem__, members), every)
@@ -1090,34 +1102,43 @@ def _concealed_sets(
                 pivot |= cells
             else:
                 kept &= ~cells
+        yield heads, kept, pivot, tail
+
+
+def _concealed_sets(
+    space: OutcomeSpace, protocol: DeliberationProtocol, rows: Sequence[Sequence[int]]
+):
+    """The concealed cells of every profile in ``product(*rows)`` order, one
+    int each (:func:`_prefixes`)."""
+    for _, kept, pivot, tail in _prefixes(space, protocol, rows):
         yield from [kept & ~(pivot & m) for m in tail]
 
 
-def _witnesses(dist: JointDistribution, protocol: DeliberationProtocol):
-    """Every deterministic own-outcome profile that conceals something.
-
-    Checks the member count and ``DEFAULT_PROFILE_CAP`` when called, then
-    gives ``(bits, K)`` for each profile whose concealed cells K
-    (:func:`_concealed_sets`) carry positive mass; ``bits`` holds one row
-    bitmask per member.
-    """
-    space = dist.space
-    if protocol.n != space.n:
-        raise EquilibriumError("protocol and distribution have different member counts")
-    sizes = [len(g) for g in space.grids]
-    total = 1 << sum(sizes)
+def _check_profile_cap(space: OutcomeSpace) -> None:
+    """Raise SearchCapExceeded when the space has more deterministic
+    own-outcome profiles (2 to the total grid size) than
+    ``DEFAULT_PROFILE_CAP``."""
+    total = 1 << sum(map(len, space.grids))
     if total > DEFAULT_PROFILE_CAP:
         raise SearchCapExceeded(
             f"{total} deterministic profiles exceed the cap of {DEFAULT_PROFILE_CAP}"
         )
-    rows = [range(1 << size) for size in sizes]
-    sets, tested = tee(_concealed_sets(space, protocol, rows))
-    return compress(zip(product(*rows), sets), map(dist.support.__and__, tested))
+
+
+def _profile_prefixes(dist: JointDistribution, protocol: DeliberationProtocol):
+    """Checks the member count and the profile cap when called, then walks
+    every deterministic own-outcome profile by prefix (:func:`_prefixes`);
+    the last member's row m is the int m."""
+    space = dist.space
+    if protocol.n != space.n:
+        raise EquilibriumError("protocol and distribution have different member counts")
+    _check_profile_cap(space)
+    return _prefixes(space, protocol)
 
 
 def _pure_profile(space: OutcomeSpace, rows: Sequence[int]) -> StrategyProfile:
     """The StrategyProfile of per-member row bitmasks, first position in the
-    highest bit, as :func:`_concealed_sets` reads them."""
+    highest bit, as :func:`_prefixes` reads them."""
     return StrategyProfile(
         space,
         tuple(
@@ -1135,13 +1156,28 @@ def consistent_with_deliberation(
     """Whether some deterministic own-outcome profile conceals with positive
     probability and Bayes-updates to exactly the given posteriors.
 
-    Profiles are scanned as concealed-cell sets. Each member's condition is
-    one signed integer sum, and the members' sums are packed into one
-    (:func:`_packed_sums`), so a profile is a witness exactly when one
-    subset-sum read gives 0; a witness is confirmed by rebuilding its team
-    rule and Bayes posterior before True is returned.
+    Each member's condition is one signed integer sum over the concealed
+    cells, and the members' sums are packed into one (:func:`_packed_sums`),
+    so a profile is a witness exactly when its packed sum is 0. Profiles are
+    walked by prefix (:func:`_prefixes`): the sum over K = kept & ~(pivot &
+    tail[m]) is that over ``kept`` less that over ``kept & pivot`` on the
+    last member's positions in m. So each prefix makes two reads: ``kept``,
+    and ``kept & pivot`` from tables that keep each last-member position's
+    part in a block of its own. A subset-sum table of those position sums
+    gives every row m's side, and m is a witness when its side equals the
+    ``kept`` sum and K carries mass. The first
+    witness, in ``product`` order, is confirmed by rebuilding its team rule
+    and Bayes posterior before True is returned.
     """
-    witnesses = _witnesses(dist, protocol)
+    return _consistency_witness(posteriors, dist, protocol) is not None
+
+
+def _consistency_witness(
+    posteriors: Sequence[Rational], dist: JointDistribution, protocol: DeliberationProtocol
+) -> tuple[int, ...] | None:
+    """The rows of the first profile :func:`consistent_with_deliberation`
+    accepts, confirmed, or None."""
+    prefixes = _profile_prefixes(dist, protocol)
     target = tuple(as_fraction(p) for p in posteriors)
     if len(target) != dist.space.n:
         raise EquilibriumError("posterior vector has wrong length")
@@ -1152,14 +1188,33 @@ def consistent_with_deliberation(
     for t, scale, values in zip(target, scaled.scales, scaled.values):
         num, den = (t * scale).as_integer_ratio()
         columns.append([v * den - num * w for v, w in zip(values, scaled.weights)])
-    tables, _ = _packed_sums(columns)
-    for bits, k in witnesses:
-        if not _chunk_sum(tables, _chunks(k)):
-            rule = team_rule(_pure_profile(dist.space, bits), protocol)
-            if posterior_no_disclosure(dist, rule) != target:
-                raise AssertionError("integer scan disagrees with posterior_no_disclosure")
-            return True
-    return False
+    entries, width = _pack(columns)
+    tables = _subset_sums(entries)
+    # Each cell's entry again, shifted into the block of its last-member
+    # position p (n fields each): one read of a set gives the packed sum of
+    # each position's part. Every block lies strictly inside +-2**(step-1),
+    # as its fields lie strictly inside +-2**(width-1), so _unpack reads the
+    # blocks back as balanced digits of width ``step``.
+    step = width * len(columns)
+    space = dist.space
+    by_position = _subset_sums([e << (step * p) for e, p in zip(entries, space.positions[-1])])
+    size = len(space.grids[-1])
+    support = dist.support
+    for heads, kept, pivot, tail in prefixes:
+        if not kept & support:
+            continue
+        total = _chunk_sum(tables, _chunks(kept))
+        # reversed, so that bit b of a row stands for its position, as in _row_cells
+        parts = _unpack(_chunk_sum(by_position, _chunks(kept & pivot)), size, step)[::-1]
+        sides = _subset_table(parts)
+        for m in compress(range(len(sides)), map(total.__eq__, sides)):
+            if kept & ~(pivot & tail[m]) & support:
+                bits = heads + (m,)
+                rule = team_rule(_pure_profile(space, bits), protocol)
+                if posterior_no_disclosure(dist, rule) != target:
+                    raise AssertionError("integer scan disagrees with posterior_no_disclosure")
+                return bits
+    return None
 
 
 def full_disclosure_is_plausible(
@@ -1184,9 +1239,10 @@ def plausible_full_disclosure_by_search(
 
     Searches for a full-disclosure equilibrium whose supporting posteriors are
     justified by some deterministic own-outcome profile with concealment:
-    beliefs that sustain the always-disclose profile. Profiles are scanned as
-    concealed-cell sets, with no sums; a witness is confirmed by rebuilding
-    its team rule and Bayes posterior before True is returned.
+    beliefs that sustain the always-disclose profile. Profiles are walked by
+    prefix (:func:`_prefixes`), with no sums, only set tests; the first
+    witness, in ``product`` order, is confirmed by rebuilding its team rule
+    and Bayes posterior before True is returned.
 
     An on-path equilibrium that conceals a single cell c never justifies full
     disclosure when those beliefs do not: with F the members whose value at c
@@ -1197,29 +1253,68 @@ def plausible_full_disclosure_by_search(
     concealment there, and as F loses some of them vote 1 at m. Together
     they are pivotal against F's votes, so the profile fails verification.
     """
-    witnesses = _witnesses(dist, protocol)
+    return _plausibility_witness(dist, protocol) is not None
+
+
+def _plausibility_witness(
+    dist: JointDistribution, protocol: DeliberationProtocol
+) -> tuple[int, ...] | None:
+    """The rows of the first profile :func:`plausible_full_disclosure_by_search`
+    accepts, confirmed, or None.
+
+    The deviation conditions of the always-disclose profile reduce to: every
+    coalition able to block disclosure (one whose complement loses) must
+    contain a member whose belief already sits at their worst outcome
+    (otherwise there is an outcome where the whole coalition strictly
+    prefers concealment). Blocking coalitions are closed under supersets, so
+    that holds exactly when the members at their floor form a winning
+    coalition. A member's belief sits at their floor exactly when no
+    concealed cell of positive mass lies above it (``upper``): grids are
+    strictly increasing.
+
+    Per prefix, member i is at their floor under the last member's row m
+    exactly when ``kept & upper_i`` lies in ``pivot & tail[m]``: never when
+    it leaves ``pivot``, else when m holds every position whose slab it
+    meets. So a minimal winning coalition is at its floor exactly from the
+    OR of its members' position sets on, and that least row is the only one
+    to test for concealed mass, as K only shrinks as m grows. The prefix's
+    witness is the least row that passes.
+    """
+    prefixes = _profile_prefixes(dist, protocol)
     space = dist.space
-    # The deviation conditions of the always-disclose profile reduce to:
-    # every coalition able to block disclosure (one whose complement loses)
-    # must contain a member whose belief already sits at their worst outcome
-    # (otherwise there is an outcome where the whole coalition strictly
-    # prefers concealment). Blocking coalitions are closed under supersets,
-    # so that holds exactly when the members at their floor form a winning
-    # coalition. A member's belief sits at their floor exactly when no
-    # concealed cell of positive mass lies above it: grids are strictly
-    # increasing.
-    uppers = [(1 << i, dist.support & ~slabs[0]) for i, slabs in enumerate(space.slabs)]
-    for bits, k in witnesses:
-        if not protocol.wins(sum(bit for bit, upper in uppers if not k & upper)):
+    support = dist.support
+    n = space.n
+    uppers = [(1 << i, support & ~slabs[0]) for i, slabs in enumerate(space.slabs)]
+    # bit b of a row stands for the slab at position len - 1 - b
+    positions = [(1 << b, s) for b, s in enumerate(space.slabs[-1][::-1])]
+    coalitions = [(m, [i for i in range(n) if m >> i & 1]) for m in protocol._minimal_masks]
+    for heads, kept, pivot, tail in prefixes:
+        if not kept & support:
             continue
-        post = posterior_no_disclosure(dist, team_rule(_pure_profile(space, bits), protocol))
-        n, mins = space.n, space.min_vector
-        blocking = [
-            [i for i in range(n) if mask >> i & 1]
-            for mask in range(1, 1 << n)
-            if not protocol.wins(((1 << n) - 1) ^ mask)
-        ]
-        if not all(any(post[i] <= mins[i] for i in grp) for grp in blocking):
-            raise AssertionError("integer scan disagrees with posterior_no_disclosure")
-        return True
-    return False
+        outside = kept & ~pivot
+        never = 0
+        for bit, upper in uppers:
+            if outside & upper:
+                never |= bit
+        live = [members for mask, members in coalitions if not mask & never]
+        if not live:
+            continue
+        needs = []
+        for _, upper in uppers:
+            above = kept & upper
+            needs.append(sum([b for b, s in positions if above & s]))
+        rows = {reduce(or_, map(needs.__getitem__, members)) for members in live}
+        for m in sorted(rows):
+            if kept & ~(pivot & tail[m]) & support:
+                bits = heads + (m,)
+                post = posterior_no_disclosure(dist, team_rule(_pure_profile(space, bits), protocol))
+                mins = space.min_vector
+                blocking = [
+                    [i for i in range(n) if mask >> i & 1]
+                    for mask in range(1, 1 << n)
+                    if not protocol.wins(((1 << n) - 1) ^ mask)
+                ]
+                if not all(any(post[i] <= mins[i] for i in grp) for grp in blocking):
+                    raise AssertionError("integer scan disagrees with posterior_no_disclosure")
+                return bits
+    return None

@@ -17,7 +17,8 @@ refinement's concealment sums) are read from subset-sum tables of
 (:func:`_packed_sums`). What the search reads depends only on the grid sizes
 or only on the distribution, never on the protocol, so it is built once and
 shared by every protocol: per space the pure cut combinations, their
-threshold rows and slab masks (``OutcomeSpace._cut_combos``); per
+threshold rows and slab masks (``OutcomeSpace._cut_combos``) and each
+member's row-to-cells table (``OutcomeSpace._row_cells``); per
 distribution the packed tables (``JointDistribution._packed``) and a memo of
 each concealed set's (W, S) entry and sign code
 (``JointDistribution._search_memo``).
@@ -92,6 +93,14 @@ class OutcomeSpace:
         return tuple(map(tuple, out))
 
     @cached_property
+    def _row_cells(self) -> tuple[list[int], ...]:
+        """_row_cells[i][r] = the cells where member i's row r votes 1, as one
+        cell set. A row is a bitmask over member i's grid positions, the
+        first position in the highest bit; the slabs are disjoint, so a row's
+        cells are the sum of its slabs, a subset-sum table."""
+        return tuple(_subset_table(member_slabs[::-1]) for member_slabs in self.slabs)
+
+    @cached_property
     def _cut_combos(self) -> CutCombos:
         """The pure cut combinations of the equilibrium search, which depend
         only on the grid sizes, so every distribution and protocol on this
@@ -115,7 +124,7 @@ class CutCombos(NamedTuple):
 
     ``rows[i][c]`` is member i's vote at cut c as a bitmask over their grid
     positions, first position in the highest bit (as
-    ``equilibrium._concealed_sets`` reads them), and ``slabs[i][c]`` holds
+    ``OutcomeSpace._row_cells`` indexes them), and ``slabs[i][c]`` holds
     the combinations with c_i = c, bit b standing for ``combos[b]``.
     """
 
@@ -547,9 +556,16 @@ def _packed_sums(columns: Sequence[Sequence[int]]) -> tuple[list[list[int]], int
     inside +-2**(width-1). Such balanced digits are unique: :func:`_unpack`
     reads them back, and a packed sum is 0 exactly when each field is.
     """
+    packed, width = _pack(columns)
+    return _subset_sums(packed), width
+
+
+def _pack(columns: Sequence[Sequence[int]]) -> tuple[list[int], int]:
+    """Each cell's entries packed into one int, and the field width, as
+    :func:`_packed_sums` builds its tables from."""
     width = max(sum(map(abs, column)) for column in columns).bit_length() + 1
     packed = [sum(e << (width * j) for j, e in enumerate(entries)) for entries in zip(*columns)]
-    return _subset_sums(packed), width
+    return packed, width
 
 
 def _unpack(total: int, count: int, width: int) -> list[int]:

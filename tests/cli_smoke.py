@@ -2,7 +2,9 @@
 
 Runs each malformed input below in a fresh interpreter and expects exit 2
 with a single ``error:`` line on stderr and no traceback; then runs one valid
-``solve`` and one valid ``verify`` and expects exit 0. Flags and config-file
+``solve`` and two valid ``verify`` calls, one of them at the largest shape
+``solve`` takes (4 members on 5-value grids, 2^20 deterministic profiles),
+and expects exit 0. Flags and config-file
 values reach the same readers, so the check covers both. ``verify`` cases
 read their ``--equilibrium`` file, written by the harness. Needs no third-party package, so it runs
 on every supported Python:
@@ -15,11 +17,19 @@ import json
 import subprocess
 import sys
 import tempfile
+from itertools import product
 from pathlib import Path
 
 SOLVE = ["solve", "--protocol", "k_majority:2,2", "--dist", "independent:0.5"]
 VERIFY = ["verify", "--protocol", "k_majority:2,2", "--dist", "independent:0.5"]
 EQUILIBRIUM = {"profile": [["0", "1"], ["0", "1"]], "posteriors": ["1/3", "1/3"]}
+# uniform on four 5-value grids; no profile reaches a posterior of
+# denominator 1009, so the refinement scans every profile
+GRID5 = [str(v) for v in range(5)]
+VERIFY_AT_CAP = ["verify", "--protocol", "consensus:4", "--dist", json.dumps(
+    {"grid": [GRID5] * 4, "pmf": [[",".join(c), "1/625"] for c in product(GRID5, repeat=4)]}
+)]
+EQUILIBRIUM_AT_CAP = {"profile": [["0"] * 5] * 4, "posteriors": ["2019/1009"] * 4}
 
 # (argv, config-file object or None)
 MALFORMED = [
@@ -67,10 +77,10 @@ def run(argv, tmp):
     return proc, out
 
 
-def verify_argv(doc, path):
-    """VERIFY reading ``doc`` from its --equilibrium file at ``path``."""
+def verify_argv(doc, path, verify=VERIFY):
+    """``verify`` reading ``doc`` from its --equilibrium file at ``path``."""
     path.write_text(json.dumps(doc))
-    return VERIFY + ["--equilibrium", str(path)]
+    return verify + ["--equilibrium", str(path)]
 
 
 def main() -> int:
@@ -98,11 +108,18 @@ def main() -> int:
             extra = f" with config {json.dumps(cfg)}" if cfg is not None else ""
             verdict = "ok" if ok else f"exit {proc.returncode}, stderr {proc.stderr!r}"
             print(f"{shown}{extra}: {verdict}".encode("ascii", "backslashreplace").decode())
-        for argv in (SOLVE, verify_argv(EQUILIBRIUM, Path(tmp) / "eq.json")):
+        valid = (
+            SOLVE,
+            verify_argv(EQUILIBRIUM, Path(tmp) / "eq.json"),
+            verify_argv(EQUILIBRIUM_AT_CAP, Path(tmp) / "eq_cap.json", VERIFY_AT_CAP),
+        )
+        for argv in valid:
             proc, out = run(argv, tmp)
             ok = proc.returncode == 0 and out.exists()
             failed += not ok
-            print(f"{' '.join(argv)}: {'ok' if ok else f'exit {proc.returncode}, stderr {proc.stderr!r}'}")
+            # the 625-cell pmf is shown as "..."
+            shown = " ".join(a if len(a) < 100 else "..." for a in argv)
+            print(f"{shown}: {'ok' if ok else f'exit {proc.returncode}, stderr {proc.stderr!r}'}")
     return 1 if failed else 0
 
 

@@ -532,6 +532,48 @@ def plausible_full_disclosure_by_fractions(dist, protocol):
     return False
 
 
+def _profiles_with_mass(dist, protocol):
+    """(rows, K) for every deterministic own-outcome profile whose concealed
+    cells K carry mass, in ``product`` order, one concealed set per profile."""
+    from team_disclosure.equilibrium import _concealed_sets
+
+    space = dist.space
+    rows = [range(1 << len(g)) for g in space.grids]
+    for bits, k in zip(product(*rows), _concealed_sets(space, protocol, rows)):
+        if k & dist.support:
+            yield bits, k
+
+
+def consistency_witness_by_profiles(posteriors, dist, protocol):
+    """The rows of the first profile whose concealed set's packed posterior
+    conditions read 0, one packed read per profile, or None: the mid-size
+    twin of the prefix scan behind ``consistent_with_deliberation``."""
+    from team_disclosure.outcomes import _chunk_sum, _chunks, _packed_sums
+
+    scaled = dist._scaled
+    columns = []
+    for t, scale, values in zip(posteriors, scaled.scales, scaled.values):
+        num, den = (Fraction(t) * scale).as_integer_ratio()
+        columns.append([v * den - num * w for v, w in zip(values, scaled.weights)])
+    tables, _ = _packed_sums(columns)
+    for bits, k in _profiles_with_mass(dist, protocol):
+        if not _chunk_sum(tables, _chunks(k)):
+            return bits
+    return None
+
+
+def plausibility_witness_by_profiles(dist, protocol):
+    """The rows of the first profile whose members at their floor (no
+    concealed cell of mass above their minimum) win, one floor test per
+    profile, or None: the mid-size twin of the prefix scan behind
+    ``plausible_full_disclosure_by_search``."""
+    uppers = [(1 << i, dist.support & ~slabs[0]) for i, slabs in enumerate(dist.space.slabs)]
+    for bits, k in _profiles_with_mass(dist, protocol):
+        if protocol.wins(sum(bit for bit, upper in uppers if not k & upper)):
+            return bits
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Dense rational scan of atom weights
 # ---------------------------------------------------------------------------

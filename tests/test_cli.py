@@ -100,26 +100,24 @@ class TestSolve:
             ]
         )
         assert code == 3
-        # verify: 2^20 deterministic profiles exceed the refinement scan's cap
-        grid = [str(v) for v in range(5)]
-        cells = [",".join(c) for c in product(grid, repeat=4)]
-        dist = {"grid": [grid] * 4, "pmf": [[c, "1/625"] for c in cells]}
-        eq = tmp_path / "eq.json"
-        eq.write_text(json.dumps({"profile": [["0"] * 5] * 4, "posteriors": ["2"] * 4}))
-        code = main(
-            [
-                "verify",
-                "--protocol",
-                "consensus:4",
-                "--dist",
-                json.dumps(dist),
-                "--equilibrium",
-                str(eq),
-                "--out",
-                str(tmp_path / "v.json"),
-            ]
-        )
-        assert code == 3
+        # 4 members on 5-value grids, the largest shape solve takes: verify
+        # scans all 2^20 deterministic profiles (no profile reaches a
+        # posterior of denominator 1009); on 6-value grids (2^24) both
+        # commands exit 3
+        for size, expected in ((5, 0), (6, 3)):
+            grid = [str(v) for v in range(size)]
+            cells = [",".join(c) for c in product(grid, repeat=4)]
+            dist = json.dumps({"grid": [grid] * 4, "pmf": [[c, f"1/{len(cells)}"] for c in cells]})
+            eq = tmp_path / "eq.json"
+            eq.write_text(
+                json.dumps({"profile": [["0"] * size] * 4, "posteriors": ["2019/1009"] * 4})
+            )
+            out = tmp_path / "v.json"
+            argv = ["--protocol", "consensus:4", "--dist", dist, "--out", str(out)]
+            assert main(["solve", *argv]) == (0 if size <= 5 else 3)
+            assert main(["verify", *argv, "--equilibrium", str(eq)]) == expected
+            if expected == 0:
+                assert json.loads(out.read_text())["posteriors_consistent_with_deliberation"] is False
 
     @pytest.mark.parametrize("command", ["solve", "refine"])
     def test_missing_input_names_the_command(self, capsys, command):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -29,6 +30,7 @@ from team_disclosure.equilibrium import (
 )
 from team_disclosure.outcomes import (
     JointDistribution,
+    OffPathPosterior,
     binary_independent,
     binary_space,
     common_mixture,
@@ -46,9 +48,11 @@ from team_disclosure.protocols import (
 
 from oracles import (
     assert_masks_match,
+    consistency_witness_by_profiles,
     consistent_with_deliberation_by_fractions,
     deterministic_profiles,
     find_equilibria_report_unscreened,
+    plausibility_witness_by_profiles,
     plausible_full_disclosure_by_fractions,
     posterior_by_enumeration,
     screened_configs_by_product,
@@ -382,11 +386,21 @@ class TestConsistency:
         ids=["consistent_with_deliberation", "plausible_full_disclosure_by_search"],
     )
     def test_profile_cap(self, search):
-        space = make_space([[0, 1, 2, 3, 4]] * 4)
+        # 4 members on 6-value grids: 2^24 profiles, beyond the 2^20 cap
+        space = make_space([range(6)] * 4)
         probs = tuple(F(1, len(space.cells)) for _ in space.cells)
         d = JointDistribution(space, probs)
         with pytest.raises(SearchCapExceeded):
             search(d, make_consensus(4))
+
+    def test_profile_cap_admits_every_solve_shape(self):
+        # every shape within the search caps (n <= 4, grids <= 5 values) is
+        # one the refinement scans take; the cap arithmetic only, no scan
+        for n in range(2, equilibrium.DEFAULT_MAX_MEMBERS + 1):
+            for sizes in product(range(2, equilibrium.DEFAULT_MAX_GRID + 1), repeat=n):
+                equilibrium._check_profile_cap(make_space([range(size) for size in sizes]))
+        with pytest.raises(SearchCapExceeded):
+            equilibrium._check_profile_cap(make_space([range(6)] + [range(5)] * 3))
 
     def test_member_count_mismatch(self):
         # a 3-member distribution with a 2-member protocol once raised IndexError
@@ -415,6 +429,10 @@ ORACLE_SIZES = {2: [(2, 2), (2, 3), (3, 2), (3, 3)], 3: [(2, 2, 2), (2, 3, 2)]}
 # sample of their protocols: the Fraction loops are slow there.
 SAMPLED_SIZES = [(3, 3, 3), (2, 2, 2, 2)]
 SAMPLED_PROTOCOLS = 4
+# Four members, the last grid the largest (2^10 to 2^16 profiles), against a
+# seeded sample of their protocols.
+TWIN_SIZES = [(2, 2, 2, 4), (2, 3, 2, 4), (3, 2, 3, 4), (3, 3, 4, 4), (4, 4, 4, 4)]
+TWIN_PROTOCOLS = 3
 
 
 def oracle_cases(rng):
@@ -465,8 +483,60 @@ class TestRefinementOracles:
             for proto in protos:
                 fast = plausible_full_disclosure_by_search(d, proto)
                 assert fast == plausible_full_disclosure_by_fractions(d, proto)
+                witness = equilibrium._plausibility_witness(d, proto)
+                assert witness == plausibility_witness_by_profiles(d, proto)
                 outcomes.add(fast)
         assert outcomes == {True, False}
+
+    def test_prefix_scans_match_profile_scans(self):
+        # 2^10 to 2^16 profiles, too many for the Fraction loops: both scans
+        # return the same first witness, or none, as the twins that read
+        # one concealed set per profile
+        rng = random.Random(83)
+        moved, plausible = set(), set()
+        for sizes in TWIN_SIZES:
+            d = sparse_dist(rng, sizes)
+            # concealed mass below the prime 1009 (in pmf units) reaches no
+            # posterior of denominator 1009
+            assert d._scaled.den < 1009
+            for proto in rng.sample(all_protocols(4), TWIN_PROTOCOLS):
+                while True:
+                    rows = [rng.randrange(1 << len(g)) for g in d.space.grids]
+                    try:
+                        hit = posterior_no_disclosure(
+                            d, team_rule(equilibrium._pure_profile(d.space, rows), proto)
+                        )
+                    except OffPathPosterior:
+                        continue
+                    break
+                miss = [
+                    g[0] + (g[-1] - g[0]) * F(rng.randint(1, 1008), 1009)
+                    for g in d.space.grids
+                ]
+                fast = equilibrium._consistency_witness(hit, d, proto)
+                assert fast is not None
+                assert fast == consistency_witness_by_profiles(hit, d, proto)
+                moved.add(fast != tuple(rows))
+                assert equilibrium._consistency_witness(miss, d, proto) is None
+                assert consistency_witness_by_profiles(miss, d, proto) is None
+                fast = equilibrium._plausibility_witness(d, proto)
+                assert fast == plausibility_witness_by_profiles(d, proto)
+                plausible.add(fast is not None)
+        # some reached target's first witness is not the profile it came from
+        assert True in moved
+        assert plausible == {True, False}
+
+    def test_plausibility_witness_is_the_least_row(self):
+        # many small sparse draws, where one prefix often has several least
+        # rows, one per minimal winning coalition: the scan must return the
+        # smallest, as the one-profile-at-a-time twin does
+        rng = random.Random(89)
+        for _ in range(60):
+            sizes = rng.choice([(2, 3), (3, 2), (3, 3), (2, 2, 3), (2, 3, 3)])
+            d = sparse_dist(rng, sizes)
+            for proto in all_protocols(len(sizes)):
+                fast = equilibrium._plausibility_witness(d, proto)
+                assert fast == plausibility_witness_by_profiles(d, proto)
 
 
 class TestPivotOracle:
