@@ -11,7 +11,7 @@ and its handler; the parser is built from it, and argparse neither types nor
 restricts any flag. A flag wins over the config file, and a config key that
 the command does not read is an input error. Outputs are written atomically
 and a machine-readable summary goes to stdout. Exit status: 0 success, 1
-failed audit claims, 2 input or parse errors, 3 exhausted search caps.
+failed audit claims, 2 input or parse errors, 3 a space beyond the search cap.
 """
 from __future__ import annotations
 
@@ -45,8 +45,6 @@ from .configio import (
     protocol_to_config,
 )
 from .equilibrium import (
-    DEFAULT_MAX_GRID,
-    DEFAULT_MAX_MEMBERS,
     EquilibriumError,
     SearchCapExceeded,
     StrategyProfile,
@@ -164,14 +162,6 @@ OPTIONS = {
         config_bool,
         {"action": "store_true", "default": None, "help": "apply the deliberation refinement"},
     ),
-    "max-members": (
-        config_int,
-        {"help": f"search cap on members (default {DEFAULT_MAX_MEMBERS})"},
-    ),
-    "max-grid": (
-        config_int,
-        {"help": f"search cap on grid values per member (default {DEFAULT_MAX_GRID})"},
-    ),
     "n": (_members, {"help": f"members, at most {MAX_SWEEP_MEMBERS} (default 10)"}),
     "full": (_object, None),
     "deviation": (_object, None),
@@ -225,9 +215,7 @@ def _cmd_solve(opts: dict, out: str | None, refine: bool = False) -> int:
     protocol = load_protocol(opts["protocol"])
     dist = load_distribution(opts["dist"], protocol.n)
     refine = refine or opts.get("refine", False)
-    max_members = opts.get("max-members", DEFAULT_MAX_MEMBERS)
-    max_grid = opts.get("max-grid", DEFAULT_MAX_GRID)
-    eqs, notes = find_equilibria_report(dist, protocol, max_members, max_grid)
+    eqs, notes = find_equilibria_report(dist, protocol)
     entries = []
     for eq in eqs:
         entry = equilibrium_to_config(eq)
@@ -269,8 +257,10 @@ def _cmd_verify(opts: dict, out: str | None) -> int:
         posteriors = [as_fraction(p) for p in stated]
     except TypeError as exc:
         raise ConfigError(f"malformed equilibrium file: {exc}") from exc
-    report = verify_equilibrium(profile, posteriors, dist, protocol)
+    # the refinement scan checks the cap first, so a capped instance exits
+    # before it is verified
     consistent = consistent_with_deliberation(posteriors, dist, protocol)
+    report = verify_equilibrium(profile, posteriors, dist, protocol)
     doc = {
         "ok": report.ok,
         "off_path": report.off_path,
@@ -440,12 +430,12 @@ def _cmd_audit(opts: dict, out: str | None) -> int:
 COMMANDS = {
     "solve": (
         "enumerate equilibria",
-        ("protocol", "dist", "refine", "max-members", "max-grid"),
+        ("protocol", "dist", "refine"),
         _cmd_solve,
     ),
     "refine": (
         "equilibria surviving the deliberation refinement",
-        ("protocol", "dist", "max-members", "max-grid"),
+        ("protocol", "dist"),
         partial(_cmd_solve, refine=True),
     ),
     "verify": ("verify a stated equilibrium", ("protocol", "dist", "equilibrium"), _cmd_verify),

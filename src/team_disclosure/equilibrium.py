@@ -65,6 +65,11 @@ target. Every positive refinement answer is confirmed by rebuilding its
 first witness profile, in ``product`` order, through ``team_rule`` and
 ``posterior_no_disclosure`` before it is returned.
 
+One cap bounds the search and both refinement scans: at most 4 members and
+at most 20 grid values in all (:func:`_check_caps`), so at most 2^20
+deterministic profiles, 625 cells and 1296 pure cut combinations. It is not
+a parameter: every space the search takes, the scans take too.
+
 The team rule and the Bayes posterior are integer kernels too: a cell where
 every member votes purely is one winning-table lookup, the multilinear sum
 runs only over the members who mix, and the posterior is one Fraction of
@@ -105,10 +110,6 @@ from .rationals import Rational, as_fraction
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-DEFAULT_MAX_MEMBERS = 4
-DEFAULT_MAX_GRID = 5
-DEFAULT_PROFILE_CAP = 1 << 20
-
 # Preference order of a free mixing weight (most concealing first); in one
 # case the only values tried (:meth:`_AtomSolver._free`).
 FREE_WEIGHT_CANDIDATES = (
@@ -127,7 +128,8 @@ INTERIOR = "interior"
 
 
 class SearchCapExceeded(RuntimeError):
-    """Raised when an exhaustive search would exceed its configured cap."""
+    """Raised when a search is asked for a space beyond the cap
+    (:func:`_check_caps`)."""
 
 
 class EquilibriumError(ValueError):
@@ -173,12 +175,9 @@ class StrategyProfile:
             if bad is not None:
                 raise EquilibriumError(f"vote probability {bad} outside [0,1]")
 
-    def vote_vector(self, cell: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        out = []
-        for i, v in enumerate(cell):
-            pos = self.space.grids[i].index(v)
-            out.append(self.values[i][pos])
-        return tuple(out)
+    def vote_vector(self, cell: Sequence[Rational]) -> tuple[Fraction, ...]:
+        c = self.space.index(cell)
+        return tuple(row[at[c]] for row, at in zip(self.values, self.space.positions))
 
     @staticmethod
     def constant(space: OutcomeSpace, value: Rational) -> "StrategyProfile":
@@ -207,8 +206,7 @@ class TeamRule:
             raise EquilibriumError(f"disclosure probability {bad} outside [0,1]")
 
     def prob(self, cell: Sequence[Rational]) -> Fraction:
-        key = tuple(as_fraction(v) for v in cell)
-        return self.values[self.space.cell_index[key]]
+        return self.values[self.space.index(cell)]
 
     @staticmethod
     def constant(space: OutcomeSpace, value: Rational) -> "TeamRule":
@@ -974,27 +972,38 @@ class _AtomSolver:
         )
 
 
+def _check_caps(space: OutcomeSpace) -> None:
+    """Raise SearchCapExceeded unless the space has at most 4 members and at
+    most 20 grid values in all, the one cap of the equilibrium search and the
+    refinement scans. Within it there are at most 2^20 deterministic
+    own-outcome profiles, 625 cells and 1296 pure cut combinations. Reads the
+    grid lengths only."""
+    values = sum(map(len, space.grids))
+    if space.n > 4 or values > 20:
+        raise SearchCapExceeded(
+            f"{space.n} members with {values} grid values in all exceed the cap "
+            "of 4 members and 20 values"
+        )
+
+
 def find_equilibria_report(
     dist: JointDistribution,
     protocol: DeliberationProtocol,
-    max_members: int = DEFAULT_MAX_MEMBERS,
-    max_grid: int = DEFAULT_MAX_GRID,
 ) -> tuple[tuple[Equilibrium, ...], tuple[str, ...]]:
     """Exhaustive equilibrium search plus notes on any unresolved configurations.
 
     Returns the full-disclosure equilibrium (skeptical off-path beliefs) and
     every threshold fixed point over cut configurations, deduplicated by team
-    rule and canonically ordered.
+    rule and canonically ordered. Raises EquilibriumError when the protocol
+    and the distribution differ in member count or the distribution lacks
+    full support, then SearchCapExceeded beyond the cap (:func:`_check_caps`).
     """
     space = dist.space
     if protocol.n != space.n:
         raise EquilibriumError("protocol and distribution have different member counts")
     if not dist.full_support:
         raise EquilibriumError("equilibrium search requires a full-support distribution")
-    if space.n > max_members or any(len(g) > max_grid for g in space.grids):
-        raise SearchCapExceeded(
-            f"search space beyond caps (n<={max_members}, grid<={max_grid})"
-        )
+    _check_caps(space)
 
     ctx = _build_context(dist, protocol)
     # keyed by each rule's values as (numerator, denominator) pairs: equal
@@ -1050,12 +1059,9 @@ def find_equilibria_report(
 
 
 def find_equilibria(
-    dist: JointDistribution,
-    protocol: DeliberationProtocol,
-    max_members: int = DEFAULT_MAX_MEMBERS,
-    max_grid: int = DEFAULT_MAX_GRID,
+    dist: JointDistribution, protocol: DeliberationProtocol
 ) -> tuple[Equilibrium, ...]:
-    eqs, _ = find_equilibria_report(dist, protocol, max_members, max_grid)
+    eqs, _ = find_equilibria_report(dist, protocol)
     return eqs
 
 
@@ -1114,25 +1120,14 @@ def _concealed_sets(
         yield from [kept & ~(pivot & m) for m in tail]
 
 
-def _check_profile_cap(space: OutcomeSpace) -> None:
-    """Raise SearchCapExceeded when the space has more deterministic
-    own-outcome profiles (2 to the total grid size) than
-    ``DEFAULT_PROFILE_CAP``."""
-    total = 1 << sum(map(len, space.grids))
-    if total > DEFAULT_PROFILE_CAP:
-        raise SearchCapExceeded(
-            f"{total} deterministic profiles exceed the cap of {DEFAULT_PROFILE_CAP}"
-        )
-
-
 def _profile_prefixes(dist: JointDistribution, protocol: DeliberationProtocol):
-    """Checks the member count and the profile cap when called, then walks
-    every deterministic own-outcome profile by prefix (:func:`_prefixes`);
-    the last member's row m is the int m."""
+    """Checks the member count and the cap (:func:`_check_caps`) when called,
+    then walks every deterministic own-outcome profile by prefix
+    (:func:`_prefixes`); the last member's row m is the int m."""
     space = dist.space
     if protocol.n != space.n:
         raise EquilibriumError("protocol and distribution have different member counts")
-    _check_profile_cap(space)
+    _check_caps(space)
     return _prefixes(space, protocol)
 
 
@@ -1177,10 +1172,10 @@ def _consistency_witness(
 ) -> tuple[int, ...] | None:
     """The rows of the first profile :func:`consistent_with_deliberation`
     accepts, confirmed, or None."""
-    prefixes = _profile_prefixes(dist, protocol)
     target = tuple(as_fraction(p) for p in posteriors)
     if len(target) != dist.space.n:
         raise EquilibriumError("posterior vector has wrong length")
+    prefixes = _profile_prefixes(dist, protocol)
     scaled = dist._scaled
     # Member i's posterior hits num/den (in scaled units) exactly when the
     # concealed cells' w_c*(x_ic*den - num) sum to 0.

@@ -75,6 +75,15 @@ class OutcomeSpace:
     def cell_index(self) -> dict[tuple[Fraction, ...], int]:
         return {c: i for i, c in enumerate(self.cells)}
 
+    def index(self, cell: Sequence[Rational]) -> int:
+        """The index of the cell with the given member values; OutcomeError
+        when it is not on the grid."""
+        key = tuple(as_fraction(v) for v in cell)
+        try:
+            return self.cell_index[key]
+        except KeyError:
+            raise OutcomeError(f"outcome {key} is not on the grid") from None
+
     @cached_property
     def positions(self) -> tuple[tuple[int, ...], ...]:
         """positions[i][c] = index of cell c's member-(i+1) value in grid i.
@@ -196,11 +205,7 @@ class JointDistribution:
         return sum(1 << c for c, p in enumerate(self.probs) if p)
 
     def prob(self, cell: Sequence[Rational]) -> Fraction:
-        key = tuple(as_fraction(v) for v in cell)
-        try:
-            return self.probs[self.space.cell_index[key]]
-        except KeyError:
-            raise OutcomeError(f"outcome {key} is not on the grid") from None
+        return self.probs[self.space.index(cell)]
 
     @cached_property
     def _scaled(self) -> ScaledDistribution:
@@ -248,13 +253,8 @@ def from_pmf(
     space: OutcomeSpace, pmf: Mapping[tuple[Rational, ...], Rational]
 ) -> JointDistribution:
     probs = [ZERO] * len(space.cells)
-    index = space.cell_index
     for cell, p in pmf.items():
-        key = tuple(as_fraction(v) for v in cell)
-        c = index.get(key)
-        if c is None:
-            raise OutcomeError(f"outcome {key} is not on the grid")
-        probs[c] += as_fraction(p)
+        probs[space.index(cell)] += as_fraction(p)
     return JointDistribution(space, tuple(probs))
 
 

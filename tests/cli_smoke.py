@@ -1,13 +1,15 @@
 """Standard-library smoke check of how the CLI reads its inputs.
 
 Runs each malformed input below in a fresh interpreter and expects exit 2
-with a single ``error:`` line on stderr and no traceback; then runs one valid
-``solve`` and two valid ``verify`` calls, one of them at the largest shape
-``solve`` takes (4 members on 5-value grids, 2^20 deterministic profiles),
-and expects exit 0. Flags and config-file
-values reach the same readers, so the check covers both. ``verify`` cases
-read their ``--equilibrium`` file, written by the harness. Needs no third-party package, so it runs
-on every supported Python:
+with a single ``error:`` line on stderr and no traceback. Then runs valid
+``solve`` and ``verify`` calls, at the search cap among them (4 members on
+5-value grids and 3 members on 7-, 7- and 6-value grids, 20 grid values in
+all and 2^20 deterministic profiles), and expects exit 0 and an output
+file; and a 5-member ``verify``, beyond the cap, which must exit 3 with a
+single ``error:`` line and no output file. Flags and config-file values
+reach the same readers, so the check covers both. ``verify`` cases read
+their ``--equilibrium`` file, written by the harness. Needs no third-party
+package, so it runs on every supported Python:
 
     PYTHONPATH=src python tests/cli_smoke.py
 
@@ -23,13 +25,24 @@ from pathlib import Path
 SOLVE = ["solve", "--protocol", "k_majority:2,2", "--dist", "independent:0.5"]
 VERIFY = ["verify", "--protocol", "k_majority:2,2", "--dist", "independent:0.5"]
 EQUILIBRIUM = {"profile": [["0", "1"], ["0", "1"]], "posteriors": ["1/3", "1/3"]}
-# uniform on four 5-value grids; no profile reaches a posterior of
-# denominator 1009, so the refinement scans every profile
-GRID5 = [str(v) for v in range(5)]
-VERIFY_AT_CAP = ["verify", "--protocol", "consensus:4", "--dist", json.dumps(
-    {"grid": [GRID5] * 4, "pmf": [[",".join(c), "1/625"] for c in product(GRID5, repeat=4)]}
-)]
-EQUILIBRIUM_AT_CAP = {"profile": [["0"] * 5] * 4, "posteriors": ["2019/1009"] * 4}
+
+
+def at_cap(protocol, sizes):
+    """``solve`` and ``verify`` arguments on a uniform pmf over grids of the
+    given sizes, and an equilibrium file whose posteriors no profile
+    reaches (denominator 1009), so the refinement scans every profile."""
+    grids = [[str(v) for v in range(size)] for size in sizes]
+    cells = [",".join(c) for c in product(*grids)]
+    dist = json.dumps({"grid": grids, "pmf": [[c, f"1/{len(cells)}"] for c in cells]})
+    args = ["--protocol", protocol, "--dist", dist]
+    eq = {"profile": [["0"] * size for size in sizes], "posteriors": ["2019/1009"] * len(sizes)}
+    return ["solve", *args], ["verify", *args], eq
+
+
+SOLVE_776, VERIFY_776, EQUILIBRIUM_776 = at_cap("consensus:3", (7, 7, 6))
+_, VERIFY_5555, EQUILIBRIUM_5555 = at_cap("consensus:4", (5, 5, 5, 5))
+VERIFY_5 = ["verify", "--protocol", "k_majority:5,3", "--dist", "independent:0.5"]
+EQUILIBRIUM_5 = {"profile": [["0", "1"]] * 5, "posteriors": ["1/3"] * 5}
 
 # (argv, config-file object or None)
 MALFORMED = [
@@ -40,8 +53,8 @@ MALFORMED = [
     (["audit", "--claims", "gain_identity"], {"counts": {"identity_cases": 2}}),
     (["optimal-k", "--n", "٣"], None),
     (["optimal-k"], {"n": "٣"}),
-    (SOLVE + ["--max-members", "-4"], None),
-    (SOLVE + ["--max-members", "+4"], None),
+    # the search cap has no flag
+    (SOLVE + ["--max-members", "4"], None),
     (["audit", "--seed", "-1"], None),
     (["sweep", "--panel", "z"], None),
     (["solve", "--protocol", "k_majority:+2,2", "--dist", "independent:0.5"], None),
@@ -108,16 +121,23 @@ def main() -> int:
             extra = f" with config {json.dumps(cfg)}" if cfg is not None else ""
             verdict = "ok" if ok else f"exit {proc.returncode}, stderr {proc.stderr!r}"
             print(f"{shown}{extra}: {verdict}".encode("ascii", "backslashreplace").decode())
-        valid = (
-            SOLVE,
-            verify_argv(EQUILIBRIUM, Path(tmp) / "eq.json"),
-            verify_argv(EQUILIBRIUM_AT_CAP, Path(tmp) / "eq_cap.json", VERIFY_AT_CAP),
+        # (argv, expected exit)
+        runs = (
+            (SOLVE, 0),
+            (verify_argv(EQUILIBRIUM, Path(tmp) / "eq.json"), 0),
+            (verify_argv(EQUILIBRIUM_5555, Path(tmp) / "eq_5555.json", VERIFY_5555), 0),
+            (SOLVE_776, 0),
+            (verify_argv(EQUILIBRIUM_776, Path(tmp) / "eq_776.json", VERIFY_776), 0),
+            (verify_argv(EQUILIBRIUM_5, Path(tmp) / "eq_5.json", VERIFY_5), 3),
         )
-        for argv in valid:
+        for argv, code in runs:
             proc, out = run(argv, tmp)
-            ok = proc.returncode == 0 and out.exists()
+            lines = proc.stderr.splitlines()
+            ok = proc.returncode == code and out.exists() == (code == 0)
+            if code:
+                ok = ok and len(lines) == 1 and lines[0].startswith("error:")
             failed += not ok
-            # the 625-cell pmf is shown as "..."
+            # a long pmf is shown as "..."
             shown = " ".join(a if len(a) < 100 else "..." for a in argv)
             print(f"{shown}: {'ok' if ok else f'exit {proc.returncode}, stderr {proc.stderr!r}'}")
     return 1 if failed else 0

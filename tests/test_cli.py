@@ -88,36 +88,39 @@ class TestSolve:
         assert doc["protocol"]["winning"] == [[1, 2]]
 
     def test_search_cap_exit_code(self, tmp_path):
-        code = main(
-            [
-                "solve",
-                "--protocol",
-                "k_majority:5,5",
-                "--dist",
-                "independent:0.5",
-                "--out",
-                str(tmp_path / "x.json"),
-            ]
-        )
-        assert code == 3
-        # 4 members on 5-value grids, the largest shape solve takes: verify
-        # scans all 2^20 deterministic profiles (no profile reaches a
-        # posterior of denominator 1009); on 6-value grids (2^24) both
-        # commands exit 3
-        for size, expected in ((5, 0), (6, 3)):
-            grid = [str(v) for v in range(size)]
-            cells = [",".join(c) for c in product(grid, repeat=4)]
-            dist = json.dumps({"grid": [grid] * 4, "pmf": [[c, f"1/{len(cells)}"] for c in cells]})
-            eq = tmp_path / "eq.json"
-            eq.write_text(
-                json.dumps({"profile": [["0"] * size] * 4, "posteriors": ["2019/1009"] * 4})
-            )
-            out = tmp_path / "v.json"
-            argv = ["--protocol", "consensus:4", "--dist", dist, "--out", str(out)]
-            assert main(["solve", *argv]) == (0 if size <= 5 else 3)
-            assert main(["verify", *argv, "--equilibrium", str(eq)]) == expected
+        # solve and verify share one cap: each takes an instance exactly when
+        # the other does. At 20 grid values in all (2^20 deterministic
+        # profiles) verify scans every profile, as none reaches a posterior
+        # of denominator 1009; 21 grid values, or 5 members, are beyond it
+        cases = [
+            ("consensus:4", (5, 5, 5, 5), 0),
+            ("consensus:3", (7, 7, 6), 0),
+            ("consensus:3", (7, 7, 7), 3),
+            ("k_majority:5,3", None, 3),
+        ]
+        for protocol, sizes, expected in cases:
+            if sizes is None:
+                dist = "independent:0.5"
+                eq = {"profile": [["0", "1"]] * 5, "posteriors": ["1/3"] * 5}
+            else:
+                grids = [[str(v) for v in range(size)] for size in sizes]
+                cells = [",".join(c) for c in product(*grids)]
+                dist = json.dumps({"grid": grids, "pmf": [[c, f"1/{len(cells)}"] for c in cells]})
+                eq = {
+                    "profile": [["0"] * size for size in sizes],
+                    "posteriors": ["2019/1009"] * len(sizes),
+                }
+            eq_path = tmp_path / "eq.json"
+            eq_path.write_text(json.dumps(eq))
+            for command, extra in (("solve", []), ("verify", ["--equilibrium", str(eq_path)])):
+                out = tmp_path / f"{command}.json"
+                out.unlink(missing_ok=True)
+                argv = [command, "--protocol", protocol, "--dist", dist, *extra, "--out", str(out)]
+                assert main(argv) == expected, (command, protocol, sizes)
+                assert out.exists() == (expected == 0)
             if expected == 0:
-                assert json.loads(out.read_text())["posteriors_consistent_with_deliberation"] is False
+                doc = json.loads((tmp_path / "verify.json").read_text())
+                assert doc["posteriors_consistent_with_deliberation"] is False
 
     @pytest.mark.parametrize("command", ["solve", "refine"])
     def test_missing_input_names_the_command(self, capsys, command):
@@ -160,9 +163,9 @@ class TestVerify:
         assert doc["ok"] and doc["posteriors_consistent_with_deliberation"]
 
     def test_verify_at_the_profile_cap(self, tmp_path):
-        # 4 members on 4-value grids: 2^16 deterministic profiles, the most
-        # the refinement scan takes; a denominator of 1009 is beyond the
-        # uniform pmf's, so every profile is scanned and none is consistent
+        # 4 members on 4-value grids: 2^16 deterministic profiles; a
+        # denominator of 1009 is beyond the uniform pmf's, so every profile
+        # is scanned and none is consistent
         grid = [str(v) for v in range(4)]
         cells = [",".join(c) for c in product(grid, repeat=4)]
         dist = {"grid": [grid] * 4, "pmf": [[c, "1/256"] for c in cells]}
@@ -172,6 +175,28 @@ class TestVerify:
         argv = ["verify", "--protocol", "consensus:4", "--dist", json.dumps(dist)]
         assert main(argv + ["--equilibrium", str(eq), "--out", str(out)]) == 0
         assert json.loads(out.read_text())["posteriors_consistent_with_deliberation"] is False
+
+    def test_verify_refuses_a_capped_instance_first(self, tmp_path, capsys):
+        # 12 members: the cap is checked before the stated profile is
+        # verified, which alone would list hundreds of thousands of violations
+        eq = tmp_path / "eq.json"
+        eq.write_text(json.dumps({"profile": [["0", "1"]] * 12, "posteriors": ["1/3"] * 12}))
+        out = tmp_path / "report.json"
+        argv = ["verify", "--protocol", "k_majority:12,6", "--dist", "independent:0.5"]
+        start = time.perf_counter()
+        assert main(argv + ["--equilibrium", str(eq), "--out", str(out)]) == 3
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "cap" in err and len(err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_verify_posterior_length_before_the_cap(self, tmp_path, capsys):
+        # an input error is reported ahead of the cap
+        eq = tmp_path / "eq.json"
+        eq.write_text(json.dumps({"profile": [["0", "1"]] * 5, "posteriors": ["1/3"] * 4}))
+        argv = ["verify", "--protocol", "k_majority:5,3", "--dist", "independent:0.5"]
+        assert main(argv + ["--equilibrium", str(eq)]) == 2
+        assert "posterior vector has wrong length" in capsys.readouterr().err
 
     def test_verify_flags_bad_posteriors(self, tmp_path):
         eq = tmp_path / "eq.json"
@@ -330,9 +355,9 @@ class TestIntegerConfigValues:
     @pytest.mark.parametrize(
         "command, cfg, code",
         [
-            ("solve", {**SOLVE, "max-members": [4]}, 2),
-            ("solve", {**SOLVE, "max-grid": "5x"}, 2),
-            ("solve", {**SOLVE, "max-members": "4", "max-grid": 5}, 0),
+            ("solve", {**SOLVE, "dist": {"kind": "independent", "q": "1/2", "n": [2]}}, 2),
+            ("solve", {**SOLVE, "protocol": {"kind": "k_majority", "n": "2x", "k": 2}}, 2),
+            ("solve", {**SOLVE, "protocol": {"kind": "leader", "n": "2", "leader": 1}}, 0),
             ("optimal-k", {"n": [10]}, 2),
             ("optimal-k", {"n": 2.5}, 2),
             ("optimal-k", {"n": True}, 2),
@@ -356,6 +381,8 @@ class TestIntegerConfigValues:
             ("solve", {**SOLVE, "dist": {"kind": "independent", "q": "1/2", "n": "2"}}, 0),
             ("solve", {**SOLVE, "dist": {**MIXTURE, "n": True}}, 2),
             ("solve", {**SOLVE, "dist": {**MIXTURE, "n": 2}}, 0),
+            ("audit", {"seed": [4]}, 2),
+            ("optimal-k", {"n": "5x"}, 2),
         ],
     )
     def test_integer_config_values(self, tmp_path, capsys, command, cfg, code):
@@ -429,6 +456,9 @@ class TestStrictConfigFile:
             ("optimal-k", {"fulll": {"p": "1/2"}}),
             ("sweep", {"gird": "0.1:0.2:0.05"}),
             ("audit", {"claim": "gain_identity"}),
+            # the search cap is no option
+            ("solve", {"max-members": 4}),
+            ("refine", {"max-grid": 7}),
         ],
     )
     def test_unknown_key_rejected(self, tmp_path, capsys, command, typo):
@@ -739,9 +769,9 @@ class TestOneReaderPerInput:
             (["optimal-k", "--n", "\u0663"], None, "n must be an integer"),
             (["optimal-k"], {"n": "\u0663"}, "n must be an integer"),
             (["optimal-k", "--n", "+3"], None, "n must be an integer"),
-            (["solve", *SOLVE_FLAGS, "--max-members", "-4"], None, "max-members must be an integer"),
-            (["solve", *SOLVE_FLAGS, "--max-members", "+4"], None, "max-members must be an integer"),
-            (["solve", *SOLVE_FLAGS, "--max-grid", "5x"], None, "max-grid must be an integer"),
+            (["optimal-k", "--n", "-4"], None, "n must be an integer"),
+            (["audit", "--seed", "+4"], None, "seed must be an integer"),
+            (["audit", "--seed", "5x"], None, "seed must be an integer"),
             (["audit", "--seed", "-1"], None, "seed must be an integer"),
             (["sweep", "--panel", "z"], None, "panel must be one of ['a', 'b', 'c', 'd']"),
         ],
@@ -796,11 +826,14 @@ class TestOneReaderPerInput:
         assert main(argv + ["--out", str(tmp_path / "out")]) == 2
         assert "pmf lists cell 0,0 twice" in one_error_line(capsys)
 
-    def test_search_cap_still_exit_3(self, tmp_path, capsys):
-        # a cap of zero members is an integer, so it is the search that refuses
-        argv = ["solve", *SOLVE_FLAGS, "--max-members", "0", "--out", str(tmp_path / "out")]
-        assert main(argv) == 3
-        one_error_line(capsys)
+    @pytest.mark.parametrize("flag, value", [("--max-members", "4"), ("--max-grid", "7")])
+    @pytest.mark.parametrize("command", ["solve", "refine"])
+    def test_no_search_cap_flag(self, tmp_path, capsys, command, flag, value):
+        # the search cap is fixed, so these are unknown arguments
+        out = tmp_path / "out"
+        assert main([command, *SOLVE_FLAGS, flag, value, "--out", str(out)]) == 2
+        assert "unrecognized arguments" in one_error_line(capsys)
+        assert not out.exists()
 
 
 PROTOCOL_SHORTHANDS = [
@@ -994,8 +1027,6 @@ class TestFuzz:
         if command == "verify":
             eq = {"profile": [["0", "1"], ["0", "1"]], "posteriors": ["1/3", "1/3"]}
             cfg["equilibrium"] = self.write(rng, tmp_path / "eq.json", eq)
-        elif rng.random() < 0.3:
-            cfg["max-members"] = self.mutate(rng, 4)
         if rng.random() < 0.5 and isinstance(protocol, str) and isinstance(dist, str):
             argv = [command, "--protocol", protocol, "--dist", dist]
             if "equilibrium" in cfg:

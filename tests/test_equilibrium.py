@@ -31,6 +31,7 @@ from team_disclosure.equilibrium import (
 from team_disclosure.outcomes import (
     JointDistribution,
     OffPathPosterior,
+    OutcomeError,
     binary_independent,
     binary_space,
     common_mixture,
@@ -101,6 +102,23 @@ class TestTeamRule:
         d = uniform_binary(2)
         with pytest.raises(EquilibriumError):
             team_rule(StrategyProfile.constant(d.space, 1), make_consensus(3))
+
+    @pytest.mark.parametrize("cell", [[0, F(1, 2)], [2, 1], [0, 1, 1]])
+    def test_off_grid_cell_in_the_rule(self, cell):
+        # the same error as JointDistribution.prob
+        d = uniform_binary(2)
+        rule = team_rule(StrategyProfile.constant(d.space, 1), make_consensus(2))
+        with pytest.raises(OutcomeError, match="is not on the grid"):
+            d.prob(cell)
+        with pytest.raises(OutcomeError, match="is not on the grid"):
+            rule.prob(cell)
+
+    @pytest.mark.parametrize("cell", [[0, F(1, 2)], [2, 1], [0, 1, 1]])
+    def test_off_grid_cell_in_the_profile(self, cell):
+        profile = StrategyProfile.from_votes(uniform_binary(2).space, [[0, 1], [F(1, 3), 1]])
+        assert profile.vote_vector([0, 0]) == (0, F(1, 3))
+        with pytest.raises(OutcomeError, match="is not on the grid"):
+            profile.vote_vector(cell)
 
 
 class TestVerify:
@@ -386,7 +404,7 @@ class TestConsistency:
         ids=["consistent_with_deliberation", "plausible_full_disclosure_by_search"],
     )
     def test_profile_cap(self, search):
-        # 4 members on 6-value grids: 2^24 profiles, beyond the 2^20 cap
+        # 4 members on 6-value grids: 24 grid values, beyond the cap of 20
         space = make_space([range(6)] * 4)
         probs = tuple(F(1, len(space.cells)) for _ in space.cells)
         d = JointDistribution(space, probs)
@@ -394,13 +412,25 @@ class TestConsistency:
             search(d, make_consensus(4))
 
     def test_profile_cap_admits_every_solve_shape(self):
-        # every shape within the search caps (n <= 4, grids <= 5 values) is
-        # one the refinement scans take; the cap arithmetic only, no scan
-        for n in range(2, equilibrium.DEFAULT_MAX_MEMBERS + 1):
-            for sizes in product(range(2, equilibrium.DEFAULT_MAX_GRID + 1), repeat=n):
-                equilibrium._check_profile_cap(make_space([range(size) for size in sizes]))
-        with pytest.raises(SearchCapExceeded):
-            equilibrium._check_profile_cap(make_space([range(6)] + [range(5)] * 3))
+        # every shape of at most 4 members and 20 grid values in all passes
+        # the cap, which reads grid lengths and builds no cell
+        for n in range(2, 5):
+            for sizes in product(range(2, 19), repeat=n):
+                if sum(sizes) <= 20:
+                    space = make_space([range(size) for size in sizes])
+                    equilibrium._check_caps(space)
+                    assert "cells" not in vars(space)
+        # beyond it, the search and both refinement scans refuse alike
+        for sizes in ((7, 7, 7), (6, 5, 5, 5), (2,) * 5):
+            space = make_space([range(size) for size in sizes])
+            d = JointDistribution(space, (F(1, len(space.cells)),) * len(space.cells))
+            proto = make_consensus(len(sizes))
+            with pytest.raises(SearchCapExceeded):
+                find_equilibria_report(d, proto)
+            with pytest.raises(SearchCapExceeded):
+                consistent_with_deliberation(d.mean_vector, d, proto)
+            with pytest.raises(SearchCapExceeded):
+                plausible_full_disclosure_by_search(d, proto)
 
     def test_member_count_mismatch(self):
         # a 3-member distribution with a 2-member protocol once raised IndexError
