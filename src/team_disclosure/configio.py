@@ -53,6 +53,15 @@ def config_int(value: Any, key: str) -> int:
     raise ConfigError(f"{key} must be an integer, got {json.dumps(value, default=str)}")
 
 
+def config_list(value: Any, key: str) -> list | tuple:
+    """A list config value: a JSON array; anything else is a ConfigError, so
+    a string is never read as a list of its characters, nor an object as a
+    list of its keys."""
+    if isinstance(value, (list, tuple)):
+        return value
+    raise ConfigError(f"{key} must be a list, got {json.dumps(value, default=str)}")
+
+
 def config_bool(value: Any, key: str) -> bool:
     """A boolean config value: a JSON true or false; anything else (a string,
     a number, null) is a ConfigError."""
@@ -79,7 +88,10 @@ def protocol_from_config(obj: Mapping[str, Any]) -> DeliberationProtocol:
             return make_leader(config_int(obj["n"], "n"), config_int(obj["leader"], "leader"))
         if kind == "custom":
             _require_keys(obj, {"kind", "n", "winning"})
-            winning = [[config_int(m, "winning member") for m in c] for c in obj["winning"]]
+            winning = [
+                [config_int(m, "winning member") for m in config_list(c, "coalition")]
+                for c in config_list(obj["winning"], "winning")
+            ]
             return make_protocol(config_int(obj["n"], "n"), winning)
     except ConfigError:
         raise
@@ -133,9 +145,11 @@ def distribution_from_config(obj: Mapping[str, Any], n_hint: int | None = None) 
     try:
         if "grid" in obj:
             _require_keys(obj, {"grid", "pmf"})
-            space = make_space([[as_fraction(v) for v in g] for g in obj["grid"]])
+            grid = config_list(obj["grid"], "grid")
+            space = make_space([[as_fraction(v) for v in config_list(g, "grid row")] for g in grid])
             pmf = {}
-            for key, prob in obj["pmf"]:
+            for entry in config_list(obj["pmf"], "pmf"):
+                key, prob = config_list(entry, "pmf entry")
                 cell = tuple(as_fraction(part) for part in str(key).split(","))
                 if cell in pmf:
                     raise ConfigError(f"pmf lists cell {','.join(map(frac_str, cell))} twice")
@@ -209,11 +223,11 @@ def effort_model_from_config(obj: Mapping[str, Any]) -> EffortModel:
     _require_keys(obj, {"n", "costs", "distributions"})
     try:
         n = config_int(obj["n"], "n")
-        costs = [as_fraction(c) for c in obj["costs"]]
+        costs = [as_fraction(c) for c in config_list(obj["costs"], "costs")]
         table = {}
-        for entry in obj["distributions"]:
+        for entry in config_list(obj["distributions"], "distributions"):
             _require_keys(entry, {"effort", "dist"})
-            effort = tuple(config_int(e, "effort entry") for e in entry["effort"])
+            effort = tuple(config_int(e, "effort entry") for e in config_list(entry["effort"], "effort"))
             if len(effort) != n or any(e not in (0, 1) for e in effort):
                 raise ConfigError(f"bad effort vector {effort}")
             table[effort] = distribution_from_config(entry["dist"], n)

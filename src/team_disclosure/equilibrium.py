@@ -32,7 +32,7 @@ is not yet exhaustive at four members: a configuration is unresolved when
 its only solutions have irrational weights, when its equations do not
 reduce to one free weight, or when it has three or more free weights and a
 gap member and no combination of ``FREE_WEIGHT_CANDIDATES`` for all but the
-last one is feasible.
+last two is feasible.
 
 Where a configuration admits a continuum of equilibria (free mixing weights),
 one canonical representative is returned: each free weight prefers 0, then
@@ -110,8 +110,9 @@ from .rationals import Rational, as_fraction
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-# Preference order of a free mixing weight (most concealing first); in one
-# case the only values tried (:meth:`_AtomSolver._free`).
+# Preference order of a free mixing weight (most concealing first); with
+# three or more free weights and a gap member, the only values tried for all
+# but the last two (:meth:`_AtomSolver._free`).
 FREE_WEIGHT_CANDIDATES = (
     ZERO,
     ONE,
@@ -694,8 +695,10 @@ class _AtomSolver:
       vanishes only where each factor of its first nonzero corner does, that
       is on faces of the box, so it branches on those faces;
     - free weights: a strict constraint <= 0 at every corner of the free box
-      is a certificate of infeasibility; otherwise weight 0 is preferred,
-      then 1, then the interior ``FREE_WEIGHT_CANDIDATES``;
+      is a certificate of infeasibility; with no gap member the first corner
+      where W > 0 is taken; with a gap member, one or two free weights are
+      decided exactly along the first (:meth:`_along`), and three or more
+      try only ``FREE_WEIGHT_CANDIDATES`` for all but the last two;
     - what is left reduces to one weight t (:meth:`_along`).
 
     The tables are :mod:`._poly` corner tables over the atoms. :meth:`solve`
@@ -742,28 +745,6 @@ class _AtomSolver:
         return all(
             _poly.restrict(*self.h[a], weights)[1][0] == 0 for a in self.atoms
         ) and all(_poly.restrict(self.atoms, t, weights)[1][0] > 0 for t in self.strict)
-
-    def interval_pick(self, pinned: dict[int, Fraction], free_var: int) -> Fraction | None:
-        """Canonical feasible weight for one remaining free atom.
-
-        With every other atom weight fixed, each strict constraint is linear
-        in the free weight, alpha + beta*m > 0, so together they cut [0, 1]
-        down to an exact interval. The pick is the first of
-        ``FREE_WEIGHT_CANDIDATES`` inside it; when none is, the interval is
-        open at both ends and the pick is the simplest rational inside.
-        """
-        lines = []
-        for table in self.strict:
-            _, (alpha,), (beta,) = _poly.split(*_poly.restrict(self.atoms, table, pinned), free_var)
-            lines.append((alpha, beta))
-        for m in FREE_WEIGHT_CANDIDATES:
-            if all(alpha * m.denominator + beta * m.numerator > 0 for alpha, beta in lines):
-                return m
-        lo = max([ZERO] + [Fraction(-alpha, beta) for alpha, beta in lines if beta > 0])
-        hi = min([ONE] + [Fraction(-alpha, beta) for alpha, beta in lines if beta < 0])
-        if lo < hi and all(alpha > 0 for alpha, beta in lines if beta == 0):
-            return _poly.simplest_between(lo, hi)
-        return None
 
     # -- solving -------------------------------------------------------------
 
@@ -835,19 +816,13 @@ class _AtomSolver:
             first = next(i for i, w in enumerate(mass) if w > 0)
             weights = pinned | {v: Fraction(bit) for v, bit in _poly.corners(variables)[first].items()}
             return weights if self.feasible(weights) else None
-        if len(unpinned) == 2:
+        if len(unpinned) <= 2:
             return self._along(pinned, unpinned[0], {unpinned[0]: _poly.T}, [], [])
-        for combo in product(FREE_WEIGHT_CANDIDATES, repeat=len(unpinned) - 1):
-            trial = pinned | dict(zip(unpinned[:-1], combo))
-            pick = self.interval_pick(trial, unpinned[-1])
-            if pick is None:
-                continue
-            weights = trial | {unpinned[-1]: pick}
-            if self.feasible(weights):
-                return weights
-        # one free weight is decided exactly, more only at the candidates
-        self.unresolved |= len(unpinned) > 1
-        return None
+        # up to two free weights are decided exactly, the first of more only
+        # at the candidates
+        found = self._first(pinned, ((unpinned[0], m) for m in FREE_WEIGHT_CANDIDATES))
+        self.unresolved |= found is None
+        return found
 
     def _reduce(self, pinned: dict[int, Fraction], coupled: dict) -> dict[int, Fraction] | None:
         """Write a mixed-sign coupled residue along one shared weight t.

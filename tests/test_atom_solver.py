@@ -61,10 +61,13 @@ def corner_combo(config, corner):
 
 def hand_built(grids, config, corners):
     """An atom solver whose concealment aggregates (W, S) at the corners of
-    the atom box, in ``product((0, 1))`` order, are given directly."""
+    the atom box, in ``product((0, 1))`` order, are given directly. Every
+    entry and grid value is an int, as :mod:`._poly` takes."""
     atoms = [i for i, (kind, _) in enumerate(config) if kind == "atom"]
     combos = [corner_combo(config, dict(zip(atoms, bits))) for bits in product((0, 1), repeat=len(atoms))]
     entries = [(w, tuple(s)) for w, s in corners]
+    assert all(type(v) is int for w, s in entries for v in (w, *s)), entries
+    assert all(type(x) is int for grid in grids for x in grid), grids
     slabs = _combo_slabs([len(g) + 1 for g in grids], combos)
     ctx = _SearchContext(grids, combos, slabs, range(len(entries)), {}, entries.__getitem__)
     return _AtomSolver(ctx, config)
@@ -185,13 +188,29 @@ class TestHandBuiltTables:
         # the gap member needs 2 < S_1/W < 10 with S_1 linear in the one atom
         # weight, so the weight is free in (lower, upper); neither 0 nor 1 is
         # feasible, so the pick is the first candidate inside, else the
-        # simplest rational inside
+        # simplest rational inside; W and S are scaled to ints by one common
+        # factor, which leaves S_1/W unchanged
         slope = 24 / (upper - lower)
         s0 = 6 - lower * slope
+        k = lcm(slope.denominator, s0.denominator)
+        low, high = int(s0 * k), int((s0 + slope) * k)
         grids = ((0, 1), (2, 10))
         config = (("atom", 0), ("gap", 1))
-        solver = hand_built(grids, config, [(3, (0, s0)), (3, (0, s0 + slope))])
+        solver = hand_built(grids, config, [(3 * k, (0, low)), (3 * k, (0, high))])
         assert solver.solve() == {0: pick}
+        assert solver.ctx.notes == []
+
+    def test_three_free_weights_with_a_gap_member(self):
+        # every atom equation holds everywhere and the gap member needs
+        # 0 < S_3/W < 1, so m1 is free in (3/10, 8/25), where no candidate
+        # lies: m0 is tried at the candidates, m1 and m2 are decided exactly
+        grids = ((0, 1),) * 4
+        config = (("atom", 0),) * 3 + (("gap", 1),)
+        corners = corner_table(
+            3, lambda m: 1000, [lambda m: 0, lambda m: 0, lambda m: 0, lambda m: 50000 * m[1] - 15000]
+        )
+        solver = hand_built(grids, config, corners)
+        assert solver.solve() == {0: ZERO, 1: F(4, 13), 2: ZERO}
         assert solver.ctx.notes == []
 
     @pytest.mark.parametrize("offset, noted", [(7, True), (3, False)])

@@ -413,6 +413,88 @@ class TestIntegerConfigValues:
             assert err.startswith("error:") and "must be an integer" in err
 
 
+class TestListConfigValues:
+    """Every list inside a protocol, distribution or effort-model object is a
+    JSON array: a string there, once read as its characters, is an input
+    error (exit 2) with one error line."""
+
+    GRID = [["0", "1"], ["0", "1"]]
+    PMF = [[f"{a},{b}", "1/4"] for a in "01" for b in "01"]
+
+    @staticmethod
+    def run(tmp_path, capsys, argv, cfg):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code = main(argv + ["--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2 or not err
+        return code, err
+
+    @pytest.mark.parametrize(
+        "winning, key",
+        [
+            # read as the coalitions {1} and {2}
+            ("12", "winning"),
+            # read as the coalition {1, 2}
+            (["12"], "coalition"),
+            ([[1, 2], "1"], "coalition"),
+        ],
+    )
+    def test_protocol_lists(self, tmp_path, capsys, winning, key):
+        protocol = {"kind": "custom", "n": 2, "winning": winning}
+        cfg = {"protocol": protocol, "dist": "independent:0.5"}
+        code, err = self.run(tmp_path, capsys, ["solve"], cfg)
+        assert code == 2 and len(err.splitlines()) == 1
+        assert err.startswith(f"error: {key} must be a list, got ")
+
+    @pytest.mark.parametrize(
+        "field, value, key",
+        [
+            ("grid", "01", "grid"),
+            # read as the grids (0, 1)
+            ("grid", ["01", "01"], "grid row"),
+            ("grid", [["0", "1"], "01"], "grid row"),
+            ("pmf", "0,0", "pmf"),
+            ("pmf", [*PMF[:3], "11"], "pmf entry"),
+        ],
+    )
+    def test_distribution_lists(self, tmp_path, capsys, field, value, key):
+        dist = {"grid": self.GRID, "pmf": self.PMF, field: value}
+        cfg = {"protocol": "k_majority:2,2", "dist": dist}
+        code, err = self.run(tmp_path, capsys, ["solve"], cfg)
+        assert code == 2 and len(err.splitlines()) == 1
+        assert err.startswith(f"error: {key} must be a list, got ")
+
+    def test_scalar_q_stays_valid(self, tmp_path, capsys):
+        for dist in [{"grid": self.GRID, "pmf": self.PMF}, {"kind": "independent", "q": "1/2"}]:
+            cfg = {"protocol": "k_majority:2,2", "dist": dist}
+            assert self.run(tmp_path, capsys, ["solve"], cfg)[0] == 0
+
+    @pytest.mark.parametrize(
+        "field, value, key",
+        [
+            # read as the costs (1, 1)
+            ("costs", "11", "costs"),
+            ("distributions", "dd", "distributions"),
+            # read as the effort vector (1, 1)
+            ("effort", "11", "effort"),
+        ],
+    )
+    def test_effort_model_lists(self, tmp_path, capsys, field, value, key):
+        model = write_worked_model(tmp_path / "model.json")
+        doc = json.loads(model.read_text())
+        if field == "effort":
+            assert doc["distributions"][3]["effort"] == [1, 1]
+            doc["distributions"][3]["effort"] = value
+        else:
+            doc[field] = value
+        model.write_text(json.dumps(doc))
+        cfg = {"model": str(model), "protocol": "k_majority:2,2"}
+        code, err = self.run(tmp_path, capsys, ["gains"], cfg)
+        assert code == 2 and len(err.splitlines()) == 1
+        assert err.startswith(f"error: {key} must be a list, got ")
+
+
 class TestStrictConfigFile:
     """A config file holds only keys that the command reads, and `refine`
     there is a JSON boolean; anything else is one error line and exit 2."""
