@@ -78,7 +78,6 @@ class AuditConfig:
     statics_cases: int = 12
     identity_cases: int = 60
     effort_models: int = 6
-    epsilon_grid_steps: int = 50
     epsilon_check_step: Fraction = Fraction(1, 20)
     binary_draws: int = 120
     sweep_members: int = 10
@@ -584,12 +583,12 @@ def _claim_correlation_mixing(config: AuditConfig, rng: random.Random, rec: _Rec
     cons = make_k_majority(2, 2)
     uni = make_k_majority(2, 1)
     rec.tick()
-    result = find_epsilon_bar(base, top, cons, grid_steps=config.epsilon_grid_steps)
+    result = find_epsilon_bar(base, top, cons)
     if not result.found or result.epsilon_bar is None or not result.epsilon_bar < ONE:
         rec.fail("no mixing threshold found below 1")
         return None
-    if not result.monotone_on_grid:
-        rec.note("dominance indicator is not monotone on the scanned grid")
+    if not result.monotone:
+        rec.note("dominance indicator is not monotone above the threshold")
     eps = result.epsilon_bar + Fraction(1, 100)
     while eps <= Fraction(99, 100):
         rec.tick()

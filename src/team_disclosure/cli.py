@@ -241,7 +241,6 @@ def _cmd_solve(opts: dict, out: str | None, refine: bool = False) -> int:
 def _cmd_verify(opts: dict, out: str | None) -> int:
     _require(opts, "verify", "protocol", "dist", "equilibrium")
     protocol = load_protocol(opts["protocol"])
-    dist = load_distribution(opts["dist"], protocol.n)
     with open(opts["equilibrium"]) as handle:
         eq_doc = json.load(handle)
     if not isinstance(eq_doc, dict) or not {"profile", "posteriors"} <= set(eq_doc):
@@ -253,12 +252,18 @@ def _cmd_verify(opts: dict, out: str | None) -> int:
     if not isinstance(stated, list):
         raise ConfigError("malformed equilibrium file: 'posteriors' must be a list")
     try:
-        profile = StrategyProfile.from_votes(dist.space, rows)
         posteriors = [as_fraction(p) for p in stated]
     except TypeError as exc:
         raise ConfigError(f"malformed equilibrium file: {exc}") from exc
-    # the refinement scan checks the cap first, so a capped instance exits
-    # before it is verified
+    # reading the distribution checks the cap, so a capped instance exits
+    # before it is verified; a wrong posterior count is reported ahead of it
+    if len(posteriors) != protocol.n:
+        raise EquilibriumError("posterior vector has wrong length")
+    dist = load_distribution(opts["dist"], protocol.n)
+    try:
+        profile = StrategyProfile.from_votes(dist.space, rows)
+    except TypeError as exc:
+        raise ConfigError(f"malformed equilibrium file: {exc}") from exc
     consistent = consistent_with_deliberation(posteriors, dist, protocol)
     report = verify_equilibrium(profile, posteriors, dist, protocol)
     doc = {

@@ -9,11 +9,13 @@ from __future__ import annotations
 import json
 from typing import Any, Mapping
 
-from .equilibrium import Equilibrium, TeamRule
+from .equilibrium import Equilibrium, TeamRule, _check_caps
 from .incentives import EffortModel
 from .outcomes import (
     JointDistribution,
+    OutcomeSpace,
     binary_independent,
+    binary_space,
     common_mixture,
     from_pmf,
     make_space,
@@ -139,14 +141,34 @@ def load_protocol(spec: str | Mapping[str, Any]) -> DeliberationProtocol:
 # ---------------------------------------------------------------------------
 
 
+def _checked_space(space: OutcomeSpace, n_hint: int | None) -> OutcomeSpace:
+    """``space`` once it has ``n_hint`` members (when that is given) and lies
+    within the search cap (SearchCapExceeded otherwise), checked before a
+    distribution's cells are built: every command that reads a distribution
+    searches or scans it under that cap."""
+    if n_hint is not None and space.n != n_hint:
+        raise ConfigError(
+            "the distribution and its protocol or effort model have different member "
+            f"counts ({space.n} and {n_hint})"
+        )
+    _check_caps(space)
+    return space
+
+
 def distribution_from_config(obj: Mapping[str, Any], n_hint: int | None = None) -> JointDistribution:
+    """The distribution a config object stands for. ``n_hint`` is the member
+    count of the protocol or effort model it belongs to: a generator without
+    'n' takes it, and a distribution with another count is a ConfigError.
+    The member count and the search cap are checked before any cell is
+    built (:func:`_checked_space`)."""
     if not isinstance(obj, Mapping):
         raise ConfigError("distribution config must be an object")
     try:
         if "grid" in obj:
             _require_keys(obj, {"grid", "pmf"})
             grid = config_list(obj["grid"], "grid")
-            space = make_space([[as_fraction(v) for v in config_list(g, "grid row")] for g in grid])
+            rows = [[as_fraction(v) for v in config_list(g, "grid row")] for g in grid]
+            space = _checked_space(make_space(rows), n_hint)
             pmf = {}
             for entry in config_list(obj["pmf"], "pmf"):
                 key, prob = config_list(entry, "pmf entry")
@@ -160,17 +182,16 @@ def distribution_from_config(obj: Mapping[str, Any], n_hint: int | None = None) 
         if kind == "independent":
             _require_keys(obj, {"kind", "q"}, {"n"})
             q = obj["q"]
-            if isinstance(q, (list, tuple)):
-                qs = [as_fraction(x) for x in q]
-            elif n < 2:
+            listed = isinstance(q, (list, tuple))
+            if not listed and n < 2:
                 raise ConfigError("independent generator needs 'n' or a q list")
-            else:
-                qs = [as_fraction(q)] * n
-            return binary_independent(qs)
+            _checked_space(binary_space(len(q) if listed else n), n_hint)
+            return binary_independent([as_fraction(x) for x in q] if listed else [as_fraction(q)] * n)
         if kind == "common_mixture":
             _require_keys(obj, {"kind", "p", "q_T", "q"}, {"n"})
             if n < 2:
                 raise ConfigError("common_mixture generator needs 'n'")
+            _checked_space(binary_space(n), n_hint)
             return common_mixture(n, as_fraction(obj["p"]), as_fraction(obj["q_T"]), as_fraction(obj["q"]))
     except ConfigError:
         raise
@@ -234,7 +255,7 @@ def effort_model_from_config(obj: Mapping[str, Any]) -> EffortModel:
         return EffortModel.build(n, table, costs)
     except ConfigError:
         raise
-    except (ValueError, TypeError, KeyError) as exc:
+    except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
 
 

@@ -18,6 +18,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Callable, Mapping, Sequence
 
+from ._poly import simplest_between
 from .equilibrium import (
     TeamRule,
     _pure_profile,
@@ -111,10 +112,11 @@ class EffortModel:
         dist_of: Callable[[tuple[int, ...]], JointDistribution] | Mapping[tuple[int, ...], JointDistribution],
         costs: Sequence[Rational],
     ) -> "EffortModel":
-        table = {
-            e: dist_of[e] if isinstance(dist_of, Mapping) else dist_of(e)
-            for e in product((0, 1), repeat=n)
-        }
+        table = {}
+        for e in product((0, 1), repeat=n):
+            if isinstance(dist_of, Mapping) and e not in dist_of:
+                raise IncentiveError("need one distribution per effort vector in {0,1}^n")
+            table[e] = dist_of[e] if isinstance(dist_of, Mapping) else dist_of(e)
         return EffortModel(
             n,
             tuple(table.items()),
@@ -389,31 +391,32 @@ def effective_team_leader(model: EffortModel, i: int) -> bool:
 class EpsilonBarResult:
     found: bool
     epsilon_bar: Fraction | None
-    monotone_on_grid: bool
-    grid: tuple[tuple[Fraction, bool], ...]
+    monotone: bool
 
 
 def find_epsilon_bar(
     model_base: EffortModel,
     g_comonotone: JointDistribution,
     protocol_other: DeliberationProtocol,
-    tolerance: Rational = Fraction(1, 10**6),
-    grid_steps: int = 100,
 ) -> EpsilonBarResult:
-    """Smallest mixing weight toward the comonotone distribution above which
-    the given protocol strictly dominates unilateral disclosure.
+    """Infimum of the mixing weights in (0, 1) toward the comonotone
+    distribution at which the given protocol strictly dominates unilateral
+    disclosure, decided exactly.
 
     Uses the conceal-only-your-worst-outcome equilibrium of the mixed
-    full-effort distribution. The dominance indicator is scanned on a grid
-    first; if it is not monotone there, that is reported rather than assumed
-    away, and the bisection brackets its first switch to true. When no grid
-    point is true, the bisection runs from the last grid point (or 0) toward
-    1, evaluating only points below 1, and a threshold is reported only if it
-    reaches a true point.
+    full-effort distribution. That rule does not move with the weight e, so
+    P(conceal) and each member's concealed value sum are linear in e, and
+    every condition the dominance indicator reads (each member's posterior
+    against each of their grid values, all that verification reads of a
+    threshold profile, and against their posterior after a deviation) is the
+    sign of a linear function a (1 - e) + b e. Its roots a / (a - b) cut
+    (0, 1) into open cells where the indicator is constant, so it is
+    evaluated at each root and at the simplest rational of each cell, in
+    ascending order. ``epsilon_bar`` is the infimum of the first cell or
+    root where it holds, which may itself fail (a strict inequality can be
+    an equality at a root), and ``monotone`` says whether it holds at every
+    point above.
     """
-    tolerance = as_fraction(tolerance)
-    if tolerance <= 0:
-        raise IncentiveError(f"tolerance must be positive, not {tolerance}")
     if protocol_other.all_unilateral:
         raise IncentiveError("the comparison protocol must differ from unilateral disclosure")
     full = model_base.dist_of(model_base.full_effort)
@@ -449,26 +452,23 @@ def find_epsilon_bar(
                 strict = True
         return weak and strict
 
-    grid = []
-    for j in range(1, grid_steps):
-        eps = Fraction(j, grid_steps)
-        grid.append((eps, indicator(eps)))
-    flags = [f for _, f in grid]
-    monotone = all(flags[j] <= flags[j + 1] for j in range(len(flags) - 1))
-    if True in flags:
-        first = flags.index(True)
-        found, hi = True, grid[first][0]
-        lo = grid[first - 1][0] if first > 0 else ZERO
-    else:
-        # a coarse grid may hold no true point: bisect the rest of [0, 1)
-        found, hi = False, ONE
-        lo = grid[-1][0] if grid else ZERO
-    while hi - lo > tolerance:
-        mid = (lo + hi) / 2
-        if indicator(mid):
-            found, hi = True, mid
-        else:
-            lo = mid
-    if not found:
-        return EpsilonBarResult(False, None, monotone, tuple(grid))
-    return EpsilonBarResult(True, hi, monotone, tuple(grid))
+    # x P(conceal) - (member-i concealed sum) at e = 0 and at e = 1, per grid
+    # value x and per deviation posterior
+    roots = set()
+    for i, post_dev in enumerate(dev_posts, 1):
+        (pa, sa), (pb, sb) = _nd_stats(full, rule, i), _nd_stats(g_comonotone, rule, i)
+        for x in space.grids[i - 1] + ((post_dev,) if post_dev is not None else ()):
+            a, b = x * pa - sa, x * pb - sb
+            if a * b < 0:
+                roots.add(a / (a - b))
+    cuts = [ZERO, *sorted(roots), ONE]
+    # (infimum, test point) of each open cell and of the root that closes it
+    points = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        points += [(lo, simplest_between(lo, hi)), (hi, hi)]
+    del points[-1]  # the mixing weight 1 is outside
+    flags = [indicator(e) for _, e in points]
+    if True not in flags:
+        return EpsilonBarResult(False, None, True)
+    first = flags.index(True)
+    return EpsilonBarResult(True, points[first][0], all(flags[first:]))

@@ -95,11 +95,7 @@ class OutcomeSpace:
     def slabs(self) -> tuple[tuple[int, ...], ...]:
         """slabs[i][p] = the cells whose member-(i+1) value is grid position
         p, as one cell set: an int with cell c at bit c."""
-        out = [[0] * len(g) for g in self.grids]
-        for member_slabs, at in zip(out, self.positions):
-            for c, p in enumerate(at):
-                member_slabs[p] |= 1 << c
-        return tuple(map(tuple, out))
+        return _combo_slabs([len(g) for g in self.grids], self.positions)
 
     @cached_property
     def _row_cells(self) -> tuple[list[int], ...]:
@@ -117,7 +113,7 @@ class OutcomeSpace:
         sizes = [len(g) + 1 for g in self.grids]
         combos = tuple(product(*map(range, sizes)))
         rows = tuple(tuple((1 << (len(g) - c)) - 1 for c in range(len(g) + 1)) for g in self.grids)
-        return CutCombos(combos, rows, _combo_slabs(sizes, combos))
+        return CutCombos(combos, rows, _combo_slabs(sizes, tuple(zip(*combos))))
 
     @property
     def min_vector(self) -> tuple[Fraction, ...]:
@@ -142,12 +138,13 @@ class CutCombos(NamedTuple):
     slabs: tuple[tuple[int, ...], ...]
 
 
-def _combo_slabs(sizes: Sequence[int], combos: Sequence[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
+def _combo_slabs(sizes: Sequence[int], columns: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     """slabs[i][c] = the combinations with i-th coordinate c, bit b standing
-    for ``combos[b]``; member i's coordinates lie in range(sizes[i])."""
-    bits = [1 << b for b in range(len(combos))]
+    for combination b; ``columns[i]`` holds every combination's i-th
+    coordinate, which lies in range(sizes[i])."""
+    bits = [1 << b for b in range(len(columns[0]))]
     slabs = []
-    for size, column in zip(sizes, zip(*combos)):
+    for size, column in zip(sizes, columns):
         member_slabs = [0] * size
         for c, bit in zip(column, bits):
             member_slabs[c] |= bit

@@ -56,8 +56,7 @@ def frac_str(value: Fraction | int) -> str:
 _TWELVE_DIGITS = Context(prec=12)
 
 
-def decimal_str(value: Fraction | int, digits: int = 12) -> str:
-    """Decimal rendering with a fixed number of significant digits."""
-    context = _TWELVE_DIGITS if digits == 12 else Context(prec=digits)
+def decimal_str(value: Fraction | int) -> str:
+    """Decimal rendering with 12 significant digits."""
     num, den = value.as_integer_ratio()
-    return str(context.divide(Decimal(num), Decimal(den)))
+    return str(_TWELVE_DIGITS.divide(Decimal(num), Decimal(den)))

@@ -17,7 +17,7 @@ import tempfile
 from pathlib import Path
 
 # SHA-256 of the report `audit --seed 0 --out FILE` writes
-AUDIT_SEED_0_SHA256 = "1be81e1c64267b3ed05e4f180f67222f7e2e695a4427503aa9f0cd9d5b41e4db"
+AUDIT_SEED_0_SHA256 = "54575918472c212384039c071051f9a4561d65c34052bb16d03a877368669f44"
 
 
 def main() -> int:

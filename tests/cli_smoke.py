@@ -5,8 +5,9 @@ with a single ``error:`` line on stderr and no traceback. Then runs valid
 ``solve`` and ``verify`` calls, at the search cap among them (4 members on
 5-value grids and 3 members on 7-, 7- and 6-value grids, 20 grid values in
 all and 2^20 deterministic profiles), and expects exit 0 and an output
-file; and a 5-member ``verify``, beyond the cap, which must exit 3 with a
-single ``error:`` line and no output file. Flags and config-file values
+file; and a 5-member ``verify`` and a ``solve`` on four 200-value grids,
+beyond the cap, which must exit 3 with a single ``error:`` line and no
+output file, the second before it builds any of its 200^4 cells. Flags and config-file values
 reach the same readers, so the check covers both. ``verify`` cases read
 their ``--equilibrium`` file, written by the harness. Needs no third-party
 package, so it runs on every supported Python:
@@ -43,6 +44,9 @@ SOLVE_776, VERIFY_776, EQUILIBRIUM_776 = at_cap("consensus:3", (7, 7, 6))
 _, VERIFY_5555, EQUILIBRIUM_5555 = at_cap("consensus:4", (5, 5, 5, 5))
 VERIFY_5 = ["verify", "--protocol", "k_majority:5,3", "--dist", "independent:0.5"]
 EQUILIBRIUM_5 = {"profile": [["0", "1"]] * 5, "posteriors": ["1/3"] * 5}
+SOLVE_200 = ["solve", "--protocol", "k_majority:4,2", "--dist", json.dumps(
+    {"grid": [list(range(200))] * 4, "pmf": [["0,0,0,0", "1"]]}
+)]
 
 # (argv, config-file object or None)
 MALFORMED = [
@@ -64,6 +68,10 @@ MALFORMED = [
     (["solve", "--protocol", "unilateral:٢", "--dist", "independent:0.5"], None),
     (["solve", "--protocol", "leader:2,+1", "--dist", "independent:0.5"], None),
     (["solve", "--protocol", "nonsense", "--dist", "independent:0.5"], None),
+    # 24 members for a 2-member protocol, refused before its 2^24 cells are built
+    (["solve", "--protocol", "k_majority:2,1", "--dist", json.dumps(
+        {"kind": "independent", "q": "1/2", "n": 24}
+    )], None),
     # a pmf that lists cell 0,0 twice (once kept the last value)
     (["solve", "--protocol", "k_majority:2,2", "--dist", json.dumps(
         {"grid": [[0, 1], [0, 1]], "pmf": [["0,0", "1/2"], ["0,0", "1/4"], ["0,1", "1/4"], ["1,0", "1/4"], ["1,1", "1/4"]]}
@@ -129,6 +137,7 @@ def main() -> int:
             (SOLVE_776, 0),
             (verify_argv(EQUILIBRIUM_776, Path(tmp) / "eq_776.json", VERIFY_776), 0),
             (verify_argv(EQUILIBRIUM_5, Path(tmp) / "eq_5.json", VERIFY_5), 3),
+            (SOLVE_200, 3),
         )
         for argv, code in runs:
             proc, out = run(argv, tmp)

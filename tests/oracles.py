@@ -319,6 +319,39 @@ def effort_payoff_difference(full_dist, dev_dist, rule_values, member_index):
     return payoff(full_dist) - payoff(dev_dist)
 
 
+def mixing_indicator_by_public_calls(model, top, protocol):
+    """The dominance indicator that ``find_epsilon_bar`` thresholds, as a
+    function of the mixing weight, rebuilt from public calls only (``mix``,
+    ``posterior_no_disclosure``, ``verify_equilibrium``): the profile that
+    conceals only each member's worst outcome is an equilibrium of the mixed
+    full-effort distribution at its Bayes posterior, no member's posterior
+    exceeds their posterior after shirking, and some member's is below it."""
+    from team_disclosure.equilibrium import StrategyProfile, verify_equilibrium
+    from team_disclosure.outcomes import OffPathPosterior, mix, posterior_no_disclosure
+
+    full = model.dist_of(model.full_effort)
+    profile = StrategyProfile.from_votes(
+        full.space, [[0] + [1] * (len(g) - 1) for g in full.space.grids]
+    )
+    rule = team_rule_by_evaluate(profile, protocol)
+    shirking = []
+    for i in range(1, model.n + 1):
+        try:
+            shirking.append(posterior_no_disclosure(model.dist_of(model.without(i)), rule)[i - 1])
+        except OffPathPosterior:
+            shirking.append(None)
+
+    def holds(eps):
+        mixed = mix(full, top, eps)
+        post = posterior_no_disclosure(mixed, rule)
+        if not verify_equilibrium(profile, post, mixed, protocol).ok:
+            return False
+        diffs = [p - s for p, s in zip(post, shirking) if s is not None]
+        return all(d <= 0 for d in diffs) and any(d < 0 for d in diffs)
+
+    return holds
+
+
 # ---------------------------------------------------------------------------
 # Fraction twins of the equilibrium module's integer kernels
 # ---------------------------------------------------------------------------

@@ -102,11 +102,7 @@ def test_criterion_5_effort_types():
 
 @criterion(6, "correlation mixing: a threshold below 1 exists and strict dominance holds on the 0.01 grid up to 0.99")
 def test_criterion_6_correlation_mixing():
-    run_claim(
-        "correlation_mixing",
-        epsilon_grid_steps=100,
-        epsilon_check_step=F(1, 100),
-    )
+    run_claim("correlation_mixing", epsilon_check_step=F(1, 100))
 
 
 @criterion(7, "binary dominance directions (four parametrizations, team sizes up to 6) and conceal-mean signs")

@@ -68,7 +68,7 @@ def hand_built(grids, config, corners):
     entries = [(w, tuple(s)) for w, s in corners]
     assert all(type(v) is int for w, s in entries for v in (w, *s)), entries
     assert all(type(x) is int for grid in grids for x in grid), grids
-    slabs = _combo_slabs([len(g) + 1 for g in grids], combos)
+    slabs = _combo_slabs([len(g) + 1 for g in grids], tuple(zip(*combos)))
     ctx = _SearchContext(grids, combos, slabs, range(len(entries)), {}, entries.__getitem__)
     return _AtomSolver(ctx, config)
 

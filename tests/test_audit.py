@@ -32,7 +32,6 @@ SMALL = AuditConfig(
     statics_cases=3,
     identity_cases=6,
     effort_models=2,
-    epsilon_grid_steps=20,
     binary_draws=10,
     sweep_members=6,
 )

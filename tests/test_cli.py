@@ -1,18 +1,20 @@
 import json
 import os
 import random
+import re
 import stat
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from dataclasses import fields
 from itertools import product
 from pathlib import Path
 
 import pytest
 
 from team_disclosure import binary_env, cli
-from team_disclosure.audit import PANEL_GRIDS, panel_sweep
+from team_disclosure.audit import PANEL_GRIDS, AuditConfig, panel_sweep
 from team_disclosure.binary_env import MAX_SWEEP_MEMBERS, MAX_SWEEP_ROWS
 from team_disclosure.cli import main
 from team_disclosure.configio import ConfigError, load_distribution, load_protocol
@@ -121,6 +123,29 @@ class TestSolve:
             if expected == 0:
                 doc = json.loads((tmp_path / "verify.json").read_text())
                 assert doc["posteriors_consistent_with_deliberation"] is False
+
+    @pytest.mark.parametrize(
+        "protocol, dist, expected",
+        [
+            # once built 2^20 and 2^24 cells (the second died of a
+            # MemoryError) before the member counts were compared
+            ("k_majority:2,1", {"kind": "independent", "q": "1/2", "n": 20}, 2),
+            ("k_majority:2,1", {"kind": "independent", "q": "1/2", "n": 24}, 2),
+            # once built 200^4 cells for one listed pmf cell before the cap
+            ("k_majority:4,2", {"grid": [list(range(200))] * 4, "pmf": [["0,0,0,0", "1"]]}, 3),
+        ],
+        ids=["20-members", "24-members", "200-value-grids"],
+    )
+    def test_oversized_spec_refused_before_any_cell(self, tmp_path, capsys, protocol, dist, expected):
+        out = tmp_path / "eq.json"
+        argv = ["solve", "--protocol", protocol, "--dist", json.dumps(dist), "--out", str(out)]
+        start = time.perf_counter()
+        assert main(argv) == expected
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert ("different member counts" in err) == (expected == 2)
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["solve", "refine"])
     def test_missing_input_names_the_command(self, capsys, command):
@@ -294,6 +319,29 @@ class TestGainsAndDominance:
         doc = json.loads(out.read_text())
         assert doc["dominates"] and doc["strictly"]
         assert doc["witness_costs"] == ["3/80", "3/80"]
+
+    def test_model_entry_with_24_members(self, tmp_path, capsys):
+        # refused on its member count before its 2^24 cells are built
+        path = write_worked_model(tmp_path / "model.json")
+        doc = json.loads(path.read_text())
+        doc["distributions"][0]["dist"] = {"kind": "independent", "q": "1/2", "n": 24}
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        assert main(["gains", "--model", str(path), "--protocol", "k_majority:2,2"]) == 2
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "different member counts" in err
+        assert len(err.splitlines()) == 1
+
+    def test_model_missing_an_effort_vector(self, tmp_path, capsys):
+        # three of the four effort vectors: once a bare "error: (1, 1)"
+        path = write_worked_model(tmp_path / "model.json")
+        doc = json.loads(path.read_text())
+        assert doc["distributions"].pop()["effort"] == [1, 1]
+        path.write_text(json.dumps(doc))
+        assert main(["gains", "--model", str(path), "--protocol", "k_majority:2,2"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: need one distribution per effort vector in {0,1}^n\n"
 
     def test_unknown_model_key_rejected(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -771,10 +819,29 @@ class TestAuditCommand:
 
     @pytest.mark.parametrize("steps", [1, 2])
     def test_audit_coarse_epsilon_grid(self, tmp_path, capsys, steps):
-        # these grids hold no true point; the threshold comes from bisection
+        # the mixing threshold is exact and scans no grid, so a grid size is
+        # no longer a count (these once bisected from a grid with no true point)
+        out = tmp_path / "report.txt"
         argv = ["audit", "--claims", "correlation_mixing", "--counts", f"epsilon_grid_steps={steps}"]
-        assert main([*argv, "--out", str(tmp_path / "report.txt")]) == 0
-        assert json.loads(capsys.readouterr().out)["passed"] is True
+        assert main([*argv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: bad counts entry") and len(captured.err.splitlines()) == 1
+        assert captured.out == "" and not out.exists()
+
+    def test_readme_lists_every_audit_count(self):
+        # README's --counts list is every AuditConfig field the reader takes,
+        # in field order
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        start = readme.index("`audit --counts name=value,...`")
+        listed = re.findall(r"`(\w+)`", readme[start : readme.index(")", start)])
+        accepted = []
+        for field in fields(AuditConfig):
+            try:
+                cli._audit_counts(f"{field.name}=1")
+            except ConfigError:
+                continue
+            accepted.append(field.name)
+        assert listed == accepted
 
     def test_audit_counts_from_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from team_disclosure.equilibrium import TeamRule
+from team_disclosure.audit import mixed_effect_model, self_improving_model, team_improving_model
+from team_disclosure.equilibrium import StrategyProfile, TeamRule, team_rule
 from team_disclosure.incentives import (
     EffortModel,
     IncentiveError,
@@ -21,13 +22,16 @@ from team_disclosure.incentives import (
 from team_disclosure.outcomes import (
     binary_independent,
     binary_space,
+    comonotone,
+    fosd_dominates,
     from_pmf,
     independent,
     mix,
+    posterior_no_disclosure,
 )
-from team_disclosure.protocols import make_consensus, make_k_majority, make_leader
+from team_disclosure.protocols import all_protocols, make_consensus, make_k_majority, make_leader
 
-from oracles import effort_payoff_difference
+from oracles import effort_payoff_difference, mixing_indicator_by_public_calls
 
 F = Fraction
 
@@ -288,6 +292,60 @@ class TestEffectiveLeader:
         assert not effective_team_leader(team_improving_pair_model(), 1)
 
 
+def audit_model_cases():
+    """114 (model, diagonal top, protocol) cases: the audit's three model
+    builders at 2 and 3 members, each with a top that puts 60-95/100 on
+    everyone's high outcome and the rest on everyone's low one, against a
+    protocol other than unilateral disclosure. Binary grids: every root is
+    a deviation-posterior root."""
+    rng = random.Random(5)
+    builders = (self_improving_model, team_improving_model, mixed_effect_model)
+    cases = []
+    while len(cases) < 114:
+        n = rng.choice((2, 3))
+        model = rng.choice(builders)(rng, n)
+        m = F(rng.randint(60, 95), 100)
+        top = from_pmf(model.dist_of(model.full_effort).space, {(1,) * n: m, (0,) * n: 1 - m})
+        protocol = rng.choice([p for p in all_protocols(n) if not p.all_unilateral])
+        if fosd_dominates(top, model.dist_of(model.full_effort)):
+            cases.append((model, top, protocol))
+    return cases
+
+
+def three_value_cases():
+    """The valid draws of 60 two-member independent models on one shared
+    3-value grid, where effort moves mass from the bottom and middle values to
+    the top one, each with a comonotone top putting 60-95/100 on the top
+    value, against a protocol other than unilateral disclosure. The middle
+    value gives grid-value roots."""
+    rng = random.Random(11)
+    cases = []
+    for _ in range(60):
+        values = sorted(rng.sample(range(10), 3))
+        bases = []
+        for _ in range(2):
+            w = [rng.randint(1, 6) for _ in range(3)]
+            bases.append([F(x, sum(w)) for x in w])
+        shifts = [F(rng.randint(1, 5), 20) * min(b[0], b[1]) for b in bases]
+
+        def dist(e, bases=bases, shifts=shifts, values=values):
+            return independent(
+                [
+                    dict(zip(values, (b[0] - d * s, b[1] - d * s, b[2] + 2 * d * s)))
+                    for b, s, d in zip(bases, shifts, e)
+                ]
+            )
+
+        model = EffortModel.build(2, dist, ["1/100", "1/100"])
+        m = F(rng.randint(60, 95), 100)
+        low = F(rng.randint(1, 9), 10) * (1 - m)
+        top = comonotone(values, [low, 1 - m - low, m], 2)
+        protocol = rng.choice([p for p in all_protocols(2) if not p.all_unilateral])
+        if fosd_dominates(top, model.dist_of(model.full_effort)):
+            cases.append((model, top, protocol))
+    return cases
+
+
 class TestEpsilonBar:
     def base_and_top(self):
         base = self_improving_pair_model()
@@ -297,31 +355,54 @@ class TestEpsilonBar:
 
     def test_threshold_found_and_checks(self):
         base, top = self.base_and_top()
-        result = find_epsilon_bar(base, top, make_consensus(2), grid_steps=50)
+        result = find_epsilon_bar(base, top, make_consensus(2))
         assert result.found and result.epsilon_bar is not None
         assert F(0) < result.epsilon_bar < F(1)
-        assert result.monotone_on_grid
+        assert result.monotone
         above = base.replace_full_effort(
             mix(base.dist_of((1, 1)), top, result.epsilon_bar + F(1, 100))
         )
         assert dominates(make_consensus(2), make_k_majority(2, 1), above, strict=True)
         assert not dominates(make_consensus(2), make_k_majority(2, 1), base, strict=True)
 
-    @pytest.mark.parametrize("steps", [1, 2])
-    def test_coarse_grid_bisects_to_the_same_threshold(self, steps):
-        # one step scans no grid point, two scan only 1/2, which is false
+    def test_audit_pair_threshold_is_four_sevenths(self):
+        # the audit's worked pair: each member's posterior meets their
+        # shirking posterior 2/7 at 4/7, so the strict inequality fails there
+        # and holds on (4/7, 1)
         base, top = self.base_and_top()
-        fine = find_epsilon_bar(base, top, make_consensus(2), grid_steps=100)
-        coarse = find_epsilon_bar(base, top, make_consensus(2), grid_steps=steps)
-        assert not any(flag for _, flag in coarse.grid)
-        assert coarse.found and F(1, 2) < coarse.epsilon_bar < F(1)
-        assert abs(coarse.epsilon_bar - fine.epsilon_bar) <= F(1, 10**6)
+        result = find_epsilon_bar(base, top, make_consensus(2))
+        assert (result.found, result.epsilon_bar, result.monotone) == (True, F(4, 7), True)
+        holds = mixing_indicator_by_public_calls(base, top, make_consensus(2))
+        assert not holds(F(4, 7))
+        assert holds(F(4, 7) + F(1, 10**9))
 
-    @pytest.mark.parametrize("tolerance", [0, F(-1, 10)])
-    def test_rejects_a_tolerance_that_never_ends_the_bisection(self, tolerance):
-        base, top = self.base_and_top()
-        with pytest.raises(IncentiveError, match="tolerance"):
-            find_epsilon_bar(base, top, make_consensus(2), tolerance=tolerance)
+    @pytest.mark.parametrize("cases", [audit_model_cases, three_value_cases])
+    def test_threshold_against_the_public_twin(self, cases):
+        # the twin is false at every j/400 below the threshold (everywhere when
+        # none is found) and, when the indicator is monotone, true above it
+        grid_roots = 0
+        for model, top, protocol in cases():
+            result = find_epsilon_bar(model, top, protocol)
+            holds = mixing_indicator_by_public_calls(model, top, protocol)
+            for j in range(1, 400):
+                eps = F(j, 400)
+                if not result.found or eps < result.epsilon_bar:
+                    assert not holds(eps), (model, protocol.describe(), eps)
+                elif eps > result.epsilon_bar and result.monotone:
+                    assert holds(eps), (model, protocol.describe(), eps)
+            if result.found and result.epsilon_bar > 0:
+                full = model.dist_of(model.full_effort)
+                grids = full.space.grids
+                rows = [[0] + [1] * (len(g) - 1) for g in grids]
+                rule = team_rule(StrategyProfile.from_votes(full.space, rows), protocol)
+                at, below = (
+                    posterior_no_disclosure(mix(full, top, e), rule)
+                    for e in (result.epsilon_bar, result.epsilon_bar / 2)
+                )
+                grid_roots += any(p != q and p in g for p, q, g in zip(at, below, grids))
+        # only the 3-value grids put a threshold where a posterior crosses a
+        # grid value
+        assert bool(grid_roots) == (cases is three_value_cases)
 
     def test_rejects_unilateral_comparison(self):
         base, top = self.base_and_top()

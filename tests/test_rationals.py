@@ -38,15 +38,15 @@ class TestAsFraction:
 
 class TestDecimalStr:
     @pytest.mark.parametrize(
-        "value, digits, text",
+        "value, text",
         [
-            (F(1, 3), 12, "0.333333333333"),
-            (F(1, 3), 5, "0.33333"),
-            (F(-2, 7), 3, "-0.286"),
-            (F(1, 10**9), 12, "1E-9"),
-            (3, 12, "3"),
-            (0, 4, "0"),
+            (F(1, 3), "0.333333333333"),
+            (F(-2, 7), "-0.285714285714"),
+            (F(1, 10**9), "1E-9"),
+            (F(1234567, 3), "411522.333333"),
+            (3, "3"),
+            (0, "0"),
         ],
     )
-    def test_significant_digits(self, value, digits, text):
-        assert decimal_str(value, digits) == text
+    def test_significant_digits(self, value, text):
+        assert decimal_str(value) == text
