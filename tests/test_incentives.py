@@ -376,6 +376,23 @@ class TestEpsilonBar:
         assert not holds(F(4, 7))
         assert holds(F(4, 7) + F(1, 10**9))
 
+    @pytest.mark.parametrize("steps", [1, 2])
+    def test_coarse_grid_bisects_to_the_same_threshold(self, steps):
+        # scan j/steps with the public twin, then bisect from the last false
+        # point to 1: one step scans no grid point, two scan only 1/2, which
+        # is false; either way the bisection closes on the exact threshold
+        base, top = self.base_and_top()
+        exact = find_epsilon_bar(base, top, make_consensus(2))
+        holds = mixing_indicator_by_public_calls(base, top, make_consensus(2))
+        grid = [F(j, steps) for j in range(1, steps)]
+        assert not any(holds(e) for e in grid)
+        lo, hi = (grid[-1] if grid else F(0)), F(1)
+        while hi - lo > F(1, 10**6):
+            mid = (lo + hi) / 2
+            lo, hi = (lo, mid) if holds(mid) else (mid, hi)
+        assert F(1, 2) < hi < F(1)
+        assert lo <= exact.epsilon_bar <= hi
+
     @pytest.mark.parametrize("cases", [audit_model_cases, three_value_cases])
     def test_threshold_against_the_public_twin(self, cases):
         # the twin is false at every j/400 below the threshold (everywhere when
