@@ -7,6 +7,7 @@ rejected so that typos fail loudly instead of silently using defaults.
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 from typing import Any, Mapping
 
 from .equilibrium import Equilibrium, TeamRule, _check_caps
@@ -170,9 +171,11 @@ def distribution_from_config(obj: Mapping[str, Any], n_hint: int | None = None) 
             rows = [[as_fraction(v) for v in config_list(g, "grid row")] for g in grid]
             space = _checked_space(make_space(rows), n_hint)
             pmf = {}
+            # each distinct value string of the keys is parsed once
+            parse = lru_cache(maxsize=None)(as_fraction)
             for entry in config_list(obj["pmf"], "pmf"):
                 key, prob = config_list(entry, "pmf entry")
-                cell = tuple(as_fraction(part) for part in str(key).split(","))
+                cell = tuple(map(parse, str(key).split(",")))
                 if cell in pmf:
                     raise ConfigError(f"pmf lists cell {','.join(map(frac_str, cell))} twice")
                 pmf[cell] = as_fraction(prob)
@@ -185,6 +188,8 @@ def distribution_from_config(obj: Mapping[str, Any], n_hint: int | None = None) 
             listed = isinstance(q, (list, tuple))
             if not listed and n < 2:
                 raise ConfigError("independent generator needs 'n' or a q list")
+            if listed and "n" in obj and len(q) != n:
+                raise ConfigError(f"independent generator lists {len(q)} q values for n = {n}")
             _checked_space(binary_space(len(q) if listed else n), n_hint)
             return binary_independent([as_fraction(x) for x in q] if listed else [as_fraction(q)] * n)
         if kind == "common_mixture":

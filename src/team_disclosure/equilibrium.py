@@ -61,9 +61,10 @@ built once per distribution (``JointDistribution._packed``) and read once
 per distinct concealed set per distribution
 (``JointDistribution._search_memo``), whatever protocols are searched on it;
 each member's posterior condition for the consistency scan, packed per
-target. Every positive refinement answer is confirmed by rebuilding its
-first witness profile, in ``product`` order, through ``team_rule`` and
-``posterior_no_disclosure`` before it is returned.
+target. Every positive refinement answer is confirmed by an integer check
+of its first witness profile's concealed set, in ``product`` order, built
+from the witness's rows alone (:func:`_witness_holds`), before it is
+returned.
 
 One cap bounds the search and both refinement scans: at most 4 members and
 at most 20 grid values in all (:func:`_check_caps`), so at most 2^20
@@ -1136,8 +1137,8 @@ def consistent_with_deliberation(
     part in a block of its own. A subset-sum table of those position sums
     gives every row m's side, and m is a witness when its side equals the
     ``kept`` sum and K carries mass. The first
-    witness, in ``product`` order, is confirmed by rebuilding its team rule
-    and Bayes posterior before True is returned.
+    witness, in ``product`` order, is confirmed by an integer check of the
+    witness's concealed set (:func:`_witness_holds`) before True is returned.
     """
     return _consistency_witness(posteriors, dist, protocol) is not None
 
@@ -1146,18 +1147,13 @@ def _consistency_witness(
     posteriors: Sequence[Rational], dist: JointDistribution, protocol: DeliberationProtocol
 ) -> tuple[int, ...] | None:
     """The rows of the first profile :func:`consistent_with_deliberation`
-    accepts, confirmed, or None."""
+    accepts, confirmed by an integer check of the witness's concealed set
+    (:func:`_witness_holds`), or None."""
     target = tuple(as_fraction(p) for p in posteriors)
     if len(target) != dist.space.n:
         raise EquilibriumError("posterior vector has wrong length")
     prefixes = _profile_prefixes(dist, protocol)
-    scaled = dist._scaled
-    # Member i's posterior hits num/den (in scaled units) exactly when the
-    # concealed cells' w_c*(x_ic*den - num) sum to 0.
-    columns = []
-    for t, scale, values in zip(target, scaled.scales, scaled.values):
-        num, den = (t * scale).as_integer_ratio()
-        columns.append([v * den - num * w for v, w in zip(values, scaled.weights)])
+    columns = _posterior_columns(dist, target)
     entries, width = _pack(columns)
     tables = _subset_sums(entries)
     # Each cell's entry again, shifted into the block of its last-member
@@ -1180,11 +1176,22 @@ def _consistency_witness(
         for m in compress(range(len(sides)), map(total.__eq__, sides)):
             if kept & ~(pivot & tail[m]) & support:
                 bits = heads + (m,)
-                rule = team_rule(_pure_profile(space, bits), protocol)
-                if posterior_no_disclosure(dist, rule) != target:
-                    raise AssertionError("integer scan disagrees with posterior_no_disclosure")
+                if not _witness_holds(dist, protocol, bits, target):
+                    raise AssertionError("integer scan disagrees with the witness's concealed set")
                 return bits
     return None
+
+
+def _posterior_columns(dist: JointDistribution, target: Sequence[Fraction]) -> list[list[int]]:
+    """Member i's column ``w_c*(x_ic*den - num)`` per cell c, with num/den
+    the target posterior in scaled units: their posterior hits it exactly
+    when their column sums to 0 over the concealed cells."""
+    scaled = dist._scaled
+    columns = []
+    for t, scale, values in zip(target, scaled.scales, scaled.values):
+        num, den = (t * scale).as_integer_ratio()
+        columns.append([v * den - num * w for v, w in zip(values, scaled.weights)])
+    return columns
 
 
 def full_disclosure_is_plausible(
@@ -1211,8 +1218,8 @@ def plausible_full_disclosure_by_search(
     justified by some deterministic own-outcome profile with concealment:
     beliefs that sustain the always-disclose profile. Profiles are walked by
     prefix (:func:`_prefixes`), with no sums, only set tests; the first
-    witness, in ``product`` order, is confirmed by rebuilding its team rule
-    and Bayes posterior before True is returned.
+    witness, in ``product`` order, is confirmed by an integer check of the
+    witness's concealed set (:func:`_witness_holds`) before True is returned.
 
     An on-path equilibrium that conceals a single cell c never justifies full
     disclosure when those beliefs do not: with F the members whose value at c
@@ -1230,7 +1237,8 @@ def _plausibility_witness(
     dist: JointDistribution, protocol: DeliberationProtocol
 ) -> tuple[int, ...] | None:
     """The rows of the first profile :func:`plausible_full_disclosure_by_search`
-    accepts, confirmed, or None.
+    accepts, confirmed by an integer check of the witness's concealed set
+    (:func:`_witness_holds`), or None.
 
     The deviation conditions of the always-disclose profile reduce to: every
     coalition able to block disclosure (one whose complement loses) must
@@ -1277,14 +1285,49 @@ def _plausibility_witness(
         for m in sorted(rows):
             if kept & ~(pivot & tail[m]) & support:
                 bits = heads + (m,)
-                post = posterior_no_disclosure(dist, team_rule(_pure_profile(space, bits), protocol))
-                mins = space.min_vector
-                blocking = [
-                    [i for i in range(n) if mask >> i & 1]
-                    for mask in range(1, 1 << n)
-                    if not protocol.wins(((1 << n) - 1) ^ mask)
-                ]
-                if not all(any(post[i] <= mins[i] for i in grp) for grp in blocking):
-                    raise AssertionError("integer scan disagrees with posterior_no_disclosure")
+                if not _witness_holds(dist, protocol, bits):
+                    raise AssertionError("integer scan disagrees with the witness's concealed set")
                 return bits
     return None
+
+
+def _witness_holds(
+    dist: JointDistribution,
+    protocol: DeliberationProtocol,
+    rows: Sequence[int],
+    target: Sequence[Fraction] | None = None,
+) -> bool:
+    """Whether the pure profile ``rows`` (one row bitmask per member, as
+    :func:`_prefixes` reads them) is a witness of a refinement scan, checked
+    in integers on its concealed cells alone, independently of the scan.
+
+    K is built from the rows directly: the cells of positive mass outside the
+    OR, over the minimal winning coalitions, of the AND of their members' row
+    cells; a witness conceals with positive probability, so K is not empty.
+    With a ``target``, a witness of :func:`consistent_with_deliberation`
+    Bayes-updates to it: every member's column (:func:`_posterior_columns`)
+    sums to 0 over K, read cell by cell. Without, a witness of
+    :func:`plausible_full_disclosure_by_search` sustains always-disclose:
+    every blocking coalition (one whose complement loses) holds a member at
+    their floor, with no cell of K above their minimum.
+    """
+    space = dist.space
+    n = space.n
+    cells = list(map(list.__getitem__, space._row_cells, rows))
+    disclosed = 0
+    for mask in protocol._minimal_masks:
+        disclosed |= reduce(and_, [c for i, c in enumerate(cells) if mask >> i & 1])
+    concealed = dist.support & ~disclosed
+    if not concealed:
+        return False
+    if target is not None:
+        hidden = [c for c in range(concealed.bit_length()) if concealed >> c & 1]
+        columns = _posterior_columns(dist, target)
+        return all(sum([column[c] for c in hidden]) == 0 for column in columns)
+    floor = 0
+    for i, slabs in enumerate(space.slabs):
+        if not concealed & ~slabs[0]:
+            floor |= 1 << i
+    full = (1 << n) - 1
+    table = protocol._winning_table
+    return all(mask & floor for mask in range(1, full + 1) if not table[full ^ mask])

@@ -5,12 +5,14 @@ with a single ``error:`` line on stderr and no traceback. Then runs valid
 ``solve`` and ``verify`` calls, at the search cap among them (4 members on
 5-value grids and 3 members on 7-, 7- and 6-value grids, 20 grid values in
 all and 2^20 deterministic profiles), and expects exit 0 and an output
-file; and a 5-member ``verify`` and a ``solve`` on four 200-value grids,
-beyond the cap, which must exit 3 with a single ``error:`` line and no
-output file, the second before it builds any of its 200^4 cells. Flags and config-file values
-reach the same readers, so the check covers both. ``verify`` cases read
-their ``--equilibrium`` file, written by the harness. Needs no third-party
-package, so it runs on every supported Python:
+file; at the cap, ``verify`` must find posteriors that no profile reaches
+inconsistent with deliberation, and those of a concealing profile
+consistent. Then a 5-member ``verify`` and a ``solve`` on four 200-value
+grids, beyond the cap, which must exit 3 with a single ``error:`` line and
+no output file, the second before it builds any of its 200^4 cells. Flags
+and config-file values reach the same readers, so the check covers both.
+``verify`` cases read their ``--equilibrium`` file, written by the harness.
+Needs no third-party package, so it runs on every supported Python:
 
     PYTHONPATH=src python tests/cli_smoke.py
 
@@ -42,6 +44,10 @@ def at_cap(protocol, sizes):
 
 SOLVE_776, VERIFY_776, EQUILIBRIUM_776 = at_cap("consensus:3", (7, 7, 6))
 _, VERIFY_5555, EQUILIBRIUM_5555 = at_cap("consensus:4", (5, 5, 5, 5))
+# the posteriors of the profile voting 1 on each member's top three values,
+# which conceals with positive probability: the refinement finds and
+# confirms a witness at the cap
+EQUILIBRIUM_5555_REACHED = {"profile": [["0", "0", "1", "1", "1"]] * 4, "posteriors": ["1007/544"] * 4}
 VERIFY_5 = ["verify", "--protocol", "k_majority:5,3", "--dist", "independent:0.5"]
 EQUILIBRIUM_5 = {"profile": [["0", "1"]] * 5, "posteriors": ["1/3"] * 5}
 SOLVE_200 = ["solve", "--protocol", "k_majority:4,2", "--dist", json.dumps(
@@ -71,6 +77,10 @@ MALFORMED = [
     # 24 members for a 2-member protocol, refused before its 2^24 cells are built
     (["solve", "--protocol", "k_majority:2,1", "--dist", json.dumps(
         {"kind": "independent", "q": "1/2", "n": 24}
+    )], None),
+    # a q list of 2 values next to n = 5 (once solved a 2-member distribution)
+    (["solve", "--protocol", "k_majority:2,2", "--dist", json.dumps(
+        {"kind": "independent", "q": ["1/2", "1/2"], "n": 5}
     )], None),
     # a pmf that lists cell 0,0 twice (once kept the last value)
     (["solve", "--protocol", "k_majority:2,2", "--dist", json.dumps(
@@ -129,22 +139,27 @@ def main() -> int:
             extra = f" with config {json.dumps(cfg)}" if cfg is not None else ""
             verdict = "ok" if ok else f"exit {proc.returncode}, stderr {proc.stderr!r}"
             print(f"{shown}{extra}: {verdict}".encode("ascii", "backslashreplace").decode())
-        # (argv, expected exit)
+        # (argv, expected exit, expected posteriors_consistent_with_deliberation
+        # of a verify document, or None)
         runs = (
-            (SOLVE, 0),
-            (verify_argv(EQUILIBRIUM, Path(tmp) / "eq.json"), 0),
-            (verify_argv(EQUILIBRIUM_5555, Path(tmp) / "eq_5555.json", VERIFY_5555), 0),
-            (SOLVE_776, 0),
-            (verify_argv(EQUILIBRIUM_776, Path(tmp) / "eq_776.json", VERIFY_776), 0),
-            (verify_argv(EQUILIBRIUM_5, Path(tmp) / "eq_5.json", VERIFY_5), 3),
-            (SOLVE_200, 3),
+            (SOLVE, 0, None),
+            (verify_argv(EQUILIBRIUM, Path(tmp) / "eq.json"), 0, None),
+            (verify_argv(EQUILIBRIUM_5555, Path(tmp) / "eq_5555.json", VERIFY_5555), 0, False),
+            (verify_argv(EQUILIBRIUM_5555_REACHED, Path(tmp) / "eq_5555r.json", VERIFY_5555), 0, True),
+            (SOLVE_776, 0, None),
+            (verify_argv(EQUILIBRIUM_776, Path(tmp) / "eq_776.json", VERIFY_776), 0, False),
+            (verify_argv(EQUILIBRIUM_5, Path(tmp) / "eq_5.json", VERIFY_5), 3, None),
+            (SOLVE_200, 3, None),
         )
-        for argv, code in runs:
+        for argv, code, consistent in runs:
             proc, out = run(argv, tmp)
             lines = proc.stderr.splitlines()
             ok = proc.returncode == code and out.exists() == (code == 0)
             if code:
                 ok = ok and len(lines) == 1 and lines[0].startswith("error:")
+            if ok and consistent is not None:
+                doc = json.loads(out.read_text())
+                ok = doc["posteriors_consistent_with_deliberation"] is consistent
             failed += not ok
             # a long pmf is shown as "..."
             shown = " ".join(a if len(a) < 100 else "..." for a in argv)

@@ -595,6 +595,54 @@ def consistency_witness_by_profiles(posteriors, dist, protocol):
     return None
 
 
+def _posterior_of_rows(dist, protocol, rows):
+    """The Bayes no-disclosure posterior of the pure profile ``rows`` (one
+    row bitmask per member, first position in the highest bit), rebuilt as a
+    StrategyProfile of 0/1 Fractions and read through the Fraction loops
+    above; None when the profile never conceals."""
+    from team_disclosure.equilibrium import StrategyProfile
+    from team_disclosure.outcomes import OffPathPosterior
+
+    profile = StrategyProfile(
+        dist.space,
+        tuple(
+            tuple(Fraction(r >> (len(g) - 1 - p) & 1) for p in range(len(g)))
+            for g, r in zip(dist.space.grids, rows)
+        ),
+    )
+    try:
+        return posterior_no_disclosure_by_fractions(dist, team_rule_by_evaluate(profile, protocol))
+    except OffPathPosterior:
+        return None
+
+
+def consistency_confirmed_by_fractions(posteriors, dist, protocol, rows):
+    """Whether the pure profile ``rows`` conceals with positive probability
+    and Bayes-updates to exactly ``posteriors``, in Fractions: the Fraction
+    twin of ``equilibrium._witness_holds`` with a target."""
+    post = _posterior_of_rows(dist, protocol, rows)
+    return post is not None and post == tuple(Fraction(p) for p in posteriors)
+
+
+def plausibility_confirmed_by_fractions(dist, protocol, rows):
+    """Whether the pure profile ``rows`` conceals with positive probability
+    and its Bayes posteriors sustain always-disclose (every blocking
+    coalition holds a member whose posterior sits at their minimum), in
+    Fractions: the Fraction twin of ``equilibrium._witness_holds`` without a
+    target."""
+    post = _posterior_of_rows(dist, protocol, rows)
+    if post is None:
+        return False
+    n = dist.space.n
+    mins = dist.space.min_vector
+    blocking = [
+        [i for i in range(n) if mask >> i & 1]
+        for mask in range(1, 1 << n)
+        if not protocol.wins(((1 << n) - 1) ^ mask)
+    ]
+    return all(any(post[i] <= mins[i] for i in grp) for grp in blocking)
+
+
 def plausibility_witness_by_profiles(dist, protocol):
     """The rows of the first profile whose members at their floor (no
     concealed cell of mass above their minimum) win, one floor test per

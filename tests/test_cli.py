@@ -163,6 +163,19 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("n, expected", [(5, 2), (1, 2), (2, 0)])
+    def test_q_list_length_must_match_n(self, tmp_path, capsys, n, expected):
+        # an explicit n next to a q list of another length was once ignored,
+        # and the q list's member count solved
+        dist = {"kind": "independent", "q": ["1/2", "1/2"], "n": n}
+        out = tmp_path / "eq.json"
+        argv = ["solve", "--protocol", "k_majority:2,2", "--dist", json.dumps(dist), "--out", str(out)]
+        assert main(argv) == expected
+        assert out.exists() == (expected == 0)
+        if expected:
+            err = capsys.readouterr().err
+            assert err == f"error: independent generator lists 2 q values for n = {n}\n"
+
 
 class TestVerify:
     def test_verify_round_trip(self, tmp_path):

@@ -49,10 +49,12 @@ from team_disclosure.protocols import (
 
 from oracles import (
     assert_masks_match,
+    consistency_confirmed_by_fractions,
     consistency_witness_by_profiles,
     consistent_with_deliberation_by_fractions,
     deterministic_profiles,
     find_equilibria_report_unscreened,
+    plausibility_confirmed_by_fractions,
     plausibility_witness_by_profiles,
     plausible_full_disclosure_by_fractions,
     posterior_by_enumeration,
@@ -465,6 +467,20 @@ TWIN_SIZES = [(2, 2, 2, 4), (2, 3, 2, 4), (3, 2, 3, 4), (3, 3, 4, 4), (4, 4, 4, 
 TWIN_PROTOCOLS = 3
 
 
+def assert_plausibility_confirmed(d, proto, witness):
+    """A returned plausibility witness passes the run-time integer check and
+    its Fraction twin."""
+    assert equilibrium._witness_holds(d, proto, witness)
+    assert plausibility_confirmed_by_fractions(d, proto, witness)
+
+
+def assert_consistency_confirmed(target, d, proto, witness):
+    """A returned consistency witness passes the run-time integer check and
+    its Fraction twin."""
+    assert equilibrium._witness_holds(d, proto, witness, target)
+    assert consistency_confirmed_by_fractions(target, d, proto, witness)
+
+
 def oracle_cases(rng):
     """(distribution, protocols) pairs: every protocol on the small spaces,
     a seeded sample on the larger ones."""
@@ -515,6 +531,8 @@ class TestRefinementOracles:
                 assert fast == plausible_full_disclosure_by_fractions(d, proto)
                 witness = equilibrium._plausibility_witness(d, proto)
                 assert witness == plausibility_witness_by_profiles(d, proto)
+                if witness is not None:
+                    assert_plausibility_confirmed(d, proto, witness)
                 outcomes.add(fast)
         assert outcomes == {True, False}
 
@@ -546,11 +564,14 @@ class TestRefinementOracles:
                 fast = equilibrium._consistency_witness(hit, d, proto)
                 assert fast is not None
                 assert fast == consistency_witness_by_profiles(hit, d, proto)
+                assert_consistency_confirmed(hit, d, proto, fast)
                 moved.add(fast != tuple(rows))
                 assert equilibrium._consistency_witness(miss, d, proto) is None
                 assert consistency_witness_by_profiles(miss, d, proto) is None
                 fast = equilibrium._plausibility_witness(d, proto)
                 assert fast == plausibility_witness_by_profiles(d, proto)
+                if fast is not None:
+                    assert_plausibility_confirmed(d, proto, fast)
                 plausible.add(fast is not None)
         # some reached target's first witness is not the profile it came from
         assert True in moved
@@ -567,6 +588,75 @@ class TestRefinementOracles:
             for proto in all_protocols(len(sizes)):
                 fast = equilibrium._plausibility_witness(d, proto)
                 assert fast == plausibility_witness_by_profiles(d, proto)
+                if fast is not None:
+                    assert_plausibility_confirmed(d, proto, fast)
+
+    def test_integer_check_rejects_always_disclose(self):
+        # every member votes 1 everywhere: nothing is concealed, so the rows
+        # witness neither scan, whatever the target
+        rng = random.Random(97)
+        for d, protos in oracle_cases(rng):
+            rows = [(1 << len(g)) - 1 for g in d.space.grids]
+            for proto in protos:
+                assert not equilibrium._witness_holds(d, proto, rows)
+                assert not equilibrium._witness_holds(d, proto, rows, d.mean_vector)
+                assert not plausibility_confirmed_by_fractions(d, proto, rows)
+                assert not consistency_confirmed_by_fractions(d.mean_vector, d, proto, rows)
+
+    def test_integer_check_rejects_a_changed_last_row(self):
+        # each returned witness with the last member's row changed to every
+        # other row: the integer check agrees with its Fraction twin, and
+        # rejects some of them
+        rng = random.Random(101)
+        rejected = {"consistency": 0, "plausibility": 0}
+        for d, protos in oracle_cases(rng):
+            profiles = list(deterministic_profiles(d.space))
+            for proto in protos:
+                while True:
+                    rule = team_rule(rng.choice(profiles), proto)
+                    if any(v == 0 and p > 0 for v, p in zip(rule.values, d.probs)):
+                        break
+                target = posterior_no_disclosure(d, rule)
+                witness = equilibrium._consistency_witness(target, d, proto)
+                for m in range(1 << len(d.space.grids[-1])):
+                    if m == witness[-1]:
+                        continue
+                    rows = witness[:-1] + (m,)
+                    holds = equilibrium._witness_holds(d, proto, rows, target)
+                    assert holds == consistency_confirmed_by_fractions(target, d, proto, rows)
+                    rejected["consistency"] += not holds
+                witness = equilibrium._plausibility_witness(d, proto)
+                if witness is None:
+                    continue
+                for m in range(1 << len(d.space.grids[-1])):
+                    if m == witness[-1]:
+                        continue
+                    rows = witness[:-1] + (m,)
+                    holds = equilibrium._witness_holds(d, proto, rows)
+                    assert holds == plausibility_confirmed_by_fractions(d, proto, rows)
+                    rejected["plausibility"] += not holds
+        assert min(rejected.values()) > 10, rejected
+
+    def test_scans_raise_when_pivot_drops_a_coalition(self, monkeypatch):
+        # the 4-cycle protocol {1,2}, {1,4}, {2,3}, {3,4} with {1,4} missing
+        # from pivot: kept reads only coalitions without the last member, so
+        # the walk is that of the protocol without {1,4}, and both scans take
+        # a profile for a witness that its rows do not justify
+        d = uniform_binary(4)
+        proto = make_protocol(4, [(1, 2), (1, 4), (2, 3), (3, 4)])
+        reduced = make_protocol(4, [(1, 2), (2, 3), (3, 4)])
+        profile = equilibrium._pure_profile(d.space, (1, 1, 1, 1))
+        target = posterior_no_disclosure(d, team_rule(profile, reduced))
+        assert not consistent_with_deliberation(target, d, proto)
+        assert not plausible_full_disclosure_by_search(d, proto)
+        prefixes = equilibrium._prefixes
+        monkeypatch.setattr(
+            equilibrium, "_prefixes", lambda space, protocol, rows=None: prefixes(space, reduced, rows)
+        )
+        with pytest.raises(AssertionError, match="integer scan disagrees"):
+            consistent_with_deliberation(target, d, proto)
+        with pytest.raises(AssertionError, match="integer scan disagrees"):
+            plausible_full_disclosure_by_search(d, proto)
 
 
 class TestPivotOracle:
