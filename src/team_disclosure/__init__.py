@@ -10,7 +10,6 @@ from .protocols import (
     make_k_majority,
     make_leader,
     make_protocol,
-    make_unilateral,
 )
 from .outcomes import (
     JointDistribution,
@@ -60,7 +59,6 @@ from .incentives import (
     effort_gain,
     effort_gain_cov,
     find_epsilon_bar,
-    full_effort_set_contains,
     protocol_full_effort_corners,
 )
 from .binary_env import (
@@ -68,13 +66,7 @@ from .binary_env import (
     BinaryEnvParams,
     baseline_params,
     closed_forms,
-    cond_mean_nd,
-    gain_binary,
     gain_curve,
-    k_majority_interior_rule,
-    optimal_k,
-    prob_joint_high_and_nd,
-    prob_nd,
     sweep,
 )
 from .audit import AuditConfig, AuditReport, run_audit

@@ -24,8 +24,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
-from . import binary_env
-from .binary_env import BinaryEnvParams, baseline_params, gain_curve, parse_grid, sweep
+from .binary_env import BinaryEnvParams, baseline_params, closed_forms, gain_curve, parse_grid, sweep
 from .equilibrium import (
     FULL,
     INTERIOR,
@@ -53,6 +52,7 @@ from .outcomes import (
     binary_independent,
     binary_space,
     common_mixture,
+    comonotone,
     from_pmf,
     make_space,
     mix,
@@ -576,10 +576,7 @@ def _claim_correlation_mixing(config: AuditConfig, rng: random.Random, rec: _Rec
         ),
         ["1/100", "1/100"],
     )
-    space = base.dist_of((1, 1)).space
-    top = from_pmf(
-        space, {(ONE, ONE): Fraction(85, 100), (ZERO, ZERO): Fraction(15, 100)}
-    )
+    top = comonotone([0, 1], [Fraction(15, 100), Fraction(85, 100)], 2)
     cons = make_k_majority(2, 2)
     uni = make_k_majority(2, 1)
     rec.tick()
@@ -697,14 +694,18 @@ def _claim_binary_dominance(config: AuditConfig, rng: random.Random, rec: _Recor
         k = rng.randint(2, n)
         h = Fraction(1, 200)
         rec.tick()
-        mean = binary_env.cond_mean_nd(base, k)
-        if not binary_env.cond_mean_nd(replace(base, q_other=qo + h), k) <= mean:
+
+        def mean_at(params: BinaryEnvParams) -> Fraction:
+            return closed_forms(params)[2][k - 1]
+
+        mean = mean_at(base)
+        if not mean_at(replace(base, q_other=qo + h)) <= mean:
             rec.fail(f"conceal-mean not decreasing in the partners' high chance (n={n}, k={k})")
-        if not binary_env.cond_mean_nd(replace(base, p=p + h), k) <= mean:
+        if not mean_at(replace(base, p=p + h)) <= mean:
             rec.fail(f"conceal-mean not decreasing in the common-branch weight (n={n}, k={k})")
-        if not binary_env.cond_mean_nd(replace(base, q_own=qi + h), k) >= mean:
+        if not mean_at(replace(base, q_own=qi + h)) >= mean:
             rec.fail(f"conceal-mean not increasing in the own high chance (n={n}, k={k})")
-        if not binary_env.cond_mean_nd(replace(base, q_team=qt + h), k) >= mean:
+        if not mean_at(replace(base, q_team=qt + h)) >= mean:
             rec.fail(f"conceal-mean not increasing in the common high chance (n={n}, k={k})")
 
 

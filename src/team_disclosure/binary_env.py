@@ -17,18 +17,14 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, NamedTuple
 
-from .equilibrium import TeamRule
-from .outcomes import JointDistribution, OutcomeSpace, common_outcome_mixture
+from .outcomes import JointDistribution, common_outcome_mixture
 from .rationals import Rational, as_fraction, decimal_str
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 SWEEP_AXES = ("q_other_dev", "p_dev", "q_own_dev", "q_T_dev")
 
 
 class BinaryEnvError(ValueError):
-    """Raised for invalid parameters or consensus levels."""
+    """Raised for invalid parameters."""
 
 
 @dataclass(frozen=True)
@@ -59,10 +55,6 @@ class BinaryEnvParams:
             n, as_fraction(p), as_fraction(q_team), as_fraction(q_own), as_fraction(q_other)
         )
 
-    @staticmethod
-    def symmetric(n: int, p: Rational, q_team: Rational, q: Rational) -> "BinaryEnvParams":
-        return BinaryEnvParams.make(n, p, q_team, q, q)
-
     def joint_distribution(self) -> JointDistribution:
         """The mixture as an explicit joint pmf; member 1 is the marked member."""
         return common_outcome_mixture(
@@ -82,11 +74,6 @@ def _mean_ratio(params: BinaryEnvParams) -> tuple[int, int]:
     tn, tb = params.q_team.as_integer_ratio()
     in_, ib = params.q_own.as_integer_ratio()
     return pn * tn * ib + (pb - pn) * in_ * tb, pb * tb * ib
-
-
-def _check_k(params: BinaryEnvParams, k: int) -> None:
-    if not 1 <= k <= params.n:
-        raise BinaryEnvError(f"consensus level k={k} out of range 1..{params.n}")
 
 
 def _terms(params: BinaryEnvParams) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
@@ -144,44 +131,17 @@ def _terms(params: BinaryEnvParams) -> tuple[int, tuple[int, ...], tuple[int, ..
                 + ib * joint * s2
                 + (ib - in_) * binom[n - k] * num_pow * joint
             ):
-                raise AssertionError("closed-form disagreement in cond_mean_nd")
+                raise AssertionError("closed-form disagreement in _terms")
         pnds.append(pnd)
         joints.append(joint)
     return pb * tb * ib * scale, tuple(pnds), tuple(joints)
-
-
-def prob_joint_high_and_nd(params: BinaryEnvParams, k: int) -> Fraction:
-    """P(marked member high and the team conceals) under the k-majority rule."""
-    _check_k(params, k)
-    scale, _, joints = _terms(params)
-    return Fraction(joints[k - 1], scale)
-
-
-def prob_nd(params: BinaryEnvParams, k: int) -> Fraction:
-    """P(the team conceals): common low draw, or enough independent low draws."""
-    _check_k(params, k)
-    scale, pnds, _ = _terms(params)
-    return Fraction(pnds[k - 1], scale)
-
-
-def cond_mean_nd(params: BinaryEnvParams, k: int) -> Fraction:
-    """E[marked member's outcome | the team conceals].
-
-    Read from the per-parameter kernel ``_terms`` as the ratio of the two
-    closed forms; the kernel checks it, for every k >= 2, against the
-    inverted sum-of-three-terms form, and the two must agree exactly.
-    """
-    _check_k(params, k)
-    _, pnds, joints = _terms(params)
-    return Fraction(joints[k - 1], pnds[k - 1])  # P(ND) >= p*(1-q_team) > 0
 
 
 def closed_forms(
     params: BinaryEnvParams,
 ) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...], tuple[Fraction, ...]]:
     """P(ND), P(own high and ND) and E[own | ND] at every k = 1..n, as three
-    tuples indexed by k-1, from one ``_terms`` pass (each per-k reader above
-    makes a full pass for its one k)."""
+    tuples indexed by k-1, from one ``_terms`` pass."""
     scale, pnds, joints = _terms(params)
     return (
         tuple(Fraction(pnd, scale) for pnd in pnds),
@@ -190,38 +150,12 @@ def closed_forms(
     )
 
 
-def k_majority_interior_rule(space: OutcomeSpace, k: int) -> TeamRule:
-    """Disclose iff at least k members draw their high outcome."""
-    if not space.is_binary():
-        raise BinaryEnvError("the interior rule is defined on binary spaces")
-    vals = []
-    for cell in space.cells:
-        highs = sum(1 for i, v in enumerate(cell) if v == space.grids[i][1])
-        vals.append(ONE if highs >= k else ZERO)
-    return TeamRule(space, tuple(vals))
-
-
-def interior_posteriors_valid(params: BinaryEnvParams, k: int) -> bool:
-    """Whether the k-majority interior rule's posteriors lie strictly in (0,1).
-
-    Holds for every k >= 2 under full-support parameters; k=1 pins the
-    posterior at 0 (only all-low outcomes are concealed), the boundary case
-    whose gains coincide with full disclosure.
-    """
-    _check_k(params, k)
-    if k == 1:
-        return False
-    _, pnds, joints = _terms(params)
-    return 0 < joints[k - 1] < pnds[k - 1]
-
-
 def _curve(
     mean_full: Fraction,
     terms_full: tuple[int, tuple[int, ...], tuple[int, ...]],
     params_dev: BinaryEnvParams,
-    ks: Iterable[int],
 ) -> tuple[tuple[Fraction, ...], int]:
-    """Gains at the consensus levels ``ks`` and the first k whose gain is
+    """Gains at every consensus level k = 1..n and the first k whose gain is
     largest, from the full-effort side's mean and ``_terms`` and one pass over
     the deviation profile.
 
@@ -242,7 +176,7 @@ def _curve(
     dd, pd, jd = _terms(params_dev)
     gains = []
     best_k = best_num = best_pf = None
-    for k in ks:
+    for k in range(1, len(pf) + 1):
         pfk, pdk = pf[k - 1], pd[k - 1]
         den = dd * pfk
         num = bn * den - bd * (jf[k - 1] * pdk - jd[k - 1] * pfk)
@@ -252,21 +186,6 @@ def _curve(
     return tuple(gains), best_k
 
 
-def gain_binary(
-    params_full: BinaryEnvParams, params_dev: BinaryEnvParams, k: int
-) -> Fraction:
-    """Marked member's gain from effort under the k-majority interior rule.
-
-    ``params_full`` describes the distribution when everyone works,
-    ``params_dev`` when the marked member shirks; the rule and the observer's
-    posterior stay at their full-effort values, so the gain is the mean shift
-    less P_dev(ND) * (E_full[own | ND] - E_dev[own | ND]).
-    """
-    _check_k(params_full, k)
-    gains, _ = _curve(params_full.mean_own, _terms(params_full), params_dev, (k,))
-    return gains[0]
-
-
 @dataclass(frozen=True)
 class GainCurve:
     """Effort gain per consensus level, with the argmax (ties to smallest k)."""
@@ -274,17 +193,17 @@ class GainCurve:
     gains: tuple[Fraction, ...]
     k_star: int
 
-    def gain(self, k: int) -> Fraction:
-        return self.gains[k - 1]
-
 
 def gain_curve(params_full: BinaryEnvParams, params_dev: BinaryEnvParams) -> GainCurve:
-    ks = range(1, params_full.n + 1)
-    return GainCurve(*_curve(params_full.mean_own, _terms(params_full), params_dev, ks))
+    """Marked member's gain from effort under the k-majority interior rule at
+    every k = 1..n (``gains[k - 1]``), and the best level ``k_star``.
 
-
-def optimal_k(params_full: BinaryEnvParams, params_dev: BinaryEnvParams) -> int:
-    return gain_curve(params_full, params_dev).k_star
+    ``params_full`` describes the distribution when everyone works,
+    ``params_dev`` when the marked member shirks; the rule and the observer's
+    posterior stay at their full-effort values, so the gain is the mean shift
+    less P_dev(ND) * (E_full[own | ND] - E_dev[own | ND]).
+    """
+    return GainCurve(*_curve(params_full.mean_own, _terms(params_full), params_dev))
 
 
 class SweepRow(NamedTuple):
@@ -367,7 +286,7 @@ def sweep(
     rows: list[SweepRow] = []
     for value in grid:
         args[position] = value
-        gains, k_star = _curve(mean_full, terms_full, BinaryEnvParams(*args), ks)
+        gains, k_star = _curve(mean_full, terms_full, BinaryEnvParams(*args))
         rows.extend(SweepRow(value, k, gain, k == k_star) for k, gain in zip(ks, gains))
     return SweepTable(axis, tuple(rows))
 

@@ -294,8 +294,7 @@ def _cmd_gains(opts: dict, out: str | None) -> int:
             {
                 "gains": [frac_str(g) for g in gv.gains],
                 "classification": gv.classification,
-                "implements_full_effort_at_costs": gv.positive
-                and all(c <= g for c, g in zip(model.costs, gv.gains)),
+                "implements_full_effort_at_costs": gv.covers(model.costs),
             }
             for gv in corners
         ],

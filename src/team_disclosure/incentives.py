@@ -213,21 +213,6 @@ def effort_gain_cov(model: EffortModel, rule: TeamRule, i: int) -> Fraction:
     return (ONE - pnd_dev) * base + (pnd_dev / pnd_full) * cov_full - cov_dev
 
 
-def full_effort_set_contains(
-    costs: Sequence[Rational], rule: TeamRule, model: EffortModel
-) -> bool:
-    """Whether the cost vector lets every member weakly prefer exerting effort."""
-    c = tuple(as_fraction(x) for x in costs)
-    if len(c) != model.n:
-        raise IncentiveError("cost vector has wrong length")
-    if any(x <= 0 for x in c):
-        raise IncentiveError("costs must be strictly positive")
-    return all(
-        c[i - 1] <= effort_gain(model, rule, i, off_path="skeptical")
-        for i in range(1, model.n + 1)
-    )
-
-
 @dataclass(frozen=True)
 class GainVector:
     """Gain per member under one equilibrium rule; its full-effort set is the
@@ -240,6 +225,11 @@ class GainVector:
     @property
     def positive(self) -> bool:
         return all(g > 0 for g in self.gains)
+
+    def covers(self, costs: Sequence[Fraction]) -> bool:
+        """Whether the cost vector lies in this corner's full-effort box:
+        every member weakly prefers effort under the rule."""
+        return self.positive and all(c <= g for c, g in zip(costs, self.gains))
 
 
 def protocol_full_effort_corners(
@@ -269,12 +259,6 @@ def protocol_full_effort_corners(
     return tuple(uniq[k] for k in sorted(uniq, reverse=True))
 
 
-def _covered(corner: tuple[Fraction, ...], corners: Sequence[GainVector]) -> bool:
-    return any(
-        all(a <= b for a, b in zip(corner, gv.gains)) for gv in corners if gv.positive
-    )
-
-
 @dataclass(frozen=True)
 class DominanceReport:
     dominates: bool
@@ -300,12 +284,12 @@ def dominance_report(
     corners_a = protocol_full_effort_corners(protocol_a, model, refine)
     corners_b = protocol_full_effort_corners(protocol_b, model, refine)
     dominates = all(
-        _covered(gv.gains, corners_a) for gv in corners_b if gv.positive
+        any(a.covers(b.gains) for a in corners_a) for b in corners_b if b.positive
     )
     witness = None
     if dominates:
         for gv in corners_a:
-            if gv.positive and not _covered(gv.gains, corners_b):
+            if gv.positive and not any(b.covers(gv.gains) for b in corners_b):
                 witness = gv.gains
                 break
     return DominanceReport(

@@ -209,11 +209,6 @@ def make_k_majority(n: int, k: int) -> DeliberationProtocol:
     return make_protocol(n, combinations(range(1, n + 1), k))
 
 
-def make_unilateral(n: int) -> DeliberationProtocol:
-    """Any single member can force disclosure (1-majority)."""
-    return make_k_majority(n, 1)
-
-
 def make_consensus(n: int) -> DeliberationProtocol:
     """Disclosure requires every member's vote (n-majority)."""
     return make_k_majority(n, n)
@@ -258,10 +253,10 @@ def from_boolean(n: int, fn: Callable[[tuple[int, ...]], int]) -> DeliberationPr
 def all_protocols(n: int) -> tuple[DeliberationProtocol, ...]:
     """Every protocol on n members: all antichains of nonempty coalitions.
 
-    Exhaustive; intended for n <= 4 where the count is small.
+    Exhaustive, so capped at n = 4, where the count is still small (166).
     """
-    if n > 4:
-        raise ProtocolError("exhaustive protocol enumeration is capped at n=4")
+    if not 2 <= n <= 4:
+        raise ProtocolError(f"exhaustive protocol enumeration needs 2 <= n <= 4, got {n}")
     subsets = [m for m in range(1, 1 << n)]
     out = []
     for choice in range(1, 1 << len(subsets)):

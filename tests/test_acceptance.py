@@ -10,12 +10,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 from team_disclosure.audit import AuditConfig, panel_sweep, run_audit
-from team_disclosure.binary_env import (
-    BinaryEnvParams,
-    cond_mean_nd,
-    prob_joint_high_and_nd,
-    prob_nd,
-)
+from team_disclosure.binary_env import BinaryEnvParams, closed_forms
 
 from oracles import binary_branch_enumeration
 
@@ -56,10 +51,11 @@ def test_criterion_1_binary_closed_forms():
     import random
 
     start = time.monotonic()
-    params = BinaryEnvParams.symmetric(3, F(1, 2), F(1, 2), F(1, 2))
-    assert prob_nd(params, 2) == F(1, 2)
-    assert prob_joint_high_and_nd(params, 2) == F(1, 16)
-    assert cond_mean_nd(params, 2) == F(1, 8)
+    params = BinaryEnvParams.make(3, F(1, 2), F(1, 2), F(1, 2), F(1, 2))
+    pnds, joints, means = closed_forms(params)
+    assert pnds[1] == F(1, 2)
+    assert joints[1] == F(1, 16)
+    assert means[1] == F(1, 8)
     oracle = binary_branch_enumeration(3, F(1, 2), F(1, 2), F(1, 2), F(1, 2), 2)
     assert oracle == (F(1, 2), F(1, 16), F(1, 8))
 
@@ -68,11 +64,11 @@ def test_criterion_1_binary_closed_forms():
         n = rng.randint(2, 6)
         k = rng.randint(1, n)
         p, qt, qi, qo = (F(rng.randint(1, 99), 100) for _ in range(4))
-        params = BinaryEnvParams(n, p, qt, qi, qo)
+        pnds, joints, means = closed_forms(BinaryEnvParams(n, p, qt, qi, qo))
         pnd, hi, mean = binary_branch_enumeration(n, p, qt, qi, qo, k)
-        assert prob_nd(params, k) == pnd
-        assert prob_joint_high_and_nd(params, k) == hi
-        assert cond_mean_nd(params, k) == mean
+        assert pnds[k - 1] == pnd
+        assert joints[k - 1] == hi
+        assert means[k - 1] == mean
     elapsed = time.monotonic() - start
     assert elapsed < 10, f"closed-form grid took {elapsed:.1f}s"
 

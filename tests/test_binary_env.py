@@ -6,6 +6,7 @@ from functools import lru_cache
 import pytest
 
 from team_disclosure import binary_env
+from team_disclosure.audit import _high_set_rule
 from team_disclosure.binary_env import (
     BinaryEnvError,
     BinaryEnvParams,
@@ -13,18 +14,13 @@ from team_disclosure.binary_env import (
     SweepTable,
     baseline_params,
     closed_forms,
-    cond_mean_nd,
-    gain_binary,
     gain_curve,
-    k_majority_interior_rule,
-    interior_posteriors_valid,
-    optimal_k,
     parse_grid,
-    prob_joint_high_and_nd,
-    prob_nd,
     sweep,
 )
+from team_disclosure.equilibrium import TeamRule
 from team_disclosure.incentives import EffortModel, effort_gain
+from team_disclosure.protocols import make_k_majority
 
 import oracles
 from oracles import (
@@ -42,15 +38,19 @@ F = Fraction
 
 
 def sym(n, p, qt, q):
-    return BinaryEnvParams.symmetric(n, p, qt, q)
+    return BinaryEnvParams.make(n, p, qt, q, q)
+
+
+def forms_at(params, k):
+    """(P(ND), P(own high and ND), E[own | ND]) at level k, read from
+    ``closed_forms``."""
+    return tuple(forms[k - 1] for forms in closed_forms(params))
 
 
 class TestClosedForms:
     def test_worked_instance(self):
         params = sym(3, F(1, 2), F(1, 2), F(1, 2))
-        assert prob_nd(params, 2) == F(1, 2)
-        assert prob_joint_high_and_nd(params, 2) == F(1, 16)
-        assert cond_mean_nd(params, 2) == F(1, 8)
+        assert forms_at(params, 2) == (F(1, 2), F(1, 16), F(1, 8))
 
     def test_worked_instance_against_branch_enumeration(self):
         pnd, hi, mean = binary_branch_enumeration(3, "1/2", "1/2", "1/2", "1/2", 2)
@@ -58,18 +58,16 @@ class TestClosedForms:
 
     def test_unilateral_empty_sum_convention(self):
         params = sym(4, F(1, 3), F(2, 5), F(1, 2))
-        assert prob_joint_high_and_nd(params, 1) == 0
-        assert cond_mean_nd(params, 1) == 0
+        assert forms_at(params, 1)[1:] == (0, 0)
 
     def test_two_member_consensus_single_term(self):
         params = BinaryEnvParams.make(2, F(1, 3), F(1, 2), F(2, 5), F(1, 2))
-        assert prob_joint_high_and_nd(params, 2) == (1 - F(1, 3)) * F(2, 5) * F(1, 2)
+        assert forms_at(params, 2)[1] == (1 - F(1, 3)) * F(2, 5) * F(1, 2)
 
     def test_no_common_branch_matches_enumeration(self):
         params = BinaryEnvParams.make(2, F(1, 10**6), F(1, 2), F(3, 10), F(1, 2))
         pnd, hi, mean = binary_branch_enumeration(2, params.p, F(1, 2), F(3, 10), F(1, 2), 2)
-        assert prob_nd(params, 2) == pnd
-        assert prob_joint_high_and_nd(params, 2) == hi
+        assert forms_at(params, 2)[:2] == (pnd, hi)
 
     def test_randomized_grid_against_enumeration(self):
         rng = random.Random(47)
@@ -85,20 +83,18 @@ class TestClosedForms:
                 F(rng.randint(1, 99), 100),
             )
             for k in range(1, n + 1):
-                pnd, hi, mean = binary_branch_enumeration(
+                expected = binary_branch_enumeration(
                     n, params.p, params.q_team, params.q_own, params.q_other, k
                 )
-                assert prob_nd(params, k) == pnd
-                assert prob_joint_high_and_nd(params, k) == hi
-                assert cond_mean_nd(params, k) == mean
+                assert forms_at(params, k) == expected
 
     def test_kernel_against_per_k_closed_forms(self, monkeypatch):
         # the integer kernel against the per-k closed forms and the Fraction
         # pass it replaced, exactly and at every k, on a /100 grid, with
         # teams up to 40 members. The per-k forms are memoised for the test,
         # so binary_gains_by_k reads the forms the loop has just computed
-        closed_forms = lru_cache(maxsize=None)(oracles.binary_closed_forms_by_k)
-        monkeypatch.setattr(oracles, "binary_closed_forms_by_k", closed_forms)
+        per_k = lru_cache(maxsize=None)(oracles.binary_closed_forms_by_k)
+        monkeypatch.setattr(oracles, "binary_closed_forms_by_k", per_k)
         rng = random.Random(67)
         sizes = list(range(2, 13)) + [20, 40]
         for _ in range(1000):
@@ -108,22 +104,19 @@ class TestClosedForms:
                 for _ in range(2)
             )
             for params in (full, dev):
-                pnds, joints, means = binary_terms_by_fractions(params)
+                fractions = binary_terms_by_fractions(params)
+                assert closed_forms(params) == fractions
+                pnds, joints, means = fractions
                 for k in range(1, n + 1):
-                    pnd, joint, mean = closed_forms(params, k)
-                    assert (pnds[k - 1], joints[k - 1], means[k - 1]) == (pnd, joint, mean)
-                    assert prob_nd(params, k) == pnd
-                    assert prob_joint_high_and_nd(params, k) == joint
-                    assert cond_mean_nd(params, k) == mean
+                    expected = per_k(params, k)
+                    assert (pnds[k - 1], joints[k - 1], means[k - 1]) == expected
             gains = gain_curve(full, dev).gains
             assert gains == binary_gains_by_k(full, dev)
             assert gains == binary_gains_by_fractions(full, dev)
-            k = rng.randint(1, n)
-            assert gain_binary(full, dev, k) == gains[k - 1]
 
-    def test_closed_forms_match_per_k_readers(self, monkeypatch):
-        # every k of a parameter set from one kernel pass, against the public
-        # per-k readers (one pass each) and the Fraction pass
+    def test_closed_forms_make_one_kernel_pass(self, monkeypatch):
+        # every k of a parameter set from one kernel pass, against the
+        # Fraction pass
         passes = []
         kernel = binary_env._terms
 
@@ -139,10 +132,6 @@ class TestClosedForms:
             passes.clear()
             pnds, joints, means = closed_forms(params)
             assert passes == [params]
-            ks = range(1, n + 1)
-            assert pnds == tuple(prob_nd(params, k) for k in ks)
-            assert joints == tuple(prob_joint_high_and_nd(params, k) for k in ks)
-            assert means == tuple(cond_mean_nd(params, k) for k in ks)
             assert (pnds, joints, means) == binary_terms_by_fractions(params)
 
     @pytest.mark.parametrize("n", [80, 160, 320])
@@ -150,8 +139,7 @@ class TestClosedForms:
         # mixed denominators, so the kernel's common denominator takes a
         # different factor from each parameter; the per-k closed forms, which
         # cost O(n) per k, are checked at the ends and the middle. Every k of
-        # a parameter set is read from one kernel pass, and the per-k readers
-        # at the same levels
+        # a parameter set is read from one kernel pass
         rng = random.Random(n)
         dens = (7, 100, 997, 2**10)
         full, dev = (
@@ -168,9 +156,6 @@ class TestClosedForms:
                 for k in ks:
                     expected = pnds[k - 1], joints[k - 1], means[k - 1]
                     assert binary_closed_forms_by_k(params, k) == expected
-                    assert (
-                        prob_nd(params, k), prob_joint_high_and_nd(params, k), cond_mean_nd(params, k)
-                    ) == expected
             gains = gain_curve(f, d).gains
             assert gains == binary_gains_by_fractions(f, d)
             assert tuple(gains[k - 1] for k in ks) == binary_gains_by_k(f, d, ks)
@@ -212,8 +197,6 @@ class TestClosedForms:
             BinaryEnvParams.make(3, 0, F(1, 2), F(1, 2), F(1, 2))
         with pytest.raises(BinaryEnvError):
             BinaryEnvParams.make(3, F(1, 2), 1, F(1, 2), F(1, 2))
-        with pytest.raises(BinaryEnvError):
-            prob_nd(sym(3, F(1, 2), F(1, 2), F(1, 2)), 4)
 
 
 class TestConcealMeanMonotonicity:
@@ -230,36 +213,43 @@ class TestConcealMeanMonotonicity:
                 F(rng.randint(5, 90), 100),
                 F(rng.randint(5, 90), 100),
             )
-            base = cond_mean_nd(params, k)
-            assert cond_mean_nd(replace(params, q_other=params.q_other + h), k) <= base
-            assert cond_mean_nd(replace(params, p=params.p + h), k) <= base
-            assert cond_mean_nd(replace(params, q_own=params.q_own + h), k) >= base
-            assert cond_mean_nd(replace(params, q_team=params.q_team + h), k) >= base
+            def mean(**changes):
+                return forms_at(replace(params, **changes), k)[2]
+
+            base = mean()
+            assert mean(q_other=params.q_other + h) <= base
+            assert mean(p=params.p + h) <= base
+            assert mean(q_own=params.q_own + h) >= base
+            assert mean(q_team=params.q_team + h) >= base
 
 
 class TestGain:
     def test_unilateral_gain_is_mean_shift(self):
         full = sym(4, F(1, 2), F(51, 100), F(51, 100))
         dev = sym(4, F(1, 2), F(1, 2), F(1, 2))
-        assert gain_binary(full, dev, 1) == full.mean_own - dev.mean_own
+        assert gain_curve(full, dev).gains[0] == full.mean_own - dev.mean_own
 
     def test_partner_lift_beats_unilateral(self):
         base = sym(4, F(1, 2), F(1, 2), F(1, 2))
         full = replace(base, q_other=F(11, 20))
+        gains = gain_curve(full, base).gains
         for k in range(2, 5):
-            assert gain_binary(full, base, k) > gain_binary(full, base, 1)
+            assert gains[k - 1] > gains[0]
 
     def test_own_lift_favors_unilateral(self):
         base = sym(4, F(1, 2), F(1, 2), F(1, 2))
         full = replace(base, q_own=F(11, 20))
+        gains = gain_curve(full, base).gains
         for k in range(1, 5):
-            assert gain_binary(full, base, 1) >= gain_binary(full, base, k)
+            assert gains[0] >= gains[k - 1]
 
     def test_interior_validity(self):
-        params = sym(5, F(1, 2), F(1, 2), F(1, 2))
-        assert not interior_posteriors_valid(params, 1)
+        # the interior rule's conceal mean lies strictly inside (0,1) at every
+        # k >= 2; k=1 conceals only all-low outcomes and pins it at 0
+        _, _, means = closed_forms(sym(5, F(1, 2), F(1, 2), F(1, 2)))
+        assert means[0] == 0
         for k in range(2, 6):
-            assert interior_posteriors_valid(params, k)
+            assert 0 < means[k - 1] < 1
 
     def test_cross_module_gain_agreement(self):
         # assemble the mixture as an explicit joint distribution and run the
@@ -303,8 +293,12 @@ class TestGain:
                 return damp.joint_distribution()
 
             model = EffortModel.build(n, dist, ["1/100"] * n)
-            rule = k_majority_interior_rule(model.dist_of((1,) * n).space, k)
-            assert gain_binary(full, dev, k) == effort_gain(model, rule, 1, off_path="skeptical")
+            space = model.dist_of((1,) * n).space
+            rule = TeamRule(space, _high_set_rule(make_k_majority(n, k), space))
+            # the k-majority interior rule: disclose iff at least k draw high
+            assert rule.values == tuple(F(sum(cell) >= k) for cell in space.cells)
+            gain = gain_curve(full, dev).gains[k - 1]
+            assert gain == effort_gain(model, rule, 1, off_path="skeptical")
 
 
 class TestOptimalK:
@@ -312,7 +306,7 @@ class TestOptimalK:
         full, dev = baseline_params(6)
         table = sweep(full, dev, "p_dev", [F(2, 5)])
         k_from_sweep = [row.k for row in table.rows if row.is_optimal]
-        assert k_from_sweep == [optimal_k(full, replace(dev, p=F(2, 5)))]
+        assert k_from_sweep == [gain_curve(full, replace(dev, p=F(2, 5))).k_star]
 
     def test_ties_break_to_smallest_k(self):
         # identical profiles make every gain zero, so k* must be 1
@@ -449,6 +443,6 @@ class TestCurveKernel:
         pf = (pd[0], pd[1], 5 * pd[2], 7 * pd[3])
         jf = (jd[0] + 1, jd[1], 5 * jd[2], 7 * jd[3] + 1)
         shift = F(1, 10)
-        gains, k_star = binary_env._curve(dev.mean_own + shift, (1, pf, jf), dev, range(1, 5))
+        gains, k_star = binary_env._curve(dev.mean_own + shift, (1, pf, jf), dev)
         assert gains == (shift - F(1, dd), shift, shift, shift - F(1, 7 * dd))
         assert k_star == 2

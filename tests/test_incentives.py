@@ -15,8 +15,8 @@ from team_disclosure.incentives import (
     effective_team_leader,
     effort_gain,
     effort_gain_cov,
+    GainVector,
     find_epsilon_bar,
-    full_effort_set_contains,
     protocol_full_effort_corners,
 )
 from team_disclosure.outcomes import (
@@ -143,31 +143,44 @@ class TestEffortGain:
             effort_gain_cov(model, TeamRule.constant(space, 1), 1)
 
 
+def skeptical_corner(model, rule):
+    """The gain vector of a rule under the skeptical off-path convention."""
+    gains = tuple(
+        effort_gain(model, rule, i, off_path="skeptical") for i in range(1, model.n + 1)
+    )
+    return GainVector(gains, "interior", rule)
+
+
 class TestFullEffortSet:
     def test_boundary_and_violation(self):
         model = team_improving_pair_model()
         space = model.dist_of((1, 1)).space
-        rule = consensual_rule(space)
-        assert full_effort_set_contains([F(3, 80), F(3, 80)], rule, model)
-        assert full_effort_set_contains([F(3, 100), F(3, 100)], rule, model)
-        assert not full_effort_set_contains([F(4, 100), F(4, 100)], rule, model)
+        corner = skeptical_corner(model, consensual_rule(space))
+        assert corner.covers([F(3, 80), F(3, 80)])
+        assert corner.covers([F(3, 100), F(3, 100)])
+        assert not corner.covers([F(4, 100), F(4, 100)])
+        assert not corner.covers([F(1, 100), F(4, 100)])
 
     def test_membership_monotone_in_costs(self):
         model = team_improving_pair_model()
         space = model.dist_of((1, 1)).space
-        rule = consensual_rule(space)
+        corner = skeptical_corner(model, consensual_rule(space))
         rng = random.Random(43)
         for _ in range(30):
             c = [F(rng.randint(1, 6), 100) for _ in range(2)]
-            if full_effort_set_contains(c, rule, model):
+            if corner.covers(c):
                 smaller = [x / 2 for x in c]
-                assert full_effort_set_contains(smaller, rule, model)
+                assert corner.covers(smaller)
 
     def test_costs_must_be_positive(self):
+        # costs are checked where they enter, in the effort model; a corner
+        # with a gain of 0 covers no cost vector at all
         model = team_improving_pair_model()
+        with pytest.raises(IncentiveError, match="costs must be strictly positive"):
+            EffortModel.build(2, dict(model.dists), [0, F(1, 100)])
         space = model.dist_of((1, 1)).space
-        with pytest.raises(IncentiveError):
-            full_effort_set_contains([0, F(1, 100)], consensual_rule(space), model)
+        rule = TeamRule.constant(space, 1)
+        assert not GainVector((F(0), F(1)), "full", rule).covers([F(1, 100), F(1, 100)])
 
 
 class TestCorners:
@@ -209,7 +222,7 @@ class TestDominance:
         assert report.witness == (F(3, 80), F(3, 80))
         # the witness is a genuine separator
         space = model.dist_of((1, 1)).space
-        assert full_effort_set_contains(report.witness, consensual_rule(space), model)
+        assert skeptical_corner(model, consensual_rule(space)).covers(report.witness)
 
     def test_reflexive(self):
         model = team_improving_pair_model()

@@ -11,7 +11,6 @@ from team_disclosure.protocols import (
     make_k_majority,
     make_leader,
     make_protocol,
-    make_unilateral,
 )
 
 from oracles import requires_more_consensus_bruteforce
@@ -118,7 +117,7 @@ class TestEvaluate:
 
 class TestUnilateralPower:
     def test_unilateral_everyone(self):
-        p = make_unilateral(3)
+        p = make_k_majority(3, 1)
         assert all(p.can_unilaterally_disclose(i) for i in (1, 2, 3))
         assert p.all_unilateral
 
@@ -141,7 +140,7 @@ class TestRequiresMoreConsensus:
 
     def test_unilateral_never(self):
         for n in (2, 3, 4):
-            assert not make_unilateral(n).disclosure_requires_more_consensus()
+            assert not make_k_majority(n, 1).disclosure_requires_more_consensus()
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_k_majority_threshold(self, n):
@@ -179,6 +178,14 @@ class TestRoundTrips:
     def test_all_protocols_counts(self):
         assert len(all_protocols(2)) == 4
         assert len(all_protocols(3)) == 18
+
+    @pytest.mark.parametrize("n", [-1, 0, 1, 5])
+    def test_all_protocols_member_bounds(self, n):
+        # one message for every team size outside 2..4: no silent empty tuple
+        # at 0 and no bare shift error below it
+        with pytest.raises(ProtocolError) as err:
+            all_protocols(n)
+        assert str(err.value) == f"exhaustive protocol enumeration needs 2 <= n <= 4, got {n}"
 
     def test_canonical_order_enforced(self):
         with pytest.raises(ProtocolError):
