@@ -13,13 +13,15 @@ A corner table ``(variables, vals)`` lists a multilinear function's values
 at the 0/1 corners of its variables' box, in the order of :func:`corners`.
 Fixing a variable at m = n/d gives (d - n)*low + n*high from its faces at 0
 and 1: d times the function there, so the entries stay integers and every
-sign, root and ratio of entries is exact.
+sign, root and ratio of entries is exact. Fixing every variable at once is
+one dot product with the point's corner coefficients (:func:`point`).
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
 from math import gcd
+from operator import mul
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -243,33 +245,59 @@ def corners(variables: tuple) -> list[dict]:
     return [dict(zip(variables, bits)) for bits in product((0, 1), repeat=len(variables))]
 
 
-def _faces(variables: tuple, vals: list, v) -> tuple[tuple, list, list]:
-    """The tables over the other variables at v = 0 and at v = 1."""
+def _face(variables: tuple, vals: list, v, bit: int) -> tuple[tuple, list]:
+    """The table over the other variables at v = bit (0 or 1)."""
     j = variables.index(v)
+    rest = variables[:j] + variables[j + 1 :]
     if j == len(variables) - 1:
         # the last variable alternates fastest
-        return variables[:j], vals[0::2], vals[1::2]
+        return rest, vals[bit::2]
     step = len(vals) >> (j + 1)
-    low, high = [], []
-    for start in range(0, len(vals), 2 * step):
-        low += vals[start : start + step]
-        high += vals[start + step : start + 2 * step]
-    return variables[:j] + variables[j + 1 :], low, high
+    face = []
+    for start in range(bit * step, len(vals), 2 * step):
+        face += vals[start : start + step]
+    return rest, face
+
+
+def _faces(variables: tuple, vals: list, v) -> tuple[tuple, list, list]:
+    """The tables over the other variables at v = 0 and at v = 1."""
+    rest, low = _face(variables, vals, v, 0)
+    return rest, low, _face(variables, vals, v, 1)[1]
 
 
 def restrict(variables: tuple, vals: list, pinned: dict) -> tuple[tuple, list]:
     """The table over the unpinned variables, each pinned one fixed at its
-    rational value (a positive multiple of the function there)."""
+    rational value (a positive multiple of the function there). A 0/1 pin
+    keeps one face."""
     for v in [v for v in variables if v in pinned]:
-        variables, low, high = _faces(variables, vals, v)
         num, den = pinned[v].as_integer_ratio()
-        if num == 0:
-            vals = low
-        elif num == den:
-            vals = high
+        if num == 0 or num == den:  # num is the bit
+            variables, vals = _face(variables, vals, v, num)
         else:
+            variables, low, high = _faces(variables, vals, v)
             vals = [(den - num) * a + num * b for a, b in zip(low, high)]
     return variables, vals
+
+
+def point(variables: tuple, at: dict) -> list[int]:
+    """The corner coefficients of a rational point of the variables' box.
+
+    With m_v = n_v/d_v, corner b's coefficient is the product over v of n_v
+    where b_v = 1 and d_v - n_v where b_v = 0, so a table's :func:`dot` with
+    them is its value at the point times the product of the d_v: the entry
+    :func:`restrict` leaves when it pins every variable there. Built once, it
+    evaluates every table over the same variables.
+    """
+    coeffs = [1]
+    for v in variables:
+        num, den = at[v].as_integer_ratio()
+        coeffs = [c * w for c in coeffs for w in (den - num, num)]
+    return coeffs
+
+
+def dot(coeffs: list, vals: list) -> int:
+    """A table's value at the point of :func:`point`'s coefficients, scaled."""
+    return sum(map(mul, coeffs, vals))
 
 
 def split(variables: tuple, vals: list, v) -> tuple[tuple, list, list]:

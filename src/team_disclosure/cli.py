@@ -79,19 +79,24 @@ INPUT_ERRORS = (
 def _atomic_write(path: str, text: str) -> None:
     """Write through a temporary file in the target's directory, then rename it
     over the target. The file gets the mode ``open(path, "w")`` gives a new
-    file, 0o666 less the umask (``mkstemp`` alone would leave it 0o600)."""
+    file, 0o666 less the umask (``mkstemp`` alone would leave it 0o600). An
+    OS error with an errno names ``path``, not the temporary file, and the
+    temporary file is removed."""
     target = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=target.parent or Path("."), prefix=target.name)
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.name)
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
         umask = os.umask(0)
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, target)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.errno is not None:
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise
 
 
@@ -472,30 +477,54 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT_ERROR, f"error: {message}\n")
 
 
+PROG = "team-disclosure"
+
+
+def _add_options(parser: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
+    """Give a command's parser its flags, then --config and --out."""
+    for name in COMMANDS[command][1]:
+        flag = OPTIONS[name][1]
+        if flag is not None:
+            parser.add_argument(f"--{name}", **flag)
+    parser.add_argument("--config", help="JSON config file; flags win on conflict")
+    parser.add_argument("--out", help="output path (written atomically)")
+    return parser
+
+
 @lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process from ``COMMANDS``:
     parsing reads it and leaves no state in it, so every ``main`` call shares it."""
     parser = _Parser(
-        prog="team-disclosure",
+        prog=PROG,
         description="equilibria and effort incentives of team-disclosure games",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (help_text, names, _) in COMMANDS.items():
-        p = sub.add_parser(command, help=help_text)
-        for name in names:
-            flag = OPTIONS[name][1]
-            if flag is not None:
-                p.add_argument(f"--{name}", **flag)
-        p.add_argument("--config", help="JSON config file; flags win on conflict")
-        p.add_argument("--out", help="output path (written atomically)")
+    for command, (help_text, _, _) in COMMANDS.items():
+        _add_options(sub.add_parser(command, help=help_text), command)
     return parser
 
 
+@lru_cache(maxsize=None)
+def _command_parser(command: str) -> argparse.ArgumentParser:
+    """The parser of one command alone, as ``build_parser`` builds its
+    subparser (the same prog, flags and errors), so it parses and prints what
+    the full parser does for a command line that starts with that command."""
+    return _add_options(_Parser(prog=f"{PROG} {command}"), command)
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse with the parser of the command in ``argv[0]`` alone: building
+    all of them costs several times one. The full parser reads any other
+    command line (--help, no command, an unknown command)."""
+    if argv and argv[0] in COMMANDS:
+        return _command_parser(argv[0]).parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+    return build_parser().parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return EXIT_INPUT_ERROR if exc.code else EXIT_OK
     _, names, handler = COMMANDS[args.command]

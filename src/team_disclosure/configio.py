@@ -7,18 +7,21 @@ rejected so that typos fail loudly instead of silently using defaults.
 from __future__ import annotations
 
 import json
-from functools import lru_cache
+from bisect import bisect_left
+from fractions import Fraction
+from math import prod
 from typing import Any, Mapping
 
 from .equilibrium import Equilibrium, TeamRule, _check_caps
 from .incentives import EffortModel
 from .outcomes import (
+    ZERO,
     JointDistribution,
+    OutcomeError,
     OutcomeSpace,
     binary_independent,
     binary_space,
     common_mixture,
-    from_pmf,
     make_space,
 )
 from .protocols import (
@@ -170,16 +173,7 @@ def distribution_from_config(obj: Mapping[str, Any], n_hint: int | None = None) 
             grid = config_list(obj["grid"], "grid")
             rows = [[as_fraction(v) for v in config_list(g, "grid row")] for g in grid]
             space = _checked_space(make_space(rows), n_hint)
-            pmf = {}
-            # each distinct value string of the keys is parsed once
-            parse = lru_cache(maxsize=None)(as_fraction)
-            for entry in config_list(obj["pmf"], "pmf"):
-                key, prob = config_list(entry, "pmf entry")
-                cell = tuple(map(parse, str(key).split(",")))
-                if cell in pmf:
-                    raise ConfigError(f"pmf lists cell {','.join(map(frac_str, cell))} twice")
-                pmf[cell] = as_fraction(prob)
-            return from_pmf(space, pmf)
+            return JointDistribution(space, _grid_pmf(space, config_list(obj["pmf"], "pmf")))
         kind = obj.get("kind")
         n = config_int(obj["n"], "n") if "n" in obj else n_hint or 0
         if kind == "independent":
@@ -203,6 +197,56 @@ def distribution_from_config(obj: Mapping[str, Any], n_hint: int | None = None) 
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
     raise ConfigError("unrecognized distribution config")
+
+
+def _grid_pmf(space: OutcomeSpace, entries: list | tuple) -> tuple[Fraction, ...]:
+    """The cell probabilities of a grid pmf's entries, 0 at a cell it does
+    not list.
+
+    Each distinct value string of the keys is parsed once and located on
+    each member's grid once, so a listed cell is found as its index in
+    ``space.cells`` with no Fraction hashed. Entries are read in order: a
+    cell listed twice is a ConfigError when met, and after the last entry the
+    first cell off the grid is reported as ``from_pmf`` words it.
+    """
+    grids = space.grids
+    strides = [prod(map(len, grids[i + 1:])) for i in range(space.n)]
+    parsed = {}  # value string -> its Fraction
+    located = [{} for _ in grids]  # per member: value string -> grid position, None off the grid
+    probs = [ZERO] * len(space.cells)
+    listed = set()  # indices of the cells listed so far
+    off_grid = {}  # cells listed off the grid, as tuples of values, in order
+    for entry in entries:
+        key, prob = config_list(entry, "pmf entry")
+        texts = str(key).split(",")
+        for text in texts:
+            if text not in parsed:
+                parsed[text] = as_fraction(text)
+        index = 0 if len(texts) == len(grids) else None
+        for text, grid, seen, stride in zip(texts, grids, located, strides):
+            if text not in seen:
+                value = parsed[text]
+                p = bisect_left(grid, value)
+                seen[text] = p if p < len(grid) and grid[p] == value else None
+            if index is None or seen[text] is None:
+                index = None
+                break
+            index += seen[text] * stride
+        if index is None:
+            cell = tuple(map(parsed.__getitem__, texts))
+            twice = cell in off_grid
+            off_grid[cell] = None
+        else:
+            twice = index in listed
+            listed.add(index)
+        if twice:
+            raise ConfigError(f"pmf lists cell {','.join(frac_str(parsed[t]) for t in texts)} twice")
+        prob = as_fraction(prob)
+        if index is not None:
+            probs[index] = prob
+    if off_grid:
+        raise OutcomeError(f"outcome {next(iter(off_grid))} is not on the grid")
+    return tuple(probs)
 
 
 def distribution_to_config(dist: JointDistribution) -> dict[str, Any]:

@@ -59,7 +59,9 @@ a caller needs packed into one int as signed fields (``_packed_sums``), so
 one read per set gives them all: W and each S_i for the search, from tables
 built once per distribution (``JointDistribution._packed``) and read once
 per distinct concealed set per distribution
-(``JointDistribution._search_memo``), whatever protocols are searched on it;
+(``JointDistribution._search_memo``), whatever protocols are searched on it,
+next to the full-disclosure entry, the same under every protocol and built
+and verified once per distribution (``JointDistribution._full_disclosure``);
 each member's posterior condition for the consistency scan, packed per
 target. Every positive refinement answer is confirmed by an integer check
 of its first witness profile's concealed set, in ``product`` order, built
@@ -94,6 +96,8 @@ from typing import Callable, Hashable, Sequence
 
 from . import _poly
 from .outcomes import (
+    ONE,
+    ZERO,
     JointDistribution,
     OffPathPosterior,
     OutcomeSpace,
@@ -107,9 +111,6 @@ from .outcomes import (
 )
 from .protocols import DeliberationProtocol, _submasks
 from .rationals import Rational, as_fraction
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 # Preference order of a free mixing weight (most concealing first); with
 # three or more free weights and a gap member, the only values tried for all
@@ -339,7 +340,7 @@ def _verify(
     post: tuple[Fraction, ...],
     bayes: tuple[Fraction, ...] | None,
     dist: JointDistribution,
-    protocol: DeliberationProtocol,
+    protocol: DeliberationProtocol | None,
 ) -> VerificationReport:
     """:func:`verify_equilibrium` given the profile's Bayes posteriors
     (None when it never conceals), for callers that already hold them.
@@ -347,11 +348,10 @@ def _verify(
     A coalition can gain from a deviation at a cell only where one of its
     members gains from a vote they do not cast there. When no member does so
     at any grid position, as at a threshold profile, only the Bayes check
-    is left and the cells are not visited.
+    is left, the cells are not visited and the protocol is not read.
     """
     space = dist.space
     n = space.n
-    wins = protocol.wins
     # per member and grid position, four n-bit fields of one int holding the
     # member's bit when they vote 1, mix, gain from disclosure and gain from
     # concealment, compared in integers: x > num/den exactly when
@@ -385,6 +385,7 @@ def _verify(
     # is the OR of its members' codes, built in cell order.
     codes = []
     if flagged:
+        wins = protocol.wins
         codes = [0]
         for member in members:
             codes = [c | m for c in codes for m in member]
@@ -702,7 +703,9 @@ class _AtomSolver:
       try only ``FREE_WEIGHT_CANDIDATES`` for all but the last two;
     - what is left reduces to one weight t (:meth:`_along`).
 
-    The tables are :mod:`._poly` corner tables over the atoms. :meth:`solve`
+    The tables are :mod:`._poly` corner tables over the atoms. A full weight
+    assignment is checked with one :func:`._poly.point` vector of corner
+    coefficients, one integer dot product per table. :meth:`solve`
     returns weights that :meth:`feasible` accepts, or None with a proof of
     infeasibility, or None with an "unresolved" note in the cases that the
     module docstring lists.
@@ -724,11 +727,18 @@ class _AtomSolver:
             ]
         box = list(map(ctx.conceal.__getitem__, combos))
         grid = ctx.grid_ints
-        # atom a's equation S_a - x_a*W, as a table over the other atoms
+        # atom a's equation S_a - x_a*W: ``h[a]`` as a table over the other
+        # atoms, and in ``equations`` over the whole box, constant along a's
+        # own weight (its face at weight 0 on both sides), so that one
+        # :func:`_poly.point` vector evaluates every table in :meth:`feasible`
         self.h = {}
-        for a in self.atoms:
+        self.equations = []
+        for j, a in enumerate(self.atoms):
             x = grid[a][config[a][1]]
-            self.h[a] = _poly.restrict(self.atoms, [s[a] - x * w for w, s in box], {a: 0})
+            vals = [s[a] - x * w for w, s in box]
+            self.h[a] = _poly.restrict(self.atoms, vals, {a: 0})
+            own = 1 << (len(self.atoms) - 1 - j)  # a's bit in a corner's index
+            self.equations.append([vals[c & ~own] for c in range(len(vals))])
         # strict constraints, each > 0: W, then S_g - lo*W and hi*W - S_g per gap member
         self.strict = [[w for w, _ in box]]
         for g in self.gaps:
@@ -743,9 +753,10 @@ class _AtomSolver:
         constraint."""
         if _outside_unit_interval(weights.values()) is not None:
             return False
-        return all(
-            _poly.restrict(*self.h[a], weights)[1][0] == 0 for a in self.atoms
-        ) and all(_poly.restrict(self.atoms, t, weights)[1][0] > 0 for t in self.strict)
+        at = _poly.point(self.atoms, weights)
+        return all(_poly.dot(at, h) == 0 for h in self.equations) and all(
+            _poly.dot(at, t) > 0 for t in self.strict
+        )
 
     # -- solving -------------------------------------------------------------
 
@@ -788,17 +799,18 @@ class _AtomSolver:
                 first = next(i for i, v in enumerate(vals) if v)
                 # the faces where a factor of that corner's term vanishes
                 corner = _poly.corners(others)[first]
-                return self._first(pinned, ((v, ONE - bit) for v, bit in corner.items()))
+                return self._first(pinned, ((v, (ONE, ZERO)[bit]) for v, bit in corner.items()))
         return self._reduce(pinned, coupled)
 
     def _first(self, pinned: dict[int, Fraction], trials) -> dict[int, Fraction] | None:
         """The first solution with one more weight pinned, trying each
         (weight, value) of ``trials`` once, in order."""
-        seen = set()
-        for trial in trials:
-            if trial not in seen:
-                seen.add(trial)
-                found = self._solve(pinned | dict([trial]))
+        seen = set()  # (weight, value as an int pair): no Fraction is hashed
+        for weight, value in trials:
+            key = weight, value.as_integer_ratio()
+            if key not in seen:
+                seen.add(key)
+                found = self._solve(pinned | {weight: value})
                 if found is not None:
                     return found
         return None
@@ -948,6 +960,33 @@ class _AtomSolver:
         )
 
 
+def _full_disclosure(dist: JointDistribution) -> Equilibrium:
+    """The search's full-disclosure entry: the always-disclose profile,
+    supported by skeptical off-path beliefs (every member's posterior at
+    their grid minimum), with its verification.
+
+    It is the same under every protocol, so it is built and verified once
+    per distribution (``JointDistribution._full_disclosure``). The profile
+    never conceals, so it has no Bayes posteriors, and its team rule is 1 at
+    every cell under any protocol. At their minimum a member is indifferent
+    and above it they gain from disclosure, voting 1 everywhere: no position
+    is flagged, so :func:`_verify` never reads the protocol and is given
+    none.
+    """
+    space = dist.space
+    all_ones = StrategyProfile.constant(space, ONE)
+    skeptical = space.min_vector
+    return Equilibrium(
+        profile=all_ones,
+        rule=TeamRule.constant(space, ONE),
+        posteriors=skeptical,
+        classification=FULL,
+        off_path=True,
+        cuts=tuple(MemberCut(cut=0) for _ in range(space.n)),
+        verification=_verify(all_ones, skeptical, None, dist, None),
+    )
+
+
 def _check_caps(space: OutcomeSpace) -> None:
     """Raise SearchCapExceeded unless the space has at most 4 members and at
     most 20 grid values in all, the one cap of the equilibrium search and the
@@ -970,9 +1009,13 @@ def find_equilibria_report(
 
     Returns the full-disclosure equilibrium (skeptical off-path beliefs) and
     every threshold fixed point over cut configurations, deduplicated by team
-    rule and canonically ordered. Raises EquilibriumError when the protocol
-    and the distribution differ in member count or the distribution lacks
-    full support, then SearchCapExceeded beyond the cap (:func:`_check_caps`).
+    rule and canonically ordered. The full-disclosure entry is the same under
+    every protocol, so it is built and verified once per distribution and
+    every search on it returns that one object
+    (``JointDistribution._full_disclosure``). Raises EquilibriumError when
+    the protocol and the distribution differ in member count or the
+    distribution lacks full support, then SearchCapExceeded beyond the cap
+    (:func:`_check_caps`).
     """
     space = dist.space
     if protocol.n != space.n:
@@ -984,24 +1027,9 @@ def find_equilibria_report(
     ctx = _build_context(dist, protocol)
     # keyed by each rule's values as (numerator, denominator) pairs: equal
     # Fractions have equal pairs, and int tuples hash without Fraction.__hash__
-    results: dict[tuple[tuple[int, int], ...], Equilibrium] = {}
-
-    # Full disclosure, supported by skeptical off-path beliefs. The
-    # always-disclose profile never conceals, so it has no Bayes posteriors
-    # and the team rule need not be built to learn that.
-    all_ones = StrategyProfile.constant(space, ONE)
-    fd_post = space.min_vector
-    fd_rule = TeamRule.constant(space, ONE)
-    fd_ver = _verify(all_ones, fd_post, None, dist, protocol)
-    results[((1, 1),) * len(space.cells)] = Equilibrium(
-        profile=all_ones,
-        rule=fd_rule,
-        posteriors=fd_post,
-        classification=FULL,
-        off_path=True,
-        cuts=tuple(MemberCut(cut=0) for _ in range(space.n)),
-        verification=fd_ver,
-    )
+    results: dict[tuple[tuple[int, int], ...], Equilibrium] = {
+        ((1, 1),) * len(space.cells): dist._full_disclosure
+    }
 
     for config in _cut_configs(ctx):
         weights = _AtomSolver(ctx, config).solve()
@@ -1009,7 +1037,10 @@ def find_equilibria_report(
             continue
         profile, cuts = _profile_from_config(space, config, weights)
         rule = team_rule(profile, protocol)
-        key = tuple(map(Fraction.as_integer_ratio, rule.values))
+        # ZERO and ONE, most of a rule's values, are read by identity
+        key = tuple(
+            [(0, 1) if v is ZERO else (1, 1) if v is ONE else v.as_integer_ratio() for v in rule.values]
+        )
         if key in results:
             continue
         try:

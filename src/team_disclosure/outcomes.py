@@ -19,9 +19,10 @@ or only on the distribution, never on the protocol, so it is built once and
 shared by every protocol: per space the pure cut combinations, their
 threshold rows and slab masks (``OutcomeSpace._cut_combos``) and each
 member's row-to-cells table (``OutcomeSpace._row_cells``); per
-distribution the packed tables (``JointDistribution._packed``) and a memo of
+distribution the packed tables (``JointDistribution._packed``), a memo of
 each concealed set's (W, S) entry and sign code
-(``JointDistribution._search_memo``).
+(``JointDistribution._search_memo``) and the verified full-disclosure entry
+(``JointDistribution._full_disclosure``).
 """
 from __future__ import annotations
 
@@ -236,6 +237,16 @@ class JointDistribution:
         :attr:`_packed` and its sign code (``equilibrium._sign_code``). It
         starts empty and grows as protocols are searched on this object."""
         return {}
+
+    @cached_property
+    def _full_disclosure(self):
+        """The equilibrium search's full-disclosure entry, the always-disclose
+        profile with skeptical off-path beliefs, built and verified on first
+        use (``equilibrium._full_disclosure``). It holds under every protocol,
+        so every search on this object returns this one entry."""
+        from .equilibrium import _full_disclosure
+
+        return _full_disclosure(self)
 
     @cached_property
     def mean_vector(self) -> tuple[Fraction, ...]:
@@ -478,11 +489,17 @@ def _concealment(dist: JointDistribution, rule) -> tuple[int, list[int], int]:
         raise OutcomeError("rule length does not match the cell count")
     ratios = []
     for d in values:
-        if type(d) is not Fraction:
-            d = as_fraction(d)
-        num, den = ratio = d.as_integer_ratio()
-        if not 0 <= num <= den:
-            raise OutcomeError(f"disclosure probability {d} outside [0,1]")
+        # ZERO and ONE, most of a rule's values, are read by identity
+        if d is ZERO:
+            ratio = (0, 1)
+        elif d is ONE:
+            ratio = (1, 1)
+        else:
+            if type(d) is not Fraction:
+                d = as_fraction(d)
+            num, den = ratio = d.as_integer_ratio()
+            if not 0 <= num <= den:
+                raise OutcomeError(f"disclosure probability {d} outside [0,1]")
         ratios.append(ratio)
     scale = lcm(*(den for _, den in ratios))
     conceal = [(den - num) * (scale // den) for num, den in ratios]
@@ -559,9 +576,13 @@ def _packed_sums(columns: Sequence[Sequence[int]]) -> tuple[list[list[int]], int
 
 def _pack(columns: Sequence[Sequence[int]]) -> tuple[list[int], int]:
     """Each cell's entries packed into one int, and the field width, as
-    :func:`_packed_sums` builds its tables from."""
+    :func:`_packed_sums` builds its tables from: the sum over columns j of
+    entry << (width * j), built column by column from the last, one list
+    pass per column."""
     width = max(sum(map(abs, column)) for column in columns).bit_length() + 1
-    packed = [sum(e << (width * j) for j, e in enumerate(entries)) for entries in zip(*columns)]
+    packed = list(columns[-1])
+    for column in reversed(columns[:-1]):
+        packed = [(p << width) + e for p, e in zip(packed, column)]
     return packed, width
 
 

@@ -410,6 +410,14 @@ def nd_stats_by_fractions(dist, rule, i):
     return pnd, mass
 
 
+def pack_by_cells(columns):
+    """Each cell's entries packed into one int, one cell at a time, and the
+    field width: the slow twin of ``outcomes._pack``, which packs column by
+    column."""
+    width = max(sum(map(abs, column)) for column in columns).bit_length() + 1
+    return [sum(e << (width * j) for j, e in enumerate(entries)) for entries in zip(*columns)], width
+
+
 @lru_cache(maxsize=4)
 def cut_tables_by_vote_mask(dist):
     """For every pure cut combination c (member i votes to disclose from grid

@@ -495,6 +495,72 @@ class TestIntegerLayer:
             assert calls.get(name), name
 
 
+def random_pin(rng):
+    """0, 1 or a rational strictly inside (0, 1), each a third of the time."""
+    kind = rng.randrange(3)
+    if kind < 2:
+        return F(kind)
+    den = rng.choice((2, 3, 7, 8, 10**9 + 7))
+    return F(rng.randrange(1, den), den)
+
+
+def feasible_by_restrict(solver, weights):
+    """``_AtomSolver.feasible`` as each table's :func:`_poly.restrict` at the
+    weights, atom a's equation over the other atoms: the slow twin of the
+    shared :func:`_poly.point` vector over the whole box."""
+    if any(not 0 <= m <= 1 for m in weights.values()):
+        return False
+    return all(_poly.restrict(*solver.h[a], weights)[1][0] == 0 for a in solver.atoms) and all(
+        _poly.restrict(solver.atoms, t, weights)[1][0] > 0 for t in solver.strict
+    )
+
+
+class TestPointKernel:
+    def test_point_matches_restrict(self):
+        """One dot product with a point's corner coefficients is the entry
+        :func:`_poly.restrict` leaves when it pins every variable there, on
+        seeded tables of 0 to 4 variables in any order with 0, 1 and
+        rational pins; a partial 0/1 pin keeps the matching face."""
+        rng = random.Random("point kernel")
+        kinds = set()
+        for _ in range(400):
+            k = rng.randrange(5)
+            variables = tuple(rng.sample(range(6), k))
+            vals = [rng.randint(-50, 50) for _ in range(1 << k)]
+            pins = {v: random_pin(rng) for v in variables}
+            kinds |= {(m.numerator > 0) + (m.denominator > 1) for m in pins.values()}
+            assert [_poly.dot(_poly.point(variables, pins), vals)] == _poly.restrict(variables, vals, pins)[1]
+            if k:
+                v = rng.choice(variables)
+                j = variables.index(v)
+                rest, low, high = _poly._faces(variables, vals, v)
+                for bit, face in ((0, low), (1, high)):
+                    assert _poly.restrict(variables, vals, {v: F(bit)}) == (rest, face)
+                    corner = [c for c, bits in enumerate(product((0, 1), repeat=k)) if bits[j] == bit]
+                    assert face == [vals[c] for c in corner]
+        assert kinds == {0, 1, 2}
+
+    def test_feasible_matches_restricted_tables(self):
+        """``feasible`` against each table restricted at the weights, at the
+        solver's own solutions, at corners and at random rational points of
+        hand-built boxes."""
+        rng = random.Random("feasible twin")
+        accepted = rejected = 0
+        for members, atom_share in [(2, 1.0), (3, 1.0), (4, 0.75)] * 60:
+            grids, config, corners = random_tables(rng, members, atom_share)
+            solver = hand_built(grids, config, corners)
+            points = [{a: random_pin(rng) for a in solver.atoms} for _ in range(4)]
+            found = solver.solve()
+            if found is not None:
+                points.append(found)
+            for weights in points:
+                got = solver.feasible(weights)
+                assert got == feasible_by_restrict(solver, weights)
+                accepted += got
+                rejected += not got
+        assert accepted > 20 and rejected > 100
+
+
 def assert_irrational_solution(solver, corners):
     """An "unresolved" 3-atom configuration must have a solution, and only
     irrational ones: sympy's solution of the three equations finds one in

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import random
@@ -17,7 +18,7 @@ from team_disclosure import binary_env, cli
 from team_disclosure.audit import PANEL_GRIDS, AuditConfig, panel_sweep
 from team_disclosure.binary_env import MAX_SWEEP_MEMBERS, MAX_SWEEP_ROWS
 from team_disclosure.cli import main
-from team_disclosure.configio import ConfigError, load_distribution, load_protocol
+from team_disclosure.configio import ConfigError, distribution_to_config, load_distribution, load_protocol
 
 F = Fraction
 
@@ -753,9 +754,61 @@ class TestOutFiles:
         assert list(tmp_path.iterdir()) == []
 
 
+    @pytest.mark.parametrize(
+        "make, code", [(lambda tmp: tmp / "missing" / "x.json", errno.ENOENT), (lambda tmp: tmp, errno.EISDIR)],
+        ids=["missing-directory", "directory"],
+    )
+    def test_failed_write_names_the_requested_path(self, tmp_path, capsys, make, code):
+        # the message once named mkstemp's temporary file
+        (tmp_path / "sub").mkdir()
+        out = make(tmp_path / "sub")
+        assert main(["optimal-k", "--n", "3", "--out", str(out)]) == 2
+        message = f"[Errno {code}] {os.strerror(code)}: {str(out)!r}"
+        assert one_error_line(capsys) == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == [tmp_path / "sub"]
+        assert list((tmp_path / "sub").iterdir()) == []
+
+
 class TestParserReuse:
     def test_one_parser_per_process(self):
         assert cli.build_parser() is cli.build_parser()
+
+    def test_a_command_builds_its_own_parser_alone(self, monkeypatch, capsys):
+        def refuse():
+            raise AssertionError("the full parser was built")
+
+        monkeypatch.setattr(cli, "build_parser", refuse)
+        assert main(["optimal-k", "--n", "3"]) == 0
+        assert json.loads(capsys.readouterr().out)["k_star"] == 1
+        assert main(["solve", "--bogus"]) == 2
+        assert cli._command_parser("solve") is cli._command_parser("solve")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--help"],
+            ["verify", "--help"],
+            ["refine", "-h"],
+            ["bogus"],
+            [],
+            ["solve", "--bogus"],
+            ["solve", "extra"],
+            ["sweep", "--panel"],
+            ["--bogus", "solve"],
+        ],
+        ids=lambda argv: " ".join(argv) or "no-command",
+    )
+    def test_parsing_prints_what_the_full_parser_prints(self, capsys, argv):
+        try:
+            cli.build_parser().parse_args(argv)
+        except SystemExit as exc:
+            full_code = exc.code
+        full = capsys.readouterr()
+        code = main(argv)
+        got = capsys.readouterr()
+        assert (got.out, got.err) == (full.out, full.err)
+        assert code == (2 if full_code else 0)
+        assert full.out or full.err
 
     def test_calls_leave_no_state(self, capsys):
         # each in-process call on the shared parser prints what a fresh
@@ -987,6 +1040,43 @@ class TestOneReaderPerInput:
         argv = ["solve", "--protocol", "k_majority:2,2", "--dist", dist]
         assert main(argv + ["--out", str(tmp_path / "out")]) == 2
         assert "pmf lists cell 0,0 twice" in one_error_line(capsys)
+
+    @pytest.mark.parametrize(
+        "pmf, message",
+        [
+            ([["0,0", "1/2"], ["0,2", "1/4"], ["1,0", "1/4"]], "outcome (Fraction(0, 1), Fraction(2, 1)) is not on the grid"),
+            ([["0,0,1", "1"]], "outcome (Fraction(0, 1), Fraction(0, 1), Fraction(1, 1)) is not on the grid"),
+            ([["0", "1"]], "outcome (Fraction(0, 1),) is not on the grid"),
+            # cells are read in order, and the first one off the grid is
+            # reported after the last entry
+            ([["3,3", "1/2"], ["0.0,1", "1/4"], ["0,1/1", "1/4"]], "pmf lists cell 0,1 twice"),
+            ([["3,3", "1/2"], ["3,3.0", "1/4"]], "pmf lists cell 3,3 twice"),
+            ([["3,3", "1/2"], ["1,5", "1/2"]], "outcome (Fraction(3, 1), Fraction(3, 1)) is not on the grid"),
+        ],
+        ids=["off-grid", "too-long", "too-short", "twice-after-off-grid", "off-grid-twice", "first-off-grid"],
+    )
+    def test_grid_pmf_messages(self, capsys, pmf, message):
+        dist = json.dumps({"grid": [[0, 1], [0, 1]], "pmf": pmf})
+        assert main(["solve", "--protocol", "k_majority:2,2", "--dist", dist]) == 2
+        assert one_error_line(capsys) == f"error: {message}\n"
+
+    def test_grid_pmf_hashes_no_fraction(self, monkeypatch):
+        # each value string is located on its member's grid once and each
+        # cell is found by position, so no Fraction is hashed
+        spec = load_distribution("independent:1/3,1/2,1/5")
+        config = distribution_to_config(spec)
+        hashed = []
+        original = Fraction.__hash__
+
+        def counted(self):
+            hashed.append(self)
+            return original(self)
+
+        monkeypatch.setattr(Fraction, "__hash__", counted)
+        dist = load_distribution(config, 3)
+        monkeypatch.undo()
+        assert hashed == []
+        assert dist.probs == spec.probs
 
     @pytest.mark.parametrize("flag, value", [("--max-members", "4"), ("--max-grid", "7")])
     @pytest.mark.parametrize("command", ["solve", "refine"])

@@ -939,6 +939,24 @@ class TestCornerScreen:
         monkeypatch.setattr(equilibrium, "_cut_configs", unscreened_configs)
         assert [find_equilibria_report(d, proto) for d, proto in cases] == screened
 
+    @pytest.mark.parametrize("kind", ["protocols", "iid"])
+    def test_cached_full_disclosure_entry(self, kind):
+        """The full-disclosure entry, built and verified once per
+        distribution, is what ``verify_equilibrium`` and its Fraction twin
+        report under each protocol, and every search on the distribution
+        returns that one object."""
+        for d, proto in screen_cases(kind):
+            entry = d._full_disclosure
+            assert entry.profile == StrategyProfile.constant(d.space, 1)
+            assert entry.rule == team_rule(entry.profile, proto)
+            assert entry.posteriors == d.space.min_vector
+            assert (entry.classification, entry.off_path) == (FULL, True)
+            fresh = verify_equilibrium(entry.profile, entry.posteriors, d, proto)
+            assert entry.verification == fresh
+            assert fresh == verify_equilibrium_by_evaluate(entry.profile, entry.posteriors, d, proto)
+            eqs, _ = find_equilibria_report(d, proto)
+            assert sum(e is entry for e in eqs) == 1
+
     def test_rejected_configurations_have_no_solution(self, screened_searches):
         rejected = kept = 0
         for d, proto, _ in screened_searches:

@@ -33,6 +33,7 @@ from team_disclosure.outcomes import (
     OutcomeError,
     _chunk_sum,
     _chunks,
+    _pack,
     _packed_sums,
     _subset_sums,
     _unpack,
@@ -44,6 +45,7 @@ from team_disclosure.protocols import all_protocols, make_consensus, make_k_majo
 from oracles import (
     consistent_with_deliberation_by_fractions,
     nd_stats_by_fractions,
+    pack_by_cells,
     posterior_no_disclosure_by_fractions,
     search_conceal_by_cells,
     team_rule_by_evaluate,
@@ -295,6 +297,23 @@ def test_packed_fields_match_plain_sums():
         got = _unpack(_chunk_sum(tables, _chunks(k)), len(columns), width)
         assert got == [sum(e for c, e in enumerate(col) if k >> c & 1) for col in columns]
         assert (_chunk_sum(tables, _chunks(k)) == 0) == (not any(got))
+
+
+def test_column_packing_matches_per_cell_packing():
+    """``_pack`` builds its ints column by column; each equals the per-cell
+    sum of shifted entries, for one to five columns of mixed signs, on the
+    search's tables and on plain seeded columns."""
+    rng = random.Random("column packing")
+    for count in range(1, 6):
+        for cells in (1, 4, 27, 81):
+            bound = rng.choice((1, 7, 10**6, 10**30))
+            columns = [[rng.randint(-bound, bound) for _ in range(cells)] for _ in range(count)]
+            columns[rng.randrange(count)][rng.randrange(cells)] = 0
+            assert _pack(columns) == pack_by_cells(columns)
+    for n in (2, 3, 4):
+        scaled = sparse_dist(rng, fractional_space(rng, n))._scaled
+        columns = [scaled.weights, *scaled.values]
+        assert _pack(columns) == pack_by_cells(columns)
 
 
 def extreme_dist(rng):
