@@ -24,7 +24,14 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
-from .binary_env import BinaryEnvParams, baseline_params, closed_forms, gain_curve, parse_grid, sweep
+from .binary_env import (
+    PANEL_GRIDS,
+    BinaryEnvParams,
+    baseline_params,
+    closed_forms,
+    gain_curve,
+    panel_sweep,
+)
 from .equilibrium import (
     FULL,
     INTERIOR,
@@ -718,29 +725,6 @@ def _rises_then_falls(seq: Sequence[int]) -> bool:
     return all(a <= b for a, b in zip(seq[: peak + 1], seq[1 : peak + 1])) and _nonincreasing(
         seq[peak:]
     )
-
-
-PANEL_GRIDS = {
-    "a": ("q_other_dev", "0.05:0.509:0.003", False),
-    "b": ("p_dev", "0.05:0.50:0.01", False),
-    "c": ("q_own_dev", "0.05:0.509:0.003", True),
-    "d": ("q_T_dev", "0.05:0.509:0.003", True),
-}
-
-
-def panel_sweep(panel: str, n: int = 10, grid: Sequence[Fraction] | None = None):
-    """One panel of the optimal-consensus experiment at the baseline.
-
-    Panels c and d sweep the deviation parameter downward (stronger effort
-    effect as the sweep proceeds), matching the direction in which the optimum
-    is reported to fall.
-    """
-    axis, default_grid, descending = PANEL_GRIDS[panel]
-    full, dev = baseline_params(n)
-    values = tuple(grid) if grid is not None else parse_grid(default_grid)
-    if descending and grid is None:
-        values = tuple(reversed(values))
-    return sweep(full, dev, axis, values)
 
 
 @_claim(

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import comb
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .outcomes import JointDistribution, common_outcome_mixture
 from .rationals import Rational, as_fraction, decimal_str
@@ -339,3 +339,26 @@ def baseline_params(n: int = 10) -> tuple[BinaryEnvParams, BinaryEnvParams]:
     full = BinaryEnvParams.make(n, "0.5", "0.51", "0.51", "0.51")
     dev = BinaryEnvParams.make(n, "0.5", "0.5", "0.5", "0.5")
     return full, dev
+
+
+PANEL_GRIDS = {
+    "a": ("q_other_dev", "0.05:0.509:0.003", False),
+    "b": ("p_dev", "0.05:0.50:0.01", False),
+    "c": ("q_own_dev", "0.05:0.509:0.003", True),
+    "d": ("q_T_dev", "0.05:0.509:0.003", True),
+}
+
+
+def panel_sweep(panel: str, n: int = 10, grid: Sequence[Fraction] | None = None) -> SweepTable:
+    """One panel of the optimal-consensus experiment at the baseline.
+
+    Panels c and d sweep the deviation parameter downward (stronger effort
+    effect as the sweep proceeds), matching the direction in which the optimum
+    is reported to fall.
+    """
+    axis, default_grid, descending = PANEL_GRIDS[panel]
+    full, dev = baseline_params(n)
+    values = tuple(grid) if grid is not None else parse_grid(default_grid)
+    if descending and grid is None:
+        values = tuple(reversed(values))
+    return sweep(full, dev, axis, values)

@@ -12,6 +12,10 @@ restricts any flag. A flag wins over the config file, and a config key that
 the command does not read is an input error. Outputs are written atomically
 and a machine-readable summary goes to stdout. Exit status: 0 success, 1
 failed audit claims, 2 input or parse errors, 3 a space beyond the search cap.
+
+A command loads only the modules it runs: ``audit`` and ``incentives`` are
+imported by the handlers of ``audit``, ``gains`` and ``dominance``, so
+``solve``, ``verify``, ``optimal-k`` and ``sweep`` never compile them.
 """
 from __future__ import annotations
 
@@ -24,13 +28,13 @@ from dataclasses import fields, replace
 from functools import lru_cache, partial
 from pathlib import Path
 
-from .audit import PANEL_GRIDS, AuditConfig, panel_sweep, run_audit
 from .binary_env import (
     MAX_SWEEP_MEMBERS,
+    PANEL_GRIDS,
     BinaryEnvParams,
-    BinaryEnvError,
     baseline_params,
     gain_curve,
+    panel_sweep,
     parse_grid,
 )
 from .configio import (
@@ -53,9 +57,6 @@ from .equilibrium import (
     full_disclosure_is_plausible,
     verify_equilibrium,
 )
-from .incentives import IncentiveError, dominance_report, protocol_full_effort_corners
-from .outcomes import OutcomeError
-from .protocols import ProtocolError
 from .rationals import as_fraction, frac_str
 
 EXIT_OK = 0
@@ -63,17 +64,8 @@ EXIT_CLAIM_FAILURE = 1
 EXIT_INPUT_ERROR = 2
 EXIT_SEARCH_CAP = 3
 
-INPUT_ERRORS = (
-    ConfigError,
-    ProtocolError,
-    OutcomeError,
-    EquilibriumError,
-    IncentiveError,
-    BinaryEnvError,
-    json.JSONDecodeError,
-    OSError,
-    ValueError,
-)
+# every package error and json.JSONDecodeError subclass ValueError
+INPUT_ERRORS = (ValueError, OSError)
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -287,6 +279,8 @@ def _cmd_verify(opts: dict, out: str | None) -> int:
 
 
 def _cmd_gains(opts: dict, out: str | None) -> int:
+    from .incentives import protocol_full_effort_corners
+
     _require(opts, "gains", "model", "protocol")
     with open(opts["model"]) as handle:
         model = effort_model_from_config(json.load(handle))
@@ -312,6 +306,8 @@ def _cmd_gains(opts: dict, out: str | None) -> int:
 
 
 def _cmd_dominance(opts: dict, out: str | None) -> int:
+    from .incentives import dominance_report
+
     _require(opts, "dominance", "model", "protocol-a", "protocol-b")
     with open(opts["model"]) as handle:
         model = effort_model_from_config(json.load(handle))
@@ -387,6 +383,8 @@ def _cmd_sweep(opts: dict, out: str | None) -> int:
 def _audit_counts(text: str) -> dict[str, int]:
     """``name=value,...`` overrides of AuditConfig's integer count fields
     (not the seed), each a decimal integer of at least 1."""
+    from .audit import AuditConfig
+
     names = [
         f.name for f in fields(AuditConfig) if type(f.default) is int and f.name != "seed"
     ]
@@ -402,6 +400,8 @@ def _audit_counts(text: str) -> dict[str, int]:
 
 
 def _cmd_audit(opts: dict, out: str | None) -> int:
+    from .audit import AuditConfig, run_audit
+
     seed = opts.get("seed", 0)
     claims = opts.get("claims")
     counts = opts.get("counts")

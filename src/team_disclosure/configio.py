@@ -10,10 +10,9 @@ import json
 from bisect import bisect_left
 from fractions import Fraction
 from math import prod
-from typing import Any, Mapping
+from typing import TYPE_CHECKING, Any, Mapping
 
 from .equilibrium import Equilibrium, TeamRule, _check_caps
-from .incentives import EffortModel
 from .outcomes import (
     ZERO,
     JointDistribution,
@@ -31,6 +30,9 @@ from .protocols import (
     make_protocol,
 )
 from .rationals import as_fraction, frac_str
+
+if TYPE_CHECKING:
+    from .incentives import EffortModel
 
 
 class ConfigError(ValueError):
@@ -50,12 +52,17 @@ def _require_keys(obj: Mapping[str, Any], required: set[str], optional: set[str]
 
 
 def config_int(value: Any, key: str) -> int:
-    """An integer config value: a JSON integer that is not a bool, or a string
-    of decimal digits; anything else is a ConfigError."""
+    """An integer config value of at least 0: a JSON integer that is not a
+    bool, or a string of ASCII digits, which may start with ``-``; anything
+    else is a ConfigError. A string is read as the integer it spells before
+    the range check, so a flag (always a string) and a config value give the
+    same result, the same message for a negative one included."""
+    if isinstance(value, str) and value.isascii() and value.removeprefix("-").isdigit():
+        value = int(value)
     if isinstance(value, int) and not isinstance(value, bool):
+        if value < 0:
+            raise ConfigError(f"{key} must be an integer of at least 0, got {value}")
         return value
-    if isinstance(value, str) and value.isascii() and value.isdigit():
-        return int(value)
     raise ConfigError(f"{key} must be an integer, got {json.dumps(value, default=str)}")
 
 
@@ -290,6 +297,8 @@ def load_distribution(spec: str | Mapping[str, Any], n_hint: int | None = None) 
 
 
 def effort_model_from_config(obj: Mapping[str, Any]) -> EffortModel:
+    from .incentives import EffortModel
+
     _require_keys(obj, {"n", "costs", "distributions"})
     try:
         n = config_int(obj["n"], "n")

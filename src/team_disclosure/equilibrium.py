@@ -352,42 +352,50 @@ def _verify(
     """
     space = dist.space
     n = space.n
+    # per member, the scaled grid values, the votes and the posterior as
+    # den and num * scale, compared in integers: x > num/den exactly when
+    # (x * scale) * den > num * scale
+    scaled = dist._scaled
+    sides = []
+    for xs, scale, row, p in zip(scaled.grid_ints, scaled.scales, profile.values, post):
+        num, den = p.as_integer_ratio()
+        sides.append((xs, row, den, num * scale))
+    # A position is flagged when the member gains from disclosure but votes
+    # below 1, or from concealment but votes above 0. Every coalition in
+    # gain_up holds a member above not voting 1, and every one in gain_down a
+    # member below voting above 0: a cell can hold a violation only where
+    # some member's position is flagged. On the sorted grid the positions
+    # above are a suffix and those below a prefix, found by bisection:
+    # x * den > bar exactly when x > bar // den, and x * den < bar exactly
+    # when x < ceil(bar / den).
+    flagged = False
+    for xs, row, den, bar in sides:
+        below = bisect_left(xs, -(-bar // den))
+        above = bisect_right(xs, bar // den)
+        if row[:below].count(ZERO) < below or row[above:].count(ONE) < len(row) - above:
+            flagged = True
+            break
     # per member and grid position, four n-bit fields of one int holding the
     # member's bit when they vote 1, mix, gain from disclosure and gain from
-    # concealment, compared in integers: x > num/den exactly when
-    # (x * scale) * den > num * scale. A position is flagged when the member
-    # gains from disclosure but votes below 1, or from concealment but votes
-    # above 0.
+    # concealment; a cell's code is the OR of its members' codes, built in
+    # cell order, and only when some position is flagged
     full = (1 << n) - 1
-    members = []
-    flagged = False
-    scaled = dist._scaled
-    for i, (xs, scale, row) in enumerate(zip(scaled.grid_ints, scaled.scales, profile.values)):
-        bit = 1 << i
-        num, den = post[i].as_integer_ratio()
-        bar = num * scale
-        member = []
-        for x, v in zip(xs, row):
-            vn, vd = v.as_integer_ratio()
-            x *= den
-            up, down = x > bar, x < bar
-            flagged = flagged or (up and vn < vd) or (down and vn > 0)
-            member.append(
-                (bit if vn == vd else 0)
-                | (bit if 0 < vn < vd else 0) << n
-                | (bit if up else 0) << 2 * n
-                | (bit if down else 0) << 3 * n
-            )
-        members.append(member)
-    # every coalition in gain_up holds a member above not voting 1, and every
-    # one in gain_down a member below voting above 0: a cell can hold a
-    # violation only where some member's position is flagged. A cell's code
-    # is the OR of its members' codes, built in cell order.
     codes = []
     if flagged:
         wins = protocol.wins
         codes = [0]
-        for member in members:
+        for i, (xs, row, den, bar) in enumerate(sides):
+            bit = 1 << i
+            member = []
+            for x, v in zip(xs, row):
+                vn, vd = v.as_integer_ratio()
+                x *= den
+                member.append(
+                    (bit if vn == vd else 0)
+                    | (bit if 0 < vn < vd else 0) << n
+                    | (bit if x > bar else 0) << 2 * n
+                    | (bit if x < bar else 0) << 3 * n
+                )
             codes = [c | m for c in codes for m in member]
     violations: list[Violation] = []
     for cell, code in zip(space.cells, codes):

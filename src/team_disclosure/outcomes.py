@@ -34,7 +34,6 @@ from math import lcm, prod
 from operator import getitem, mul
 from typing import Mapping, NamedTuple, Sequence
 
-from ._flow import min_upper_set_sum
 from .rationals import Rational, as_fraction
 
 ZERO = Fraction(0)
@@ -407,6 +406,8 @@ def _min_upper_gap(f: JointDistribution, g: JointDistribution) -> int:
     forced in and the bottom forced out ranges over exactly these sets. The
     empty and the full set both have gap 0.
     """
+    from ._flow import min_upper_set_sum
+
     fm, gm = _scaled_masses(f, g)
     delta = [a - b for a, b in zip(fm, gm)]
     top, bottom = len(delta) - 1, 0  # cells are in lexicographic order

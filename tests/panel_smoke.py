@@ -19,7 +19,7 @@ import tempfile
 from pathlib import Path
 
 from oracles import csv_by_decimal_str
-from team_disclosure.audit import PANEL_GRIDS, panel_sweep
+from team_disclosure.binary_env import PANEL_GRIDS, panel_sweep
 
 ROOT = Path(__file__).resolve().parent.parent
 

@@ -9,8 +9,8 @@ import time
 from dataclasses import replace
 from fractions import Fraction
 
-from team_disclosure.audit import AuditConfig, panel_sweep, run_audit
-from team_disclosure.binary_env import BinaryEnvParams, closed_forms
+from team_disclosure.audit import AuditConfig, run_audit
+from team_disclosure.binary_env import BinaryEnvParams, closed_forms, panel_sweep
 
 from oracles import binary_branch_enumeration
 

@@ -9,11 +9,11 @@ from team_disclosure import audit
 from team_disclosure.audit import (
     CLAIMS,
     AuditConfig,
-    panel_sweep,
     random_distribution,
     random_protocol,
     run_audit,
 )
+from team_disclosure.binary_env import panel_sweep
 from team_disclosure.cli import main
 from team_disclosure.protocols import ProtocolError, make_protocol
 

@@ -15,8 +15,8 @@ from pathlib import Path
 import pytest
 
 from team_disclosure import binary_env, cli
-from team_disclosure.audit import PANEL_GRIDS, AuditConfig, panel_sweep
-from team_disclosure.binary_env import MAX_SWEEP_MEMBERS, MAX_SWEEP_ROWS
+from team_disclosure.audit import AuditConfig
+from team_disclosure.binary_env import MAX_SWEEP_MEMBERS, MAX_SWEEP_ROWS, PANEL_GRIDS, panel_sweep
 from team_disclosure.cli import main
 from team_disclosure.configio import ConfigError, distribution_to_config, load_distribution, load_protocol
 
@@ -1000,6 +1000,28 @@ class TestOneReaderPerInput:
         assert main(argv + ["--out", str(out)]) == 2
         assert message in one_error_line(capsys)
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, name, text, message",
+        [
+            # once refused as a flag ("must be an integer") and run as a JSON -1
+            ("audit", "seed", "-1", "error: seed must be an integer of at least 0, got -1\n"),
+            # once "must be an integer" as a flag, "need at least 2 members" as JSON
+            ("optimal-k", "n", "-3", "error: n must be an integer of at least 0, got -3\n"),
+            ("optimal-k", "n", "-0", "error: need at least 2 members\n"),
+            ("optimal-k", "n", "7", ""),
+        ],
+    )
+    def test_flag_and_config_integer_agree(self, tmp_path, capsys, command, name, text, message):
+        """A flag and the JSON integer it spells give one exit code and one
+        message."""
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({name: int(text)}))
+        results = []
+        for argv in ([f"--{name}", text], ["--config", str(config)]):
+            code = main([command, *argv, "--out", str(tmp_path / "out")])
+            results.append((code, capsys.readouterr().err))
+        assert results == [(2 if message else 0, message)] * 2
 
     @pytest.mark.parametrize(
         "spec",

@@ -1,8 +1,10 @@
-"""The package's public surface: every public name earns its place, and
-README's library tour runs and prints what its comments say."""
+"""The package's public surface: every public name earns its place,
+README's library tour runs and prints what its comments say, and the lazy
+re-exports and per-command imports hold (tests/import_smoke.py)."""
 import ast
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -134,5 +136,46 @@ def test_readme_smoke_catches_a_stale_tour(tmp_path, old, new, message):
     stale = tmp_path / "README.md"
     stale.write_text(text.replace(old, new))
     proc = run_readme_smoke(stale)
+    assert proc.returncode == 1
+    assert message in proc.stdout
+
+
+def run_import_smoke(src):
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run(
+        [sys.executable, str(ROOT / "tests" / "import_smoke.py")],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+
+
+def test_each_command_imports_only_what_it_runs():
+    proc = run_import_smoke(ROOT / "src")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.count(": ok") == 7
+
+
+@pytest.mark.parametrize(
+    "module, old, new, message",
+    [
+        # an eager audit import in cli
+        ("cli.py", "from .rationals import", "from .audit import run_audit\nfrom .rationals import", "solve: loaded"),
+        # an eager max-flow import in outcomes
+        ("outcomes.py", "from .rationals import", "from ._flow import min_upper_set_sum\nfrom .rationals import", "verify: loaded"),
+        # a re-export that its submodule does not define
+        ("__init__.py", '"gain_curve",', '"gain_curve",\n        "prob_nd",', "prob_nd: module"),
+        # a submodule imported by the package itself
+        ("__init__.py", "from importlib import import_module", "from . import protocols\nfrom importlib import import_module", "import team_disclosure loaded"),
+    ],
+)
+def test_import_smoke_catches_an_eager_import(tmp_path, module, old, new, message):
+    src = tmp_path / "src"
+    shutil.copytree(SRC, src / "team_disclosure", ignore=shutil.ignore_patterns("__pycache__"))
+    path = src / "team_disclosure" / module
+    text = path.read_text()
+    assert text.count(old) == 1
+    path.write_text(text.replace(old, new))
+    proc = run_import_smoke(src)
     assert proc.returncode == 1
     assert message in proc.stdout
