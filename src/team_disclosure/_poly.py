@@ -23,8 +23,7 @@ from itertools import product
 from math import gcd
 from operator import mul
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+from .rationals import ONE, ZERO
 
 # the substitution t -> t / 1, for :func:`numerator`
 T = ((0, 1), (1,))
@@ -142,14 +141,14 @@ def real_roots(p: list) -> list[tuple]:
     """
     q = _squarefree(p)
     roots = []
-    for r in (_ZERO, _ONE):
+    for r in (ZERO, ONE):
         if len(q) > 1 and _psign(q, r) == 0:
             roots.append((r, r, q))
             q = _primitive(_pdivmod(q, [-r.numerator, r.denominator])[0])
     if len(q) > 1:
         bound = abs(q[-1])
         seq = _sturm(q)
-        todo = [(_ZERO, _ONE)]
+        todo = [(ZERO, ONE)]
         while todo:
             lo, hi = todo.pop()
             count = _variations(seq, lo) - _variations(seq, hi)
@@ -201,7 +200,7 @@ def simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
 def cell_samples(polys: list[list]) -> list[Fraction]:
     """One rational point inside each open cell that the roots of the
     nonzero polynomials cut out of (0, 1), ascending."""
-    roots = [(_ZERO, _ZERO, None), (_ONE, _ONE, None)]
+    roots = [(ZERO, ZERO, None), (ONE, ONE, None)]
     for p in polys:
         if len(p) > 1:
             roots += real_roots(p)

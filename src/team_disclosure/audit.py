@@ -66,10 +66,7 @@ from .outcomes import (
     more_correlated,
 )
 from .protocols import DeliberationProtocol, all_protocols, make_k_majority, make_leader, make_protocol
-from .rationals import frac_str
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
+from .rationals import ONE, ZERO, frac_str
 
 
 @dataclass(frozen=True)
@@ -194,13 +191,11 @@ def _claim(description: str):
 # ---------------------------------------------------------------------------
 
 
-def random_distribution(
-    rng: random.Random, n: int, sizes: Sequence[int] = (2, 3), numerator_max: int = 20
-) -> JointDistribution:
-    """Full-support pmf with numerators uniform on 1..numerator_max."""
+def random_distribution(rng: random.Random, n: int, sizes: Sequence[int] = (2, 3)) -> JointDistribution:
+    """Full-support pmf with numerators uniform on 1..20."""
     grids = [sorted(rng.sample(range(0, 8), rng.choice(sizes))) for _ in range(n)]
     space = make_space(grids)
-    nums = [rng.randint(1, numerator_max) for _ in space.cells]
+    nums = [rng.randint(1, 20) for _ in space.cells]
     den = sum(nums)
     return JointDistribution(space, tuple(Fraction(x, den) for x in nums))
 
@@ -761,4 +756,7 @@ def run_audit(config: AuditConfig | None = None) -> AuditReport:
     unknown = [c for c in config.claims if c not in CLAIMS]
     if unknown:
         raise ValueError(f"unknown claims: {unknown}")
+    repeated = [c for c in dict.fromkeys(config.claims) if config.claims.count(c) > 1]
+    if repeated:
+        raise ValueError(f"repeated claims: {repeated}")
     return AuditReport(config, tuple(CLAIMS[name](config) for name in config.claims))

@@ -14,17 +14,23 @@ atom sitting exactly on a grid value with a mixing weight. Atom weights
 satisfy a multilinear system solved exactly by :class:`_AtomSolver` on the
 integer algebra of :mod:`._poly`. Configurations are first screened by
 corner sign masks (:class:`_SearchContext`): integer bitmasks over the pure
-cut combinations. The combinations and their slab masks are built once per
-space, and each concealed set's sums and signs once per distribution, so a
-protocol only finds its concealed sets and ORs each one's combinations into
-the masks its memoised sign code names. The masks reject, without solving,
+cut combinations. Under a pure combination the team conceals exactly the
+cells whose vote mask loses, so a combination's concealed mass and value
+sums are a sum of per-vote-mask tables over the protocol's losing masks
+(:func:`_build_context`). The tables are built once per distribution and
+the combinations' slab masks once per space, and each distinct sum is
+unpacked and sign-coded once per distribution, so a protocol only adds up
+its losing masks' tables and ORs each sum's combinations into the masks its
+memoised sign code names. The full-disclosure entry is the same under every
+protocol, so it too is built and verified once per distribution
+(``JointDistribution._full_disclosure``). The masks reject, without solving,
 every configuration in which W > 0 or a gap bound fails at every corner of
 its weight box, or an atom equation has one strict sign at every concealing
-corner (W > 0) of the box (:func:`_cut_configs`).
-The corners with W = 0 cannot rescue such an equation: under full support no
-cell is concealed there, so every S_i and every atom equation is 0. The
-screen walks the members depth first and drops a prefix as soon as its box
-fails, since adding members only shrinks the box.
+corner (W > 0) of the box (:func:`_cut_configs`). The corners with W = 0
+cannot rescue such an equation: under full support no cell is concealed
+there, so every S_i and every atom equation is 0. The screen walks the
+members depth first and drops a prefix as soon as its box fails, since
+adding members only shrinks the box.
 
 Each configuration yields checked weights, is proven infeasible, or is
 noted unresolved in the search notes; nothing is approximated. The search
@@ -40,33 +46,24 @@ one canonical representative is returned: each free weight prefers 0, then
 rational in the first feasible one-dimensional cell; isolated solutions are
 taken in increasing order of the weight that carries them.
 
-The cut search and the belief refinement (consistency with deliberation,
-and the brute-force twin of the full-disclosure plausibility predicate) share
-one prefix walker (:func:`_prefixes`). A member's row is a bitmask over their
-grid positions, and its cells come from a table built once per space
+The belief refinement (consistency with deliberation, and the brute-force
+twin of the full-disclosure plausibility predicate) walks every
+deterministic own-outcome profile with one prefix walker
+(:func:`_prefixes`). A member's row is a bitmask over their grid positions,
+and its cells come from a table built once per space
 (``OutcomeSpace._row_cells``). For each prefix of rows of all members but
 the last, the walker gives ``kept``, the cells no coalition of those members
 discloses, and ``pivot``, the cells where they complete a coalition with the
 last member; the profile with the last member at a row conceals ``kept``
-less ``pivot`` on that row's cells. The search takes each pure threshold
-profile's concealed set (:func:`_concealed_sets`). The refinement walks
-every deterministic own-outcome profile and settles the last member once per
-prefix: the consistency scan reads two packed sums per prefix, not one per
-profile, and the plausibility scan turns each member's floor condition into
-a set of the last member's positions. Exact integer concealment sums over a
-set are read from the subset-sum tables of :mod:`.outcomes`, with every sum
-a caller needs packed into one int as signed fields (``_packed_sums``), so
-one read per set gives them all: W and each S_i for the search, from tables
-built once per distribution (``JointDistribution._packed``) and read once
-per distinct concealed set per distribution
-(``JointDistribution._search_memo``), whatever protocols are searched on it,
-next to the full-disclosure entry, the same under every protocol and built
-and verified once per distribution (``JointDistribution._full_disclosure``);
-each member's posterior condition for the consistency scan, packed per
-target. Every positive refinement answer is confirmed by an integer check
-of its first witness profile's concealed set, in ``product`` order, built
-from the witness's rows alone (:func:`_witness_holds`), before it is
-returned.
+less ``pivot`` on that row's cells. The scans settle the last member once
+per prefix: the consistency scan reads two packed sums per prefix, not one
+per profile, from the subset-sum tables of :mod:`.outcomes`, with each
+member's posterior condition packed per target into one int as a signed
+field (:func:`.outcomes._pack`); the plausibility scan turns each member's
+floor condition into a set of the last member's positions. Every positive
+refinement answer is confirmed by an integer check of its first witness
+profile's concealed set, in ``product`` order, built from the witness's rows
+alone (:func:`_witness_holds`), before it is returned.
 
 One cap bounds the search and both refinement scans: at most 4 members and
 at most 20 grid values in all (:func:`_check_caps`), so at most 2^20
@@ -92,12 +89,10 @@ from functools import reduce
 from itertools import accumulate, chain, combinations, compress, product
 from math import prod
 from operator import and_, attrgetter, or_
-from typing import Callable, Hashable, Sequence
+from typing import Callable, Sequence
 
 from . import _poly
 from .outcomes import (
-    ONE,
-    ZERO,
     JointDistribution,
     OffPathPosterior,
     OutcomeSpace,
@@ -110,7 +105,7 @@ from .outcomes import (
     posterior_no_disclosure,
 )
 from .protocols import DeliberationProtocol, _submasks
-from .rationals import Rational, as_fraction
+from .rationals import ONE, ZERO, Rational, as_fraction
 
 # Preference order of a free mixing weight (most concealing first); with
 # three or more free weights and a gap member, the only values tried for all
@@ -512,40 +507,39 @@ def _sign_code(grid_ints: Sequence[Sequence[int]], w: int, s: Sequence[int]) -> 
 class _SearchContext:
     """Concealment aggregates of pure cut combos, and their sign masks.
 
-    The masks are ints over the combos, bit b standing for ``combos[b]``:
-    ``w_pos`` holds the combos with W > 0, ``above[i][p]`` (``below[i][p]``)
-    those with S_i - x_p*W > 0 (< 0) for member i's grid value x_p, and
-    ``slabs[i][c]`` those whose i-th coordinate is c. A combo with W = 0
-    conceals no cell of a full-support distribution, so its sums are 0 and
-    it lies in neither ``above`` nor ``below``. ``conceal`` maps each combo
-    to its (W, S) entry, in ``combos`` order. Every W is >= 0, as concealed
-    mass is.
+    The combos are those of the ranges 0..len(grid_i) in ``product`` order,
+    and ``entries`` holds their (W, S) entries in that order. The masks are
+    ints over the combos, bit b standing for the b-th: ``w_pos`` holds the
+    combos with W > 0, ``above[i][p]`` (``below[i][p]``) those with
+    S_i - x_p*W > 0 (< 0) for member i's grid value x_p, and ``slabs[i][c]``
+    those whose i-th coordinate is c. A combo with W = 0 conceals no cell of
+    a full-support distribution, so its sums are 0 and it lies in neither
+    ``above`` nor ``below``. Every W is >= 0, as concealed mass is.
 
-    Combos are grouped by ``keys``, one hashable per combo that equal
-    entries share. ``memo`` maps a key to its entry and :func:`_sign_code`;
-    a key it lacks is read with ``read`` and added. Each group's combos are
-    then ORed into the slots its sign code names, one per member for
+    ``keys`` holds one int per combo, equal for combos with equal entries.
+    ``memo`` maps a key to its entry and :func:`_sign_code`; a key it lacks
+    is read with ``read`` and added. Combos are grouped by key and each
+    group is ORed into the slots its sign code names, one per member for
     ``above`` and one for ``below``, so the sign test runs once per key the
     memo has not met, and nothing is ORed for an entry with W and every S_i
     0. ``above[i][p]`` is then the OR of member i's ``above`` slots from p
     on, and ``below[i][p]`` that of its ``below`` slots up to p. The search
-    passes the concealed sets as keys and the distribution's memo;
-    hand-built tables may be sparse, with W = 0 and S != 0.
+    passes the packed sums as keys and the distribution's memo; hand-built
+    tables may hold W = 0 with S != 0.
     """
 
     grid_ints: tuple[tuple[int, ...], ...]
-    combos: InitVar[Sequence[tuple[int, ...]]]
     slabs: Sequence[Sequence[int]]
-    keys: InitVar[Sequence[Hashable]]
-    memo: InitVar[dict[Hashable, tuple[tuple[int, tuple[int, ...]], tuple[int, ...]]]]
-    read: InitVar[Callable[[Hashable], tuple[int, tuple[int, ...]]]]
+    keys: InitVar[Sequence[int]]
+    memo: InitVar[dict[int, tuple[tuple[int, tuple[int, ...]], tuple[int, ...]]]]
+    read: InitVar[Callable[[int], tuple[int, tuple[int, ...]]]]
     notes: list[str] = field(default_factory=list)
-    conceal: dict[tuple[int, ...], tuple[int, tuple[int, ...]]] = field(init=False)
+    entries: list[tuple[int, tuple[int, ...]]] = field(init=False)
     w_pos: int = field(init=False)
     above: list[list[int]] = field(init=False)
     below: list[list[int]] = field(init=False)
 
-    def __post_init__(self, combos, keys, memo, read) -> None:
+    def __post_init__(self, keys, memo, read) -> None:
         grid_ints = self.grid_ints
         groups = dict.fromkeys(keys, 0)  # key -> the combos that hold it
         bit = 1
@@ -560,7 +554,7 @@ class _SearchContext:
                 found = memo[key] = (entry, _sign_code(grid_ints, *entry))
             for m in found[1]:
                 slots[m] |= bits
-        self.conceal = dict(zip(combos, [memo[key][0] for key in keys]))
+        self.entries = [memo[key][0] for key in keys]
         self.w_pos = slots[0]
         self.above, self.below = [], []
         at = 1
@@ -573,30 +567,29 @@ class _SearchContext:
 
 def _build_context(dist: JointDistribution, protocol: DeliberationProtocol) -> _SearchContext:
     """Concealment aggregates of every pure cut combination: member i votes
-    to disclose from grid position c_i on, c_i in 0..len(grid_i). W and each
-    S_i of a combination are sums over its concealed cells
-    (:func:`_concealed_sets`).
+    to disclose from grid position c_i on, c_i in 0..len(grid_i).
 
-    Only the concealed sets depend on the protocol. The combinations, their
-    threshold rows and slab masks are built once per space
-    (``space._cut_combos``). Each cell's weight and scaled values are packed
-    into one int, W in field 0 and S_i in field i+1, in tables built once per
-    distribution (``dist._packed``), so one subset-sum read gives all of
-    them. Many combinations conceal the same set, under one protocol and
-    across protocols, so each distinct set is read, unpacked and sign-tested
+    Under a combination the team conceals exactly the cells whose vote mask
+    loses, so its W and S_i are, packed into one int, the sum of the
+    distribution's vote tables (``dist._vote_tables``) over the protocol's
+    losing masks. Mask 0 always loses, so that sum is never empty. Only the
+    choice of masks depends on the protocol: the tables are built once per
+    distribution, and the combinations' slab masks once per space
+    (``space._cut_slabs``). Many combinations share a sum, under one protocol
+    and across protocols, so each distinct sum is unpacked and sign-tested
     once per distribution (``dist._search_memo``), whatever protocols are
     searched on it and in whatever order."""
     space = dist.space
-    cuts = space._cut_combos
-    tables, width = dist._packed
+    tables, width = dist._vote_tables
     fields = space.n + 1
 
-    def read(k):
-        mass, *values = _unpack(_chunk_sum(tables, _chunks(k)), fields, width)
+    def read(key):
+        mass, *values = _unpack(key, fields, width)
         return mass, tuple(values)
 
-    keys = list(_concealed_sets(space, protocol, cuts.rows))
-    return _SearchContext(dist._scaled.grid_ints, cuts.combos, cuts.slabs, keys, dist._search_memo, read)
+    losing = [table for table, wins in zip(tables, protocol._winning_table) if not wins]
+    keys = list(map(sum, zip(*losing)))
+    return _SearchContext(dist._scaled.grid_ints, space._cut_slabs, keys, dist._search_memo, read)
 
 
 def _cut_configs(ctx: _SearchContext):
@@ -727,14 +720,14 @@ class _AtomSolver:
         self.unresolved = False
         # integer concealment aggregates (W, S) at every corner of the atom box:
         # weight 0 behaves like cutting above the atom, weight 1 like cutting
-        # at it, one grid position lower; corners in ``product((0, 1))`` order
-        combos = [tuple(pos + (kind == "atom") for kind, pos in config)]
-        for a in self.atoms:
-            combos = [
-                c for combo in combos for c in (combo, combo[:a] + (combo[a] - 1,) + combo[a + 1:])
-            ]
-        box = list(map(ctx.conceal.__getitem__, combos))
+        # at it, one grid position lower; corners in ``product((0, 1))`` order,
+        # each combo's index in ``ctx.entries`` by mixed-radix strides
         grid = ctx.grid_ints
+        strides = [prod(len(g) + 1 for g in grid[i + 1:]) for i in range(len(grid))]
+        corners = [sum((pos + (kind == "atom")) * s for (kind, pos), s in zip(config, strides))]
+        for a in self.atoms:
+            corners = [c for corner in corners for c in (corner, corner - strides[a])]
+        box = list(map(ctx.entries.__getitem__, corners))
         # atom a's equation S_a - x_a*W: ``h[a]`` as a table over the other
         # atoms, and in ``equations`` over the whole box, constant along a's
         # own weight (its face at weight 0 on both sides), so that one
@@ -1084,32 +1077,26 @@ def find_equilibria(
 # Prefix walker over pure profiles; the belief refinement scans
 # ---------------------------------------------------------------------------
 
-def _prefixes(
-    space: OutcomeSpace, protocol: DeliberationProtocol, rows: Sequence[Sequence[int]] | None = None
-):
+def _prefixes(space: OutcomeSpace, protocol: DeliberationProtocol):
     """Pure own-outcome profiles, walked by prefix of all members but the last.
 
-    ``rows[i]`` lists member i's strategies, each one int bitmask over their
-    grid positions with the first position in the highest bit; ``None``
-    stands for every row of every member in increasing order. A row's cells
-    are the cells where it votes 1 (``space._row_cells``), and the disclosed
-    cells are the OR, over the minimal winning coalitions, of the AND of
-    their members' cells. For every prefix of rows of the first n-1 members,
-    in ``product`` order, yields ``(heads, kept, pivot, tail)``: ``heads``
-    the prefix's rows; ``kept`` the cells that no coalition of those members
-    alone discloses; ``pivot`` the cells where they complete a coalition
-    with the last member; ``tail`` the cells of each of the last member's
-    rows, in ``rows[-1]`` order. With the last member at ``rows[-1][m]``, the
-    profile conceals K = kept & ~(pivot & tail[m]), zero-probability cells
-    included (bit c for cell c).
+    Member i's strategies are their rows, each one int bitmask over their
+    grid positions with the first position in the highest bit, in
+    increasing order. A row's cells are the cells where it votes 1
+    (``space._row_cells``), and the disclosed cells are the OR, over the
+    minimal winning coalitions, of the AND of their members' cells. For
+    every prefix of rows of the first n-1 members, in ``product`` order,
+    yields ``(heads, kept, pivot, tail)``: ``heads`` the prefix's rows;
+    ``kept`` the cells that no coalition of those members alone discloses;
+    ``pivot`` the cells where they complete a coalition with the last
+    member; ``tail`` the cells of each of the last member's rows. With the
+    last member at row m, the profile conceals K = kept & ~(pivot & tail[m]),
+    zero-probability cells included (bit c for cell c).
     """
     n = space.n
     every = (1 << len(space.cells)) - 1
     masks = space._row_cells
-    if rows is None:
-        rows = [range(len(table)) for table in masks]
-    else:
-        masks = [list(map(table.__getitem__, r)) for table, r in zip(masks, rows)]
+    rows = [range(len(table)) for table in masks]
     last = 1 << (n - 1)
     coalitions = [
         (m & last, [i for i in range(n - 1) if m >> i & 1]) for m in protocol._minimal_masks
@@ -1124,15 +1111,6 @@ def _prefixes(
             else:
                 kept &= ~cells
         yield heads, kept, pivot, tail
-
-
-def _concealed_sets(
-    space: OutcomeSpace, protocol: DeliberationProtocol, rows: Sequence[Sequence[int]]
-):
-    """The concealed cells of every profile in ``product(*rows)`` order, one
-    int each (:func:`_prefixes`)."""
-    for _, kept, pivot, tail in _prefixes(space, protocol, rows):
-        yield from [kept & ~(pivot & m) for m in tail]
 
 
 def _profile_prefixes(dist: JointDistribution, protocol: DeliberationProtocol):
@@ -1167,7 +1145,7 @@ def consistent_with_deliberation(
     probability and Bayes-updates to exactly the given posteriors.
 
     Each member's condition is one signed integer sum over the concealed
-    cells, and the members' sums are packed into one (:func:`_packed_sums`),
+    cells, and the members' sums are packed into one (:func:`.outcomes._pack`),
     so a profile is a witness exactly when its packed sum is 0. Profiles are
     walked by prefix (:func:`_prefixes`): the sum over K = kept & ~(pivot &
     tail[m]) is that over ``kept`` less that over ``kept & pivot`` on the

@@ -38,10 +38,7 @@ from .outcomes import (
     posterior_no_disclosure,
 )
 from .protocols import DeliberationProtocol
-from .rationals import Rational, as_fraction
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
+from .rationals import ONE, ZERO, Rational, as_fraction
 
 SELF_IMPROVING = "self_improving"
 TEAM_IMPROVING = "team_improving"

@@ -11,18 +11,19 @@ the upper sets of the product grid. The no-disclosure posterior is read off
 integer concealment sums over the pmf and grids scaled to common
 denominators.
 
-Sums over many cell sets (the equilibrium search's and the belief
-refinement's concealment sums) are read from subset-sum tables of
-``CHUNK_CELLS`` cells each, with several signed sums packed into one int
-(:func:`_packed_sums`). What the search reads depends only on the grid sizes
-or only on the distribution, never on the protocol, so it is built once and
-shared by every protocol: per space the pure cut combinations, their
-threshold rows and slab masks (``OutcomeSpace._cut_combos``) and each
-member's row-to-cells table (``OutcomeSpace._row_cells``); per
-distribution the packed tables (``JointDistribution._packed``), a memo of
-each concealed set's (W, S) entry and sign code
+The equilibrium search reads its concealment sums from vote tables built
+once per distribution (``JointDistribution._vote_tables``): for every vote
+mask and every pure cut combination, the weight and value sums of the cells
+where exactly that mask's members vote to disclose, with several signed sums
+packed into one int (:func:`_pack`). A protocol conceals exactly the cells
+whose vote mask loses, so no table depends on the protocol. Next to them sit
+the combinations' slab masks, per space (``OutcomeSpace._cut_slabs``), and
+per distribution a memo of each (W, S) entry's sign code
 (``JointDistribution._search_memo``) and the verified full-disclosure entry
-(``JointDistribution._full_disclosure``).
+(``JointDistribution._full_disclosure``). The belief refinement's sums over
+arbitrary cell sets are read from subset-sum tables of ``CHUNK_CELLS`` cells
+each (:func:`_subset_sums`), over each member's row-to-cells table
+(``OutcomeSpace._row_cells``).
 """
 from __future__ import annotations
 
@@ -31,13 +32,10 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from math import lcm, prod
-from operator import getitem, mul
+from operator import add, getitem, mul, sub
 from typing import Mapping, NamedTuple, Sequence
 
-from .rationals import Rational, as_fraction
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
+from .rationals import ONE, ZERO, Rational, as_fraction
 
 
 class OutcomeError(ValueError):
@@ -106,14 +104,14 @@ class OutcomeSpace:
         return tuple(_subset_table(member_slabs[::-1]) for member_slabs in self.slabs)
 
     @cached_property
-    def _cut_combos(self) -> CutCombos:
-        """The pure cut combinations of the equilibrium search, which depend
-        only on the grid sizes, so every distribution and protocol on this
-        space shares them (see :class:`CutCombos`)."""
+    def _cut_slabs(self) -> tuple[tuple[int, ...], ...]:
+        """_cut_slabs[i][c] = the pure cut combinations of the equilibrium
+        search with c_i = c, bit b standing for the b-th combination in
+        ``product`` order of the ranges 0..len(grid_i) (see
+        ``JointDistribution._vote_tables``). They depend only on the grid
+        sizes, so every distribution and protocol on this space shares them."""
         sizes = [len(g) + 1 for g in self.grids]
-        combos = tuple(product(*map(range, sizes)))
-        rows = tuple(tuple((1 << (len(g) - c)) - 1 for c in range(len(g) + 1)) for g in self.grids)
-        return CutCombos(combos, rows, _combo_slabs(sizes, tuple(zip(*combos))))
+        return _combo_slabs(sizes, tuple(zip(*product(*map(range, sizes)))))
 
     @property
     def min_vector(self) -> tuple[Fraction, ...]:
@@ -121,21 +119,6 @@ class OutcomeSpace:
 
     def is_binary(self) -> bool:
         return all(len(g) == 2 for g in self.grids)
-
-
-class CutCombos(NamedTuple):
-    """The pure cut combinations of a space, in ``product`` order: member i
-    votes to disclose from grid position c_i on, c_i in 0..len(grid_i).
-
-    ``rows[i][c]`` is member i's vote at cut c as a bitmask over their grid
-    positions, first position in the highest bit (as
-    ``OutcomeSpace._row_cells`` indexes them), and ``slabs[i][c]`` holds
-    the combinations with c_i = c, bit b standing for ``combos[b]``.
-    """
-
-    combos: tuple[tuple[int, ...], ...]
-    rows: tuple[tuple[int, ...], ...]
-    slabs: tuple[tuple[int, ...], ...]
 
 
 def _combo_slabs(sizes: Sequence[int], columns: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
@@ -220,20 +203,36 @@ class JointDistribution:
         return ScaledDistribution(den, weights, scales, grid_ints, values)
 
     @cached_property
-    def _packed(self) -> tuple[list[list[int]], int]:
-        """The :func:`_packed_sums` tables of the scaled weights and values,
-        and their field width: one subset-sum read of a cell set gives its
-        concealed mass W in field 0 and member i's value sum S_i in field
-        i+1. They depend only on the distribution, so every protocol searched
-        on it reads the same tables."""
+    def _vote_tables(self) -> tuple[list[list[int]], int]:
+        """The equilibrium search's vote tables, and their field width.
+
+        Under the pure cut combination b (member i votes to disclose from
+        grid position c_i on, c_i in 0..len(grid_i), combinations in
+        ``product`` order), ``tables[m][b]`` is the :func:`_pack` sum, over
+        the cells where exactly the members in the vote mask m (bit i for
+        member i) vote 1, of the scaled weight in field 0 and member i's
+        weighted scaled value in field i+1 (``ScaledDistribution.values``).
+        Those cells form a box: positions from
+        c_i on for the members in m, below c_i for the others. So the tables
+        are built from the packed cells one member axis at a time, last
+        member first (:func:`_axis_sums`), a summed-area table per mask. A
+        protocol conceals exactly the cells whose vote mask loses, so the
+        tables depend only on the distribution and every protocol searched
+        on it reads them."""
         scaled = self._scaled
-        return _packed_sums([scaled.weights, *scaled.values])
+        packed, width = _pack([scaled.weights, *scaled.values])
+        tables = [packed]
+        inner = 1
+        for size in reversed(list(map(len, self.space.grids))):
+            tables = [half for table in tables for half in _axis_sums(table, size, inner)]
+            inner *= size + 1
+        return tables, width
 
     @cached_property
     def _search_memo(self) -> dict[int, tuple[tuple[int, tuple[int, ...]], tuple[int, ...]]]:
-        """The equilibrium search's memo: each concealed cell set K met so
-        far, under any protocol, mapped to its (W, S) entry read from
-        :attr:`_packed` and its sign code (``equilibrium._sign_code``). It
+        """The equilibrium search's memo: each packed (W, S) sum read from
+        :attr:`_vote_tables` so far, under any protocol, mapped to its
+        unpacked entry and its sign code (``equilibrium._sign_code``). It
         starts empty and grows as protocols are searched on this object."""
         return {}
 
@@ -524,7 +523,7 @@ def posterior_no_disclosure(dist: JointDistribution, rule) -> tuple[Fraction, ..
 
 
 # ---------------------------------------------------------------------------
-# Subset sums over cell sets
+# Packed sums: over the boxes of the vote tables, and over cell sets
 # ---------------------------------------------------------------------------
 
 # Cells per subset-sum table: one hexadecimal digit of a cell set, so
@@ -561,25 +560,17 @@ def _chunk_sum(tables: Sequence[Sequence[int]], chunks: bytes) -> int:
     return sum(map(getitem, tables, chunks))
 
 
-def _packed_sums(columns: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
-    """Subset-sum tables (:func:`_subset_sums`) of several signed entries per
-    cell packed into one int, and the field width.
-
-    Column j's entry sits in field j as a signed base-2**width digit:
-    ``width`` is one more than the bit length of the largest column's sum of
-    absolute values, so every field of a sum over any cell set lies strictly
-    inside +-2**(width-1). Such balanced digits are unique: :func:`_unpack`
-    reads them back, and a packed sum is 0 exactly when each field is.
-    """
-    packed, width = _pack(columns)
-    return _subset_sums(packed), width
-
-
 def _pack(columns: Sequence[Sequence[int]]) -> tuple[list[int], int]:
-    """Each cell's entries packed into one int, and the field width, as
-    :func:`_packed_sums` builds its tables from: the sum over columns j of
-    entry << (width * j), built column by column from the last, one list
-    pass per column."""
+    """Each cell's signed entries packed into one int, and the field width.
+
+    Column j's entry sits in field j as a signed base-2**width digit, the sum
+    over columns j of entry << (width * j), built column by column from the
+    last, one list pass per column. ``width`` is one more than the bit length
+    of the largest column's sum of absolute values, so every field of a sum
+    of packed entries over any set of cells lies strictly inside
+    +-2**(width-1). Such balanced digits are unique: :func:`_unpack` reads
+    them back, and a packed sum is 0 exactly when each field is.
+    """
     width = max(sum(map(abs, column)) for column in columns).bit_length() + 1
     packed = list(columns[-1])
     for column in reversed(columns[:-1]):
@@ -587,9 +578,28 @@ def _pack(columns: Sequence[Sequence[int]]) -> tuple[list[int], int]:
     return packed, width
 
 
+def _axis_sums(table: Sequence[int], size: int, inner: int) -> tuple[list[int], list[int]]:
+    """Running sums along one axis of a table laid out in ``product`` order:
+    ``table`` holds blocks of ``size`` rows of ``inner`` entries each. Returns
+    ``below`` and ``above``, each with ``size + 1`` rows per block, where row
+    c of a block sums its rows before c and from c on."""
+    below, above = [], []
+    step = size * inner
+    zero = [0] * inner
+    for start in range(0, len(table), step):
+        runs = [zero]
+        for at in range(start, start + step, inner):
+            runs.append(list(map(add, runs[-1], table[at:at + inner])))
+        total = runs[-1]
+        for run in runs:
+            below += run
+            above += map(sub, total, run)
+    return below, above
+
+
 def _unpack(total: int, count: int, width: int) -> list[int]:
-    """The ``count`` signed fields of a sum read from :func:`_packed_sums`
-    tables, field 0 first."""
+    """The ``count`` signed fields of a sum of :func:`_pack` entries, field 0
+    first."""
     half = 1 << (width - 1)
     mask = (1 << width) - 1
     fields = []

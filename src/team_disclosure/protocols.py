@@ -16,12 +16,9 @@ from functools import cached_property
 from itertools import combinations, compress
 from typing import Callable, Iterable, Sequence
 
-from .rationals import Rational, as_fraction
+from .rationals import ONE, ZERO, Rational, as_fraction
 
 MAX_MEMBERS = 12
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class ProtocolError(ValueError):

@@ -13,6 +13,11 @@ from fractions import Fraction
 
 Rational = Fraction | int | str | float
 
+# The package's one 0 and one 1: its fast paths read them by identity (``v is
+# ZERO``), so every module imports these objects rather than building its own.
+ZERO = Fraction(0)
+ONE = Fraction(1)
+
 # Fraction("1e999999999") builds that power of ten before anything can look
 # at the value, so decimal exponents beyond this are refused up front.
 MAX_DECIMAL_EXPONENT = 1000

@@ -573,14 +573,21 @@ def plausible_full_disclosure_by_fractions(dist, protocol):
     return False
 
 
+def concealed_sets(space, protocol):
+    """(rows, K) for every deterministic own-outcome profile, in ``product``
+    order of each member's rows: K = kept & ~(pivot & tail[m]) off each
+    prefix of ``equilibrium._prefixes``, zero-probability cells included."""
+    from team_disclosure.equilibrium import _prefixes
+
+    for heads, kept, pivot, tail in _prefixes(space, protocol):
+        for m, cells in enumerate(tail):
+            yield heads + (m,), kept & ~(pivot & cells)
+
+
 def _profiles_with_mass(dist, protocol):
     """(rows, K) for every deterministic own-outcome profile whose concealed
     cells K carry mass, in ``product`` order, one concealed set per profile."""
-    from team_disclosure.equilibrium import _concealed_sets
-
-    space = dist.space
-    rows = [range(1 << len(g)) for g in space.grids]
-    for bits, k in zip(product(*rows), _concealed_sets(space, protocol, rows)):
+    for bits, k in concealed_sets(dist.space, protocol):
         if k & dist.support:
             yield bits, k
 
@@ -589,14 +596,14 @@ def consistency_witness_by_profiles(posteriors, dist, protocol):
     """The rows of the first profile whose concealed set's packed posterior
     conditions read 0, one packed read per profile, or None: the mid-size
     twin of the prefix scan behind ``consistent_with_deliberation``."""
-    from team_disclosure.outcomes import _chunk_sum, _chunks, _packed_sums
+    from team_disclosure.outcomes import _chunk_sum, _chunks, _pack, _subset_sums
 
     scaled = dist._scaled
     columns = []
     for t, scale, values in zip(posteriors, scaled.scales, scaled.values):
         num, den = (Fraction(t) * scale).as_integer_ratio()
         columns.append([v * den - num * w for v, w in zip(values, scaled.weights)])
-    tables, _ = _packed_sums(columns)
+    tables = _subset_sums(_pack(columns)[0])
     for bits, k in _profiles_with_mass(dist, protocol):
         if not _chunk_sum(tables, _chunks(k)):
             return bits
@@ -713,15 +720,16 @@ def atom_grid_scan(corners, grids, config, steps=12):
 def search_masks_by_combo(ctx):
     """``(w_pos, above, below, slabs)`` of a search context, one combination
     at a time: the slow twin of ``_SearchContext.__post_init__``, which runs
-    its sign loop once per distinct concealed set per distribution and reads
-    its slabs per space. Bit b stands for the b-th combination of
-    ``ctx.conceal``."""
+    its sign loop once per distinct packed sum per distribution and reads
+    its slabs per space. Bit b stands for the b-th combination in
+    ``product`` order of the cut ranges, whose entry is ``ctx.entries[b]``."""
     grid_ints = ctx.grid_ints
     w_pos = 0
     above = [[0] * len(g) for g in grid_ints]
     below = [[0] * len(g) for g in grid_ints]
     slabs = [[0] * (len(g) + 1) for g in grid_ints]
-    for b, (combo, (w, s)) in enumerate(ctx.conceal.items()):
+    combos = product(*(range(len(g) + 1) for g in grid_ints))
+    for b, (combo, (w, s)) in enumerate(zip(combos, ctx.entries, strict=True)):
         bit = 1 << b
         if w > 0:
             w_pos |= bit

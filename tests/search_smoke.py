@@ -6,23 +6,26 @@ with ``DIGEST``. The search reads its concealment sums from integer tables
 with several fields packed into one int, so this checks those fields on
 every supported Python. It then searches each shared distribution's
 protocols again in reverse order, on a fresh copy of the distribution, and
-requires every solve document to equal its forward-order one. Needs no
-third-party package:
+requires every solve document to equal its forward-order one. Last, it
+compares the search's per-vote-mask tables with a plain per-cell loop on
+the cap's extreme grid shapes. Needs no third-party package:
 
     PYTHONPATH=src python tests/search_smoke.py
 
-Exits 0 when the digest matches and the orders agree, 1 otherwise.
+Exits 0 when the digest matches, the orders agree and the tables match, 1
+otherwise.
 """
 import hashlib
 import json
 import random
 import sys
 from fractions import Fraction
+from itertools import product
 
 from team_disclosure.audit import random_distribution
 from team_disclosure.configio import equilibrium_to_config
 from team_disclosure.equilibrium import find_equilibria_report
-from team_disclosure.outcomes import JointDistribution, independent, make_space
+from team_disclosure.outcomes import JointDistribution, _unpack, independent, make_space
 from team_disclosure.protocols import all_protocols, make_k_majority, make_protocol
 
 F = Fraction
@@ -106,13 +109,44 @@ def reverse_order_mismatches(searched) -> list[str]:
     return bad
 
 
+def vote_table_mismatches() -> list[str]:
+    """The grid shapes, of the cap's extremes (14,2,2,2), (2,2,2,14) and
+    (5,5,5,5), on which ``JointDistribution._vote_tables`` differs from a
+    plain loop over every cell per cut combination. Grid values are
+    rationals, some negative; the pmf has full support."""
+    rng = random.Random(30)
+    bad = []
+    for sizes in ((14, 2, 2, 2), (2, 2, 2, 14), (5, 5, 5, 5)):
+        values = sorted({F(v, den) for v in range(-30, 31) for den in (1, 2, 3, 7)})
+        space = make_space([sorted(rng.sample(values, size)) for size in sizes])
+        nums = [rng.randint(1, 9) for _ in space.cells]
+        dist = JointDistribution(space, tuple(F(x, sum(nums)) for x in nums))
+        tables, width = dist._vote_tables
+        scaled = dist._scaled
+        n = space.n
+        cells = list(zip(scaled.weights, zip(*space.positions)))
+        for b, combo in enumerate(product(*(range(size + 1) for size in sizes))):
+            sums = [[0] * (n + 1) for _ in range(1 << n)]
+            for w, at in cells:
+                row = sums[sum(1 << i for i in range(n) if at[i] >= combo[i])]
+                row[0] += w
+                for i in range(n):
+                    row[i + 1] += scaled.grid_ints[i][at[i]] * w
+            if [_unpack(table[b], n + 1, width) for table in tables] != sums:
+                bad.append(f"grids {sizes} at cuts {combo}")
+                break
+    return bad
+
+
 def main() -> int:
     searched = [(dist, proto, solve_document(dist, proto)) for dist, proto in pinned_searches()]
     got = search_digest([doc for _, _, doc in searched])
     print(f"pinned searches: {'ok' if got == DIGEST else f'sha256 {got}'}")
     bad = reverse_order_mismatches(searched)
     print(f"reverse order: {'ok' if not bad else 'differs for ' + '; '.join(bad)}")
-    return 0 if got == DIGEST and not bad else 1
+    tables = vote_table_mismatches()
+    print(f"vote tables: {'ok' if not tables else 'differ on ' + '; '.join(tables)}")
+    return 0 if got == DIGEST and not bad and not tables else 1
 
 
 if __name__ == "__main__":

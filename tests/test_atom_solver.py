@@ -4,7 +4,7 @@ import inspect
 import random
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import lcm, prod
 
 import pytest
 
@@ -59,17 +59,32 @@ def corner_combo(config, corner):
     )
 
 
+def corner_indices(grids, config):
+    """The index of each corner combination of the atom box, in
+    ``product((0, 1))`` order, among every pure cut combination in
+    ``product`` order."""
+    atoms = [i for i, (kind, _) in enumerate(config) if kind == "atom"]
+    every = list(product(*(range(len(g) + 1) for g in grids)))
+    return [
+        every.index(corner_combo(config, dict(zip(atoms, bits))))
+        for bits in product((0, 1), repeat=len(atoms))
+    ]
+
+
 def hand_built(grids, config, corners):
     """An atom solver whose concealment aggregates (W, S) at the corners of
-    the atom box, in ``product((0, 1))`` order, are given directly. Every
-    entry and grid value is an int, as :mod:`._poly` takes."""
-    atoms = [i for i, (kind, _) in enumerate(config) if kind == "atom"]
-    combos = [corner_combo(config, dict(zip(atoms, bits))) for bits in product((0, 1), repeat=len(atoms))]
-    entries = [(w, tuple(s)) for w, s in corners]
+    the atom box, in ``product((0, 1))`` order, are given directly, laid
+    into a dense table over every pure cut combination in ``product`` order
+    with W and every S_i 0 off the box. Every entry and grid value is an
+    int, as :mod:`._poly` takes."""
+    sizes = [len(g) + 1 for g in grids]
+    entries = [(0, (0,) * len(grids))] * prod(sizes)
+    for c, (w, s) in zip(corner_indices(grids, config), corners, strict=True):
+        entries[c] = (w, tuple(s))
     assert all(type(v) is int for w, s in entries for v in (w, *s)), entries
     assert all(type(x) is int for grid in grids for x in grid), grids
-    slabs = _combo_slabs([len(g) + 1 for g in grids], tuple(zip(*combos)))
-    ctx = _SearchContext(grids, combos, slabs, range(len(entries)), {}, entries.__getitem__)
+    slabs = _combo_slabs(sizes, tuple(zip(*product(*map(range, sizes)))))
+    ctx = _SearchContext(grids, slabs, range(len(entries)), {}, entries.__getitem__)
     return _AtomSolver(ctx, config)
 
 
@@ -435,22 +450,22 @@ class TestSearchMasks:
             dist = independent([{x: c / sum(m.values()) for x, c in m.items()} for m in marginals])
             for k in range(1, 5):
                 ctx = _build_context(dist, make_k_majority(4, k))
-                assert len(ctx.conceal) == 6**4
+                assert len(ctx.entries) == 6**4
                 assert_masks_match(ctx)
 
     @pytest.mark.parametrize("members, atom_share", [(3, 1.0), (4, 0.75)])
     def test_hand_built_tables(self, members, atom_share):
-        # sparse tables over the corners only, some with W = 0 and S != 0,
-        # and equal entries held as distinct tuple objects
+        # tables that are zero off the box corners, some corners with W = 0
+        # and S != 0, and equal corner entries held as distinct tuple objects
         rng = random.Random(229 + members)
         massless = shared = 0
         for _ in range(150):
             grids, config, corners = random_tables(rng, members, atom_share)
             ctx = hand_built(grids, config, corners).ctx
             assert_masks_match(ctx)
-            entries = list(ctx.conceal.values())
-            massless += any(w == 0 and any(s) for w, s in entries)
-            shared += len(set(entries)) < len(set(map(id, entries)))
+            box = [ctx.entries[c] for c in corner_indices(grids, config)]
+            massless += any(w == 0 and any(s) for w, s in box)
+            shared += len(set(box)) < len(set(map(id, box)))
         assert massless > 100 and shared > 5
 
 

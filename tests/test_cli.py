@@ -853,6 +853,22 @@ class TestAuditCommand:
     def test_audit_unknown_claim(self):
         assert main(["audit", "--claims", "bogus"]) == 2
 
+    @pytest.mark.parametrize("by_config", [False, True])
+    def test_audit_repeated_claim(self, tmp_path, capsys, by_config):
+        # a repeated name once ran its claim twice and exited 0
+        claims = "equilibrium_existence, gain_identity,equilibrium_existence"
+        out = tmp_path / "report.txt"
+        if by_config:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"claims": claims}))
+            argv = ["audit", "--config", str(cfg)]
+        else:
+            argv = ["audit", "--claims", claims]
+        assert main([*argv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: repeated claims: ['equilibrium_existence']\n"
+        assert captured.out == "" and not out.exists()
+
     @pytest.mark.parametrize("claims", [",", " , "])
     def test_audit_empty_claim_list(self, tmp_path, capsys, claims):
         # a list naming no claim once passed with 0/0 claims

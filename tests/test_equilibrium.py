@@ -16,7 +16,6 @@ from team_disclosure.equilibrium import (
     TeamRule,
     _AtomSolver,
     _build_context,
-    _concealed_sets,
     _cut_configs,
     _profile_from_config,
     classify_rule,
@@ -192,17 +191,17 @@ class TestWorkedSearches:
         rng = random.Random(233)
         for n in (2, 3):
             shared = fractional_dist(rng, n, sizes=(2, 3))
-            tables = shared._packed
+            tables = shared._vote_tables
             for proto in all_protocols(n):
                 fresh = JointDistribution(make_space(shared.space.grids), shared.probs)
                 assert find_equilibria_report(shared, proto) == find_equilibria_report(fresh, proto)
-            assert shared._packed is tables
+            assert shared._vote_tables is tables
 
     def test_search_memo_does_not_depend_on_order(self):
         # one distribution object searched under its protocols in three
         # orders: after each search the tables equal the slow twins, the
         # report equals the first order's, and the memo holds one entry per
-        # concealed set met so far
+        # packed (W, S) sum met so far
         rng = random.Random(239)
         cases = [(fractional_dist(rng, n, sizes=(2, 3)), all_protocols(n)) for n in (2, 3)]
         for size in (4, 5):
@@ -210,20 +209,24 @@ class TestWorkedSearches:
             cases.append((d, [make_k_majority(4, k) for k in range(1, 5)]))
         for dist, protos in cases:
             expected = [search_conceal_by_cells(dist, proto) for proto in protos]
+            cut_ranges = [range(len(g) + 1) for g in dist.space.grids]
             forward = list(range(len(protos)))
             interleaved = [j for pair in zip(forward, forward[::-1]) for j in pair][: len(forward)]
             reports = {}
             for order in (forward, forward[::-1], interleaved):
                 shared = JointDistribution(make_space(dist.space.grids), dist.probs)
-                rows = shared.space._cut_combos.rows
+                _, width = shared._vote_tables
                 met = set()
                 for j in order:
                     report = find_equilibria_report(shared, protos[j])
                     assert reports.setdefault(j, report) == report
                     ctx = _build_context(shared, protos[j])
-                    assert ctx.conceal == expected[j]
+                    assert list(zip(product(*cut_ranges), ctx.entries)) == list(expected[j].items())
                     assert_masks_match(ctx)
-                    met.update(_concealed_sets(shared.space, protos[j], rows))
+                    met.update(
+                        w + sum(v << (width * (i + 1)) for i, v in enumerate(sums))
+                        for w, sums in expected[j].values()
+                    )
                     assert shared._search_memo.keys() == met
 
     def test_full_disclosure_entry_matches_public_verify(self):
@@ -650,9 +653,7 @@ class TestRefinementOracles:
         assert not consistent_with_deliberation(target, d, proto)
         assert not plausible_full_disclosure_by_search(d, proto)
         prefixes = equilibrium._prefixes
-        monkeypatch.setattr(
-            equilibrium, "_prefixes", lambda space, protocol, rows=None: prefixes(space, reduced, rows)
-        )
+        monkeypatch.setattr(equilibrium, "_prefixes", lambda space, protocol: prefixes(space, reduced))
         with pytest.raises(AssertionError, match="integer scan disagrees"):
             consistent_with_deliberation(target, d, proto)
         with pytest.raises(AssertionError, match="integer scan disagrees"):

@@ -1,7 +1,8 @@
 """The integer team-rule and concealment kernels against their Fraction twins,
-the cut search's concealment tables against the per-vote-mask loop, and the
-concealed-cell bitmask kernel and its subset-sum tables, plain and packed
-several fields to an int, against ``protocol.evaluate`` and plain sums.
+the cut search's vote tables and concealment tables against the per-vote-mask
+loop, and the refinement's concealed-cell bitmask walk and its subset-sum
+tables, plain and packed several fields to an int, against
+``protocol.evaluate`` and plain sums.
 
 ``team_rule`` reads votes as integer codes and runs the multilinear sum only
 over mixing members; ``posterior_no_disclosure`` and the effort module's
@@ -22,7 +23,7 @@ from team_disclosure.equilibrium import (
     StrategyProfile,
     TeamRule,
     _build_context,
-    _concealed_sets,
+    _prefixes,
     consistent_with_deliberation,
     team_rule,
 )
@@ -34,7 +35,6 @@ from team_disclosure.outcomes import (
     _chunk_sum,
     _chunks,
     _pack,
-    _packed_sums,
     _subset_sums,
     _unpack,
     make_space,
@@ -43,7 +43,9 @@ from team_disclosure.outcomes import (
 from team_disclosure.protocols import all_protocols, make_consensus, make_k_majority
 
 from oracles import (
+    concealed_sets,
     consistent_with_deliberation_by_fractions,
+    cut_tables_by_vote_mask,
     nd_stats_by_fractions,
     pack_by_cells,
     posterior_no_disclosure_by_fractions,
@@ -183,11 +185,28 @@ def test_out_of_range_votes_and_rules_keep_their_messages(bad):
 
 
 def assert_search_tables_match(dist, protocol):
-    conceal = _build_context(dist, protocol).conceal
+    entries = _build_context(dist, protocol).entries
     expected = search_conceal_by_cells(dist, protocol)
-    assert conceal == expected
-    assert list(conceal) == list(expected)
-    return sum(w == 0 for w, _ in conceal.values())
+    combos = product(*(range(len(g) + 1) for g in dist.space.grids))
+    assert list(zip(combos, entries, strict=True)) == list(expected.items())
+    return sum(w == 0 for w, _ in entries)
+
+
+def assert_vote_tables_match(dist):
+    """``dist._vote_tables``, unpacked, against the per-cell loop over every
+    combination and vote mask; the masks' entries of one combination sum to
+    the packed total over every cell."""
+    tables, width = dist._vote_tables
+    scaled = dist._scaled
+    packed, packed_width = _pack([scaled.weights, *scaled.values])
+    assert width == packed_width
+    n = dist.space.n
+    expected = cut_tables_by_vote_mask(dist)
+    assert len(tables) == 1 << n and all(len(t) == len(expected) for t in tables)
+    for b, (agg_w, agg_s) in enumerate(expected.values()):
+        for m, table in enumerate(tables):
+            assert _unpack(table[b], n + 1, width) == [agg_w[m], *(s[m] for s in agg_s)]
+        assert sum(table[b] for table in tables) == sum(packed)
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS, ids=lambda p: p.describe())
@@ -230,21 +249,36 @@ def row_votes(space, rows):
     )
 
 
+@pytest.mark.parametrize("sizes", [*KERNEL_SIZES, (5, 5, 5, 5)], ids=str)
+def test_vote_tables_match_vote_mask_loop(sizes):
+    """The search's vote tables on a sparse pmf over grids with negative and
+    rational values, against the per-cell loop."""
+    rng = random.Random(f"vote tables {sizes}")
+    dist = sparse_dist(rng, fractional_space(rng, len(sizes), sizes[:1]))
+    assert 0 in dist.probs
+    assert any(x < 0 for g in dist.space.grids for x in g)
+    assert any(x.denominator > 1 for g in dist.space.grids for x in g)
+    assert_vote_tables_match(dist)
+
+
 @pytest.mark.parametrize("sizes", KERNEL_SIZES, ids=str)
 def test_concealed_sets_match_evaluate(sizes):
-    """Each profile's concealed set is the set of cells where the team rule
-    from ``protocol.evaluate`` is 0, whatever their probability, in
-    ``product(*rows)`` order, on a seeded sample of rows per member (two on
-    the 256-cell space)."""
+    """The refinement walk visits every pure profile in ``product`` order of
+    each member's rows, and each profile's concealed set is the set of cells
+    where the team rule from ``protocol.evaluate`` is 0, whatever their
+    probability, on a seeded sample of profiles (16 on the 256-cell space)."""
     rng = random.Random(f"concealed sets {sizes}")
     space = fractional_space(rng, len(sizes), sizes[:1])
-    per_member = 2 if len(space.cells) > 27 else 3
+    every = list(product(*(range(1 << len(g)) for g in space.grids)))
+    checked = 16 if len(space.cells) > 27 else 40
     for protocol in kernel_protocols(rng, space.n):
-        rows = [rng.sample(range(1 << len(g)), per_member) for g in space.grids]
-        got = list(_concealed_sets(space, protocol, rows))
-        profiles = list(product(*rows))
-        assert len(got) == len(profiles)
-        for bits, k in zip(profiles, got):
+        walked = [
+            (heads + (m,), kept & ~(pivot & cells))
+            for heads, kept, pivot, tail in _prefixes(space, protocol)
+            for m, cells in enumerate(tail)
+        ]
+        assert [bits for bits, _ in walked] == every
+        for bits, k in rng.sample(walked, checked):
             rule = team_rule_by_evaluate(row_votes(space, bits), protocol)
             assert k == sum(1 << c for c, v in enumerate(rule.values) if v == 0)
 
@@ -289,7 +323,8 @@ def test_packed_fields_match_plain_sums():
         [rng.choice((0, 1, -1)) for _ in range(cells)],
         [0] * cells,
     ]
-    tables, width = _packed_sums(columns)
+    entries, width = _pack(columns)
+    tables = _subset_sums(entries)
     assert width == (cells * bound).bit_length() + 1
     every = (1 << cells) - 1
     sets = [0, every, 1, 1 << (cells - 1)] + [rng.getrandbits(cells) for _ in range(60)]
@@ -344,12 +379,12 @@ def extreme_dist(rng):
 
 
 def test_packed_search_tables_at_the_field_width_edge():
-    """The search's packed table, where W and S_i come near the bound that
-    sets the field width, against the per-vote-mask loop."""
+    """The search's vote tables and packed sums, where W and S_i come near
+    the bound that sets the field width, against the per-vote-mask loop."""
     rng = random.Random("packed search tables")
     dist = extreme_dist(rng)
-    scaled = dist._scaled
-    _, width = _packed_sums([scaled.weights, *scaled.values])
+    assert_vote_tables_match(dist)
+    _, width = dist._vote_tables
     edge = 1 << (width - 3)  # the width's bound is below 2**(width - 1)
     reached = set()
     for k in range(1, 5):
@@ -362,18 +397,18 @@ def test_packed_search_tables_at_the_field_width_edge():
 
 
 def test_cached_search_tables_match_fresh_packing():
-    """The search's packed tables, built once per distribution, equal a
-    fresh :func:`_packed_sums` of its scaled weights and values, and every
-    protocol searched on the distribution reads those same tables."""
+    """The search's vote tables, built once per distribution, equal the
+    per-vote-mask loop over a fresh :func:`_pack` of its scaled weights and
+    values, and every protocol searched on the distribution reads those
+    same tables."""
     rng = random.Random("cached search tables")
     for n in (2, 3, 4):
         dist = sparse_dist(rng, fractional_space(rng, n))
-        scaled = dist._scaled
-        tables = dist._packed
-        assert tables == _packed_sums([scaled.weights, *scaled.values])
+        tables = dist._vote_tables
+        assert_vote_tables_match(dist)
         for protocol in kernel_protocols(rng, n):
             assert_search_tables_match(dist, protocol)
-        assert dist._packed is tables
+        assert dist._vote_tables is tables
 
 
 def residue_target(scaled, k, i, residue):
@@ -399,8 +434,7 @@ def test_consistency_packed_residues(protocol):
     nums = [rng.randint(1, 30) for _ in space.cells]
     dist = JointDistribution(space, tuple(F(x, sum(nums)) for x in nums))
     scaled = dist._scaled
-    rows = [range(1 << len(g)) for g in space.grids]
-    for k in _concealed_sets(space, protocol, rows):
+    for _, k in concealed_sets(space, protocol):
         w = sum(e for c, e in enumerate(scaled.weights) if k >> c & 1)
         if w and all(
             gcd(sum(e for c, e in enumerate(v) if k >> c & 1), w) == 1 for v in scaled.values
@@ -428,9 +462,8 @@ def test_consistency_targets_on_one_distribution():
     dist = sparse_dist(rng, space)
     protocol = make_k_majority(2, 1)
     scaled = dist._scaled
-    rows = [range(1 << len(g)) for g in space.grids]
     reached = []
-    for k in _concealed_sets(space, protocol, rows):
+    for _, k in concealed_sets(space, protocol):
         if k & dist.support:
             target = tuple(residue_target(scaled, k, i, 0) for i in range(2))
             if target not in reached:

@@ -50,3 +50,17 @@ class TestDecimalStr:
     )
     def test_significant_digits(self, value, text):
         assert decimal_str(value) == text
+
+
+def test_one_zero_and_one_for_the_package():
+    # the fast paths read 0 and 1 by identity (``v is ZERO``), so every
+    # module shares the objects of ``rationals``, and ``evaluate`` returns them
+    from team_disclosure import _poly, audit, equilibrium, incentives, outcomes, protocols, rationals
+    from team_disclosure.protocols import make_k_majority
+
+    for module in (outcomes, protocols, equilibrium, incentives, audit, _poly):
+        assert module.ZERO is rationals.ZERO and module.ONE is rationals.ONE, module.__name__
+    protocol = make_k_majority(2, 1)
+    assert protocol.evaluate([1, 0]) is rationals.ONE
+    assert protocol.evaluate([0, "0"]) is rationals.ZERO
+    assert protocol.evaluate([F(1, 2), F(1, 3)]) == F(2, 3)
