@@ -27,7 +27,6 @@ from typing import Callable, Iterator, Sequence
 from .binary_env import (
     PANEL_GRIDS,
     BinaryEnvParams,
-    baseline_params,
     closed_forms,
     gain_curve,
     panel_sweep,

@@ -89,7 +89,7 @@ from functools import reduce
 from itertools import accumulate, chain, combinations, compress, product
 from math import prod
 from operator import and_, attrgetter, or_
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import _poly
 from .outcomes import (
@@ -698,18 +698,23 @@ class _AtomSolver:
       vanishes only where each factor of its first nonzero corner does, that
       is on faces of the box, so it branches on those faces;
     - free weights: a strict constraint <= 0 at every corner of the free box
-      is a certificate of infeasibility; with no gap member the first corner
-      where W > 0 is taken; with a gap member, one or two free weights are
-      decided exactly along the first (:meth:`_along`), and three or more
-      try only ``FREE_WEIGHT_CANDIDATES`` for all but the last two;
+      is a certificate of infeasibility; with no gap member only W > 0 is
+      left, and every free weight is set to 0, since every protocol is
+      monotone, so W, the concealed mass, never rises with a weight; with a
+      gap member, one or two free weights are decided exactly along the
+      first (:meth:`_along`), and three or more try only
+      ``FREE_WEIGHT_CANDIDATES`` for all but the last two;
     - what is left reduces to one weight t (:meth:`_along`).
 
     The tables are :mod:`._poly` corner tables over the atoms. A full weight
     assignment is checked with one :func:`._poly.point` vector of corner
-    coefficients, one integer dot product per table. :meth:`solve`
+    coefficients, one integer dot product per table. The walk is one
+    generator: :meth:`_solve` and each branch yield every solution they
+    reach, in preference order, and :meth:`solve` takes the first. It
     returns weights that :meth:`feasible` accepts, or None with a proof of
     infeasibility, or None with an "unresolved" note in the cases that the
-    module docstring lists.
+    module docstring lists. A bail-out marks the solver unresolved only when
+    the walk gets past it, so never once a solution has been taken.
     """
 
     def __init__(self, ctx: _SearchContext, config: tuple[tuple[str, int], ...]):
@@ -762,12 +767,12 @@ class _AtomSolver:
     # -- solving -------------------------------------------------------------
 
     def solve(self) -> dict[int, Fraction] | None:
-        found = self._solve({})
+        found = next(self._solve({}), None)
         if found is None and self.unresolved:
             self.ctx.notes.append(f"a {len(self.atoms)}-atom configuration was left unresolved")
         return found
 
-    def _solve(self, pinned: dict[int, Fraction]) -> dict[int, Fraction] | None:
+    def _solve(self, pinned: dict[int, Fraction]) -> Iterator[dict[int, Fraction]]:
         """Propagate, then branch on faces, reduce to one weight, or settle
         the free weights."""
         pinned = dict(pinned)
@@ -785,60 +790,57 @@ class _AtomSolver:
                         alpha, beta = -alpha, -beta
                     # the weight -alpha/beta must lie in [0, 1]
                     if not 0 <= -alpha <= beta:
-                        return None
+                        return
                     pinned[others[0]] = Fraction(-alpha, beta)
                     changed = True
                 elif min(vals) > 0 or max(vals) < 0:
-                    return None
+                    return
                 elif others:
                     coupled[a] = (others, vals)
             todo = tuple(coupled) if changed else ()
         if not coupled:
-            return self._free(pinned, [v for v in self.atoms if v not in pinned])
+            yield from self._free(pinned, [v for v in self.atoms if v not in pinned])
+            return
         for others, vals in coupled.values():
             if min(vals) >= 0 or max(vals) <= 0:
                 first = next(i for i, v in enumerate(vals) if v)
                 # the faces where a factor of that corner's term vanishes
                 corner = _poly.corners(others)[first]
-                return self._first(pinned, ((v, (ONE, ZERO)[bit]) for v, bit in corner.items()))
-        return self._reduce(pinned, coupled)
+                yield from self._first(pinned, ((v, (ONE, ZERO)[bit]) for v, bit in corner.items()))
+                return
+        yield from self._reduce(pinned, coupled)
 
-    def _first(self, pinned: dict[int, Fraction], trials) -> dict[int, Fraction] | None:
-        """The first solution with one more weight pinned, trying each
+    def _first(self, pinned: dict[int, Fraction], trials) -> Iterator[dict[int, Fraction]]:
+        """The solutions with one more weight pinned, trying each
         (weight, value) of ``trials`` once, in order."""
         seen = set()  # (weight, value as an int pair): no Fraction is hashed
         for weight, value in trials:
             key = weight, value.as_integer_ratio()
             if key not in seen:
                 seen.add(key)
-                found = self._solve(pinned | {weight: value})
-                if found is not None:
-                    return found
-        return None
+                yield from self._solve(pinned | {weight: value})
 
-    def _free(self, pinned: dict[int, Fraction], unpinned: list[int]) -> dict[int, Fraction] | None:
+    def _free(self, pinned: dict[int, Fraction], unpinned: list[int]) -> Iterator[dict[int, Fraction]]:
         """Every equation holds whatever the unpinned weights are."""
-        if not unpinned:
-            return pinned if self.feasible(pinned) else None
-        tables = [_poly.restrict(self.atoms, t, pinned) for t in self.strict]
-        if any(max(vals) <= 0 for _, vals in tables):
-            return None
-        if not self.gaps:
-            # only W > 0 is left; as W >= 0 is multilinear, the first corner
-            # where it is positive is also the first point in preference order
-            variables, mass = tables[0]
-            first = next(i for i, w in enumerate(mass) if w > 0)
-            weights = pinned | {v: Fraction(bit) for v, bit in _poly.corners(variables)[first].items()}
-            return weights if self.feasible(weights) else None
+        if unpinned and any(max(_poly.restrict(self.atoms, t, pinned)[1]) <= 0 for t in self.strict):
+            return
+        if not (unpinned and self.gaps):
+            # every weight pinned, or only W > 0 left: every protocol is
+            # monotone, so W, the concealed mass, is largest where every free
+            # weight is 0, the first point in preference order
+            weights = pinned | dict.fromkeys(unpinned, ZERO)
+            if self.feasible(weights):
+                yield weights
+            return
         if len(unpinned) <= 2:
-            return self._along(pinned, unpinned[0], {unpinned[0]: _poly.T}, [], [])
+            yield from self._along(pinned, unpinned[0], {unpinned[0]: _poly.T}, [], [])
+            return
         # up to two free weights are decided exactly, the first of more only
         # at the candidates
-        found = self._first(pinned, ((unpinned[0], m) for m in FREE_WEIGHT_CANDIDATES))
-        self.unresolved |= found is None
-        return found
+        yield from self._first(pinned, ((unpinned[0], m) for m in FREE_WEIGHT_CANDIDATES))
+        self.unresolved = True
 
-    def _reduce(self, pinned: dict[int, Fraction], coupled: dict) -> dict[int, Fraction] | None:
+    def _reduce(self, pinned: dict[int, Fraction], coupled: dict) -> Iterator[dict[int, Fraction]]:
         """Write a mixed-sign coupled residue along one shared weight t.
 
         From t, each equation with one weight not yet written becomes a
@@ -873,11 +875,11 @@ class _AtomSolver:
                 else:
                     equalities.append(num)  # the weight drops out along t
             if not pending:
-                return self._along(pinned, t, subst, defs, equalities)
+                yield from self._along(pinned, t, subst, defs, equalities)
+                return
         # no single weight carries the residue: only its faces are exact
-        found = self._first(pinned, ((v, face) for v in shared for face in (ZERO, ONE)))
-        self.unresolved |= found is None
-        return found
+        yield from self._first(pinned, ((v, face) for v in shared for face in (ZERO, ONE)))
+        self.unresolved = True
 
     def _along(
         self,
@@ -886,7 +888,7 @@ class _AtomSolver:
         subst: dict[int, tuple[list, list]],
         defs: list[int],
         equalities: list[list],
-    ) -> dict[int, Fraction] | None:
+    ) -> Iterator[dict[int, Fraction]]:
         """Decide the residue along the weight t.
 
         Each weight y in ``defs`` is N_y(t)/D_y(t), and at most one other
@@ -910,20 +912,17 @@ class _AtomSolver:
             points = sorted({r[0] for r in sections + [r for _, r in degenerate] if r[0] == r[1]})
         elif len(free) > 1:
             self.unresolved = True
-            return None
+            return
         else:
             points = self._test_points(subst, strict, free, degenerate)
         faces = ((y, face) for y in defs for face in (ZERO, ONE))
-        found = self._first(pinned, chain(((t, t0) for t0 in points), faces))
-        if found is not None:
-            return found
+        yield from self._first(pinned, chain(((t, t0) for t0 in points), faces))
         for y, r in degenerate:
             if r[0] != r[1] and _poly.sign_at(subst[y][0], r) == 0:
                 self.unresolved = True  # y's equation vanishes at an irrational t
         for r in sections:
             if r[0] != r[1] and self._holds_at(r, t, subst, defs, strict, free):
                 self.unresolved = True  # a solution with irrational weights
-        return None
 
     def _test_points(self, subst, strict, free, degenerate):
         """Preferred weights, then one sample per cell, then the rational

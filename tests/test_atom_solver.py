@@ -142,8 +142,8 @@ class TestHandBuiltTables:
         solver = hand_built(grids, config, corners)
         # the canonical slices (either coupled weight on a candidate value) miss it
         for cand in FREE_WEIGHT_CANDIDATES:
-            assert solver._solve({1: cand}) is None
-            assert solver._solve({2: cand}) is None
+            assert next(solver._solve({1: cand}), None) is None
+            assert next(solver._solve({2: cand}), None) is None
         weights = solver.solve()
         assert weights is not None and solver.feasible(weights)
         assert weights[0] == F(1, 2) and F(3, 10) < weights[1] < F(7, 20)
@@ -162,7 +162,7 @@ class TestHandBuiltTables:
         )
         solver = hand_built(grids, config, corners)
         for cand in FREE_WEIGHT_CANDIDATES:
-            assert solver._solve({2: cand}) is None
+            assert next(solver._solve({2: cand}), None) is None
         weights = solver.solve()
         assert weights is not None and solver.feasible(weights)
         assert F(31, 100) <= weights[2] <= F(34, 100)
@@ -246,6 +246,51 @@ class TestHandBuiltTables:
         assert bool(solver.ctx.notes) == noted
         if noted:
             assert "unresolved" in solver.ctx.notes[0]
+
+    def test_irrational_root_outside_the_box(self):
+        # m1 = m0, m2 = 2*m0 and 4*m1*m2 = 3 meet only at m0 = sqrt(3/8),
+        # about 0.612, where W = 10*m0 - 5 is positive but m2 is about 1.22:
+        # no solution, so nothing to note
+        grids = ((0, 1),) * 3
+        config = (("atom", 0),) * 3
+        corners = corner_table(
+            3,
+            lambda m: 10 * m[0] - 5,
+            [lambda m: 4 * m[1] * m[2] - 3, lambda m: 2 * m[0] - m[2], lambda m: m[0] - m[1]],
+        )
+        solver = hand_built(grids, config, corners)
+        assert solver.solve() is None
+        assert solver.ctx.notes == []
+
+    @pytest.mark.parametrize(
+        "h_y, noted",
+        [
+            (lambda t, u, y: 6 * t * u * y - 3 * y + 1, False),
+            (lambda t, u, y: (6 * t * u - 3) * (y - 2), True),
+        ],
+        ids=["pole", "vanishing"],
+    )
+    def test_pole_at_an_irrational_weight(self, h_y, noted):
+        # z = 1/2 and u = t; along t, y = N_y/D_y with D_y = 6t^2 - 3, whose
+        # root 1/sqrt(2) is irrational, and the gap member needs t > 9/10.
+        # With N_y = -1 the pole is no solution and nothing is noted; with
+        # N_y = 2*D_y, y's equation vanishes at that t, so it is noted
+        grids = ((0, 1),) * 4 + ((0, 10),)
+        config = (("atom", 0),) * 4 + (("gap", 1),)
+        corners = corner_table(
+            4,
+            lambda m: 1,
+            [
+                lambda m: 2 * m[3] - 1,
+                lambda m: 0,
+                lambda m: m[1] - m[0],
+                lambda m: h_y(*m[:3]),
+                lambda m: 10 * m[0] - 9,
+            ],
+        )
+        solver = hand_built(grids, config, corners)
+        assert solver.solve() is None
+        assert solver.ctx.notes == ["a 4-atom configuration was left unresolved"] * noted
 
 
 def integral(poly):
@@ -605,21 +650,64 @@ def assert_irrational_solution(solver, corners):
     assert found and all(not all(v.is_rational for v in values) for values in found)
 
 
+def no_slice_cases():
+    """480 (distribution, protocol) pairs: 20 draws × every protocol at two
+    and three members, 10 binary draws × every k-majority at four."""
+    rng = random.Random(103)
+    cases = []
+    for n in (2, 3):
+        for _ in range(20):
+            dist = random_distribution(rng, n)
+            cases += [(dist, proto) for proto in all_protocols(n)]
+    for _ in range(10):
+        dist = random_distribution(rng, 4, sizes=(2,))
+        cases += [(dist, make_k_majority(4, k)) for k in range(1, 5)]
+    return cases
+
+
 class TestNoSlices:
     def test_searches_settle_every_configuration(self):
-        rng = random.Random(103)
-        cases = []
-        for n in (2, 3):
-            for _ in range(20):
-                dist = random_distribution(rng, n)
-                cases += [(dist, proto) for proto in all_protocols(n)]
-        for _ in range(10):
-            dist = random_distribution(rng, 4, sizes=(2,))
-            cases += [(dist, make_k_majority(4, k)) for k in range(1, 5)]
-        for dist, proto in cases:
+        for dist, proto in no_slice_cases():
             eqs, notes = find_equilibria_report(dist, proto)
             assert not any("slice" in note or "unresolved" in note for note in notes)
             assert all(e.verification.ok for e in eqs)
+
+
+def drain(solver):
+    """Every solution the walk yields, after :meth:`_AtomSolver.solve` on a
+    fresh solver: each yield must still be feasible once the walk is done,
+    and the first must be what ``solve`` returns."""
+    first = _AtomSolver(solver.ctx, solver.config).solve()
+    found = list(solver._solve({}))
+    assert all(map(solver.feasible, found))
+    assert (found[0] if found else None) == first
+    return found
+
+
+class TestEverySolution:
+    def test_search_tables(self):
+        solved = several = 0
+        for dist, proto in no_slice_cases()[::3]:
+            ctx = _build_context(dist, proto)
+            for config in _cut_configs(ctx):
+                solver = _AtomSolver(ctx, config)
+                # every protocol is monotone, so the concealed mass is largest
+                # where every atom weight is 0, at corner 0 (``_free`` takes it)
+                assert solver.strict[0][0] == max(solver.strict[0])
+                found = drain(solver)
+                solved += bool(found)
+                several += len(found) > 1
+        assert solved > 100 and several > 50
+
+    @pytest.mark.parametrize("members, atom_share", [(3, 1.0), (4, 0.75)])
+    def test_random_tables(self, members, atom_share):
+        rng = random.Random(101 + members)
+        solved = several = 0
+        for _ in range(60):
+            found = drain(hand_built(*random_tables(rng, members, atom_share)))
+            solved += bool(found)
+            several += len(found) > 1
+        assert solved > 10 and several > 0
 
 
 def hidden_case(marginal, weight):

@@ -103,6 +103,37 @@ def test_kept_names_still_need_their_rule():
     assert sorted(KEPT) == sorted(set(KEPT) & set(unearned_names()))
 
 
+def unused_imports(src=SRC):
+    """``module.name`` for every name a module of the package imports at top
+    level and never reads; ``from __future__`` imports are not names."""
+    out = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {
+            node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.partition(".")[0]
+                    if name not in read:
+                        out.append(f"{path.stem}.{name}")
+    return out
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    assert unused_imports() == []
+
+
+def test_unused_import_scan_catches_an_added_import(tmp_path):
+    shutil.copytree(SRC, tmp_path, dirs_exist_ok=True, ignore=shutil.ignore_patterns("__pycache__"))
+    path = tmp_path / "rationals.py"
+    path.write_text(path.read_text().replace("\nfrom ", "\nimport os.path as osp\nfrom ", 1))
+    assert unused_imports(tmp_path) == ["rationals.osp"]
+
+
 def run_readme_smoke(readme):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     return subprocess.run(
