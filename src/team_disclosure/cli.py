@@ -367,7 +367,7 @@ def _cmd_sweep(opts: dict, out: str | None) -> int:
     if panel not in PANEL_GRIDS:
         raise ConfigError(f"panel must be one of {sorted(PANEL_GRIDS)}")
     grid = opts.get("grid")
-    table = panel_sweep(panel, opts.get("n", 10), parse_grid(grid) if grid else None)
+    table = panel_sweep(panel, opts.get("n", 10), None if grid is None else parse_grid(grid))
     text = table.to_csv()
     summary = {"command": "sweep", "panel": panel, "axis": table.axis, "rows": len(table.rows)}
     if out:
@@ -389,6 +389,7 @@ def _audit_counts(text: str) -> dict[str, int]:
         f.name for f in fields(AuditConfig) if type(f.default) is int and f.name != "seed"
     ]
     overrides = {}
+    keys = []
     for pair in text.split(","):
         key, _, value = (part.strip() for part in pair.partition("="))
         if key not in names:
@@ -396,6 +397,10 @@ def _audit_counts(text: str) -> dict[str, int]:
         if not (value.isascii() and value.isdigit() and int(value) >= 1):
             raise ConfigError(f"bad counts entry {pair!r}: need an integer of at least 1")
         overrides[key] = int(value)
+        keys.append(key)
+    repeated = [key for key in overrides if keys.count(key) > 1]
+    if repeated:
+        raise ConfigError(f"repeated counts: {repeated}")
     return overrides
 
 
@@ -405,9 +410,9 @@ def _cmd_audit(opts: dict, out: str | None) -> int:
     seed = opts.get("seed", 0)
     claims = opts.get("claims")
     counts = opts.get("counts")
-    overrides = _audit_counts(counts) if counts else {}
+    overrides = {} if counts is None else _audit_counts(counts)
     config = AuditConfig(seed=seed)
-    if claims:
+    if claims is not None:
         names = tuple(c.strip() for c in claims.split(",") if c.strip())
         config = replace(config, claims=names)
     config = replace(config, **overrides)

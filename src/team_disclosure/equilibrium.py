@@ -21,16 +21,17 @@ sums are a sum of per-vote-mask tables over the protocol's losing masks
 the combinations' slab masks once per space, and each distinct sum is
 unpacked and sign-coded once per distribution, so a protocol only adds up
 its losing masks' tables and ORs each sum's combinations into the masks its
-memoised sign code names. The full-disclosure entry is the same under every
-protocol, so it too is built and verified once per distribution
-(``JointDistribution._full_disclosure``). The masks reject, without solving,
-every configuration in which W > 0 or a gap bound fails at every corner of
-its weight box, or an atom equation has one strict sign at every concealing
-corner (W > 0) of the box (:func:`_cut_configs`). The corners with W = 0
-cannot rescue such an equation: under full support no cell is concealed
-there, so every S_i and every atom equation is 0. The screen walks the
-members depth first and drops a prefix as soon as its box fails, since
-adding members only shrinks the box.
+memoised sign code names; a solver reads its box corners' entries back
+from the memo by key (:meth:`_SearchContext.corners`). The full-disclosure
+entry is the same under every protocol, so it too is built and verified
+once per distribution (``JointDistribution._full_disclosure``). The masks
+reject, without solving, every configuration in which W > 0 or a gap bound
+fails at every corner of its weight box, or an atom equation has one strict
+sign at every concealing corner (W > 0) of the box (:func:`_cut_configs`).
+The corners with W = 0 cannot rescue such an equation: under full support
+no cell is concealed there, so every S_i and every atom equation is 0. The
+screen walks the members depth first and drops a prefix as soon as its box
+fails, since adding members only shrinks the box.
 
 Each configuration yields checked weights, is proven infeasible, or is
 noted unresolved in the search notes; nothing is approximated. The search
@@ -83,13 +84,13 @@ profile).
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, chain, combinations, compress, product
 from math import prod
 from operator import and_, attrgetter, or_
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from . import _poly
 from .outcomes import (
@@ -478,23 +479,22 @@ def _sign_code(grid_ints: Sequence[Sequence[int]], w: int, s: Sequence[int]) -> 
     entry with W >= 0 sets.
 
     Member i's grid is increasing, so S_i - x*W never rises along it: it is
-    > 0 at the first lo_i positions, 0 at the next hi_i - lo_i (at most one
-    when W > 0) and < 0 from position hi_i on. Slot 0 is ``w_pos``, set when
-    W > 0. Then each member has a block of 2*len(grid_i) slots: slot lo_i - 1
-    of its first half when lo_i > 0, and slot hi_i of its second half when
-    hi_i < len(grid_i). So one slot per member names every ``above[i][p]``
-    and one every ``below[i][p]`` that the entry sets, and an entry with W
-    and every S_i 0 sets none.
+    > 0 at the first lo_i positions, 0 at the next hi_i - lo_i (at most one)
+    and < 0 from position hi_i on. Slot 0 is ``w_pos``. Then each member has
+    a block of 2*len(grid_i) slots: slot lo_i - 1 of its first half when
+    lo_i > 0, and slot hi_i of its second half when hi_i < len(grid_i). So
+    one slot per member names every ``above[i][p]`` and one every
+    ``below[i][p]`` that the entry sets. An entry with W = 0 conceals no
+    cell of a full-support distribution, so every S_i is 0 and it sets none.
     """
-    code = [0] if w > 0 else []
+    if not w:
+        return ()
+    code = [0]
     at = 1
     for xs, si in zip(grid_ints, s):
         size = len(xs)
-        if w:
-            # x*W < S_i exactly when x < ceil(S_i/W), and x*W <= S_i when x <= floor(S_i/W)
-            lo, hi = bisect_left(xs, -(-si // w)), bisect_right(xs, si // w)
-        else:
-            lo, hi = (size if si > 0 else 0), (0 if si < 0 else size)
+        # x*W < S_i exactly when x < ceil(S_i/W), and x*W <= S_i when x <= floor(S_i/W)
+        lo, hi = bisect_left(xs, -(-si // w)), bisect_right(xs, si // w)
         if lo:
             code.append(at + lo - 1)
         if hi < size:
@@ -505,56 +505,54 @@ def _sign_code(grid_ints: Sequence[Sequence[int]], w: int, s: Sequence[int]) -> 
 
 @dataclass
 class _SearchContext:
-    """Concealment aggregates of pure cut combos, and their sign masks.
+    """Sign masks of the pure cut combos, read from their packed sums.
 
     The combos are those of the ranges 0..len(grid_i) in ``product`` order,
-    and ``entries`` holds their (W, S) entries in that order. The masks are
-    ints over the combos, bit b standing for the b-th: ``w_pos`` holds the
-    combos with W > 0, ``above[i][p]`` (``below[i][p]``) those with
-    S_i - x_p*W > 0 (< 0) for member i's grid value x_p, and ``slabs[i][c]``
-    those whose i-th coordinate is c. A combo with W = 0 conceals no cell of
-    a full-support distribution, so its sums are 0 and it lies in neither
-    ``above`` nor ``below``. Every W is >= 0, as concealed mass is.
+    and ``keys`` holds, in that order, each combo's W and S_i packed into
+    one int (:func:`.outcomes._pack`, fields ``width`` bits wide), equal for
+    combos with equal entries. The masks are ints over the combos, bit b
+    standing for the b-th: ``w_pos`` holds the combos with W > 0,
+    ``above[i][p]`` (``below[i][p]``) those with S_i - x_p*W > 0 (< 0) for
+    member i's grid value x_p, and ``slabs[i][c]`` those whose i-th
+    coordinate is c. Every W is >= 0, as concealed mass is, and a combo with
+    W = 0 conceals no cell of a full-support distribution, so its sums are 0
+    and ``above`` and ``below`` lie inside ``w_pos``.
 
-    ``keys`` holds one int per combo, equal for combos with equal entries.
-    ``memo`` maps a key to its entry and :func:`_sign_code`; a key it lacks
-    is read with ``read`` and added. Combos are grouped by key and each
-    group is ORed into the slots its sign code names, one per member for
-    ``above`` and one for ``below``, so the sign test runs once per key the
-    memo has not met, and nothing is ORed for an entry with W and every S_i
-    0. ``above[i][p]`` is then the OR of member i's ``above`` slots from p
-    on, and ``below[i][p]`` that of its ``below`` slots up to p. The search
-    passes the packed sums as keys and the distribution's memo; hand-built
-    tables may hold W = 0 with S != 0.
+    ``memo`` maps a key to its (W, S) entry and :func:`_sign_code`; a key it
+    lacks is unpacked and added. Combos are grouped by key and each group is
+    ORed into the slots its sign code names, one per member for ``above``
+    and one for ``below``, so the sign test runs once per key the memo has
+    not met. ``above[i][p]`` is then the OR of member i's ``above`` slots
+    from p on, and ``below[i][p]`` that of its ``below`` slots up to p. The
+    search passes the distribution's memo (``dist._search_memo``).
     """
 
     grid_ints: tuple[tuple[int, ...], ...]
     slabs: Sequence[Sequence[int]]
-    keys: InitVar[Sequence[int]]
-    memo: InitVar[dict[int, tuple[tuple[int, tuple[int, ...]], tuple[int, ...]]]]
-    read: InitVar[Callable[[int], tuple[int, tuple[int, ...]]]]
-    notes: list[str] = field(default_factory=list)
-    entries: list[tuple[int, tuple[int, ...]]] = field(init=False)
+    keys: Sequence[int]
+    width: int
+    memo: dict[int, tuple[tuple[int, tuple[int, ...]], tuple[int, ...]]]
     w_pos: int = field(init=False)
     above: list[list[int]] = field(init=False)
     below: list[list[int]] = field(init=False)
 
-    def __post_init__(self, keys, memo, read) -> None:
+    def __post_init__(self) -> None:
         grid_ints = self.grid_ints
-        groups = dict.fromkeys(keys, 0)  # key -> the combos that hold it
+        memo = self.memo
+        fields = len(grid_ints) + 1
+        groups = dict.fromkeys(self.keys, 0)  # key -> the combos that hold it
         bit = 1
-        for key in keys:
+        for key in self.keys:
             groups[key] |= bit
             bit <<= 1
         slots = [0] * (1 + 2 * sum(map(len, grid_ints)))
         for key, bits in groups.items():
             found = memo.get(key)
             if found is None:
-                entry = read(key)
-                found = memo[key] = (entry, _sign_code(grid_ints, *entry))
+                w, *s = _unpack(key, fields, self.width)
+                found = memo[key] = ((w, tuple(s)), _sign_code(grid_ints, w, s))
             for m in found[1]:
                 slots[m] |= bits
-        self.entries = [memo[key][0] for key in keys]
         self.w_pos = slots[0]
         self.above, self.below = [], []
         at = 1
@@ -563,6 +561,20 @@ class _SearchContext:
             self.above.append(list(accumulate(reversed(slots[at:at + size]), or_))[::-1])
             self.below.append(list(accumulate(slots[at + size:at + 2 * size], or_)))
             at += 2 * size
+
+    def corners(self, config: tuple[tuple[str, int], ...]) -> list[tuple[int, tuple[int, ...]]]:
+        """The (W, S) entries at the corners of a configuration's atom box,
+        in ``product((0, 1))`` order of the atom weights, read from the memo
+        by key. Weight 0 behaves like cutting above the atom, weight 1 like
+        cutting at it, one grid position lower; each combo's index in
+        ``keys`` comes from mixed-radix strides."""
+        grid = self.grid_ints
+        strides = [prod(len(g) + 1 for g in grid[i + 1:]) for i in range(len(grid))]
+        corners = [sum((pos + (kind == "atom")) * s for (kind, pos), s in zip(config, strides))]
+        for (kind, _), stride in zip(config, strides):
+            if kind == "atom":
+                corners = [c for corner in corners for c in (corner, corner - stride)]
+        return [self.memo[self.keys[c]][0] for c in corners]
 
 
 def _build_context(dist: JointDistribution, protocol: DeliberationProtocol) -> _SearchContext:
@@ -579,17 +591,10 @@ def _build_context(dist: JointDistribution, protocol: DeliberationProtocol) -> _
     and across protocols, so each distinct sum is unpacked and sign-tested
     once per distribution (``dist._search_memo``), whatever protocols are
     searched on it and in whatever order."""
-    space = dist.space
     tables, width = dist._vote_tables
-    fields = space.n + 1
-
-    def read(key):
-        mass, *values = _unpack(key, fields, width)
-        return mass, tuple(values)
-
     losing = [table for table, wins in zip(tables, protocol._winning_table) if not wins]
     keys = list(map(sum, zip(*losing)))
-    return _SearchContext(dist._scaled.grid_ints, space._cut_slabs, keys, dist._search_memo, read)
+    return _SearchContext(dist._scaled.grid_ints, dist.space._cut_slabs, keys, width, dist._search_memo)
 
 
 def _cut_configs(ctx: _SearchContext):
@@ -608,11 +613,9 @@ def _cut_configs(ctx: _SearchContext):
     positive coefficient in the convex combination has W > 0, and there h is
     strict, so h is too. At a corner with W = 0 no cell is concealed (the
     search requires full support), so every S_i and h are 0 and the
-    condition holds there. As masks, an atom member needs a corner in
-    ``(w_pos & ~above[p]) | below[p]`` and one in
-    ``(w_pos & ~below[p]) | above[p]``; on the search's tables ``above`` and
-    ``below`` lie inside ``w_pos``, so that is a concealing corner with
-    h <= 0 and one with h >= 0.
+    condition holds there. As masks, an atom member needs a concealing
+    corner with h <= 0, one in ``w_pos & ~above[p]``, and one with h >= 0,
+    in ``w_pos & ~below[p]``.
 
     The walk goes depth first over the members, keeping the box of the
     members chosen so far and their needs. Adding a member only shrinks the
@@ -628,7 +631,7 @@ def _cut_configs(ctx: _SearchContext):
             (
                 ("atom", p),
                 slabs[p] | slabs[p + 1],
-                ((w_pos & ~above[p]) | below[p], (w_pos & ~below[p]) | above[p]),
+                (w_pos & ~above[p], w_pos & ~below[p]),
             )
             for p in range(size)
         ]
@@ -706,33 +709,25 @@ class _AtomSolver:
       ``FREE_WEIGHT_CANDIDATES`` for all but the last two;
     - what is left reduces to one weight t (:meth:`_along`).
 
-    The tables are :mod:`._poly` corner tables over the atoms. A full weight
-    assignment is checked with one :func:`._poly.point` vector of corner
-    coefficients, one integer dot product per table. The walk is one
-    generator: :meth:`_solve` and each branch yield every solution they
-    reach, in preference order, and :meth:`solve` takes the first. It
-    returns weights that :meth:`feasible` accepts, or None with a proof of
-    infeasibility, or None with an "unresolved" note in the cases that the
-    module docstring lists. A bail-out marks the solver unresolved only when
-    the walk gets past it, so never once a solution has been taken.
+    The solver is built from the concealment aggregates (W, S) at the
+    corners of the atom box alone (:meth:`_SearchContext.corners`), in
+    ``product((0, 1))`` order of the atom weights; its tables are
+    :mod:`._poly` corner tables over the atoms. A full weight assignment is
+    checked with one :func:`._poly.point` vector of corner coefficients, one
+    integer dot product per table. The walk is one generator: :meth:`_solve`
+    and each branch yield every solution they reach, in preference order,
+    and :meth:`solve` takes the first. It returns weights that
+    :meth:`feasible` accepts, or None with a proof of infeasibility, or None
+    with ``unresolved`` set in the cases that the module docstring lists. A
+    bail-out marks the solver unresolved only when the walk gets past it,
+    so never once a solution has been taken.
     """
 
-    def __init__(self, ctx: _SearchContext, config: tuple[tuple[str, int], ...]):
-        self.ctx = ctx
+    def __init__(self, grid_ints: Sequence[Sequence[int]], config: tuple[tuple[str, int], ...], box: list):
         self.config = config
         self.atoms = tuple(i for i, (kind, _) in enumerate(config) if kind == "atom")
         self.gaps = [i for i, (kind, _) in enumerate(config) if kind == "gap"]
         self.unresolved = False
-        # integer concealment aggregates (W, S) at every corner of the atom box:
-        # weight 0 behaves like cutting above the atom, weight 1 like cutting
-        # at it, one grid position lower; corners in ``product((0, 1))`` order,
-        # each combo's index in ``ctx.entries`` by mixed-radix strides
-        grid = ctx.grid_ints
-        strides = [prod(len(g) + 1 for g in grid[i + 1:]) for i in range(len(grid))]
-        corners = [sum((pos + (kind == "atom")) * s for (kind, pos), s in zip(config, strides))]
-        for a in self.atoms:
-            corners = [c for corner in corners for c in (corner, corner - strides[a])]
-        box = list(map(ctx.entries.__getitem__, corners))
         # atom a's equation S_a - x_a*W: ``h[a]`` as a table over the other
         # atoms, and in ``equations`` over the whole box, constant along a's
         # own weight (its face at weight 0 on both sides), so that one
@@ -740,7 +735,7 @@ class _AtomSolver:
         self.h = {}
         self.equations = []
         for j, a in enumerate(self.atoms):
-            x = grid[a][config[a][1]]
+            x = grid_ints[a][config[a][1]]
             vals = [s[a] - x * w for w, s in box]
             self.h[a] = _poly.restrict(self.atoms, vals, {a: 0})
             own = 1 << (len(self.atoms) - 1 - j)  # a's bit in a corner's index
@@ -748,7 +743,7 @@ class _AtomSolver:
         # strict constraints, each > 0: W, then S_g - lo*W and hi*W - S_g per gap member
         self.strict = [[w for w, _ in box]]
         for g in self.gaps:
-            lo, hi = grid[g][config[g][1] - 1], grid[g][config[g][1]]
+            lo, hi = grid_ints[g][config[g][1] - 1], grid_ints[g][config[g][1]]
             self.strict.append([s[g] - lo * w for w, s in box])
             self.strict.append([hi * w - s[g] for w, s in box])
 
@@ -767,10 +762,7 @@ class _AtomSolver:
     # -- solving -------------------------------------------------------------
 
     def solve(self) -> dict[int, Fraction] | None:
-        found = next(self._solve({}), None)
-        if found is None and self.unresolved:
-            self.ctx.notes.append(f"a {len(self.atoms)}-atom configuration was left unresolved")
-        return found
+        return next(self._solve({}), None)
 
     def _solve(self, pinned: dict[int, Fraction]) -> Iterator[dict[int, Fraction]]:
         """Propagate, then branch on faces, reduce to one weight, or settle
@@ -1025,6 +1017,7 @@ def find_equilibria_report(
     _check_caps(space)
 
     ctx = _build_context(dist, protocol)
+    notes = []
     # keyed by each rule's values as (numerator, denominator) pairs: equal
     # Fractions have equal pairs, and int tuples hash without Fraction.__hash__
     results: dict[tuple[tuple[int, int], ...], Equilibrium] = {
@@ -1032,8 +1025,11 @@ def find_equilibria_report(
     }
 
     for config in _cut_configs(ctx):
-        weights = _AtomSolver(ctx, config).solve()
+        solver = _AtomSolver(ctx.grid_ints, config, ctx.corners(config))
+        weights = solver.solve()
         if weights is None:
+            if solver.unresolved:
+                notes.append(f"a {len(solver.atoms)}-atom configuration was left unresolved")
             continue
         profile, cuts = _profile_from_config(space, config, weights)
         rule = team_rule(profile, protocol)
@@ -1049,7 +1045,7 @@ def find_equilibria_report(
             continue
         ver = _verify(profile, post, post, dist, protocol)
         if not ver.ok:
-            ctx.notes.append(f"candidate configuration {config} failed verification")
+            notes.append(f"candidate configuration {config} failed verification")
             continue
         results[key] = Equilibrium(
             profile=profile,
@@ -1062,7 +1058,7 @@ def find_equilibria_report(
         )
 
     ordered = tuple(sorted(results.values(), key=attrgetter("rule.values"), reverse=True))
-    return ordered, tuple(dict.fromkeys(ctx.notes))
+    return ordered, tuple(dict.fromkeys(notes))
 
 
 def find_equilibria(

@@ -477,13 +477,16 @@ def mix(f: JointDistribution, g: JointDistribution, eps: Rational) -> JointDistr
 def _concealment(dist: JointDistribution, rule) -> tuple[int, list[int], int]:
     """Concealment aggregates of a rule, in exact integers.
 
-    ``rule`` is a disclosure probability d_c per cell (a TeamRule or any
-    aligned sequence of values in [0,1]). With L the lcm of the d_c's
-    denominators and w_c, x_ic the weights and grid values of
-    ``dist._scaled``, returns (W, S, L): W = sum_c L(1 - d_c) w_c and
-    S_i = sum_c L(1 - d_c) w_c x_ic. So P(conceal) = W / (L * den) and member
-    i's posterior is S_i / (W * scales[i]).
+    ``rule`` is a disclosure probability d_c per cell (a TeamRule on the
+    distribution's space or any aligned sequence of values in [0,1]). With L
+    the lcm of the d_c's denominators and w_c, x_ic the weights and grid
+    values of ``dist._scaled``, returns (W, S, L): W = sum_c L(1 - d_c) w_c
+    and S_i = sum_c L(1 - d_c) w_c x_ic. So P(conceal) = W / (L * den) and
+    member i's posterior is S_i / (W * scales[i]).
     """
+    space = getattr(rule, "space", dist.space)
+    if space is not dist.space and space != dist.space:
+        raise OutcomeError("rule and distribution have different spaces")
     values = getattr(rule, "values", rule)
     if len(values) != len(dist.space.cells):
         raise OutcomeError("rule length does not match the cell count")
@@ -512,9 +515,10 @@ def _concealment(dist: JointDistribution, rule) -> tuple[int, list[int], int]:
 def posterior_no_disclosure(dist: JointDistribution, rule) -> tuple[Fraction, ...]:
     """Componentwise mean outcome conditional on the team concealing.
 
-    ``rule`` is a disclosure probability per cell (a TeamRule or any aligned
-    sequence of values in [0,1]). Raises OffPathPosterior when concealment has
-    zero probability.
+    ``rule`` is a disclosure probability per cell (a TeamRule on the
+    distribution's space or any aligned sequence of values in [0,1]). Raises
+    OutcomeError for a TeamRule on another space, and OffPathPosterior when
+    concealment has zero probability.
     """
     mass, sums, _ = _concealment(dist, rule)
     if mass == 0:

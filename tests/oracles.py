@@ -717,19 +717,27 @@ def atom_grid_scan(corners, grids, config, steps=12):
 # ---------------------------------------------------------------------------
 
 
+def context_entries(ctx):
+    """The (W, S) entry of every combination of a search context, in
+    ``product`` order of the cut ranges: its key's entry in the memo, as
+    ``_SearchContext.corners`` reads it for the solver."""
+    return [ctx.memo[key][0] for key in ctx.keys]
+
+
 def search_masks_by_combo(ctx):
     """``(w_pos, above, below, slabs)`` of a search context, one combination
     at a time: the slow twin of ``_SearchContext.__post_init__``, which runs
     its sign loop once per distinct packed sum per distribution and reads
     its slabs per space. Bit b stands for the b-th combination in
-    ``product`` order of the cut ranges, whose entry is ``ctx.entries[b]``."""
+    ``product`` order of the cut ranges, whose entry is
+    ``context_entries(ctx)[b]``."""
     grid_ints = ctx.grid_ints
     w_pos = 0
     above = [[0] * len(g) for g in grid_ints]
     below = [[0] * len(g) for g in grid_ints]
     slabs = [[0] * (len(g) + 1) for g in grid_ints]
     combos = product(*(range(len(g) + 1) for g in grid_ints))
-    for b, (combo, (w, s)) in enumerate(zip(combos, ctx.entries, strict=True)):
+    for b, (combo, (w, s)) in enumerate(zip(combos, context_entries(ctx), strict=True)):
         bit = 1 << b
         if w > 0:
             w_pos |= bit
@@ -822,9 +830,13 @@ def find_equilibria_report_unscreened(dist, protocol):
             verification=verify_equilibrium_by_evaluate(all_ones, space.min_vector, dist, protocol),
         )
     }
+    notes = []
     for config in unscreened_configs(ctx):
-        weights = _AtomSolver(ctx, config).solve()
+        solver = _AtomSolver(ctx.grid_ints, config, ctx.corners(config))
+        weights = solver.solve()
         if weights is None:
+            if solver.unresolved:
+                notes.append(f"a {len(solver.atoms)}-atom configuration was left unresolved")
             continue
         profile, cuts = _profile_from_config(space, config, weights)
         rule = team_rule_by_evaluate(profile, protocol)
@@ -836,7 +848,7 @@ def find_equilibria_report_unscreened(dist, protocol):
             continue
         ver = verify_equilibrium_by_evaluate(profile, post, dist, protocol)
         if not ver.ok:
-            ctx.notes.append(f"candidate configuration {config} failed verification")
+            notes.append(f"candidate configuration {config} failed verification")
             continue
         results[rule.values] = Equilibrium(
             profile=profile,
@@ -848,4 +860,4 @@ def find_equilibria_report_unscreened(dist, protocol):
             verification=ver,
         )
     ordered = tuple(results[k] for k in sorted(results, reverse=True))
-    return ordered, tuple(dict.fromkeys(ctx.notes))
+    return ordered, tuple(dict.fromkeys(notes))

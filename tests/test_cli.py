@@ -869,6 +869,22 @@ class TestAuditCommand:
         assert captured.err == "error: repeated claims: ['equilibrium_existence']\n"
         assert captured.out == "" and not out.exists()
 
+    @pytest.mark.parametrize("by_config", [False, True])
+    def test_audit_repeated_count(self, tmp_path, capsys, by_config):
+        # a repeated name once kept its last value and exited 0
+        counts = "existence_dists=1, identity_cases=4,existence_dists=2"
+        out = tmp_path / "report.txt"
+        if by_config:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"claims": "gain_identity", "counts": counts}))
+            argv = ["audit", "--config", str(cfg)]
+        else:
+            argv = ["audit", "--claims", "gain_identity", "--counts", counts]
+        assert main([*argv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: repeated counts: ['existence_dists']\n"
+        assert captured.out == "" and not out.exists()
+
     @pytest.mark.parametrize("claims", [",", " , "])
     def test_audit_empty_claim_list(self, tmp_path, capsys, claims):
         # a list naming no claim once passed with 0/0 claims
@@ -982,6 +998,31 @@ class TestOneReaderPerInput:
     """A flag string and a config-file value reach the same reader, and a
     shorthand spec reads as the object it stands for: each input that two
     readers once took differently is one error line and exit 2."""
+
+    @pytest.mark.parametrize(
+        "command, option, message",
+        [
+            ("sweep", "grid", "error: grid spec '' is not start:stop:step\n"),
+            ("audit", "claims", "error: no claims selected\n"),
+            ("audit", "counts", "error: bad counts entry '': counts are "),
+        ],
+    )
+    @pytest.mark.parametrize("by_config", [False, True])
+    def test_empty_text_option(self, tmp_path, capsys, command, option, message, by_config):
+        # an empty grid once swept the default grid, and empty claims or
+        # counts ran the full default audit; each exited 0
+        out = tmp_path / "out"
+        argv = [command] + (["--panel", "b"] if command == "sweep" else [])
+        if by_config:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({option: ""}))
+            argv += ["--config", str(cfg)]
+        else:
+            argv += [f"--{option}", ""]
+        assert main([*argv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(message) and len(captured.err.splitlines()) == 1
+        assert captured.out == "" and not out.exists()
 
     @pytest.mark.parametrize(
         "argv, cfg, message",

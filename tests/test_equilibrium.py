@@ -51,6 +51,7 @@ from oracles import (
     consistency_confirmed_by_fractions,
     consistency_witness_by_profiles,
     consistent_with_deliberation_by_fractions,
+    context_entries,
     deterministic_profiles,
     find_equilibria_report_unscreened,
     plausibility_confirmed_by_fractions,
@@ -221,7 +222,7 @@ class TestWorkedSearches:
                     report = find_equilibria_report(shared, protos[j])
                     assert reports.setdefault(j, report) == report
                     ctx = _build_context(shared, protos[j])
-                    assert list(zip(product(*cut_ranges), ctx.entries)) == list(expected[j].items())
+                    assert list(zip(product(*cut_ranges), context_entries(ctx))) == list(expected[j].items())
                     assert_masks_match(ctx)
                     met.update(
                         w + sum(v << (width * (i + 1)) for i, v in enumerate(sums))
@@ -968,7 +969,7 @@ class TestCornerScreen:
                     kept += 1
                     continue
                 rejected += 1
-                solver = _AtomSolver(ctx, config)
+                solver = _AtomSolver(ctx.grid_ints, config, ctx.corners(config))
                 assert solver.solve() is None and not solver.unresolved
         assert rejected > kept > 0
 

@@ -44,6 +44,7 @@ from team_disclosure.protocols import all_protocols, make_consensus, make_k_majo
 
 from oracles import (
     concealed_sets,
+    context_entries,
     consistent_with_deliberation_by_fractions,
     cut_tables_by_vote_mask,
     nd_stats_by_fractions,
@@ -185,7 +186,7 @@ def test_out_of_range_votes_and_rules_keep_their_messages(bad):
 
 
 def assert_search_tables_match(dist, protocol):
-    entries = _build_context(dist, protocol).entries
+    entries = context_entries(_build_context(dist, protocol))
     expected = search_conceal_by_cells(dist, protocol)
     combos = product(*(range(len(g) + 1) for g in dist.space.grids))
     assert list(zip(combos, entries, strict=True)) == list(expected.items())

@@ -9,11 +9,11 @@ import mutation_probe
 def test_probe_kills_a_sign_code_flip(capsys):
     path = mutation_probe.ROOT / mutation_probe.PACKAGE / "equilibrium.py"
     before = path.read_bytes()
-    # seed 0 draws the last of _sign_code's four sites, hi < size
+    # _sign_code's one site, hi < size
     args = ["equilibrium", "_sign_code", "--count", "1", "--seed", "0"]
     code = mutation_probe.main(args + ["--tests", "tests/test_kernels.py -k search_tables_match"])
     assert code == 0
-    assert capsys.readouterr().out == "killed 1/1 of 4 sites in src/team_disclosure/equilibrium.py\n"
+    assert capsys.readouterr().out == "killed 1/1 of 1 sites in src/team_disclosure/equilibrium.py\n"
     assert path.read_bytes() == before
 
 

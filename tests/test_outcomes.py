@@ -1,8 +1,11 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+from team_disclosure.equilibrium import TeamRule
+from team_disclosure.incentives import _nd_stats
 from team_disclosure.outcomes import (
     JointDistribution,
     OffPathPosterior,
@@ -306,6 +309,19 @@ class TestPosterior:
             post = posterior_no_disclosure(d, rule)
             for i in range(d.space.n):
                 assert post[i] == posterior_by_enumeration(d.space.cells, d.probs, rule, i)
+
+    def test_rule_on_another_space_is_refused(self):
+        # a rule on (0,1)x(0,1,2) was once read cell by cell on (0,1,2)x(0,1):
+        # concealing its own cell (1, 2), it gave the posterior of (2, 1)
+        d = from_pmf(make_space([[0, 1, 2], [0, 1]]), {c: F(1, 6) for c in product(range(3), range(2))})
+        values = (F(1),) * 5 + (F(0),)
+        rule = TeamRule(make_space([[0, 1], [0, 1, 2]]), values)
+        for read in (lambda r: posterior_no_disclosure(d, r), lambda r: _nd_stats(d, r, 1)):
+            with pytest.raises(OutcomeError, match="different spaces"):
+                read(rule)
+        # a rule on an equal space, and the plain values, are read as before
+        equal = TeamRule(make_space([[0, 1, 2], [0, 1]]), values)
+        assert posterior_no_disclosure(d, equal) == posterior_no_disclosure(d, values) == (F(2), F(1))
 
     def test_posterior_in_hull(self):
         rng = random.Random(6)
