@@ -389,18 +389,15 @@ def _audit_counts(text: str) -> dict[str, int]:
         f.name for f in fields(AuditConfig) if type(f.default) is int and f.name != "seed"
     ]
     overrides = {}
-    keys = []
     for pair in text.split(","):
         key, _, value = (part.strip() for part in pair.partition("="))
         if key not in names:
             raise ConfigError(f"bad counts entry {pair!r}: counts are {', '.join(names)}")
         if not (value.isascii() and value.isdigit() and int(value) >= 1):
             raise ConfigError(f"bad counts entry {pair!r}: need an integer of at least 1")
+        if key in overrides:
+            raise ConfigError(f"repeated counts: {[key]}")
         overrides[key] = int(value)
-        keys.append(key)
-    repeated = [key for key in overrides if keys.count(key) > 1]
-    if repeated:
-        raise ConfigError(f"repeated counts: {repeated}")
     return overrides
 
 

@@ -17,8 +17,10 @@ full run of the named tests. Usage::
         --seed 0 --count 20 --tests "tests/test_atom_solver.py tests/test_kernels.py"
 
 A name is a top-level function, a class (each of its methods) or
-``Class.method``. With no ``--count`` every site is tried, in source order;
-otherwise ``--count`` sites are drawn with ``random.Random(seed)``. Prints
+``Class.method``. ``--site TEXT`` keeps only the sites whose comparison or
+``and``/``or`` unparses to TEXT, e.g. ``--site "beta < 0"``. With no
+``--count`` every kept site is tried, in source order; otherwise ``--count``
+of them are drawn with ``random.Random(seed)``. Prints
 ``killed k/n`` and one line per survivor; exits 1 when a survivor is not
 listed as equivalent.
 """
@@ -119,6 +121,7 @@ def main(argv=None) -> int:
     parser.add_argument("functions", nargs="+")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--count", type=int, help="sites to draw (default: every site)")
+    parser.add_argument("--site", help="only the sites whose expression reads SITE")
     parser.add_argument(
         "--tests",
         default="tests/test_atom_solver.py tests/test_equilibrium.py tests/test_kernels.py",
@@ -128,12 +131,15 @@ def main(argv=None) -> int:
 
     path = PACKAGE / f"{args.module}.py"
     source = (ROOT / path).read_text()
-    total = len(sites(ast.parse(source), args.functions))
+    found = sites(ast.parse(source), args.functions)
+    total = len(found)
     if not total:
         parser.error(f"no comparison or and/or in {args.functions} of {path}")
-    chosen = range(total)
-    if args.count is not None and args.count < total:
-        chosen = sorted(random.Random(args.seed).sample(range(total), args.count))
+    chosen = [k for k, (_, node, _) in enumerate(found) if args.site in (None, ast.unparse(node))]
+    if not chosen:
+        parser.error(f"no site {args.site!r} in {args.functions} of {path}")
+    if args.count is not None and args.count < len(chosen):
+        chosen = sorted(random.Random(args.seed).sample(chosen, args.count))
     tests = shlex.split(args.tests)
 
     with tempfile.TemporaryDirectory(prefix="mutation-probe-") as tmp:

@@ -3,18 +3,27 @@ flip in the search's sign coder, which a kernel test kills in seconds, is
 killed, and the checkout keeps its bytes."""
 import ast
 
+import pytest
+
 import mutation_probe
 
 
 def test_probe_kills_a_sign_code_flip(capsys):
     path = mutation_probe.ROOT / mutation_probe.PACKAGE / "equilibrium.py"
     before = path.read_bytes()
-    # _sign_code's one site, hi < size
-    args = ["equilibrium", "_sign_code", "--count", "1", "--seed", "0"]
+    # _sign_code's one site, picked by its text
+    args = ["equilibrium", "_sign_code", "--site", "hi < size"]
     code = mutation_probe.main(args + ["--tests", "tests/test_kernels.py -k search_tables_match"])
     assert code == 0
     assert capsys.readouterr().out == "killed 1/1 of 1 sites in src/team_disclosure/equilibrium.py\n"
     assert path.read_bytes() == before
+
+
+def test_probe_refuses_a_site_it_cannot_find(capsys):
+    with pytest.raises(SystemExit) as exc:
+        mutation_probe.main(["equilibrium", "_sign_code", "--site", "hi <= size"])
+    assert exc.value.code == 2
+    assert "no site 'hi <= size' in ['_sign_code']" in capsys.readouterr().err
 
 
 def test_every_flip_is_one_operator():
