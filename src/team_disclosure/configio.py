@@ -252,7 +252,7 @@ def _grid_pmf(space: OutcomeSpace, entries: list | tuple) -> tuple[Fraction, ...
         if index is not None:
             probs[index] = prob
     if off_grid:
-        raise OutcomeError(f"outcome {next(iter(off_grid))} is not on the grid")
+        raise OutcomeError(f"outcome {','.join(map(frac_str, next(iter(off_grid))))} is not on the grid")
     return tuple(probs)
 
 

@@ -25,13 +25,19 @@ memoised sign code names; a solver reads its box corners' entries back
 from the memo by key (:meth:`_SearchContext.corners`). The full-disclosure
 entry is the same under every protocol, so it too is built and verified
 once per distribution (``JointDistribution._full_disclosure``). The masks
-reject, without solving, every configuration in which W > 0 or a gap bound
-fails at every corner of its weight box, or an atom equation has one strict
-sign at every concealing corner (W > 0) of the box (:func:`_cut_configs`).
-The corners with W = 0 cannot rescue such an equation: under full support
-no cell is concealed there, so every S_i and every atom equation is 0. The
-screen walks the members depth first and drops a prefix as soon as its box
-fails, since adding members only shrinks the box.
+reject, without solving, every configuration with no solution that a sign
+test at the corners of its weight box can see (:func:`_cut_configs`). Each
+constraint is a convex combination of its corner values, and an atom
+equation that has one sign on a set of corners is 0 at a point carried by
+those corners only if it is 0 at each of them. So a solution is carried by
+the box's zero set: the concealing corners (W > 0) left once every atom
+equation that is one-signed on the corners left has dropped the corners
+where it is not 0 (:func:`_zero_set`). A configuration is rejected when that
+set is empty or a gap bound fails on all of it. Under full support no cell
+is concealed where W = 0, so every S_i and equation is 0 there and those
+corners change nothing. The screen walks the members depth first and drops
+a prefix as soon as its zero set fails, since adding members only shrinks
+the zero set.
 
 Each configuration yields checked weights, is proven infeasible, or is
 noted unresolved in the search notes; nothing is approximated. The search
@@ -597,61 +603,74 @@ def _build_context(dist: JointDistribution, protocol: DeliberationProtocol) -> _
     return _SearchContext(dist._scaled.grid_ints, dist.space._cut_slabs, keys, width, dist._search_memo)
 
 
+def _zero_set(z: int, equations: Sequence[tuple[int, int]]) -> int:
+    """The corners of ``z`` where a solution's weights can put positive
+    coefficient, given the (``above``, ``below``) masks of its atom
+    equations.
+
+    A multilinear table that has one sign on every corner of ``z``, and is 0
+    at a point whose coefficients are positive only on corners of ``z``, is 0
+    at each of those corners. So while some equation is one-signed on the
+    corners left (it misses ``above`` or ``below``), only the corners where
+    it is 0 are kept. The fixpoint is the largest subset of ``z`` on which
+    every equation is either 0 throughout or takes both signs, whatever the
+    order the equations are taken in.
+    """
+    last = None
+    while z != last:
+        last = z
+        for above, below in equations:
+            if not z & above or not z & below:
+                z &= ~(above | below)
+    return z
+
+
 def _cut_configs(ctx: _SearchContext):
-    """The cut configurations that survive a corner sign screen, in
-    ``product`` order of each member's gaps then atoms.
+    """The cut configurations that survive a corner screen, in ``product``
+    order of each member's gaps then atoms.
 
     A configuration's corner box is the AND of one slab mask per member: the
     cut c of a gap member, both ends p and p+1 of an atom member (weight 1
     and 0). Every constraint is multilinear in the atom weights, so anywhere
-    in the box it is a convex combination of its corner values, and atom a's
-    equation does not involve a's own weight. A configuration is skipped when
-    W > 0 fails at every corner, a gap member's strict bound fails at every
-    corner, or an atom member's equation h is > 0 at every concealing corner
-    (W > 0) and >= 0 at every other corner, or the same with the signs
-    reversed. None of these has a solution: where W > 0, some corner with a
-    positive coefficient in the convex combination has W > 0, and there h is
-    strict, so h is too. At a corner with W = 0 no cell is concealed (the
-    search requires full support), so every S_i and h are 0 and the
-    condition holds there. As masks, an atom member needs a concealing
-    corner with h <= 0, one in ``w_pos & ~above[p]``, and one with h >= 0,
-    in ``w_pos & ~below[p]``.
+    in the box it is a convex combination of its corner values, and a
+    solution puts positive coefficient only on corners of the box's zero set
+    (:func:`_zero_set` over the atom members' equations). W > 0 and each gap
+    member's two strict bounds must hold at one of those corners, so a
+    configuration is skipped when its zero set misses ``w_pos``, or misses
+    ``above[c - 1]`` or ``below[c]`` of a gap member with cut c. No need is
+    met at a corner with W = 0, where no cell is concealed (the search
+    requires full support) and every sum is 0, so the zero sets are taken
+    inside ``w_pos``. Each atom equation takes both signs on the zero set or
+    is 0 on all of it, so it has a concealing corner with h <= 0 and one
+    with h >= 0 there.
 
-    The walk goes depth first over the members, keeping the box of the
-    members chosen so far and their needs. Adding a member only shrinks the
-    box, so a prefix whose box already misses ``w_pos`` or one of its needs
-    has no surviving completion and is not extended.
+    The walk goes depth first over the members, keeping the zero set of the
+    members chosen so far and their gap needs. Adding a member shrinks the
+    box and may add an equation, so a completion's zero set is the zero set
+    of its prefix's zero set cut to the new slab, and a prefix whose zero
+    set is empty or misses a need is not extended.
     """
     options = []
-    w_pos = ctx.w_pos
     for slabs, above, below in zip(ctx.slabs, ctx.above, ctx.below):
         size = len(above)
-        opts = [(("gap", c), slabs[c], (above[c - 1], below[c])) for c in range(1, size)]
-        opts += [
-            (
-                ("atom", p),
-                slabs[p] | slabs[p + 1],
-                (w_pos & ~above[p], w_pos & ~below[p]),
-            )
-            for p in range(size)
-        ]
+        opts = [(("gap", c), slabs[c], (above[c - 1], below[c]), ()) for c in range(1, size)]
+        opts += [(("atom", p), slabs[p] | slabs[p + 1], (), ((above[p], below[p]),)) for p in range(size)]
         options.append(opts)
     last = len(options) - 1
 
-    def walk(depth, prefix, box, needs):
-        for config, slab, own in options[depth]:
-            narrowed = box & slab
-            if not narrowed & w_pos:
-                continue
-            kept = needs + own
-            if not all(map(narrowed.__and__, kept)):
+    def walk(depth, prefix, z, needs, equations):
+        for config, slab, need, equation in options[depth]:
+            eqs = equations + equation
+            narrowed = _zero_set(z & slab, eqs)
+            kept = needs + need
+            if not narrowed or not all(map(narrowed.__and__, kept)):
                 continue
             if depth == last:
                 yield prefix + (config,)
             else:
-                yield from walk(depth + 1, prefix + (config,), narrowed, kept)
+                yield from walk(depth + 1, prefix + (config,), narrowed, kept, eqs)
 
-    return walk(0, (), -1, ())
+    return walk(0, (), ctx.w_pos, (), ())
 
 
 def _profile_from_config(
@@ -691,9 +710,9 @@ class _AtomSolver:
     is a convex combination of its values at the box's corners. The solver
     is exact throughout. :func:`_cut_configs` has already screened the
     configuration by the signs of these tables at the corners, so the solver
-    only sees boxes where W and each gap bound are positive at some corner
-    and each atom equation is <= 0 at one concealing corner (W > 0) and
-    >= 0 at another (or the same one):
+    only sees boxes whose zero set (:func:`_zero_set`, concealing corners
+    only) is not empty, holds a corner where each gap bound is positive, and
+    carries each atom equation with both signs or as 0 throughout:
 
     - propagation: an equation that actually depends on one unpinned weight
       pins it;

@@ -35,7 +35,7 @@ from math import lcm, prod
 from operator import add, getitem, mul, sub
 from typing import Mapping, NamedTuple, Sequence
 
-from .rationals import ONE, ZERO, Rational, as_fraction
+from .rationals import ONE, ZERO, Rational, as_fraction, frac_str
 
 
 class OutcomeError(ValueError):
@@ -59,7 +59,7 @@ class OutcomeSpace:
             if len(g) < 2:
                 raise OutcomeError("each member grid needs at least 2 outcomes")
             if any(a >= b for a, b in zip(g, g[1:])):
-                raise OutcomeError(f"grid {g} is not strictly increasing")
+                raise OutcomeError(f"grid {','.join(map(frac_str, g))} is not strictly increasing")
 
     @property
     def n(self) -> int:
@@ -80,7 +80,7 @@ class OutcomeSpace:
         try:
             return self.cell_index[key]
         except KeyError:
-            raise OutcomeError(f"outcome {key} is not on the grid") from None
+            raise OutcomeError(f"outcome {','.join(map(frac_str, key))} is not on the grid") from None
 
     @cached_property
     def positions(self) -> tuple[tuple[int, ...], ...]:

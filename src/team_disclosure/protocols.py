@@ -251,17 +251,21 @@ def all_protocols(n: int) -> tuple[DeliberationProtocol, ...]:
     """Every protocol on n members: all antichains of nonempty coalitions.
 
     Exhaustive, so capped at n = 4, where the count is still small (166).
+    The antichains are grown one coalition mask at a time, each larger than
+    the last, so a new mask is no subset of one already picked and only has
+    to contain none of them.
     """
     if not 2 <= n <= 4:
         raise ProtocolError(f"exhaustive protocol enumeration needs 2 <= n <= 4, got {n}")
-    subsets = [m for m in range(1, 1 << n)]
     out = []
-    for choice in range(1, 1 << len(subsets)):
-        picked = [subsets[j] for j in range(len(subsets)) if choice >> j & 1]
-        if any(
-            a != b and a & b == a for a in picked for b in picked
-        ):
-            continue
-        coals = tuple(sorted((_members(m) for m in picked), key=lambda c: (len(c), c)))
-        out.append(DeliberationProtocol(n, coals))
+
+    def extend(picked: tuple[int, ...], last: int) -> None:
+        for m in range(last + 1, 1 << n):
+            if all(m & p != p for p in picked):
+                chosen = picked + (m,)
+                coals = tuple(sorted(map(_members, chosen), key=lambda c: (len(c), c)))
+                out.append(DeliberationProtocol(n, coals))
+                extend(chosen, m)
+
+    extend((), 0)
     return tuple(sorted(out, key=lambda p: (len(p.minimal_winning), p.minimal_winning)))

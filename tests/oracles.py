@@ -49,6 +49,23 @@ def requires_more_consensus_bruteforce(n, minimal_winning):
     return True
 
 
+def all_protocols_bruteforce(n):
+    """Every protocol on n members, by filtering all 2^(2^n - 1) sets of
+    nonempty coalitions down to the antichains: the slow twin of
+    ``protocols.all_protocols``."""
+    from team_disclosure.protocols import DeliberationProtocol, _members
+
+    subsets = [m for m in range(1, 1 << n)]
+    out = []
+    for choice in range(1, 1 << len(subsets)):
+        picked = [subsets[j] for j in range(len(subsets)) if choice >> j & 1]
+        if any(a != b and a & b == a for a in picked for b in picked):
+            continue
+        coals = tuple(sorted((_members(m) for m in picked), key=lambda c: (len(c), c)))
+        out.append(DeliberationProtocol(n, coals))
+    return tuple(sorted(out, key=lambda p: (len(p.minimal_winning), p.minimal_winning)))
+
+
 def posterior_by_enumeration(cells, probs, disclose, member_index):
     """E[member value | concealed], summing cell by cell."""
     num = ZERO
@@ -767,11 +784,20 @@ def unscreened_configs(ctx):
     return list(product(*member_options))
 
 
-def screened_configs_by_product(ctx):
-    """The corner sign screen of ``_cut_configs`` as a filter over the whole
-    ``product`` of the members' options, with no pruning of prefixes: a
-    configuration survives when its box (the AND of its members' slab masks)
-    meets ``w_pos`` and every member's needs."""
+def screened_configs_by_product(ctx, zero_set=True):
+    """The corner screen of ``_cut_configs`` as a filter over the whole
+    ``product`` of the members' options, with no pruning of prefixes.
+
+    A configuration's box is the AND of its members' slab masks. Its zero
+    set starts as the whole box; while some atom member's equation is
+    nonzero somewhere on it but one-signed on all of it, the corners where
+    that equation is nonzero are dropped. The configuration survives when
+    its zero set meets ``w_pos`` and every member's needs: a gap member's two
+    strict bounds, and an atom member's concealing corner (W > 0) with
+    h <= 0 and one with h >= 0. With ``zero_set=False`` the needs are tested
+    on the whole box: a weaker screen that judges each constraint on its own
+    corner signs.
+    """
     from functools import reduce
     from operator import and_
 
@@ -779,21 +805,32 @@ def screened_configs_by_product(ctx):
     w_pos = ctx.w_pos
     for slabs, above, below in zip(ctx.slabs, ctx.above, ctx.below):
         size = len(above)
-        opts = [(("gap", c), slabs[c], (above[c - 1], below[c])) for c in range(1, size)]
+        opts = [(("gap", c), slabs[c], (above[c - 1], below[c]), None) for c in range(1, size)]
         opts += [
             (
                 ("atom", p),
                 slabs[p] | slabs[p + 1],
                 ((w_pos & ~above[p]) | below[p], (w_pos & ~below[p]) | above[p]),
+                (above[p], below[p]),
             )
             for p in range(size)
         ]
         options.append(opts)
     survivors = []
     for choice in product(*options):
-        box = reduce(and_, [slab for _, slab, _ in choice])
-        if box & w_pos and all(box & need for _, _, needs in choice for need in needs):
-            survivors.append(tuple(config for config, _, _ in choice))
+        z = reduce(and_, [slab for _, slab, _, _ in choice])
+        signs = [signed for _, _, _, signed in choice if signed is not None]
+        while zero_set:
+            one_signed = [
+                above | below
+                for above, below in signs
+                if z & (above | below) and not (z & above and z & below)
+            ]
+            if not one_signed:
+                break
+            z &= ~one_signed[0]
+        if z & w_pos and all(z & need for _, _, needs, _ in choice for need in needs):
+            survivors.append(tuple(config for config, _, _, _ in choice))
     return survivors
 
 

@@ -1123,14 +1123,14 @@ class TestOneReaderPerInput:
     @pytest.mark.parametrize(
         "pmf, message",
         [
-            ([["0,0", "1/2"], ["0,2", "1/4"], ["1,0", "1/4"]], "outcome (Fraction(0, 1), Fraction(2, 1)) is not on the grid"),
-            ([["0,0,1", "1"]], "outcome (Fraction(0, 1), Fraction(0, 1), Fraction(1, 1)) is not on the grid"),
-            ([["0", "1"]], "outcome (Fraction(0, 1),) is not on the grid"),
+            ([["0,0", "1/2"], ["0,2", "1/4"], ["1,0", "1/4"]], "outcome 0,2 is not on the grid"),
+            ([["0,0,1", "1"]], "outcome 0,0,1 is not on the grid"),
+            ([["0", "1"]], "outcome 0 is not on the grid"),
             # cells are read in order, and the first one off the grid is
             # reported after the last entry
             ([["3,3", "1/2"], ["0.0,1", "1/4"], ["0,1/1", "1/4"]], "pmf lists cell 0,1 twice"),
             ([["3,3", "1/2"], ["3,3.0", "1/4"]], "pmf lists cell 3,3 twice"),
-            ([["3,3", "1/2"], ["1,5", "1/2"]], "outcome (Fraction(3, 1), Fraction(3, 1)) is not on the grid"),
+            ([["3,3", "1/2"], ["1,5", "1/2"]], "outcome 3,3 is not on the grid"),
         ],
         ids=["off-grid", "too-long", "too-short", "twice-after-off-grid", "off-grid-twice", "first-off-grid"],
     )
@@ -1138,6 +1138,11 @@ class TestOneReaderPerInput:
         dist = json.dumps({"grid": [[0, 1], [0, 1]], "pmf": pmf})
         assert main(["solve", "--protocol", "k_majority:2,2", "--dist", dist]) == 2
         assert one_error_line(capsys) == f"error: {message}\n"
+
+    def test_unsorted_grid_message(self, capsys):
+        dist = json.dumps({"grid": [["1", "1/2"], [0, 1]], "pmf": [["1,0", "1"]]})
+        assert main(["solve", "--protocol", "k_majority:2,2", "--dist", dist]) == 2
+        assert one_error_line(capsys) == "error: grid 1,1/2 is not strictly increasing\n"
 
     def test_grid_pmf_hashes_no_fraction(self, monkeypatch):
         # each value string is located on its member's grid once and each

@@ -288,8 +288,10 @@ class TestClassification:
 
 class TestRejectedCandidate:
     def test_candidate_failing_verification_is_noted_and_dropped(self, monkeypatch):
-        # hand out weights of 1/2 wherever the solver proves a configuration
-        # infeasible; verification has to turn each such candidate away
+        # hand out weights of 1/2 where the solver proves the all-atom
+        # configuration at the lowest values infeasible; verification has to
+        # turn the candidate away. The corner screen drops that configuration
+        # before it reaches the solver, so the search runs unscreened
         space = make_space([[0, 1, 2], [0, 1, 2]])
         d = JointDistribution(space, tuple(F(1, 9) for _ in range(9)))
         proto = make_consensus(2)
@@ -299,12 +301,13 @@ class TestRejectedCandidate:
 
         def planting(self):
             found = solve(self)
-            if found is None and self.atoms:
+            if found is None and self.config == (("atom", 0), ("atom", 0)):
                 found = {a: F(1, 2) for a in self.atoms}
                 planted.append(_profile_from_config(space, self.config, found)[0])
             return found
 
         monkeypatch.setattr(_AtomSolver, "solve", planting)
+        monkeypatch.setattr(equilibrium, "_cut_configs", unscreened_configs)
         eqs, notes = find_equilibria_report(d, proto)
         assert notes == (
             "candidate configuration (('atom', 0), ('atom', 0)) failed verification",
@@ -972,6 +975,40 @@ class TestCornerScreen:
                 solver = _AtomSolver(ctx.grid_ints, config, ctx.corners(config))
                 assert solver.solve() is None and not solver.unresolved
         assert rejected > kept > 0
+
+    def test_every_kept_configuration_is_solved(self):
+        """The screen is sharp on every 2- and 3-member protocol: each
+        configuration it keeps has a solution, so the solver rejects none,
+        and 200 of those that pass the needs on the whole box are dropped."""
+        kept = dropped = 0
+        for d, proto in screen_cases("protocols"):
+            ctx = _build_context(d, proto)
+            survivors = list(_cut_configs(ctx))
+            for config in survivors:
+                assert _AtomSolver(ctx.grid_ints, config, ctx.corners(config)).solve() is not None
+            kept += len(survivors)
+            dropped += len(screened_configs_by_product(ctx, zero_set=False)) - len(survivors)
+        assert (kept, dropped) == (178, 200)
+
+    def test_zero_set_drops_only_configurations_without_solution(self):
+        """On an iid 4-member draw on a 4-value grid, under every protocol,
+        each configuration that passes the needs on the whole box but not on
+        its zero set has no solution, and the solver proves it."""
+        rng = random.Random(3)
+        grid = sorted(rng.sample(range(9), 4))
+        nums = [rng.randint(1, 6) for _ in grid]
+        d = independent([{x: F(k, sum(nums)) for x, k in zip(grid, nums)}] * 4)
+        dropped = 0
+        for proto in all_protocols(4):
+            ctx = _build_context(d, proto)
+            survivors = set(_cut_configs(ctx))
+            for config in screened_configs_by_product(ctx, zero_set=False):
+                if config in survivors:
+                    continue
+                dropped += 1
+                solver = _AtomSolver(ctx.grid_ints, config, ctx.corners(config))
+                assert solver.solve() is None and not solver.unresolved
+        assert dropped > 1000
 
     def test_walk_matches_product_filter(self, screened_searches):
         """The pruned walk yields what the filter over the whole product

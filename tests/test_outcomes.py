@@ -58,7 +58,7 @@ class TestSpacesAndDistributions:
         assert d.probs == (F(1, 2), 0, 0, F(1, 2))
         with pytest.raises(OutcomeError) as err:
             from_pmf(space, {(0, 1): F(1, 2), (1, 2): F(1, 2)})
-        assert str(err.value) == "outcome (Fraction(1, 1), Fraction(2, 1)) is not on the grid"
+        assert str(err.value) == "outcome 1,2 is not on the grid"
 
     def test_full_support_flag(self):
         assert binary_independent([F(1, 2), F(1, 2)]).full_support

@@ -13,7 +13,7 @@ from team_disclosure.protocols import (
     make_protocol,
 )
 
-from oracles import requires_more_consensus_bruteforce
+from oracles import all_protocols_bruteforce, requires_more_consensus_bruteforce
 
 F = Fraction
 
@@ -178,6 +178,10 @@ class TestRoundTrips:
     def test_all_protocols_counts(self):
         assert len(all_protocols(2)) == 4
         assert len(all_protocols(3)) == 18
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_all_protocols_match_the_brute_force(self, n):
+        assert all_protocols(n) == all_protocols_bruteforce(n)
 
     @pytest.mark.parametrize("n", [-1, 0, 1, 5])
     def test_all_protocols_member_bounds(self, n):
