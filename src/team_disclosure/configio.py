@@ -212,9 +212,10 @@ def _grid_pmf(space: OutcomeSpace, entries: list | tuple) -> tuple[Fraction, ...
 
     Each distinct value string of the keys is parsed once and located on
     each member's grid once, so a listed cell is found as its index in
-    ``space.cells`` with no Fraction hashed. Entries are read in order: a
-    cell listed twice is a ConfigError when met, and after the last entry the
-    first cell off the grid is reported as ``from_pmf`` words it.
+    ``space.cells`` with no Fraction hashed. Entries are read in order: one
+    that is not a pair of a cell string and a probability, or a cell listed
+    twice, is a ConfigError when met, and after the last entry the first
+    cell off the grid is reported as ``from_pmf`` words it.
     """
     grids = space.grids
     strides = [prod(map(len, grids[i + 1:])) for i in range(space.n)]
@@ -224,8 +225,12 @@ def _grid_pmf(space: OutcomeSpace, entries: list | tuple) -> tuple[Fraction, ...
     listed = set()  # indices of the cells listed so far
     off_grid = {}  # cells listed off the grid, as tuples of values, in order
     for entry in entries:
-        key, prob = config_list(entry, "pmf entry")
-        texts = str(key).split(",")
+        entry = config_list(entry, "pmf entry")
+        if len(entry) != 2 or not isinstance(entry[0], str):
+            got = json.dumps(entry, default=str)
+            raise ConfigError(f'pmf entry must be a ["cell", probability] pair such as ["0,1", "1/4"], got {got}')
+        key, prob = entry
+        texts = key.split(",")
         for text in texts:
             if text not in parsed:
                 parsed[text] = as_fraction(text)
@@ -309,7 +314,7 @@ def effort_model_from_config(obj: Mapping[str, Any]) -> EffortModel:
             effort = tuple(config_int(e, "effort entry") for e in config_list(entry["effort"], "effort"))
             if len(effort) != n or any(e not in (0, 1) for e in effort):
                 raise ConfigError(f"bad effort vector {effort}")
-            table[effort] = distribution_from_config(entry["dist"], n)
+            table[effort] = load_distribution(entry["dist"], n)
         return EffortModel.build(n, table, costs)
     except ConfigError:
         raise

@@ -17,17 +17,19 @@ corner sign masks (:class:`_SearchContext`): integer bitmasks over the pure
 cut combinations. Under a pure combination the team conceals exactly the
 cells whose vote mask loses, so a combination's concealed mass and value
 sums are a sum of per-vote-mask tables over the protocol's losing masks
-(:func:`_build_context`). The tables are built once per distribution and
-the combinations' slab masks once per space, and each distinct sum is
-unpacked and sign-coded once per distribution, so a protocol only adds up
-its losing masks' tables and ORs each sum's combinations into the masks its
-memoised sign code names; a solver reads its box corners' entries back
-from the memo by key (:meth:`_SearchContext.corners`). The full-disclosure
-entry is the same under every protocol, so it too is built and verified
-once per distribution (``JointDistribution._full_disclosure``). The masks
-reject, without solving, every configuration with no solution that a sign
-test at the corners of its weight box can see (:func:`_cut_configs`). Each
-constraint is a convex combination of its corner values, and an atom
+(:func:`_build_context`). Everything that does not depend on the protocol
+is one search state per distribution (:class:`_SearchState`), built the
+first time the distribution is searched: the vote tables, the
+combinations' slab masks and strides, a memo that unpacks and sign-codes
+each distinct sum once, and the verified full-disclosure entry, which is
+the same under every protocol. So a protocol only adds up its losing
+masks' tables and ORs each sum's combinations into the masks its memoised
+sign code names (:func:`_search_context`); a solver reads its box
+corners' entries back from the memo by key (:meth:`_SearchContext.corners`).
+
+The masks reject, without solving, every configuration with no solution that
+a sign test at the corners of its weight box can see (:func:`_cut_configs`).
+Each constraint is a convex combination of its corner values, and an atom
 equation that has one sign on a set of corners is 0 at a point carried by
 those corners only if it is 0 at each of them. So a solution is carried by
 the box's zero set: the concealing corners (W > 0) left once every atom
@@ -90,13 +92,13 @@ profile).
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, chain, combinations, compress, product
 from math import prod
-from operator import and_, attrgetter, or_
-from typing import Iterator, Sequence
+from operator import add, and_, attrgetter, or_, sub
+from typing import Iterator, NamedTuple, Sequence
 
 from . import _poly
 from .outcomes import (
@@ -105,6 +107,7 @@ from .outcomes import (
     OutcomeSpace,
     _chunk_sum,
     _chunks,
+    _combo_slabs,
     _pack,
     _subset_sums,
     _subset_table,
@@ -481,7 +484,7 @@ class Equilibrium:
 
 
 def _sign_code(grid_ints: Sequence[Sequence[int]], w: int, s: Sequence[int]) -> tuple[int, ...]:
-    """The slots of :class:`_SearchContext`'s flat mask list that a (W, S)
+    """The slots of :func:`_search_context`'s flat mask list that a (W, S)
     entry with W >= 0 sets.
 
     Member i's grid is increasing, so S_i - x*W never rises along it: it is
@@ -509,98 +512,146 @@ def _sign_code(grid_ints: Sequence[Sequence[int]], w: int, s: Sequence[int]) -> 
     return tuple(code)
 
 
-@dataclass
-class _SearchContext:
-    """Sign masks of the pure cut combos, read from their packed sums.
+def _axis_sums(table: Sequence[int], size: int, inner: int) -> tuple[list[int], list[int]]:
+    """Running sums along one axis of a table laid out in ``product`` order:
+    ``table`` holds blocks of ``size`` rows of ``inner`` entries each. Returns
+    ``below`` and ``above``, each with ``size + 1`` rows per block, where row
+    c of a block sums its rows before c and from c on."""
+    below, above = [], []
+    step = size * inner
+    zero = [0] * inner
+    for start in range(0, len(table), step):
+        runs = [zero]
+        for at in range(start, start + step, inner):
+            runs.append(list(map(add, runs[-1], table[at:at + inner])))
+        total = runs[-1]
+        for run in runs:
+            below += run
+            above += map(sub, total, run)
+    return below, above
 
-    The combos are those of the ranges 0..len(grid_i) in ``product`` order,
-    and ``keys`` holds, in that order, each combo's W and S_i packed into
-    one int (:func:`.outcomes._pack`, fields ``width`` bits wide), equal for
-    combos with equal entries. The masks are ints over the combos, bit b
-    standing for the b-th: ``w_pos`` holds the combos with W > 0,
-    ``above[i][p]`` (``below[i][p]``) those with S_i - x_p*W > 0 (< 0) for
-    member i's grid value x_p, and ``slabs[i][c]`` those whose i-th
-    coordinate is c. Every W is >= 0, as concealed mass is, and a combo with
-    W = 0 conceals no cell of a full-support distribution, so its sums are 0
-    and ``above`` and ``below`` lie inside ``w_pos``.
 
-    ``memo`` maps a key to its (W, S) entry and :func:`_sign_code`; a key it
-    lacks is unpacked and added. Combos are grouped by key and each group is
-    ORed into the slots its sign code names, one per member for ``above``
-    and one for ``below``, so the sign test runs once per key the memo has
-    not met. ``above[i][p]`` is then the OR of member i's ``above`` slots
-    from p on, and ``below[i][p]`` that of its ``below`` slots up to p. The
-    search passes the distribution's memo (``dist._search_memo``).
+class _SearchState:
+    """The equilibrium search's state for one distribution, built the first
+    time it is searched (``JointDistribution._search``) and shared by every
+    protocol searched on it.
+
+    Under the pure cut combination b (member i votes to disclose from grid
+    position c_i on, c_i in 0..len(grid_i), combinations in ``product``
+    order), ``tables[m][b]`` is the :func:`.outcomes._pack` sum, fields
+    ``width`` bits wide, over the cells where exactly the members in the
+    vote mask m (bit i for member i) vote 1, of the scaled weight in field 0
+    and member i's weighted scaled value in field i+1. Those cells form a
+    box (positions from c_i on for the members in m, below c_i for the
+    others), so each mask's table is a summed-area table, built one member
+    axis at a time, last member first (:func:`_axis_sums`). No table
+    depends on the protocol.
+
+    ``slabs[i][c]`` holds the combinations with c_i = c, bit b for the b-th,
+    and ``strides[i]`` is member i's stride in their order. ``memo`` maps
+    each packed (W, S) sum read so far, under any protocol, to its unpacked
+    entry and :func:`_sign_code`. ``full_disclosure`` is the verified
+    full-disclosure entry (:func:`_full_disclosure`).
     """
 
-    grid_ints: tuple[tuple[int, ...], ...]
-    slabs: Sequence[Sequence[int]]
-    keys: Sequence[int]
-    width: int
-    memo: dict[int, tuple[tuple[int, tuple[int, ...]], tuple[int, ...]]]
-    w_pos: int = field(init=False)
-    above: list[list[int]] = field(init=False)
-    below: list[list[int]] = field(init=False)
+    def __init__(self, dist: JointDistribution) -> None:
+        scaled = dist._scaled
+        self.grid_ints = scaled.grid_ints
+        sizes = [len(g) + 1 for g in self.grid_ints]
+        self.slabs = _combo_slabs(sizes, tuple(zip(*product(*map(range, sizes)))))
+        self.strides = [prod(sizes[i + 1:]) for i in range(len(sizes))]
+        packed, self.width = _pack([scaled.weights, *scaled.values])
+        tables = [packed]
+        inner = 1
+        for size in reversed(sizes):
+            tables = [half for table in tables for half in _axis_sums(table, size - 1, inner)]
+            inner *= size
+        self.tables = tables
+        self.memo: dict[int, tuple[tuple[int, tuple[int, ...]], tuple[int, ...]]] = {}
+        self.full_disclosure = _full_disclosure(dist)
 
-    def __post_init__(self) -> None:
-        grid_ints = self.grid_ints
-        memo = self.memo
-        fields = len(grid_ints) + 1
-        groups = dict.fromkeys(self.keys, 0)  # key -> the combos that hold it
-        bit = 1
-        for key in self.keys:
-            groups[key] |= bit
-            bit <<= 1
-        slots = [0] * (1 + 2 * sum(map(len, grid_ints)))
-        for key, bits in groups.items():
-            found = memo.get(key)
-            if found is None:
-                w, *s = _unpack(key, fields, self.width)
-                found = memo[key] = ((w, tuple(s)), _sign_code(grid_ints, w, s))
-            for m in found[1]:
-                slots[m] |= bits
-        self.w_pos = slots[0]
-        self.above, self.below = [], []
-        at = 1
-        for xs in grid_ints:
-            size = len(xs)
-            self.above.append(list(accumulate(reversed(slots[at:at + size]), or_))[::-1])
-            self.below.append(list(accumulate(slots[at + size:at + 2 * size], or_)))
-            at += 2 * size
+
+class _SearchContext(NamedTuple):
+    """One protocol's sign masks of the pure cut combinations of a search
+    state, read from their packed sums (:func:`_search_context`).
+
+    ``keys`` holds, in the combinations' order, each one's W and S_i packed
+    into one int (fields ``state.width`` bits wide), equal for combinations
+    with equal entries. The masks are ints over the combinations, bit b
+    standing for the b-th: ``w_pos`` holds those with W > 0, and
+    ``above[i][p]`` (``below[i][p]``) those with S_i - x_p*W > 0 (< 0) for
+    member i's grid value x_p. Every W is >= 0, as concealed mass is, and a
+    combination with W = 0 conceals no cell of a full-support distribution,
+    so its sums are 0 and ``above`` and ``below`` lie inside ``w_pos``.
+    """
+
+    state: _SearchState
+    keys: Sequence[int]
+    w_pos: int
+    above: list[list[int]]
+    below: list[list[int]]
 
     def corners(self, config: tuple[tuple[str, int], ...]) -> list[tuple[int, tuple[int, ...]]]:
         """The (W, S) entries at the corners of a configuration's atom box,
         in ``product((0, 1))`` order of the atom weights, read from the memo
         by key. Weight 0 behaves like cutting above the atom, weight 1 like
-        cutting at it, one grid position lower; each combo's index in
-        ``keys`` comes from mixed-radix strides."""
-        grid = self.grid_ints
-        strides = [prod(len(g) + 1 for g in grid[i + 1:]) for i in range(len(grid))]
+        cutting at it, one grid position lower; each combination's index in
+        ``keys`` comes from the state's strides."""
+        strides = self.state.strides
         corners = [sum((pos + (kind == "atom")) * s for (kind, pos), s in zip(config, strides))]
         for (kind, _), stride in zip(config, strides):
             if kind == "atom":
                 corners = [c for corner in corners for c in (corner, corner - stride)]
-        return [self.memo[self.keys[c]][0] for c in corners]
+        memo = self.state.memo
+        return [memo[self.keys[c]][0] for c in corners]
+
+
+def _search_context(state: _SearchState, keys: Sequence[int]) -> _SearchContext:
+    """The sign masks of the combinations whose packed sums are ``keys``.
+
+    A key the state's memo lacks is unpacked and added with its sign code.
+    Combinations are grouped by key and each group is ORed into the slots
+    its sign code names, one per member for ``above`` and one for
+    ``below``, so the sign test runs once per key the memo has not met.
+    ``above[i][p]`` is then the OR of member i's ``above`` slots from p on,
+    and ``below[i][p]`` that of its ``below`` slots up to p. Reads the
+    state's ``grid_ints``, ``width`` and ``memo`` only.
+    """
+    grid_ints = state.grid_ints
+    memo = state.memo
+    fields = len(grid_ints) + 1
+    groups = dict.fromkeys(keys, 0)  # key -> the combinations that hold it
+    bit = 1
+    for key in keys:
+        groups[key] |= bit
+        bit <<= 1
+    slots = [0] * (1 + 2 * sum(map(len, grid_ints)))
+    for key, bits in groups.items():
+        found = memo.get(key)
+        if found is None:
+            w, *s = _unpack(key, fields, state.width)
+            found = memo[key] = ((w, tuple(s)), _sign_code(grid_ints, w, s))
+        for m in found[1]:
+            slots[m] |= bits
+    above, below = [], []
+    at = 1
+    for xs in grid_ints:
+        size = len(xs)
+        above.append(list(accumulate(reversed(slots[at:at + size]), or_))[::-1])
+        below.append(list(accumulate(slots[at + size:at + 2 * size], or_)))
+        at += 2 * size
+    return _SearchContext(state, keys, slots[0], above, below)
 
 
 def _build_context(dist: JointDistribution, protocol: DeliberationProtocol) -> _SearchContext:
-    """Concealment aggregates of every pure cut combination: member i votes
-    to disclose from grid position c_i on, c_i in 0..len(grid_i).
-
-    Under a combination the team conceals exactly the cells whose vote mask
-    loses, so its W and S_i are, packed into one int, the sum of the
-    distribution's vote tables (``dist._vote_tables``) over the protocol's
-    losing masks. Mask 0 always loses, so that sum is never empty. Only the
-    choice of masks depends on the protocol: the tables are built once per
-    distribution, and the combinations' slab masks once per space
-    (``space._cut_slabs``). Many combinations share a sum, under one protocol
-    and across protocols, so each distinct sum is unpacked and sign-tested
-    once per distribution (``dist._search_memo``), whatever protocols are
-    searched on it and in whatever order."""
-    tables, width = dist._vote_tables
-    losing = [table for table, wins in zip(tables, protocol._winning_table) if not wins]
-    keys = list(map(sum, zip(*losing)))
-    return _SearchContext(dist._scaled.grid_ints, dist.space._cut_slabs, keys, width, dist._search_memo)
+    """The search context of a protocol on a distribution: under a pure cut
+    combination the team conceals exactly the cells whose vote mask loses,
+    so the combination's packed W and S_i are the sum of the vote tables of
+    the distribution's state (``dist._search``) over the protocol's losing
+    masks. Mask 0 always loses, so that sum is never empty."""
+    state = dist._search
+    losing = [table for table, wins in zip(state.tables, protocol._winning_table) if not wins]
+    return _search_context(state, list(map(sum, zip(*losing))))
 
 
 def _zero_set(z: int, equations: Sequence[tuple[int, int]]) -> int:
@@ -651,7 +702,7 @@ def _cut_configs(ctx: _SearchContext):
     set is empty or misses a need is not extended.
     """
     options = []
-    for slabs, above, below in zip(ctx.slabs, ctx.above, ctx.below):
+    for slabs, above, below in zip(ctx.state.slabs, ctx.above, ctx.below):
         size = len(above)
         opts = [(("gap", c), slabs[c], (above[c - 1], below[c]), ()) for c in range(1, size)]
         opts += [(("atom", p), slabs[p] | slabs[p + 1], (), ((above[p], below[p]),)) for p in range(size)]
@@ -977,12 +1028,12 @@ def _full_disclosure(dist: JointDistribution) -> Equilibrium:
     their grid minimum), with its verification.
 
     It is the same under every protocol, so it is built and verified once
-    per distribution (``JointDistribution._full_disclosure``). The profile
-    never conceals, so it has no Bayes posteriors, and its team rule is 1 at
-    every cell under any protocol. At their minimum a member is indifferent
-    and above it they gain from disclosure, voting 1 everywhere: no position
-    is flagged, so :func:`_verify` never reads the protocol and is given
-    none.
+    per distribution, with the distribution's search state
+    (:class:`_SearchState`). The profile never conceals, so it has no Bayes
+    posteriors, and its team rule is 1 at every cell under any protocol. At
+    their minimum a member is indifferent and above it they gain from
+    disclosure, voting 1 everywhere: no position is flagged, so
+    :func:`_verify` never reads the protocol and is given none.
     """
     space = dist.space
     all_ones = StrategyProfile.constant(space, ONE)
@@ -1022,11 +1073,10 @@ def find_equilibria_report(
     every threshold fixed point over cut configurations, deduplicated by team
     rule and canonically ordered. The full-disclosure entry is the same under
     every protocol, so it is built and verified once per distribution and
-    every search on it returns that one object
-    (``JointDistribution._full_disclosure``). Raises EquilibriumError when
-    the protocol and the distribution differ in member count or the
-    distribution lacks full support, then SearchCapExceeded beyond the cap
-    (:func:`_check_caps`).
+    every search on it returns that one object (:class:`_SearchState`).
+    Raises EquilibriumError when the protocol and the distribution differ in
+    member count or the distribution lacks full support, then
+    SearchCapExceeded beyond the cap (:func:`_check_caps`).
     """
     space = dist.space
     if protocol.n != space.n:
@@ -1040,11 +1090,11 @@ def find_equilibria_report(
     # keyed by each rule's values as (numerator, denominator) pairs: equal
     # Fractions have equal pairs, and int tuples hash without Fraction.__hash__
     results: dict[tuple[tuple[int, int], ...], Equilibrium] = {
-        ((1, 1),) * len(space.cells): dist._full_disclosure
+        ((1, 1),) * len(space.cells): ctx.state.full_disclosure
     }
 
     for config in _cut_configs(ctx):
-        solver = _AtomSolver(ctx.grid_ints, config, ctx.corners(config))
+        solver = _AtomSolver(ctx.state.grid_ints, config, ctx.corners(config))
         weights = solver.solve()
         if weights is None:
             if solver.unresolved:

@@ -11,19 +11,14 @@ the upper sets of the product grid. The no-disclosure posterior is read off
 integer concealment sums over the pmf and grids scaled to common
 denominators.
 
-The equilibrium search reads its concealment sums from vote tables built
-once per distribution (``JointDistribution._vote_tables``): for every vote
-mask and every pure cut combination, the weight and value sums of the cells
-where exactly that mask's members vote to disclose, with several signed sums
-packed into one int (:func:`_pack`). A protocol conceals exactly the cells
-whose vote mask loses, so no table depends on the protocol. Next to them sit
-the combinations' slab masks, per space (``OutcomeSpace._cut_slabs``), and
-per distribution a memo of each (W, S) entry's sign code
-(``JointDistribution._search_memo``) and the verified full-disclosure entry
-(``JointDistribution._full_disclosure``). The belief refinement's sums over
-arbitrary cell sets are read from subset-sum tables of ``CHUNK_CELLS`` cells
-each (:func:`_subset_sums`), over each member's row-to-cells table
-(``OutcomeSpace._row_cells``).
+Two integer kernels serve the equilibrium search and the belief refinement:
+the packed sum, where :func:`_pack` writes several signed columns into one
+int per cell, a field each, and :func:`_unpack` reads the fields back from
+any sum of those ints; and the subset sum, where :func:`_subset_sums` tables
+of ``CHUNK_CELLS`` cells each give the sum over any cell set. Each member's
+row-to-cells table (``OutcomeSpace._row_cells``) is a subset-sum table too.
+The equilibrium search keeps its state for a distribution behind one lazy
+hook, ``JointDistribution._search``.
 """
 from __future__ import annotations
 
@@ -32,7 +27,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from math import lcm, prod
-from operator import add, getitem, mul, sub
+from operator import getitem, mul
 from typing import Mapping, NamedTuple, Sequence
 
 from .rationals import ONE, ZERO, Rational, as_fraction, frac_str
@@ -102,16 +97,6 @@ class OutcomeSpace:
         first position in the highest bit; the slabs are disjoint, so a row's
         cells are the sum of its slabs, a subset-sum table."""
         return tuple(_subset_table(member_slabs[::-1]) for member_slabs in self.slabs)
-
-    @cached_property
-    def _cut_slabs(self) -> tuple[tuple[int, ...], ...]:
-        """_cut_slabs[i][c] = the pure cut combinations of the equilibrium
-        search with c_i = c, bit b standing for the b-th combination in
-        ``product`` order of the ranges 0..len(grid_i) (see
-        ``JointDistribution._vote_tables``). They depend only on the grid
-        sizes, so every distribution and protocol on this space shares them."""
-        sizes = [len(g) + 1 for g in self.grids]
-        return _combo_slabs(sizes, tuple(zip(*product(*map(range, sizes)))))
 
     @property
     def min_vector(self) -> tuple[Fraction, ...]:
@@ -203,48 +188,13 @@ class JointDistribution:
         return ScaledDistribution(den, weights, scales, grid_ints, values)
 
     @cached_property
-    def _vote_tables(self) -> tuple[list[list[int]], int]:
-        """The equilibrium search's vote tables, and their field width.
+    def _search(self):
+        """The equilibrium search's state for this distribution
+        (``equilibrium._SearchState``), built the first time it is searched
+        and shared by every protocol searched on it."""
+        from .equilibrium import _SearchState
 
-        Under the pure cut combination b (member i votes to disclose from
-        grid position c_i on, c_i in 0..len(grid_i), combinations in
-        ``product`` order), ``tables[m][b]`` is the :func:`_pack` sum, over
-        the cells where exactly the members in the vote mask m (bit i for
-        member i) vote 1, of the scaled weight in field 0 and member i's
-        weighted scaled value in field i+1 (``ScaledDistribution.values``).
-        Those cells form a box: positions from
-        c_i on for the members in m, below c_i for the others. So the tables
-        are built from the packed cells one member axis at a time, last
-        member first (:func:`_axis_sums`), a summed-area table per mask. A
-        protocol conceals exactly the cells whose vote mask loses, so the
-        tables depend only on the distribution and every protocol searched
-        on it reads them."""
-        scaled = self._scaled
-        packed, width = _pack([scaled.weights, *scaled.values])
-        tables = [packed]
-        inner = 1
-        for size in reversed(list(map(len, self.space.grids))):
-            tables = [half for table in tables for half in _axis_sums(table, size, inner)]
-            inner *= size + 1
-        return tables, width
-
-    @cached_property
-    def _search_memo(self) -> dict[int, tuple[tuple[int, tuple[int, ...]], tuple[int, ...]]]:
-        """The equilibrium search's memo: each packed (W, S) sum read from
-        :attr:`_vote_tables` so far, under any protocol, mapped to its
-        unpacked entry and its sign code (``equilibrium._sign_code``). It
-        starts empty and grows as protocols are searched on this object."""
-        return {}
-
-    @cached_property
-    def _full_disclosure(self):
-        """The equilibrium search's full-disclosure entry, the always-disclose
-        profile with skeptical off-path beliefs, built and verified on first
-        use (``equilibrium._full_disclosure``). It holds under every protocol,
-        so every search on this object returns this one entry."""
-        from .equilibrium import _full_disclosure
-
-        return _full_disclosure(self)
+        return _SearchState(self)
 
     @cached_property
     def mean_vector(self) -> tuple[Fraction, ...]:
@@ -527,7 +477,7 @@ def posterior_no_disclosure(dist: JointDistribution, rule) -> tuple[Fraction, ..
 
 
 # ---------------------------------------------------------------------------
-# Packed sums: over the boxes of the vote tables, and over cell sets
+# Packed sums over cell sets
 # ---------------------------------------------------------------------------
 
 # Cells per subset-sum table: one hexadecimal digit of a cell set, so
@@ -580,25 +530,6 @@ def _pack(columns: Sequence[Sequence[int]]) -> tuple[list[int], int]:
     for column in reversed(columns[:-1]):
         packed = [(p << width) + e for p, e in zip(packed, column)]
     return packed, width
-
-
-def _axis_sums(table: Sequence[int], size: int, inner: int) -> tuple[list[int], list[int]]:
-    """Running sums along one axis of a table laid out in ``product`` order:
-    ``table`` holds blocks of ``size`` rows of ``inner`` entries each. Returns
-    ``below`` and ``above``, each with ``size + 1`` rows per block, where row
-    c of a block sums its rows before c and from c on."""
-    below, above = [], []
-    step = size * inner
-    zero = [0] * inner
-    for start in range(0, len(table), step):
-        runs = [zero]
-        for at in range(start, start + step, inner):
-            runs.append(list(map(add, runs[-1], table[at:at + inner])))
-        total = runs[-1]
-        for run in runs:
-            below += run
-            above += map(sub, total, run)
-    return below, above
 
 
 def _unpack(total: int, count: int, width: int) -> list[int]:

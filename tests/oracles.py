@@ -736,19 +736,19 @@ def atom_grid_scan(corners, grids, config, steps=12):
 
 def context_entries(ctx):
     """The (W, S) entry of every combination of a search context, in
-    ``product`` order of the cut ranges: its key's entry in the memo, as
-    ``_SearchContext.corners`` reads it for the solver."""
-    return [ctx.memo[key][0] for key in ctx.keys]
+    ``product`` order of the cut ranges: its key's entry in the state's
+    memo, as ``_SearchContext.corners`` reads it for the solver."""
+    return [ctx.state.memo[key][0] for key in ctx.keys]
 
 
 def search_masks_by_combo(ctx):
     """``(w_pos, above, below, slabs)`` of a search context, one combination
-    at a time: the slow twin of ``_SearchContext.__post_init__``, which runs
-    its sign loop once per distinct packed sum per distribution and reads
-    its slabs per space. Bit b stands for the b-th combination in
+    at a time: the slow twin of ``_search_context``, which runs its sign
+    loop once per distinct packed sum per distribution, and of the search
+    state's slabs. Bit b stands for the b-th combination in
     ``product`` order of the cut ranges, whose entry is
     ``context_entries(ctx)[b]``."""
-    grid_ints = ctx.grid_ints
+    grid_ints = ctx.state.grid_ints
     w_pos = 0
     above = [[0] * len(g) for g in grid_ints]
     below = [[0] * len(g) for g in grid_ints]
@@ -770,14 +770,14 @@ def search_masks_by_combo(ctx):
 
 
 def assert_masks_match(ctx):
-    assert (ctx.w_pos, ctx.above, ctx.below, ctx.slabs) == search_masks_by_combo(ctx)
+    assert (ctx.w_pos, ctx.above, ctx.below, ctx.state.slabs) == search_masks_by_combo(ctx)
 
 
 def unscreened_configs(ctx):
     """Every cut configuration of a search context, per member each gap then
     each atom, in ``product`` order: the slow twin of ``_cut_configs``."""
     member_options = []
-    for g in ctx.grid_ints:
+    for g in ctx.state.grid_ints:
         opts = [("gap", c) for c in range(1, len(g))]
         opts += [("atom", p) for p in range(len(g))]
         member_options.append(opts)
@@ -803,7 +803,7 @@ def screened_configs_by_product(ctx, zero_set=True):
 
     options = []
     w_pos = ctx.w_pos
-    for slabs, above, below in zip(ctx.slabs, ctx.above, ctx.below):
+    for slabs, above, below in zip(ctx.state.slabs, ctx.above, ctx.below):
         size = len(above)
         opts = [(("gap", c), slabs[c], (above[c - 1], below[c]), None) for c in range(1, size)]
         opts += [
@@ -869,7 +869,7 @@ def find_equilibria_report_unscreened(dist, protocol):
     }
     notes = []
     for config in unscreened_configs(ctx):
-        solver = _AtomSolver(ctx.grid_ints, config, ctx.corners(config))
+        solver = _AtomSolver(ctx.state.grid_ints, config, ctx.corners(config))
         weights = solver.solve()
         if weights is None:
             if solver.unresolved:

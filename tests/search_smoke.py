@@ -111,7 +111,7 @@ def reverse_order_mismatches(searched) -> list[str]:
 
 def vote_table_mismatches() -> list[str]:
     """The grid shapes, of the cap's extremes (14,2,2,2), (2,2,2,14) and
-    (5,5,5,5), on which ``JointDistribution._vote_tables`` differs from a
+    (5,5,5,5), on which the search state's vote tables differ from a
     plain loop over every cell per cut combination. Grid values are
     rationals, some negative; the pmf has full support."""
     rng = random.Random(30)
@@ -121,7 +121,7 @@ def vote_table_mismatches() -> list[str]:
         space = make_space([sorted(rng.sample(values, size)) for size in sizes])
         nums = [rng.randint(1, 9) for _ in space.cells]
         dist = JointDistribution(space, tuple(F(x, sum(nums)) for x in nums))
-        tables, width = dist._vote_tables
+        tables, width = dist._search.tables, dist._search.width
         scaled = dist._scaled
         n = space.n
         cells = list(zip(scaled.weights, zip(*space.positions)))

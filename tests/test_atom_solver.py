@@ -6,6 +6,7 @@ from fractions import Fraction
 from itertools import product
 from math import lcm, prod
 from operator import le
+from types import SimpleNamespace
 
 import pytest
 
@@ -18,9 +19,9 @@ from team_disclosure.equilibrium import (
     ZERO,
     StrategyProfile,
     _AtomSolver,
-    _SearchContext,
     _build_context,
     _cut_configs,
+    _search_context,
     find_equilibria_report,
     team_rule,
     verify_equilibrium,
@@ -85,15 +86,22 @@ def screen_context(grids, config, corners):
     """A search context over every pure cut combination in ``product``
     order, holding the corner entries on the atom box and W and every S_i 0
     off it. The entries are packed with :func:`.outcomes._pack`, so the
-    context unpacks and memoises them as a search does, and the box's
-    corners read back from it are the entries given."""
+    context, built by ``_search_context`` on a stand-in search state with no
+    distribution behind it, unpacks and memoises them as a search does, and
+    the box's corners read back from it are the entries given."""
     sizes = [len(g) + 1 for g in grids]
     entries = [(0, (0,) * len(grids))] * prod(sizes)
     for c, (w, s) in zip(corner_indices(grids, config), corners, strict=True):
         entries[c] = (w, tuple(s))
     keys, width = _pack([[w for w, _ in entries], *zip(*(s for _, s in entries))])
-    slabs = _combo_slabs(sizes, tuple(zip(*product(*map(range, sizes)))))
-    ctx = _SearchContext(grids, slabs, keys, width, {})
+    state = SimpleNamespace(
+        grid_ints=grids,
+        slabs=_combo_slabs(sizes, tuple(zip(*product(*map(range, sizes))))),
+        strides=[prod(sizes[i + 1:]) for i in range(len(sizes))],
+        width=width,
+        memo={},
+    )
+    ctx = _search_context(state, keys)
     assert ctx.corners(config) == [(w, tuple(s)) for w, s in corners]
     return ctx
 
@@ -724,7 +732,7 @@ class TestEverySolution:
                 # every protocol is monotone, so the concealed mass is largest
                 # where every atom weight is 0, at corner 0 (``_free`` takes it)
                 assert box[0][0] == max(w for w, _ in box)
-                found = drain(ctx.grid_ints, config, box)
+                found = drain(ctx.state.grid_ints, config, box)
                 solved += bool(found)
                 several += len(found) > 1
         assert solved > 100 and several > 50

@@ -314,6 +314,26 @@ class TestGainsAndDominance:
         assert ("3/80", "3/80") in gains
         assert doc["costs_in_full_effort_set"]
 
+    def test_model_with_shorthand_distributions(self, tmp_path):
+        # a model entry's distribution is read like every other distribution
+        # input, so a shorthand names the distribution of its object, the
+        # member count coming from the model when one q is given (shorthand
+        # was once refused: distribution config must be an object)
+        model = write_worked_model(tmp_path / "model.json")
+        doc = json.loads(model.read_text())
+        for entry in doc["distributions"]:
+            qs = entry["dist"]["q"]
+            entry["dist"] = "independent:" + (qs[0] if len(set(qs)) == 1 else ",".join(qs))
+        assert doc["distributions"][0]["dist"] == "independent:1/2"
+        short = tmp_path / "short.json"
+        short.write_text(json.dumps(doc))
+        documents = []
+        for path in (model, short):
+            out = tmp_path / f"gains-{path.stem}.json"
+            assert main(["gains", "--model", str(path), "--protocol", "k_majority:2,2", "--out", str(out)]) == 0
+            documents.append(out.read_text())
+        assert documents[0] == documents[1]
+
     def test_dominance_report(self, tmp_path):
         model = write_worked_model(tmp_path / "model.json")
         out = tmp_path / "dom.json"
@@ -986,6 +1006,9 @@ class TestAuditCommand:
 SOLVE_FLAGS = ["--protocol", "k_majority:2,2", "--dist", "independent:0.5"]
 
 
+PMF_PAIR = 'pmf entry must be a ["cell", probability] pair such as ["0,1", "1/4"]'
+
+
 def one_error_line(capsys):
     """The captured stderr, asserted to be a single ``error:`` line."""
     err = capsys.readouterr().err
@@ -1131,8 +1154,23 @@ class TestOneReaderPerInput:
             ([["3,3", "1/2"], ["0.0,1", "1/4"], ["0,1/1", "1/4"]], "pmf lists cell 0,1 twice"),
             ([["3,3", "1/2"], ["3,3.0", "1/4"]], "pmf lists cell 3,3 twice"),
             ([["3,3", "1/2"], ["1,5", "1/2"]], "outcome 3,3 is not on the grid"),
+            # entries of the wrong shape, once reported by the unpacking or
+            # Fraction parse that tripped on them
+            ([["0,0"]], PMF_PAIR + ', got ["0,0"]'),
+            ([["0,0", "1/2", "x"]], PMF_PAIR + ', got ["0,0", "1/2", "x"]'),
+            ([[["0", "0"], "1"]], PMF_PAIR + ', got [["0", "0"], "1"]'),
         ],
-        ids=["off-grid", "too-long", "too-short", "twice-after-off-grid", "off-grid-twice", "first-off-grid"],
+        ids=[
+            "off-grid",
+            "too-long",
+            "too-short",
+            "twice-after-off-grid",
+            "off-grid-twice",
+            "first-off-grid",
+            "no-probability",
+            "three-items",
+            "cell-list",
+        ],
     )
     def test_grid_pmf_messages(self, capsys, pmf, message):
         dist = json.dumps({"grid": [[0, 1], [0, 1]], "pmf": pmf})

@@ -186,17 +186,19 @@ class TestWorkedSearches:
         assert len(rules) == len(set(rules))
 
     def test_one_distribution_under_every_protocol(self):
-        # the search tables are built once per distribution object; searching
-        # one object under every protocol gives the reports of a fresh equal
-        # distribution per protocol
+        # the search state is built once per distribution object and serves
+        # every protocol; searching one object under every protocol gives the
+        # reports of a fresh equal distribution per protocol
         rng = random.Random(233)
         for n in (2, 3):
             shared = fractional_dist(rng, n, sizes=(2, 3))
-            tables = shared._vote_tables
+            state = shared._search
             for proto in all_protocols(n):
                 fresh = JointDistribution(make_space(shared.space.grids), shared.probs)
                 assert find_equilibria_report(shared, proto) == find_equilibria_report(fresh, proto)
-            assert shared._vote_tables is tables
+                assert _build_context(shared, proto).state is state
+                assert fresh._search is not state
+            assert shared._search is state
 
     def test_search_memo_does_not_depend_on_order(self):
         # one distribution object searched under its protocols in three
@@ -216,7 +218,7 @@ class TestWorkedSearches:
             reports = {}
             for order in (forward, forward[::-1], interleaved):
                 shared = JointDistribution(make_space(dist.space.grids), dist.probs)
-                _, width = shared._vote_tables
+                width = shared._search.width
                 met = set()
                 for j in order:
                     report = find_equilibria_report(shared, protos[j])
@@ -228,7 +230,7 @@ class TestWorkedSearches:
                         w + sum(v << (width * (i + 1)) for i, v in enumerate(sums))
                         for w, sums in expected[j].values()
                     )
-                    assert shared._search_memo.keys() == met
+                    assert shared._search.memo.keys() == met
 
     def test_full_disclosure_entry_matches_public_verify(self):
         # the search verifies the always-disclose entry through the private
@@ -951,7 +953,7 @@ class TestCornerScreen:
         report under each protocol, and every search on the distribution
         returns that one object."""
         for d, proto in screen_cases(kind):
-            entry = d._full_disclosure
+            entry = d._search.full_disclosure
             assert entry.profile == StrategyProfile.constant(d.space, 1)
             assert entry.rule == team_rule(entry.profile, proto)
             assert entry.posteriors == d.space.min_vector
@@ -972,7 +974,7 @@ class TestCornerScreen:
                     kept += 1
                     continue
                 rejected += 1
-                solver = _AtomSolver(ctx.grid_ints, config, ctx.corners(config))
+                solver = _AtomSolver(ctx.state.grid_ints, config, ctx.corners(config))
                 assert solver.solve() is None and not solver.unresolved
         assert rejected > kept > 0
 
@@ -985,7 +987,7 @@ class TestCornerScreen:
             ctx = _build_context(d, proto)
             survivors = list(_cut_configs(ctx))
             for config in survivors:
-                assert _AtomSolver(ctx.grid_ints, config, ctx.corners(config)).solve() is not None
+                assert _AtomSolver(ctx.state.grid_ints, config, ctx.corners(config)).solve() is not None
             kept += len(survivors)
             dropped += len(screened_configs_by_product(ctx, zero_set=False)) - len(survivors)
         assert (kept, dropped) == (178, 200)
@@ -1006,7 +1008,7 @@ class TestCornerScreen:
                 if config in survivors:
                     continue
                 dropped += 1
-                solver = _AtomSolver(ctx.grid_ints, config, ctx.corners(config))
+                solver = _AtomSolver(ctx.state.grid_ints, config, ctx.corners(config))
                 assert solver.solve() is None and not solver.unresolved
         assert dropped > 1000
 

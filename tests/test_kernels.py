@@ -194,10 +194,11 @@ def assert_search_tables_match(dist, protocol):
 
 
 def assert_vote_tables_match(dist):
-    """``dist._vote_tables``, unpacked, against the per-cell loop over every
-    combination and vote mask; the masks' entries of one combination sum to
-    the packed total over every cell."""
-    tables, width = dist._vote_tables
+    """The vote tables of the search state (``dist._search``), unpacked,
+    against the per-cell loop over every combination and vote mask; the
+    masks' entries of one combination sum to the packed total over every
+    cell."""
+    tables, width = dist._search.tables, dist._search.width
     scaled = dist._scaled
     packed, packed_width = _pack([scaled.weights, *scaled.values])
     assert width == packed_width
@@ -385,7 +386,7 @@ def test_packed_search_tables_at_the_field_width_edge():
     rng = random.Random("packed search tables")
     dist = extreme_dist(rng)
     assert_vote_tables_match(dist)
-    _, width = dist._vote_tables
+    width = dist._search.width
     edge = 1 << (width - 3)  # the width's bound is below 2**(width - 1)
     reached = set()
     for k in range(1, 5):
@@ -398,18 +399,20 @@ def test_packed_search_tables_at_the_field_width_edge():
 
 
 def test_cached_search_tables_match_fresh_packing():
-    """The search's vote tables, built once per distribution, equal the
-    per-vote-mask loop over a fresh :func:`_pack` of its scaled weights and
-    values, and every protocol searched on the distribution reads those
-    same tables."""
+    """The search's vote tables, built once per distribution with its search
+    state, equal the per-vote-mask loop over a fresh :func:`_pack` of its
+    scaled weights and values, and every protocol searched on the
+    distribution reads that one state and its tables."""
     rng = random.Random("cached search tables")
     for n in (2, 3, 4):
         dist = sparse_dist(rng, fractional_space(rng, n))
-        tables = dist._vote_tables
+        state = dist._search
+        tables = state.tables
         assert_vote_tables_match(dist)
         for protocol in kernel_protocols(rng, n):
             assert_search_tables_match(dist, protocol)
-        assert dist._vote_tables is tables
+            assert _build_context(dist, protocol).state is state
+        assert dist._search is state and state.tables is tables
 
 
 def residue_target(scaled, k, i, residue):
