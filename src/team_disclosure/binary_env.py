@@ -14,11 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from math import comb
-from typing import Iterable, NamedTuple, Sequence
+from itertools import accumulate, starmap
+from math import comb, gcd
+from operator import mul
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .outcomes import JointDistribution, common_outcome_mixture
-from .rationals import Rational, as_fraction, decimal_str
+from .rationals import Rational, as_fraction, decimal_str, ratio_decimal_str
 
 SWEEP_AXES = ("q_other_dev", "p_dev", "q_own_dev", "q_T_dev")
 
@@ -76,7 +78,42 @@ def _mean_ratio(params: BinaryEnvParams) -> tuple[int, int]:
     return pn * tn * ib + (pb - pn) * in_ * tb, pb * tb * ib
 
 
-def _terms(params: BinaryEnvParams) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+# ``_other_half``'s result: den**(n-1), then per k = 1..n the sequences s1, w,
+# S2 and c that ``_terms`` reads
+_Half = tuple[int, list[int], list[int], list[int], list[int]]
+
+
+def _other_half(n: int, q_other: Fraction) -> _Half:
+    """The half of ``_terms`` that reads only n and q_other = num/den.
+
+    Returns ``den**(n-1)`` and, indexed by k-1 for k = 1..n, four integer
+    sequences over that scale: ``s1``, the others' weight of at least n-k+1
+    low draws, and ``w``, of exactly n-k low draws (from the binomial weights
+    of the others' low count, built once), then the partner sum ``S2`` and
+    ``c = C(n-1, n-k) * num**(k-1)`` of ``_terms``' check. ``S2`` is carried
+    by its own recurrence ``S2(k) = (den-num) * (c(k-1) + S2(k-1))``,
+    ``S2(1) = 0``, not read from the weights, so the check costs O(1) per k.
+    """
+    num, den = q_other.as_integer_ratio()
+    low = den - num
+    binom = [comb(n - 1, m) for m in range(n)]
+    num_pows, low_pows = [1], [1]  # num**m and low**m, m = 0..n-1
+    for _ in range(n - 1):
+        num_pows.append(num_pows[-1] * num)
+        low_pows.append(low_pows[-1] * low)
+    # weights[m]: scaled P(exactly m of the n-1 others draw low)
+    weights = list(map(mul, map(mul, binom, low_pows), reversed(num_pows)))
+    s1 = [0, *accumulate(weights[:0:-1])]
+    c = list(map(mul, binom, num_pows))  # C(n-1, n-k) = C(n-1, k-1)
+    s2 = [0]
+    for ck in c[:-1]:
+        s2.append(low * (ck + s2[-1]))
+    return den ** (n - 1), s1, weights[::-1], s2, c
+
+
+def _terms(
+    params: BinaryEnvParams, half: _Half | None = None
+) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     """Scaled numerators of P(ND) and P(own high and ND) for every k = 1..n.
 
     Returns ``(D, P, J)`` with P(ND) = ``P[k-1] / D`` and P(own high and ND)
@@ -87,51 +124,34 @@ def _terms(params: BinaryEnvParams) -> tuple[int, tuple[int, ...], tuple[int, ..
 
     The independent branch conceals when at least n-k+1 of the n-1 other
     members draw low, or exactly n-k do and the marked member draws low too.
-    The binomial weights of the others' low count and their suffix sums are
-    built once, over the scale ``den**(n-1)``.
+    Those weights come from ``half``, which must be
+    ``_other_half(params.n, params.q_other)`` and is built here when not given.
 
-    Every k >= 2 is checked against the inverted sum-of-three-terms form,
-    P/J = common/J + 1/q_own + (1-q_own)/q_own * C(n-1, n-k) / s2, cross-
-    multiplied into one integer equality. Its partner sum s2 = S2 / num**(k-1)
-    (q_other = num/den) is carried by its own recurrence
-    ``S2(k) = (den-num) * (C(n-1, n-k+1) * num**(k-2) + S2(k-1))``,
-    ``S2(1) = 0``, not read from the weights, so the check costs O(1) per k.
+    Every k is checked against the inverted sum-of-three-terms form,
+    P/J = common/J + 1/q_own + (1-q_own)/q_own * C(n-1, n-k) / s2, with
+    s2 = S2 / num**(k-1) (q_other = num/den), cross-multiplied into one
+    integer equality; at k = 1 both of its sides are 0.
 
-    Nothing is cached: each caller makes the passes it needs once. A sweep
-    makes the full-effort pass once and hands it to ``_curve`` at every grid
-    point.
+    A sweep along an axis other than q_other builds the deviation's ``half``
+    once and hands it to every grid point's pass; the check still runs at
+    every point. Nothing else is shared between passes.
     """
-    n, p, qt, qi, qo = params.n, params.p, params.q_team, params.q_own, params.q_other
+    p, qt, qi = params.p, params.q_team, params.q_own
     pn, pb = p.numerator, p.denominator
     tn, tb = qt.numerator, qt.denominator
     in_, ib = qi.numerator, qi.denominator
-    num, den = qo.numerator, qo.denominator
-    low = den - num
-    binom = [comb(n - 1, m) for m in range(n)]
-    weights = [binom[m] * low**m * num ** (n - 1 - m) for m in range(n)]
-    suffix = [0] * (n + 1)
-    for m in range(n - 1, -1, -1):
-        suffix[m] = suffix[m + 1] + weights[m]
-
-    scale = den ** (n - 1)
+    scale, s1s, ws, s2s, cs = _other_half(params.n, params.q_other) if half is None else half
     common = pn * (tb - tn) * ib * scale  # p(1-q_team) * D
     indep = (pb - pn) * tb
     indep_all, indep_low, indep_high = indep * ib, indep * (ib - in_), indep * in_
+    common_own, own_low = common * in_, ib - in_
     pnds, joints = [], []
-    s2, num_pow = 0, 1  # S2(k-1) and num**(k-2)
-    for k in range(1, n + 1):
-        s1 = suffix[n - k + 1]  # scaled P(at least n-k+1 others low); 0 at k=1
-        pnd = common + indep_all * s1 + indep_low * weights[n - k]
+    for s1, w, s2, c in zip(s1s, ws, s2s, cs):
+        pnd = common + indep_all * s1 + indep_low * w
         joint = indep_high * s1
-        if k >= 2:
-            s2 = low * (binom[n - k + 1] * num_pow + s2)
-            num_pow *= num
-            if pnd * in_ * s2 != (
-                common * in_ * s2
-                + ib * joint * s2
-                + (ib - in_) * binom[n - k] * num_pow * joint
-            ):
-                raise AssertionError("closed-form disagreement in _terms")
+        # pnd*in_*s2 == common*in_*s2 + ib*joint*s2 + (ib-in_)*c*joint
+        if (pnd * in_ - common_own - ib * joint) * s2 != own_low * c * joint:
+            raise AssertionError("closed-form disagreement in _terms")
         pnds.append(pnd)
         joints.append(joint)
     return pb * tb * ib * scale, tuple(pnds), tuple(joints)
@@ -154,18 +174,21 @@ def _curve(
     mean_full: Fraction,
     terms_full: tuple[int, tuple[int, ...], tuple[int, ...]],
     params_dev: BinaryEnvParams,
-) -> tuple[tuple[Fraction, ...], int]:
+    half: _Half | None = None,
+) -> tuple[tuple[tuple[int, int], ...], int]:
     """Gains at every consensus level k = 1..n and the first k whose gain is
     largest, from the full-effort side's mean and ``_terms`` and one pass over
-    the deviation profile.
+    the deviation profile (``half`` as ``_terms`` takes it).
 
     With P(ND) = P/D and E[own | ND] = J/P, the gain at k is
     N_k / (bd*dd*P_f[k]), N_k = bn*dd*P_f[k] - bd*(J_f[k]*P_d[k] - J_d[k]*P_f[k]),
     where bn/bd is the mean shift, formed from the integer ratios of the two
     means and left unreduced. Every denominator is positive and bd*dd is
     common to all k, so gain a beats gain b exactly when
-    N_a*P_f[b] > N_b*P_f[a]: the argmax runs on integers, and each gain
-    becomes one Fraction.
+    N_a*P_f[b] > N_b*P_f[a]: the argmax runs on integers. Each gain is
+    returned as its unreduced pair ``(N_k, bd*dd*P_f[k])``; ``gain_curve``
+    and ``sweep`` make the Fractions, and the CLI's sweep writer reduces the
+    pairs itself.
     """
     _, pf, jf = terms_full
     if len(pf) != params_dev.n:
@@ -173,17 +196,16 @@ def _curve(
     fn, fd = mean_full.as_integer_ratio()
     an, ad = _mean_ratio(params_dev)
     bn, bd = fn * ad - an * fd, fd * ad
-    dd, pd, jd = _terms(params_dev)
-    gains = []
+    dd, pd, jd = _terms(params_dev, half)
+    shift, scale = bn * dd, bd * dd
+    pairs = []
     best_k = best_num = best_pf = None
-    for k in range(1, len(pf) + 1):
-        pfk, pdk = pf[k - 1], pd[k - 1]
-        den = dd * pfk
-        num = bn * den - bd * (jf[k - 1] * pdk - jd[k - 1] * pfk)
-        gains.append(Fraction(num, bd * den))
+    for k, (pfk, jfk, pdk, jdk) in enumerate(zip(pf, jf, pd, jd), 1):
+        num = shift * pfk - bd * (jfk * pdk - jdk * pfk)
+        pairs.append((num, scale * pfk))
         if best_k is None or num * best_pf > best_num * pfk:
             best_k, best_num, best_pf = k, num, pfk
-    return tuple(gains), best_k
+    return tuple(pairs), best_k
 
 
 @dataclass(frozen=True)
@@ -203,7 +225,8 @@ def gain_curve(params_full: BinaryEnvParams, params_dev: BinaryEnvParams) -> Gai
     posterior stay at their full-effort values, so the gain is the mean shift
     less P_dev(ND) * (E_full[own | ND] - E_dev[own | ND]).
     """
-    return GainCurve(*_curve(params_full.mean_own, _terms(params_full), params_dev))
+    pairs, k_star = _curve(params_full.mean_own, _terms(params_full), params_dev)
+    return GainCurve(tuple(starmap(Fraction, pairs)), k_star)
 
 
 class SweepRow(NamedTuple):
@@ -211,6 +234,18 @@ class SweepRow(NamedTuple):
     k: int
     gain: Fraction
     is_optimal: bool
+
+
+_CSV_HEADER = "axis_value,K,gain,is_optimal,gain_exact"
+
+
+def _csv_line(value_text: str, k: int, num: int, den: int, is_optimal: bool) -> str:
+    """One sweep CSV line: the axis value's text, k, the gain num/den (reduced,
+    den > 0) by ``decimal_str`` (12 significant digits), the flag, and the
+    gain's exact form as ``str(Fraction)`` writes it."""
+    exact = f"{num}/{den}" if den != 1 else str(num)
+    flag = "true" if is_optimal else "false"
+    return f"{value_text},{k},{ratio_decimal_str(num, den)},{flag},{exact}"
 
 
 @dataclass(frozen=True)
@@ -230,15 +265,15 @@ class SweepTable:
         sweep's grid point) renders that value once.
 
         Each gain is written twice: ``decimal_str`` (12 significant digits)
-        and its exact ``num/den`` form.
+        and its exact ``num/den`` form. The CLI's ``sweep`` writes the same
+        bytes from the kernel's integer pairs, with no row built.
         """
-        lines = ["axis_value,K,gain,is_optimal,gain_exact"]
+        lines = [_CSV_HEADER]
         value = text = None
         for axis_value, k, gain, is_optimal in self.rows:
             if axis_value is not value:
                 value, text = axis_value, decimal_str(axis_value)
-            flag = "true" if is_optimal else "false"
-            lines.append(f"{text},{k},{decimal_str(gain)},{flag},{gain}")
+            lines.append(_csv_line(text, k, gain.numerator, gain.denominator, is_optimal))
         return "\n".join(lines) + "\n"
 
 
@@ -250,20 +285,21 @@ _AXIS_FIELD = {
 }
 
 
-def sweep(
+def _sweep_curves(
     params_full: BinaryEnvParams,
     params_dev: BinaryEnvParams,
     axis: str,
     grid: Iterable[Rational],
-) -> SweepTable:
-    """Vary one deviation-profile parameter over a grid, holding the
-    full-effort profile fixed; emit the gain curve and optimum per grid point,
-    at most ``MAX_SWEEP_ROWS`` rows (grid points x members).
+) -> tuple[tuple[Fraction, ...], Iterator[tuple[tuple[tuple[int, int], ...], int]]]:
+    """The sweep kernel behind ``sweep`` and the CLI's CSV writer.
 
-    The full-effort side's mean and ``_terms`` pass are made once. Each grid
-    point then costs one constructor call for its deviation profile (range
-    checks on integer ratios), one ``_terms`` pass and the integer gain
-    numerators of ``_curve``, plus one Fraction per gain.
+    Checks the axis, the row cap and every grid value before any kernel pass,
+    and makes the full-effort side's pass, then returns the grid as Fractions
+    and an iterator of each grid point's ``_curve`` result in grid order.
+    Each point costs one constructor call for its deviation profile (range
+    checks on integer ratios), one ``_terms`` pass and ``_curve``'s integer
+    loop. Off the q_other axis the deviation's q_other is fixed, so its
+    ``_other_half`` is built once here rather than at every point.
     """
     if axis not in _AXIS_FIELD:
         raise BinaryEnvError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
@@ -280,15 +316,59 @@ def sweep(
             raise BinaryEnvError(f"grid value {value} outside (0,1)")
     names = [f.name for f in fields(BinaryEnvParams)]
     args = [getattr(params_dev, name) for name in names]
-    position = names.index(_AXIS_FIELD[axis])
+    field = _AXIS_FIELD[axis]
+    position = names.index(field)
     mean_full, terms_full = params_full.mean_own, _terms(params_full)
+    half = None if field == "q_other" else _other_half(params_dev.n, params_dev.q_other)
+
+    def curves():
+        for value in grid:
+            args[position] = value
+            yield _curve(mean_full, terms_full, BinaryEnvParams(*args), half)
+
+    return grid, curves()
+
+
+def sweep(
+    params_full: BinaryEnvParams,
+    params_dev: BinaryEnvParams,
+    axis: str,
+    grid: Iterable[Rational],
+) -> SweepTable:
+    """Vary one deviation-profile parameter over a grid, holding the
+    full-effort profile fixed; emit the gain curve and optimum per grid point,
+    at most ``MAX_SWEEP_ROWS`` rows (grid points x members).
+
+    Runs ``_sweep_curves`` and turns each grid point's integer pairs into
+    ``SweepRow``s, one reduced Fraction per gain.
+    """
+    grid, curves = _sweep_curves(params_full, params_dev, axis, grid)
     ks = range(1, params_full.n + 1)
     rows: list[SweepRow] = []
-    for value in grid:
-        args[position] = value
-        gains, k_star = _curve(mean_full, terms_full, BinaryEnvParams(*args))
+    for value, (pairs, k_star) in zip(grid, curves):
+        gains = starmap(Fraction, pairs)
         rows.extend(SweepRow(value, k, gain, k == k_star) for k, gain in zip(ks, gains))
     return SweepTable(axis, tuple(rows))
+
+
+def _sweep_csv(
+    params_full: BinaryEnvParams,
+    params_dev: BinaryEnvParams,
+    axis: str,
+    grid: Iterable[Rational],
+) -> str:
+    """``sweep(...).to_csv()``, written from ``_sweep_curves``' integer pairs
+    with no row or Fraction built: one ``gcd`` reduces each pair, and
+    ``_csv_line`` formats it as ``to_csv`` does."""
+    grid, curves = _sweep_curves(params_full, params_dev, axis, grid)
+    ks = range(1, params_full.n + 1)
+    lines = [_CSV_HEADER]
+    for value, (pairs, k_star) in zip(grid, curves):
+        text = decimal_str(value)
+        for k, (num, den) in zip(ks, pairs):
+            g = gcd(num, den)
+            lines.append(_csv_line(text, k, num // g, den // g, k == k_star))
+    return "\n".join(lines) + "\n"
 
 
 MAX_GRID_POINTS = 10_000
@@ -296,18 +376,19 @@ MAX_GRID_POINTS = 10_000
 # grow with n times the digits of the grid value's denominator, which is at
 # most this bound squared; at 320 members such a value's gains stay under
 # 3 200 digits (Python refuses to print integers of more than 4 300), and a
-# row costs up to about 2 ms (Python 3.11, one core).
+# row of the q_other_dev CSV costs about 1.1 ms (Python 3.11.7, one core).
 MAX_GRID_DENOMINATOR = 10_000
 # The largest team `optimal-k` and `sweep` accept. A gain curve at 320 members
-# takes about 0.035 s (Python 3.11, one core), and the cost grows faster than n.
+# takes about 0.015 s at the baseline and 0.03 s on mixed denominators
+# (Python 3.11.7, one core), and the cost grows faster than n.
 MAX_SWEEP_MEMBERS = 320
 # The most rows (grid points x members) one sweep may emit: the point and
 # member caps above hold on their own, but 10 000 points at 320 members would
-# run for about 25 minutes. A row at 320 members costs up to about 0.46 ms on
-# three-decimal grid values (the q_other_dev axis; 0.13 ms on p_dev), half of
-# it writing the CSV (Python 3.11, one core), so the largest accepted sweep,
-# 100 points at 320 members, takes about 15 s there, and up to about a minute
-# on values at the denominator bound.
+# run for about 15 minutes. A `sweep` row at 320 members costs about 0.27 ms
+# on three-decimal grid values (the q_other_dev axis; 0.08 ms on p_dev),
+# three quarters of it writing the CSV (Python 3.11.7, one core), so the
+# largest accepted sweep, 100 points at 320 members, takes about 9 s there,
+# and about 35 s on values at the denominator bound.
 MAX_SWEEP_ROWS = 32_000
 
 
@@ -349,6 +430,19 @@ PANEL_GRIDS = {
 }
 
 
+def _panel_args(
+    panel: str, n: int = 10, grid: Sequence[Fraction] | None = None
+) -> tuple[BinaryEnvParams, BinaryEnvParams, str, tuple[Fraction, ...]]:
+    """``sweep``'s arguments for one panel: the baseline profiles at n, the
+    panel's axis, and ``grid`` or the panel's default grid in its direction."""
+    axis, default_grid, descending = PANEL_GRIDS[panel]
+    full, dev = baseline_params(n)
+    values = tuple(grid) if grid is not None else parse_grid(default_grid)
+    if descending and grid is None:
+        values = tuple(reversed(values))
+    return full, dev, axis, values
+
+
 def panel_sweep(panel: str, n: int = 10, grid: Sequence[Fraction] | None = None) -> SweepTable:
     """One panel of the optimal-consensus experiment at the baseline.
 
@@ -356,9 +450,4 @@ def panel_sweep(panel: str, n: int = 10, grid: Sequence[Fraction] | None = None)
     effect as the sweep proceeds), matching the direction in which the optimum
     is reported to fall.
     """
-    axis, default_grid, descending = PANEL_GRIDS[panel]
-    full, dev = baseline_params(n)
-    values = tuple(grid) if grid is not None else parse_grid(default_grid)
-    if descending and grid is None:
-        values = tuple(reversed(values))
-    return sweep(full, dev, axis, values)
+    return sweep(*_panel_args(panel, n, grid))

@@ -32,15 +32,17 @@ from .binary_env import (
     MAX_SWEEP_MEMBERS,
     PANEL_GRIDS,
     BinaryEnvParams,
+    _panel_args,
+    _sweep_csv,
     baseline_params,
     gain_curve,
-    panel_sweep,
     parse_grid,
 )
 from .configio import (
     ConfigError,
     config_bool,
     config_int,
+    config_rational,
     distribution_to_config,
     effort_model_from_config,
     equilibrium_to_config,
@@ -57,7 +59,7 @@ from .equilibrium import (
     full_disclosure_is_plausible,
     verify_equilibrium,
 )
-from .rationals import as_fraction, frac_str
+from .rationals import frac_str
 
 EXIT_OK = 0
 EXIT_CLAIM_FAILURE = 1
@@ -249,8 +251,8 @@ def _cmd_verify(opts: dict, out: str | None) -> int:
     if not isinstance(stated, list):
         raise ConfigError("malformed equilibrium file: 'posteriors' must be a list")
     try:
-        posteriors = [as_fraction(p) for p in stated]
-    except TypeError as exc:
+        posteriors = [config_rational(p, "posterior") for p in stated]
+    except ConfigError as exc:
         raise ConfigError(f"malformed equilibrium file: {exc}") from exc
     # reading the distribution checks the cap, so a capped instance exits
     # before it is verified; a wrong posterior count is reported ahead of it
@@ -258,9 +260,10 @@ def _cmd_verify(opts: dict, out: str | None) -> int:
         raise EquilibriumError("posterior vector has wrong length")
     dist = load_distribution(opts["dist"], protocol.n)
     try:
-        profile = StrategyProfile.from_votes(dist.space, rows)
-    except TypeError as exc:
+        votes = [[config_rational(v, "vote") for v in row] for row in rows]
+    except ConfigError as exc:
         raise ConfigError(f"malformed equilibrium file: {exc}") from exc
+    profile = StrategyProfile.from_votes(dist.space, votes)
     consistent = consistent_with_deliberation(posteriors, dist, protocol)
     report = verify_equilibrium(profile, posteriors, dist, protocol)
     doc = {
@@ -335,16 +338,16 @@ def _params_from(opts: dict, key: str, n: int, fallback: BinaryEnvParams) -> Bin
     unknown = set(obj) - {"p", "q_T", "q_own", "q_other"}
     if unknown:
         raise ConfigError(f"unknown parameter keys: {sorted(unknown)}")
-    try:
-        return BinaryEnvParams.make(
-            n,
-            obj.get("p", fallback.p),
-            obj.get("q_T", fallback.q_team),
-            obj.get("q_own", fallback.q_own),
-            obj.get("q_other", fallback.q_other),
+    values = [
+        config_rational(obj[name], f"{key} {name}") if name in obj else default
+        for name, default in (
+            ("p", fallback.p),
+            ("q_T", fallback.q_team),
+            ("q_own", fallback.q_own),
+            ("q_other", fallback.q_other),
         )
-    except TypeError as exc:
-        raise ConfigError(f"{key}: {exc}") from exc
+    ]
+    return BinaryEnvParams(n, *values)
 
 
 def _cmd_optimal_k(opts: dict, out: str | None) -> int:
@@ -367,9 +370,11 @@ def _cmd_sweep(opts: dict, out: str | None) -> int:
     if panel not in PANEL_GRIDS:
         raise ConfigError(f"panel must be one of {sorted(PANEL_GRIDS)}")
     grid = opts.get("grid")
-    table = panel_sweep(panel, opts.get("n", 10), None if grid is None else parse_grid(grid))
-    text = table.to_csv()
-    summary = {"command": "sweep", "panel": panel, "axis": table.axis, "rows": len(table.rows)}
+    full, dev, axis, values = _panel_args(
+        panel, opts.get("n", 10), None if grid is None else parse_grid(grid)
+    )
+    text = _sweep_csv(full, dev, axis, values)
+    summary = {"command": "sweep", "panel": panel, "axis": axis, "rows": len(values) * full.n}
     if out:
         _atomic_write(out, text)
         summary["out"] = out

@@ -75,6 +75,15 @@ def config_list(value: Any, key: str) -> list | tuple:
     raise ConfigError(f"{key} must be a list, got {json.dumps(value, default=str)}")
 
 
+def config_rational(value: Any, key: str) -> Fraction:
+    """A rational config value: a string such as "1/4" or "0.51", or a JSON
+    number; anything else (null, a bool, a list, an object) is a ConfigError
+    that quotes the value as JSON."""
+    if isinstance(value, (str, int, float)) and not isinstance(value, bool):
+        return as_fraction(value)
+    raise ConfigError(f"{key} must be a rational number, got {json.dumps(value, default=str)}")
+
+
 def config_bool(value: Any, key: str) -> bool:
     """A boolean config value: a JSON true or false; anything else (a string,
     a number, null) is a ConfigError."""
@@ -178,7 +187,7 @@ def distribution_from_config(obj: Mapping[str, Any], n_hint: int | None = None) 
         if "grid" in obj:
             _require_keys(obj, {"grid", "pmf"})
             grid = config_list(obj["grid"], "grid")
-            rows = [[as_fraction(v) for v in config_list(g, "grid row")] for g in grid]
+            rows = [[config_rational(v, "grid value") for v in config_list(g, "grid row")] for g in grid]
             space = _checked_space(make_space(rows), n_hint)
             return JointDistribution(space, _grid_pmf(space, config_list(obj["pmf"], "pmf")))
         kind = obj.get("kind")
@@ -192,13 +201,15 @@ def distribution_from_config(obj: Mapping[str, Any], n_hint: int | None = None) 
             if listed and "n" in obj and len(q) != n:
                 raise ConfigError(f"independent generator lists {len(q)} q values for n = {n}")
             _checked_space(binary_space(len(q) if listed else n), n_hint)
-            return binary_independent([as_fraction(x) for x in q] if listed else [as_fraction(q)] * n)
+            qs = [config_rational(x, "q") for x in q] if listed else [config_rational(q, "q")] * n
+            return binary_independent(qs)
         if kind == "common_mixture":
             _require_keys(obj, {"kind", "p", "q_T", "q"}, {"n"})
             if n < 2:
                 raise ConfigError("common_mixture generator needs 'n'")
             _checked_space(binary_space(n), n_hint)
-            return common_mixture(n, as_fraction(obj["p"]), as_fraction(obj["q_T"]), as_fraction(obj["q"]))
+            p, q_team, q = (config_rational(obj[key], key) for key in ("p", "q_T", "q"))
+            return common_mixture(n, p, q_team, q)
     except ConfigError:
         raise
     except (ValueError, TypeError) as exc:
@@ -253,7 +264,7 @@ def _grid_pmf(space: OutcomeSpace, entries: list | tuple) -> tuple[Fraction, ...
             listed.add(index)
         if twice:
             raise ConfigError(f"pmf lists cell {','.join(frac_str(parsed[t]) for t in texts)} twice")
-        prob = as_fraction(prob)
+        prob = config_rational(prob, "pmf probability")
         if index is not None:
             probs[index] = prob
     if off_grid:
@@ -307,7 +318,7 @@ def effort_model_from_config(obj: Mapping[str, Any]) -> EffortModel:
     _require_keys(obj, {"n", "costs", "distributions"})
     try:
         n = config_int(obj["n"], "n")
-        costs = [as_fraction(c) for c in config_list(obj["costs"], "costs")]
+        costs = [config_rational(c, "cost") for c in config_list(obj["costs"], "costs")]
         table = {}
         for entry in config_list(obj["distributions"], "distributions"):
             _require_keys(entry, {"effort", "dist"})

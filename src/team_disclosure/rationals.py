@@ -63,5 +63,9 @@ _TWELVE_DIGITS = Context(prec=12)
 
 def decimal_str(value: Fraction | int) -> str:
     """Decimal rendering with 12 significant digits."""
-    num, den = value.as_integer_ratio()
+    return ratio_decimal_str(*value.as_integer_ratio())
+
+
+def ratio_decimal_str(num: int, den: int) -> str:
+    """``decimal_str`` of num/den (den > 0), without building the Fraction."""
     return str(_TWELVE_DIGITS.divide(Decimal(num), Decimal(den)))

@@ -3,15 +3,19 @@
 Runs ``sweep --panel a..d`` in a fresh interpreter each and compares every
 CSV's SHA-256 with the bytes recorded in ``perfbench/expected.json``, which it
 only reads. Then renders each panel's sweep (one per axis) at 40 and 80
-members and compares ``SweepTable.to_csv()`` with the per-row
-``decimal_str``/``frac_str`` loop of ``oracles.csv_by_decimal_str``, byte for
-byte. Needs no third-party package, so it runs on every supported Python:
+members and compares both ``SweepTable.to_csv()`` and the file that
+``sweep --panel P --n N`` writes from the kernel's integer pairs with the
+per-row ``decimal_str``/``frac_str`` loop of ``oracles.csv_by_decimal_str``,
+byte for byte. Needs no third-party package, so it runs on every supported
+Python:
 
     PYTHONPATH=src python tests/panel_smoke.py
 
 Exits 0 when every check matches, 1 otherwise.
 """
+import contextlib
 import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -19,6 +23,7 @@ import tempfile
 from pathlib import Path
 
 from oracles import csv_by_decimal_str
+from team_disclosure import cli
 from team_disclosure.binary_env import PANEL_GRIDS, panel_sweep
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -38,13 +43,25 @@ def main() -> int:
             ok = proc.returncode == 0 and digest == expected[panel]["sha256"]
             failed += not ok
             print(f"panel {panel}: {'ok' if ok else f'exit {proc.returncode}, sha256 {digest}'}")
-    for n in (40, 80):
-        for panel in sorted(PANEL_GRIDS):
-            table = panel_sweep(panel, n)
-            ok = table.to_csv() == csv_by_decimal_str(table)
-            failed += not ok
-            status = "ok" if ok else "to_csv differs from the reference rendering"
-            print(f"{table.axis} at n={n}, {len(table.rows)} rows: {status}")
+        for n in (40, 80):
+            for panel in sorted(PANEL_GRIDS):
+                table = panel_sweep(panel, n)
+                reference = csv_by_decimal_str(table)
+                out = Path(tmp) / f"panel-{panel}-{n}.csv"
+                argv = ["sweep", "--panel", panel, "--n", str(n), "--out", str(out)]
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = cli.main(argv)
+                differ = [
+                    name
+                    for name, text in (
+                        ("to_csv", table.to_csv()),
+                        ("the sweep command", out.read_text() if code == 0 else None),
+                    )
+                    if text != reference
+                ]
+                failed += bool(differ)
+                status = f"{' and '.join(differ)} differ from the reference rendering" if differ else "ok"
+                print(f"{table.axis} at n={n}, {len(table.rows)} rows: {status}")
     return 1 if failed else 0
 
 

@@ -370,29 +370,43 @@ class TestSweepTable:
 
     def test_grid_validation(self):
         full, dev = baseline_params(3)
-        with pytest.raises(BinaryEnvError):
-            sweep(full, dev, "p_dev", [F(0)])
+        for value in (F(0), F(1)):
+            with pytest.raises(BinaryEnvError, match=rf"^grid value {value} outside \(0,1\)$"):
+                sweep(full, dev, "p_dev", [F(1, 2), value])
         with pytest.raises(BinaryEnvError):
             sweep(full, dev, "not_an_axis", [F(1, 2)])
 
     def test_sweep_computes_the_full_effort_side_once(self, monkeypatch):
         # count kernel passes: a sweep over G points makes exactly one pass for
-        # the full-effort side plus one per deviation point, and nothing caches
-        passes = []
-        kernel = binary_env._terms
+        # the full-effort side plus one per deviation point. The deviation's
+        # q_other half is built once per sweep where q_other stays fixed, and
+        # at every point on the q_other axis; nothing else is shared
+        passes, halves = [], []
+        kernel, other_half = binary_env._terms, binary_env._other_half
 
-        def counted(params):
+        def counted(params, half=None):
             passes.append(params)
-            return kernel(params)
+            return kernel(params, half)
+
+        def counted_half(n, q_other):
+            halves.append(q_other)
+            return other_half(n, q_other)
 
         monkeypatch.setattr(binary_env, "_terms", counted)
+        monkeypatch.setattr(binary_env, "_other_half", counted_half)
         full, dev = baseline_params(12)
         grid = parse_grid("0.30:0.50:0.02")
         for axis in ("q_other_dev", "p_dev", "q_own_dev", "q_T_dev"):
-            passes.clear()
-            sweep(full, dev, axis, grid)
-            assert len(passes) == len(grid) + 1
-            assert passes.count(full) == 1
+            for run in (sweep, binary_env._sweep_csv):
+                passes.clear()
+                halves.clear()
+                run(full, dev, axis, grid)
+                assert len(passes) == len(grid) + 1
+                assert passes.count(full) == 1
+                if axis == "q_other_dev":
+                    assert halves == [full.q_other, *grid]
+                else:
+                    assert halves == [full.q_other, dev.q_other]
 
     def test_parse_grid_inclusive_exact(self):
         grid = parse_grid("0.30:0.50:0.02")
@@ -443,6 +457,38 @@ class TestCurveKernel:
         pf = (pd[0], pd[1], 5 * pd[2], 7 * pd[3])
         jf = (jd[0] + 1, jd[1], 5 * jd[2], 7 * jd[3] + 1)
         shift = F(1, 10)
-        gains, k_star = binary_env._curve(dev.mean_own + shift, (1, pf, jf), dev)
+        pairs, k_star = binary_env._curve(dev.mean_own + shift, (1, pf, jf), dev)
+        assert all(type(num) is int and type(den) is int and den > 0 for num, den in pairs)
+        gains = tuple(F(num, den) for num, den in pairs)
         assert gains == (shift - F(1, dd), shift, shift, shift - F(1, 7 * dd))
+        # k=2 and k=3 tie on unreduced numerators that differ
+        assert pairs[1] != pairs[2]
         assert k_star == 2
+
+    def test_terms_with_a_given_half_match_the_plain_pass(self):
+        # one q_other half, built once as a sweep off the q_other axis builds
+        # it, serves parameter sets that differ in p, q_team and q_own: each
+        # pass equals the plain one and the Fraction pass it replaced
+        rng = random.Random(89)
+        for n in range(2, 13):
+            q_other = F(rng.randint(1, 99), 100)
+            half = binary_env._other_half(n, q_other)
+            for _ in range(6):
+                params = replace(self.draw(rng, n), q_other=q_other)
+                scale, pnds, joints = binary_env._terms(params, half)
+                assert (scale, pnds, joints) == binary_env._terms(params)
+                expected = binary_terms_by_fractions(params)[:2]
+                assert (tuple(F(v, scale) for v in pnds), tuple(F(v, scale) for v in joints)) == expected
+
+    @pytest.mark.parametrize("axis", binary_env.SWEEP_AXES)
+    def test_csv_writer_matches_the_reference_rendering(self, axis):
+        # the CLI's writer, from the kernel's integer pairs, against the
+        # per-row decimal_str/frac_str rendering of the library sweep
+        rng = random.Random(f"writer/{axis}")
+        for n in (2, 10, 40):
+            full, dev = self.draw(rng, n), self.draw(rng, n)
+            grid = [F(rng.randint(1, 999), 1000) for _ in range(7)]
+            text = binary_env._sweep_csv(full, dev, axis, grid)
+            assert text == csv_by_decimal_str(sweep(full, dev, axis, grid))
+            assert text.count("\n") == 1 + len(grid) * n
+

@@ -290,6 +290,9 @@ class TestVerify:
             ({"profile": {"a": 1}, "posteriors": ["1/3", "1/3"]}, "'profile' must be a list of lists"),
             ({"profile": "0101", "posteriors": ["1/3", "1/3"]}, "'profile' must be a list of lists"),
             ({"profile": [["0", "1"], 1], "posteriors": ["1/3", "1/3"]}, "'profile' must be a list of lists"),
+            # a posterior that is no rational value is quoted as JSON
+            ({"profile": [["0", "1"], ["0", "1"]], "posteriors": ["1/3", None]}, "posterior must be a rational number, got null"),
+            ({"profile": [["0", {"a": 1}], ["0", "1"]], "posteriors": ["1/3", "1/3"]}, 'vote must be a rational number, got {"a": 1}'),
         ],
     )
     def test_verify_requires_lists(self, tmp_path, capsys, doc, message):
@@ -577,6 +580,64 @@ class TestListConfigValues:
         assert err.startswith(f"error: {key} must be a list, got ")
 
 
+
+class TestRationalConfigValues:
+    """A rational value in a config is a string or a JSON number; anything
+    else is one error line, exit 2, that quotes the value as JSON."""
+
+    PMF = [[f"{a},{b}", "1/4"] for a in "01" for b in "01"]
+
+    @staticmethod
+    def solve(capsys, dist):
+        argv = ["solve", "--protocol", "k_majority:2,2", "--dist", json.dumps(dist)]
+        assert main(argv) == 2
+        return one_error_line(capsys)
+
+    def test_grid_pmf_probability(self, capsys):
+        pmf = [*self.PMF[:3], ["1,1", None]]
+        err = self.solve(capsys, {"grid": [[0, 1], [0, 1]], "pmf": pmf})
+        assert err == "error: pmf probability must be a rational number, got null\n"
+
+    def test_grid_value(self, capsys):
+        err = self.solve(capsys, {"grid": [[0, None], [0, 1]], "pmf": self.PMF})
+        assert err == "error: grid value must be a rational number, got null\n"
+
+    @pytest.mark.parametrize("q", [{"a": 1}, [{"a": 1}, "1/2"]], ids=["scalar", "listed"])
+    def test_independent_q(self, capsys, q):
+        err = self.solve(capsys, {"kind": "independent", "n": 2, "q": q})
+        assert err == 'error: q must be a rational number, got {"a": 1}\n'
+
+    def test_common_mixture_p(self, capsys):
+        dist = {"kind": "common_mixture", "n": 2, "p": [1], "q_T": "1/2", "q": "1/2"}
+        assert self.solve(capsys, dist) == "error: p must be a rational number, got [1]\n"
+
+    @pytest.mark.parametrize(
+        "cfg, message",
+        [
+            ({"full": {"p": None}}, "full p must be a rational number, got null"),
+            ({"deviation": {"q_own": True}}, "deviation q_own must be a rational number, got true"),
+        ],
+    )
+    def test_optimal_k_parameters(self, tmp_path, capsys, cfg, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["optimal-k", "--n", "4", "--config", str(path)]) == 2
+        assert one_error_line(capsys) == f"error: {message}\n"
+
+    def test_effort_model_cost(self, tmp_path, capsys):
+        model = write_worked_model(tmp_path / "model.json")
+        doc = json.loads(model.read_text())
+        doc["costs"][1] = None
+        model.write_text(json.dumps(doc))
+        assert main(["gains", "--model", str(model), "--protocol", "k_majority:2,2"]) == 2
+        assert one_error_line(capsys) == "error: cost must be a rational number, got null\n"
+
+    def test_numbers_and_strings_stay_valid(self, capsys):
+        for q in (0.5, "1/2", "0.5", [0.5, "1/2"]):
+            argv = ["solve", "--protocol", "k_majority:2,2"]
+            assert main(argv + ["--dist", json.dumps({"kind": "independent", "n": 2, "q": q})]) == 0
+            capsys.readouterr()
+
 class TestStrictConfigFile:
     """A config file holds only keys that the command reads, and `refine`
     there is a JSON boolean; anything else is one error line and exit 2."""
@@ -725,6 +786,12 @@ class TestSweepAndOptimalK:
         assert main(argv + ["0.30:0.50:0.05"]) == 0
         assert main(argv + ["0.30:0.55:0.05"]) == 2
 
+    def test_grid_value_zero_rejected(self, capsys):
+        assert main(["sweep", "--panel", "b", "--grid", "0:0.5:0.25"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: grid value 0 outside (0,1)\n"
+
     def test_bad_grid_rejected(self):
         assert main(["sweep", "--panel", "b", "--grid", "0.9:0.1:0.1"]) == 2
         # 8 000 001 points: refused before any point is built
@@ -734,7 +801,7 @@ class TestSweepAndOptimalK:
         "grid, message",
         [
             ("0.3000000000000000000000000000000000000000000000001:" * 2 + "1", "denominator"),
-            ("0.01:1.00:0.01", "outside (0,1)"),
+            ("0.01:1.00:0.01", "grid value 1 outside (0,1)"),
         ],
         ids=["49-digit-value", "last-value-one"],
     )
