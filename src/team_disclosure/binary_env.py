@@ -78,21 +78,38 @@ def _mean_ratio(params: BinaryEnvParams) -> tuple[int, int]:
     return pn * tn * ib + (pb - pn) * in_ * tb, pb * tb * ib
 
 
-# ``_other_half``'s result: den**(n-1), then per k = 1..n the sequences s1, w,
-# S2 and c that ``_terms`` reads
-_Half = tuple[int, list[int], list[int], list[int], list[int]]
+class _Half(NamedTuple):
+    """The half of ``_terms`` that reads only n and q_other (``_other_half``):
+    the ``n`` and ``q_other`` it was built for, ``scale`` = den**(n-1), and
+    per k = 1..n, indexed by k-1, the sequences ``s1``, ``w``, ``s2`` and
+    ``c`` over that scale."""
+
+    n: int
+    q_other: Fraction
+    scale: int
+    s1: list[int]
+    w: list[int]
+    s2: list[int]
+    c: list[int]
 
 
 def _other_half(n: int, q_other: Fraction) -> _Half:
     """The half of ``_terms`` that reads only n and q_other = num/den.
 
-    Returns ``den**(n-1)`` and, indexed by k-1 for k = 1..n, four integer
-    sequences over that scale: ``s1``, the others' weight of at least n-k+1
-    low draws, and ``w``, of exactly n-k low draws (from the binomial weights
-    of the others' low count, built once), then the partner sum ``S2`` and
-    ``c = C(n-1, n-k) * num**(k-1)`` of ``_terms``' check. ``S2`` is carried
-    by its own recurrence ``S2(k) = (den-num) * (c(k-1) + S2(k-1))``,
-    ``S2(1) = 0``, not read from the weights, so the check costs O(1) per k.
+    A :class:`_Half` of ``den**(n-1)`` and, indexed by k-1 for k = 1..n,
+    four integer sequences over that scale: ``s1``, the others' weight of
+    at least n-k+1 low draws, and ``w``, of exactly n-k low draws (from the
+    binomial weights of the others' low count, built once), then the
+    partner sum ``S2`` and ``c = C(n-1, n-k) * num**(k-1)``. ``S2`` is
+    carried by its own recurrence ``S2(k) = (den-num) * (c(k-1) +
+    S2(k-1))``, ``S2(1) = 0``, not read from the weights.
+
+    Every k is checked against the inverted sum-of-three-terms form of
+    ``_terms``' closed forms, P/J = common/J + 1/q_own + (1-q_own)/q_own *
+    C(n-1, n-k) / s2 with s2 = S2 / num**(k-1). Cross-multiplied, the p,
+    q_team and q_own factors cancel, and what is left is the equality
+    ``w * S2 == c * s1`` of this half alone, checked here once per half; at
+    k = 1 both of its sides are 0.
     """
     num, den = q_other.as_integer_ratio()
     low = den - num
@@ -104,11 +121,14 @@ def _other_half(n: int, q_other: Fraction) -> _Half:
     # weights[m]: scaled P(exactly m of the n-1 others draw low)
     weights = list(map(mul, map(mul, binom, low_pows), reversed(num_pows)))
     s1 = [0, *accumulate(weights[:0:-1])]
+    w = weights[::-1]
     c = list(map(mul, binom, num_pows))  # C(n-1, n-k) = C(n-1, k-1)
     s2 = [0]
     for ck in c[:-1]:
         s2.append(low * (ck + s2[-1]))
-    return den ** (n - 1), s1, weights[::-1], s2, c
+    if list(map(mul, w, s2)) != list(map(mul, c, s1)):
+        raise AssertionError("closed-form disagreement in _other_half")
+    return _Half(n, q_other, den ** (n - 1), s1, w, s2, c)
 
 
 def _terms(
@@ -124,37 +144,32 @@ def _terms(
 
     The independent branch conceals when at least n-k+1 of the n-1 other
     members draw low, or exactly n-k do and the marked member draws low too.
-    Those weights come from ``half``, which must be
-    ``_other_half(params.n, params.q_other)`` and is built here when not given.
-
-    Every k is checked against the inverted sum-of-three-terms form,
-    P/J = common/J + 1/q_own + (1-q_own)/q_own * C(n-1, n-k) / s2, with
-    s2 = S2 / num**(k-1) (q_other = num/den), cross-multiplied into one
-    integer equality; at k = 1 both of its sides are 0.
+    Those weights come from ``half``, ``_other_half(params.n,
+    params.q_other)``, built here when not given; a half built for another
+    n or q_other is refused with ValueError. Its closed-form check ran when
+    it was built.
 
     A sweep along an axis other than q_other builds the deviation's ``half``
-    once and hands it to every grid point's pass; the check still runs at
-    every point. Nothing else is shared between passes.
+    once and hands it to every grid point's pass. Nothing else is shared
+    between passes.
     """
+    if half is None:
+        half = _other_half(params.n, params.q_other)
+    elif half.n != params.n or half.q_other != params.q_other:
+        raise ValueError(
+            f"a q_other half for n={half.n}, q_other={half.q_other} given to a pass "
+            f"at n={params.n}, q_other={params.q_other}"
+        )
     p, qt, qi = params.p, params.q_team, params.q_own
     pn, pb = p.numerator, p.denominator
     tn, tb = qt.numerator, qt.denominator
     in_, ib = qi.numerator, qi.denominator
-    scale, s1s, ws, s2s, cs = _other_half(params.n, params.q_other) if half is None else half
-    common = pn * (tb - tn) * ib * scale  # p(1-q_team) * D
+    common = pn * (tb - tn) * ib * half.scale  # p(1-q_team) * D
     indep = (pb - pn) * tb
     indep_all, indep_low, indep_high = indep * ib, indep * (ib - in_), indep * in_
-    common_own, own_low = common * in_, ib - in_
-    pnds, joints = [], []
-    for s1, w, s2, c in zip(s1s, ws, s2s, cs):
-        pnd = common + indep_all * s1 + indep_low * w
-        joint = indep_high * s1
-        # pnd*in_*s2 == common*in_*s2 + ib*joint*s2 + (ib-in_)*c*joint
-        if (pnd * in_ - common_own - ib * joint) * s2 != own_low * c * joint:
-            raise AssertionError("closed-form disagreement in _terms")
-        pnds.append(pnd)
-        joints.append(joint)
-    return pb * tb * ib * scale, tuple(pnds), tuple(joints)
+    pnds = tuple(common + indep_all * s1 + indep_low * w for s1, w in zip(half.s1, half.w))
+    joints = tuple(indep_high * s1 for s1 in half.s1)
+    return pb * tb * ib * half.scale, pnds, joints
 
 
 def closed_forms(

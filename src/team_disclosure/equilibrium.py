@@ -17,15 +17,19 @@ corner sign masks (:class:`_SearchContext`): integer bitmasks over the pure
 cut combinations. Under a pure combination the team conceals exactly the
 cells whose vote mask loses, so a combination's concealed mass and value
 sums are a sum of per-vote-mask tables over the protocol's losing masks
-(:func:`_build_context`). Everything that does not depend on the protocol
-is one search state per distribution (:class:`_SearchState`), built the
-first time the distribution is searched: the vote tables, the
-combinations' slab masks and strides, a memo that unpacks and sign-codes
-each distinct sum once, and the verified full-disclosure entry, which is
-the same under every protocol. So a protocol only adds up its losing
-masks' tables and ORs each sum's combinations into the masks its memoised
-sign code names (:func:`_search_context`); a solver reads its box
-corners' entries back from the memo by key (:meth:`_SearchContext.corners`).
+(:func:`_build_context`). The tables are broadword ints: one int per vote
+mask holds every field of every combination in a slot of its own, each
+member's grid shifted to start at 0 so that no slot is negative and no sum
+carries into the next slot. Everything that does not depend on the
+protocol is one search state per distribution (:class:`_SearchState`), a
+fixed set of ints built the first time the distribution is searched: the
+vote tables, the combinations' slab masks, and the verified
+full-disclosure entry, which is the same under every protocol. So a
+protocol adds up its losing masks' tables and signs every combination at
+once, a few big-int operations per member and grid value
+(:func:`_search_context`); a solver reads its box corners' entries back
+from that sum (:meth:`_SearchContext.corners`), and a candidate's
+posterior comes from the same corner entries (:func:`_corner_posterior`).
 
 The masks reject, without solving, every configuration with no solution that
 a sign test at the corners of its weight box can see (:func:`_cut_configs`).
@@ -41,8 +45,10 @@ corners change nothing. The screen walks the members depth first and drops
 a prefix as soon as its zero set fails, since adding members only shrinks
 the zero set.
 
-Each configuration yields checked weights, is proven infeasible, or is
-noted unresolved in the search notes; nothing is approximated. The search
+A configuration with no atom is one combination, where the screen has
+already checked W > 0 and every gap bound, so it is taken without a solver.
+Each other configuration yields checked weights, is proven infeasible, or
+is noted unresolved in the search notes; nothing is approximated. The search
 is not yet exhaustive at four members: a configuration is unresolved when
 its only solutions have irrational weights, when its equations do not
 reduce to one free weight, or when it has three or more free weights and a
@@ -97,7 +103,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, chain, combinations, compress, product
 from math import prod
-from operator import add, and_, attrgetter, or_, sub
+from operator import and_, attrgetter, mul, not_, or_
 from typing import Iterator, NamedTuple, Sequence
 
 from . import _poly
@@ -107,7 +113,6 @@ from .outcomes import (
     OutcomeSpace,
     _chunk_sum,
     _chunks,
-    _combo_slabs,
     _pack,
     _subset_sums,
     _subset_table,
@@ -483,175 +488,197 @@ class Equilibrium:
 # ---------------------------------------------------------------------------
 
 
-def _sign_code(grid_ints: Sequence[Sequence[int]], w: int, s: Sequence[int]) -> tuple[int, ...]:
-    """The slots of :func:`_search_context`'s flat mask list that a (W, S)
-    entry with W >= 0 sets.
+def _first_row(step: int, size: int, stride: int, slots: int) -> int:
+    """The int of ``slots`` slots, ``step`` bytes each, lowest slot first,
+    read as periods of ``size`` rows of ``stride`` slots: all ones in the
+    first row of every period and 0 elsewhere. Row r is this int shifted up
+    by r rows."""
+    period = b"\xff" * (step * stride) + bytes(step * stride * (size - 1))
+    return int.from_bytes(period * (slots // (size * stride)), "little")
 
-    Member i's grid is increasing, so S_i - x*W never rises along it: it is
-    > 0 at the first lo_i positions, 0 at the next hi_i - lo_i (at most one)
-    and < 0 from position hi_i on. Slot 0 is ``w_pos``. Then each member has
-    a block of 2*len(grid_i) slots: slot lo_i - 1 of its first half when
-    lo_i > 0, and slot hi_i of its second half when hi_i < len(grid_i). So
-    one slot per member names every ``above[i][p]`` and one every
-    ``below[i][p]`` that the entry sets. An entry with W = 0 conceals no
-    cell of a full-support distribution, so every S_i is 0 and it sets none.
+
+def _slot_masks(sizes: Sequence[int], strides: Sequence[int], step: int) -> tuple[int, list[list[int]]]:
+    """``top``, the top bit of the slot of every pure cut combination, and
+    ``slabs[i][c]``, that bit of the combinations with c_i = c, for cut
+    ranges of ``sizes`` in ``product`` order and member strides ``strides``."""
+    count = prod(sizes)
+    top = int.from_bytes((bytes(step - 1) + b"\x80") * count, "little")
+    slabs = []
+    for size, stride in zip(sizes, strides):
+        first = _first_row(step, size, stride, count) & top
+        slabs.append([first << 8 * step * stride * c for c in range(size)])
+    return top, slabs
+
+
+def _vote_tables(
+    columns: Sequence[Sequence[int]], cells: Sequence[int], sizes: Sequence[int], strides: Sequence[int], step: int
+) -> list[int]:
+    """The search state's vote tables (:class:`_SearchState`), one int per
+    vote mask. ``columns`` holds one entry >= 0 per field and cell, and
+    ``cells`` each cell's combination index, its positions taken as cuts
+    (c_i = p_i). The cells are placed once, then summed one member axis at
+    a time, last member first, into the rows before each cut (``below``)
+    and from it on (``above``), so table m holds the sums over the cells
+    where exactly the members in the vote mask m vote 1. ``below`` adds the
+    table shifted up by s = 1..len(grid_i) rows, each under a mask of the
+    rows that stay on the axis; its last row is the axis total, which
+    ``above`` spreads over every row less ``below``. Every slot holds a sum
+    of entries over a set of cells, so none overflows or borrows.
     """
-    if not w:
-        return ()
-    code = [0]
-    at = 1
-    for xs, si in zip(grid_ints, s):
-        size = len(xs)
-        # x*W < S_i exactly when x < ceil(S_i/W), and x*W <= S_i when x <= floor(S_i/W)
-        lo, hi = bisect_left(xs, -(-si // w)), bisect_right(xs, si // w)
-        if lo:
-            code.append(at + lo - 1)
-        if hi < size:
-            code.append(at + size + hi)
-        at += 2 * size
-    return tuple(code)
-
-
-def _axis_sums(table: Sequence[int], size: int, inner: int) -> tuple[list[int], list[int]]:
-    """Running sums along one axis of a table laid out in ``product`` order:
-    ``table`` holds blocks of ``size`` rows of ``inner`` entries each. Returns
-    ``below`` and ``above``, each with ``size + 1`` rows per block, where row
-    c of a block sums its rows before c and from c on."""
-    below, above = [], []
-    step = size * inner
-    zero = [0] * inner
-    for start in range(0, len(table), step):
-        runs = [zero]
-        for at in range(start, start + step, inner):
-            runs.append(list(map(add, runs[-1], table[at:at + inner])))
-        total = runs[-1]
-        for run in runs:
-            below += run
-            above += map(sub, total, run)
-    return below, above
+    count = prod(sizes)
+    slots = [bytes(step)] * (len(columns) * count)
+    for f, column in enumerate(columns):
+        at = f * count
+        for b, entry in zip(cells, column):
+            slots[at + b] = entry.to_bytes(step, "little")
+    tables = [int.from_bytes(b"".join(slots), "little")]
+    for size, stride in zip(reversed(sizes), reversed(strides)):
+        shift = 8 * step * stride
+        first = _first_row(step, size, stride, len(slots))
+        rows = [first << r * shift for r in range(size)]
+        keeps = list(accumulate(rows, or_))  # keeps[r]: rows 0..r
+        split = []
+        for table in tables:
+            below = sum([(table & keeps[size - 1 - s]) << s * shift for s in range(1, size)])
+            line = below & rows[-1]
+            total = sum([line >> r * shift for r in range(size)])
+            split += (below, total - below)
+        tables = split
+    return tables
 
 
 class _SearchState:
     """The equilibrium search's state for one distribution, built the first
     time it is searched (``JointDistribution._search``) and shared by every
-    protocol searched on it.
+    protocol searched on it: a fixed set of ints, none of which depends on
+    the protocol.
 
-    Under the pure cut combination b (member i votes to disclose from grid
-    position c_i on, c_i in 0..len(grid_i), combinations in ``product``
-    order), ``tables[m][b]`` is the :func:`.outcomes._pack` sum, fields
-    ``width`` bits wide, over the cells where exactly the members in the
-    vote mask m (bit i for member i) vote 1, of the scaled weight in field 0
-    and member i's weighted scaled value in field i+1. Those cells form a
-    box (positions from c_i on for the members in m, below c_i for the
-    others), so each mask's table is a summed-area table, built one member
-    axis at a time, last member first (:func:`_axis_sums`). No table
-    depends on the protocol.
+    The pure cut combinations (member i votes to disclose from grid position
+    c_i on, c_i in 0..len(grid_i)) are taken in ``product`` order, ``count``
+    of them, with ``strides[i]`` member i's stride. Each is a slot of
+    ``step`` bytes in a broadword int, combination b's slot starting at bit
+    8*step*b. ``tables[m]`` holds, per combination, the sums over the cells
+    where exactly the members in the vote mask m (bit i for member i) vote
+    1 (:func:`_vote_tables`): field 0 (slots 0..count-1) the scaled weight W,
+    field i+1 member i's weighted scaled value S_i with their grid shifted
+    by ``lows[i]``, its minimum, to start at 0. Every slot is then >= 0, and
+    S_i - x*W is unchanged when x is shifted too. ``step`` is the fewest
+    whole bytes with 2**(8*step - 1) above the largest grid spread (at least
+    1) times the total weight, which bounds every slot and every
+    S_i - x*W (:func:`_search_context`).
 
-    ``slabs[i][c]`` holds the combinations with c_i = c, bit b for the b-th,
-    and ``strides[i]`` is member i's stride in their order. ``memo`` maps
-    each packed (W, S) sum read so far, under any protocol, to its unpacked
-    entry and :func:`_sign_code`. ``full_disclosure`` is the verified
-    full-disclosure entry (:func:`_full_disclosure`).
+    ``top`` holds the top bit of every combination's slot and
+    ``slabs[i][c]`` that bit of the combinations with c_i = c; the sign
+    masks of a context are ints of the same slot bits. ``full_disclosure``
+    is the verified full-disclosure entry (:func:`_full_disclosure`).
     """
 
     def __init__(self, dist: JointDistribution) -> None:
         scaled = dist._scaled
         self.grid_ints = scaled.grid_ints
+        self.lows = [g[0] for g in self.grid_ints]
         sizes = [len(g) + 1 for g in self.grid_ints]
-        self.slabs = _combo_slabs(sizes, tuple(zip(*product(*map(range, sizes)))))
         self.strides = [prod(sizes[i + 1:]) for i in range(len(sizes))]
-        packed, self.width = _pack([scaled.weights, *scaled.values])
-        tables = [packed]
-        inner = 1
-        for size in reversed(sizes):
-            tables = [half for table in tables for half in _axis_sums(table, size - 1, inner)]
-            inner *= size
-        self.tables = tables
-        self.memo: dict[int, tuple[tuple[int, tuple[int, ...]], tuple[int, ...]]] = {}
+        self.count = prod(sizes)
+        bound = max([1, *(g[-1] - g[0] for g in self.grid_ints)]) * scaled.den
+        self.step = bound.bit_length() // 8 + 1  # the fewest bytes with 2**(8*step - 1) > bound
+        self.top, self.slabs = _slot_masks(sizes, self.strides, self.step)
+        columns = [scaled.weights]
+        columns += [[v - lo * w for v, w in zip(vs, scaled.weights)] for vs, lo in zip(scaled.values, self.lows)]
+        cells = [sum(map(mul, at, self.strides)) for at in zip(*dist.space.positions)]
+        self.tables = _vote_tables(columns, cells, sizes, self.strides, self.step)
         self.full_disclosure = _full_disclosure(dist)
 
 
 class _SearchContext(NamedTuple):
     """One protocol's sign masks of the pure cut combinations of a search
-    state, read from their packed sums (:func:`_search_context`).
+    state, and the (W, S) sums they were read from (:func:`_search_context`).
 
-    ``keys`` holds, in the combinations' order, each one's W and S_i packed
-    into one int (fields ``state.width`` bits wide), equal for combinations
-    with equal entries. The masks are ints over the combinations, bit b
-    standing for the b-th: ``w_pos`` holds those with W > 0, and
-    ``above[i][p]`` (``below[i][p]``) those with S_i - x_p*W > 0 (< 0) for
-    member i's grid value x_p. Every W is >= 0, as concealed mass is, and a
-    combination with W = 0 conceals no cell of a full-support distribution,
-    so its sums are 0 and ``above`` and ``below`` lie inside ``w_pos``.
+    ``sums`` is the protocol's sum of vote tables as bytes, in the state's
+    slots. The masks are ints of the state's slot top bits, one per
+    combination: ``w_pos`` holds those with W > 0, and ``above[i][p]``
+    (``below[i][p]``) those with S_i - x_p*W > 0 (< 0) for member i's grid
+    value x_p. Every W is >= 0, as concealed mass is, and a combination with
+    W = 0 conceals no cell of a full-support distribution, so its sums are 0
+    and ``above`` and ``below`` lie inside ``w_pos``.
     """
 
     state: _SearchState
-    keys: Sequence[int]
+    sums: bytes
     w_pos: int
     above: list[list[int]]
     below: list[list[int]]
 
     def corners(self, config: tuple[tuple[str, int], ...]) -> list[tuple[int, tuple[int, ...]]]:
         """The (W, S) entries at the corners of a configuration's atom box,
-        in ``product((0, 1))`` order of the atom weights, read from the memo
-        by key. Weight 0 behaves like cutting above the atom, weight 1 like
-        cutting at it, one grid position lower; each combination's index in
-        ``keys`` comes from the state's strides."""
-        strides = self.state.strides
+        in ``product((0, 1))`` order of the atom weights, read from
+        ``sums`` with each S_i's grid shift undone. Weight 0 behaves like
+        cutting above the atom, weight 1 like cutting at it, one grid
+        position lower; each combination's index comes from the state's
+        strides."""
+        state = self.state
+        step, strides, lows = state.step, state.strides, state.lows
         corners = [sum((pos + (kind == "atom")) * s for (kind, pos), s in zip(config, strides))]
         for (kind, _), stride in zip(config, strides):
             if kind == "atom":
                 corners = [c for corner in corners for c in (corner, corner - stride)]
-        memo = self.state.memo
-        return [memo[self.keys[c]][0] for c in corners]
+        field = state.count * step
+        sums = self.sums
+        box = []
+        for c in corners:
+            at = c * step
+            w = int.from_bytes(sums[at:at + step], "little")
+            s = []
+            for lo in lows:
+                at += field
+                s.append(int.from_bytes(sums[at:at + step], "little") + lo * w)
+            box.append((w, tuple(s)))
+        return box
 
 
-def _search_context(state: _SearchState, keys: Sequence[int]) -> _SearchContext:
-    """The sign masks of the combinations whose packed sums are ``keys``.
+def _search_context(state: _SearchState, total: int) -> _SearchContext:
+    """The sign masks of the combinations whose (W, S) sums ``total`` holds,
+    in the state's slots.
 
-    A key the state's memo lacks is unpacked and added with its sign code.
-    Combinations are grouped by key and each group is ORed into the slots
-    its sign code names, one per member for ``above`` and one for
-    ``below``, so the sign test runs once per key the memo has not met.
-    ``above[i][p]`` is then the OR of member i's ``above`` slots from p on,
-    and ``below[i][p]`` that of its ``below`` slots up to p. Reads the
-    state's ``grid_ints``, ``width`` and ``memo`` only.
+    With L = 8*state.step, every slot of W and of each shifted S_i lies in
+    [0, 2**(L-1)), and so does x*W for a shifted grid value x, so each
+    D = S_i - x*W lies strictly inside +-2**(L-1). One small-int multiply
+    and one subtraction give D + bias in every slot at once, with no borrow
+    across slots: with bias 2**(L-1) - 1 the slot's top bit is set exactly
+    when D > 0, that is ``above``; with bias 2**(L-1) it is clear exactly
+    when D < 0, that is ``below``. ``w_pos`` is W's ``above``. Reads the
+    state's ``grid_ints``, ``lows``, ``count``, ``step`` and ``top`` only.
     """
-    grid_ints = state.grid_ints
-    memo = state.memo
-    fields = len(grid_ints) + 1
-    groups = dict.fromkeys(keys, 0)  # key -> the combinations that hold it
-    bit = 1
-    for key in keys:
-        groups[key] |= bit
-        bit <<= 1
-    slots = [0] * (1 + 2 * sum(map(len, grid_ints)))
-    for key, bits in groups.items():
-        found = memo.get(key)
-        if found is None:
-            w, *s = _unpack(key, fields, state.width)
-            found = memo[key] = ((w, tuple(s)), _sign_code(grid_ints, w, s))
-        for m in found[1]:
-            slots[m] |= bits
+    step = state.step
+    bits = 8 * step * state.count
+    field = (1 << bits) - 1
+    top = state.top
+    edge = 1 << (8 * step - 1)
+    bias = (edge - 1) * (top >> (8 * step - 1))  # 2**(L-1) - 1 in every slot; top holds 2**(L-1)
+    w = total & field
     above, below = [], []
-    at = 1
-    for xs in grid_ints:
-        size = len(xs)
-        above.append(list(accumulate(reversed(slots[at:at + size]), or_))[::-1])
-        below.append(list(accumulate(slots[at + size:at + 2 * size], or_)))
-        at += 2 * size
-    return _SearchContext(state, keys, slots[0], above, below)
+    for i, (xs, lo) in enumerate(zip(state.grid_ints, state.lows), 1):
+        s = total >> (i * bits) & field
+        up, down = s + bias, s + top
+        member_above, member_below = [], []
+        for x in xs:
+            xw = (x - lo) * w
+            member_above.append(up - xw & top)
+            member_below.append(~(down - xw) & top)
+        above.append(member_above)
+        below.append(member_below)
+    sums = total.to_bytes((len(state.lows) + 1) * state.count * step, "little")
+    return _SearchContext(state, sums, w + bias & top, above, below)
 
 
 def _build_context(dist: JointDistribution, protocol: DeliberationProtocol) -> _SearchContext:
     """The search context of a protocol on a distribution: under a pure cut
     combination the team conceals exactly the cells whose vote mask loses,
-    so the combination's packed W and S_i are the sum of the vote tables of
-    the distribution's state (``dist._search``) over the protocol's losing
-    masks. Mask 0 always loses, so that sum is never empty."""
+    so the protocol's (W, S) sums are the sum of the vote tables of the
+    distribution's state (``dist._search``) over its losing masks. Mask 0
+    always loses, so that sum is never empty."""
     state = dist._search
-    losing = [table for table, wins in zip(state.tables, protocol._winning_table) if not wins]
-    return _search_context(state, list(map(sum, zip(*losing))))
+    return _search_context(state, sum(compress(state.tables, map(not_, protocol._winning_table))))
 
 
 def _zero_set(z: int, equations: Sequence[tuple[int, int]]) -> int:
@@ -1022,6 +1049,21 @@ class _AtomSolver:
         )
 
 
+def _corner_posterior(
+    box: list[tuple[int, tuple[int, ...]]], weights: dict[int, Fraction], scales: Sequence[int]
+) -> tuple[Fraction, ...]:
+    """The no-disclosure posterior of a solved configuration, from its atom
+    box's corner entries (:meth:`_SearchContext.corners`): W and each S_i
+    are multilinear in the atom weights, so each is one :func:`._poly.dot`
+    of its corner values with the weights' :func:`._poly.point`, both scaled
+    alike, and member i's posterior is S_i / (W * scales[i]). W > 0 there:
+    :meth:`_AtomSolver.feasible` requires it, and a configuration with no
+    atom is one combination the screen took from ``w_pos``."""
+    at = _poly.point(tuple(sorted(weights)), weights)
+    mass = _poly.dot(at, [w for w, _ in box])
+    return tuple(Fraction(_poly.dot(at, [s[i] for _, s in box]), mass * k) for i, k in enumerate(scales))
+
+
 def _full_disclosure(dist: JointDistribution) -> Equilibrium:
     """The search's full-disclosure entry: the always-disclose profile,
     supported by skeptical off-path beliefs (every member's posterior at
@@ -1093,13 +1135,20 @@ def find_equilibria_report(
         ((1, 1),) * len(space.cells): ctx.state.full_disclosure
     }
 
+    scales = dist._scaled.scales
     for config in _cut_configs(ctx):
-        solver = _AtomSolver(ctx.state.grid_ints, config, ctx.corners(config))
-        weights = solver.solve()
-        if weights is None:
-            if solver.unresolved:
-                notes.append(f"a {len(solver.atoms)}-atom configuration was left unresolved")
-            continue
+        box = ctx.corners(config)
+        if len(box) == 1:
+            # no atom: the screen has proven W > 0 and both bounds of every
+            # gap member at the configuration's one combination
+            weights = {}
+        else:
+            solver = _AtomSolver(ctx.state.grid_ints, config, box)
+            weights = solver.solve()
+            if weights is None:
+                if solver.unresolved:
+                    notes.append(f"a {len(solver.atoms)}-atom configuration was left unresolved")
+                continue
         profile, cuts = _profile_from_config(space, config, weights)
         rule = team_rule(profile, protocol)
         # ZERO and ONE, most of a rule's values, are read by identity
@@ -1108,10 +1157,7 @@ def find_equilibria_report(
         )
         if key in results:
             continue
-        try:
-            post = posterior_no_disclosure(dist, rule)
-        except OffPathPosterior:
-            continue
+        post = _corner_posterior(box, weights, scales)
         ver = _verify(profile, post, post, dist, protocol)
         if not ver.ok:
             notes.append(f"candidate configuration {config} failed verification")

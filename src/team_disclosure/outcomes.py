@@ -11,12 +11,12 @@ the upper sets of the product grid. The no-disclosure posterior is read off
 integer concealment sums over the pmf and grids scaled to common
 denominators.
 
-Two integer kernels serve the equilibrium search and the belief refinement:
-the packed sum, where :func:`_pack` writes several signed columns into one
-int per cell, a field each, and :func:`_unpack` reads the fields back from
-any sum of those ints; and the subset sum, where :func:`_subset_sums` tables
-of ``CHUNK_CELLS`` cells each give the sum over any cell set. Each member's
-row-to-cells table (``OutcomeSpace._row_cells``) is a subset-sum table too.
+Two integer kernels serve the belief refinement: the packed sum, where
+:func:`_pack` writes several signed columns into one int per cell, a field
+each, and :func:`_unpack` reads the fields back from any sum of those ints;
+and the subset sum, where :func:`_subset_sums` tables of ``CHUNK_CELLS``
+cells each give the sum over any cell set. Each member's row-to-cells table
+(``OutcomeSpace._row_cells``) is a subset-sum table too.
 The equilibrium search keeps its state for a distribution behind one lazy
 hook, ``JointDistribution._search``.
 """

@@ -1,8 +1,9 @@
 """Mutation probe: do the tests notice a wrong comparison in a kernel?
 
 Each mutant flips one operator in the named functions of one module of the
-package: a comparison (``<``/``<=``, ``>``/``>=``, ``==``/``!=``) or a
-boolean ``and``/``or``. The package, tests and all, is copied into a
+package: a comparison (``<``/``<=``, ``>``/``>=``, ``==``/``!=``), a
+boolean ``and``/``or``, or the ``+``/``-`` of an addition or subtraction
+whose right operand is the constant 1 (``x + 1``/``x - 1``). The package, tests and all, is copied into a
 temporary directory once; each mutant is written into that copy, never into
 the checkout, and the named tests run against it with ``-x``. A mutant that
 the tests let pass survives; one that fails them, or runs past ``TIMEOUT_S``
@@ -17,8 +18,8 @@ full run of the named tests. Usage::
         --seed 0 --count 20 --tests "tests/test_atom_solver.py tests/test_kernels.py"
 
 A name is a top-level function, a class (each of its methods) or
-``Class.method``. ``--site TEXT`` keeps only the sites whose comparison or
-``and``/``or`` unparses to TEXT, e.g. ``--site "beta < 0"``. With no
+``Class.method``. ``--site TEXT`` keeps only the sites whose comparison,
+``and``/``or`` or ``+ 1``/``- 1`` unparses to TEXT, e.g. ``--site "beta < 0"``. With no
 ``--count`` every kept site is tried, in source order; otherwise ``--count``
 of them are drawn with ``random.Random(seed)``. Prints
 ``killed k/n`` and one line per survivor; exits 1 when a survivor is not
@@ -49,6 +50,8 @@ FLIP = {
     ast.NotEq: ast.Eq,
     ast.And: ast.Or,
     ast.Or: ast.And,
+    ast.Add: ast.Sub,
+    ast.Sub: ast.Add,
 }
 
 # (function, original, mutant) -> why the mutant computes the same thing
@@ -76,6 +79,17 @@ def functions(tree: ast.Module, names: list[str]):
                         yield qualname, item
 
 
+def _plus_minus_one(node: ast.AST) -> bool:
+    """Whether the node is ``x + 1`` or ``x - 1``, the constant on the right."""
+    return (
+        isinstance(node, ast.BinOp)
+        and type(node.op) in (ast.Add, ast.Sub)
+        and isinstance(node.right, ast.Constant)
+        and type(node.right.value) is int
+        and node.right.value == 1
+    )
+
+
 def sites(tree: ast.Module, names: list[str]):
     """(function, node, operator index) for every flippable operator, in
     source order."""
@@ -84,7 +98,7 @@ def sites(tree: ast.Module, names: list[str]):
         for node in ast.walk(func):
             if isinstance(node, ast.Compare):
                 out += [(qualname, node, i) for i, op in enumerate(node.ops) if type(op) in FLIP]
-            elif isinstance(node, ast.BoolOp):
+            elif isinstance(node, ast.BoolOp) or _plus_minus_one(node):
                 out.append((qualname, node, None))
     return sorted(out, key=lambda site: (site[1].lineno, site[1].col_offset, site[2] or 0))
 
@@ -134,7 +148,7 @@ def main(argv=None) -> int:
     found = sites(ast.parse(source), args.functions)
     total = len(found)
     if not total:
-        parser.error(f"no comparison or and/or in {args.functions} of {path}")
+        parser.error(f"no comparison, and/or or +/- 1 in {args.functions} of {path}")
     chosen = [k for k, (_, node, _) in enumerate(found) if args.site in (None, ast.unparse(node))]
     if not chosen:
         parser.error(f"no site {args.site!r} in {args.functions} of {path}")

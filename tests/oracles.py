@@ -734,19 +734,38 @@ def atom_grid_scan(corners, grids, config, steps=12):
 # ---------------------------------------------------------------------------
 
 
+def slot_entry(table, b, state):
+    """The (W, S) entry of combination b of a broadword int in a search
+    state's slots (``equilibrium._SearchState``), read slot by slot: field f
+    of combination b in slot f*count + b, each S_i's grid shift undone."""
+    bits = 8 * state.step
+    slot = (1 << bits) - 1
+    w, *s = (table >> bits * (f * state.count + b) & slot for f in range(len(state.lows) + 1))
+    return w, tuple(v + lo * w for v, lo in zip(s, state.lows))
+
+
 def context_entries(ctx):
     """The (W, S) entry of every combination of a search context, in
-    ``product`` order of the cut ranges: its key's entry in the state's
-    memo, as ``_SearchContext.corners`` reads it for the solver."""
-    return [ctx.state.memo[key][0] for key in ctx.keys]
+    ``product`` order of the cut ranges, read from its sums as
+    ``_SearchContext.corners`` reads them for the solver."""
+    total = int.from_bytes(ctx.sums, "little")
+    return [slot_entry(total, b, ctx.state) for b in range(ctx.state.count)]
+
+
+def dense_mask(mask, state):
+    """A mask of a search state's slot top bits as a plain combination mask,
+    bit b for the combination in slot b; it must hold no other bit."""
+    assert mask & ~state.top == 0
+    bits = 8 * state.step
+    return sum(1 << b for b in range(state.count) if mask >> (bits * b + bits - 1) & 1)
 
 
 def search_masks_by_combo(ctx):
-    """``(w_pos, above, below, slabs)`` of a search context, one combination
-    at a time: the slow twin of ``_search_context``, which runs its sign
-    loop once per distinct packed sum per distribution, and of the search
-    state's slabs. Bit b stands for the b-th combination in
-    ``product`` order of the cut ranges, whose entry is
+    """``(w_pos, above, below, slabs)`` of a search context as plain
+    combination masks, one combination at a time: the slow twin of
+    ``_search_context``, which signs every combination at once in its slots,
+    and of the search state's slabs. Bit b stands for the b-th combination
+    in ``product`` order of the cut ranges, whose entry is
     ``context_entries(ctx)[b]``."""
     grid_ints = ctx.state.grid_ints
     w_pos = 0
@@ -766,11 +785,19 @@ def search_masks_by_combo(ctx):
                     above[i][p] |= bit
                 elif d < 0:
                     below[i][p] |= bit
-    return w_pos, above, below, tuple(map(tuple, slabs))
+    return w_pos, above, below, slabs
 
 
 def assert_masks_match(ctx):
-    assert (ctx.w_pos, ctx.above, ctx.below, ctx.state.slabs) == search_masks_by_combo(ctx)
+    """A search context's masks, through the slot-to-dense map, equal
+    :func:`search_masks_by_combo`."""
+    state = ctx.state
+
+    def dense(masks):
+        return [[dense_mask(m, state) for m in row] for row in masks]
+
+    got = (dense_mask(ctx.w_pos, state), dense(ctx.above), dense(ctx.below), dense(state.slabs))
+    assert got == search_masks_by_combo(ctx)
 
 
 def unscreened_configs(ctx):
@@ -782,6 +809,23 @@ def unscreened_configs(ctx):
         opts += [("atom", p) for p in range(len(g))]
         member_options.append(opts)
     return list(product(*member_options))
+
+
+def unscreened_search_configs(ctx):
+    """:func:`unscreened_configs` as a stand-in for ``_cut_configs`` when a
+    test runs the search with no screen: every configuration with an atom,
+    and those with none where the atom solver finds its one combination
+    feasible. The search takes a configuration with no atom without the
+    solver, because the screen has proven it; with the screen swapped out,
+    the solver proves it instead."""
+    from team_disclosure.equilibrium import _AtomSolver
+
+    return [
+        config
+        for config in unscreened_configs(ctx)
+        if any(kind == "atom" for kind, _ in config)
+        or _AtomSolver(ctx.state.grid_ints, config, ctx.corners(config)).solve() is not None
+    ]
 
 
 def screened_configs_by_product(ctx, zero_set=True):

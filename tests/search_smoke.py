@@ -2,13 +2,14 @@
 
 Runs ``find_equilibria_report`` on the seeded instances of
 :func:`pinned_searches` and compares one SHA-256 over their solve documents
-with ``DIGEST``. The search reads its concealment sums from integer tables
-with several fields packed into one int, so this checks those fields on
-every supported Python. It then searches each shared distribution's
-protocols again in reverse order, on a fresh copy of the distribution, and
-requires every solve document to equal its forward-order one. Last, it
-compares the search's per-vote-mask tables with a plain per-cell loop on
-the cap's extreme grid shapes. Needs no third-party package:
+with ``DIGEST``. The search reads its concealment sums and sign masks from
+broadword ints, one slot per pure cut combination and field, built through
+``int.to_bytes`` and ``int.from_bytes``, so this checks them on every
+supported Python. It then searches each shared distribution's protocols
+again in reverse order, on a fresh copy of the distribution, and requires
+every solve document to equal its forward-order one. Last, it compares the
+search's per-vote-mask tables with a plain per-cell loop on the cap's
+extreme grid shapes. Needs no third-party package:
 
     PYTHONPATH=src python tests/search_smoke.py
 
@@ -25,7 +26,7 @@ from itertools import product
 from team_disclosure.audit import random_distribution
 from team_disclosure.configio import equilibrium_to_config
 from team_disclosure.equilibrium import find_equilibria_report
-from team_disclosure.outcomes import JointDistribution, _unpack, independent, make_space
+from team_disclosure.outcomes import JointDistribution, independent, make_space
 from team_disclosure.protocols import all_protocols, make_k_majority, make_protocol
 
 F = Fraction
@@ -94,9 +95,9 @@ def search_digest(documents=None) -> str:
 def reverse_order_mismatches(searched) -> list[str]:
     """The instances of ``searched``, (distribution, protocol, forward-order
     solve document) triples, whose document changes when each distribution's
-    protocols are searched in reverse order on a fresh copy of it. The
-    search keeps a memo on each distribution object, so this checks that
-    the memo's fill order does not reach the output."""
+    protocols are searched in reverse order on a fresh copy of it. Every
+    protocol searched on a distribution object shares its search state, so
+    this checks that the order of the searches does not reach the output."""
     shared = {}  # id(distribution) -> (distribution, [(protocol, document)])
     for dist, proto, doc in searched:
         shared.setdefault(id(dist), (dist, []))[1].append((proto, doc))
@@ -113,7 +114,10 @@ def vote_table_mismatches() -> list[str]:
     """The grid shapes, of the cap's extremes (14,2,2,2), (2,2,2,14) and
     (5,5,5,5), on which the search state's vote tables differ from a
     plain loop over every cell per cut combination. Grid values are
-    rationals, some negative; the pmf has full support."""
+    rationals, some negative; the pmf has full support. Each table's slots
+    are read back one by one: field f of combination b in slot
+    f*count + b, ``step`` bytes wide, each member's values shifted by their
+    grid minimum."""
     rng = random.Random(30)
     bad = []
     for sizes in ((14, 2, 2, 2), (2, 2, 2, 14), (5, 5, 5, 5)):
@@ -121,7 +125,8 @@ def vote_table_mismatches() -> list[str]:
         space = make_space([sorted(rng.sample(values, size)) for size in sizes])
         nums = [rng.randint(1, 9) for _ in space.cells]
         dist = JointDistribution(space, tuple(F(x, sum(nums)) for x in nums))
-        tables, width = dist._search.tables, dist._search.width
+        state = dist._search
+        bits = 8 * state.step
         scaled = dist._scaled
         n = space.n
         cells = list(zip(scaled.weights, zip(*space.positions)))
@@ -132,7 +137,11 @@ def vote_table_mismatches() -> list[str]:
                 row[0] += w
                 for i in range(n):
                     row[i + 1] += scaled.grid_ints[i][at[i]] * w
-            if [_unpack(table[b], n + 1, width) for table in tables] != sums:
+            read = []
+            for table in state.tables:
+                w, *s = (table >> bits * (f * state.count + b) & (1 << bits) - 1 for f in range(n + 1))
+                read.append([w, *(v + lo * w for v, lo in zip(s, state.lows))])
+            if read != sums:
                 bad.append(f"grids {sizes} at cuts {combo}")
                 break
     return bad

@@ -22,11 +22,12 @@ from team_disclosure.equilibrium import (
     _build_context,
     _cut_configs,
     _search_context,
+    _slot_masks,
     find_equilibria_report,
     team_rule,
     verify_equilibrium,
 )
-from team_disclosure.outcomes import _combo_slabs, _pack, independent
+from team_disclosure.outcomes import independent
 from team_disclosure.protocols import all_protocols, make_k_majority
 
 from oracles import (
@@ -85,23 +86,28 @@ def hand_built(grids, config, corners):
 def screen_context(grids, config, corners):
     """A search context over every pure cut combination in ``product``
     order, holding the corner entries on the atom box and W and every S_i 0
-    off it. The entries are packed with :func:`.outcomes._pack`, so the
-    context, built by ``_search_context`` on a stand-in search state with no
-    distribution behind it, unpacks and memoises them as a search does, and
-    the box's corners read back from it are the entries given."""
+    off it. The entries are written into the slots of a stand-in search
+    state with no distribution behind it, each member's grid shifted by at
+    most its minimum and every floor(S_i/W) so that every slot is >= 0, and
+    the context is built by ``_search_context`` from their sum as a search
+    builds it; the box's corners read back from it are the entries given."""
     sizes = [len(g) + 1 for g in grids]
-    entries = [(0, (0,) * len(grids))] * prod(sizes)
+    count = prod(sizes)
+    entries = [(0, (0,) * len(grids))] * count
     for c, (w, s) in zip(corner_indices(grids, config), corners, strict=True):
         entries[c] = (w, tuple(s))
-    keys, width = _pack([[w for w, _ in entries], *zip(*(s for _, s in entries))])
+    lows = [min([g[0], *(s[i] // w for w, s in entries if w)]) for i, g in enumerate(grids)]
+    columns = [[w for w, _ in entries]]
+    columns += [[s[i] - lo * w for w, s in entries] for i, lo in enumerate(lows)]
+    spread = max(g[-1] - lo for g, lo in zip(grids, lows))
+    step = max(*map(max, columns), spread * max(columns[0])).bit_length() // 8 + 1
+    strides = [prod(sizes[i + 1:]) for i in range(len(sizes))]
+    top, slabs = _slot_masks(sizes, strides, step)
     state = SimpleNamespace(
-        grid_ints=grids,
-        slabs=_combo_slabs(sizes, tuple(zip(*product(*map(range, sizes))))),
-        strides=[prod(sizes[i + 1:]) for i in range(len(sizes))],
-        width=width,
-        memo={},
+        grid_ints=grids, lows=lows, strides=strides, count=count, step=step, top=top, slabs=slabs
     )
-    ctx = _search_context(state, keys)
+    total = sum(e << 8 * step * (f * count + b) for f, column in enumerate(columns) for b, e in enumerate(column))
+    ctx = _search_context(state, total)
     assert ctx.corners(config) == [(w, tuple(s)) for w, s in corners]
     return ctx
 
@@ -513,8 +519,8 @@ class TestDenseScanOracle:
 
 
 class TestSearchMasks:
-    """The sign masks, sign-coded once per distinct concealed set per
-    distribution, against the loop over every combination."""
+    """The sign masks, signed in every slot of a protocol's broadword sums at
+    once, against the loop over every combination."""
 
     def test_search_tables_of_every_small_protocol(self):
         rng = random.Random(223)
@@ -533,13 +539,13 @@ class TestSearchMasks:
             dist = independent([{x: c / sum(m.values()) for x, c in m.items()} for m in marginals])
             for k in range(1, 5):
                 ctx = _build_context(dist, make_k_majority(4, k))
-                assert len(ctx.keys) == 6**4
+                assert ctx.state.count == 6**4
                 assert_masks_match(ctx)
 
     @pytest.mark.parametrize("members, atom_share", [(3, 1.0), (4, 0.75)])
     def test_hand_built_tables(self, members, atom_share):
         # tables that are zero off the box corners, some box corners with
-        # W = 0, and equal corner entries, which share one packed key
+        # W = 0, and equal corner entries
         rng = random.Random(229 + members)
         concealing_nothing = shared = 0
         for _ in range(150):

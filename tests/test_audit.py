@@ -87,6 +87,40 @@ class TestAudit:
         assert "[PASS] threshold_form" in text
 
 
+class TestFailingClaim:
+    def test_failures_are_reported_capped_and_exit_1(self, monkeypatch, tmp_path, capsys):
+        # a claim registered for this test only fails at each of its 5
+        # instances; with max_failures 2 the report lists 2 failures and one
+        # suppression line, and the CLI exits 1
+        monkeypatch.setattr(audit, "CLAIMS", dict(CLAIMS))
+
+        def _claim_planted(config, rng, rec):
+            for k in range(5):
+                rec.tick()
+                rec.fail(f"planted failure {k}")
+
+        audit._claim("a claim that fails at every instance")(_claim_planted)
+        report = run_audit(replace(SMALL, claims=("threshold_form", "planted"), max_failures=2))
+        assert not report.passed
+        lines = report.render().splitlines()
+        at = lines.index("[FAIL] planted (5 instances)")
+        assert lines[at + 1:at + 5] == [
+            "       a claim that fails at every instance",
+            "       failure: planted failure 0",
+            "       failure: planted failure 1",
+            "       failure: ... more failures suppressed",
+        ]
+        assert sum("failure:" in line for line in lines) == 3
+        assert lines[-1] == "result: FAIL (1/2 claims)"
+        out = tmp_path / "audit.txt"
+        args = ["audit", "--claims", "planted", "--counts", "max_failures=2", "--out", str(out)]
+        assert main(args) == 1
+        assert json.loads(capsys.readouterr().out)["passed"] is False
+        text = out.read_text().splitlines()
+        assert "[FAIL] planted (5 instances)" in text
+        assert text[-1] == "result: FAIL (0/1 claims)"
+
+
 class TestGenerators:
     def test_random_distribution_full_support(self):
         rng = random.Random(0)

@@ -480,6 +480,30 @@ class TestCurveKernel:
                 expected = binary_terms_by_fractions(params)[:2]
                 assert (tuple(F(v, scale) for v in pnds), tuple(F(v, scale) for v in joints)) == expected
 
+    def test_terms_refuse_a_half_built_for_other_parameters(self):
+        # a half carries the n and q_other it was built for, and a pass at
+        # another n or q_other refuses it rather than return wrong P and J
+        params = BinaryEnvParams.make(5, F(1, 2), F(1, 2), F(1, 2), F(1, 4))
+        for n, q_other in ((5, F(1, 5)), (6, F(1, 4)), (4, F(1, 4))):
+            with pytest.raises(ValueError, match="q_other half"):
+                binary_env._terms(params, binary_env._other_half(n, q_other))
+        half = binary_env._other_half(5, F(2, 8))
+        assert binary_env._terms(params, half) == binary_env._terms(params)
+
+    def test_a_corrupted_half_fails_its_check_at_build(self, monkeypatch):
+        # s1 one too large at k = 3 breaks w*S2 == c*s1 there, and the half
+        # is refused where it is built
+        real = binary_env.accumulate
+
+        def off_by_one(values):
+            sums = list(real(values))
+            sums[1] += 1
+            return sums
+
+        monkeypatch.setattr(binary_env, "accumulate", off_by_one)
+        with pytest.raises(AssertionError, match="closed-form disagreement in _other_half"):
+            binary_env._other_half(5, F(1, 4))
+
     @pytest.mark.parametrize("axis", binary_env.SWEEP_AXES)
     def test_csv_writer_matches_the_reference_rendering(self, axis):
         # the CLI's writer, from the kernel's integer pairs, against the

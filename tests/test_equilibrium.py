@@ -62,6 +62,7 @@ from oracles import (
     search_conceal_by_cells,
     team_rule_by_evaluate,
     unscreened_configs,
+    unscreened_search_configs,
     verify_equilibrium_by_evaluate,
 )
 
@@ -200,11 +201,12 @@ class TestWorkedSearches:
                 assert fresh._search is not state
             assert shared._search is state
 
-    def test_search_memo_does_not_depend_on_order(self):
+    def test_search_state_does_not_depend_on_order(self):
         # one distribution object searched under its protocols in three
-        # orders: after each search the tables equal the slow twins, the
-        # report equals the first order's, and the memo holds one entry per
-        # packed (W, S) sum met so far
+        # orders: after each search the context's entries and masks equal
+        # the slow twins and the report equals the first order's, and after
+        # the last the search state equals a fresh distribution's, so no
+        # search leaves anything in it for the next
         rng = random.Random(239)
         cases = [(fractional_dist(rng, n, sizes=(2, 3)), all_protocols(n)) for n in (2, 3)]
         for size in (4, 5):
@@ -218,19 +220,14 @@ class TestWorkedSearches:
             reports = {}
             for order in (forward, forward[::-1], interleaved):
                 shared = JointDistribution(make_space(dist.space.grids), dist.probs)
-                width = shared._search.width
-                met = set()
                 for j in order:
                     report = find_equilibria_report(shared, protos[j])
                     assert reports.setdefault(j, report) == report
                     ctx = _build_context(shared, protos[j])
                     assert list(zip(product(*cut_ranges), context_entries(ctx))) == list(expected[j].items())
                     assert_masks_match(ctx)
-                    met.update(
-                        w + sum(v << (width * (i + 1)) for i, v in enumerate(sums))
-                        for w, sums in expected[j].values()
-                    )
-                    assert shared._search.memo.keys() == met
+                fresh = JointDistribution(make_space(dist.space.grids), dist.probs)
+                assert vars(shared._search) == vars(fresh._search)
 
     def test_full_disclosure_entry_matches_public_verify(self):
         # the search verifies the always-disclose entry through the private
@@ -293,7 +290,8 @@ class TestRejectedCandidate:
         # hand out weights of 1/2 where the solver proves the all-atom
         # configuration at the lowest values infeasible; verification has to
         # turn the candidate away. The corner screen drops that configuration
-        # before it reaches the solver, so the search runs unscreened
+        # before it reaches the solver, so the search runs unscreened, the
+        # solver proving the configurations with no atom in the screen's place
         space = make_space([[0, 1, 2], [0, 1, 2]])
         d = JointDistribution(space, tuple(F(1, 9) for _ in range(9)))
         proto = make_consensus(2)
@@ -309,7 +307,7 @@ class TestRejectedCandidate:
             return found
 
         monkeypatch.setattr(_AtomSolver, "solve", planting)
-        monkeypatch.setattr(equilibrium, "_cut_configs", unscreened_configs)
+        monkeypatch.setattr(equilibrium, "_cut_configs", unscreened_search_configs)
         eqs, notes = find_equilibria_report(d, proto)
         assert notes == (
             "candidate configuration (('atom', 0), ('atom', 0)) failed verification",
@@ -943,7 +941,7 @@ class TestCornerScreen:
     def test_screen_keeps_every_equilibrium(self, monkeypatch, kind):
         cases = screen_cases(kind)
         screened = [find_equilibria_report(d, proto) for d, proto in cases]
-        monkeypatch.setattr(equilibrium, "_cut_configs", unscreened_configs)
+        monkeypatch.setattr(equilibrium, "_cut_configs", unscreened_search_configs)
         assert [find_equilibria_report(d, proto) for d, proto in cases] == screened
 
     @pytest.mark.parametrize("kind", ["protocols", "iid"])
@@ -1027,6 +1025,33 @@ class TestCornerScreen:
             assert survivors == screened_configs_by_product(ctx)
             kept += len(survivors)
         assert kept > 0
+
+    def test_configurations_with_no_atom_need_no_solver(self, screened_searches):
+        """The search takes each configuration with no atom that the screen
+        keeps as solved with no weights, without the solver; the solver
+        solves each of them with no weights too, so its report is the one
+        the solver would give."""
+        taken = 0
+        for d, proto, _ in screened_searches:
+            ctx = _build_context(d, proto)
+            for config in _cut_configs(ctx):
+                box = ctx.corners(config)
+                if len(box) == 1:
+                    assert _AtomSolver(ctx.state.grid_ints, config, box).solve() == {}
+                    taken += 1
+        assert taken > 40
+
+    def test_corner_posteriors_are_bayes_posteriors(self, screened_searches):
+        """Every on-path equilibrium's posterior, which the search reads
+        from its configuration's corner entries, is the Bayes posterior of
+        its rule, at two, three and four members, with atoms and without."""
+        seen = set()
+        for d, proto, (eqs, _) in screened_searches:
+            for e in eqs:
+                if not e.off_path:
+                    assert e.posteriors == posterior_no_disclosure(d, e.rule)
+                    seen.add((d.space.n, any(c.atom_pos is not None for c in e.cuts)))
+        assert seen == {(n, atoms) for n in (2, 3, 4) for atoms in (False, True)}
 
     def test_verification_is_reproduced(self, screened_searches):
         on_path = 0

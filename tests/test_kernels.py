@@ -43,6 +43,7 @@ from team_disclosure.outcomes import (
 from team_disclosure.protocols import all_protocols, make_consensus, make_k_majority
 
 from oracles import (
+    assert_masks_match,
     concealed_sets,
     context_entries,
     consistent_with_deliberation_by_fractions,
@@ -51,6 +52,7 @@ from oracles import (
     pack_by_cells,
     posterior_no_disclosure_by_fractions,
     search_conceal_by_cells,
+    slot_entry,
     team_rule_by_evaluate,
 )
 
@@ -194,21 +196,24 @@ def assert_search_tables_match(dist, protocol):
 
 
 def assert_vote_tables_match(dist):
-    """The vote tables of the search state (``dist._search``), unpacked,
-    against the per-cell loop over every combination and vote mask; the
-    masks' entries of one combination sum to the packed total over every
-    cell."""
-    tables, width = dist._search.tables, dist._search.width
+    """The vote tables of the search state (``dist._search``), read slot by
+    slot, against the per-cell loop over every combination and vote mask.
+    The slots are the fewest whole bytes whose half range exceeds the grid
+    spread times the total weight, and at every combination the masks'
+    tables sum to the totals over every cell."""
+    state = dist._search
     scaled = dist._scaled
-    packed, packed_width = _pack([scaled.weights, *scaled.values])
-    assert width == packed_width
+    bound = max([1, *(g[-1] - g[0] for g in scaled.grid_ints)]) * scaled.den
+    assert 2 ** (8 * state.step - 9) <= bound < 2 ** (8 * state.step - 1)
     n = dist.space.n
     expected = cut_tables_by_vote_mask(dist)
-    assert len(tables) == 1 << n and all(len(t) == len(expected) for t in tables)
+    assert len(state.tables) == 1 << n and state.count == len(expected)
+    totals = (scaled.den, tuple(map(sum, scaled.values)))
+    whole = sum(state.tables)
     for b, (agg_w, agg_s) in enumerate(expected.values()):
-        for m, table in enumerate(tables):
-            assert _unpack(table[b], n + 1, width) == [agg_w[m], *(s[m] for s in agg_s)]
-        assert sum(table[b] for table in tables) == sum(packed)
+        for m, table in enumerate(state.tables):
+            assert slot_entry(table, b, state) == (agg_w[m], tuple(s[m] for s in agg_s))
+        assert slot_entry(whole, b, state) == totals
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS, ids=lambda p: p.describe())
@@ -381,27 +386,64 @@ def extreme_dist(rng):
 
 
 def test_packed_search_tables_at_the_field_width_edge():
-    """The search's vote tables and packed sums, where W and S_i come near
-    the bound that sets the field width, against the per-vote-mask loop."""
+    """The search's vote tables, (W, S) sums and sign masks, where S_i - x*W
+    comes near the bound that sets the slot width at either sign, against
+    the per-vote-mask loop and the per-combination sign loop."""
     rng = random.Random("packed search tables")
     dist = extreme_dist(rng)
     assert_vote_tables_match(dist)
-    width = dist._search.width
-    edge = 1 << (width - 3)  # the width's bound is below 2**(width - 1)
+    state = dist._search
+    edge = 1 << (8 * state.step - 3)  # every S_i - x*W lies inside +-2**(8*step - 1)
     reached = set()
     for k in range(1, 5):
         protocol = make_k_majority(4, k)
         assert_search_tables_match(dist, protocol)
+        assert_masks_match(_build_context(dist, protocol))
         conceal = search_conceal_by_cells(dist, protocol)
-        reached |= {(i, v > 0) for _, s in conceal.values() for i, v in enumerate(s) if abs(v) >= edge}
-    assert {i for i, _ in reached} == {0, 1, 2, 3}
-    assert (2, False) in reached and (3, False) in reached
+        reached |= {
+            (i, d > 0)
+            for w, s in conceal.values()
+            for i, xs in enumerate(state.grid_ints)
+            for d in (s[i] - x * w for x in xs)
+            if abs(d) >= edge
+        }
+    # member 4's grid has the largest spread, which sets the bound
+    assert reached == {(3, False), (3, True)}
+
+
+def slot_edge_dist(n):
+    """Every member on the grid -1/2, 0, 1/2 (scaled to -1, 0, 1, spread 2),
+    total weight 2**14 - 1, so the slot bound 2*(2**14 - 1) sits just below
+    2**15 and a slot is 2 bytes. Every cell weighs 1 but the one where
+    member 1 sits low and every other member high, which takes the rest."""
+    space = make_space([[F(-1, 2), F(0), F(1, 2)]] * n)
+    den = 2**14 - 1
+    big = (0,) + (2,) * (n - 1)
+    weights = [den - (len(space.cells) - 1) if at == big else 1 for at in zip(*space.positions)]
+    return JointDistribution(space, tuple(F(w, den) for w in weights))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_sign_masks_at_the_slot_edge(n):
+    """The sign masks where S_i - x*W is +1 and -1, next to the top bit of a
+    biased slot, and where it comes within a factor 2 of +-2**(8*step - 1)
+    at either sign, against the per-combination sign loop."""
+    dist = slot_edge_dist(n)
+    state = dist._search
+    assert state.step == 2 and state.lows == [-1] * n
+    assert_vote_tables_match(dist)
+    differences = set()
+    for protocol in all_protocols(n) if n < 4 else [make_k_majority(4, k) for k in range(1, 5)]:
+        ctx = _build_context(dist, protocol)
+        assert_masks_match(ctx)
+        differences |= {s[i] - x * w for w, s in context_entries(ctx) for i in range(n) for x in (-1, 0, 1)}
+    assert {1, -1} <= differences
+    assert max(differences) > 2**14 and min(differences) < -(2**14)
 
 
 def test_cached_search_tables_match_fresh_packing():
     """The search's vote tables, built once per distribution with its search
-    state, equal the per-vote-mask loop over a fresh :func:`_pack` of its
-    scaled weights and values, and every protocol searched on the
+    state, equal the per-vote-mask loop, and every protocol searched on the
     distribution reads that one state and its tables."""
     rng = random.Random("cached search tables")
     for n in (2, 3, 4):
