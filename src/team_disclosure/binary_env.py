@@ -22,7 +22,13 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 from .outcomes import JointDistribution, common_outcome_mixture
 from .rationals import Rational, as_fraction, decimal_str, ratio_decimal_str
 
-SWEEP_AXES = ("q_other_dev", "p_dev", "q_own_dev", "q_T_dev")
+_AXIS_FIELD = {
+    "q_other_dev": "q_other",
+    "p_dev": "p",
+    "q_own_dev": "q_own",
+    "q_T_dev": "q_team",
+}
+SWEEP_AXES = tuple(_AXIS_FIELD)
 
 
 class BinaryEnvError(ValueError):
@@ -202,8 +208,7 @@ def _curve(
     common to all k, so gain a beats gain b exactly when
     N_a*P_f[b] > N_b*P_f[a]: the argmax runs on integers. Each gain is
     returned as its unreduced pair ``(N_k, bd*dd*P_f[k])``; ``gain_curve``
-    and ``sweep`` make the Fractions, and the CLI's sweep writer reduces the
-    pairs itself.
+    makes the Fractions, and ``sweep`` reduces the pairs itself.
     """
     _, pf, jf = terms_full
     if len(pf) != params_dev.n:
@@ -251,69 +256,62 @@ class SweepRow(NamedTuple):
     is_optimal: bool
 
 
-_CSV_HEADER = "axis_value,K,gain,is_optimal,gain_exact"
-
-
-def _csv_line(value_text: str, k: int, num: int, den: int, is_optimal: bool) -> str:
-    """One sweep CSV line: the axis value's text, k, the gain num/den (reduced,
-    den > 0) by ``decimal_str`` (12 significant digits), the flag, and the
-    gain's exact form as ``str(Fraction)`` writes it."""
-    exact = f"{num}/{den}" if den != 1 else str(num)
-    flag = "true" if is_optimal else "false"
-    return f"{value_text},{k},{ratio_decimal_str(num, den)},{flag},{exact}"
-
-
 @dataclass(frozen=True)
 class SweepTable:
+    """A sweep as the curve kernel leaves it: the grid, and per grid point
+    its gains at k = 1..n as reduced integer pairs ``(num, den)``, den > 0,
+    with the point's first argmax k*."""
+
     axis: str
-    rows: tuple[SweepRow, ...]
+    grid: tuple[Fraction, ...]
+    curves: tuple[tuple[tuple[tuple[int, int], ...], int], ...]
+
+    @property
+    def rows(self) -> tuple[SweepRow, ...]:
+        """One ``SweepRow`` per grid point and k, in grid order, with the
+        gains made Fractions here."""
+        return tuple(
+            SweepRow(value, k, Fraction(num, den), k == k_star)
+            for value, (pairs, k_star) in zip(self.grid, self.curves)
+            for k, (num, den) in enumerate(pairs, 1)
+        )
 
     def k_star_trace(self) -> tuple[tuple[Fraction, int], ...]:
-        out = []
-        for row in self.rows:
-            if row.is_optimal:
-                out.append((row.axis_value, row.k))
-        return tuple(out)
+        return tuple(zip(self.grid, (k_star for _, k_star in self.curves)))
+
+    def csv_lines(self) -> Iterator[str]:
+        """The CSV, one newline-terminated line at a time: the header, then
+        per row the axis value (rendered once per grid point), k, the gain
+        by ``ratio_decimal_str`` (12 significant digits), the optimum flag,
+        and the gain exactly as ``str(Fraction)`` writes it."""
+        yield "axis_value,K,gain,is_optimal,gain_exact\n"
+        for value, (pairs, k_star) in zip(self.grid, self.curves):
+            text = decimal_str(value)
+            for k, (num, den) in enumerate(pairs, 1):
+                exact = f"{num}/{den}" if den != 1 else str(num)
+                flag = "true" if k == k_star else "false"
+                yield f"{text},{k},{ratio_decimal_str(num, den)},{flag},{exact}\n"
 
     def to_csv(self) -> str:
-        """One line per row; a run of rows sharing one axis value object (a
-        sweep's grid point) renders that value once.
-
-        Each gain is written twice: ``decimal_str`` (12 significant digits)
-        and its exact ``num/den`` form. The CLI's ``sweep`` writes the same
-        bytes from the kernel's integer pairs, with no row built.
-        """
-        lines = [_CSV_HEADER]
-        value = text = None
-        for axis_value, k, gain, is_optimal in self.rows:
-            if axis_value is not value:
-                value, text = axis_value, decimal_str(axis_value)
-            lines.append(_csv_line(text, k, gain.numerator, gain.denominator, is_optimal))
-        return "\n".join(lines) + "\n"
+        """The whole CSV as one string: ``csv_lines`` joined."""
+        return "".join(self.csv_lines())
 
 
-_AXIS_FIELD = {
-    "q_other_dev": "q_other",
-    "p_dev": "p",
-    "q_own_dev": "q_own",
-    "q_T_dev": "q_team",
-}
-
-
-def _sweep_curves(
+def sweep(
     params_full: BinaryEnvParams,
     params_dev: BinaryEnvParams,
     axis: str,
     grid: Iterable[Rational],
-) -> tuple[tuple[Fraction, ...], Iterator[tuple[tuple[tuple[int, int], ...], int]]]:
-    """The sweep kernel behind ``sweep`` and the CLI's CSV writer.
+) -> SweepTable:
+    """Vary one deviation-profile parameter over a grid, holding the
+    full-effort profile fixed; emit the gain curve and optimum per grid point,
+    at most ``MAX_SWEEP_ROWS`` rows (grid points x members).
 
     Checks the axis, the row cap and every grid value before any kernel pass,
-    and makes the full-effort side's pass, then returns the grid as Fractions
-    and an iterator of each grid point's ``_curve`` result in grid order.
-    Each point costs one constructor call for its deviation profile (range
-    checks on integer ratios), one ``_terms`` pass and ``_curve``'s integer
-    loop. Off the q_other axis the deviation's q_other is fixed, so its
+    and makes the full-effort side's pass once. Each grid point then costs
+    one constructor call for its deviation profile (range checks on integer
+    ratios), one ``_terms`` pass, ``_curve``'s integer loop and one ``gcd``
+    per gain. Off the q_other axis the deviation's q_other is fixed, so its
     ``_other_half`` is built once here rather than at every point.
     """
     if axis not in _AXIS_FIELD:
@@ -335,55 +333,16 @@ def _sweep_curves(
     position = names.index(field)
     mean_full, terms_full = params_full.mean_own, _terms(params_full)
     half = None if field == "q_other" else _other_half(params_dev.n, params_dev.q_other)
-
-    def curves():
-        for value in grid:
-            args[position] = value
-            yield _curve(mean_full, terms_full, BinaryEnvParams(*args), half)
-
-    return grid, curves()
-
-
-def sweep(
-    params_full: BinaryEnvParams,
-    params_dev: BinaryEnvParams,
-    axis: str,
-    grid: Iterable[Rational],
-) -> SweepTable:
-    """Vary one deviation-profile parameter over a grid, holding the
-    full-effort profile fixed; emit the gain curve and optimum per grid point,
-    at most ``MAX_SWEEP_ROWS`` rows (grid points x members).
-
-    Runs ``_sweep_curves`` and turns each grid point's integer pairs into
-    ``SweepRow``s, one reduced Fraction per gain.
-    """
-    grid, curves = _sweep_curves(params_full, params_dev, axis, grid)
-    ks = range(1, params_full.n + 1)
-    rows: list[SweepRow] = []
-    for value, (pairs, k_star) in zip(grid, curves):
-        gains = starmap(Fraction, pairs)
-        rows.extend(SweepRow(value, k, gain, k == k_star) for k, gain in zip(ks, gains))
-    return SweepTable(axis, tuple(rows))
-
-
-def _sweep_csv(
-    params_full: BinaryEnvParams,
-    params_dev: BinaryEnvParams,
-    axis: str,
-    grid: Iterable[Rational],
-) -> str:
-    """``sweep(...).to_csv()``, written from ``_sweep_curves``' integer pairs
-    with no row or Fraction built: one ``gcd`` reduces each pair, and
-    ``_csv_line`` formats it as ``to_csv`` does."""
-    grid, curves = _sweep_curves(params_full, params_dev, axis, grid)
-    ks = range(1, params_full.n + 1)
-    lines = [_CSV_HEADER]
-    for value, (pairs, k_star) in zip(grid, curves):
-        text = decimal_str(value)
-        for k, (num, den) in zip(ks, pairs):
+    curves = []
+    for value in grid:
+        args[position] = value
+        pairs, k_star = _curve(mean_full, terms_full, BinaryEnvParams(*args), half)
+        reduced = []
+        for num, den in pairs:
             g = gcd(num, den)
-            lines.append(_csv_line(text, k, num // g, den // g, k == k_star))
-    return "\n".join(lines) + "\n"
+            reduced.append((num // g, den // g))
+        curves.append((tuple(reduced), k_star))
+    return SweepTable(axis, grid, tuple(curves))
 
 
 MAX_GRID_POINTS = 10_000
@@ -391,7 +350,8 @@ MAX_GRID_POINTS = 10_000
 # grow with n times the digits of the grid value's denominator, which is at
 # most this bound squared; at 320 members such a value's gains stay under
 # 3 200 digits (Python refuses to print integers of more than 4 300), and a
-# row of the q_other_dev CSV costs about 1.1 ms (Python 3.11.7, one core).
+# q_other_dev sweep row at such a value costs about 1 ms, gains and CSV
+# line together (Python 3.11.7, one core).
 MAX_GRID_DENOMINATOR = 10_000
 # The largest team `optimal-k` and `sweep` accept. A gain curve at 320 members
 # takes about 0.015 s at the baseline and 0.03 s on mixed denominators
@@ -399,11 +359,12 @@ MAX_GRID_DENOMINATOR = 10_000
 MAX_SWEEP_MEMBERS = 320
 # The most rows (grid points x members) one sweep may emit: the point and
 # member caps above hold on their own, but 10 000 points at 320 members would
-# run for about 15 minutes. A `sweep` row at 320 members costs about 0.27 ms
-# on three-decimal grid values (the q_other_dev axis; 0.08 ms on p_dev),
-# three quarters of it writing the CSV (Python 3.11.7, one core), so the
-# largest accepted sweep, 100 points at 320 members, takes about 9 s there,
-# and about 35 s on values at the denominator bound.
+# run for about 13 minutes. A `sweep` row at 320 members costs about 0.25 ms
+# on three-decimal grid values (the q_other_dev axis; 0.07 ms on p_dev),
+# about half of it formatting the CSV line (Python 3.11.7, one core), so the
+# largest accepted sweep, 100 points at 320 members, takes about 8 s there,
+# and about 31 s on values whose denominators are products of two at the
+# denominator bound.
 MAX_SWEEP_ROWS = 32_000
 
 
@@ -445,19 +406,6 @@ PANEL_GRIDS = {
 }
 
 
-def _panel_args(
-    panel: str, n: int = 10, grid: Sequence[Fraction] | None = None
-) -> tuple[BinaryEnvParams, BinaryEnvParams, str, tuple[Fraction, ...]]:
-    """``sweep``'s arguments for one panel: the baseline profiles at n, the
-    panel's axis, and ``grid`` or the panel's default grid in its direction."""
-    axis, default_grid, descending = PANEL_GRIDS[panel]
-    full, dev = baseline_params(n)
-    values = tuple(grid) if grid is not None else parse_grid(default_grid)
-    if descending and grid is None:
-        values = tuple(reversed(values))
-    return full, dev, axis, values
-
-
 def panel_sweep(panel: str, n: int = 10, grid: Sequence[Fraction] | None = None) -> SweepTable:
     """One panel of the optimal-consensus experiment at the baseline.
 
@@ -465,4 +413,10 @@ def panel_sweep(panel: str, n: int = 10, grid: Sequence[Fraction] | None = None)
     effect as the sweep proceeds), matching the direction in which the optimum
     is reported to fall.
     """
-    return sweep(*_panel_args(panel, n, grid))
+    axis, default_grid, descending = PANEL_GRIDS[panel]
+    full, dev = baseline_params(n)
+    if grid is None:
+        grid = parse_grid(default_grid)
+        if descending:
+            grid = grid[::-1]
+    return sweep(full, dev, axis, grid)

@@ -27,15 +27,15 @@ import tempfile
 from dataclasses import fields, replace
 from functools import lru_cache, partial
 from pathlib import Path
+from typing import Iterable
 
 from .binary_env import (
     MAX_SWEEP_MEMBERS,
     PANEL_GRIDS,
     BinaryEnvParams,
-    _panel_args,
-    _sweep_csv,
     baseline_params,
     gain_curve,
+    panel_sweep,
     parse_grid,
 )
 from .configio import (
@@ -70,18 +70,18 @@ EXIT_SEARCH_CAP = 3
 INPUT_ERRORS = (ValueError, OSError)
 
 
-def _atomic_write(path: str, text: str) -> None:
-    """Write through a temporary file in the target's directory, then rename it
-    over the target. The file gets the mode ``open(path, "w")`` gives a new
-    file, 0o666 less the umask (``mkstemp`` alone would leave it 0o600). An
-    OS error with an errno names ``path``, not the temporary file, and the
-    temporary file is removed."""
+def _atomic_write(path: str, chunks: Iterable[str]) -> None:
+    """Write ``chunks`` one after another through a temporary file in the
+    target's directory, then rename it over the target. The file gets the
+    mode ``open(path, "w")`` gives a new file, 0o666 less the umask
+    (``mkstemp`` alone would leave it 0o600). An OS error with an errno names
+    ``path``, not the temporary file, and the temporary file is removed."""
     target = Path(path)
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.name)
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
         umask = os.umask(0)
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)
@@ -101,7 +101,7 @@ def _emit(payload: dict) -> None:
 def _deliver(doc: dict, out: str | None, summary: dict) -> None:
     """The document to ``out`` as indented JSON, or into the summary."""
     if out:
-        _atomic_write(out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        _atomic_write(out, (json.dumps(doc, indent=2, sort_keys=True) + "\n",))
         summary["out"] = out
     else:
         summary["document"] = doc
@@ -369,19 +369,16 @@ def _cmd_sweep(opts: dict, out: str | None) -> int:
     panel = opts.get("panel")
     if panel not in PANEL_GRIDS:
         raise ConfigError(f"panel must be one of {sorted(PANEL_GRIDS)}")
-    grid = opts.get("grid")
-    full, dev, axis, values = _panel_args(
-        panel, opts.get("n", 10), None if grid is None else parse_grid(grid)
-    )
-    text = _sweep_csv(full, dev, axis, values)
-    summary = {"command": "sweep", "panel": panel, "axis": axis, "rows": len(values) * full.n}
+    grid, n = opts.get("grid"), opts.get("n", 10)
+    table = panel_sweep(panel, n, None if grid is None else parse_grid(grid))
+    summary = {"command": "sweep", "panel": panel, "axis": table.axis, "rows": len(table.grid) * n}
     if out:
-        _atomic_write(out, text)
+        _atomic_write(out, table.csv_lines())
         summary["out"] = out
         _emit(summary)
     else:
         _emit(summary)
-        sys.stdout.write(text)
+        sys.stdout.writelines(table.csv_lines())
     return EXIT_OK
 
 
@@ -421,7 +418,7 @@ def _cmd_audit(opts: dict, out: str | None) -> int:
     report = run_audit(config)
     text = report.render()
     if out:
-        _atomic_write(out, text)
+        _atomic_write(out, (text,))
     else:
         sys.stdout.write(text)
     _emit(

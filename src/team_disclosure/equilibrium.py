@@ -1112,10 +1112,11 @@ def find_equilibria_report(
     """Exhaustive equilibrium search plus notes on any unresolved configurations.
 
     Returns the full-disclosure equilibrium (skeptical off-path beliefs) and
-    every threshold fixed point over cut configurations, deduplicated by team
-    rule and canonically ordered. The full-disclosure entry is the same under
-    every protocol, so it is built and verified once per distribution and
-    every search on it returns that one object (:class:`_SearchState`).
+    every threshold fixed point over cut configurations, one per
+    configuration and no two with the same team rule, canonically ordered.
+    The full-disclosure entry is the same under every protocol, so it is
+    built and verified once per distribution and every search on it returns
+    that one object (:class:`_SearchState`).
     Raises EquilibriumError when the protocol and the distribution differ in
     member count or the distribution lacks full support, then
     SearchCapExceeded beyond the cap (:func:`_check_caps`).
@@ -1129,11 +1130,11 @@ def find_equilibria_report(
 
     ctx = _build_context(dist, protocol)
     notes = []
-    # keyed by each rule's values as (numerator, denominator) pairs: equal
-    # Fractions have equal pairs, and int tuples hash without Fraction.__hash__
-    results: dict[tuple[tuple[int, int], ...], Equilibrium] = {
-        ((1, 1),) * len(space.cells): ctx.state.full_disclosure
-    }
+    # no two entries share a rule: a candidate conceals somewhere (W > 0),
+    # and its rule fixes its Bayes posterior, which fixes its configuration
+    # (an atom at p exactly where the posterior is x_p, a gap at c exactly
+    # where it lies strictly between x_{c-1} and x_c)
+    results = [ctx.state.full_disclosure]
 
     scales = dist._scaled.scales
     for config in _cut_configs(ctx):
@@ -1151,28 +1152,24 @@ def find_equilibria_report(
                 continue
         profile, cuts = _profile_from_config(space, config, weights)
         rule = team_rule(profile, protocol)
-        # ZERO and ONE, most of a rule's values, are read by identity
-        key = tuple(
-            [(0, 1) if v is ZERO else (1, 1) if v is ONE else v.as_integer_ratio() for v in rule.values]
-        )
-        if key in results:
-            continue
         post = _corner_posterior(box, weights, scales)
         ver = _verify(profile, post, post, dist, protocol)
         if not ver.ok:
             notes.append(f"candidate configuration {config} failed verification")
             continue
-        results[key] = Equilibrium(
-            profile=profile,
-            rule=rule,
-            posteriors=post,
-            classification=classify_rule(rule),
-            off_path=False,
-            cuts=cuts,
-            verification=ver,
+        results.append(
+            Equilibrium(
+                profile=profile,
+                rule=rule,
+                posteriors=post,
+                classification=classify_rule(rule),
+                off_path=False,
+                cuts=cuts,
+                verification=ver,
+            )
         )
 
-    ordered = tuple(sorted(results.values(), key=attrgetter("rule.values"), reverse=True))
+    ordered = tuple(sorted(results, key=attrgetter("rule.values"), reverse=True))
     return ordered, tuple(dict.fromkeys(notes))
 
 

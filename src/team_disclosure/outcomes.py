@@ -88,7 +88,14 @@ class OutcomeSpace:
     def slabs(self) -> tuple[tuple[int, ...], ...]:
         """slabs[i][p] = the cells whose member-(i+1) value is grid position
         p, as one cell set: an int with cell c at bit c."""
-        return _combo_slabs([len(g) for g in self.grids], self.positions)
+        bits = [1 << c for c in range(len(self.positions[0]))]
+        slabs = []
+        for grid, column in zip(self.grids, self.positions):
+            member_slabs = [0] * len(grid)
+            for p, bit in zip(column, bits):
+                member_slabs[p] |= bit
+            slabs.append(tuple(member_slabs))
+        return tuple(slabs)
 
     @cached_property
     def _row_cells(self) -> tuple[list[int], ...]:
@@ -104,20 +111,6 @@ class OutcomeSpace:
 
     def is_binary(self) -> bool:
         return all(len(g) == 2 for g in self.grids)
-
-
-def _combo_slabs(sizes: Sequence[int], columns: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    """slabs[i][c] = the combinations with i-th coordinate c, bit b standing
-    for combination b; ``columns[i]`` holds every combination's i-th
-    coordinate, which lies in range(sizes[i])."""
-    bits = [1 << b for b in range(len(columns[0]))]
-    slabs = []
-    for size, column in zip(sizes, columns):
-        member_slabs = [0] * size
-        for c, bit in zip(column, bits):
-            member_slabs[c] |= bit
-        slabs.append(tuple(member_slabs))
-    return tuple(slabs)
 
 
 def make_space(grids: Sequence[Sequence[Rational]]) -> OutcomeSpace:

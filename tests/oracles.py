@@ -283,12 +283,12 @@ def first_argmax(values):
 
 
 def sweep_by_fractions(full, dev, axis, grid):
-    """The sweep loop the integer curve kernel replaced: per grid point a new
-    deviation profile, its gains from the two Fraction passes, and the first
-    Fraction argmax."""
+    """The sweep loop the integer curve kernel replaced, as ``SweepRow``s:
+    per grid point a new deviation profile, its gains from the two Fraction
+    passes, and the first Fraction argmax."""
     from dataclasses import replace
 
-    from team_disclosure.binary_env import SweepRow, SweepTable
+    from team_disclosure.binary_env import SweepRow
 
     field = {"q_other_dev": "q_other", "p_dev": "p", "q_own_dev": "q_own", "q_T_dev": "q_team"}
     rows = []
@@ -296,21 +296,20 @@ def sweep_by_fractions(full, dev, axis, grid):
         gains = binary_gains_by_fractions(full, replace(dev, **{field[axis]: value}))
         k_star = first_argmax(gains)
         rows.extend(SweepRow(value, k, g, k == k_star) for k, g in enumerate(gains, 1))
-    return SweepTable(axis, tuple(rows))
+    return tuple(rows)
 
 
-def csv_by_decimal_str(table):
-    """A sweep table's CSV through ``decimal_str`` and ``frac_str`` on every
-    row, the reference for ``SweepTable.to_csv``."""
+def csv_by_decimal_str(rows):
+    """A sweep's CSV through ``decimal_str`` and ``frac_str`` on every
+    ``SweepRow``, the reference for ``SweepTable.csv_lines``."""
     from team_disclosure.rationals import decimal_str, frac_str
 
     lines = ["axis_value,K,gain,is_optimal,gain_exact"]
-    value = text = None
-    for row in table.rows:
-        if row.axis_value is not value:
-            value, text = row.axis_value, decimal_str(row.axis_value)
+    for row in rows:
         flag = "true" if row.is_optimal else "false"
-        lines.append(f"{text},{row.k},{decimal_str(row.gain)},{flag},{frac_str(row.gain)}")
+        lines.append(
+            f"{decimal_str(row.axis_value)},{row.k},{decimal_str(row.gain)},{flag},{frac_str(row.gain)}"
+        )
     return "\n".join(lines) + "\n"
 
 

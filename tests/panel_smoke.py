@@ -3,11 +3,13 @@
 Runs ``sweep --panel a..d`` in a fresh interpreter each and compares every
 CSV's SHA-256 with the bytes recorded in ``perfbench/expected.json``, which it
 only reads. Then renders each panel's sweep (one per axis) at 40 and 80
-members and compares both ``SweepTable.to_csv()`` and the file that
-``sweep --panel P --n N`` writes from the kernel's integer pairs with the
-per-row ``decimal_str``/``frac_str`` loop of ``oracles.csv_by_decimal_str``,
-byte for byte. Needs no third-party package, so it runs on every supported
-Python:
+members three ways: ``panel_sweep(...).to_csv()``, the CSV that
+``sweep --panel P --n N`` streams to stdout after its summary line, and the
+file that ``sweep --panel P --n N --out F`` writes. All three come from the
+one line writer, ``SweepTable.csv_lines``; each is compared, byte for byte,
+with the per-row ``decimal_str``/``frac_str`` loop of
+``oracles.csv_by_decimal_str``. Needs no third-party package, so it runs on
+every supported Python:
 
     PYTHONPATH=src python tests/panel_smoke.py
 
@@ -46,22 +48,26 @@ def main() -> int:
         for n in (40, 80):
             for panel in sorted(PANEL_GRIDS):
                 table = panel_sweep(panel, n)
-                reference = csv_by_decimal_str(table)
+                reference = csv_by_decimal_str(table.rows)
                 out = Path(tmp) / f"panel-{panel}-{n}.csv"
-                argv = ["sweep", "--panel", panel, "--n", str(n), "--out", str(out)]
-                with contextlib.redirect_stdout(io.StringIO()):
+                argv = ["sweep", "--panel", panel, "--n", str(n)]
+                stdout = io.StringIO()
+                with contextlib.redirect_stdout(stdout):
                     code = cli.main(argv)
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code_out = cli.main([*argv, "--out", str(out)])
                 differ = [
                     name
                     for name, text in (
                         ("to_csv", table.to_csv()),
-                        ("the sweep command", out.read_text() if code == 0 else None),
+                        ("stdout", stdout.getvalue().partition("\n")[2] if code == 0 else None),
+                        ("--out", out.read_text() if code_out == 0 else None),
                     )
                     if text != reference
                 ]
                 failed += bool(differ)
                 status = f"{' and '.join(differ)} differ from the reference rendering" if differ else "ok"
-                print(f"{table.axis} at n={n}, {len(table.rows)} rows: {status}")
+                print(f"{table.axis} at n={n}, {len(table.grid) * n} rows: {status}")
     return 1 if failed else 0
 
 

@@ -343,22 +343,22 @@ class TestSweepTable:
             )
             grid = sorted({F(rng.randint(1, 999), 1000) for _ in range(8)})
             table = sweep(full, dev, axis, grid)
-            assert table.to_csv() == csv_by_decimal_str(table)
+            assert table.to_csv() == csv_by_decimal_str(table.rows)
 
     def test_csv_hand_built_gains(self):
-        # an integer gain, zero, a negative one, one whose decimal takes
-        # exponent notation and one of about 200 digits
-        huge = F(7**236 + 1, 3**200)
+        # zero, an integer gain, a negative one, one whose decimal takes
+        # exponent notation and one of about 200 digits, as reduced pairs
+        huge = (7**236 + 1, 3**200)
         values = (F(1, 2), F(1, 3))
-        gains = (F(0), F(3), F(-2, 7), F(1, 10**9), huge)
-        rows = tuple(
-            SweepRow(value, k, gain, k == 2)
-            for value in values
-            for k, gain in enumerate(gains, 1)
-        )
-        table = SweepTable("p_dev", rows)
+        pairs = ((0, 1), (3, 1), (-2, 7), (1, 10**9), huge)
+        table = SweepTable("p_dev", values, ((pairs, 2),) * 2)
         text = table.to_csv()
-        assert text == csv_by_decimal_str(table)
+        assert text == csv_by_decimal_str(
+            SweepRow(value, k, F(*pair), k == 2)
+            for value in values
+            for k, pair in enumerate(pairs, 1)
+        )
+        assert [row.gain for row in table.rows] == [F(*pair) for pair in pairs] * 2
         lines = text.splitlines()
         assert lines[1:5] == [
             "0.5,1,0,false,0",
@@ -397,16 +397,15 @@ class TestSweepTable:
         full, dev = baseline_params(12)
         grid = parse_grid("0.30:0.50:0.02")
         for axis in ("q_other_dev", "p_dev", "q_own_dev", "q_T_dev"):
-            for run in (sweep, binary_env._sweep_csv):
-                passes.clear()
-                halves.clear()
-                run(full, dev, axis, grid)
-                assert len(passes) == len(grid) + 1
-                assert passes.count(full) == 1
-                if axis == "q_other_dev":
-                    assert halves == [full.q_other, *grid]
-                else:
-                    assert halves == [full.q_other, dev.q_other]
+            passes.clear()
+            halves.clear()
+            sweep(full, dev, axis, grid)
+            assert len(passes) == len(grid) + 1
+            assert passes.count(full) == 1
+            if axis == "q_other_dev":
+                assert halves == [full.q_other, *grid]
+            else:
+                assert halves == [full.q_other, dev.q_other]
 
     def test_parse_grid_inclusive_exact(self):
         grid = parse_grid("0.30:0.50:0.02")
@@ -436,7 +435,9 @@ class TestCurveKernel:
             for _ in range(3):
                 full, dev = self.draw(rng, n), self.draw(rng, n)
                 grid = sorted({F(rng.randint(1, 99), 100) for _ in range(6)})
-                assert sweep(full, dev, axis, grid) == sweep_by_fractions(full, dev, axis, grid)
+                table, expected = sweep(full, dev, axis, grid), sweep_by_fractions(full, dev, axis, grid)
+                assert table.rows == expected
+                assert table.k_star_trace() == tuple((r.axis_value, r.k) for r in expected if r.is_optimal)
 
     def test_k_star_is_first_argmax(self):
         rng = random.Random(71)
@@ -506,13 +507,14 @@ class TestCurveKernel:
 
     @pytest.mark.parametrize("axis", binary_env.SWEEP_AXES)
     def test_csv_writer_matches_the_reference_rendering(self, axis):
-        # the CLI's writer, from the kernel's integer pairs, against the
-        # per-row decimal_str/frac_str rendering of the library sweep
+        # the one CSV writer, from the kernel's reduced integer pairs, against
+        # the per-row decimal_str/frac_str rendering of the Fraction sweep
+        # loop, which shares no code with the kernel
         rng = random.Random(f"writer/{axis}")
         for n in (2, 10, 40):
             full, dev = self.draw(rng, n), self.draw(rng, n)
             grid = [F(rng.randint(1, 999), 1000) for _ in range(7)]
-            text = binary_env._sweep_csv(full, dev, axis, grid)
-            assert text == csv_by_decimal_str(sweep(full, dev, axis, grid))
+            text = sweep(full, dev, axis, grid).to_csv()
+            assert text == csv_by_decimal_str(sweep_by_fractions(full, dev, axis, grid))
             assert text.count("\n") == 1 + len(grid) * n
 

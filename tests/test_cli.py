@@ -716,6 +716,36 @@ class TestSweepAndOptimalK:
         assert main(["sweep", "--panel", "c", "--n", "6", "--out", str(out)]) == 0
         assert out.read_bytes() == panel_sweep("c", 6).to_csv().encode()
 
+    def test_sweep_stdout_out_and_library_agree(self, tmp_path, capsys):
+        # the summary line, then the CSV on stdout; with --out the same bytes
+        # go to the file, and both are the library table's to_csv()
+        argv = ["sweep", "--panel", "a", "--grid", "0.30:0.40:0.02", "--n", "5"]
+        assert main(argv) == 0
+        summary, _, csv = capsys.readouterr().out.partition("\n")
+        assert json.loads(summary)["rows"] == 6 * 5
+        out = tmp_path / "panel_a.csv"
+        assert main([*argv, "--out", str(out)]) == 0
+        expected = panel_sweep("a", 5, binary_env.parse_grid("0.30:0.40:0.02")).to_csv()
+        assert csv == expected
+        assert out.read_bytes() == expected.encode()
+
+    def test_sweep_hands_the_file_writer_lines(self, tmp_path, monkeypatch):
+        # the CSV reaches _atomic_write as an iterable of lines, never
+        # joined into one string first
+        real, chunks = cli._atomic_write, []
+
+        def recording(path, lines):
+            assert not isinstance(lines, (str, list, tuple))
+            chunks.extend(lines)
+            real(path, chunks)
+
+        monkeypatch.setattr(cli, "_atomic_write", recording)
+        out = tmp_path / "panel_b.csv"
+        assert main(["sweep", "--panel", "b", "--grid", "0.30:0.50:0.05", "--n", "6", "--out", str(out)]) == 0
+        assert len(chunks) == 1 + 5 * 6
+        assert all(chunk.count("\n") == 1 and chunk.endswith("\n") for chunk in chunks)
+        assert out.read_text() == "".join(chunks)
+
     def test_sweep_has_no_jobs_option(self):
         assert main(["sweep", "--panel", "b", "--jobs", "2"]) == 2
 
@@ -840,6 +870,15 @@ class TestOutFiles:
         assert "rename refused" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_temporary_file_removed_when_the_chunks_fail(self, tmp_path):
+        # a chunk source that raises part way leaves no file behind
+        def chunks():
+            yield "first line\n"
+            raise ValueError("no second line")
+
+        with pytest.raises(ValueError, match="no second line"):
+            cli._atomic_write(str(tmp_path / "p.csv"), chunks())
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "make, code", [(lambda tmp: tmp / "missing" / "x.json", errno.ENOENT), (lambda tmp: tmp, errno.EISDIR)],

@@ -870,6 +870,40 @@ class TestSearchCompleteness:
         assert checked > 50
 
 
+class TestRulesFixConfigurations:
+    def test_posteriors_imply_the_cuts_and_rules_are_distinct(self):
+        # the search keeps every verified candidate without a dedup key: a
+        # rule fixes its Bayes posterior, and the posterior fixes the
+        # configuration (an atom at p exactly where it equals x_p, a gap at c
+        # exactly where it lies strictly between x_{c-1} and x_c), so no two
+        # configurations of one search share a rule
+        from bisect import bisect_left
+
+        rng = random.Random(113)
+        cases = [
+            (random_dist(rng, n, sizes=(2, 3, 4)), proto)
+            for n, draws in ((2, 20), (3, 10), (4, 3))
+            for _ in range(draws)
+            for proto in all_protocols(n)
+        ]
+        on_path = atoms = 0
+        for d, proto in cases:
+            eqs = find_equilibria(d, proto)
+            assert len({e.rule.values for e in eqs}) == len(eqs)
+            for e in eqs:
+                if e.off_path:
+                    continue
+                on_path += 1
+                implied = []
+                for grid, post in zip(d.space.grids, e.posteriors):
+                    cut = bisect_left(grid, post)
+                    atom = cut if cut < len(grid) and grid[cut] == post else None
+                    implied.append((cut + (atom is not None), atom))
+                assert [(c.cut, c.atom_pos) for c in e.cuts] == implied
+                atoms += any(c.atom_pos is not None for c in e.cuts)
+        assert len(cases) == 758 and on_path > len(cases) and atoms > 300
+
+
 def fractional_dist(rng, n, sizes):
     """Full-support pmf on grids of distinct fractions with mixed denominators."""
     grids = []
