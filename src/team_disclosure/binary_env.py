@@ -14,10 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from itertools import accumulate, starmap
-from math import comb, gcd
+from itertools import accumulate
+from math import comb, gcd, lcm
 from operator import mul
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .outcomes import JointDistribution, common_outcome_mixture
 from .rationals import Rational, as_fraction, decimal_str, ratio_decimal_str
@@ -69,29 +69,38 @@ class BinaryEnvParams:
             self.p, self.q_team, [self.q_own] + [self.q_other] * (self.n - 1)
         )
 
-    @property
-    def mean_own(self) -> Fraction:
-        """Marked member's unconditional expected outcome."""
-        return Fraction(*_mean_ratio(self))
+
+_Ratio = tuple[int, int]
 
 
-def _mean_ratio(params: BinaryEnvParams) -> tuple[int, int]:
-    """``mean_own`` = p*q_team + (1-p)*q_own as an unreduced integer ratio
-    over the positive denominator pb*tb*ib (as in ``_terms``)."""
-    pn, pb = params.p.as_integer_ratio()
-    tn, tb = params.q_team.as_integer_ratio()
-    in_, ib = params.q_own.as_integer_ratio()
+def _ratios(params: BinaryEnvParams) -> tuple[int, _Ratio, _Ratio, _Ratio, _Ratio]:
+    """n and the integer ratios of p, q_team, q_own and q_other: the
+    arguments of ``_terms`` for one profile."""
+    return (
+        params.n,
+        params.p.as_integer_ratio(),
+        params.q_team.as_integer_ratio(),
+        params.q_own.as_integer_ratio(),
+        params.q_other.as_integer_ratio(),
+    )
+
+
+def _mean_ratio(p: _Ratio, q_team: _Ratio, q_own: _Ratio) -> _Ratio:
+    """The marked member's unconditional expected outcome p*q_team +
+    (1-p)*q_own as an unreduced integer ratio over the positive denominator
+    pb*tb*ib (as in ``_terms``)."""
+    (pn, pb), (tn, tb), (in_, ib) = p, q_team, q_own
     return pn * tn * ib + (pb - pn) * in_ * tb, pb * tb * ib
 
 
 class _Half(NamedTuple):
     """The half of ``_terms`` that reads only n and q_other (``_other_half``):
-    the ``n`` and ``q_other`` it was built for, ``scale`` = den**(n-1), and
-    per k = 1..n, indexed by k-1, the sequences ``s1``, ``w``, ``s2`` and
+    the ``n`` and ``q_other`` ratio it was built for, ``scale`` = den**(n-1),
+    and per k = 1..n, indexed by k-1, the sequences ``s1``, ``w``, ``s2`` and
     ``c`` over that scale."""
 
     n: int
-    q_other: Fraction
+    q_other: _Ratio
     scale: int
     s1: list[int]
     w: list[int]
@@ -99,8 +108,9 @@ class _Half(NamedTuple):
     c: list[int]
 
 
-def _other_half(n: int, q_other: Fraction) -> _Half:
-    """The half of ``_terms`` that reads only n and q_other = num/den.
+def _other_half(n: int, q_other: _Ratio) -> _Half:
+    """The half of ``_terms`` that reads only n and q_other = num/den, given
+    as its integer ratio ``(num, den)``.
 
     A :class:`_Half` of ``den**(n-1)`` and, indexed by k-1 for k = 1..n,
     four integer sequences over that scale: ``s1``, the others' weight of
@@ -117,7 +127,7 @@ def _other_half(n: int, q_other: Fraction) -> _Half:
     ``w * S2 == c * s1`` of this half alone, checked here once per half; at
     k = 1 both of its sides are 0.
     """
-    num, den = q_other.as_integer_ratio()
+    num, den = q_other
     low = den - num
     binom = [comb(n - 1, m) for m in range(n)]
     num_pows, low_pows = [1], [1]  # num**m and low**m, m = 0..n-1
@@ -138,9 +148,17 @@ def _other_half(n: int, q_other: Fraction) -> _Half:
 
 
 def _terms(
-    params: BinaryEnvParams, half: _Half | None = None
-) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-    """Scaled numerators of P(ND) and P(own high and ND) for every k = 1..n.
+    n: int,
+    p: _Ratio,
+    q_team: _Ratio,
+    q_own: _Ratio,
+    q_other: _Ratio,
+    half: _Half | None = None,
+) -> tuple[int, list[int], list[int]]:
+    """Scaled numerators of P(ND) and P(own high and ND) for every k = 1..n,
+    from n and the integer ratios ``(num, den)`` of p, q_team, q_own and
+    q_other (``_ratios`` of a profile), each already checked to lie inside
+    (0,1).
 
     Returns ``(D, P, J)`` with P(ND) = ``P[k-1] / D`` and P(own high and ND)
     = ``J[k-1] / D``, over the common denominator
@@ -150,31 +168,27 @@ def _terms(
 
     The independent branch conceals when at least n-k+1 of the n-1 other
     members draw low, or exactly n-k do and the marked member draws low too.
-    Those weights come from ``half``, ``_other_half(params.n,
-    params.q_other)``, built here when not given; a half built for another
-    n or q_other is refused with ValueError. Its closed-form check ran when
-    it was built.
+    Those weights come from ``half``, ``_other_half(n, q_other)``, built here
+    when not given; a half built for another n or q_other is refused with
+    ValueError. Its closed-form check ran when it was built.
 
     A sweep along an axis other than q_other builds the deviation's ``half``
     once and hands it to every grid point's pass. Nothing else is shared
     between passes.
     """
     if half is None:
-        half = _other_half(params.n, params.q_other)
-    elif half.n != params.n or half.q_other != params.q_other:
+        half = _other_half(n, q_other)
+    elif half.n != n or half.q_other != q_other:
         raise ValueError(
-            f"a q_other half for n={half.n}, q_other={half.q_other} given to a pass "
-            f"at n={params.n}, q_other={params.q_other}"
+            f"a q_other half for n={half.n}, q_other={Fraction(*half.q_other)} given to "
+            f"a pass at n={n}, q_other={Fraction(*q_other)}"
         )
-    p, qt, qi = params.p, params.q_team, params.q_own
-    pn, pb = p.numerator, p.denominator
-    tn, tb = qt.numerator, qt.denominator
-    in_, ib = qi.numerator, qi.denominator
+    (pn, pb), (tn, tb), (in_, ib) = p, q_team, q_own
     common = pn * (tb - tn) * ib * half.scale  # p(1-q_team) * D
     indep = (pb - pn) * tb
     indep_all, indep_low, indep_high = indep * ib, indep * (ib - in_), indep * in_
-    pnds = tuple(common + indep_all * s1 + indep_low * w for s1, w in zip(half.s1, half.w))
-    joints = tuple(indep_high * s1 for s1 in half.s1)
+    pnds = [common + indep_all * s1 + indep_low * w for s1, w in zip(half.s1, half.w)]
+    joints = [indep_high * s1 for s1 in half.s1]
     return pb * tb * ib * half.scale, pnds, joints
 
 
@@ -183,7 +197,7 @@ def closed_forms(
 ) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...], tuple[Fraction, ...]]:
     """P(ND), P(own high and ND) and E[own | ND] at every k = 1..n, as three
     tuples indexed by k-1, from one ``_terms`` pass."""
-    scale, pnds, joints = _terms(params)
+    scale, pnds, joints = _terms(*_ratios(params))
     return (
         tuple(Fraction(pnd, scale) for pnd in pnds),
         tuple(Fraction(joint, scale) for joint in joints),
@@ -191,41 +205,67 @@ def closed_forms(
     )
 
 
+_FullSide = tuple[int, int, list[int], list[int]]
+
+
+def _full_side(params: BinaryEnvParams) -> _FullSide:
+    """The full-effort side of every ``_curve`` of one kernel entry: the
+    integer ratio of its mean and its ``_terms`` numerators ``P`` and ``J``."""
+    args = _ratios(params)
+    _, pf, jf = _terms(*args)
+    return (*_mean_ratio(*args[1:4]), pf, jf)
+
+
+def _reduced(num: int, den: int) -> _Ratio:
+    """num/den in lowest terms, as an integer pair, by one ``gcd``."""
+    g = gcd(num, den)
+    return num // g, den // g
+
+
 def _curve(
-    mean_full: Fraction,
-    terms_full: tuple[int, tuple[int, ...], tuple[int, ...]],
-    params_dev: BinaryEnvParams,
+    full: _FullSide,
+    gain: Callable[[int, int], object],
+    n: int,
+    p: _Ratio,
+    q_team: _Ratio,
+    q_own: _Ratio,
+    q_other: _Ratio,
     half: _Half | None = None,
-) -> tuple[tuple[tuple[int, int], ...], int]:
+) -> tuple[tuple[object, ...], int]:
     """Gains at every consensus level k = 1..n and the first k whose gain is
-    largest, from the full-effort side's mean and ``_terms`` and one pass over
-    the deviation profile (``half`` as ``_terms`` takes it).
+    largest, from the full-effort side (``_full_side``) and one ``_terms``
+    pass over the deviation profile's n and integer ratios (``half`` as
+    ``_terms`` takes it). The caller has checked that both sides have n
+    members.
 
     With P(ND) = P/D and E[own | ND] = J/P, the gain at k is
     N_k / (bd*dd*P_f[k]), N_k = bn*dd*P_f[k] - bd*(J_f[k]*P_d[k] - J_d[k]*P_f[k]),
     where bn/bd is the mean shift, formed from the integer ratios of the two
     means and left unreduced. Every denominator is positive and bd*dd is
     common to all k, so gain a beats gain b exactly when
-    N_a*P_f[b] > N_b*P_f[a]: the argmax runs on integers. Each gain is
-    returned as its unreduced pair ``(N_k, bd*dd*P_f[k])``; ``gain_curve``
-    makes the Fractions, and ``sweep`` reduces the pairs itself.
+    N_a*P_f[b] > N_b*P_f[a]: the argmax runs on the unreduced integers. In
+    the same loop each gain leaves as ``gain(N_k, bd*dd*P_f[k])``: a sweep's
+    ``_reduced`` pair or ``gain_curve``'s Fraction, either way reduced by one
+    ``gcd``.
     """
-    _, pf, jf = terms_full
-    if len(pf) != params_dev.n:
-        raise BinaryEnvError("effort profiles disagree on the member count")
-    fn, fd = mean_full.as_integer_ratio()
-    an, ad = _mean_ratio(params_dev)
+    fn, fd, pf, jf = full
+    an, ad = _mean_ratio(p, q_team, q_own)
     bn, bd = fn * ad - an * fd, fd * ad
-    dd, pd, jd = _terms(params_dev, half)
+    dd, pd, jd = _terms(n, p, q_team, q_own, q_other, half)
     shift, scale = bn * dd, bd * dd
-    pairs = []
+    gains = []
     best_k = best_num = best_pf = None
     for k, (pfk, jfk, pdk, jdk) in enumerate(zip(pf, jf, pd, jd), 1):
         num = shift * pfk - bd * (jfk * pdk - jdk * pfk)
-        pairs.append((num, scale * pfk))
+        gains.append(gain(num, scale * pfk))
         if best_k is None or num * best_pf > best_num * pfk:
             best_k, best_num, best_pf = k, num, pfk
-    return tuple(pairs), best_k
+    return tuple(gains), best_k
+
+
+def _check_members(params_full: BinaryEnvParams, params_dev: BinaryEnvParams) -> None:
+    if params_full.n != params_dev.n:
+        raise BinaryEnvError("effort profiles disagree on the member count")
 
 
 @dataclass(frozen=True)
@@ -243,10 +283,11 @@ def gain_curve(params_full: BinaryEnvParams, params_dev: BinaryEnvParams) -> Gai
     ``params_full`` describes the distribution when everyone works,
     ``params_dev`` when the marked member shirks; the rule and the observer's
     posterior stay at their full-effort values, so the gain is the mean shift
-    less P_dev(ND) * (E_full[own | ND] - E_dev[own | ND]).
+    less P_dev(ND) * (E_full[own | ND] - E_dev[own | ND]). Profiles of
+    different member counts are refused before any pass.
     """
-    pairs, k_star = _curve(params_full.mean_own, _terms(params_full), params_dev)
-    return GainCurve(tuple(starmap(Fraction, pairs)), k_star)
+    _check_members(params_full, params_dev)
+    return GainCurve(*_curve(_full_side(params_full), Fraction, *_ratios(params_dev)))
 
 
 class SweepRow(NamedTuple):
@@ -307,12 +348,15 @@ def sweep(
     full-effort profile fixed; emit the gain curve and optimum per grid point,
     at most ``MAX_SWEEP_ROWS`` rows (grid points x members).
 
-    Checks the axis, the row cap and every grid value before any kernel pass,
-    and makes the full-effort side's pass once. Each grid point then costs
-    one constructor call for its deviation profile (range checks on integer
-    ratios), one ``_terms`` pass, ``_curve``'s integer loop and one ``gcd``
-    per gain. Off the q_other axis the deviation's q_other is fixed, so its
-    ``_other_half`` is built once here rather than at every point.
+    Checks the axis, the row cap, every grid value and the member count
+    before any kernel pass, and makes the full-effort side's pass once. Each
+    grid point then costs one ``_curve``: one ``_terms`` pass on the
+    deviation profile's integer ratios with the grid value's put in, and one
+    integer loop that also reduces each gain with one ``gcd``. No parameter
+    object is built per point; the profiles' constructors and the grid check
+    have made its range checks. Off the q_other axis the deviation's q_other
+    is fixed, so its ``_other_half`` is built once here rather than at every
+    point.
     """
     if axis not in _AXIS_FIELD:
         raise BinaryEnvError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
@@ -323,25 +367,21 @@ def sweep(
             f"a sweep of {len(grid)} grid points at n={params_full.n} has "
             f"{count} rows, more than {MAX_SWEEP_ROWS}"
         )
-    for value in grid:
-        num, den = value.as_integer_ratio()
+    ratios = [value.as_integer_ratio() for value in grid]
+    for value, (num, den) in zip(grid, ratios):
         if not 0 < num < den:
             raise BinaryEnvError(f"grid value {value} outside (0,1)")
-    names = [f.name for f in fields(BinaryEnvParams)]
-    args = [getattr(params_dev, name) for name in names]
+    _check_members(params_full, params_dev)
+    full = _full_side(params_full)
+    args = list(_ratios(params_dev))
     field = _AXIS_FIELD[axis]
-    position = names.index(field)
-    mean_full, terms_full = params_full.mean_own, _terms(params_full)
-    half = None if field == "q_other" else _other_half(params_dev.n, params_dev.q_other)
+    # _ratios lists n and the four parameters in their field order
+    position = [f.name for f in fields(BinaryEnvParams)].index(field)
+    half = None if field == "q_other" else _other_half(params_dev.n, args[-1])
     curves = []
-    for value in grid:
-        args[position] = value
-        pairs, k_star = _curve(mean_full, terms_full, BinaryEnvParams(*args), half)
-        reduced = []
-        for num, den in pairs:
-            g = gcd(num, den)
-            reduced.append((num // g, den // g))
-        curves.append((tuple(reduced), k_star))
+    for ratio in ratios:
+        args[position] = ratio
+        curves.append(_curve(full, _reduced, *args, half))
     return SweepTable(axis, grid, tuple(curves))
 
 
@@ -354,16 +394,17 @@ MAX_GRID_POINTS = 10_000
 # line together (Python 3.11.7, one core).
 MAX_GRID_DENOMINATOR = 10_000
 # The largest team `optimal-k` and `sweep` accept. A gain curve at 320 members
-# takes about 0.015 s at the baseline and 0.03 s on mixed denominators
-# (Python 3.11.7, one core), and the cost grows faster than n.
+# takes about 0.02 s at the baseline and 0.1 to 0.15 s when all eight
+# parameters have four-digit denominators near the grid bound (Python 3.11.7,
+# one core), and the cost grows faster than n.
 MAX_SWEEP_MEMBERS = 320
 # The most rows (grid points x members) one sweep may emit: the point and
 # member caps above hold on their own, but 10 000 points at 320 members would
-# run for about 13 minutes. A `sweep` row at 320 members costs about 0.25 ms
-# on three-decimal grid values (the q_other_dev axis; 0.07 ms on p_dev),
+# run for about 14 minutes. A `sweep` row at 320 members costs about 0.27 ms
+# on three-decimal grid values (the q_other_dev axis; 0.08 ms on p_dev),
 # about half of it formatting the CSV line (Python 3.11.7, one core), so the
-# largest accepted sweep, 100 points at 320 members, takes about 8 s there,
-# and about 31 s on values whose denominators are products of two at the
+# largest accepted sweep, 100 points at 320 members, takes about 11 s there,
+# and about 35 s on values whose denominators are products of two at the
 # denominator bound.
 MAX_SWEEP_ROWS = 32_000
 
@@ -387,7 +428,10 @@ def parse_grid(spec: str) -> tuple[Fraction, ...]:
         raise BinaryEnvError(
             f"grid spec {spec!r} has a denominator above {MAX_GRID_DENOMINATOR}"
         )
-    return tuple(start + i * step for i in range(count))
+    # every point over one denominator, so each costs one normalisation
+    d = lcm(start.denominator, step.denominator)
+    a, b = start.numerator * (d // start.denominator), step.numerator * (d // step.denominator)
+    return tuple(Fraction(a + i * b, d) for i in range(count))
 
 
 def baseline_params(n: int = 10) -> tuple[BinaryEnvParams, BinaryEnvParams]:

@@ -8,7 +8,7 @@ binary float.
 from __future__ import annotations
 
 import re
-from decimal import Context, Decimal
+from decimal import Context
 from fractions import Fraction
 
 Rational = Fraction | int | str | float
@@ -67,5 +67,6 @@ def decimal_str(value: Fraction | int) -> str:
 
 
 def ratio_decimal_str(num: int, den: int) -> str:
-    """``decimal_str`` of num/den (den > 0), without building the Fraction."""
-    return str(_TWELVE_DIGITS.divide(Decimal(num), Decimal(den)))
+    """``decimal_str`` of num/den (den > 0), without building the Fraction.
+    The context converts both ints exactly before its one rounding."""
+    return str(_TWELVE_DIGITS.divide(num, den))

@@ -4,6 +4,7 @@ These re-derive expected values from first principles (subset loops, explicit
 branch enumeration, direct payoff accounting) without reusing the library's
 own formulas, so each checked quantity has two separate routes to the answer.
 """
+from decimal import Context, Decimal
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -299,16 +300,34 @@ def sweep_by_fractions(full, dev, axis, grid):
     return tuple(rows)
 
 
-def csv_by_decimal_str(rows):
-    """A sweep's CSV through ``decimal_str`` and ``frac_str`` on every
-    ``SweepRow``, the reference for ``SweepTable.csv_lines``."""
-    from team_disclosure.rationals import decimal_str, frac_str
+def grid_by_fractions(spec):
+    """The points of a 'start:stop:step' grid spec by the Fraction loop
+    ``start + i*step``, i = 0, 1, ... while the point stays at most stop."""
+    start, stop, step = (Fraction(part) for part in spec.split(":"))
+    points, i = [], 0
+    while start + i * step <= stop:
+        points.append(start + i * step)
+        i += 1
+    return tuple(points)
 
+
+def decimal_by_objects(value):
+    """value (a Fraction or int) to 12 significant digits by two ``Decimal``
+    objects divided in a context of its own, sharing no code with
+    ``rationals``."""
+    num, den = value.as_integer_ratio()
+    return str(Context(prec=12).divide(Decimal(num), Decimal(den)))
+
+
+def csv_by_decimal_str(rows):
+    """A sweep's CSV from every ``SweepRow``, the reference for
+    ``SweepTable.csv_lines``: the axis value and the gain rendered by
+    ``decimal_by_objects``, the exact gain by ``str``."""
     lines = ["axis_value,K,gain,is_optimal,gain_exact"]
     for row in rows:
         flag = "true" if row.is_optimal else "false"
         lines.append(
-            f"{decimal_str(row.axis_value)},{row.k},{decimal_str(row.gain)},{flag},{frac_str(row.gain)}"
+            f"{decimal_by_objects(row.axis_value)},{row.k},{decimal_by_objects(row.gain)},{flag},{row.gain}"
         )
     return "\n".join(lines) + "\n"
 

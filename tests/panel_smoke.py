@@ -2,14 +2,15 @@
 
 Runs ``sweep --panel a..d`` in a fresh interpreter each and compares every
 CSV's SHA-256 with the bytes recorded in ``perfbench/expected.json``, which it
-only reads. Then renders each panel's sweep (one per axis) at 40 and 80
-members three ways: ``panel_sweep(...).to_csv()``, the CSV that
-``sweep --panel P --n N`` streams to stdout after its summary line, and the
-file that ``sweep --panel P --n N --out F`` writes. All three come from the
-one line writer, ``SweepTable.csv_lines``; each is compared, byte for byte,
-with the per-row ``decimal_str``/``frac_str`` loop of
-``oracles.csv_by_decimal_str``. Needs no third-party package, so it runs on
-every supported Python:
+only reads. Then, for each panel's sweep (one per axis) at 40 and 80 members,
+compares the kernel's rows with the Fraction sweep loop
+``oracles.sweep_by_fractions``, and renders the sweep three ways:
+``panel_sweep(...).to_csv()``, the CSV that ``sweep --panel P --n N`` streams
+to stdout after its summary line, and the file that
+``sweep --panel P --n N --out F`` writes. All three come from the one line
+writer, ``SweepTable.csv_lines``; each is compared, byte for byte, with the
+per-row ``Decimal`` rendering of ``oracles.csv_by_decimal_str``. Needs no
+third-party package, so it runs on every supported Python:
 
     PYTHONPATH=src python tests/panel_smoke.py
 
@@ -24,9 +25,9 @@ import sys
 import tempfile
 from pathlib import Path
 
-from oracles import csv_by_decimal_str
+from oracles import csv_by_decimal_str, sweep_by_fractions
 from team_disclosure import cli
-from team_disclosure.binary_env import PANEL_GRIDS, panel_sweep
+from team_disclosure.binary_env import PANEL_GRIDS, baseline_params, panel_sweep
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -48,6 +49,8 @@ def main() -> int:
         for n in (40, 80):
             for panel in sorted(PANEL_GRIDS):
                 table = panel_sweep(panel, n)
+                full, dev = baseline_params(n)
+                rows_ok = table.rows == sweep_by_fractions(full, dev, table.axis, table.grid)
                 reference = csv_by_decimal_str(table.rows)
                 out = Path(tmp) / f"panel-{panel}-{n}.csv"
                 argv = ["sweep", "--panel", panel, "--n", str(n)]
@@ -65,8 +68,10 @@ def main() -> int:
                     )
                     if text != reference
                 ]
+                if not rows_ok:
+                    differ.insert(0, "rows")
                 failed += bool(differ)
-                status = f"{' and '.join(differ)} differ from the reference rendering" if differ else "ok"
+                status = f"{' and '.join(differ)} differ from the reference" if differ else "ok"
                 print(f"{table.axis} at n={n}, {len(table.grid) * n} rows: {status}")
     return 1 if failed else 0
 

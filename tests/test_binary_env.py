@@ -2,6 +2,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 import pytest
 
@@ -31,6 +32,7 @@ from oracles import (
     binary_terms_by_fractions,
     csv_by_decimal_str,
     first_argmax,
+    grid_by_fractions,
     sweep_by_fractions,
 )
 
@@ -39,6 +41,18 @@ F = Fraction
 
 def sym(n, p, qt, q):
     return BinaryEnvParams.make(n, p, qt, q, q)
+
+
+def ratios(params):
+    """The arguments of a ``_terms`` pass on params: n, then the integer
+    ratios of p, q_team, q_own and q_other."""
+    values = (params.p, params.q_team, params.q_own, params.q_other)
+    return (params.n, *(v.as_integer_ratio() for v in values))
+
+
+def mean_own(params):
+    """The marked member's unconditional expected outcome."""
+    return params.p * params.q_team + (1 - params.p) * params.q_own
 
 
 def forms_at(params, k):
@@ -120,9 +134,9 @@ class TestClosedForms:
         passes = []
         kernel = binary_env._terms
 
-        def counted(params):
-            passes.append(params)
-            return kernel(params)
+        def counted(*args):
+            passes.append(args)
+            return kernel(*args)
 
         monkeypatch.setattr(binary_env, "_terms", counted)
         rng = random.Random(73)
@@ -131,7 +145,7 @@ class TestClosedForms:
             params = BinaryEnvParams(n, *(F(rng.randint(1, 99), 100) for _ in range(4)))
             passes.clear()
             pnds, joints, means = closed_forms(params)
-            assert passes == [params]
+            assert passes == [ratios(params)]
             assert (pnds, joints, means) == binary_terms_by_fractions(params)
 
     @pytest.mark.parametrize("n", [80, 160, 320])
@@ -227,7 +241,7 @@ class TestGain:
     def test_unilateral_gain_is_mean_shift(self):
         full = sym(4, F(1, 2), F(51, 100), F(51, 100))
         dev = sym(4, F(1, 2), F(1, 2), F(1, 2))
-        assert gain_curve(full, dev).gains[0] == full.mean_own - dev.mean_own
+        assert gain_curve(full, dev).gains[0] == mean_own(full) - mean_own(dev)
 
     def test_partner_lift_beats_unilateral(self):
         base = sym(4, F(1, 2), F(1, 2), F(1, 2))
@@ -376,6 +390,21 @@ class TestSweepTable:
         with pytest.raises(BinaryEnvError):
             sweep(full, dev, "not_an_axis", [F(1, 2)])
 
+    def test_member_count_refused_before_any_pass(self, monkeypatch):
+        # a 10-member full profile against a 5-member deviation, refused by
+        # gain_curve and by a sweep on every axis before any kernel pass
+        def no_pass(*args):
+            raise AssertionError("a kernel pass was made")
+
+        monkeypatch.setattr(binary_env, "_terms", no_pass)
+        monkeypatch.setattr(binary_env, "_other_half", no_pass)
+        full, dev = baseline_params(10)[0], baseline_params(5)[1]
+        with pytest.raises(BinaryEnvError, match="disagree on the member count"):
+            gain_curve(full, dev)
+        for axis in binary_env.SWEEP_AXES:
+            with pytest.raises(BinaryEnvError, match="disagree on the member count"):
+                sweep(full, dev, axis, [F(1, 3), F(1, 2)])
+
     def test_sweep_computes_the_full_effort_side_once(self, monkeypatch):
         # count kernel passes: a sweep over G points makes exactly one pass for
         # the full-effort side plus one per deviation point. The deviation's
@@ -384,12 +413,12 @@ class TestSweepTable:
         passes, halves = [], []
         kernel, other_half = binary_env._terms, binary_env._other_half
 
-        def counted(params, half=None):
-            passes.append(params)
-            return kernel(params, half)
+        def counted(*args):
+            passes.append(args[:5])
+            return kernel(*args)
 
         def counted_half(n, q_other):
-            halves.append(q_other)
+            halves.append(F(*q_other))
             return other_half(n, q_other)
 
         monkeypatch.setattr(binary_env, "_terms", counted)
@@ -401,7 +430,7 @@ class TestSweepTable:
             halves.clear()
             sweep(full, dev, axis, grid)
             assert len(passes) == len(grid) + 1
-            assert passes.count(full) == 1
+            assert passes.count(ratios(full)) == 1
             if axis == "q_other_dev":
                 assert halves == [full.q_other, *grid]
             else:
@@ -418,6 +447,49 @@ class TestSweepTable:
         assert len(parse_grid(f"0.3:0.4:1/{bound - 27}")) == 1 + (bound - 27) // 10
         for spec in (f"1/{bound + 1}:0.5:0.1", f"0:1/{bound + 1}:0.1", f"0.1:0.5:1/{bound + 1}"):
             with pytest.raises(BinaryEnvError, match="denominator"):
+                parse_grid(spec)
+
+    def test_parse_grid_point_cap_and_zero_step(self):
+        # exactly MAX_GRID_POINTS points are accepted and one more refused; a
+        # zero step is a bad spec, not a division by zero
+        cap = binary_env.MAX_GRID_POINTS
+        assert parse_grid(f"1:{cap}:1") == tuple(map(F, range(1, cap + 1)))
+        with pytest.raises(BinaryEnvError, match="more than"):
+            parse_grid(f"1:{cap + 1}:1")
+        with pytest.raises(BinaryEnvError, match="bad grid spec"):
+            parse_grid("0.1:0.5:0")
+
+    def test_parse_grid_matches_the_fraction_loop(self):
+        # start, stop and step over different denominators, as written and
+        # drawn, against start + i*step in Fractions
+        rng = random.Random(97)
+        specs = ["1/3:0.9:1/7", "0.05:0.509:0.003", "3001/9997:0.31:1/9999", "-1/4:1/6:1/10"]
+        for _ in range(40):
+            dens = [rng.randint(1, 10_000) for _ in range(3)]
+            start, stop = sorted(F(rng.randint(1, 3 * den), den) for den in dens[:2])
+            step = F(rng.randint(1, dens[2]), dens[2])
+            if (stop - start) // step < 2000:
+                specs.append(f"{start}:{stop}:{step}")
+        for spec in specs:
+            grid = parse_grid(spec)
+            assert grid == grid_by_fractions(spec)
+            assert all(type(value) is F for value in grid)
+
+    def test_parse_grid_refuses_before_any_point(self, monkeypatch):
+        # the point cap and the denominator bound, in that order, before a
+        # single grid point is built
+        def no_point(*args):
+            raise AssertionError("a grid point was built")
+
+        monkeypatch.setattr(binary_env, "Fraction", no_point)
+        bound = binary_env.MAX_GRID_DENOMINATOR
+        for spec, message in (
+            ("0.1:0.9:0.00001", "more than"),
+            (f"1/{bound + 1}:0.9:1/{10 * bound}", "more than"),
+            (f"1/{bound + 1}:0.5:0.1", "denominator"),
+            (f"0.1:0.5:1/{bound + 1}", "denominator"),
+        ):
+            with pytest.raises(BinaryEnvError, match=message):
                 parse_grid(spec)
 
 
@@ -454,17 +526,22 @@ class TestCurveKernel:
         # curve; k=3's numerators are scaled by 5, so its integer numerator is
         # larger, and only the P_f cross factor keeps the comparison exact
         dev = sym(4, F(1, 2), F(1, 2), F(1, 2))
-        dd, pd, jd = binary_env._terms(dev)
+        dd, pd, jd = binary_env._terms(*ratios(dev))
         pf = (pd[0], pd[1], 5 * pd[2], 7 * pd[3])
         jf = (jd[0] + 1, jd[1], 5 * jd[2], 7 * jd[3] + 1)
         shift = F(1, 10)
-        pairs, k_star = binary_env._curve(dev.mean_own + shift, (1, pf, jf), dev)
+        full = (*(mean_own(dev) + shift).as_integer_ratio(), pf, jf)
+        pairs, k_star = binary_env._curve(full, binary_env._reduced, *ratios(dev))
         assert all(type(num) is int and type(den) is int and den > 0 for num, den in pairs)
+        assert all(gcd(num, den) == 1 for num, den in pairs)
         gains = tuple(F(num, den) for num, den in pairs)
         assert gains == (shift - F(1, dd), shift, shift, shift - F(1, 7 * dd))
-        # k=2 and k=3 tie on unreduced numerators that differ
-        assert pairs[1] != pairs[2]
+        # k=2 and k=3 tie (their reduced pairs are equal) although k=3's
+        # unreduced numerator is five times k=2's
+        assert pairs[1] == pairs[2]
         assert k_star == 2
+        # gain_curve's constructor gets the same gains, as Fractions
+        assert binary_env._curve(full, F, *ratios(dev)) == (gains, 2)
 
     def test_terms_with_a_given_half_match_the_plain_pass(self):
         # one q_other half, built once as a sweep off the q_other axis builds
@@ -473,11 +550,11 @@ class TestCurveKernel:
         rng = random.Random(89)
         for n in range(2, 13):
             q_other = F(rng.randint(1, 99), 100)
-            half = binary_env._other_half(n, q_other)
+            half = binary_env._other_half(n, q_other.as_integer_ratio())
             for _ in range(6):
                 params = replace(self.draw(rng, n), q_other=q_other)
-                scale, pnds, joints = binary_env._terms(params, half)
-                assert (scale, pnds, joints) == binary_env._terms(params)
+                scale, pnds, joints = binary_env._terms(*ratios(params), half)
+                assert (scale, pnds, joints) == binary_env._terms(*ratios(params))
                 expected = binary_terms_by_fractions(params)[:2]
                 assert (tuple(F(v, scale) for v in pnds), tuple(F(v, scale) for v in joints)) == expected
 
@@ -485,11 +562,11 @@ class TestCurveKernel:
         # a half carries the n and q_other it was built for, and a pass at
         # another n or q_other refuses it rather than return wrong P and J
         params = BinaryEnvParams.make(5, F(1, 2), F(1, 2), F(1, 2), F(1, 4))
-        for n, q_other in ((5, F(1, 5)), (6, F(1, 4)), (4, F(1, 4))):
+        for n, q_other in ((5, (1, 5)), (6, (1, 4)), (4, (1, 4))):
             with pytest.raises(ValueError, match="q_other half"):
-                binary_env._terms(params, binary_env._other_half(n, q_other))
-        half = binary_env._other_half(5, F(2, 8))
-        assert binary_env._terms(params, half) == binary_env._terms(params)
+                binary_env._terms(*ratios(params), binary_env._other_half(n, q_other))
+        half = binary_env._other_half(5, F(2, 8).as_integer_ratio())
+        assert binary_env._terms(*ratios(params), half) == binary_env._terms(*ratios(params))
 
     def test_a_corrupted_half_fails_its_check_at_build(self, monkeypatch):
         # s1 one too large at k = 3 breaks w*S2 == c*s1 there, and the half
@@ -503,7 +580,7 @@ class TestCurveKernel:
 
         monkeypatch.setattr(binary_env, "accumulate", off_by_one)
         with pytest.raises(AssertionError, match="closed-form disagreement in _other_half"):
-            binary_env._other_half(5, F(1, 4))
+            binary_env._other_half(5, (1, 4))
 
     @pytest.mark.parametrize("axis", binary_env.SWEEP_AXES)
     def test_csv_writer_matches_the_reference_rendering(self, axis):

@@ -840,6 +840,7 @@ class TestSweepAndOptimalK:
             raise AssertionError("a kernel pass was made")
 
         monkeypatch.setattr(binary_env, "_terms", no_gains)
+        monkeypatch.setattr(binary_env, "_other_half", no_gains)
         argv = ["sweep", "--panel", "a", "--n", str(MAX_SWEEP_MEMBERS), "--grid", grid]
         start = time.perf_counter()
         assert main(argv + ["--out", str(tmp_path / "out")]) == 2

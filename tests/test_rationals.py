@@ -2,7 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from team_disclosure.rationals import MAX_DECIMAL_EXPONENT, as_fraction, decimal_str
+from team_disclosure.rationals import (
+    MAX_DECIMAL_EXPONENT,
+    as_fraction,
+    decimal_str,
+    ratio_decimal_str,
+)
+
+from oracles import decimal_by_objects
 
 F = Fraction
 
@@ -50,6 +57,30 @@ class TestDecimalStr:
     )
     def test_significant_digits(self, value, text):
         assert decimal_str(value) == text
+
+    @pytest.mark.parametrize(
+        "num, den",
+        [
+            (-2, 7),
+            (0, 5),
+            (1, 4),
+            (100, 1),
+            (10**12, 1),
+            (10**13, 1),
+            (1, 10**9),
+            (7**3550 + 1, 3**1000),
+        ],
+        ids=["negative", "zero", "1/4", "100", "10**12", "10**13", "1/10**9", "3000-digit"],
+    )
+    def test_ratio_against_decimal_objects(self, num, den):
+        # the plain-int division against two Decimal objects in a context of
+        # the oracle's own
+        text = ratio_decimal_str(num, den)
+        assert text == decimal_by_objects(F(num, den))
+        if (num, den) == (10**13, 1):
+            assert text == "1.00000000000E+13"
+        if (num, den) == (1, 10**9):
+            assert text == "1E-9"
 
 
 def test_one_zero_and_one_for_the_package():
