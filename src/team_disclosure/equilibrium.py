@@ -62,23 +62,32 @@ rational in the first feasible one-dimensional cell; isolated solutions are
 taken in increasing order of the weight that carries them.
 
 The belief refinement (consistency with deliberation, and the brute-force
-twin of the full-disclosure plausibility predicate) walks every
-deterministic own-outcome profile with one prefix walker
-(:func:`_prefixes`). A member's row is a bitmask over their grid positions,
-and its cells come from a table built once per space
-(``OutcomeSpace._row_cells``). For each prefix of rows of all members but
-the last, the walker gives ``kept``, the cells no coalition of those members
-discloses, and ``pivot``, the cells where they complete a coalition with the
-last member; the profile with the last member at a row conceals ``kept``
-less ``pivot`` on that row's cells. The scans settle the last member once
-per prefix: the consistency scan reads two packed sums per prefix, not one
-per profile, from the subset-sum tables of :mod:`.outcomes`, with each
-member's posterior condition packed per target into one int as a signed
-field (:func:`.outcomes._pack`); the plausibility scan turns each member's
-floor condition into a set of the last member's positions. Every positive
-refinement answer is confirmed by an integer check of its first witness
-profile's concealed set, in ``product`` order, built from the witness's rows
-alone (:func:`_witness_holds`), before it is returned.
+twin of the full-disclosure plausibility predicate) reads every
+deterministic own-outcome profile from one block kernel (:func:`_blocks`).
+A member's row is a bitmask over their grid positions, and its cells come
+from a table built once per space (``OutcomeSpace._row_cells``). For each
+prefix of rows of all members but the last, the kernel gives ``kept``, the
+cells no coalition of those members discloses, and ``pivot``, the cells
+where they complete a coalition with the last member; the profile with the
+last member at a row conceals ``kept`` less ``pivot`` on that row's cells.
+The kernel holds a block of prefixes in byte slots of one int, one slot per
+prefix with a spare top bit (:class:`_ScanState`, one per distribution, on
+a slot layout shared by every distribution on grids of the same lengths).
+Each slotted member's row cells at every prefix of the block sit in one
+int, so a protocol's ``kept`` and ``pivot`` for the whole block take one or
+two big-int ANDs and one OR or AND-NOT per minimal winning coalition. The
+plausibility scan decides every prefix of a block at once: a member's floor
+condition and the concealed mass of a coalition's least row are slot-wise
+nonzero tests, read off the carry into each slot's spare bit, and only the
+first flagged prefix is read out of its slot. The consistency scan reads
+the blocks slot by slot (:func:`_slot_prefixes`) and settles the last
+member once per prefix: two packed sums per prefix, not one per profile,
+from the subset-sum tables of :mod:`.outcomes`, with each member's
+posterior condition packed per target into one int as a signed field
+(:func:`.outcomes._pack`). Every positive refinement answer is confirmed by
+an integer check of its first witness profile's concealed set, in
+``product`` order, built from the witness's rows alone
+(:func:`_witness_holds`), before it is returned.
 
 One cap bounds the search and both refinement scans: at most 4 members and
 at most 20 grid values in all (:func:`_check_caps`), so at most 2^20
@@ -100,7 +109,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import accumulate, chain, combinations, compress, product
 from math import prod
 from operator import and_, attrgetter, mul, not_, or_
@@ -114,6 +123,7 @@ from .outcomes import (
     _chunk_sum,
     _chunks,
     _pack,
+    _slabs,
     _subset_sums,
     _subset_table,
     _unpack,
@@ -1181,59 +1191,191 @@ def find_equilibria(
 
 
 # ---------------------------------------------------------------------------
-# Prefix walker over pure profiles; the belief refinement scans
+# Block kernel over pure profiles; the belief refinement scans
 # ---------------------------------------------------------------------------
 
-def _prefixes(space: OutcomeSpace, protocol: DeliberationProtocol):
-    """Pure own-outcome profiles, walked by prefix of all members but the last.
+# Most prefixes in one block of the refinement scans (:class:`_ScanState`).
+# Every scan of a 2- or 3-member binary space, as in the audit and the
+# benchmark, is one block, and so is every 3-member space of up to 4 values
+# per grid. One block for every shape costs time and memory at the cap: the
+# plausibility scan under k_majority:4,1..4 on a uniform pmf took 0.61 s and
+# 175 MB at grids (5,5,5,5), 1.24 s and 468 MB at (2,8,8,2) and 0.60 s and
+# 224 MB at (14,2,2,2), against 0.05, 0.14 and 0.18 s within 19 MB with
+# 2^8-prefix blocks. 2^10 took 0.09 s and 22 MB at (5,5,5,5), where a
+# witness in the first block pays for the whole block (Python 3.11, 2 vCPU).
+BLOCK_PREFIXES = 1 << 8
 
-    Member i's strategies are their rows, each one int bitmask over their
-    grid positions with the first position in the highest bit, in
-    increasing order. A row's cells are the cells where it votes 1
-    (``space._row_cells``), and the disclosed cells are the OR, over the
-    minimal winning coalitions, of the AND of their members' cells. For
-    every prefix of rows of the first n-1 members, in ``product`` order,
-    yields ``(heads, kept, pivot, tail)``: ``heads`` the prefix's rows;
-    ``kept`` the cells that no coalition of those members alone discloses;
-    ``pivot`` the cells where they complete a coalition with the last
-    member; ``tail`` the cells of each of the last member's rows. With the
-    last member at row m, the profile conceals K = kept & ~(pivot & tail[m]),
-    zero-probability cells included (bit c for cell c).
+
+class _SlotLayout(NamedTuple):
+    """The slot layout of the refinement scans on grids of given lengths
+    (:func:`_slot_layout`), as :class:`_ScanState` describes it."""
+
+    cells: int
+    step: int
+    split: int
+    outer: list[range]
+    slotted: list[range]
+    count: int
+    repunit: int
+    every: int
+    top: int
+    ands: list[int]
+    floors: list[int]
+    slabs: list[int]
+
+
+@lru_cache(maxsize=16)
+def _slot_layout(sizes: tuple[int, ...], bound: int) -> _SlotLayout:
+    """The slot layout of the refinement scans (:class:`_ScanState`) on
+    grids of these lengths, with at most ``bound`` prefixes in a block.
+    Cells and rows are numbered by the lengths alone, so every distribution
+    on grids of these lengths shares one layout, built the first time one
+    of them is scanned; the layouts of the last 16 shapes scanned are
+    kept."""
+    slabs = _slabs(sizes)
+    cells = prod(sizes)
+    step = cells // 8 + 1
+    ranges = [range(1 << size) for size in sizes[:-1]]
+    split = len(ranges) - 1
+    while split and prod(map(len, ranges[split - 1:])) <= bound:
+        split -= 1
+    slotted = ranges[split:]
+    count = prod(map(len, slotted))
+    repunit = int.from_bytes((b"\x01" + bytes(step - 1)) * count, "little")
+    every = ((1 << cells) - 1) * repunit
+    ands = [every]
+    stride = count
+    for member_slabs, rows in zip(slabs[split:], slotted):
+        stride //= len(rows)
+        table = b"".join([c.to_bytes(step, "little") * stride for c in _subset_table(member_slabs[::-1])])
+        lane = int.from_bytes(table * (count // (stride * len(rows))), "little")
+        ands += [a & lane for a in ands]
+    floors = [every]
+    for member_slabs in slabs:
+        lowest = member_slabs[0] * repunit
+        floors += [f & lowest for f in floors]
+    return _SlotLayout(
+        cells, step, split, ranges[:split], slotted, count, repunit, every, repunit << cells, ands, floors,
+        [s * repunit for s in slabs[-1]],
+    )
+
+
+class _ScanState:
+    """The refinement scans' state for one distribution, built the first
+    time it is scanned (``JointDistribution._scan``) and shared by every
+    protocol scanned on it: a fixed set of ints, none of which depends on
+    the protocol.
+
+    A member's strategies are their rows: one bitmask over their grid
+    positions each, the first position in the highest bit, with cells
+    ``tables[i][r]`` (``space._row_cells``). A prefix is a row of each head
+    member, members 0..n-2. The slotted members, ``split`` to n-2, are the
+    longest suffix of head members whose rows make at most
+    ``BLOCK_PREFIXES`` prefixes, and at least the last head member; the
+    head members before them are walked, each over its range in ``outer``.
+    A block holds the ``count`` prefixes of one row of each walked member,
+    in ``product`` order, each in a slot of ``step`` bytes, slot s from bit
+    8*step*s: room for a cell set of ``cells`` bits and a spare top bit.
+    ``slotted`` holds the slotted members' row ranges, and ``ands[k]``, in
+    each slot, the AND of the row cells at that prefix of the slotted
+    members ``split + j`` for the set bits j of k (every cell for k = 0).
+
+    ``every`` holds every cell in each slot and ``top`` the spare bit. For
+    x whose slots hold cell sets, ``x + every & top`` holds the spare bit
+    of exactly the slots where x is not empty: no slot carries into the
+    next. The plausibility scan reads, in each slot: ``floors[k]``, the
+    cells where every member of the coalition mask k sits at their minimum
+    (bit i for member i); ``slabs``, the last member's slabs; and
+    ``support``, the cells of positive mass. All but ``support`` depend on
+    the grid lengths alone, one layout for every distribution on grids of
+    those lengths (:func:`_slot_layout`).
     """
-    n = space.n
-    every = (1 << len(space.cells)) - 1
-    masks = space._row_cells
-    rows = [range(len(table)) for table in masks]
-    last = 1 << (n - 1)
-    coalitions = [
-        (m & last, [i for i in range(n - 1) if m >> i & 1]) for m in protocol._minimal_masks
-    ]
-    *head, tail = masks
-    for heads, prefix in zip(product(*rows[:-1]), product(*head)):
-        kept, pivot = every, 0
-        for needs_last, members in coalitions:
-            cells = reduce(and_, map(prefix.__getitem__, members), every)
-            if needs_last:
-                pivot |= cells
-            else:
-                kept &= ~cells
-        yield heads, kept, pivot, tail
+
+    def __init__(self, dist: JointDistribution) -> None:
+        space = dist.space
+        self.tables = space._row_cells
+        (
+            self.cells, self.step, self.split, self.outer, self.slotted, self.count,
+            repunit, self.every, self.top, self.ands, self.floors, self.slabs,
+        ) = _slot_layout(tuple(map(len, space.grids)), BLOCK_PREFIXES)
+        self.support = dist.support * repunit
+
+    def repeat(self, cells: int) -> int:
+        """The cell set ``cells`` in every slot."""
+        return int.from_bytes(cells.to_bytes(self.step, "little") * self.count, "little")
+
+    def heads(self, walked: tuple[int, ...], slot: int) -> tuple[int, ...]:
+        """The rows of the prefix at a slot of the block of ``walked``."""
+        rows = []
+        for size in reversed(self.slotted):
+            slot, row = divmod(slot, len(size))
+            rows.append(row)
+        return walked + tuple(rows[::-1])
 
 
-def _profile_prefixes(dist: JointDistribution, protocol: DeliberationProtocol):
-    """Checks the member count and the cap (:func:`_check_caps`) when called,
-    then walks every deterministic own-outcome profile by prefix
-    (:func:`_prefixes`); the last member's row m is the int m."""
+def _scan_state(dist: JointDistribution, protocol: DeliberationProtocol) -> _ScanState:
+    """The distribution's scan state (``dist._scan``), once the member count
+    and the cap (:func:`_check_caps`) are checked."""
     space = dist.space
     if protocol.n != space.n:
         raise EquilibriumError("protocol and distribution have different member counts")
     _check_caps(space)
-    return _prefixes(space, protocol)
+    return dist._scan
+
+
+def _blocks(state: _ScanState, protocol: DeliberationProtocol):
+    """Every prefix's ``kept`` and ``pivot`` under a protocol, a block at a
+    time, in ``product`` order: ``(walked, kept, pivot)`` for each row
+    combination ``walked`` of the walked head members (:class:`_ScanState`).
+
+    In a prefix's slot, ``kept`` holds the cells that no coalition of head
+    members alone discloses and ``pivot`` those where they complete a
+    coalition with the last member. With the last member at row m, the
+    profile conceals K = kept & ~(pivot & tail[m]), zero-probability cells
+    included, where ``tail`` is the last member's row cells. The disclosed
+    cells are the OR, over the minimal winning coalitions, of the AND of
+    their members' row cells: the state's ``ands`` entry of the slotted
+    members, ANDed with the walked members' rows, one cell set repeated in
+    every slot. So a block takes one or two ANDs and one OR or AND-NOT per
+    coalition.
+    """
+    last = len(state.tables) - 1
+    head = (1 << last) - 1
+    coalitions = [
+        (mask >> last, [i for i in range(state.split) if mask >> i & 1], state.ands[(mask & head) >> state.split])
+        for mask in protocol._minimal_masks
+    ]
+    every, tables = state.every, state.tables
+    for walked in product(*state.outer):
+        kept, pivot = every, 0
+        for needs_last, members, cells in coalitions:
+            if members:
+                cells &= state.repeat(reduce(and_, [tables[i][walked[i]] for i in members]))
+            if needs_last:
+                pivot |= cells
+            else:
+                kept &= ~cells
+        yield walked, kept, pivot
+
+
+def _slot_prefixes(state: _ScanState, protocol: DeliberationProtocol):
+    """The blocks of :func:`_blocks` read slot by slot: ``(heads, kept,
+    pivot)`` for every prefix in ``product`` order, ``heads`` its rows."""
+    step = state.step
+    size = step * state.count
+    for walked, kept, pivot in _blocks(state, protocol):
+        kept, pivot = kept.to_bytes(size, "little"), pivot.to_bytes(size, "little")
+        for at, rows in zip(range(0, size, step), product(*state.slotted)):
+            yield (
+                walked + rows,
+                int.from_bytes(kept[at:at + step], "little"),
+                int.from_bytes(pivot[at:at + step], "little"),
+            )
 
 
 def _pure_profile(space: OutcomeSpace, rows: Sequence[int]) -> StrategyProfile:
     """The StrategyProfile of per-member row bitmasks, first position in the
-    highest bit, as :func:`_prefixes` reads them."""
+    highest bit, as the refinement scans read them (:class:`_ScanState`)."""
     return StrategyProfile(
         space,
         tuple(
@@ -1254,15 +1396,16 @@ def consistent_with_deliberation(
     Each member's condition is one signed integer sum over the concealed
     cells, and the members' sums are packed into one (:func:`.outcomes._pack`),
     so a profile is a witness exactly when its packed sum is 0. Profiles are
-    walked by prefix (:func:`_prefixes`): the sum over K = kept & ~(pivot &
-    tail[m]) is that over ``kept`` less that over ``kept & pivot`` on the
-    last member's positions in m. So each prefix makes two reads: ``kept``,
-    and ``kept & pivot`` from tables that keep each last-member position's
-    part in a block of its own. A subset-sum table of those position sums
-    gives every row m's side, and m is a witness when its side equals the
-    ``kept`` sum and K carries mass. The first
-    witness, in ``product`` order, is confirmed by an integer check of the
-    witness's concealed set (:func:`_witness_holds`) before True is returned.
+    read by prefix of head members, slot by slot from the block kernel
+    (:func:`_slot_prefixes`): the sum over K = kept & ~(pivot & tail[m]) is
+    that over ``kept`` less that over ``kept & pivot`` on the last member's
+    positions in m. So each prefix makes two reads: ``kept``, and
+    ``kept & pivot`` from tables that keep each last-member position's part
+    in a block of its own. A subset-sum table of those position sums gives
+    every row m's side, and m is a witness when its side equals the
+    ``kept`` sum and K carries mass. The first witness, in ``product``
+    order, is confirmed by an integer check of the witness's concealed set
+    (:func:`_witness_holds`) before True is returned.
     """
     return _consistency_witness(posteriors, dist, protocol) is not None
 
@@ -1276,7 +1419,7 @@ def _consistency_witness(
     target = tuple(as_fraction(p) for p in posteriors)
     if len(target) != dist.space.n:
         raise EquilibriumError("posterior vector has wrong length")
-    prefixes = _profile_prefixes(dist, protocol)
+    state = _scan_state(dist, protocol)
     columns = _posterior_columns(dist, target)
     entries, width = _pack(columns)
     tables = _subset_sums(entries)
@@ -1290,7 +1433,8 @@ def _consistency_witness(
     by_position = _subset_sums([e << (step * p) for e, p in zip(entries, space.positions[-1])])
     size = len(space.grids[-1])
     support = dist.support
-    for heads, kept, pivot, tail in prefixes:
+    tail = space._row_cells[-1]
+    for heads, kept, pivot in _slot_prefixes(state, protocol):
         if not kept & support:
             continue
         total = _chunk_sum(tables, _chunks(kept))
@@ -1340,10 +1484,11 @@ def plausible_full_disclosure_by_search(
 
     Searches for a full-disclosure equilibrium whose supporting posteriors are
     justified by some deterministic own-outcome profile with concealment:
-    beliefs that sustain the always-disclose profile. Profiles are walked by
-    prefix (:func:`_prefixes`), with no sums, only set tests; the first
-    witness, in ``product`` order, is confirmed by an integer check of the
-    witness's concealed set (:func:`_witness_holds`) before True is returned.
+    beliefs that sustain the always-disclose profile. Each block of prefixes
+    from the block kernel (:func:`_blocks`) is decided at once, with no sums,
+    only slot-wise set tests; the first witness, in ``product`` order, is
+    confirmed by an integer check of the witness's concealed set
+    (:func:`_witness_holds`) before True is returned.
 
     An on-path equilibrium that conceals a single cell c never justifies full
     disclosure when those beliefs do not: with F the members whose value at c
@@ -1374,44 +1519,71 @@ def _plausibility_witness(
     concealed cell of positive mass lies above it (``upper``): grids are
     strictly increasing.
 
-    Per prefix, member i is at their floor under the last member's row m
+    Per prefix, with ``outside = kept & ~pivot`` and ``inside = kept &
+    pivot``, member i is at their floor under the last member's row m
     exactly when ``kept & upper_i`` lies in ``pivot & tail[m]``: never when
-    it leaves ``pivot``, else when m holds every position whose slab it
-    meets. So a minimal winning coalition is at its floor exactly from the
-    OR of its members' position sets on, and that least row is the only one
-    to test for concealed mass, as K only shrinks as m grows. The prefix's
-    witness is the least row that passes.
+    ``outside`` meets ``upper_i``, else when m holds every position whose
+    slab ``inside & upper_i`` meets. So a minimal winning coalition G is at
+    its floor exactly from the OR of its members' position sets on, and
+    that least row is the only one to test for concealed mass, as K only
+    shrinks as m grows. It conceals mass exactly when ``outside`` holds
+    mass, or some last-member slab meets ``inside`` with mass while no
+    member of G meets ``inside & upper_i`` on it. Each of these is a
+    slot-wise nonzero test (:class:`_ScanState`), a few big-int operations
+    per coalition and slab for a whole block; the first flagged slot is the
+    first prefix with a witness. Only that prefix is read out of its slot,
+    and its witness is the least row that passes.
     """
-    prefixes = _profile_prefixes(dist, protocol)
+    state = _scan_state(dist, protocol)
+    every, top, support = state.every, state.top, state.support
+    uppers = [support & ~state.floors[mask] for mask in protocol._minimal_masks]
+    for walked, kept, pivot in _blocks(state, protocol):
+        outside = kept & ~pivot
+        inside = kept & pivot & support
+        somewhere = (outside & support) + every
+        fills = [((inside & slab) + every, inside & slab) for slab in state.slabs]
+        verdict = 0
+        for upper in uppers:
+            at_floor = top & ~((outside & upper) + every)
+            if at_floor:
+                conceals = somewhere
+                for fill, part in fills:
+                    conceals |= fill & ~((part & upper) + every)
+                verdict |= at_floor & conceals
+        if verdict:
+            slot = ((verdict & -verdict).bit_length() - 1) // (8 * state.step)
+            shift = 8 * state.step * slot
+            cells = (1 << state.cells) - 1
+            heads = state.heads(walked, slot)
+            m = _least_row(dist, protocol, kept >> shift & cells, pivot >> shift & cells)
+            if m is None:
+                raise AssertionError("block verdict disagrees with its prefix's least row")
+            bits = heads + (m,)
+            if not _witness_holds(dist, protocol, bits):
+                raise AssertionError("integer scan disagrees with the witness's concealed set")
+            return bits
+    return None
+
+
+def _least_row(dist: JointDistribution, protocol: DeliberationProtocol, kept: int, pivot: int) -> int | None:
+    """The least row of the last member that makes one prefix's profile a
+    witness of :func:`_plausibility_witness`, or None: per minimal winning
+    coalition none of whose members meets ``outside`` above their minimum,
+    the OR of its members' position sets, tried in increasing order."""
     space = dist.space
     support = dist.support
-    n = space.n
-    uppers = [(1 << i, support & ~slabs[0]) for i, slabs in enumerate(space.slabs)]
+    uppers = [support & ~slabs[0] for slabs in space.slabs]
     # bit b of a row stands for the slab at position len - 1 - b
     positions = [(1 << b, s) for b, s in enumerate(space.slabs[-1][::-1])]
-    coalitions = [(m, [i for i in range(n) if m >> i & 1]) for m in protocol._minimal_masks]
-    for heads, kept, pivot, tail in prefixes:
-        if not kept & support:
-            continue
-        outside = kept & ~pivot
-        never = 0
-        for bit, upper in uppers:
-            if outside & upper:
-                never |= bit
-        live = [members for mask, members in coalitions if not mask & never]
-        if not live:
-            continue
-        needs = []
-        for _, upper in uppers:
-            above = kept & upper
-            needs.append(sum([b for b, s in positions if above & s]))
-        rows = {reduce(or_, map(needs.__getitem__, members)) for members in live}
-        for m in sorted(rows):
-            if kept & ~(pivot & tail[m]) & support:
-                bits = heads + (m,)
-                if not _witness_holds(dist, protocol, bits):
-                    raise AssertionError("integer scan disagrees with the witness's concealed set")
-                return bits
+    outside = kept & ~pivot
+    never = sum([1 << i for i, upper in enumerate(uppers) if outside & upper])
+    needs = [sum([b for b, s in positions if kept & upper & s]) for upper in uppers]
+    live = [mask for mask in protocol._minimal_masks if not mask & never]
+    rows = {reduce(or_, [need for i, need in enumerate(needs) if mask >> i & 1]) for mask in live}
+    tail = space._row_cells[-1]
+    for m in sorted(rows):
+        if kept & ~(pivot & tail[m]) & support:
+            return m
     return None
 
 
@@ -1422,7 +1594,7 @@ def _witness_holds(
     target: Sequence[Fraction] | None = None,
 ) -> bool:
     """Whether the pure profile ``rows`` (one row bitmask per member, as
-    :func:`_prefixes` reads them) is a witness of a refinement scan, checked
+    the scans read them, :class:`_ScanState`) is a witness of a refinement scan, checked
     in integers on its concealed cells alone, independently of the scan.
 
     K is built from the rows directly: the cells of positive mass outside the

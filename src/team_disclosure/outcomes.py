@@ -18,7 +18,8 @@ and the subset sum, where :func:`_subset_sums` tables of ``CHUNK_CELLS``
 cells each give the sum over any cell set. Each member's row-to-cells table
 (``OutcomeSpace._row_cells``) is a subset-sum table too.
 The equilibrium search keeps its state for a distribution behind one lazy
-hook, ``JointDistribution._search``.
+hook, ``JointDistribution._search``, and the refinement scans theirs behind
+another, ``JointDistribution._scan``.
 """
 from __future__ import annotations
 
@@ -87,15 +88,8 @@ class OutcomeSpace:
     @cached_property
     def slabs(self) -> tuple[tuple[int, ...], ...]:
         """slabs[i][p] = the cells whose member-(i+1) value is grid position
-        p, as one cell set: an int with cell c at bit c."""
-        bits = [1 << c for c in range(len(self.positions[0]))]
-        slabs = []
-        for grid, column in zip(self.grids, self.positions):
-            member_slabs = [0] * len(grid)
-            for p, bit in zip(column, bits):
-                member_slabs[p] |= bit
-            slabs.append(tuple(member_slabs))
-        return tuple(slabs)
+        p, as one cell set: an int with cell c at bit c (:func:`_slabs`)."""
+        return _slabs([len(g) for g in self.grids])
 
     @cached_property
     def _row_cells(self) -> tuple[list[int], ...]:
@@ -111,6 +105,27 @@ class OutcomeSpace:
 
     def is_binary(self) -> bool:
         return all(len(g) == 2 for g in self.grids)
+
+
+def _slabs(sizes: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """The slabs of the product grid of grids of these lengths
+    (:attr:`OutcomeSpace.slabs`), read off the lengths alone.
+
+    In ``product`` order member i's position steps every ``stride`` cells,
+    the product of the later grids' lengths, and comes back every
+    ``period = len(grid_i) * stride``. So slab p is one run of ``stride``
+    bits repeated once per period, that run times the repunit of the period
+    over the cells, shifted up by ``p * stride``."""
+    count = prod(sizes)
+    every = (1 << count) - 1
+    slabs = []
+    period = count
+    for size in sizes:
+        stride = period // size
+        run = ((1 << stride) - 1) * (every // ((1 << period) - 1))
+        slabs.append(tuple([run << p * stride for p in range(size)]))
+        period = stride
+    return tuple(slabs)
 
 
 def make_space(grids: Sequence[Sequence[Rational]]) -> OutcomeSpace:
@@ -145,22 +160,26 @@ class JointDistribution:
     probs: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        if len(self.probs) != len(self.space.cells):
+        # in integers: each sign from its numerator, the sum over the lcm
+        # of the denominators
+        probs = self.probs
+        if len(probs) != prod(map(len, self.space.grids)):
             raise OutcomeError("pmf length does not match the cell count")
-        if any(p < 0 for p in self.probs):
+        if any(p.numerator < 0 for p in probs):
             raise OutcomeError("probabilities must be nonnegative")
-        if sum(self.probs) != ONE:
+        den = lcm(*(p.denominator for p in probs))
+        if sum([p.numerator * (den // p.denominator) for p in probs]) != den:
             raise OutcomeError("probabilities must sum to exactly 1")
 
     @cached_property
     def full_support(self) -> bool:
-        return all(p > 0 for p in self.probs)
+        return all(p.numerator > 0 for p in self.probs)
 
     @cached_property
     def support(self) -> int:
         """The cells of positive probability, as a cell set (see
         :attr:`OutcomeSpace.slabs`)."""
-        return sum(1 << c for c, p in enumerate(self.probs) if p)
+        return sum([1 << c for c, p in enumerate(self.probs) if p.numerator])
 
     def prob(self, cell: Sequence[Rational]) -> Fraction:
         return self.probs[self.space.index(cell)]
@@ -188,6 +207,15 @@ class JointDistribution:
         from .equilibrium import _SearchState
 
         return _SearchState(self)
+
+    @cached_property
+    def _scan(self):
+        """The refinement scans' state for this distribution
+        (``equilibrium._ScanState``), built the first time it is scanned and
+        shared by every protocol scanned on it."""
+        from .equilibrium import _ScanState
+
+        return _ScanState(self)
 
     @cached_property
     def mean_vector(self) -> tuple[Fraction, ...]:

@@ -6,9 +6,10 @@ own formulas, so each checked quantity has two separate routes to the answer.
 """
 from decimal import Context, Decimal
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import product
 from math import comb
+from operator import and_
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -610,13 +611,20 @@ def plausible_full_disclosure_by_fractions(dist, protocol):
 
 def concealed_sets(space, protocol):
     """(rows, K) for every deterministic own-outcome profile, in ``product``
-    order of each member's rows: K = kept & ~(pivot & tail[m]) off each
-    prefix of ``equilibrium._prefixes``, zero-probability cells included."""
-    from team_disclosure.equilibrium import _prefixes
-
-    for heads, kept, pivot, tail in _prefixes(space, protocol):
-        for m, cells in enumerate(tail):
-            yield heads + (m,), kept & ~(pivot & cells)
+    order of each member's rows: K = the cells outside the OR, over the
+    minimal winning coalitions, of the AND of their members' row cells
+    (``space._row_cells``), zero-probability cells included. Built from
+    each profile's rows alone, as ``equilibrium._witness_holds`` builds a
+    witness's, sharing nothing with the scans' block kernel."""
+    every = (1 << len(space.cells)) - 1
+    tables = space._row_cells
+    coalitions = [[i for i in range(space.n) if mask >> i & 1] for mask in protocol._minimal_masks]
+    for rows in product(*(range(len(table)) for table in tables)):
+        cells = [table[r] for table, r in zip(tables, rows)]
+        disclosed = 0
+        for members in coalitions:
+            disclosed |= reduce(and_, [cells[i] for i in members])
+        yield rows, every & ~disclosed
 
 
 def _profiles_with_mass(dist, protocol):
@@ -860,9 +868,6 @@ def screened_configs_by_product(ctx, zero_set=True):
     on the whole box: a weaker screen that judges each constraint on its own
     corner signs.
     """
-    from functools import reduce
-    from operator import and_
-
     options = []
     w_pos = ctx.w_pos
     for slabs, above, below in zip(ctx.state.slabs, ctx.above, ctx.below):

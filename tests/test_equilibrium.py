@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import prod
 
 import pytest
 
@@ -584,6 +585,39 @@ class TestRefinementOracles:
         assert True in moved
         assert plausible == {True, False}
 
+    @pytest.mark.parametrize("bound", [1, 4, 16])
+    def test_scans_match_the_twins_in_small_blocks(self, monkeypatch, bound):
+        # blocks of at most 1, 4 or 16 prefixes: most head members are
+        # walked and a scan crosses many blocks, on spaces whose cells fill
+        # a slot up to its spare bit (15 cells in 2 bytes) too; both scans
+        # still return the twins' first witness, or none
+        monkeypatch.setattr(equilibrium, "BLOCK_PREFIXES", bound)
+        rng = random.Random(f"small blocks {bound}")
+        plausible = set()
+        blocks = 1
+        for sizes in [(3, 5), (5, 3), (2, 2, 2), (2, 3, 2), (3, 2, 2), (2, 2, 2, 2), (2, 2, 3, 2)]:
+            d = sparse_dist(rng, sizes)
+            blocks = max(blocks, prod(map(len, d._scan.outer)))
+            protos = all_protocols(len(sizes))
+            for proto in rng.sample(protos, min(len(protos), 6)):
+                fast = equilibrium._plausibility_witness(d, proto)
+                assert fast == plausibility_witness_by_profiles(d, proto)
+                plausible.add(fast is not None)
+                while True:
+                    rows = [rng.randrange(1 << len(g)) for g in d.space.grids]
+                    try:
+                        hit = posterior_no_disclosure(
+                            d, team_rule(equilibrium._pure_profile(d.space, rows), proto)
+                        )
+                    except OffPathPosterior:
+                        continue
+                    break
+                fast = equilibrium._consistency_witness(hit, d, proto)
+                assert fast is not None
+                assert fast == consistency_witness_by_profiles(hit, d, proto)
+        assert plausible == {True, False}
+        assert blocks >= 4
+
     def test_plausibility_witness_is_the_least_row(self):
         # many small sparse draws, where one prefix often has several least
         # rows, one per minimal winning coalition: the scan must return the
@@ -647,8 +681,9 @@ class TestRefinementOracles:
     def test_scans_raise_when_pivot_drops_a_coalition(self, monkeypatch):
         # the 4-cycle protocol {1,2}, {1,4}, {2,3}, {3,4} with {1,4} missing
         # from pivot: kept reads only coalitions without the last member, so
-        # the walk is that of the protocol without {1,4}, and both scans take
-        # a profile for a witness that its rows do not justify
+        # the block kernel's blocks are those of the protocol without {1,4},
+        # and both scans take a profile for a witness that its rows do not
+        # justify
         d = uniform_binary(4)
         proto = make_protocol(4, [(1, 2), (1, 4), (2, 3), (3, 4)])
         reduced = make_protocol(4, [(1, 2), (2, 3), (3, 4)])
@@ -656,8 +691,8 @@ class TestRefinementOracles:
         target = posterior_no_disclosure(d, team_rule(profile, reduced))
         assert not consistent_with_deliberation(target, d, proto)
         assert not plausible_full_disclosure_by_search(d, proto)
-        prefixes = equilibrium._prefixes
-        monkeypatch.setattr(equilibrium, "_prefixes", lambda space, protocol: prefixes(space, reduced))
+        blocks = equilibrium._blocks
+        monkeypatch.setattr(equilibrium, "_blocks", lambda state, protocol: blocks(state, reduced))
         with pytest.raises(AssertionError, match="integer scan disagrees"):
             consistent_with_deliberation(target, d, proto)
         with pytest.raises(AssertionError, match="integer scan disagrees"):

@@ -19,11 +19,13 @@ from math import gcd
 import pytest
 
 from team_disclosure.equilibrium import (
+    BLOCK_PREFIXES,
     EquilibriumError,
     StrategyProfile,
     TeamRule,
     _build_context,
-    _prefixes,
+    _slot_layout,
+    _slot_prefixes,
     consistent_with_deliberation,
     team_rule,
 )
@@ -270,24 +272,90 @@ def test_vote_tables_match_vote_mask_loop(sizes):
 
 @pytest.mark.parametrize("sizes", KERNEL_SIZES, ids=str)
 def test_concealed_sets_match_evaluate(sizes):
-    """The refinement walk visits every pure profile in ``product`` order of
-    each member's rows, and each profile's concealed set is the set of cells
+    """The refinement's block kernel, read slot by slot, visits every pure
+    profile in ``product`` order of each member's rows (in 16 blocks on the
+    256-cell space), and each profile's concealed set is the set of cells
     where the team rule from ``protocol.evaluate`` is 0, whatever their
     probability, on a seeded sample of profiles (16 on the 256-cell space)."""
     rng = random.Random(f"concealed sets {sizes}")
     space = fractional_space(rng, len(sizes), sizes[:1])
+    state = sparse_dist(rng, space)._scan
     every = list(product(*(range(1 << len(g)) for g in space.grids)))
     checked = 16 if len(space.cells) > 27 else 40
+    tail = space._row_cells[-1]
     for protocol in kernel_protocols(rng, space.n):
         walked = [
             (heads + (m,), kept & ~(pivot & cells))
-            for heads, kept, pivot, tail in _prefixes(space, protocol)
+            for heads, kept, pivot in _slot_prefixes(state, protocol)
             for m, cells in enumerate(tail)
         ]
         assert [bits for bits, _ in walked] == every
         for bits, k in rng.sample(walked, checked):
             rule = team_rule_by_evaluate(row_votes(space, bits), protocol)
             assert k == sum(1 << c for c, v in enumerate(rule.values) if v == 0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_slabs_match_the_per_cell_definition(n):
+    """``OutcomeSpace.slabs``, read off the grid lengths, against its
+    definition cell by cell: slab p of member i holds the cells whose
+    member-i value is grid position p, on seeded ragged spaces."""
+    rng = random.Random(f"slabs {n}")
+    for _ in range(8):
+        space = fractional_space(rng, n, (2, 3, 4, 5))
+        expected = tuple(
+            tuple(sum(1 << c for c, cell in enumerate(space.cells) if cell[i] == v) for v in g)
+            for i, g in enumerate(space.grids)
+        )
+        assert space.slabs == expected
+
+
+# grid lengths -> (walked head members, prefixes per block) at BLOCK_PREFIXES
+BLOCK_LAYOUTS = {
+    (2, 2): (0, 4),
+    (2, 2, 2): (0, 16),
+    (3, 3, 3): (0, 64),
+    (9, 2): (0, 512),  # the last head member is slotted, past the bound
+    (2, 10, 2): (1, 1024),
+    (4, 4, 4, 4): (1, 256),  # exactly at the bound
+    (3, 3, 3, 3): (1, 64),
+    (5, 5, 5, 5): (2, 32),
+    (14, 2, 2, 2): (1, 16),
+    (2, 8, 8, 2): (2, 256),
+    (2, 2, 2, 14): (0, 64),
+}
+
+
+@pytest.mark.parametrize("sizes", BLOCK_LAYOUTS, ids=str)
+def test_block_layout(sizes):
+    """The slotted head members are the longest suffix whose rows make at
+    most BLOCK_PREFIXES prefixes, and at least the last head member; each
+    slot has room for every cell and a spare bit."""
+    assert BLOCK_PREFIXES == 1 << 8
+    layout = _slot_layout(sizes, BLOCK_PREFIXES)
+    assert (layout.split, layout.count) == BLOCK_LAYOUTS[sizes]
+    assert [len(r) for r in layout.outer + layout.slotted] == [1 << g for g in sizes[:-1]]
+    assert 8 * (layout.step - 1) <= layout.cells < 8 * layout.step
+
+
+@pytest.mark.parametrize("sizes", [(3, 5), (3, 3, 7), (2, 2, 2), (2, 3), (14, 2, 2, 2)], ids=str)
+def test_nonzero_slot_test(sizes):
+    """``x + every & top`` holds the spare bit of exactly the slots where x
+    is not empty, when the cells fill a slot up to its spare bit (15 cells
+    in 2 bytes, 63 in 8) and when they do not, on slot contents that
+    include the empty set, cell 0 alone, the last cell alone and every
+    cell."""
+    rng = random.Random(f"slot test {sizes}")
+    layout = _slot_layout(sizes, BLOCK_PREFIXES)
+    cells, width = layout.cells, 8 * layout.step
+    assert layout.every == sum(((1 << cells) - 1) << width * s for s in range(layout.count))
+    assert layout.top == sum(1 << width * s + cells for s in range(layout.count))
+    choices = (0, 1, 1 << (cells - 1), (1 << cells) - 1)
+    for _ in range(20):
+        slots = [rng.choice(choices) if rng.random() < 0.7 else rng.getrandbits(cells) for _ in range(layout.count)]
+        x = sum(v << width * s for s, v in enumerate(slots))
+        flags = x + layout.every & layout.top
+        assert flags == sum(1 << width * s + cells for s, v in enumerate(slots) if v)
 
 
 @pytest.mark.parametrize("sizes", KERNEL_SIZES, ids=str)

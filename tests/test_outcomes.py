@@ -51,6 +51,56 @@ class TestSpacesAndDistributions:
         with pytest.raises(OutcomeError):
             JointDistribution(space, (F(1, 4),) * 3 + (F(1, 3),))
 
+    def test_validation_messages(self):
+        space = binary_space(2)
+        for probs, message in [
+            ((F(1, 2), F(1, 2), F(0)), "pmf length does not match the cell count"),
+            ((F(1, 2), F(1, 2), F(1, 4), F(-1, 4)), "probabilities must be nonnegative"),
+            ((F(1, 4), F(1, 4), F(1, 4), F(1, 3)), "probabilities must sum to exactly 1"),
+            ((F(1, 4), F(1, 4), F(1, 4), F(1, 5)), "probabilities must sum to exactly 1"),
+        ]:
+            with pytest.raises(OutcomeError) as err:
+                JointDistribution(space, probs)
+            assert str(err.value) == message
+
+    def test_integer_validation_agrees_with_fraction_checks(self):
+        # signs read from numerators and the sum read over the lcm of the
+        # denominators accept and refuse what the Fraction comparisons do,
+        # with the first failing check's message; full_support agrees too
+        rng = random.Random(29)
+        space = make_space([[0, 1, 2]] * 3)
+        seen = set()
+        for _ in range(300):
+            dens = [rng.choice((1, 2, 3, 5, 7, 12, 1009)) for _ in space.cells]
+            probs = [F(rng.randint(0, 9), den) for den in dens]
+            total = sum(probs) or F(1)
+            probs = [p / total for p in probs]
+            kind = rng.randrange(3)
+            if kind == 1:
+                at = rng.randrange(len(probs))
+                probs[at] += F(rng.choice((-1, 1)), rng.choice((3, 1009, 10**12)))
+            elif kind == 2:
+                at, other = rng.sample(range(len(probs)), 2)
+                shift = F(1, rng.choice((2, 7, 1009)))
+                probs[at] -= shift
+                probs[other] += shift
+            if any(p < 0 for p in probs):
+                expected = "probabilities must be nonnegative"
+            elif sum(probs) != 1:
+                expected = "probabilities must sum to exactly 1"
+            else:
+                expected = None
+            try:
+                d = JointDistribution(space, tuple(probs))
+            except OutcomeError as exc:
+                got = str(exc)
+            else:
+                got = None
+                assert d.full_support == all(p > 0 for p in probs)
+            assert got == expected
+            seen.add(expected)
+        assert seen == {None, "probabilities must be nonnegative", "probabilities must sum to exactly 1"}
+
     def test_from_pmf_sums_repeated_keys_and_rejects_off_grid_outcomes(self):
         space = make_space([[0, F(1, 2)], [1, 2]])
         # ("1/2", 2) and (Fraction(1, 2), 2.0) name one cell, so their masses add up
