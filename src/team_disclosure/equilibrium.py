@@ -47,13 +47,17 @@ the zero set.
 
 A configuration with no atom is one combination, where the screen has
 already checked W > 0 and every gap bound, so it is taken without a solver.
-Each other configuration yields checked weights, is proven infeasible, or
-is noted unresolved in the search notes; nothing is approximated. The search
-is not yet exhaustive at four members: a configuration is unresolved when
-its only solutions have irrational weights, when its equations do not
-reduce to one free weight, or when it has three or more free weights and a
-gap member and no combination of ``FREE_WEIGHT_CANDIDATES`` for all but the
-last two is feasible.
+So is a configuration whose atom equations are 0 at every corner of its
+weight box and whose all-zero corner has W > 0 and both strict bounds of
+every gap member: it is a family in every atom weight, taken at the
+all-zero corner, which is the solver's first solution
+(:func:`_zero_corner_family`). Each other configuration yields checked
+weights, is proven infeasible, or is noted unresolved in the search notes;
+nothing is approximated. The search is not yet exhaustive at four members:
+a configuration is unresolved when its only solutions have irrational
+weights, when its equations do not reduce to one free weight, or when it
+has three or more free weights and a gap member and no combination of
+``FREE_WEIGHT_CANDIDATES`` for all but the last two is feasible.
 
 Where a configuration admits a continuum of equilibria (free mixing weights),
 one canonical representative is returned: each free weight prefers 0, then
@@ -828,6 +832,11 @@ class _AtomSolver:
     with ``unresolved`` set in the cases that the module docstring lists. A
     bail-out marks the solver unresolved only when the walk gets past it,
     so never once a solution has been taken.
+
+    The search builds no solver for a configuration whose atom equations
+    are 0 at every corner and whose corner 0 meets every need
+    (:func:`_zero_corner_family`): the walk's first solution there is every
+    weight at 0, which the search takes straight away.
     """
 
     def __init__(self, grid_ints: Sequence[Sequence[int]], config: tuple[tuple[str, int], ...], box: list):
@@ -1059,6 +1068,45 @@ class _AtomSolver:
         )
 
 
+def _zero_corner_family(
+    grid_ints: Sequence[Sequence[int]], config: tuple[tuple[str, int], ...], box: list
+) -> bool:
+    """Whether a configuration is a family in every atom weight that holds
+    the all-zero point, read from its atom box's corner entries
+    (:meth:`_SearchContext.corners`): every atom member a's equation
+    S_a - x_a*W is 0 at every corner of the box, and at corner 0 (``box[0]``,
+    every weight 0, each atom member cutting at p+1) W > 0 and both strict
+    bounds of every gap member hold.
+
+    The search then takes every atom weight at 0 without an
+    :class:`_AtomSolver`. That is the solver's first solution, so the output
+    keeps its bytes:
+
+    - every ``h[a]`` is identically 0, so :meth:`_AtomSolver._solve` pins
+      nothing, leaves nothing coupled and hands every weight to ``_free``;
+    - ``_free``'s certificate cannot fire: pinning weights at 0 keeps
+      corner 0, where every strict table is positive;
+    - with no gap member ``_free`` returns all zeros, which ``feasible``
+      accepts: every equation is 0 and every strict table is its corner-0
+      value there;
+    - otherwise :meth:`_AtomSolver._along` (its test points start with
+      ``FREE_WEIGHT_CANDIDATES``) and :meth:`_AtomSolver._first` (over
+      those candidates) try ZERO first at every level, and each level's
+      ZERO leads to the all-zero point.
+    """
+    w0, s0 = box[0]
+    if w0 <= 0:
+        return False
+    for i, (kind, pos) in enumerate(config):
+        grid = grid_ints[i]
+        if kind == "gap":
+            if not grid[pos - 1] * w0 < s0[i] < grid[pos] * w0:
+                return False
+        elif any(s[i] != grid[pos] * w for w, s in box):
+            return False
+    return True
+
+
 def _corner_posterior(
     box: list[tuple[int, tuple[int, ...]]], weights: dict[int, Fraction], scales: Sequence[int]
 ) -> tuple[Fraction, ...]:
@@ -1067,7 +1115,8 @@ def _corner_posterior(
     are multilinear in the atom weights, so each is one :func:`._poly.dot`
     of its corner values with the weights' :func:`._poly.point`, both scaled
     alike, and member i's posterior is S_i / (W * scales[i]). W > 0 there:
-    :meth:`_AtomSolver.feasible` requires it, and a configuration with no
+    :meth:`_AtomSolver.feasible` requires it, :func:`_zero_corner_family`
+    requires it at corner 0, the point taken, and a configuration with no
     atom is one combination the screen took from ``w_pos``."""
     at = _poly.point(tuple(sorted(weights)), weights)
     mass = _poly.dot(at, [w for w, _ in box])
@@ -1147,14 +1196,18 @@ def find_equilibria_report(
     results = [ctx.state.full_disclosure]
 
     scales = dist._scaled.scales
+    grid_ints = ctx.state.grid_ints
     for config in _cut_configs(ctx):
         box = ctx.corners(config)
         if len(box) == 1:
             # no atom: the screen has proven W > 0 and both bounds of every
             # gap member at the configuration's one combination
             weights = {}
+        elif _zero_corner_family(grid_ints, config, box):
+            # the solver's first solution, with no solver built
+            weights = {i: ZERO for i, (kind, _) in enumerate(config) if kind == "atom"}
         else:
-            solver = _AtomSolver(ctx.state.grid_ints, config, box)
+            solver = _AtomSolver(grid_ints, config, box)
             weights = solver.solve()
             if weights is None:
                 if solver.unresolved:

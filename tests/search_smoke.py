@@ -7,14 +7,17 @@ broadword ints, one slot per pure cut combination and field, built through
 ``int.to_bytes`` and ``int.from_bytes``, so this checks them on every
 supported Python. It then searches each shared distribution's protocols
 again in reverse order, on a fresh copy of the distribution, and requires
-every solve document to equal its forward-order one. Last, it compares the
-search's per-vote-mask tables with a plain per-cell loop on the cap's
-extreme grid shapes. Needs no third-party package:
+every solve document to equal its forward-order one. It checks that every
+configuration with an atom that the screen yields and the zero-corner rule
+takes, every weight at 0 without the atom solver, gets those weights from a
+fresh solver too. Last, it compares the search's per-vote-mask tables with
+a plain per-cell loop on the cap's extreme grid shapes. Needs no
+third-party package:
 
     PYTHONPATH=src python tests/search_smoke.py
 
-Exits 0 when the digest matches, the orders agree and the tables match, 1
-otherwise.
+Exits 0 when the digest matches, the orders agree, the rule and the solver
+agree and the tables match, 1 otherwise.
 """
 import hashlib
 import json
@@ -25,7 +28,14 @@ from itertools import product
 
 from team_disclosure.audit import random_distribution
 from team_disclosure.configio import equilibrium_to_config
-from team_disclosure.equilibrium import find_equilibria_report
+from team_disclosure.equilibrium import (
+    ZERO,
+    _AtomSolver,
+    _build_context,
+    _cut_configs,
+    _zero_corner_family,
+    find_equilibria_report,
+)
 from team_disclosure.outcomes import JointDistribution, independent, make_space
 from team_disclosure.protocols import all_protocols, make_k_majority, make_protocol
 
@@ -110,6 +120,24 @@ def reverse_order_mismatches(searched) -> list[str]:
     return bad
 
 
+def zero_corner_mismatches(searched) -> list[str]:
+    """The configurations of the searches in ``searched``, (distribution,
+    protocol, ...) tuples, that the screen yields with an atom and the
+    zero-corner rule takes, but on which a fresh atom solver's first
+    solution is not every weight at 0."""
+    bad = []
+    for dist, proto, *_ in searched:
+        ctx = _build_context(dist, proto)
+        grid_ints = ctx.state.grid_ints
+        for config in _cut_configs(ctx):
+            box = ctx.corners(config)
+            if len(box) > 1 and _zero_corner_family(grid_ints, config, box):
+                zeros = {i: ZERO for i, (kind, _) in enumerate(config) if kind == "atom"}
+                if _AtomSolver(grid_ints, config, box).solve() != zeros:
+                    bad.append(f"{config} under {proto.describe()}")
+    return bad
+
+
 def vote_table_mismatches() -> list[str]:
     """The grid shapes, of the cap's extremes (14,2,2,2), (2,2,2,14) and
     (5,5,5,5), on which the search state's vote tables differ from a
@@ -153,9 +181,11 @@ def main() -> int:
     print(f"pinned searches: {'ok' if got == DIGEST else f'sha256 {got}'}")
     bad = reverse_order_mismatches(searched)
     print(f"reverse order: {'ok' if not bad else 'differs for ' + '; '.join(bad)}")
+    zeros = zero_corner_mismatches(searched)
+    print(f"zero corners: {'ok' if not zeros else 'the solver differs on ' + '; '.join(zeros)}")
     tables = vote_table_mismatches()
     print(f"vote tables: {'ok' if not tables else 'differ on ' + '; '.join(tables)}")
-    return 0 if got == DIGEST and not bad and not tables else 1
+    return 0 if got == DIGEST and not bad and not zeros and not tables else 1
 
 
 if __name__ == "__main__":

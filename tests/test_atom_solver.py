@@ -23,6 +23,7 @@ from team_disclosure.equilibrium import (
     _cut_configs,
     _search_context,
     _slot_masks,
+    _zero_corner_family,
     find_equilibria_report,
     team_rule,
     verify_equilibrium,
@@ -43,6 +44,7 @@ from search_smoke import (
     reverse_order_mismatches,
     search_digest,
     solve_document,
+    zero_corner_mismatches,
 )
 
 try:
@@ -130,6 +132,15 @@ def irrational_tables(slope, offset):
     return grids, config, corners
 
 
+def vanishing_box(gap_sum):
+    """(W, S) at the corners of two atom weights whose equations are 0
+    everywhere, with W = 4 - m0 - m1, positive and largest at corner 0 as
+    every protocol's concealed mass is, and a gap member's S_2 =
+    gap_sum(W, m)."""
+    mass = lambda m: 4 - m[0] - m[1]  # noqa: E731
+    return corner_table(2, mass, [lambda m: 0, lambda m: 0, lambda m: gap_sum(mass(m), m)])
+
+
 class TestHandBuiltTables:
     def test_semidefinite_equation_vanishes_only_where_nothing_is_concealed(self):
         # the measured common case: h_0 = 5*m1*m2 >= 0 is zero only on the
@@ -159,6 +170,52 @@ class TestHandBuiltTables:
         assert solver.solve() is None
         assert not solver.unresolved
         assert atom_grid_scan(corners, grids, config) is None
+
+    @pytest.mark.parametrize(
+        "grids, config, corners, answer",
+        [
+            # the gap member's lower bound S_2 - 2W = m0 is 0 at corner 0
+            (
+                ((0, 1), (0, 1), (2, 10)),
+                (("atom", 0), ("atom", 0), ("gap", 1)),
+                vanishing_box(lambda w, m: 2 * w + m[0]),
+                {0: ONE, 1: ZERO},
+            ),
+            # its upper bound 10W - S_2 = m1 is 0 at corner 0
+            (
+                ((0, 1), (0, 1), (2, 10)),
+                (("atom", 0), ("atom", 0), ("gap", 1)),
+                vanishing_box(lambda w, m: 10 * w - m[1]),
+                {0: ZERO, 1: ONE},
+            ),
+            # nothing is concealed at any corner, so W > 0 fails at corner 0
+            (((0, 1), (0, 1)), (("atom", 0),) * 2, corner_table(2, lambda m: 0, [lambda m: 0] * 2), None),
+        ],
+        ids=["lower-bound", "upper-bound", "no-mass"],
+    )
+    def test_vanishing_equations_with_a_zero_corner_that_fails_a_need(self, grids, config, corners, answer):
+        # every atom equation is 0 at every corner, but the all-zero point
+        # breaks a need there: the zero-corner rule declines, and the solver
+        # moves off it or proves the box infeasible
+        assert not _zero_corner_family(grids, config, corners)
+        solver = hand_built(grids, config, corners)
+        assert solver.solve() == answer
+        assert not solver.unresolved
+        assert (atom_grid_scan(corners, grids, config) is None) == (answer is None)
+
+    def test_equation_nonzero_at_one_corner_only(self):
+        # h_0 = 5*(1 - m1)*(1 - m2) is nonzero only where m1 = m2 = 0, which
+        # holds corner 0, and every need holds everywhere: the zero-corner
+        # rule declines, and the solver branches onto the face m1 = 1
+        grids = ((0, 1),) * 3
+        config = (("atom", 0),) * 3
+        h_0 = lambda m: 5 * (1 - m[1]) * (1 - m[2])  # noqa: E731
+        corners = corner_table(3, lambda m: 2, [h_0, lambda m: 0, lambda m: 0])
+        assert not _zero_corner_family(grids, config, corners)
+        solver = hand_built(grids, config, corners)
+        assert solver.h[0][1] == [5, 0, 0, 0]
+        assert solver.solve() == {0: ZERO, 1: ONE, 2: ZERO}
+        assert not solver.unresolved
 
     def test_mixed_residue_inside_a_non_candidate_interval(self):
         # h_1 = 1 - 2*m0 pins m0 = 1/2; h_0 = 100*m1 - 31 - 3*m2 is mixed-sign
@@ -714,6 +771,68 @@ class TestNoSlices:
             eqs, notes = find_equilibria_report(dist, proto)
             assert not any("slice" in note or "unresolved" in note for note in notes)
             assert all(e.verification.ok for e in eqs)
+
+
+def iid_stratum():
+    """332 (distribution, protocol) pairs: one iid 4-member draw on a
+    4-value and one on a 5-value grid, from ``random.Random(3)``, grid
+    values ``sorted(rng.sample(range(9), size))`` and pmf numerators
+    ``rng.randint(1, 6)``, each under every 4-member protocol."""
+    rng = random.Random(3)
+    cases = []
+    for size in (4, 5):
+        grid = sorted(rng.sample(range(9), size))
+        nums = [rng.randint(1, 6) for _ in grid]
+        dist = independent([{x: F(c, sum(nums)) for x, c in zip(grid, nums)}] * 4)
+        cases += [(dist, proto) for proto in all_protocols(4)]
+    return cases
+
+
+def zero_corner_breaks(grid_ints, config, box):
+    """What keeps a box's all-zero point from being a family's point: an
+    atom member whose posterior misses their atom value at a concealing
+    corner, or whose concealed sum is nonzero at one that conceals nothing,
+    and at corner 0 no concealment or a gap member's posterior outside their
+    open cut interval. Fractions, read straight from the corner entries."""
+    w0, s0 = box[0]
+    broken = [] if w0 else ["no concealment at corner 0"]
+    for i, (kind, pos) in enumerate(config):
+        grid = grid_ints[i]
+        if kind == "atom":
+            if any(F(s[i], w) != grid[pos] if w else s[i] for w, s in box):
+                broken.append(f"member {i}'s equation")
+        elif w0 and not grid[pos - 1] < F(s0[i], w0) < grid[pos]:
+            broken.append(f"member {i}'s cut at corner 0")
+    return broken
+
+
+class TestZeroCornerFamilies:
+    @pytest.mark.parametrize("cases", [no_slice_cases, iid_stratum])
+    def test_rule_takes_the_solvers_first_solution(self, cases):
+        # every screened configuration with an atom: where the rule takes it,
+        # a fresh solver's first solution is every weight at 0; where it
+        # declines, a corner entry breaks an equation or a need
+        taken = declined = 0
+        for dist, proto in cases():
+            ctx = _build_context(dist, proto)
+            grid_ints = ctx.state.grid_ints
+            for config in _cut_configs(ctx):
+                box = ctx.corners(config)
+                if len(box) == 1:
+                    continue
+                broken = zero_corner_breaks(grid_ints, config, box)
+                if _zero_corner_family(grid_ints, config, box):
+                    taken += 1
+                    zeros = {i: ZERO for i, (kind, _) in enumerate(config) if kind == "atom"}
+                    assert not broken and _AtomSolver(grid_ints, config, box).solve() == zeros
+                else:
+                    declined += 1
+                    assert broken, config
+        assert taken and declined
+
+    def test_pinned_searches(self):
+        # the search smoke's check, on the instances of the search digest
+        assert zero_corner_mismatches(list(pinned_searches())) == []
 
 
 def drain(grid_ints, config, box):
